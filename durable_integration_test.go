@@ -7,9 +7,11 @@ package genmapper
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"genmapper/internal/gen"
+	"genmapper/internal/wal"
 )
 
 func importSmallUniverse(t *testing.T, sys *System) *Universe {
@@ -162,5 +164,117 @@ func TestSystemRestoreInvalidatesDerivedCaches(t *testing.T) {
 	}
 	if got := len(sys2.Sources()); got != sourcesBefore {
 		t.Fatalf("sources after restore+reopen = %d, want %d", got, sourcesBefore)
+	}
+}
+
+// TestImportRecoveryCrashSweep crashes the filesystem at every IO operation
+// of the imports that follow a first, acknowledged one — once losing the
+// unsynced bytes, once keeping half of them (a torn record), once keeping
+// all — and recovers. An import is one log record, so the recovered system
+// must be byte-identical to the state after some whole number of imports,
+// never one in between, and must include every import that was
+// acknowledged. The remaining files then import to the same final state
+// as an undisturbed run (no ID was burnt by the crash).
+func TestImportRecoveryCrashSweep(t *testing.T) {
+	u := gen.NewUniverse(gen.Config{Seed: 5, Scale: 0.001})
+	paths, err := u.WriteFiles(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := []struct{ name, format string }{
+		{"GO", "obo"}, {"LocusLink", "locuslink"}, {"Enzyme", "enzyme"},
+	}
+	open := func(fs *wal.FaultFS) *System {
+		t.Helper()
+		// Segments far smaller than an import's record: the log rotates
+		// after every import, which puts rotation IO into the sweep.
+		sys, err := OpenDurable("", DurableOptions{FS: fs, Sync: wal.SyncAlways, SegmentSize: 8 << 10, CheckpointInterval: -1})
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		return sys
+	}
+	importFile := func(sys *System, i int) error {
+		_, err := sys.ImportFile(files[i].format, paths[files[i].name], u.SourceInfo(files[i].name),
+			ImportOptions{DeriveSubsumed: true})
+		return err
+	}
+
+	// Dry run: the state and the IO-op count after each import.
+	dry := wal.NewFaultFS()
+	sys := open(dry)
+	dumps := make([]string, len(files)+1)
+	stats := make([]*Stats, len(files)+1)
+	ops := make([]int, len(files)+1)
+	for i := range files {
+		if err := importFile(sys, i); err != nil {
+			t.Fatalf("dry run: import %s: %v", files[i].name, err)
+		}
+		dumps[i+1], ops[i+1] = sys.DB().DumpString(), dry.OpCount()
+		if stats[i+1], err = sys.Stats(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first, last := ops[1]+1, ops[len(files)]
+	t.Logf("sweeping IO ops %d..%d, three torn-tail variants each", first, last)
+	if last-first < 3 {
+		t.Fatalf("only %d IO ops to crash at", last-first+1)
+	}
+
+	torn := map[string]func(int) int{
+		"lost": nil,
+		"half": func(unsynced int) int { return unsynced / 2 },
+		"kept": func(unsynced int) int { return unsynced },
+	}
+	for op := first; op <= last; op++ {
+		for variant, tornFn := range torn {
+			fs := wal.NewFaultFS()
+			sys := open(fs)
+			if err := importFile(sys, 0); err != nil {
+				t.Fatalf("op %d: first import: %v", op, err)
+			}
+			fs.SetPlan(wal.FaultPlan{AtOp: op, Kind: wal.FaultCrash})
+			acked := 1
+			for acked < len(files) && importFile(sys, acked) == nil {
+				acked++
+			}
+			// The filesystem under it may have crashed, so Close may fail:
+			// it is only called to stop the system's goroutines.
+			sys.Close()
+			fs.SimulateCrash(tornFn)
+
+			rec := open(fs)
+			got := rec.DB().DumpString()
+			k := -1
+			for i := 1; i <= len(files); i++ {
+				if dumps[i] == got {
+					k = i
+				}
+			}
+			if k < 0 {
+				st, _ := rec.Stats()
+				t.Fatalf("op %d (%s): recovered state is not the state after any whole import: %v", op, variant, st)
+			}
+			if k < acked {
+				t.Fatalf("op %d (%s): recovered %d imports but %d were acknowledged", op, variant, k, acked)
+			}
+			if st, err := rec.Stats(); err != nil || !reflect.DeepEqual(st, stats[k]) {
+				t.Fatalf("op %d (%s): recovered stats %v (%v), want %v", op, variant, st, err, stats[k])
+			}
+			for i := k; i < len(files); i++ {
+				if err := importFile(rec, i); err != nil {
+					t.Fatalf("op %d (%s): import %s after recovery: %v", op, variant, files[i].name, err)
+				}
+			}
+			if rec.DB().DumpString() != dumps[len(files)] {
+				t.Fatalf("op %d (%s): finishing the imports after recovery does not reach the undisturbed final state", op, variant)
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }

@@ -8,9 +8,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"genmapper/internal/gam"
 	"genmapper/internal/gen"
 	"genmapper/internal/profile"
 )
@@ -199,31 +201,57 @@ func TestEndToEndProfilingOverUniverse(t *testing.T) {
 	}
 }
 
+// Re-importing the universe is a no-op, in lock mode and under MVCC, with
+// the Subsumed mappings derived inside each import's transaction: the two
+// modes must end with identical content (an import that could not read its
+// own IS_A rows would derive nothing under MVCC).
 func TestUniverseReimportIdempotent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double universe import skipped in -short mode")
 	}
-	sys, err := New()
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := gen.NewUniverse(gen.Config{Seed: 2, Scale: 0.001})
-	if _, err := sys.ImportUniverse(u, ImportOptions{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	before, _ := sys.Stats()
-	stats, err := sys.ImportUniverse(u, ImportOptions{}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stats {
-		if st.ObjectsNew != 0 || st.AssocsNew != 0 {
-			t.Fatalf("source %s not idempotent: %s", st.Source, st)
+	opts := ImportOptions{DeriveSubsumed: true}
+	var lockStats *Stats
+	for _, mvcc := range []bool{false, true} {
+		sys, err := New()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	after, _ := sys.Stats()
-	if before.Objects != after.Objects || before.Associations != after.Associations {
-		t.Fatalf("stats changed on re-import: %s vs %s", before, after)
+		sys.SetMVCC(mvcc)
+		u := gen.NewUniverse(gen.Config{Seed: 2, Scale: 0.001})
+		if _, err := sys.ImportUniverse(u, opts, nil); err != nil {
+			t.Fatal(err)
+		}
+		before, err := sys.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if before.ByType[gam.RelSubsumed] == 0 {
+			t.Fatalf("mvcc=%v: no Subsumed associations derived: %s", mvcc, before)
+		}
+		stats, err := sys.ImportUniverse(u, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, st := range stats {
+			if st.ObjectsNew != 0 || st.AssocsNew != 0 {
+				t.Fatalf("mvcc=%v: source %s not idempotent: %s", mvcc, st.Source, st)
+			}
+		}
+		after, err := sys.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("mvcc=%v: stats changed on re-import: %s vs %s", mvcc, before, after)
+		}
+		if lockStats == nil {
+			lockStats = after
+		} else if !reflect.DeepEqual(lockStats, after) {
+			t.Fatalf("MVCC import differs from lock mode: %s vs %s", after, lockStats)
+		}
+		if err := sys.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -242,6 +270,7 @@ func TestFailureInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	before, _ := sys.Stats()
+	gen0 := sys.Repo().Generation()
 
 	dir := t.TempDir()
 	cases := []struct {
@@ -273,10 +302,18 @@ func TestFailureInjection(t *testing.T) {
 		t.Error("cyclic taxonomy accepted by subsumption derivation")
 	}
 
-	// The prior data is still intact and queryable.
+	// A failed import leaves nothing — the cyclic source got as far as its
+	// objects and IS_A mapping before it was rejected — and the prior data
+	// is still intact and queryable.
 	after, _ := sys.Stats()
-	if after.Objects < before.Objects {
-		t.Fatalf("failed imports lost data: %s vs %s", before, after)
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("failed imports changed the database: %s vs %s", before, after)
+	}
+	if src := sys.Repo().SourceByName("Cyclic"); src != nil {
+		t.Fatalf("rejected source is still cached: %+v", src)
+	}
+	if g := sys.Repo().Generation(); g != gen0 {
+		t.Fatalf("failed imports moved the mapping generation %d -> %d", gen0, g)
 	}
 	if _, err := sys.AnnotationView(Query{
 		Source:  "LocusLink",

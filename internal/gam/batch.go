@@ -1,0 +1,530 @@
+package gam
+
+import (
+	"fmt"
+	"strings"
+
+	"genmapper/internal/sqldb"
+)
+
+// Batch is the write surface of a Repo, bound to one database transaction
+// by Repo.Atomic. Every statement gam ever writes is executed here. Reads
+// made through a Batch observe the batch's own uncommitted writes, in lock
+// mode and under MVCC alike.
+//
+// Cache entries a batch creates (sources, accession → ID, mapping keys)
+// live in a batch-local overlay consulted before the Repo's shared caches.
+// The overlay is merged into the shared caches only after the transaction
+// committed and is dropped when it rolled back, so a failed batch leaves no
+// ID behind for a row that no longer exists.
+//
+// A Batch is not safe for concurrent use and is dead once Atomic returns.
+type Batch struct {
+	r  *Repo
+	tx *sqldb.Tx
+
+	sources map[string]*Source               // lower(name) -> source created or re-audited here
+	objects map[SourceID]map[string]ObjectID // accession -> ID of objects created here
+	rels    map[relKey]SourceRelID           // mappings created here; 0 marks one deleted here
+
+	// mappingsChanged records a write to SOURCE_REL or OBJECT_REL: the
+	// commit then bumps the Repo's generation, once.
+	mappingsChanged bool
+}
+
+// Atomic runs fn on a fresh Batch inside one database transaction. When fn
+// returns nil the transaction commits — on a durable database as a single
+// log record behind a single fsync — and the batch's cache entries become
+// visible; when fn (or the commit) fails, everything fn wrote is rolled
+// back, no AUTOINCREMENT value stays burnt, the caches and Generation() are
+// untouched, and the error is returned.
+//
+// Batches are serialised: Atomic blocks while another batch is open. fn
+// must write through the Batch only — calling the Repo's own write methods
+// (or Atomic) from inside fn deadlocks. Under MVCC the transaction reads at
+// the snapshot taken when the batch opened; a write conflict with a
+// transaction outside gam, or a snapshot revoked by the retention budget
+// (sqldb.ErrWriteConflict, sqldb.ErrSnapshotTooOld), fails the whole batch
+// cleanly. Atomic does not retry.
+func (r *Repo) Atomic(fn func(*Batch) error) error {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
+	b := &Batch{
+		r:       r,
+		tx:      r.db.Begin(),
+		sources: make(map[string]*Source),
+		objects: make(map[SourceID]map[string]ObjectID),
+		rels:    make(map[relKey]SourceRelID),
+	}
+	if err := fn(b); err != nil {
+		b.tx.Rollback()
+		return err
+	}
+	// Commit and cache publication are one step to readers. Under MVCC the
+	// commit makes the new rows visible before it returns (it still waits
+	// for the fsync): a reader resolving a mapping key in between would get
+	// the ID the commit has just deleted and read an empty mapping.
+	r.mu.Lock()
+	err := b.tx.Commit()
+	if err == nil {
+		b.publish()
+	}
+	r.mu.Unlock()
+	if err == nil && b.mappingsChanged {
+		r.bumpGen()
+	}
+	return err
+}
+
+// atomic1 and atomic2 run fn as a batch of its own and return its results,
+// or zero values when the batch (fn or its commit) failed: the Repo's write
+// methods are these one-call batches.
+func atomic1[T any](r *Repo, fn func(*Batch) (T, error)) (T, error) {
+	var out T
+	err := r.Atomic(func(b *Batch) (err error) {
+		out, err = fn(b)
+		return err
+	})
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return out, nil
+}
+
+func atomic2[T, U any](r *Repo, fn func(*Batch) (T, U, error)) (T, U, error) {
+	var t T
+	var u U
+	err := r.Atomic(func(b *Batch) (err error) {
+		t, u, err = fn(b)
+		return err
+	})
+	if err != nil {
+		var zt T
+		var zu U
+		return zt, zu, err
+	}
+	return t, u, nil
+}
+
+// publish merges the overlay of a committed batch into the shared caches.
+// Caller holds r.mu.
+func (b *Batch) publish() {
+	r := b.r
+	for key, s := range b.sources {
+		r.sources[key] = s
+		r.sourcesByID[s.ID] = s
+	}
+	for src, created := range b.objects {
+		base, ok := r.objects[src]
+		if !ok {
+			// Only a source this batch created has no base (see
+			// baseObjects): the overlay is its complete object set.
+			r.objects[src] = created
+			continue
+		}
+		for acc, id := range created {
+			base[acc] = id
+		}
+	}
+	for key, id := range b.rels {
+		if id == 0 {
+			delete(r.rels, key)
+		} else {
+			r.rels[key] = id
+		}
+	}
+}
+
+// source resolves a source ID against the overlay, then the shared cache.
+func (b *Batch) source(id SourceID) *Source {
+	for _, s := range b.sources {
+		if s.ID == id {
+			return s
+		}
+	}
+	return b.r.sourcesByID[id]
+}
+
+// baseObjects returns the shared accession -> ID map of a source, loading
+// it through the batch's transaction on first use. The load always precedes
+// the batch's first object insert into that source (EnsureObjects calls it
+// first), so what it reads — and caches for everyone — is committed state.
+// A source created by this batch has no committed objects: its base is nil
+// and nothing is cached until publish.
+func (b *Batch) baseObjects(src SourceID) (map[string]ObjectID, error) {
+	r := b.r
+	if m, ok := r.objects[src]; ok || r.sourcesByID[src] == nil {
+		return m, nil
+	}
+	m, err := loadObjectIDs(b.tx, src)
+	if err != nil {
+		return nil, err
+	}
+	r.mu.Lock()
+	r.objects[src] = m
+	r.mu.Unlock()
+	return m, nil
+}
+
+// findRel resolves a mapping key against the overlay, then the shared
+// cache.
+func (b *Batch) findRel(key relKey) (SourceRelID, bool) {
+	if id, ok := b.rels[key]; ok {
+		return id, id != 0
+	}
+	id, ok := b.r.rels[key]
+	return id, ok
+}
+
+// ---------------------------------------------------------------------------
+// Sources
+
+// EnsureSource returns the existing source with the given name or creates
+// it. The boolean reports whether a new source was created. When the source
+// exists but release/date differ, the audit fields are updated (the paper's
+// source-level duplicate elimination compares name and audit info).
+func (b *Batch) EnsureSource(info Source) (*Source, bool, error) {
+	key := strings.ToLower(info.Name)
+	s := b.sources[key]
+	if s == nil {
+		s = b.r.sources[key]
+	}
+	if s != nil {
+		if info.Release != "" && info.Release != s.Release {
+			if _, err := b.tx.Exec(
+				sqlUpdateSourceAudit,
+				info.Release, info.Date, int64(s.ID)); err != nil {
+				return nil, false, fmt.Errorf("gam: update source audit: %w", err)
+			}
+			// Sources handed out earlier are shared with readers: re-audit
+			// a copy and let publish swap it in.
+			cp := *s
+			cp.Release, cp.Date = info.Release, info.Date
+			s = &cp
+			b.sources[key] = s
+		}
+		return s, false, nil
+	}
+	if info.Name == "" {
+		return nil, false, fmt.Errorf("gam: source name must not be empty")
+	}
+	content, err := ParseContent(string(info.Content))
+	if err != nil {
+		return nil, false, err
+	}
+	structure, err := ParseStructure(string(info.Structure))
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := b.tx.Exec(
+		sqlInsertSource,
+		info.Name, string(content), string(structure), info.Release, info.Date)
+	if err != nil {
+		return nil, false, fmt.Errorf("gam: insert source: %w", err)
+	}
+	s = &Source{
+		ID: SourceID(res.LastInsertID), Name: info.Name,
+		Content: content, Structure: structure,
+		Release: info.Release, Date: info.Date,
+	}
+	b.sources[key] = s
+	return s, true, nil
+}
+
+// ---------------------------------------------------------------------------
+// Objects
+
+// EnsureObjects bulk-inserts objects with duplicate elimination by
+// accession. It returns the object IDs aligned with specs and the number of
+// newly created rows. Batched multi-row INSERTs keep large imports fast.
+func (b *Batch) EnsureObjects(src SourceID, specs []ObjectSpec) ([]ObjectID, int, error) {
+	if b.source(src) == nil {
+		return nil, 0, fmt.Errorf("gam: unknown source id %d", src)
+	}
+	base, err := b.baseObjects(src)
+	if err != nil {
+		return nil, 0, err
+	}
+	created := b.objects[src]
+	if created == nil {
+		created = make(map[string]ObjectID)
+		b.objects[src] = created
+	}
+
+	ids := make([]ObjectID, len(specs))
+	var newIdx []int
+	// firstSeen records the spec index of the first occurrence of each new
+	// accession; batch-internal duplicates collapse onto it (encoded as a
+	// negative placeholder patched after insertion).
+	firstSeen := make(map[string]int)
+	for i, spec := range specs {
+		if spec.Accession == "" {
+			return nil, 0, fmt.Errorf("gam: object %d has empty accession", i)
+		}
+		if id, ok := base[spec.Accession]; ok {
+			ids[i] = id
+			continue
+		}
+		if id, ok := created[spec.Accession]; ok {
+			ids[i] = id
+			continue
+		}
+		if first, dup := firstSeen[spec.Accession]; dup {
+			ids[i] = ObjectID(-int64(first) - 1)
+			continue
+		}
+		firstSeen[spec.Accession] = i
+		newIdx = append(newIdx, i)
+	}
+
+	for start := 0; start < len(newIdx); start += batchChunk {
+		end := start + batchChunk
+		if end > len(newIdx) {
+			end = len(newIdx)
+		}
+		chunk := newIdx[start:end]
+		args := make([]any, 0, len(chunk)*4)
+		for _, i := range chunk {
+			spec := specs[i]
+			args = append(args, int64(src), spec.Accession, spec.textArg(), spec.numberArg())
+		}
+		res, err := b.tx.Exec(objectInsertSQL(len(chunk)), args...)
+		if err != nil {
+			return nil, 0, fmt.Errorf("gam: insert objects: %w", err)
+		}
+		// AUTOINCREMENT IDs are contiguous for a single multi-row insert.
+		firstID := res.LastInsertID - int64(len(chunk)) + 1
+		for ci, i := range chunk {
+			id := ObjectID(firstID + int64(ci))
+			ids[i] = id
+			created[specs[i].Accession] = id
+		}
+	}
+	// Patch batch-internal duplicates.
+	for i := range ids {
+		if ids[i] < 0 {
+			first := int(-int64(ids[i]) - 1)
+			ids[i] = ids[first]
+		}
+	}
+	return ids, len(newIdx), nil
+}
+
+// FillMissingObjectInfo back-fills text and number on existing objects
+// that lack them. Cross-references create bare target objects before the
+// target source itself is imported; when the real source data arrives, the
+// descriptive text must land on those pre-existing rows. It returns the
+// number of updated objects.
+func (b *Batch) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, error) {
+	bySpec := make(map[string]ObjectSpec, len(specs))
+	for _, s := range specs {
+		if s.Text != "" || s.HasNumber {
+			bySpec[s.Accession] = s
+		}
+	}
+	if len(bySpec) == 0 {
+		return 0, nil
+	}
+	// The scan holds the engine's read lock, so the bare objects are
+	// collected first and updated afterwards.
+	type fill struct {
+		id   int64
+		spec ObjectSpec
+	}
+	var fills []fill
+	err := queryEach(b.tx, sqlSelectObjectsNoText, []any{int64(src)}, func(row []sqldb.Value) error {
+		if spec, ok := bySpec[row[1].(string)]; ok {
+			fills = append(fills, fill{id: row[0].(int64), spec: spec})
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	for n, f := range fills {
+		if _, err := b.tx.Exec(sqlUpdateObjectInfo, f.spec.textArg(), f.spec.numberArg(), f.id); err != nil {
+			return n, err
+		}
+	}
+	return len(fills), nil
+}
+
+// LookupObject returns the ID of the object with the given accession in
+// the source, or 0 when absent.
+func (b *Batch) LookupObject(src SourceID, accession string) (ObjectID, error) {
+	if id, ok := b.objects[src][accession]; ok {
+		return id, nil
+	}
+	base, err := b.baseObjects(src)
+	if err != nil {
+		return 0, err
+	}
+	return base[accession], nil
+}
+
+// LookupObjects resolves many accessions at once; missing accessions map
+// to 0.
+func (b *Batch) LookupObjects(src SourceID, accessions []string) (map[string]ObjectID, error) {
+	base, err := b.baseObjects(src)
+	if err != nil {
+		return nil, err
+	}
+	created := b.objects[src]
+	out := make(map[string]ObjectID, len(accessions))
+	for _, a := range accessions {
+		if id, ok := created[a]; ok {
+			out[a] = id
+		} else {
+			out[a] = base[a]
+		}
+	}
+	return out, nil
+}
+
+// ---------------------------------------------------------------------------
+// Mappings and associations
+
+// EnsureSourceRel returns the mapping (s1, s2, typ), creating it when
+// absent. The boolean reports creation. Mappings are directional rows but
+// FindMapping searches both directions.
+func (b *Batch) EnsureSourceRel(s1, s2 SourceID, typ RelType) (SourceRelID, bool, error) {
+	if _, err := ParseRelType(string(typ)); err != nil {
+		return 0, false, err
+	}
+	if b.source(s1) == nil || b.source(s2) == nil {
+		return 0, false, fmt.Errorf("gam: source rel references unknown source (%d, %d)", s1, s2)
+	}
+	key := relKey{s1: s1, s2: s2, typ: typ}
+	if id, ok := b.findRel(key); ok {
+		return id, false, nil
+	}
+	res, err := b.tx.Exec(sqlInsertSourceRel,
+		int64(s1), int64(s2), string(typ))
+	if err != nil {
+		return 0, false, fmt.Errorf("gam: insert source_rel: %w", err)
+	}
+	id := SourceRelID(res.LastInsertID)
+	b.rels[key] = id
+	b.mappingsChanged = true
+	return id, true, nil
+}
+
+// FindIsARel returns the intra-source IS_A mapping of a source, or 0 when
+// the source has no taxonomy structure. The boolean reports presence.
+func (b *Batch) FindIsARel(src SourceID) (SourceRelID, bool) {
+	return b.findRel(relKey{s1: src, s2: src, typ: RelIsA})
+}
+
+// Associations returns every association of a mapping, the batch's own
+// inserts included.
+func (b *Batch) Associations(rel SourceRelID) ([]Assoc, error) {
+	return collectAssociations(b.tx, rel)
+}
+
+// AddAssociations bulk-inserts associations under a mapping. When dedup is
+// true, pairs already present in the mapping are skipped (object-level
+// duplicate elimination on re-import). It returns the number of rows
+// inserted.
+func (b *Batch) AddAssociations(rel SourceRelID, assocs []Assoc, dedup bool) (int, error) {
+	if len(assocs) == 0 {
+		return 0, nil
+	}
+	seen := make(map[[2]ObjectID]bool, len(assocs))
+	if dedup {
+		err := associationsEach(b.tx, rel, func(a Assoc) error {
+			seen[[2]ObjectID{a.Object1, a.Object2}] = true
+			return nil
+		})
+		if err != nil {
+			return 0, err
+		}
+	}
+	var pending []Assoc
+	for _, a := range assocs {
+		key := [2]ObjectID{a.Object1, a.Object2}
+		if seen[key] {
+			continue
+		}
+		seen[key] = true
+		pending = append(pending, a)
+	}
+	return b.insertAssociations(rel, pending)
+}
+
+// insertAssociations chunk-inserts associations under a mapping with
+// multi-row INSERTs (unset evidence is stored as NULL). It returns the
+// number of rows inserted before any error.
+func (b *Batch) insertAssociations(rel SourceRelID, assocs []Assoc) (int, error) {
+	inserted := 0
+	for start := 0; start < len(assocs); start += batchChunk {
+		end := start + batchChunk
+		if end > len(assocs) {
+			end = len(assocs)
+		}
+		chunk := assocs[start:end]
+		args := make([]any, 0, len(chunk)*4)
+		for _, a := range chunk {
+			var ev any
+			if a.Evidence != 0 {
+				ev = a.Evidence
+			}
+			args = append(args, int64(rel), int64(a.Object1), int64(a.Object2), ev)
+		}
+		if _, err := b.tx.Exec(assocInsertSQL(len(chunk)), args...); err != nil {
+			return inserted, fmt.Errorf("gam: insert associations: %w", err)
+		}
+		inserted += len(chunk)
+		b.mappingsChanged = true
+	}
+	return inserted, nil
+}
+
+// DeleteMapping removes a mapping and its associations (used to refresh
+// materialized derived mappings).
+func (b *Batch) DeleteMapping(rel SourceRelID) error {
+	if _, err := b.tx.Exec(sqlDeleteAssociations, int64(rel)); err != nil {
+		return err
+	}
+	if _, err := b.tx.Exec(sqlDeleteSourceRel, int64(rel)); err != nil {
+		return err
+	}
+	for key, id := range b.rels {
+		if id == rel {
+			b.rels[key] = 0
+		}
+	}
+	for key, id := range b.r.rels {
+		if _, shadowed := b.rels[key]; id == rel && !shadowed {
+			b.rels[key] = 0
+		}
+	}
+	b.mappingsChanged = true
+	return nil
+}
+
+// ReplaceMapping replaces the mapping (s1, s2, typ) and all its
+// associations with the given association set, creating the mapping when
+// absent. It returns the mapping ID now holding the associations (a fresh
+// one: the old mapping row is deleted, not reused).
+func (b *Batch) ReplaceMapping(s1, s2 SourceID, typ RelType, assocs []Assoc) (SourceRelID, error) {
+	if old, ok := b.findRel(relKey{s1: s1, s2: s2, typ: typ}); ok {
+		if err := b.DeleteMapping(old); err != nil {
+			return 0, fmt.Errorf("gam: replace mapping: %w", err)
+		}
+	}
+	if err := b.r.hook("after-delete"); err != nil {
+		return 0, err
+	}
+	id, _, err := b.EnsureSourceRel(s1, s2, typ)
+	if err != nil {
+		return 0, fmt.Errorf("gam: replace mapping: %w", err)
+	}
+	if _, err := b.insertAssociations(id, assocs); err != nil {
+		return 0, fmt.Errorf("gam: replace mapping: %w", err)
+	}
+	if err := b.r.hook("after-insert"); err != nil {
+		return 0, err
+	}
+	return id, nil
+}

@@ -14,6 +14,35 @@
 // standing in for the original system's MySQL backend) with the GAM schema
 // and the lookup/ingestion operations the import pipeline and the operator
 // layer need.
+//
+// # Writes: Atomic and Batch
+//
+// gam has exactly one write path. Repo.Atomic opens one database
+// transaction, hands the caller a Batch — the write surface (EnsureSource,
+// EnsureObjects, FillMissingObjectInfo, EnsureSourceRel, AddAssociations,
+// DeleteMapping, ReplaceMapping) plus the reads a writer needs
+// (LookupObject(s), Associations, FindIsARel), all bound to that transaction
+// and therefore seeing its own writes in lock mode and under MVCC — and
+// commits when the caller returns nil: one commit, on a durable database
+// one log record and one fsync, however many statements ran. Any error
+// rolls everything back, AUTOINCREMENT counters included. importer.Import
+// is one such batch per dataset; the write methods on Repo (EnsureSource,
+// AddAssociations, ReplaceMapping, …) are batches of one call.
+//
+// The Repo's lookup caches are transactional with it. A batch records the
+// sources, accession → ID entries and mapping keys it creates (or deletes)
+// in a private overlay that shadows the shared caches for the batch's own
+// lookups; the overlay is published into the shared caches after a
+// successful commit and thrown away on rollback, so no reader can ever
+// resolve an accession to a row that was rolled back. Generation() moves
+// once per committed batch that touched mappings, after the commit.
+//
+// Batches are serialised on a writer mutex held for the life of the batch.
+// The cache mutex is held only around single cache accesses and around a
+// batch's final commit-and-publish step — commit and publication must look
+// like one step, or a reader could resolve a mapping key to an ID whose
+// rows the commit has just deleted — so lookups on cached sources and
+// FindMapping wait for an import's commit, never for the import.
 package gam
 
 import "fmt"

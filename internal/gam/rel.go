@@ -9,53 +9,18 @@ import (
 )
 
 // EnsureSourceRel returns the mapping (s1, s2, typ), creating it when
-// absent. The boolean reports creation. Mappings are directional rows but
-// FindMapping searches both directions.
+// absent, as a batch of its own (see Batch.EnsureSourceRel).
 func (r *Repo) EnsureSourceRel(s1, s2 SourceID, typ RelType) (SourceRelID, bool, error) {
-	if _, err := ParseRelType(string(typ)); err != nil {
-		return 0, false, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.loadRelsLocked(); err != nil {
-		return 0, false, err
-	}
-	if r.sourcesByID[s1] == nil || r.sourcesByID[s2] == nil {
-		return 0, false, fmt.Errorf("gam: source rel references unknown source (%d, %d)", s1, s2)
-	}
-	key := relKey{s1: s1, s2: s2, typ: typ}
-	if id, ok := r.rels[key]; ok {
-		return id, false, nil
-	}
-	res, err := r.db.Exec(sqlInsertSourceRel,
-		int64(s1), int64(s2), string(typ))
-	if err != nil {
-		return 0, false, fmt.Errorf("gam: insert source_rel: %w", err)
-	}
-	id := SourceRelID(res.LastInsertID)
-	r.rels[key] = id
-	r.bumpGen()
-	return id, true, nil
+	return atomic2(r, func(b *Batch) (SourceRelID, bool, error) { return b.EnsureSourceRel(s1, s2, typ) })
 }
 
-func (r *Repo) loadRelsLocked() error {
-	if r.relsLoaded {
-		return nil
+func rowToSourceRel(row []sqldb.Value) *SourceRel {
+	return &SourceRel{
+		ID:      SourceRelID(row[0].(int64)),
+		Source1: SourceID(row[1].(int64)),
+		Source2: SourceID(row[2].(int64)),
+		Type:    RelType(row[3].(string)),
 	}
-	err := queryEach(r.db, sqlSelectSourceRels, nil, func(row []sqldb.Value) error {
-		key := relKey{
-			s1:  SourceID(row[1].(int64)),
-			s2:  SourceID(row[2].(int64)),
-			typ: RelType(row[3].(string)),
-		}
-		r.rels[key] = SourceRelID(row[0].(int64))
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("gam: load source rels: %w", err)
-	}
-	r.relsLoaded = true
-	return nil
 }
 
 // SourceRelByID returns the mapping row, or nil.
@@ -67,25 +32,14 @@ func (r *Repo) SourceRelByID(id SourceRelID) (*SourceRel, error) {
 	if len(rs.Rows) == 0 {
 		return nil, nil
 	}
-	row := rs.Rows[0]
-	return &SourceRel{
-		ID:      SourceRelID(row[0].(int64)),
-		Source1: SourceID(row[1].(int64)),
-		Source2: SourceID(row[2].(int64)),
-		Type:    RelType(row[3].(string)),
-	}, nil
+	return rowToSourceRel(rs.Rows[0]), nil
 }
 
 // SourceRels returns all mappings ordered by ID.
 func (r *Repo) SourceRels() ([]*SourceRel, error) {
 	var out []*SourceRel
 	err := queryEach(r.db, sqlSelectSourceRels+" ORDER BY source_rel_id", nil, func(row []sqldb.Value) error {
-		out = append(out, &SourceRel{
-			ID:      SourceRelID(row[0].(int64)),
-			Source1: SourceID(row[1].(int64)),
-			Source2: SourceID(row[2].(int64)),
-			Type:    RelType(row[3].(string)),
-		})
+		out = append(out, rowToSourceRel(row))
 		return nil
 	})
 	if err != nil {
@@ -101,10 +55,6 @@ func (r *Repo) SourceRels() ([]*SourceRel, error) {
 // beats Composed.
 func (r *Repo) FindMapping(s1, s2 SourceID) (*SourceRel, bool, error) {
 	r.mu.Lock()
-	if err := r.loadRelsLocked(); err != nil {
-		r.mu.Unlock()
-		return nil, false, err
-	}
 	prefs := []RelType{RelFact, RelSimilarity, RelComposed, RelSubsumed, RelIsA, RelContains}
 	var found *SourceRel
 	reversed := false
@@ -126,22 +76,13 @@ func (r *Repo) FindMapping(s1, s2 SourceID) (*SourceRel, bool, error) {
 // FindIsARel returns the intra-source IS_A mapping of a source, or 0 when
 // the source has no taxonomy structure. The boolean reports presence.
 func (r *Repo) FindIsARel(src SourceID) (SourceRelID, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.loadRelsLocked(); err != nil {
-		return 0, false, err
-	}
-	id, ok := r.rels[relKey{s1: src, s2: src, typ: RelIsA}]
-	return id, ok, nil
+	return r.FindRel(src, src, RelIsA)
 }
 
 // FindRel returns the mapping (s1, s2, typ) exactly as stored, or 0.
 func (r *Repo) FindRel(s1, s2 SourceID, typ RelType) (SourceRelID, bool, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.loadRelsLocked(); err != nil {
-		return 0, false, err
-	}
 	id, ok := r.rels[relKey{s1: s1, s2: s2, typ: typ}]
 	return id, ok, nil
 }
@@ -149,84 +90,16 @@ func (r *Repo) FindRel(s1, s2 SourceID, typ RelType) (SourceRelID, bool, error) 
 // ---------------------------------------------------------------------------
 // Associations (OBJECT_REL)
 
-// AddAssociations bulk-inserts associations under a mapping. When dedup is
-// true, pairs already present in the mapping are skipped (object-level
-// duplicate elimination on re-import). It returns the number of rows
-// inserted.
+// AddAssociations bulk-inserts associations under a mapping, as a batch of
+// its own (see Batch.AddAssociations).
 func (r *Repo) AddAssociations(rel SourceRelID, assocs []Assoc, dedup bool) (int, error) {
-	if len(assocs) == 0 {
-		return 0, nil
-	}
-	var seen map[[2]ObjectID]bool
-	if dedup {
-		existing, err := r.Associations(rel)
-		if err != nil {
-			return 0, err
-		}
-		seen = make(map[[2]ObjectID]bool, len(existing))
-		for _, a := range existing {
-			seen[[2]ObjectID{a.Object1, a.Object2}] = true
-		}
-	} else {
-		seen = make(map[[2]ObjectID]bool, len(assocs))
-	}
-
-	var pending []Assoc
-	for _, a := range assocs {
-		key := [2]ObjectID{a.Object1, a.Object2}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		pending = append(pending, a)
-	}
-
-	inserted, err := insertAssociations(r.db, rel, pending)
-	if inserted > 0 {
-		r.bumpGen()
-	}
-	return inserted, err
+	return atomic1(r, func(b *Batch) (int, error) { return b.AddAssociations(rel, assocs, dedup) })
 }
 
-// execer abstracts the write surface shared by *sqldb.DB and *sqldb.Tx so
-// association inserts run identically inside and outside a transaction.
-type execer interface {
-	Exec(sql string, args ...any) (sqldb.Result, error)
-}
-
-// insertAssociations chunk-inserts associations under a mapping with
-// multi-row INSERTs (unset evidence is stored as NULL). It returns the
-// number of rows inserted before any error.
-func insertAssociations(ex execer, rel SourceRelID, assocs []Assoc) (int, error) {
-	inserted := 0
-	for start := 0; start < len(assocs); start += batchChunk {
-		end := start + batchChunk
-		if end > len(assocs) {
-			end = len(assocs)
-		}
-		batch := assocs[start:end]
-		args := make([]any, 0, len(batch)*4)
-		for _, a := range batch {
-			var ev any
-			if a.Evidence != 0 {
-				ev = a.Evidence
-			}
-			args = append(args, int64(rel), int64(a.Object1), int64(a.Object2), ev)
-		}
-		if _, err := ex.Exec(assocInsertSQL(len(batch)), args...); err != nil {
-			return inserted, fmt.Errorf("gam: insert associations: %w", err)
-		}
-		inserted += len(batch)
-	}
-	return inserted, nil
-}
-
-// AssociationsEach streams every association of a mapping through fn in
-// storage order, without materializing the association list. fn runs
-// under the engine's read lock (the rows are one consistent snapshot);
-// it must not write to the repository or issue further queries.
-func (r *Repo) AssociationsEach(rel SourceRelID, fn func(Assoc) error) error {
-	return queryEach(r.db, sqlSelectAssociations, []any{int64(rel)}, func(row []sqldb.Value) error {
+// associationsEach streams every association of a mapping through fn in
+// storage order.
+func associationsEach(q querier, rel SourceRelID, fn func(Assoc) error) error {
+	return queryEach(q, sqlSelectAssociations, []any{int64(rel)}, func(row []sqldb.Value) error {
 		a := Assoc{
 			Object1: ObjectID(row[0].(int64)),
 			Object2: ObjectID(row[1].(int64)),
@@ -238,19 +111,30 @@ func (r *Repo) AssociationsEach(rel SourceRelID, fn func(Assoc) error) error {
 	})
 }
 
-// Associations returns every association of a mapping.
-func (r *Repo) Associations(rel SourceRelID) ([]Assoc, error) {
-	var out []Assoc
-	if err := r.AssociationsEach(rel, func(a Assoc) error {
+// collectAssociations materializes associationsEach (never nil).
+func collectAssociations(q querier, rel SourceRelID) ([]Assoc, error) {
+	out := []Assoc{}
+	err := associationsEach(q, rel, func(a Assoc) error {
 		out = append(out, a)
 		return nil
-	}); err != nil {
+	})
+	if err != nil {
 		return nil, err
 	}
-	if out == nil {
-		out = []Assoc{}
-	}
 	return out, nil
+}
+
+// AssociationsEach streams every association of a mapping through fn in
+// storage order, without materializing the association list. fn runs
+// under the engine's read lock (the rows are one consistent snapshot);
+// it must not write to the repository or issue further queries.
+func (r *Repo) AssociationsEach(rel SourceRelID, fn func(Assoc) error) error {
+	return associationsEach(r.db, rel, fn)
+}
+
+// Associations returns every association of a mapping.
+func (r *Repo) Associations(rel SourceRelID) ([]Assoc, error) {
+	return collectAssociations(r.db, rel)
 }
 
 // AssociationsBatch fetches the associations of several mappings in a single
@@ -316,87 +200,19 @@ func (r *Repo) AssociationCount(rel SourceRelID) (int64, error) {
 }
 
 // DeleteMapping removes a mapping and its associations (used to refresh
-// materialized derived mappings).
+// materialized derived mappings), as a batch of its own: both deletes
+// happen or neither does.
 func (r *Repo) DeleteMapping(rel SourceRelID) error {
-	if _, err := r.db.Exec(sqlDeleteAssociations, int64(rel)); err != nil {
-		return err
-	}
-	if _, err := r.db.Exec(sqlDeleteSourceRel, int64(rel)); err != nil {
-		return err
-	}
-	r.mu.Lock()
-	for k, id := range r.rels {
-		if id == rel {
-			delete(r.rels, k)
-		}
-	}
-	r.mu.Unlock()
-	r.bumpGen()
-	return nil
+	return r.Atomic(func(b *Batch) error { return b.DeleteMapping(rel) })
 }
 
 // ReplaceMapping atomically replaces the mapping (s1, s2, typ) and all its
 // associations with the given association set, creating the mapping when
-// absent. Delete, re-create and insert run in a single transaction: on any
-// failure the transaction rolls back and the previous mapping (ID and
-// associations) survives intact. It returns the mapping ID now holding the
-// associations.
+// absent. Delete, re-create and insert are one batch: on any failure it
+// rolls back and the previous mapping (ID and associations) survives
+// intact. It returns the mapping ID now holding the associations.
 func (r *Repo) ReplaceMapping(s1, s2 SourceID, typ RelType, assocs []Assoc) (SourceRelID, error) {
-	if _, err := ParseRelType(string(typ)); err != nil {
-		return 0, err
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.loadRelsLocked(); err != nil {
-		return 0, err
-	}
-	if r.sourcesByID[s1] == nil || r.sourcesByID[s2] == nil {
-		return 0, fmt.Errorf("gam: source rel references unknown source (%d, %d)", s1, s2)
-	}
-
-	tx := r.db.Begin()
-	fail := func(err error) (SourceRelID, error) {
-		tx.Rollback()
-		return 0, err
-	}
-	hook := func(stage string) error {
-		if r.replaceHook == nil {
-			return nil
-		}
-		return r.replaceHook(stage)
-	}
-
-	key := relKey{s1: s1, s2: s2, typ: typ}
-	old, hadOld := r.rels[key]
-	if hadOld {
-		if _, err := tx.Exec(sqlDeleteAssociations, int64(old)); err != nil {
-			return fail(err)
-		}
-		if _, err := tx.Exec(sqlDeleteSourceRel, int64(old)); err != nil {
-			return fail(err)
-		}
-	}
-	if err := hook("after-delete"); err != nil {
-		return fail(err)
-	}
-	res, err := tx.Exec(sqlInsertSourceRel,
-		int64(s1), int64(s2), string(typ))
-	if err != nil {
-		return fail(fmt.Errorf("gam: replace mapping: insert source_rel: %w", err))
-	}
-	id := SourceRelID(res.LastInsertID)
-	if _, err := insertAssociations(tx, id, assocs); err != nil {
-		return fail(fmt.Errorf("gam: replace mapping: %w", err))
-	}
-	if err := hook("after-insert"); err != nil {
-		return fail(err)
-	}
-	if err := tx.Commit(); err != nil {
-		return fail(err)
-	}
-	r.rels[key] = id
-	r.bumpGen()
-	return id, nil
+	return atomic1(r, func(b *Batch) (SourceRelID, error) { return b.ReplaceMapping(s1, s2, typ, assocs) })
 }
 
 // Stats summarizes database content the way the paper reports its

@@ -14,30 +14,42 @@ import (
 // so that bulk import achieves set-at-a-time speed while the authoritative
 // data always lives in the database.
 //
+// All writes go through Atomic (batch.go): one transaction, one commit.
+// The write methods on Repo itself are one-call batches.
+//
 // A Repo is safe for concurrent use.
 type Repo struct {
 	db *sqldb.DB
 
-	// gen counts mapping-affecting writes (EnsureSourceRel, AddAssociations,
-	// DeleteMapping, ReplaceMapping). Caches of derived mapping data compare
-	// it against the value observed at load time to detect staleness.
+	// gen counts committed batches that changed mappings or associations.
+	// Caches of derived mapping data compare it against the value observed
+	// at load time to detect staleness.
 	gen atomic.Uint64
 
 	// replaceHook, when set, is invoked at named stages of ReplaceMapping so
 	// tests can inject mid-transaction failures. Production code leaves it nil.
 	replaceHook func(stage string) error
 
+	// wmu serialises write batches; it is held for the life of a batch,
+	// which for an import is seconds. mu guards the lookup caches and is
+	// held only around a cache access and around a batch's commit-and-
+	// publish step, never while a batch runs. The caches are mutated only
+	// with BOTH held (a committed batch publishing its overlay, a batch
+	// caching a freshly loaded object map, Reload), so holding either one
+	// is enough to read them: readers take mu, the open batch reads under
+	// its wmu.
+	wmu         sync.Mutex
 	mu          sync.Mutex
 	sources     map[string]*Source // lower(name) -> source
 	sourcesByID map[SourceID]*Source
-	objects     map[SourceID]map[string]ObjectID // accession -> id, lazily loaded
+	objects     map[SourceID]map[string]ObjectID // accession -> id, lazily loaded per source
 	rels        map[relKey]SourceRelID
-	relsLoaded  bool
 }
 
-// Generation returns the mapping-write counter. Any change to mappings or
-// associations bumps it, so a cached value loaded at generation g is valid
-// exactly while Generation() == g.
+// Generation returns the mapping-write counter. Any committed change to
+// mappings or associations bumps it, so a cached value loaded at
+// generation g is valid exactly while Generation() == g. A batch bumps it
+// at most once, after its commit; a rolled-back batch never does.
 func (r *Repo) Generation() uint64 { return r.gen.Load() }
 
 func (r *Repo) bumpGen() { r.gen.Add(1) }
@@ -46,6 +58,13 @@ func (r *Repo) bumpGen() { r.gen.Add(1) }
 // ReplaceMapping atomicity. Stages: "after-delete" (old mapping rows gone,
 // new not yet written) and "after-insert" (new rows written, not committed).
 func (r *Repo) SetReplaceMappingHook(h func(stage string) error) { r.replaceHook = h }
+
+func (r *Repo) hook(stage string) error {
+	if r.replaceHook == nil {
+		return nil
+	}
+	return r.replaceHook(stage)
+}
 
 type relKey struct {
 	s1, s2 SourceID
@@ -226,17 +245,11 @@ func Open(db *sqldb.DB) (*Repo, error) {
 			return nil, fmt.Errorf("gam: create schema: %w", err)
 		}
 	}
-	r := &Repo{
-		db:          db,
-		sources:     make(map[string]*Source),
-		sourcesByID: make(map[SourceID]*Source),
-		objects:     make(map[SourceID]map[string]ObjectID),
-		rels:        make(map[relKey]SourceRelID),
-	}
+	r := &Repo{db: db}
 	if err := r.prepareHotStatements(); err != nil {
 		return nil, err
 	}
-	if err := r.loadSources(); err != nil {
+	if err := r.loadCaches(); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -262,11 +275,24 @@ func (r *Repo) SetBatchExecution(on bool) { r.db.SetBatchExecution(on) }
 func (r *Repo) SetBatchMinRows(n int64) { r.db.SetBatchMinRows(n) }
 
 // Reload discards every in-memory lookup cache (sources, object
-// accessions, source-rel keys) and reloads the source catalog from the
-// database. Call it after the database's contents were replaced wholesale
-// (DB.Restore): the cached IDs reference pre-restore rows. Reload bumps
-// the mapping generation, so executor caches keyed on it invalidate too.
+// accessions, source-rel keys) and reloads the source and mapping catalogs
+// from the database. Call it after the database's contents were replaced
+// wholesale (DB.Restore): the cached IDs reference pre-restore rows. Reload
+// bumps the mapping generation, so executor caches keyed on it invalidate
+// too. It waits for an open batch to finish.
 func (r *Repo) Reload() error {
+	if err := r.loadCaches(); err != nil {
+		return err
+	}
+	r.bumpGen()
+	return nil
+}
+
+// loadCaches replaces the lookup caches with the database's source and
+// mapping catalogs and an empty object cache.
+func (r *Repo) loadCaches() error {
+	r.wmu.Lock()
+	defer r.wmu.Unlock()
 	sources := make(map[string]*Source)
 	sourcesByID := make(map[SourceID]*Source)
 	err := queryEach(r.db, sqlSelectSources, nil, func(row []sqldb.Value) error {
@@ -276,17 +302,31 @@ func (r *Repo) Reload() error {
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("gam: reload sources: %w", err)
+		return fmt.Errorf("gam: load sources: %w", err)
+	}
+	rels := make(map[relKey]SourceRelID)
+	err = queryEach(r.db, sqlSelectSourceRels, nil, func(row []sqldb.Value) error {
+		rel := rowToSourceRel(row)
+		rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel.ID
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("gam: load source rels: %w", err)
 	}
 	r.mu.Lock()
 	r.sources = sources
 	r.sourcesByID = sourcesByID
 	r.objects = make(map[SourceID]map[string]ObjectID)
-	r.rels = make(map[relKey]SourceRelID)
-	r.relsLoaded = false
+	r.rels = rels
 	r.mu.Unlock()
-	r.bumpGen()
 	return nil
+}
+
+// querier is the streaming read surface shared by *sqldb.DB and *sqldb.Tx,
+// so the cache loaders and association reads run identically inside and
+// outside a batch.
+type querier interface {
+	QueryEach(sql string, fn func(row []sqldb.Value) error, args ...any) error
 }
 
 // queryEach streams a SELECT's rows through fn without materializing the
@@ -294,46 +334,22 @@ func (r *Repo) Reload() error {
 // fn observes one consistent statement snapshot (a concurrent
 // ReplaceMapping can never produce a half-old/half-new row set). The row
 // slice passed to fn is reused between calls; fn must copy anything it
-// keeps and must not write to the database (use queryEachInterleaved for
-// loops that write).
-func queryEach(db *sqldb.DB, sql string, args []any, fn func([]sqldb.Value) error) error {
-	return db.QueryEach(sql, func(row []sqldb.Value) error { return fn(row) }, args...)
+// keeps and must not write to the database.
+func queryEach(q querier, sql string, args []any, fn func([]sqldb.Value) error) error {
+	return q.QueryEach(sql, fn, args...)
 }
 
-// queryEachInterleaved streams rows via a cursor that takes the read lock
-// per step, so fn may issue writes between rows. Reads are read-committed
-// row by row, not a snapshot.
-func queryEachInterleaved(db *sqldb.DB, sql string, args []any, fn func([]sqldb.Value) error) error {
-	cur, err := db.QueryCursor(sql, args...)
-	if err != nil {
-		return err
-	}
-	defer cur.Close()
-	for {
-		row, err := cur.Next()
-		if err != nil {
-			return err
-		}
-		if row == nil {
-			return nil
-		}
-		if err := fn(row); err != nil {
-			return err
-		}
-	}
-}
-
-func (r *Repo) loadSources() error {
-	err := queryEach(r.db, sqlSelectSources, nil, func(row []sqldb.Value) error {
-		s := rowToSource(row)
-		r.sources[strings.ToLower(s.Name)] = s
-		r.sourcesByID[s.ID] = s
+// loadObjectIDs reads the accession -> ID map of a source.
+func loadObjectIDs(q querier, src SourceID) (map[string]ObjectID, error) {
+	m := make(map[string]ObjectID)
+	err := queryEach(q, sqlSelectObjectAccs, []any{int64(src)}, func(row []sqldb.Value) error {
+		m[row[1].(string)] = ObjectID(row[0].(int64))
 		return nil
 	})
 	if err != nil {
-		return fmt.Errorf("gam: load sources: %w", err)
+		return nil, fmt.Errorf("gam: load objects of source %d: %w", src, err)
 	}
-	return nil
+	return m, nil
 }
 
 func rowToSource(row []sqldb.Value) *Source {
@@ -356,49 +372,9 @@ func rowToSource(row []sqldb.Value) *Source {
 // Sources
 
 // EnsureSource returns the existing source with the given name or creates
-// it. The boolean reports whether a new source was created. When the source
-// exists but release/date differ, the audit fields are updated (the paper's
-// source-level duplicate elimination compares name and audit info).
+// it, as a batch of its own (see Batch.EnsureSource).
 func (r *Repo) EnsureSource(info Source) (*Source, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := strings.ToLower(info.Name)
-	if s, ok := r.sources[key]; ok {
-		if info.Release != "" && info.Release != s.Release {
-			if _, err := r.db.Exec(
-				sqlUpdateSourceAudit,
-				info.Release, info.Date, int64(s.ID)); err != nil {
-				return nil, false, fmt.Errorf("gam: update source audit: %w", err)
-			}
-			s.Release, s.Date = info.Release, info.Date
-		}
-		return s, false, nil
-	}
-	if info.Name == "" {
-		return nil, false, fmt.Errorf("gam: source name must not be empty")
-	}
-	content, err := ParseContent(string(info.Content))
-	if err != nil {
-		return nil, false, err
-	}
-	structure, err := ParseStructure(string(info.Structure))
-	if err != nil {
-		return nil, false, err
-	}
-	res, err := r.db.Exec(
-		sqlInsertSource,
-		info.Name, string(content), string(structure), info.Release, info.Date)
-	if err != nil {
-		return nil, false, fmt.Errorf("gam: insert source: %w", err)
-	}
-	s := &Source{
-		ID: SourceID(res.LastInsertID), Name: info.Name,
-		Content: content, Structure: structure,
-		Release: info.Release, Date: info.Date,
-	}
-	r.sources[key] = s
-	r.sourcesByID[s.ID] = s
-	return s, true, nil
+	return atomic2(r, func(b *Batch) (*Source, bool, error) { return b.EnsureSource(info) })
 }
 
 // SourceByName returns the source with the given name (case-insensitive),
@@ -431,30 +407,28 @@ func (r *Repo) Sources() []*Source {
 // ---------------------------------------------------------------------------
 // Objects
 
-// objectCache returns the accession->ID map for a source, loading it from
-// the database on first use. Caller holds r.mu.
-func (r *Repo) objectCache(src SourceID) (map[string]ObjectID, error) {
-	if m, ok := r.objects[src]; ok {
-		return m, nil
-	}
-	m := make(map[string]ObjectID)
-	err := queryEach(r.db, sqlSelectObjectAccs, []any{int64(src)}, func(row []sqldb.Value) error {
-		m[row[1].(string)] = ObjectID(row[0].(int64))
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("gam: load objects of source %d: %w", src, err)
-	}
-	r.objects[src] = m
-	return m, nil
-}
-
 // ObjectSpec describes an object to insert.
 type ObjectSpec struct {
 	Accession string
 	Text      string
 	HasNumber bool
 	Number    float64
+}
+
+// textArg and numberArg render the optional columns as statement
+// arguments: NULL when unset.
+func (s ObjectSpec) textArg() any {
+	if s.Text == "" {
+		return nil
+	}
+	return s.Text
+}
+
+func (s ObjectSpec) numberArg() any {
+	if !s.HasNumber {
+		return nil
+	}
+	return s.Number
 }
 
 // EnsureObject inserts the object unless an object with the same accession
@@ -469,149 +443,48 @@ func (r *Repo) EnsureObject(src SourceID, spec ObjectSpec) (ObjectID, bool, erro
 }
 
 // EnsureObjects bulk-inserts objects with duplicate elimination by
-// accession. It returns the object IDs aligned with specs and the number of
-// newly created rows. Batched multi-row INSERTs keep large imports fast.
+// accession, as a batch of its own (see Batch.EnsureObjects).
 func (r *Repo) EnsureObjects(src SourceID, specs []ObjectSpec) ([]ObjectID, int, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.sourcesByID[src] == nil {
-		return nil, 0, fmt.Errorf("gam: unknown source id %d", src)
-	}
-	cache, err := r.objectCache(src)
-	if err != nil {
-		return nil, 0, err
-	}
-
-	ids := make([]ObjectID, len(specs))
-	var newIdx []int
-	// firstSeen records the spec index of the first occurrence of each new
-	// accession; batch-internal duplicates collapse onto it (encoded as a
-	// negative placeholder patched after insertion).
-	firstSeen := make(map[string]int)
-	for i, spec := range specs {
-		if spec.Accession == "" {
-			return nil, 0, fmt.Errorf("gam: object %d has empty accession", i)
-		}
-		if id, ok := cache[spec.Accession]; ok {
-			ids[i] = id
-			continue
-		}
-		if first, dup := firstSeen[spec.Accession]; dup {
-			ids[i] = ObjectID(-int64(first) - 1)
-			continue
-		}
-		firstSeen[spec.Accession] = i
-		newIdx = append(newIdx, i)
-	}
-
-	for start := 0; start < len(newIdx); start += batchChunk {
-		end := start + batchChunk
-		if end > len(newIdx) {
-			end = len(newIdx)
-		}
-		batch := newIdx[start:end]
-		args := make([]any, 0, len(batch)*4)
-		for _, i := range batch {
-			spec := specs[i]
-			var num any
-			if spec.HasNumber {
-				num = spec.Number
-			}
-			var text any
-			if spec.Text != "" {
-				text = spec.Text
-			}
-			args = append(args, int64(src), spec.Accession, text, num)
-		}
-		res, err := r.db.Exec(objectInsertSQL(len(batch)), args...)
-		if err != nil {
-			return nil, 0, fmt.Errorf("gam: insert objects: %w", err)
-		}
-		// AUTOINCREMENT IDs are contiguous for a single multi-row insert.
-		firstID := res.LastInsertID - int64(len(batch)) + 1
-		for bi, i := range batch {
-			id := ObjectID(firstID + int64(bi))
-			ids[i] = id
-			cache[specs[i].Accession] = id
-		}
-	}
-	// Patch batch-internal duplicates.
-	for i := range ids {
-		if ids[i] < 0 {
-			first := int(-int64(ids[i]) - 1)
-			ids[i] = ids[first]
-		}
-	}
-	return ids, len(newIdx), nil
+	return atomic2(r, func(b *Batch) ([]ObjectID, int, error) { return b.EnsureObjects(src, specs) })
 }
 
 // FillMissingObjectInfo back-fills text and number on existing objects
-// that lack them. Cross-references create bare target objects before the
-// target source itself is imported; when the real source data arrives, the
-// descriptive text must land on those pre-existing rows. It returns the
-// number of updated objects.
+// that lack them, as a batch of its own (see Batch.FillMissingObjectInfo).
 func (r *Repo) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, error) {
-	bySpec := make(map[string]ObjectSpec, len(specs))
-	for _, s := range specs {
-		if s.Text != "" || s.HasNumber {
-			bySpec[s.Accession] = s
-		}
-	}
-	if len(bySpec) == 0 {
-		return 0, nil
-	}
-	// Cursor iteration interleaves the UPDATEs with the scan: each row is
-	// updated after it streams out, and updating text never re-qualifies a
-	// later "text IS NULL" row, so the interleaving is safe.
-	updated := 0
-	err := queryEachInterleaved(r.db, sqlSelectObjectsNoText, []any{int64(src)}, func(row []sqldb.Value) error {
-		spec, ok := bySpec[row[1].(string)]
-		if !ok {
-			return nil
-		}
-		var num any
-		if spec.HasNumber {
-			num = spec.Number
-		}
-		var text any
-		if spec.Text != "" {
-			text = spec.Text
-		}
-		if _, err := r.db.Exec(sqlUpdateObjectInfo, text, num, row[0].(int64)); err != nil {
-			return err
-		}
-		updated++
-		return nil
-	})
-	return updated, err
+	return atomic1(r, func(b *Batch) (int, error) { return b.FillMissingObjectInfo(src, specs) })
 }
 
 // LookupObject returns the ID of the object with the given accession in
-// the source, or 0 when absent.
+// the source, or 0 when absent. See LookupObjects for what it waits on.
 func (r *Repo) LookupObject(src SourceID, accession string) (ObjectID, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	cache, err := r.objectCache(src)
-	if err != nil {
-		return 0, err
+	cache, cached := r.objects[src]
+	id := cache[accession]
+	r.mu.Unlock()
+	if cached {
+		return id, nil
 	}
-	return cache[accession], nil
+	return atomic1(r, func(b *Batch) (ObjectID, error) { return b.LookupObject(src, accession) })
 }
 
 // LookupObjects resolves many accessions at once; missing accessions map
-// to 0.
+// to 0. Once a source's objects are cached this takes only the cache lock
+// and returns while a write batch is running. The first lookup of a source
+// loads its objects as a (read-only) batch of its own, which waits for an
+// open batch to finish: in lock mode a read beside an open batch would
+// cache that batch's uncommitted rows.
 func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]ObjectID, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	cache, err := r.objectCache(src)
-	if err != nil {
-		return nil, err
+	if cache, cached := r.objects[src]; cached {
+		out := make(map[string]ObjectID, len(accessions))
+		for _, a := range accessions {
+			out[a] = cache[a]
+		}
+		r.mu.Unlock()
+		return out, nil
 	}
-	out := make(map[string]ObjectID, len(accessions))
-	for _, a := range accessions {
-		out[a] = cache[a]
-	}
-	return out, nil
+	r.mu.Unlock()
+	return atomic1(r, func(b *Batch) (map[string]ObjectID, error) { return b.LookupObjects(src, accessions) })
 }
 
 // Object returns the full object row by ID, or nil.

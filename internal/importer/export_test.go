@@ -8,7 +8,6 @@ import (
 	"genmapper/internal/eav"
 	"genmapper/internal/gam"
 	"genmapper/internal/gen"
-	"genmapper/internal/sqldb"
 )
 
 // recordKey canonicalizes a record for set comparison.
@@ -39,8 +38,9 @@ func recordSet(d *eav.Dataset) []string {
 	return out
 }
 
-func TestExportRoundTrip(t *testing.T) {
-	repo := newRepo(t)
+func TestExportRoundTrip(t *testing.T) { eachMode(t, testExportRoundTrip) }
+
+func testExportRoundTrip(t *testing.T, repo *gam.Repo) {
 	orig := eav.NewDataset(eav.SourceInfo{Name: "LocusLink", Content: "gene", Release: "r1", Date: "d1"})
 	orig.Add("353", eav.TargetName, "", "adenine phosphoribosyltransferase")
 	orig.Add("353", "Hugo", "APRT", "")
@@ -90,8 +90,9 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExportStructure(t *testing.T) {
-	repo := newRepo(t)
+func TestExportStructure(t *testing.T) { eachMode(t, testExportStructure) }
+
+func testExportStructure(t *testing.T, repo *gam.Repo) {
 	orig := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
 	orig.Add("GO:1", eav.TargetName, "", "root")
 	orig.Add("GO:2", eav.TargetName, "", "child")
@@ -125,8 +126,9 @@ func TestExportStructure(t *testing.T) {
 	}
 }
 
-func TestExportUnknownSource(t *testing.T) {
-	repo := newRepo(t)
+func TestExportUnknownSource(t *testing.T) { eachMode(t, testExportUnknownSource) }
+
+func testExportUnknownSource(t *testing.T, repo *gam.Repo) {
 	if _, err := Export(repo, 12345); err == nil {
 		t.Fatal("unknown source accepted")
 	}
@@ -135,11 +137,11 @@ func TestExportUnknownSource(t *testing.T) {
 // TestExportImportRoundTripProperty runs the round-trip over generated
 // universe sources with diverse shapes.
 func TestExportImportRoundTripProperty(t *testing.T) {
+	eachMode(t, testExportImportRoundTripProperty)
+}
+
+func testExportImportRoundTripProperty(t *testing.T, repo *gam.Repo) {
 	u := gen.NewUniverse(gen.Config{Seed: 13, Scale: 0.001})
-	repo, err := gam.Open(sqldb.NewDB())
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, name := range []string{"GO", "LocusLink", "Enzyme", "Unigene", "NetAffx-HG-U95A"} {
 		d, err := u.Dataset(name)
 		if err != nil {

@@ -9,6 +9,12 @@
 // that already exist in the database, and materializes structural
 // relationships (IS_A, Contains) plus, optionally, the derived Subsumed
 // mapping.
+//
+// One Import call is one gam batch: one database transaction, on a durable
+// database one log record behind one fsync. A dataset that fails anywhere
+// (a malformed NUMBER value, a cyclic IS_A graph, a write conflict under
+// MVCC) and an import cut short by a crash leave nothing behind —
+// no source, object, mapping, cache entry or burnt ID.
 package importer
 
 import (
@@ -53,18 +59,26 @@ func (s *Stats) String() string {
 		s.AssocsNew, s.AssocsDup, s.MappingsTouched, s.SubsumedAssocs)
 }
 
-// Import runs the generic EAV-to-GAM transformation for one dataset.
+// Import runs the generic EAV-to-GAM transformation for one dataset,
+// atomically: either all of it is committed or none of it.
 func Import(repo *gam.Repo, d *eav.Dataset, opts Options) (*Stats, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("importer: %w", err)
 	}
 	st := &Stats{Source: d.Source.Name}
+	err := repo.Atomic(func(b *gam.Batch) error { return importDataset(b, d, opts, st) })
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
 
+func importDataset(b *gam.Batch, d *eav.Dataset, opts Options, st *Stats) error {
 	structure := d.Source.Structure
 	if hasStructuralRecords(d) {
 		structure = string(gam.StructureNetwork)
 	}
-	src, created, err := repo.EnsureSource(gam.Source{
+	src, created, err := b.EnsureSource(gam.Source{
 		Name:      d.Source.Name,
 		Content:   gam.Content(d.Source.Content),
 		Structure: gam.Structure(structure),
@@ -72,30 +86,30 @@ func Import(repo *gam.Repo, d *eav.Dataset, opts Options) (*Stats, error) {
 		Date:      d.Source.Date,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("importer: %w", err)
+		return fmt.Errorf("importer: %w", err)
 	}
 	st.SourceCreated = created
 
-	if err := importOwnObjects(repo, d, src, st); err != nil {
-		return nil, err
+	if err := importOwnObjects(b, d, src, st); err != nil {
+		return err
 	}
-	if err := importCrossReferences(repo, d, src, opts, st); err != nil {
-		return nil, err
+	if err := importCrossReferences(b, d, src, opts, st); err != nil {
+		return err
 	}
-	if err := importStructure(repo, d, src, st); err != nil {
-		return nil, err
+	if err := importStructure(b, d, src, st); err != nil {
+		return err
 	}
 	if opts.DeriveSubsumed {
-		n, err := DeriveSubsumed(repo, src.ID)
+		n, err := deriveSubsumed(b, src.ID)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		st.SubsumedAssocs = n
 		if n > 0 {
 			st.MappingsTouched++
 		}
 	}
-	return st, nil
+	return nil
 }
 
 // ImportFile parses a source file with the named format parser and imports
@@ -125,7 +139,7 @@ func hasStructuralRecords(d *eav.Dataset) bool {
 // importOwnObjects creates the dataset's own objects, carrying NAME text
 // and NUMBER values. Objects referenced by IS_A / CONTAINS records within
 // the same source are created too.
-func importOwnObjects(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats) error {
+func importOwnObjects(b *gam.Batch, d *eav.Dataset, src *gam.Source, st *Stats) error {
 	type objInfo struct {
 		text   string
 		num    float64
@@ -164,7 +178,7 @@ func importOwnObjects(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats
 		oi := infos[acc]
 		specs[i] = gam.ObjectSpec{Accession: acc, Text: oi.text, HasNumber: oi.hasNum, Number: oi.num}
 	}
-	_, createdN, err := repo.EnsureObjects(src.ID, specs)
+	_, createdN, err := b.EnsureObjects(src.ID, specs)
 	if err != nil {
 		return fmt.Errorf("importer: %w", err)
 	}
@@ -173,7 +187,7 @@ func importOwnObjects(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats
 	// Back-fill text/number on objects that earlier imports created as
 	// bare cross-reference targets.
 	if st.ObjectsDup > 0 {
-		if _, err := repo.FillMissingObjectInfo(src.ID, specs); err != nil {
+		if _, err := b.FillMissingObjectInfo(src.ID, specs); err != nil {
 			return fmt.Errorf("importer: back-fill object info: %w", err)
 		}
 	}
@@ -182,7 +196,7 @@ func importOwnObjects(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats
 
 // importCrossReferences creates target sources/objects and the Fact /
 // Similarity mappings with their associations.
-func importCrossReferences(repo *gam.Repo, d *eav.Dataset, src *gam.Source, opts Options, st *Stats) error {
+func importCrossReferences(b *gam.Batch, d *eav.Dataset, src *gam.Source, opts Options, st *Stats) error {
 	// Group cross-reference records per target source, split into fact
 	// (no evidence) and similarity (computed, with evidence).
 	type pair struct {
@@ -210,7 +224,7 @@ func importCrossReferences(repo *gam.Repo, d *eav.Dataset, src *gam.Source, opts
 				content = c
 			}
 		}
-		tgt, _, err := repo.EnsureSource(gam.Source{Name: targetName, Content: content})
+		tgt, _, err := b.EnsureSource(gam.Source{Name: targetName, Content: content})
 		if err != nil {
 			return err
 		}
@@ -222,7 +236,7 @@ func importCrossReferences(repo *gam.Repo, d *eav.Dataset, src *gam.Source, opts
 		for i, p := range pairs {
 			accs[i] = gam.ObjectSpec{Accession: p.to}
 		}
-		tgtIDs, tgtNew, err := repo.EnsureObjects(tgt.ID, accs)
+		tgtIDs, tgtNew, err := b.EnsureObjects(tgt.ID, accs)
 		if err != nil {
 			return err
 		}
@@ -232,11 +246,11 @@ func importCrossReferences(repo *gam.Repo, d *eav.Dataset, src *gam.Source, opts
 		for i, p := range pairs {
 			srcIDs[i] = p.from
 		}
-		fromIDs, err := repo.LookupObjects(src.ID, srcIDs)
+		fromIDs, err := b.LookupObjects(src.ID, srcIDs)
 		if err != nil {
 			return err
 		}
-		rel, _, err := repo.EnsureSourceRel(src.ID, tgt.ID, relType)
+		rel, _, err := b.EnsureSourceRel(src.ID, tgt.ID, relType)
 		if err != nil {
 			return err
 		}
@@ -248,7 +262,7 @@ func importCrossReferences(repo *gam.Repo, d *eav.Dataset, src *gam.Source, opts
 			}
 			assocs[i] = gam.Assoc{Object1: from, Object2: tgtIDs[i], Evidence: p.evidence}
 		}
-		inserted, err := repo.AddAssociations(rel, assocs, true)
+		inserted, err := b.AddAssociations(rel, assocs, true)
 		if err != nil {
 			return err
 		}
@@ -275,17 +289,17 @@ func importCrossReferences(repo *gam.Repo, d *eav.Dataset, src *gam.Source, opts
 
 // importStructure materializes IS_A and Contains mappings within the
 // source.
-func importStructure(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats) error {
+func importStructure(b *gam.Batch, d *eav.Dataset, src *gam.Source, st *Stats) error {
 	var isa, contains []gam.Assoc
 	for _, r := range d.Records {
 		if r.Target != eav.TargetIsA && r.Target != eav.TargetContains {
 			continue
 		}
-		from, err := repo.LookupObject(src.ID, r.Accession)
+		from, err := b.LookupObject(src.ID, r.Accession)
 		if err != nil {
 			return err
 		}
-		to, err := repo.LookupObject(src.ID, r.TargetAccession)
+		to, err := b.LookupObject(src.ID, r.TargetAccession)
 		if err != nil {
 			return err
 		}
@@ -304,11 +318,11 @@ func importStructure(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats)
 		if len(assocs) == 0 {
 			return nil
 		}
-		rel, _, err := repo.EnsureSourceRel(src.ID, src.ID, typ)
+		rel, _, err := b.EnsureSourceRel(src.ID, src.ID, typ)
 		if err != nil {
 			return err
 		}
-		inserted, err := repo.AddAssociations(rel, assocs, true)
+		inserted, err := b.AddAssociations(rel, assocs, true)
 		if err != nil {
 			return err
 		}
@@ -330,16 +344,26 @@ func importStructure(repo *gam.Repo, d *eav.Dataset, src *gam.Source, st *Stats)
 // IS_A structure (paper §3: "Subsumed relationships are automatically
 // derived from the IS_A structure of a source and contain the associations
 // of a term in a taxonomy to all subsumed terms"). An existing Subsumed
-// mapping is replaced. It returns the number of subsumed associations.
+// mapping is replaced, atomically: a failed derivation keeps the old one.
+// It returns the number of subsumed associations.
 func DeriveSubsumed(repo *gam.Repo, src gam.SourceID) (int, error) {
-	isaRel, _, err := repo.FindIsARel(src)
+	var n int
+	err := repo.Atomic(func(b *gam.Batch) (err error) {
+		n, err = deriveSubsumed(b, src)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	if isaRel == 0 {
+	return n, nil
+}
+
+func deriveSubsumed(b *gam.Batch, src gam.SourceID) (int, error) {
+	isaRel, ok := b.FindIsARel(src)
+	if !ok {
 		return 0, nil // flat source: nothing to derive
 	}
-	assocs, err := repo.Associations(isaRel)
+	assocs, err := b.Associations(isaRel)
 	if err != nil {
 		return 0, err
 	}
@@ -355,28 +379,13 @@ func DeriveSubsumed(repo *gam.Repo, src gam.SourceID) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-
-	rel, created, err := repo.EnsureSourceRel(src, src, gam.RelSubsumed)
-	if err != nil {
-		return 0, err
-	}
-	if !created {
-		if err := repo.DeleteMapping(rel); err != nil {
-			return 0, err
-		}
-		rel, _, err = repo.EnsureSourceRel(src, src, gam.RelSubsumed)
-		if err != nil {
-			return 0, err
-		}
-	}
 	out := make([]gam.Assoc, len(subsumed))
 	for i, e := range subsumed {
 		// Object1 = term, Object2 = subsumed (descendant) term.
 		out[i] = gam.Assoc{Object1: gam.ObjectID(e.Parent), Object2: gam.ObjectID(e.Child)}
 	}
-	n, err := repo.AddAssociations(rel, out, false)
-	if err != nil {
+	if _, err := b.ReplaceMapping(src, src, gam.RelSubsumed, out); err != nil {
 		return 0, err
 	}
-	return n, nil
+	return len(out), nil
 }

@@ -11,13 +11,26 @@ import (
 	"genmapper/internal/sqldb"
 )
 
-func newRepo(t *testing.T) *gam.Repo {
-	t.Helper()
-	repo, err := gam.Open(sqldb.NewDB())
-	if err != nil {
-		t.Fatal(err)
+// eachMode runs a test on a fresh repository in lock mode and under MVCC:
+// an import reads back what it just wrote (duplicate elimination, the IS_A
+// rows under DeriveSubsumed), which only works under MVCC when those reads
+// go through the import's own transaction.
+func eachMode(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
+	for _, mode := range []struct {
+		name string
+		mvcc bool
+	}{{"lock", false}, {"mvcc", true}} {
+		t.Run(mode.name, func(t *testing.T) {
+			db := sqldb.NewDB()
+			db.SetMVCC(mode.mvcc)
+			t.Cleanup(func() { db.Close() })
+			repo, err := gam.Open(db)
+			if err != nil {
+				t.Fatal(err)
+			}
+			test(t, repo)
+		})
 	}
-	return repo
 }
 
 // table1Dataset reproduces the paper's Table 1 (parsed LocusLink data).
@@ -31,8 +44,9 @@ func table1Dataset() *eav.Dataset {
 	return d
 }
 
-func TestImportTable1(t *testing.T) {
-	repo := newRepo(t)
+func TestImportTable1(t *testing.T) { eachMode(t, testImportTable1) }
+
+func testImportTable1(t *testing.T, repo *gam.Repo) {
 	st, err := Import(repo, table1Dataset(), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +77,9 @@ func TestImportTable1(t *testing.T) {
 	}
 }
 
-func TestReImportIsIdempotent(t *testing.T) {
-	repo := newRepo(t)
+func TestReImportIsIdempotent(t *testing.T) { eachMode(t, testReImportIsIdempotent) }
+
+func testReImportIsIdempotent(t *testing.T, repo *gam.Repo) {
 	if _, err := Import(repo, table1Dataset(), Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -88,9 +103,12 @@ func TestReImportIsIdempotent(t *testing.T) {
 }
 
 func TestIncrementalImportRelatesToExisting(t *testing.T) {
+	eachMode(t, testIncrementalImportRelatesToExisting)
+}
+
+func testIncrementalImportRelatesToExisting(t *testing.T, repo *gam.Repo) {
 	// The paper's scenario: GO is already integrated; importing LocusLink
 	// afterwards must relate new LocusLink objects to existing GO terms.
-	repo := newRepo(t)
 	goData := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
 	goData.Add("GO:0009116", eav.TargetName, "", "nucleoside metabolism")
 	goData.Add("GO:0009117", eav.TargetName, "", "nucleotide metabolism")
@@ -125,10 +143,11 @@ func TestIncrementalImportRelatesToExisting(t *testing.T) {
 	}
 }
 
-func TestTextBackFill(t *testing.T) {
+func TestTextBackFill(t *testing.T) { eachMode(t, testTextBackFill) }
+
+func testTextBackFill(t *testing.T, repo *gam.Repo) {
 	// LocusLink references GO terms before GO itself is imported; the
 	// later GO import must attach names to the pre-created bare objects.
-	repo := newRepo(t)
 	if _, err := Import(repo, table1Dataset(), Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +179,9 @@ func TestTextBackFill(t *testing.T) {
 	}
 }
 
-func TestImportStructuralRelationships(t *testing.T) {
-	repo := newRepo(t)
+func TestImportStructuralRelationships(t *testing.T) { eachMode(t, testImportStructuralRelationships) }
+
+func testImportStructuralRelationships(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
 	d.Add("biological_process", eav.TargetName, "", "Biological Process")
 	d.Add("GO:1", eav.TargetName, "", "root term")
@@ -198,8 +218,9 @@ func TestImportStructuralRelationships(t *testing.T) {
 	}
 }
 
-func TestDeriveSubsumed(t *testing.T) {
-	repo := newRepo(t)
+func TestDeriveSubsumed(t *testing.T) { eachMode(t, testDeriveSubsumed) }
+
+func testDeriveSubsumed(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
 	// Chain GO:3 -> GO:2 -> GO:1.
 	d.Add("GO:1", eav.TargetName, "", "root")
@@ -232,8 +253,9 @@ func TestDeriveSubsumed(t *testing.T) {
 	}
 }
 
-func TestDeriveSubsumedFlatSource(t *testing.T) {
-	repo := newRepo(t)
+func TestDeriveSubsumedFlatSource(t *testing.T) { eachMode(t, testDeriveSubsumedFlatSource) }
+
+func testDeriveSubsumedFlatSource(t *testing.T, repo *gam.Repo) {
 	if _, err := Import(repo, table1Dataset(), Options{}); err != nil {
 		t.Fatal(err)
 	}
@@ -247,8 +269,9 @@ func TestDeriveSubsumedFlatSource(t *testing.T) {
 	}
 }
 
-func TestDeriveSubsumedRejectsCycle(t *testing.T) {
-	repo := newRepo(t)
+func TestDeriveSubsumedRejectsCycle(t *testing.T) { eachMode(t, testDeriveSubsumedRejectsCycle) }
+
+func testDeriveSubsumedRejectsCycle(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "Broken", Structure: "network"})
 	d.Add("a", eav.TargetIsA, "b", "")
 	d.Add("b", eav.TargetIsA, "a", "")
@@ -257,8 +280,9 @@ func TestDeriveSubsumedRejectsCycle(t *testing.T) {
 	}
 }
 
-func TestSimilarityMappings(t *testing.T) {
-	repo := newRepo(t)
+func TestSimilarityMappings(t *testing.T) { eachMode(t, testSimilarityMappings) }
+
+func testSimilarityMappings(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "NetAffx-HG-U95A", Content: "gene"})
 	d.AddEvidence("100_at", "Unigene", "Hs.1", "", 0.87)
 	d.Add("100_at", "Unigene", "Hs.2", "") // curated fact
@@ -289,8 +313,9 @@ func TestSimilarityMappings(t *testing.T) {
 	}
 }
 
-func TestContentHints(t *testing.T) {
-	repo := newRepo(t)
+func TestContentHints(t *testing.T) { eachMode(t, testContentHints) }
+
+func testContentHints(t *testing.T, repo *gam.Repo) {
 	st, err := Import(repo, table1Dataset(), Options{
 		ContentHints: map[string]gam.Content{"hugo": gam.ContentGene},
 	})
@@ -306,8 +331,9 @@ func TestContentHints(t *testing.T) {
 	}
 }
 
-func TestImportNumberRecords(t *testing.T) {
-	repo := newRepo(t)
+func TestImportNumberRecords(t *testing.T) { eachMode(t, testImportNumberRecords) }
+
+func testImportNumberRecords(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "Scores"})
 	d.Add("s1", eav.TargetNumber, "", "3.25")
 	if _, err := Import(repo, d, Options{}); err != nil {
@@ -326,16 +352,18 @@ func TestImportNumberRecords(t *testing.T) {
 	}
 }
 
-func TestImportInvalidDataset(t *testing.T) {
-	repo := newRepo(t)
+func TestImportInvalidDataset(t *testing.T) { eachMode(t, testImportInvalidDataset) }
+
+func testImportInvalidDataset(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{}) // missing name
 	if _, err := Import(repo, d, Options{}); err == nil {
 		t.Fatal("invalid dataset accepted")
 	}
 }
 
-func TestImportFile(t *testing.T) {
-	repo := newRepo(t)
+func TestImportFile(t *testing.T) { eachMode(t, testImportFile) }
+
+func testImportFile(t *testing.T, repo *gam.Repo) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "ll.txt")
 	content := ">>353\nNAME: adenine phosphoribosyltransferase\nGO: GO:0009116 | nucleoside metabolism\n"

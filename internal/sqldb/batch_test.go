@@ -199,21 +199,26 @@ func TestBatchCursorInvalidatedByDDL(t *testing.T) {
 	}
 }
 
-// TestBatchAggregateErrorParity forces the aggregate type error on both
-// engines; the vectorized leg must refuse the same way the row engine
-// does.
-func TestBatchAggregateErrorParity(t *testing.T) {
+// TestBatchErrorParity forces type errors on both engines — in an
+// aggregate, and in a filter kernel behind a comparison kernel that has
+// already narrowed the selection. The vectorized leg must refuse the same
+// way the row engine does.
+func TestBatchErrorParity(t *testing.T) {
 	db := newBatchTestDB(t, 200, 4)
-	q := "SELECT SUM(s) FROM p WHERE s = 'beta' GROUP BY grp"
-	db.SetBatchExecution(false)
-	_, rowErr := db.Query(q)
-	db.SetBatchExecution(true)
-	_, batchErr := db.Query(q)
-	if rowErr == nil || batchErr == nil {
-		t.Fatalf("SUM over TEXT must fail on both legs: row=%v batch=%v", rowErr, batchErr)
-	}
-	if rowErr.Error() != batchErr.Error() {
-		t.Fatalf("error mismatch:\n row:   %v\n batch: %v", rowErr, batchErr)
+	for _, q := range []string{
+		"SELECT SUM(s) FROM p WHERE s = 'beta' GROUP BY grp",
+		"SELECT id FROM p WHERE val > 3 AND val LIKE 'x%'",
+	} {
+		db.SetBatchExecution(false)
+		_, rowErr := db.Query(q)
+		db.SetBatchExecution(true)
+		_, batchErr := db.Query(q)
+		if rowErr == nil || batchErr == nil {
+			t.Fatalf("%s: must fail on both legs: row=%v batch=%v", q, rowErr, batchErr)
+		}
+		if rowErr.Error() != batchErr.Error() {
+			t.Fatalf("%s: error mismatch:\n row:   %v\n batch: %v", q, rowErr, batchErr)
+		}
 	}
 }
 

@@ -216,6 +216,27 @@ func (tx *Tx) QueryCursor(sql string, args ...any) (Cursor, error) {
 	return tx.db.QueryCursor(sql, args...)
 }
 
+// QueryEach streams a SELECT's rows through fn inside the transaction,
+// with Tx.Query's visibility (the transaction's own writes included) and
+// DB.QueryEach's contract: one statement snapshot, a reused row slice, and
+// in lock mode a read lock held for the iteration, so fn must not write.
+func (tx *Tx) QueryEach(sql string, fn func(row []Value) error, args ...any) error {
+	if tx.done {
+		return fmt.Errorf("sqldb: transaction already finished")
+	}
+	if tx.mvcc {
+		if tx.db.snapRevoked(tx.snap) {
+			return ErrSnapshotTooOld
+		}
+		vals, err := normalizeArgs(args)
+		if err != nil {
+			return err
+		}
+		return tx.db.stmts.get(tx.db, sql).eachVis(fn, vals, visibility{snap: tx.snap, tx: tx.id, lockPart: true})
+	}
+	return tx.db.QueryEach(sql, fn, args...)
+}
+
 // dbCursor is the public cursor handle: it wraps the lock-free engine
 // cursor with schema-generation validation plus, in lock mode, per-step
 // read locking, or, under MVCC, the pinned snapshot's lifetime.

@@ -227,6 +227,49 @@ func TestTxQueryCursorSeesOwnWrites(t *testing.T) {
 	}
 }
 
+// Tx.QueryEach reads with the transaction's visibility in both modes: its
+// own uncommitted insert and update are there, its delete is not, and a
+// plain reader sees none of it under MVCC.
+func TestTxQueryEachSeesOwnWrites(t *testing.T) {
+	for _, mvcc := range []bool{false, true} {
+		db := cursorTestDB(t, 5)
+		db.SetMVCC(mvcc)
+		tx := db.Begin()
+		for _, sql := range []string{
+			"INSERT INTO c VALUES (500, 0, 'tx')",
+			"UPDATE c SET s = 'mine' WHERE id = 1",
+			"DELETE FROM c WHERE id = 2",
+		} {
+			if _, err := tx.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+		got := map[int64]string{}
+		err := tx.QueryEach("SELECT id, s FROM c WHERE id >= ?", func(row []Value) error {
+			got[row[0].(int64)] = row[1].(string)
+			return nil
+		}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 4 || got[500] != "tx" || got[1] != "mine" || got[2] != "" {
+			t.Fatalf("mvcc=%v: transaction reads %v, want its own insert, update and delete", mvcc, got)
+		}
+		if mvcc {
+			if rs := mustQuery(t, db, "SELECT id FROM c WHERE id = 500 OR s = 'mine'"); len(rs.Rows) != 0 {
+				t.Fatalf("uncommitted writes visible outside the transaction: %v", rs.Rows)
+			}
+		}
+		if err := tx.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.QueryEach("SELECT id FROM c", func([]Value) error { return nil }); err == nil {
+			t.Fatal("QueryEach on a finished transaction succeeded")
+		}
+		db.Close()
+	}
+}
+
 // TestCursorConcurrentWriters iterates cursors while writer goroutines
 // hammer the same table. Run under -race this proves per-step locking is
 // sound; the assertions prove rows stay well-formed and IDs never repeat.

@@ -123,7 +123,13 @@ func TestMVCCLatchWaitCounted(t *testing.T) {
 	db := multiWriterDB(t, 16)
 	tbl := db.table("t")
 	before := db.MVCCStats().LatchWaits
-	ls := tbl.acquireLatches(db, []int{int(uint64(3) % uint64(tbl.PartitionCount()))})
+	// Row IDs start at 1, so primary key 3 does not live in row 3: latch
+	// the partition of the row the index says holds it.
+	rowIDs := tbl.indexMap()[pkIndexName("t")].Lookup(int64(3))
+	if len(rowIDs) != 1 {
+		t.Fatalf("primary key 3 resolves to rows %v, want exactly one", rowIDs)
+	}
+	ls := tbl.acquireLatches(db, tbl.partIndexes(rowIDs))
 	execDone := make(chan error, 1)
 	go func() {
 		_, err := db.Exec("UPDATE t SET v = 'blocked' WHERE id = 3")
