@@ -278,28 +278,29 @@ func (b *Batch) EnsureObjects(src SourceID, specs []ObjectSpec) ([]ObjectID, int
 		newIdx = append(newIdx, i)
 	}
 
-	for start := 0; start < len(newIdx); start += batchChunk {
-		end := start + batchChunk
-		if end > len(newIdx) {
-			end = len(newIdx)
-		}
-		chunk := newIdx[start:end]
-		args := make([]any, 0, len(chunk)*4)
+	args := make([]any, 0, 4*min(len(newIdx), insertLadder[0]))
+	err = objectInsert.chunks(len(newIdx), func(start, size int, sql string) error {
+		chunk := newIdx[start : start+size]
+		args = args[:0]
 		for _, i := range chunk {
 			spec := specs[i]
 			args = append(args, int64(src), spec.Accession, spec.textArg(), spec.numberArg())
 		}
-		res, err := b.tx.Exec(objectInsertSQL(len(chunk)), args...)
+		res, err := b.tx.Exec(sql, args...)
 		if err != nil {
-			return nil, 0, fmt.Errorf("gam: insert objects: %w", err)
+			return fmt.Errorf("gam: insert objects: %w", err)
 		}
 		// AUTOINCREMENT IDs are contiguous for a single multi-row insert.
-		firstID := res.LastInsertID - int64(len(chunk)) + 1
+		firstID := res.LastInsertID - int64(size) + 1
 		for ci, i := range chunk {
 			id := ObjectID(firstID + int64(ci))
 			ids[i] = id
 			created[specs[i].Accession] = id
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, 0, err
 	}
 	// Patch batch-internal duplicates.
 	for i := range ids {
@@ -457,27 +458,25 @@ func (b *Batch) AddAssociations(rel SourceRelID, assocs []Assoc, dedup bool) (in
 // number of rows inserted before any error.
 func (b *Batch) insertAssociations(rel SourceRelID, assocs []Assoc) (int, error) {
 	inserted := 0
-	for start := 0; start < len(assocs); start += batchChunk {
-		end := start + batchChunk
-		if end > len(assocs) {
-			end = len(assocs)
-		}
-		chunk := assocs[start:end]
-		args := make([]any, 0, len(chunk)*4)
-		for _, a := range chunk {
+	var relArg any = int64(rel)
+	args := make([]any, 0, 4*min(len(assocs), insertLadder[0]))
+	err := assocInsert.chunks(len(assocs), func(start, size int, sql string) error {
+		args = args[:0]
+		for _, a := range assocs[start : start+size] {
 			var ev any
 			if a.Evidence != 0 {
 				ev = a.Evidence
 			}
-			args = append(args, int64(rel), int64(a.Object1), int64(a.Object2), ev)
+			args = append(args, relArg, int64(a.Object1), int64(a.Object2), ev)
 		}
-		if _, err := b.tx.Exec(assocInsertSQL(len(chunk)), args...); err != nil {
-			return inserted, fmt.Errorf("gam: insert associations: %w", err)
+		if _, err := b.tx.Exec(sql, args...); err != nil {
+			return fmt.Errorf("gam: insert associations: %w", err)
 		}
-		inserted += len(chunk)
+		inserted += size
 		b.mappingsChanged = true
-	}
-	return inserted, nil
+		return nil
+	})
+	return inserted, err
 }
 
 // DeleteMapping removes a mapping and its associations (used to refresh

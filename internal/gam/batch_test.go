@@ -495,3 +495,80 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 			v.rel, v.rows, n, old, id)
 	}
 }
+
+// TestInsertLadderChunks: every n is cut into consecutive chunks of ladder
+// sizes that cover rows 0…n-1 exactly once and in order, the tail using each
+// smaller size at most once, and each chunk gets the text with as many value
+// groups as it has rows.
+func TestInsertLadderChunks(t *testing.T) {
+	sizeOf := make(map[string]int)
+	for i, sql := range assocInsert {
+		if got := strings.Count(sql, "(?, ?, ?, ?)"); got != insertLadder[i] {
+			t.Fatalf("ladder text %d has %d value groups, want %d", i, got, insertLadder[i])
+		}
+		sizeOf[sql] = insertLadder[i]
+	}
+	if len(sizeOf) != 9 {
+		t.Fatalf("%d distinct INSERT texts per table, want 9", len(sizeOf))
+	}
+	for n := 0; n <= 1000; n++ {
+		next, tail := 0, make(map[int]int)
+		err := assocInsert.chunks(n, func(start, size int, sql string) error {
+			if start != next || sizeOf[sql] != size {
+				t.Fatalf("n=%d: chunk (start %d, size %d) with the %d-row text, want start %d", n, start, size, sizeOf[sql], next)
+			}
+			next += size
+			if size != insertLadder[0] {
+				tail[size]++
+			}
+			return nil
+		})
+		if err != nil || next != n {
+			t.Fatalf("n=%d: chunks cover %d rows (err %v)", n, next, err)
+		}
+		for size, count := range tail {
+			if count > 1 {
+				t.Fatalf("n=%d: tail size %d used %d times", n, size, count)
+			}
+		}
+	}
+	failed := errors.New("stop")
+	calls := 0
+	if err := assocInsert.chunks(1000, func(int, int, string) error { calls++; return failed }); !errors.Is(err, failed) || calls != 1 {
+		t.Fatalf("chunks after a failing chunk: err %v, %d calls", err, calls)
+	}
+}
+
+// TestEnsureObjectsIDsAlignAcrossChunks: whatever the ladder makes of n new
+// objects, they get consecutive IDs in spec order, aligned with specs.
+func TestEnsureObjectsIDsAlignAcrossChunks(t *testing.T) {
+	eachMode(t, func(t *testing.T, r *Repo) {
+		src, _, err := r.EnsureSource(Source{Name: "S"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		made := 0
+		for _, n := range []int{1, 199, 200, 201, 455, 1000} {
+			specs := make([]ObjectSpec, n)
+			for i := range specs {
+				specs[i] = ObjectSpec{Accession: fmt.Sprintf("o%d", made+i), Text: fmt.Sprintf("text %d", made+i)}
+			}
+			ids, created, err := r.EnsureObjects(src.ID, specs)
+			if err != nil || created != n {
+				t.Fatalf("n=%d: created %d, err %v", n, created, err)
+			}
+			for i, id := range ids {
+				if id != ObjectID(made+i+1) {
+					t.Fatalf("n=%d: ids[%d] = %d, want %d", n, i, id, made+i+1)
+				}
+			}
+			for _, i := range []int{0, n / 2, n - 1} {
+				o, err := r.Object(ids[i])
+				if err != nil || o == nil || o.Accession != specs[i].Accession || o.Text != specs[i].Text {
+					t.Fatalf("n=%d: object %d = %+v (err %v), want %+v", n, ids[i], o, err, specs[i])
+				}
+			}
+			made += n
+		}
+	})
+}

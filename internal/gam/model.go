@@ -29,6 +29,13 @@
 // is one such batch per dataset; the write methods on Repo (EnsureSource,
 // AddAssociations, ReplaceMapping, …) are batches of one call.
 //
+// Bulk writes (EnsureObjects, AddAssociations, ReplaceMapping) go out as
+// multi-row INSERTs of a fixed ladder of sizes: full 200-row chunks, then
+// a tail decomposed over 128, 64, … 1 rows. A table therefore has nine
+// INSERT texts, all prepared by Open, and the engine runs each as one
+// statement — checked whole, stored under consecutive IDs — so an import
+// parses nothing and its AUTOINCREMENT IDs stay aligned with its input.
+//
 // The Repo's lookup caches are transactional with it. A batch records the
 // sources, accession → ID entries and mapping keys it creates (or deletes)
 // in a private overlay that shadows the shared caches for the batch's own

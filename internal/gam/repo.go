@@ -116,57 +116,40 @@ var schemaDDL = []string{
 // schema-churn metric of the design ablation).
 func SchemaStatementCount() int { return len(schemaDDL) }
 
-// batchChunk is the number of rows per multi-row INSERT during bulk import.
-const batchChunk = 200
+// insertLadder is the fixed set of multi-row INSERT sizes (see the package
+// doc): full chunks of the first, then each smaller one at most once.
+var insertLadder = [...]int{200, 128, 64, 32, 16, 8, 4, 2, 1}
 
-// batchInsertSQL renders prefix followed by n value groups of the given
-// width: "INSERT ... VALUES (?, ?), (?, ?), ...".
-func batchInsertSQL(prefix string, width, n int) string {
-	var sb strings.Builder
-	sb.WriteString(prefix)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteByte('(')
-		for j := 0; j < width; j++ {
-			if j > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteByte('?')
-		}
-		sb.WriteByte(')')
+// bulkInsert holds the multi-row INSERT texts of one table, one per ladder
+// size.
+type bulkInsert [len(insertLadder)]string
+
+func newBulkInsert(prefix string, width int) *bulkInsert {
+	group := "(?" + strings.Repeat(", ?", width-1) + ")"
+	var b bulkInsert
+	for i, n := range insertLadder {
+		b[i] = prefix + group + strings.Repeat(", "+group, n-1)
 	}
-	return sb.String()
+	return &b
 }
-
-// The full-chunk INSERT texts are precomputed: bulk imports issue these
-// exact statements thousands of times, so neither the text nor (thanks to
-// the engine's statement cache) the parse is rebuilt per batch.
-const (
-	objectInsertPrefix = "INSERT INTO object (source_id, accession, text, number) VALUES "
-	assocInsertPrefix  = "INSERT INTO object_rel (source_rel_id, object1_id, object2_id, evidence) VALUES "
-)
 
 var (
-	objectInsertFull = batchInsertSQL(objectInsertPrefix, 4, batchChunk)
-	assocInsertFull  = batchInsertSQL(assocInsertPrefix, 4, batchChunk)
+	objectInsert = newBulkInsert("INSERT INTO object (source_id, accession, text, number) VALUES ", 4)
+	assocInsert  = newBulkInsert("INSERT INTO object_rel (source_rel_id, object1_id, object2_id, evidence) VALUES ", 4)
 )
 
-// objectInsertSQL returns the multi-row object INSERT text for n rows.
-func objectInsertSQL(n int) string {
-	if n == batchChunk {
-		return objectInsertFull
+// chunks cuts rows 0…n-1 into consecutive ladder-sized chunks and calls
+// exec(start, size, sql) for each in row order, stopping at the first error.
+func (b *bulkInsert) chunks(n int, exec func(start, size int, sql string) error) error {
+	start := 0
+	for i, size := range insertLadder {
+		for ; n-start >= size; start += size {
+			if err := exec(start, size, b[i]); err != nil {
+				return err
+			}
+		}
 	}
-	return batchInsertSQL(objectInsertPrefix, 4, n)
-}
-
-// assocInsertSQL returns the multi-row association INSERT text for n rows.
-func assocInsertSQL(n int) string {
-	if n == batchChunk {
-		return assocInsertFull
-	}
-	return batchInsertSQL(assocInsertPrefix, 4, n)
+	return nil
 }
 
 // The hot statement texts are named constants so the call sites and the
@@ -196,9 +179,10 @@ const (
 )
 
 // hotStatements lists the fixed-text statements issued per imported object,
-// association or interactive query. Open prepares them all so the first
-// request after startup already runs on compiled plans.
-var hotStatements = []string{
+// association or interactive query, the bulk INSERTs of every ladder size
+// included. Open prepares them all so the first request after startup
+// already runs on compiled plans and no import ever parses a statement.
+var hotStatements = append(append([]string{
 	sqlSelectSources,
 	sqlSelectSourcesByName,
 	sqlSelectObjectAccs,
@@ -219,19 +203,14 @@ var hotStatements = []string{
 	sqlCountAssocsByRel,
 	sqlDeleteAssociations,
 	sqlDeleteSourceRel,
-}
+}, objectInsert[:]...), assocInsert[:]...)
 
 // prepareHotStatements parses and plans the statements every import and
 // query path hammers. Must run after the schema DDL (plans depend on it).
 func (r *Repo) prepareHotStatements() error {
 	for _, sql := range hotStatements {
 		if _, err := r.db.Prepare(sql); err != nil {
-			return fmt.Errorf("gam: prepare hot statement %q: %w", sql, err)
-		}
-	}
-	for _, sql := range []string{objectInsertFull, assocInsertFull} {
-		if _, err := r.db.Prepare(sql); err != nil {
-			return fmt.Errorf("gam: prepare bulk insert: %w", err)
+			return fmt.Errorf("gam: prepare hot statement %.60q: %w", sql, err)
 		}
 	}
 	return nil

@@ -289,6 +289,49 @@ func TestParseTabularErrors(t *testing.T) {
 	}
 }
 
+// TestParseTabularEvidence: the evidence suffix is the whole trimmed field
+// as one float in [0,1]; trailing garbage is an error, not a shorter number.
+func TestParseTabularEvidence(t *testing.T) {
+	cases := []struct {
+		field   string
+		want    float64
+		wantErr string // substring of the error; "" = accepted
+	}{
+		{"1e-3", 0.001, ""},
+		{" 0.5 ", 0.5, ""},
+		{"1", 1, ""},
+		{"abc", 0, `bad evidence "abc"`},
+		{"0.5x", 0, `bad evidence "0.5x"`},
+		{"0.9abc", 0, `bad evidence "0.9abc"`},
+		{"", 0, `bad evidence ""`},
+		{"-0.1", 0, "evidence -0.1 out of [0,1]"},
+		{"1.1", 0, "evidence 1.1 out of [0,1]"},
+		{"NaN", 0, "evidence NaN out of [0,1]"},
+	}
+	for _, c := range cases {
+		d, err := Parse("tabular", strings.NewReader("acc\tname\tTarget:x|"+c.field+"\n"), info("X"))
+		if c.wantErr != "" {
+			if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+				t.Errorf("evidence %q: error = %v, want one containing %q", c.field, err, c.wantErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("evidence %q: %v", c.field, err)
+			continue
+		}
+		var got []float64
+		for _, r := range d.Records {
+			if r.Target == "Target" {
+				got = append(got, r.Evidence)
+			}
+		}
+		if len(got) != 1 || got[0] != c.want {
+			t.Errorf("evidence %q parsed as %v, want [%v]", c.field, got, c.want)
+		}
+	}
+}
+
 func TestParseTabularSkipsComments(t *testing.T) {
 	in := "# comment\n\nacc1\tname one\t\n# another\nacc2\tname two\t\n"
 	d, err := Parse("tabular", strings.NewReader(in), info("X"))

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"genmapper/internal/eav"
@@ -64,11 +65,11 @@ func ParseTabular(r io.Reader, info eav.SourceInfo) (*eav.Dataset, error) {
 				d.Add(acc, target, refAcc, "")
 				continue
 			}
-			var ev float64
-			if _, err := fmt.Sscanf(strings.TrimSpace(evStr), "%g", &ev); err != nil {
+			ev, err := strconv.ParseFloat(strings.TrimSpace(evStr), 64)
+			if err != nil {
 				return nil, fmt.Errorf("parser: tabular line %d: bad evidence %q", lineNo, evStr)
 			}
-			if ev < 0 || ev > 1 {
+			if !(ev >= 0 && ev <= 1) { // also rejects NaN
 				return nil, fmt.Errorf("parser: tabular line %d: evidence %g out of [0,1]", lineNo, ev)
 			}
 			d.AddEvidence(acc, target, refAcc, "", ev)

@@ -56,20 +56,49 @@ func BenchmarkInsertSingleRow(b *testing.B) {
 	}
 }
 
+// BenchmarkInsertBatch200 is one 200-row INSERT per op: into a table with
+// only its primary key, and into the OBJECT_REL shape bulk imports write
+// (AUTOINCREMENT key plus three secondary hash indexes, source_rel_id
+// constant across the statement) in lock mode and under MVCC.
 func BenchmarkInsertBatch200(b *testing.B) {
-	db := NewDB()
-	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)"); err != nil {
-		b.Fatal(err)
-	}
-	sql := "INSERT INTO t (v) VALUES "
-	args := make([]any, 200)
-	for i := 0; i < 200; i++ {
-		if i > 0 {
-			sql += ", "
+	b.Run("PKOnly", func(b *testing.B) {
+		db := NewDB()
+		if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)"); err != nil {
+			b.Fatal(err)
 		}
-		sql += "(?)"
-		args[i] = fmt.Sprintf("v%d", i)
+		args := make([]any, 200)
+		for i := range args {
+			args[i] = fmt.Sprintf("v%d", i)
+		}
+		benchInsert200(b, db, "INSERT INTO t (v) VALUES (?)", args)
+	})
+	for _, mvcc := range []bool{false, true} {
+		name := "ObjectRel"
+		if mvcc {
+			name += "MVCC"
+		}
+		b.Run(name, func(b *testing.B) {
+			db := NewDB()
+			defer db.Close()
+			db.SetMVCC(mvcc)
+			for _, ddl := range objectRelDDL[:4] {
+				if _, err := db.Exec(ddl); err != nil {
+					b.Fatal(err)
+				}
+			}
+			args := make([]any, 0, 800)
+			for i := 0; i < 200; i++ {
+				args = append(args, 7, 100+i/3, 1000+i, 0.5)
+			}
+			benchInsert200(b, db, "INSERT INTO object_rel (source_rel_id, object1_id, object2_id, evidence) VALUES (?, ?, ?, ?)", args)
+		})
 	}
+}
+
+// benchInsert200 times the one-row INSERT text widened to 200 value groups.
+func benchInsert200(b *testing.B, db *DB, oneRow string, args []any) {
+	sql := multiRowSQL(oneRow, 200)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := db.Exec(sql, args...); err != nil {

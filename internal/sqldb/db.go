@@ -317,24 +317,26 @@ func (u *undoLog) rollbackTo(db *DB, mark int) {
 	u.entries = u.entries[:mark]
 }
 
-// insertUndo removes an inserted row AND restores the row/sequence
-// counters captured before the insert. Undo entries run in reverse order,
-// so the final rollback leaves the counters exactly where the transaction
-// found them: a rolled-back transaction consumes no IDs, which keeps a
-// live database byte-identical to one that recovers from the WAL (where
-// rolled-back transactions never appear at all). The same entry serves
-// both modes: an MVCC insert's provisional version is simply removed
-// outright (fresh row IDs have single-version chains).
+// insertUndo removes the rows one INSERT statement stored — they hold a
+// contiguous row-ID range — AND restores the row/sequence counters captured
+// before the statement. Undo entries run in reverse order, so the final
+// rollback leaves the counters exactly where the transaction found them: a
+// rolled-back transaction consumes no IDs, which keeps a live database
+// byte-identical to one that recovers from the WAL (where rolled-back
+// transactions never appear at all). The same entry serves both modes: an
+// MVCC insert's provisional versions are simply removed outright (fresh row
+// IDs have single-version chains).
 type insertUndo struct {
 	table   string
-	rowID   int64
+	first   int64
+	n       int
 	prevRow int64
 	prevSeq int64
 }
 
 func (e insertUndo) undo(db *DB) {
 	if t := db.table(e.table); t != nil {
-		t.undoInsert(e.rowID)
+		t.undoInsert(e.first, e.n)
 		t.nextRow = e.prevRow
 		t.nextSeq = e.prevSeq
 	}
@@ -471,15 +473,19 @@ func (db *DB) executeWrite(p *prepared, args []Value, undo *undoLog, w *writeCtx
 	return Result{}, fmt.Errorf("sqldb: unsupported statement %T", p.write)
 }
 
+// executeInsert runs an INSERT as one transition: every row is evaluated,
+// validated and checked before the table changes at all, then all rows are
+// stored together under consecutive row IDs, covered by one undo entry.
 func (db *DB) executeInsert(st *InsertStmt, args []Value, undo *undoLog, w *writeCtx) (Result, error) {
 	t := db.table(st.Table)
 	if t == nil {
 		return Result{}, fmt.Errorf("sqldb: no such table %q", st.Table)
 	}
 	// Map statement columns to schema positions.
-	colPos := make([]int, 0, len(st.Columns))
+	width := len(t.Schema.Columns)
+	colPos := make([]int, 0, width)
 	if len(st.Columns) == 0 {
-		for i := range t.Schema.Columns {
+		for i := 0; i < width; i++ {
 			colPos = append(colPos, i)
 		}
 	} else {
@@ -492,35 +498,40 @@ func (db *DB) executeInsert(st *InsertStmt, args []Value, undo *undoLog, w *writ
 		}
 	}
 	penv := paramEnv(args)
-	var res Result
+	rows := make([][]Value, 0, len(st.Rows))
+	var evalErr error // why the row after rows could not be built
+build:
 	for _, rowExprs := range st.Rows {
 		if len(rowExprs) != len(colPos) {
-			return Result{}, fmt.Errorf("sqldb: INSERT expects %d values, got %d", len(colPos), len(rowExprs))
+			evalErr = fmt.Errorf("sqldb: INSERT expects %d values, got %d", len(colPos), len(rowExprs))
+			break build
 		}
-		full := make([]Value, len(t.Schema.Columns))
+		row := make([]Value, width)
 		for i, e := range rowExprs {
-			v, err := e.Eval(penv)
-			if err != nil {
-				return Result{}, err
-			}
-			full[colPos[i]] = v
-		}
-		prevRow, prevSeq := t.nextRow, t.nextSeq
-		id, err := t.insertRow(w, full)
-		if err != nil {
-			return Result{}, err
-		}
-		undo.add(insertUndo{table: t.Name, rowID: id, prevRow: prevRow, prevSeq: prevSeq})
-		res.RowsAffected++
-		// LastInsertID reports the autoincrement value when present, else
-		// the row ID.
-		if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
-			if n, ok := t.get(id, w.vis())[pk].(int64); ok {
-				res.LastInsertID = n
-				continue
+			if row[colPos[i]], evalErr = e.Eval(penv); evalErr != nil {
+				break build
 			}
 		}
-		res.LastInsertID = id
+		rows = append(rows, row)
+	}
+	// A failure of an earlier row comes first, as if rows went in one by one.
+	seq, err := t.prepareRows(w, rows)
+	if err == nil {
+		err = evalErr
+	}
+	if err != nil {
+		return Result{}, err
+	}
+	prevRow, prevSeq := t.nextRow, t.nextSeq
+	first := t.installRows(w, rows, seq)
+	undo.add(insertUndo{table: t.Name, first: first, n: len(rows), prevRow: prevRow, prevSeq: prevSeq})
+	// LastInsertID reports the last row's autoincrement value when present,
+	// else its row ID.
+	res := Result{RowsAffected: int64(len(rows)), LastInsertID: first + int64(len(rows)) - 1}
+	if pk := t.Schema.PrimaryKeyIndex(); pk >= 0 {
+		if n, ok := rows[len(rows)-1][pk].(int64); ok {
+			res.LastInsertID = n
+		}
 	}
 	return res, nil
 }
@@ -646,13 +657,12 @@ func (db *DB) applyUpdate(p *updatePlan, args []Value, undo *undoLog, w *writeCt
 			}
 			next[p.setPos[i]] = v
 		}
-		coerced, err := t.coerceRow(next)
-		if err != nil {
+		if err := t.coerceRow(next); err != nil {
 			return Result{}, err
 		}
 		oldCopy := make([]Value, len(old))
 		copy(oldCopy, old)
-		ver, added, err := t.updateRow(w, id, coerced)
+		ver, added, err := t.updateRow(w, id, next)
 		if err != nil {
 			if errors.Is(err, ErrWriteConflict) {
 				db.mvccConflicts.Add(1)

@@ -79,6 +79,32 @@ func (idx *Index) insert(key Value, row int64) {
 	idx.tree.Insert(key, row)
 }
 
+// insertRows adds the entries (rows[i][idx.Col], first+i) of one INSERT
+// statement under a single lock acquisition. On a hash index a run of
+// consecutive rows sharing a key costs one map access.
+func (idx *Index) insertRows(rows [][]Value, first int64) {
+	idx.mu.Lock()
+	defer idx.mu.Unlock()
+	for i := 0; i < len(rows); {
+		key := rows[i][idx.Col]
+		switch {
+		case key == nil:
+			idx.nullRows[first+int64(i)] = true
+			i++
+		case idx.Kind == IndexBTree:
+			idx.tree.Insert(key, first+int64(i))
+			i++
+		default:
+			k := makeHashKey(key)
+			ids := idx.hash[k]
+			for ; i < len(rows) && rows[i][idx.Col] != nil && makeHashKey(rows[i][idx.Col]) == k; i++ {
+				ids = append(ids, first+int64(i))
+			}
+			idx.hash[k] = ids
+		}
+	}
+}
+
 func (idx *Index) delete(key Value, row int64) {
 	idx.mu.Lock()
 	defer idx.mu.Unlock()

@@ -690,19 +690,17 @@ func (s *idSlice) store(ids []int64) {
 	s.p.Store(a)
 }
 
-// remove splices id out (fresh allocation), reporting whether it was
-// present.
-func (s *idSlice) remove(id int64) bool {
+// removeRange splices the IDs in [lo, hi) out (fresh allocation).
+func (s *idSlice) removeRange(lo, hi int64) {
 	ids := s.load()
-	pos := searchID(ids, id)
-	if pos >= len(ids) || ids[pos] != id {
-		return false
+	from, to := searchID(ids, lo), searchID(ids, hi)
+	if from == to {
+		return
 	}
-	fresh := make([]int64, 0, len(ids)-1)
-	fresh = append(fresh, ids[:pos]...)
-	fresh = append(fresh, ids[pos+1:]...)
+	fresh := make([]int64, 0, len(ids)-(to-from))
+	fresh = append(fresh, ids[:from]...)
+	fresh = append(fresh, ids[to:]...)
 	s.store(fresh)
-	return true
 }
 
 // insertSorted adds id at its sorted position, reporting whether it was

@@ -94,7 +94,7 @@ type Table struct {
 	live    atomic.Int64 // live rows across all partitions
 	nextRow int64
 	nextSeq int64 // AUTOINCREMENT counter
-	idx     atomic.Pointer[map[string]*Index]
+	idx     atomic.Pointer[indexSet]
 
 	// ids keeps the live row IDs in ascending order so serial scans need no
 	// per-call sort or partition merge. Row IDs are allocated monotonically,
@@ -145,7 +145,7 @@ func NewTablePartitions(name string, schema *Schema, n int) *Table {
 		idx := newIndex(pkIndexName(name), schema.Columns[pk].Name, pk, IndexHash, true)
 		indexes[idx.Name] = idx
 	}
-	t.idx.Store(&indexes)
+	t.idx.Store(newIndexSet(indexes))
 	return t
 }
 
@@ -161,10 +161,25 @@ func (t *Table) part(id int64) *tablePart {
 	return ps[uint64(id)%uint64(len(ps))]
 }
 
-// indexMap returns the current name → index map. The map is copy-on-write:
-// treat it as immutable; mutate only through setIndex/removeIndex under
-// the database writer lock.
-func (t *Table) indexMap() map[string]*Index { return *t.idx.Load() }
+// indexSet is one published generation of a table's indexes. It is
+// copy-on-write: treat it as immutable; republish only through
+// setIndex/removeIndex under the database writer lock.
+type indexSet struct {
+	byName map[string]*Index
+	sorted []*Index // in name order
+}
+
+func newIndexSet(byName map[string]*Index) *indexSet {
+	s := &indexSet{byName: byName, sorted: make([]*Index, 0, len(byName))}
+	for _, idx := range byName {
+		s.sorted = append(s.sorted, idx)
+	}
+	sort.Slice(s.sorted, func(i, j int) bool { return s.sorted[i].Name < s.sorted[j].Name })
+	return s
+}
+
+// indexMap returns the current name → index map (immutable, see indexSet).
+func (t *Table) indexMap() map[string]*Index { return t.idx.Load().byName }
 
 // setIndex publishes a new index under name (copy-on-write, caller holds
 // the database exclusively).
@@ -175,7 +190,7 @@ func (t *Table) setIndex(name string, idx *Index) {
 		next[k] = v
 	}
 	next[name] = idx
-	t.idx.Store(&next)
+	t.idx.Store(newIndexSet(next))
 }
 
 // removeIndex unpublishes the index under name (copy-on-write, caller
@@ -188,7 +203,7 @@ func (t *Table) removeIndex(name string) {
 			next[k] = v
 		}
 	}
-	t.idx.Store(&next)
+	t.idx.Store(newIndexSet(next))
 }
 
 // PartitionCount returns the number of hash partitions.
@@ -244,90 +259,139 @@ func (t *Table) repartition(n int) {
 // RowCount returns the number of live rows.
 func (t *Table) RowCount() int { return int(t.live.Load()) }
 
-// Insert validates, coerces and stores a full-width row under lock-mode
-// rules, returning its row ID.
-func (t *Table) Insert(vals []Value) (int64, error) {
-	return t.insertRow(&writeCtx{}, vals)
-}
-
-// insertRow validates, coerces and stores a full-width row, returning its
-// row ID. AUTOINCREMENT columns receive the next sequence value when NULL.
-// Under MVCC the version installs provisional (invisible until
-// publishCommit); lock-mode versions install committed. Row IDs are
-// allocated monotonically, so both the global and the per-partition ID
-// slice take the same blind O(1) append — no sorted-position search on
-// the insert hot path.
-func (t *Table) insertRow(w *writeCtx, vals []Value) (int64, error) {
-	if len(vals) != len(t.Schema.Columns) {
-		return 0, fmt.Errorf("sqldb: table %s expects %d values, got %d", t.Name, len(t.Schema.Columns), len(vals))
+// prepareRows validates and coerces the full-width rows of one INSERT
+// statement in place, changing nothing else: NULL AUTOINCREMENT columns
+// draw from a private copy of the sequence counter, returned for
+// installRows to publish. The error is the one row-at-a-time insertion
+// would stop at: the first failing row, its NOT NULL and type errors before
+// its UNIQUE violation.
+func (t *Table) prepareRows(w *writeCtx, rows [][]Value) (seq int64, err error) {
+	seq = t.nextSeq
+	for r, row := range rows {
+		if seq, err = t.prepareRow(row, seq); err != nil {
+			rows = rows[:r] // an earlier row's UNIQUE violation still comes first
+			break
+		}
 	}
-	row := make([]Value, len(vals))
-	for i, col := range t.Schema.Columns {
-		v := vals[i]
-		if v == nil && col.AutoIncrement {
-			t.nextSeq++
-			v = t.nextSeq
-		}
-		if v == nil && col.Default != nil {
-			v = col.Default
-		}
-		if v == nil {
-			if col.NotNull || col.PrimaryKey {
-				return 0, fmt.Errorf("sqldb: NULL in NOT NULL column %s.%s", t.Name, col.Name)
-			}
-			row[i] = nil
-			continue
-		}
-		cv, err := Coerce(v, col.Type)
-		if err != nil {
-			return 0, fmt.Errorf("sqldb: column %s.%s: %w", t.Name, col.Name, err)
-		}
-		if col.AutoIncrement {
-			if n, ok := cv.(int64); ok && n > t.nextSeq {
-				t.nextSeq = n
-			}
-		}
-		row[i] = cv
-	}
-	// Unique-index violation check before any mutation. Under MVCC the
-	// index may hold entries for superseded or uncommitted keys, so
-	// membership must resolve version visibility, not raw entry presence.
-	for _, idx := range t.indexMap() {
+	for _, idx := range t.Indexes() {
 		if !idx.Unique {
 			continue
 		}
+		if r := t.firstUniqueViolation(w, idx, rows); r >= 0 {
+			err = &UniqueError{Table: t.Name, Column: idx.Column, Value: rows[r][idx.Col]}
+			rows = rows[:r]
+		}
+	}
+	return seq, err
+}
+
+// prepareRow fills one row's NULL AUTOINCREMENT and defaulted columns,
+// coerces it in place and returns the advanced AUTOINCREMENT counter.
+func (t *Table) prepareRow(row []Value, seq int64) (int64, error) {
+	auto := -1
+	for i, col := range t.Schema.Columns {
+		if col.AutoIncrement {
+			auto = i
+			if row[i] == nil {
+				seq++
+				row[i] = seq
+			}
+		}
+		if row[i] == nil {
+			row[i] = col.Default
+		}
+	}
+	if err := t.coerceRow(row); err != nil {
+		return seq, err
+	}
+	if auto >= 0 {
+		if n, ok := row[auto].(int64); ok && n > seq {
+			seq = n // an explicit value moves the counter past itself
+		}
+	}
+	return seq, nil
+}
+
+// firstUniqueViolation returns the position of the first row whose non-NULL
+// key in the unique index's column is taken — by a stored row or by an
+// earlier row of rows — or -1. Under MVCC the index may hold entries for
+// superseded or uncommitted keys, so membership resolves version
+// visibility, not raw entry presence.
+func (t *Table) firstUniqueViolation(w *writeCtx, idx *Index, rows [][]Value) int {
+	// The keys of earlier rows, collected only once keys stop ascending
+	// strictly: AUTOINCREMENT keys never do and cannot repeat.
+	var seen map[hashKey]bool
+	var prev Value
+	for r, row := range rows {
 		key := row[idx.Col]
 		if key == nil {
 			continue // SQL: NULLs never collide
 		}
-		if w.mvcc {
-			if t.keyInUse(idx, key, w.vis()) {
-				return 0, &UniqueError{Table: t.Name, Column: idx.Column, Value: key}
-			}
-		} else if idx.containsKey(key) {
-			return 0, &UniqueError{Table: t.Name, Column: idx.Column, Value: key}
+		if w.mvcc && t.keyInUse(idx, key, w.vis()) || !w.mvcc && idx.containsKey(key) {
+			return r
 		}
+		if seen == nil && prev != nil && Compare(prev, key) >= 0 {
+			seen = make(map[hashKey]bool, len(rows))
+			for _, earlier := range rows[:r] {
+				seen[makeHashKey(earlier[idx.Col])] = true
+			}
+		}
+		if seen != nil {
+			k := makeHashKey(key)
+			if seen[k] {
+				return r
+			}
+			seen[k] = true
+		}
+		prev = key
 	}
-	t.nextRow++
-	id := t.nextRow
-	ver := &rowVersion{row: row}
-	ver.beg.Store(w.stamp())
-	p := t.part(id)
-	p.mu.Lock()
-	p.rows[id] = ver
-	p.ids.append(id)
-	p.mut.Add(1)
-	p.mu.Unlock()
-	t.ids.append(id)
-	t.live.Add(1)
+	return -1
+}
+
+// installRows stores rows that prepareRows accepted under consecutive row
+// IDs and returns the first; it cannot fail. Under MVCC the versions
+// install provisional (invisible until publishCommit), in lock mode
+// committed. Each partition takes its rows under one lock acquisition and
+// each index its entries under one. A reader never finds an ID whose row is
+// missing: partition maps are filled before the global ID slice (blind
+// appends, row IDs being monotone), indexes last.
+func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
+	first := t.nextRow + 1
+	t.nextRow += int64(len(rows))
+	t.nextSeq = seq
+	vers := make([]*rowVersion, len(rows))
+	for i, row := range rows {
+		vers[i] = &rowVersion{row: row}
+		vers[i].beg.Store(w.stamp())
+	}
+	parts := t.partList()
+	np := uint64(len(parts))
+	for pi, p := range parts {
+		// i is the first row whose ID lands in this partition.
+		i := int((uint64(pi) + np - uint64(first)%np) % np)
+		if i >= len(rows) {
+			continue
+		}
+		p.mu.Lock()
+		for ; i < len(rows); i += len(parts) {
+			p.rows[first+int64(i)] = vers[i]
+			p.ids.append(first + int64(i))
+		}
+		p.mut.Add(1)
+		p.mu.Unlock()
+	}
+	for i := range rows {
+		t.ids.append(first + int64(i))
+	}
+	t.live.Add(int64(len(rows)))
 	t.mut.Add(1)
-	for _, idx := range t.indexMap() {
-		idx.insert(row[idx.Col], id)
+	for _, idx := range t.Indexes() {
+		idx.insertRows(rows, first)
 	}
 	if w.mvcc {
-		w.installed = append(w.installed, ver)
+		w.installed = append(w.installed, vers...)
 	}
-	return id, nil
+	return first
 }
 
 // keyInUse reports whether any row whose version is visible under vis
@@ -487,31 +551,37 @@ func (t *Table) compactIDs() {
 	t.mut.Add(1)
 }
 
-// undoInsert removes a row inserted by a now-rolled-back statement and
-// splices its ID out of the ID slices (no tombstone: the rollback also
-// returns the ID to the allocator, and a tombstone under a reusable ID
-// would collide with the next insert). The spliced ID is almost always
-// the last element, so this is O(1) in practice.
-func (t *Table) undoInsert(id int64) {
-	p := t.part(id)
-	head := p.rows[id]
-	if head == nil {
-		return
-	}
-	for _, idx := range t.indexMap() {
-		for v := head; v != nil; v = v.next.Load() {
-			if v.row != nil {
-				idx.delete(v.row[idx.Col], id)
+// undoInsert removes the n rows a now-rolled-back INSERT statement stored
+// under the IDs from first on and splices those IDs out of the ID slices
+// (no tombstones: the rollback also returns the IDs to the allocator, and a
+// tombstone under a reusable ID would collide with the next insert).
+func (t *Table) undoInsert(first int64, n int) {
+	end := first + int64(n)
+	for id := first; id < end; id++ {
+		p := t.part(id)
+		head := p.rows[id]
+		if head == nil {
+			continue
+		}
+		for _, idx := range t.Indexes() {
+			for v := head; v != nil; v = v.next.Load() {
+				if v.row != nil {
+					idx.delete(v.row[idx.Col], id)
+				}
 			}
 		}
+		p.mu.Lock()
+		delete(p.rows, id)
+		p.mu.Unlock()
+		t.live.Add(-1)
 	}
-	p.mu.Lock()
-	delete(p.rows, id)
-	p.ids.remove(id)
-	p.mut.Add(1)
-	p.mu.Unlock()
-	t.ids.remove(id)
-	t.live.Add(-1)
+	for _, p := range t.partList() {
+		p.mu.Lock()
+		p.ids.removeRange(first, end)
+		p.mut.Add(1)
+		p.mu.Unlock()
+	}
+	t.ids.removeRange(first, end)
 	t.mut.Add(1)
 }
 
@@ -788,24 +858,22 @@ func (t *Table) finishLoad() {
 }
 
 // coerceRow validates a candidate full row against schema constraints
-// (type coercion and NOT NULL), returning the canonical row.
-func (t *Table) coerceRow(vals []Value) ([]Value, error) {
-	row := make([]Value, len(vals))
+// (type coercion and NOT NULL), making it canonical in place.
+func (t *Table) coerceRow(row []Value) error {
 	for i, col := range t.Schema.Columns {
-		v := vals[i]
-		if v == nil {
+		if row[i] == nil {
 			if col.NotNull || col.PrimaryKey {
-				return nil, fmt.Errorf("sqldb: NULL in NOT NULL column %s.%s", t.Name, col.Name)
+				return fmt.Errorf("sqldb: NULL in NOT NULL column %s.%s", t.Name, col.Name)
 			}
 			continue
 		}
-		cv, err := Coerce(v, col.Type)
+		cv, err := Coerce(row[i], col.Type)
 		if err != nil {
-			return nil, fmt.Errorf("sqldb: column %s.%s: %w", t.Name, col.Name, err)
+			return fmt.Errorf("sqldb: column %s.%s: %w", t.Name, col.Name, err)
 		}
 		row[i] = cv
 	}
-	return row, nil
+	return nil
 }
 
 // Scan visits the newest committed version of every row in ascending
@@ -1045,20 +1113,9 @@ func (t *Table) BTreeIndexOn(col int) *Index {
 	return nil
 }
 
-// Indexes returns the table's indexes in name order.
-func (t *Table) Indexes() []*Index {
-	m := t.indexMap()
-	names := make([]string, 0, len(m))
-	for n := range m {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]*Index, len(names))
-	for i, n := range names {
-		out[i] = m[n]
-	}
-	return out
-}
+// Indexes returns the table's indexes in name order. The slice is shared:
+// treat it as immutable.
+func (t *Table) Indexes() []*Index { return t.idx.Load().sorted }
 
 // Truncate removes all rows but keeps schema, index definitions and the
 // partition layout.

@@ -112,7 +112,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeInt:
 		switch x := v.(type) {
 		case int64:
-			return x, nil
+			return v, nil // already boxed: returning x would allocate anew
 		case float64:
 			if x == math.Trunc(x) && !math.IsInf(x, 0) {
 				return int64(x), nil
@@ -133,7 +133,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeFloat:
 		switch x := v.(type) {
 		case float64:
-			return x, nil
+			return v, nil
 		case int64:
 			return float64(x), nil
 		case string:
@@ -146,7 +146,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeText:
 		switch x := v.(type) {
 		case string:
-			return x, nil
+			return v, nil
 		case int64:
 			return strconv.FormatInt(x, 10), nil
 		case float64:
@@ -160,7 +160,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeBool:
 		switch x := v.(type) {
 		case bool:
-			return x, nil
+			return v, nil
 		case int64:
 			return x != 0, nil
 		}
