@@ -31,7 +31,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "demo universe seed")
 		scale    = flag.Float64("scale", 0.002, "demo universe scale")
 		pprofF   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
-		paraN    = flag.Int("parallelism", 0, "query execution parallelism: 0 = one worker per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions and fan scans/aggregates out across them")
+		paraN    = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
 		batchOn  = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
 		batchMin = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
 		mvccOn   = flag.Bool("mvcc", false, "MVCC snapshot isolation: readers run against snapshot epochs and never block on writers")
@@ -67,7 +67,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "genmapper:", err)
 		os.Exit(1)
 	}
-	sys.SetParallelism(*paraN)
+	sys.SetPartitions(*paraN)
 	sys.SetBatchExecution(*batchOn)
 	if *batchMin > 0 {
 		sys.SetBatchMinRows(*batchMin)

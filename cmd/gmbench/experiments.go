@@ -1,9 +1,7 @@
 package main
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"strings"
@@ -754,122 +752,6 @@ func expWALDurability(h *harness) error {
 }
 
 // ---------------------------------------------------------------------------
-// E14 — partition-parallel execution
-
-// expParallel measures serial vs partition-parallel execution of the three
-// full-table shapes the parallel engine accelerates — scan+filter,
-// aggregate, and export — over a 200k-row table at 1/2/4/8 partitions.
-// With one partition the parallel paths are disabled, so that row is the
-// serial baseline. Speedups need real cores: on a single-core host the
-// parallel rows show only the exchange overhead.
-func expParallel(h *harness) error {
-	const rows = 200000
-	db := sqldb.NewDB()
-	db.SetParallelMinRows(1)
-	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT, f REAL)"); err != nil {
-		return err
-	}
-	fmt.Printf("(building %d-row table, GOMAXPROCS=%d ...)\n\n", rows, runtime.GOMAXPROCS(0))
-	const chunk = 200
-	for start := 0; start < rows; start += chunk {
-		sql := "INSERT INTO t VALUES "
-		args := make([]any, 0, chunk*4)
-		for i := start; i < start+chunk; i++ {
-			if i > start {
-				sql += ", "
-			}
-			sql += "(?, ?, ?, ?)"
-			args = append(args, i, i%97, fmt.Sprintf("val%d", i), float64(i%400)/4)
-		}
-		if _, err := db.Exec(sql, args...); err != nil {
-			return err
-		}
-	}
-
-	scan := func() error {
-		n := 0
-		err := db.QueryEach("SELECT id, v FROM t WHERE v LIKE 'val%' AND k < 90", func(row []sqldb.Value) error {
-			n++
-			return nil
-		})
-		if err == nil && n == 0 {
-			return fmt.Errorf("scan matched nothing")
-		}
-		return err
-	}
-	agg := func() error {
-		rs, err := db.Query("SELECT k, COUNT(*), SUM(id), MIN(f), MAX(v) FROM t GROUP BY k")
-		if err == nil && rs.Len() != 97 {
-			return fmt.Errorf("aggregate groups = %d", rs.Len())
-		}
-		return err
-	}
-	export := func() error {
-		cur, err := db.QueryCursor("SELECT id, k, v, f FROM t")
-		if err != nil {
-			return err
-		}
-		defer cur.Close()
-		w := bufio.NewWriterSize(io.Discard, 1<<16)
-		for {
-			row, err := cur.Next()
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				return w.Flush()
-			}
-			for i, v := range row {
-				if i > 0 {
-					w.WriteByte('\t')
-				}
-				w.WriteString(sqldb.FormatValue(v))
-			}
-			w.WriteByte('\n')
-		}
-	}
-	best := func(fn func() error) (time.Duration, error) {
-		bestD := time.Duration(0)
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			if err := fn(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); bestD == 0 || d < bestD {
-				bestD = d
-			}
-		}
-		return bestD, nil
-	}
-
-	fmt.Printf("%-10s %12s %12s %12s %28s\n", "partitions", "scan", "aggregate", "export", "speedup (scan/agg/export)")
-	var base [3]time.Duration
-	for _, parts := range []int{1, 2, 4, 8} {
-		db.SetPartitions(parts)
-		db.SetParallelism(parts)
-		var ds [3]time.Duration
-		for i, fn := range []func() error{scan, agg, export} {
-			d, err := best(fn)
-			if err != nil {
-				return err
-			}
-			ds[i] = d
-		}
-		if parts == 1 {
-			base = ds
-		}
-		fmt.Printf("%-10d %12v %12v %12v %9.2fx /%6.2fx /%6.2fx\n",
-			parts, ds[0].Round(time.Microsecond), ds[1].Round(time.Microsecond), ds[2].Round(time.Microsecond),
-			float64(base[0])/float64(ds[0]), float64(base[1])/float64(ds[1]), float64(base[2])/float64(ds[2]))
-	}
-	ps := db.ParallelStats()
-	fmt.Printf("\nparallel ops: scans=%d aggregates=%d (write collects=%d)\n",
-		ps.ParallelScans, ps.ParallelAggregates, ps.ParallelWriteCollects)
-	fmt.Println("expected shape: scan/aggregate/export scale with partitions up to the core count; partitions=1 is the serial engine")
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // E15 — vectorized (columnar batch) execution
 
 // expVectorized measures row vs vectorized execution of the four full-table
@@ -877,12 +759,12 @@ func expParallel(h *harness) error {
 // aggregate, and export streaming — over a 200k-row table at 1/2/4/8
 // partitions. Every cell runs the same query twice, batch execution off
 // then on, so each ratio compares the two engines at the same partition
-// count. Unlike E14 the win does not need multiple cores: the kernels cut
-// per-row interpretation cost, so the ratio holds even on one core.
+// count; with more than one partition the batch leg fans out one worker
+// per partition. The batch win does not need multiple cores: the kernels
+// cut per-row interpretation cost, so the ratio holds even on one core.
 func expVectorized(h *harness) error {
 	const rows = 200000
 	db := sqldb.NewDB()
-	db.SetParallelMinRows(1)
 	db.SetBatchMinRows(1)
 	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT, f REAL)"); err != nil {
 		return err
@@ -966,7 +848,6 @@ func expVectorized(h *harness) error {
 		"partitions", "batch", "scan", "filter", "aggregate", "export", "speedup (scan/filter/agg/export)")
 	for _, parts := range []int{1, 2, 4, 8} {
 		db.SetPartitions(parts)
-		db.SetParallelism(parts)
 		var row, vec [4]time.Duration
 		for _, batch := range []bool{false, true} {
 			db.SetBatchExecution(batch)

@@ -40,7 +40,6 @@ var experiments = []experiment{
 	{"ablation-materialize", "Ablation E11: materialized Composed mapping vs on-the-fly Compose", expAblationMaterialize},
 	{"ablation-srs", "Ablation E12: SRS-style link navigation vs set-oriented GenerateView", expAblationSRS},
 	{"wal", "E13: durable write path — fsync policies and group commit", expWALDurability},
-	{"parallel", "E14: partition-parallel scan/aggregate/export vs serial at 1/2/4/8 partitions", expParallel},
 	{"vectorized", "E15: vectorized (columnar batch) vs row execution at 1/2/4/8 partitions", expVectorized},
 	{"concurrency", "E16: MVCC vs lock-mode read/write throughput, writer-stall probe, multi-writer latch scaling", expConcurrency},
 }

@@ -36,7 +36,7 @@ func main() {
 		stats     = flag.Bool("stats", false, "print database statistics and exit")
 		verbose   = flag.Bool("v", false, "print per-source import statistics")
 		engine    = flag.Bool("engine-stats", false, "print SQL engine statement-cache and planner counters after the run")
-		parallel  = flag.Int("parallelism", 0, "query execution parallelism: 0 = one worker per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions and fan scans/aggregates out across them")
+		parallel  = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
 		batchOn   = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
 		batchMin  = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
 	)
@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	sys.SetParallelism(*parallel)
+	sys.SetPartitions(*parallel)
 	sys.SetBatchExecution(*batchOn)
 	if *batchMin > 0 {
 		sys.SetBatchMinRows(*batchMin)

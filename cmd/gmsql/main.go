@@ -28,7 +28,7 @@ func main() {
 		dataDir  = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); every write is crash-safe")
 		fsync    = flag.String("fsync", "group", "WAL fsync policy with -data-dir: always, group, off")
 		quiet    = flag.Bool("q", false, "suppress the prompt (for piped input)")
-		paraN    = flag.Int("parallelism", 0, "query execution parallelism: 0 = one worker per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions and fan scans/aggregates out across them")
+		paraN    = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
 		batchOn  = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
 		batchMin = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
 		mvccOn   = flag.Bool("mvcc", false, "MVCC snapshot isolation: readers run against snapshot epochs and never block on writers")
@@ -73,7 +73,7 @@ func main() {
 		}
 	}
 
-	db.ConfigureParallelism(*paraN)
+	db.SetPartitions(*paraN)
 	db.SetBatchExecution(*batchOn)
 	if *batchMin > 0 {
 		db.SetBatchMinRows(*batchMin)

@@ -194,15 +194,14 @@ func (s *System) SQLExplain(sql, format string) (string, error) {
 	return s.db.Explain(sql, format)
 }
 
-// SetParallelism applies an execution-parallelism request to the embedded
-// engine (0 = one worker per CPU, 1 = serial): full-table scans,
-// aggregates and bulk write matching over partitioned storage fan out
-// accordingly. An explicit N > 1 also re-shards storage into N hash
-// partitions (a schema change — do this at startup), since the default
-// partition count tracks GOMAXPROCS, which may be lower than the request.
-func (s *System) SetParallelism(n int) { s.db.ConfigureParallelism(n) }
+// SetPartitions re-shards the embedded engine's storage into n hash
+// partitions (0 = one per CPU, the default; 1 = serial). Batch scans and
+// aggregates over a table with more than one partition fan out one worker
+// per partition. Re-sharding is a schema change — do this at startup.
+func (s *System) SetPartitions(n int) { s.db.SetPartitions(n) }
 
-// SQLParallelStats returns the partition-parallel execution counters.
+// SQLParallelStats returns how often batch scans and aggregates fanned out
+// across partitions.
 func (s *System) SQLParallelStats() sqldb.ParallelStats { return s.db.ParallelStats() }
 
 // SetBatchExecution toggles the embedded engine's vectorized (columnar

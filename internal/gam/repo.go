@@ -237,22 +237,6 @@ func Open(db *sqldb.DB) (*Repo, error) {
 // DB exposes the underlying database (for the operator layer's SQL).
 func (r *Repo) DB() *sqldb.DB { return r.db }
 
-// SetParallelism forwards an execution-parallelism hint to the storage
-// engine: bulk loaders and association streams (AssociationsBatch,
-// ObjectsScanEach, the Materialize refresh scans) then run their full-table
-// scans and aggregates on the partition-parallel paths. 0 restores the
-// default (one worker per CPU), 1 forces serial execution.
-func (r *Repo) SetParallelism(n int) { r.db.SetParallelism(n) }
-
-// SetBatchExecution toggles the storage engine's vectorized (columnar
-// batch) leg for eligible scans and aggregates; the row engine remains
-// the fallback for everything the batch kernels don't cover.
-func (r *Repo) SetBatchExecution(on bool) { r.db.SetBatchExecution(on) }
-
-// SetBatchMinRows sets the minimum table cardinality before the engine's
-// planner picks the vectorized leg (0 restores the engine default).
-func (r *Repo) SetBatchMinRows(n int64) { r.db.SetBatchMinRows(n) }
-
 // Reload discards every in-memory lookup cache (sources, object
 // accessions, source-rel keys) and reloads the source and mapping catalogs
 // from the database. Call it after the database's contents were replaced

@@ -40,20 +40,6 @@ type ExecutorConfig struct {
 	// Workers bounds the compose worker pool. <= 0 selects GOMAXPROCS.
 	// This is a local pool bound; it does not affect the storage engine.
 	Workers int
-	// EngineParallelism, when > 0, is forwarded to the storage engine as
-	// its execution-parallelism hint (Repo.SetParallelism), so the SQL
-	// scans behind mapping loads and view preloads fan out across the
-	// same order of parallelism as the compose pool. It is an explicit
-	// opt-in because the hint is database-global.
-	EngineParallelism int
-	// EngineBatchMinRows, when non-zero, tunes the storage engine's
-	// vectorized-execution threshold: a positive value is forwarded as
-	// the minimum table cardinality before the planner picks the
-	// columnar batch leg (Repo.SetBatchMinRows); a negative value
-	// disables batch execution entirely. Zero keeps the engine defaults
-	// (batch execution on). Like EngineParallelism, the knob is
-	// database-global.
-	EngineBatchMinRows int64
 }
 
 // CacheStats reports executor cache effectiveness.
@@ -89,15 +75,6 @@ func NewExecutor(repo *gam.Repo) *Executor {
 func NewExecutorConfig(repo *gam.Repo, cfg ExecutorConfig) *Executor {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCacheCapacity
-	}
-	if cfg.EngineParallelism > 0 {
-		repo.SetParallelism(cfg.EngineParallelism)
-	}
-	switch {
-	case cfg.EngineBatchMinRows > 0:
-		repo.SetBatchMinRows(cfg.EngineBatchMinRows)
-	case cfg.EngineBatchMinRows < 0:
-		repo.SetBatchExecution(false)
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)

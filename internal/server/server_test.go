@@ -10,6 +10,7 @@ import (
 
 	"genmapper"
 	"genmapper/internal/eav"
+	"genmapper/internal/sqldb"
 )
 
 func testServer(t *testing.T) *httptest.Server {
@@ -269,7 +270,7 @@ func TestAPIEndpoints(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing sql_parallel block: %v", stats)
 	}
-	for _, k := range []string{"workers", "min_rows", "parallel_scans", "parallel_aggregates", "parallel_write_collects"} {
+	for _, k := range []string{"parallel_scans", "parallel_aggregates"} {
 		if _, ok := par[k].(float64); !ok {
 			t.Errorf("sql_parallel missing %q: %v", k, par)
 		}
@@ -325,7 +326,7 @@ func TestExplainEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if doc["plan_version"] != float64(1) || doc["statement"] != "SELECT" {
+	if doc["plan_version"] != float64(sqldb.PlanVersion) || doc["statement"] != "SELECT" {
 		t.Fatalf("explain doc = %v", doc)
 	}
 	access, ok := doc["access"].(map[string]any)

@@ -8,15 +8,14 @@ package sqldb
 // typed slices (colbatch), and runs the filter/aggregate kernels in
 // batch_kernels.go as tight typed loops.
 //
-// The leg is chosen per execution by the same cardinality machinery as the
-// partition-parallel operators: the planner records batch-kernel coverage
-// on the plan (selectPlan.batch, compiled in planSelect), and execution
-// takes the vectorized path when batch execution is enabled and the table
-// clears SetBatchMinRows. Everything the kernels don't cover — point and
-// index access, joins, expressions outside the kernel set, pipeline
-// breakers' own sort/distinct machinery — falls back to the row cursor,
-// so results are byte-identical either way (the planner-equivalence
-// oracle forces and checks both legs).
+// The leg is chosen per execution: the planner records batch-kernel
+// coverage on the plan (selectPlan.batch, compiled in planSelect), and
+// execution takes the vectorized path when batch execution is enabled and
+// the table clears SetBatchMinRows. Everything the kernels don't cover —
+// point and index access, joins, expressions outside the kernel set,
+// pipeline breakers' own sort/distinct machinery — falls back to the row
+// cursor, so results are byte-identical either way (the
+// planner-equivalence oracle forces and checks both legs).
 //
 // Two producers exist:
 //
@@ -25,12 +24,13 @@ package sqldb
 //     single lock QueryEach holds for a whole drain), refilling one
 //     colbatch per lock acquisition and re-synchronizing through the table
 //     mutation counter exactly like the serial scanProducer.
-//   - newBatchScanExchange is the vectorized variant of the PR5 parallel
-//     scan: one worker per partition collects (id, row) runs under the
-//     partition read lock, evaluates the filter kernels outside any lock
-//     (row slices are immutable once published), and ships the surviving
-//     rows as batches through the same bounded parBatch channels; the
-//     consumer k-way-merges by row ID, so output order matches serial.
+//   - newBatchScanExchange runs when the table has more than one
+//     partition: one worker per partition collects (id, row) runs under
+//     the partition read lock, evaluates the filter kernels outside any
+//     lock (row slices are immutable once published), and ships the
+//     surviving rows as batches through the bounded parBatch channels of
+//     the exchange (parallel.go); the consumer k-way-merges by row ID, so
+//     output order matches serial.
 //
 // Both producers emit original row references; the batch-to-row adapter in
 // cursor.go (stepBatch) applies the column projection, keeping the public
@@ -50,7 +50,7 @@ const DefaultBatchMinRows = 4096
 const defaultBatchRows = 1024
 
 // batchSettings is the DB-level vectorized-execution hint, adjustable at
-// runtime without any lock (mirrors parallelSettings).
+// runtime without any lock.
 type batchSettings struct {
 	// off disables the vectorized leg entirely (the zero value enables it:
 	// batch execution is on by default).
@@ -277,8 +277,8 @@ func (b *colbatch) extract(ci int, typ Type) {
 
 // batchSource is the consumer interface of the vectorized scan leg: merged
 // filtered rows (original references, ascending by row ID), (nil, nil) at
-// exhaustion. *parallelScan satisfies it too, so the exchange plugs in
-// directly.
+// exhaustion. Implemented by serialBatchScan and the *parallelScan
+// exchange.
 type batchSource interface {
 	next() ([]Value, error)
 	close()
@@ -423,13 +423,13 @@ func filterBatch(f *boundFilter, b *colbatch) ([]int64, [][]Value, error) {
 	return b.ids[:k], b.rows[:k], nil
 }
 
-// newBatchScanExchange starts the vectorized variant of the parallel scan
-// exchange: workers ship batches of kernel-filtered (id, row) pairs —
-// original row references — and the consumer's batch-to-row adapter
-// applies the projection. Caller holds db.mu (shared or exclusive);
-// workers capture the partition set and schema generation before it is
-// released and synchronize only on partition locks afterwards, exactly
-// like the row-path workers.
+// newBatchScanExchange starts the partition exchange: workers ship batches
+// of kernel-filtered (id, row) pairs — original row references — and the
+// consumer's batch-to-row adapter applies the projection. In lock mode the
+// caller holds db.mu (shared or exclusive); workers capture the partition
+// set and schema generation before it is released and synchronize only on
+// partition locks afterwards. Under MVCC no database lock is held and
+// workers resolve rows at the execution's snapshot.
 func newBatchScanExchange(ex *selectExec, bs *boundScan) *parallelScan {
 	rel := ex.p.rels[0]
 	parts := rel.table.partList()
@@ -452,8 +452,9 @@ func newBatchScanExchange(ex *selectExec, bs *boundScan) *parallelScan {
 // (id, row) pairs are pulled under the partition read lock — one
 // acquisition per batch — then the filter kernels run outside any lock
 // (row slices are immutable once published) and the surviving rows are
-// sent. Position re-sync through the partition mutation counter matches
-// the row-path worker.
+// sent. The position is re-synchronized through the partition mutation
+// counter exactly like the serial scanProducer, so concurrent inserts,
+// deletes and compaction never re-emit or skip a live row.
 func (ps *parallelScan) batchWorker(db *DB, vis visibility, part *tablePart, gen uint64, filter *boundFilter, width, rowsPer int, ch chan<- parBatch) {
 	defer ps.wg.Done()
 	defer close(ch)

@@ -732,14 +732,14 @@ func (ex *selectExec) batchAggBinding() *boundAgg {
 // batchGroups is the vectorized grouped-aggregation operator: per
 // partition, batches are filtered by the kernels and accumulated through
 // typed per-column loops into partial groups, which merge through
-// aggAcc.merge under the exact contract of parallelGroups — partition
-// order, first-seen output order re-derived from the smallest contributing
-// row ID. In lock mode the caller holds db.mu for the whole operation
-// (grouped execution is a pipeline breaker), so partitions are read
-// without locking; under MVCC each batch is materialized under the
-// partition read lock and the kernels run outside it. With a parallelism
-// hint above 1 the partitions run on worker goroutines, otherwise
-// sequentially — the merged result is identical either way.
+// aggAcc.merge in partition order (deterministic float accumulation), with
+// first-seen output order re-derived from the smallest contributing row
+// ID. In lock mode the caller holds db.mu for the whole operation (grouped
+// execution is a pipeline breaker), so partitions are read without
+// locking; under MVCC each batch is materialized under the partition read
+// lock and the kernels run outside it. With more than one partition the
+// partitions run on worker goroutines, one each — the merged result is
+// identical to a single-partition run.
 func (ex *selectExec) batchGroups(ba *boundAgg) (map[string]*groupState, []string, error) {
 	p := ex.p
 	t := p.rels[0].table
@@ -757,7 +757,8 @@ func (ex *selectExec) batchGroups(ba *boundAgg) (map[string]*groupState, []strin
 		results[i] = partGroups{groups: g, order: ord}
 		errs[i] = err
 	}
-	if ex.db.Parallelism() > 1 && len(parts) > 1 {
+	if len(parts) > 1 {
+		ex.db.plans.fanAggs.Add(1)
 		var wg sync.WaitGroup
 		for i, part := range parts {
 			wg.Add(1)

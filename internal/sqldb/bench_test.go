@@ -294,7 +294,7 @@ func BenchmarkRangeQueryIndexed(b *testing.B) {
 
 func BenchmarkRangeQueryFullScan(b *testing.B) {
 	db := rangeBenchDB(b)
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, err := db.Query(rangeBenchSQL)
@@ -325,7 +325,7 @@ func BenchmarkOrderByLimitIndexed(b *testing.B) {
 
 func BenchmarkOrderByLimitFullSort(b *testing.B) {
 	db := rangeBenchDB(b)
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, err := db.Query(orderBenchSQL)
@@ -377,7 +377,7 @@ func BenchmarkJoinIndexLoop(b *testing.B) {
 
 func BenchmarkJoinHashRebuild(b *testing.B) {
 	db := joinBenchDB(b)
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, err := db.Query(joinBenchSQL, i%100)
@@ -552,26 +552,15 @@ func BenchmarkPrefix10Of100kCursorStream(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Partition-parallel execution (PR 5). Serial baselines and parallel runs
-// over the same 100k-row table at varying partition counts. On multi-core
-// hardware the parallel variants scale with partitions; the CI bench gate
-// (cmd/gmbenchdiff) watches the allocation counts, which are
-// machine-independent.
+// Partitioned storage for the engine-leg benchmarks below.
 
 // benchPartitionedDB builds a 100k-row table sharded into parts partitions
-// with the parallel paths forced on (parts <= 1 forces serial execution).
+// with batch execution off; with parts > 1 batch scans and aggregates fan
+// out across the partitions once a benchmark switches batch execution on.
 func benchPartitionedDB(b *testing.B, parts int) *DB {
 	b.Helper()
 	db := NewDB()
-	if parts > 1 {
-		db.SetPartitions(parts)
-		db.SetParallelism(parts)
-		db.SetParallelMinRows(1)
-	} else {
-		db.SetParallelism(1)
-	}
-	// These benchmarks pin the row-parallel operators; the vectorized leg
-	// has its own Vec* set below.
+	db.SetPartitions(parts)
 	db.SetBatchExecution(false)
 	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)"); err != nil {
 		b.Fatal(err)
@@ -594,70 +583,13 @@ func benchPartitionedDB(b *testing.B, parts int) *DB {
 	return db
 }
 
-func benchParallelScan(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n := 0
-		err := db.QueryEach("SELECT id, v FROM t WHERE v <> 'nope'", func(row []Value) error {
-			n++
-			return nil
-		})
-		if err != nil || n != 100000 {
-			b.Fatalf("%v / %d rows", err, n)
-		}
-	}
-}
-
-func BenchmarkParScanSerial(b *testing.B) { benchParallelScan(b, 1) }
-func BenchmarkParScanParts2(b *testing.B) { benchParallelScan(b, 2) }
-func BenchmarkParScanParts4(b *testing.B) { benchParallelScan(b, 4) }
-func BenchmarkParScanParts8(b *testing.B) { benchParallelScan(b, 8) }
-
-func benchParallelAgg(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rs, err := db.Query("SELECT k, COUNT(*), SUM(id), MIN(v) FROM t GROUP BY k")
-		if err != nil || rs.Len() != 100 {
-			b.Fatalf("%v / %d groups", err, rs.Len())
-		}
-	}
-}
-
-func BenchmarkParAggSerial(b *testing.B) { benchParallelAgg(b, 1) }
-func BenchmarkParAggParts2(b *testing.B) { benchParallelAgg(b, 2) }
-func BenchmarkParAggParts4(b *testing.B) { benchParallelAgg(b, 4) }
-func BenchmarkParAggParts8(b *testing.B) { benchParallelAgg(b, 8) }
-
-func benchParallelWriteCollect(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Matches no rows: measures pure candidate collection, not the
-		// update application (which would grow the table state per iter).
-		res, err := db.Exec("UPDATE t SET v = 'x' WHERE v = 'absent'")
-		if err != nil || res.RowsAffected != 0 {
-			b.Fatalf("%v / %d affected", err, res.RowsAffected)
-		}
-	}
-}
-
-func BenchmarkParWriteCollectSerial(b *testing.B) { benchParallelWriteCollect(b, 1) }
-func BenchmarkParWriteCollectParts4(b *testing.B) { benchParallelWriteCollect(b, 4) }
-
 // ---------------------------------------------------------------------------
 // Vectorized columnar execution (PR 7). Each shape runs as a pair — row
 // engine vs batch kernels — over the same partitioned 100k-row table, so
 // the ns/op ratio is the vectorization win at a fixed partition count.
-// (The row legs of scan and aggregate are the ParScan*/ParAgg* benchmarks
-// above.)
 
 // benchVectorDB is benchPartitionedDB with the vectorized leg switched as
-// requested instead of pinned off.
+// requested.
 func benchVectorDB(b *testing.B, parts int, batch bool) *DB {
 	db := benchPartitionedDB(b, parts)
 	db.SetBatchExecution(batch)
@@ -680,8 +612,9 @@ func benchVecScan(b *testing.B, parts int, batch bool) {
 	}
 }
 
-func BenchmarkVecScanSerial(b *testing.B) { benchVecScan(b, 1, true) }
-func BenchmarkVecScanParts4(b *testing.B) { benchVecScan(b, 4, true) }
+func BenchmarkVecScanRowSerial(b *testing.B) { benchVecScan(b, 1, false) }
+func BenchmarkVecScanSerial(b *testing.B)    { benchVecScan(b, 1, true) }
+func BenchmarkVecScanParts4(b *testing.B)    { benchVecScan(b, 4, true) }
 
 func benchVecFilter(b *testing.B, parts int, batch bool) {
 	db := benchVectorDB(b, parts, batch)
@@ -716,8 +649,9 @@ func benchVecAgg(b *testing.B, parts int, batch bool) {
 	}
 }
 
-func BenchmarkVecAggSerial(b *testing.B) { benchVecAgg(b, 1, true) }
-func BenchmarkVecAggParts4(b *testing.B) { benchVecAgg(b, 4, true) }
+func BenchmarkVecAggRowSerial(b *testing.B) { benchVecAgg(b, 1, false) }
+func BenchmarkVecAggSerial(b *testing.B)    { benchVecAgg(b, 1, true) }
+func BenchmarkVecAggParts4(b *testing.B)    { benchVecAgg(b, 4, true) }
 
 // benchVecExport measures the view/export streaming shape: every column
 // of every row delivered through QueryEach. The sink is a touch of each
@@ -746,13 +680,10 @@ func BenchmarkVecExportRowParts4(b *testing.B) { benchVecExport(b, 4, false) }
 func BenchmarkVecExportParts4(b *testing.B)    { benchVecExport(b, 4, true) }
 
 // ---------------------------------------------------------------------------
-// CREATE INDEX: serial insert-per-row build vs concurrent per-partition
-// sorted runs merged into the B-tree (PR 7 carry-over). Same partitioned
-// storage for both, so the delta is the build strategy alone.
+// CREATE INDEX over partitioned storage (the name keeps its baseline).
 
-func benchCreateIndex(b *testing.B, par int) {
+func BenchmarkCreateIndexSerial(b *testing.B) {
 	db := benchPartitionedDB(b, 4)
-	db.SetParallelism(par)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -766,6 +697,3 @@ func benchCreateIndex(b *testing.B, par int) {
 		b.StartTimer()
 	}
 }
-
-func BenchmarkCreateIndexSerial(b *testing.B)   { benchCreateIndex(b, 1) }
-func BenchmarkCreateIndexParallel(b *testing.B) { benchCreateIndex(b, 4) }

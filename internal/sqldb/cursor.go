@@ -30,7 +30,7 @@ import (
 // Under MVCC the cursor instead pins a snapshot epoch at open: Next takes
 // no database lock at all and every row reflects exactly that snapshot;
 // the snapshot is released at Close (or exhaustion), unblocking vacuum.
-// In both modes any schema change (DDL, snapshot restore, index-access or
+// In both modes any schema change (DDL, snapshot restore, repartitioning or
 // MVCC-mode toggle) invalidates the cursor: Next then fails with
 // ErrCursorInvalidated.
 //
@@ -48,7 +48,7 @@ type Cursor interface {
 }
 
 // ErrCursorInvalidated is returned by Cursor.Next when a schema change
-// (DDL, Restore, SetIndexAccess) occurred after the cursor was opened.
+// (DDL, Restore, SetPartitions) occurred after the cursor was opened.
 var ErrCursorInvalidated = errors.New("sqldb: cursor invalidated by schema change")
 
 var errCursorClosed = errors.New("sqldb: cursor is closed")
@@ -127,7 +127,7 @@ func (s *Stmt) eachVis(fn func(row []Value) error, vals []Value, vis visibility)
 		return err
 	}
 	c := newSelectCursor(db, p.sel, vals, true, vis)
-	// fn may abort the iteration mid-stream; close cancels a parallel
+	// fn may abort the iteration mid-stream; close cancels a partition
 	// exchange so its workers never outlive the call.
 	defer c.close()
 	return c.each(fn)
@@ -311,8 +311,8 @@ func (c *dbCursor) Next() ([]Value, error) {
 	return c.inner.step()
 }
 
-// Close releases the cursor's buffered state, cancels any parallel scan
-// workers still running, and releases a cursor-owned snapshot. Idempotent.
+// Close releases the cursor's buffered state, cancels any exchange workers
+// still running, and releases a cursor-owned snapshot. Idempotent.
 func (c *dbCursor) Close() error {
 	if c.closed {
 		return nil
@@ -344,11 +344,10 @@ type selectCursor struct {
 	// Streaming state (non-grouped, non-distinct, order already satisfied).
 	streaming bool
 	prod      rowProducer
-	par       *parallelScan // non-nil: partition-parallel exchange instead of prod
-	bsrc      batchSource   // non-nil: vectorized batch leg instead of prod
-	batchProj []int         // batch leg's projection column positions
-	skip      int64         // OFFSET rows still to drop
-	remain    int64         // LIMIT rows still to emit; -1 = unlimited
+	bsrc      batchSource // non-nil: vectorized batch leg instead of prod
+	batchProj []int       // batch leg's projection column positions
+	skip      int64       // OFFSET rows still to drop
+	remain    int64       // LIMIT rows still to emit; -1 = unlimited
 	rowBuf    []Value
 
 	// Buffered state (pipeline breakers: GROUP BY, DISTINCT, real sorts).
@@ -446,16 +445,14 @@ func (c *selectCursor) start() error {
 	if c.remain > 0 && c.remain+c.skip <= 1<<20 {
 		c.ex.orderedHint = int(c.remain + c.skip)
 	}
-	// The vectorized leg wins over the row-parallel exchange when both
-	// are eligible: it does strictly less per-row work. Under a
-	// parallelism hint it fans out the batch workers per partition;
-	// otherwise the serial batch producer amortizes the caller's lock
-	// over one batch instead of one row.
+	// The vectorized leg fans out one batch worker per partition when the
+	// table has several; with one partition the serial batch producer
+	// amortizes the caller's lock over one batch instead of one row.
 	if bs := c.ex.batchScanBinding(); bs != nil {
 		c.ex.db.plans.batchScans.Add(1)
 		c.batchProj = bs.shape.projCols
-		t := c.ex.p.rels[0].table
-		if c.ex.db.Parallelism() > 1 && t.PartitionCount() > 1 {
+		if c.ex.p.rels[0].table.PartitionCount() > 1 {
+			c.ex.db.plans.fanScans.Add(1)
 			c.bsrc = newBatchScanExchange(c.ex, bs)
 		} else {
 			c.bsrc = newSerialBatchScan(c.ex, bs)
@@ -463,11 +460,6 @@ func (c *selectCursor) start() error {
 		if c.reuseRow {
 			c.rowBuf = make([]Value, len(p.projExprs))
 		}
-		return nil
-	}
-	if c.ex.parallelScanEligible() {
-		c.ex.db.plans.parScans.Add(1)
-		c.par = newParallelScan(c.ex)
 		return nil
 	}
 	prod, err := c.ex.buildProducer()
@@ -481,50 +473,16 @@ func (c *selectCursor) start() error {
 	return nil
 }
 
-// close releases engine-cursor resources; with a parallel scan running it
+// close releases engine-cursor resources; with an exchange running it
 // cancels the workers and waits them out. Idempotent, and required on
 // every exit path that can leave the exchange mid-stream (early Close,
 // LIMIT, errors).
 func (c *selectCursor) close() {
 	c.done = true
-	if c.par != nil {
-		c.par.close()
-	}
 	if c.bsrc != nil {
 		c.bsrc.close()
 	}
 	c.buf = nil
-}
-
-// stepParallel pulls merged rows from the exchange. The workers have
-// already applied the WHERE clause and the projection; only the
-// OFFSET/LIMIT window — which needs the global row order — runs here.
-func (c *selectCursor) stepParallel() ([]Value, error) {
-	ex := c.ex
-	for {
-		row, err := c.par.next()
-		if err != nil {
-			c.close()
-			return nil, err
-		}
-		if row == nil {
-			c.close()
-			return nil, nil
-		}
-		if c.skip > 0 {
-			c.skip--
-			continue
-		}
-		if c.remain > 0 {
-			c.remain--
-			if c.remain == 0 {
-				// Row production stops before the source is exhausted.
-				ex.db.plans.earlyLimitHit.Add(1)
-				c.close()
-			}
-		}
-		return row, nil
-	}
 }
 
 // stepBatch is the batch-to-row adapter: it pulls merged filtered rows
@@ -717,9 +675,6 @@ func (c *selectCursor) eachExchange(ps *parallelScan, fn func(row []Value) error
 func (c *selectCursor) stepStreaming() ([]Value, error) {
 	if c.bsrc != nil {
 		return c.stepBatch()
-	}
-	if c.par != nil {
-		return c.stepParallel()
 	}
 	ex := c.ex
 	for {

@@ -29,19 +29,17 @@ type DB struct {
 	// gen is the schema generation, bumped by every DDL change (and its
 	// rollback). Prepared plans record the generation they were built under
 	// and are transparently rebuilt when it moves. Written under mu; read
-	// atomically so parallel scan workers (which never take mu, see
-	// parallel.go) can poll it between batches.
+	// atomically so exchange workers (which never take mu, see parallel.go)
+	// can poll it between batches.
 	gen atomic.Uint64
 	// noIndex disables index access paths in the planner (see
-	// SetIndexAccess). Atomic: the MVCC planning path reads it lock-free.
+	// setIndexAccess). Atomic: the MVCC planning path reads it lock-free.
 	noIndex atomic.Bool
 
 	// nparts is the hash-partition count for newly created tables (0 =
 	// default, one per CPU). Guarded by mu; SetPartitions re-shards
 	// existing tables too.
 	nparts int
-	// par is the runtime parallel-execution hint (see parallel.go).
-	par parallelSettings
 	// batch is the runtime vectorized-execution hint (see batch.go).
 	batch batchSettings
 
@@ -597,17 +595,6 @@ func (db *DB) collectMatches(wp *writePlan, args []Value, w *writeCtx, counted b
 		}
 		return ids, nil
 	}
-	// Full-scan candidate collection goes partition-parallel past the
-	// cardinality threshold: the global path holds the database
-	// exclusively, so the workers read their partitions without further
-	// locking. The latched path must stay serial — it holds db.mu only
-	// shared, and its visibility takes partition read locks per row.
-	if db.parallelEligible(t) && !w.latched {
-		if counted {
-			db.plans.parWrites.Add(1)
-		}
-		return parallelCollectMatches(db, wp, args, vis)
-	}
 	if counted {
 		db.plans.fullScans.Add(1)
 	}
@@ -747,16 +734,7 @@ func (db *DB) executeCreateIndex(st *CreateIndexStmt, undo *undoLog) (Result, er
 	if _, exists := t.indexMap()[st.Name]; exists && st.IfNotExists {
 		return Result{}, nil
 	}
-	// Large B-tree builds use the partition-parallel sorted-run path; the
-	// caller holds the database exclusively (DDL), so its workers read the
-	// partitions lock-free. Hash indexes and small tables stay serial.
-	var err error
-	if st.Kind == IndexBTree && db.parallelEligible(t) {
-		_, err = t.CreateIndexParallel(st.Name, st.Column, st.Unique)
-	} else {
-		_, err = t.CreateIndex(st.Name, st.Column, st.Kind, st.Unique)
-	}
-	if err != nil {
+	if _, err := t.CreateIndex(st.Name, st.Column, st.Kind, st.Unique); err != nil {
 		return Result{}, err
 	}
 	db.bumpSchemaGen()

@@ -1,23 +1,24 @@
 // Package sqldb is the embedded relational engine: SQL parsing, planning,
-// indexed, partition-parallel and vectorized (columnar batch) execution,
-// transactions with undo-log rollback, MVCC snapshot isolation with
-// lock-free readers, streaming cursors, and WAL-backed durability with
-// group commit and checkpointing.
+// indexed row execution and vectorized (columnar batch) execution that
+// fans out across hash partitions, transactions with undo-log rollback,
+// MVCC snapshot isolation with lock-free readers, streaming cursors, and
+// WAL-backed durability with group commit and checkpointing.
 //
-// # Vectorized execution
+// # Execution legs
 //
-// Full-scan SELECTs and aggregates over tables past SetBatchMinRows
-// (default 4096 rows) run on the batch leg: producers materialize ~1024
-// rows column-major out of tablePart storage under one lock acquisition
-// per batch, typed kernels evaluate the WHERE clause into tri-state
-// selection vectors, and the aggregate accumulators fold whole batches
-// (GROUP BY through per-batch hash grouping merged via aggAcc.merge,
-// float sums Kahan-compensated so every leg agrees bit-for-bit). Point,
-// index and range access, joins, and expressions the kernels do not
-// cover fall back to the row cursor; a batch-to-row adapter keeps the
-// Cursor/QueryEach surface — read-committed per-step visibility, DDL
-// invalidation, LIMIT/OFFSET, early Close — identical to the row leg,
-// which the planner-equivalence fuzz asserts byte-for-byte.
+// There are two. Full-scan SELECTs and aggregates over tables past
+// SetBatchMinRows (default 4096 rows) run on the batch leg: producers
+// materialize ~1024 rows column-major out of tablePart storage under one
+// lock acquisition per batch — one producer per partition when the table
+// has more than one (SetPartitions) — typed kernels evaluate the WHERE
+// clause into tri-state selection vectors, and the aggregate accumulators
+// fold whole batches (GROUP BY through per-batch hash grouping merged via
+// aggAcc.merge, float sums Kahan-compensated so every leg agrees
+// bit-for-bit). Point, index and range access, joins, and expressions the
+// kernels do not cover run on the serial row cursor; a batch-to-row
+// adapter keeps the Cursor/QueryEach surface — read-committed per-step
+// visibility, DDL invalidation, LIMIT/OFFSET, early Close — identical to
+// the row leg, which the planner-equivalence fuzz asserts byte-for-byte.
 //
 // # Invariants
 //
@@ -40,8 +41,8 @@
 //     committers that section is commitMu under shared mu — but wait
 //     for durability after unlocking —
 //     that window is what lets concurrent committers share one fsync
-//     (group commit). Parallel-scan workers take only partition read
-//     locks, never mu, so a streaming consumer holding mu shared cannot
+//     (group commit). Exchange workers take only partition read locks,
+//     never mu, so a streaming consumer holding mu shared cannot
 //     deadlock them.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
@@ -59,16 +60,16 @@
 //     (or restore) that invalidates those cursors.
 //
 //  5. Cursors are closed. Every Cursor obtained from QueryCursor is
-//     closed on all paths or handed off; on parallel plans Close is what
-//     winds down the worker pool (TestParallelCursorEarlyClose guards
-//     the no-leak property).
+//     closed on all paths or handed off; on a partition exchange Close is
+//     what winds down the worker pool (TestParallelCursorEarlyClose
+//     guards the no-leak property).
 //
 //  6. Durability errors are handled. Errors from WAL, fsync, Close and
 //     file-removal calls are never silently dropped; best-effort sites
 //     carry a //gmlint:ignore justification.
 //
 //  7. Partition locks are released on every path. Batch producers and
-//     parallel-scan workers hold tablePart.mu for a whole batch; any
+//     exchange workers hold tablePart.mu for a whole batch; any
 //     early return (schema-generation bump, send failure, kernel error)
 //     must unlock first — a held partition lock wedges every writer
 //     touching that partition (checked by gmlint's partlock).

@@ -232,11 +232,11 @@ func TestDBCrashSweep(t *testing.T) {
 }
 
 // TestDBCrashSweepPartitioned proves the WAL and checkpoint/recovery
-// machinery is partition-transparent: the durable database runs sharded
-// with the partition-parallel write paths forced on, the shadow prefix
-// dumps come from a database sharded to a DIFFERENT partition count, and
-// after a crash at every third IO op the recovered dump (default layout)
-// must still be byte-identical to a committed shadow prefix.
+// machinery is partition-transparent: the durable database runs sharded,
+// the shadow prefix dumps come from a database sharded to a DIFFERENT
+// partition count, and after a crash at every third IO op the recovered
+// dump (default layout) must still be byte-identical to a committed shadow
+// prefix.
 func TestDBCrashSweepPartitioned(t *testing.T) {
 	commits := crashWorkload()
 
@@ -257,8 +257,6 @@ func TestDBCrashSweepPartitioned(t *testing.T) {
 		}
 		defer db.Close()
 		db.SetPartitions(4)
-		db.SetParallelism(4)
-		db.SetParallelMinRows(1)
 		acked := 0
 		for _, c := range commits {
 			if err := c.apply(db); err != nil {

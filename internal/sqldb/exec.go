@@ -234,15 +234,12 @@ type groupState struct {
 	keyVals []Value
 	repRow  []Value // environment snapshot of the first row in the group
 	accs    []aggAcc
-	firstID int64 // smallest contributing row ID (orders the parallel merge)
+	firstID int64 // smallest contributing row ID (orders the partition merge)
 }
 
 // addGroupRow folds the environment's current row (WHERE already passed)
-// into the group map, creating the group on first sight. id is the row's
-// storage ID; the serial path passes 0 since its emission order already IS
-// first-seen order, while the parallel merge re-derives first-seen order
-// from the smallest contributing ID.
-func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string, kb *strings.Builder, id int64) error {
+// into the group map, creating the group on first sight.
+func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string, kb *strings.Builder) error {
 	p := ex.p
 	keyVals := make([]Value, len(p.st.GroupBy))
 	kb.Reset()
@@ -258,7 +255,7 @@ func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string
 	key := kb.String()
 	gs, ok := groups[key]
 	if !ok {
-		gs = &groupState{keyVals: keyVals, accs: make([]aggAcc, len(p.aggCalls)), firstID: id}
+		gs = &groupState{keyVals: keyVals, accs: make([]aggAcc, len(p.aggCalls))}
 		for i, call := range p.aggCalls {
 			gs.accs[i] = newAggAcc(call)
 		}
@@ -275,9 +272,10 @@ func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string
 	return nil
 }
 
-// serialGroups drains the producer pipeline into the group map (the
-// pre-partitioning execution shape, still used for joined, indexed or
-// small inputs).
+// serialGroups drains the producer pipeline into the group map: every
+// grouped query the batch kernels do not cover (joined, indexed, small or
+// expression-keyed inputs). Its emission order already is first-seen
+// order.
 func (ex *selectExec) serialGroups() (map[string]*groupState, []string, error) {
 	prod, err := ex.buildProducer()
 	if err != nil {
@@ -304,7 +302,7 @@ func (ex *selectExec) serialGroups() (map[string]*groupState, []string, error) {
 		if !pass {
 			continue
 		}
-		if err := ex.addGroupRow(groups, &order, &kb, 0); err != nil {
+		if err := ex.addGroupRow(groups, &order, &kb); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -321,9 +319,6 @@ func (ex *selectExec) runGrouped() ([][]Value, [][]Value, error) {
 	if ba := ex.batchAggBinding(); ba != nil {
 		ex.db.plans.batchAggs.Add(1)
 		groups, order, err = ex.batchGroups(ba)
-	} else if ex.parallelAggEligible() {
-		ex.db.plans.parAggs.Add(1)
-		groups, order, err = ex.parallelGroups()
 	} else {
 		groups, order, err = ex.serialGroups()
 	}
@@ -379,8 +374,8 @@ func (ex *selectExec) runGrouped() ([][]Value, [][]Value, error) {
 }
 
 // aggAcc accumulates one aggregate function over a group. Float partials
-// use Kahan (Neumaier-compensated) summation, so serial folds, parallel
-// per-partition partials and the vectorized kernels all produce the same
+// use Kahan (Neumaier-compensated) summation, so serial folds and the
+// vectorized kernels' per-partition partials all produce the same
 // correctly-rounded SUM/AVG — the determinism oracle asserts exact
 // equality across all legs on non-dyadic fixtures.
 type aggAcc struct {

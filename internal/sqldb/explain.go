@@ -10,7 +10,7 @@ import (
 // document. Bump it only when a field changes meaning or disappears;
 // adding fields is backward-compatible within a version. The schema is
 // specified field-by-field in docs/plan-json.md.
-const PlanVersion = 1
+const PlanVersion = 2
 
 // explainPlan is the compiled form of an EXPLAIN statement: the inner
 // statement's plan plus the requested rendering format. Rendering happens
@@ -61,13 +61,13 @@ func planExplain(db *DB, st *ExplainStmt) (*explainPlan, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan document (plan_version 1)
+// Plan document (plan_version 2)
 
 // PlanDoc is the versioned EXPLAIN document. Field order here is the
 // serialization order (encoding/json marshals struct fields in declaration
-// order), so the JSON output is byte-stable. Runtime partition count and
-// the parallelism knob are deliberately excluded: the document must not
-// change between machines or partition layouts (see docs/plan-json.md).
+// order), so the JSON output is byte-stable. The runtime partition count is
+// deliberately excluded: the document must not change between machines or
+// partition layouts (see docs/plan-json.md).
 type PlanDoc struct {
 	PlanVersion int             `json:"plan_version"`
 	Statement   string          `json:"statement"`
@@ -124,7 +124,7 @@ type AggregateDoc struct {
 	GroupBy []string `json:"group_by,omitempty"`
 	Calls   []string `json:"calls,omitempty"`
 	Having  string   `json:"having,omitempty"`
-	Mode    string   `json:"mode"` // serial | parallel | vectorized
+	Mode    string   `json:"mode"` // serial | vectorized
 }
 
 // CardinalityDoc reports the input cardinality of the driven relation.
@@ -136,13 +136,10 @@ type CardinalityDoc struct {
 	Exact    bool  `json:"exact"`
 }
 
-// planLeg names the execution leg the plan shape prefers, mirroring the
-// runtime selection order (vectorized > parallel > serial) but using only
-// machine-independent inputs: plan shape, the batch/parallel row
-// thresholds and the BatchExecution knob. The runtime additionally
-// requires Parallelism() > 1 and more than one partition for the parallel
-// leg — both machine- or layout-dependent, so "parallel" here means
-// "parallel-preferred; falls back to serial when the layout disallows it".
+// planLeg names the execution leg the plan takes, from machine-independent
+// inputs only: plan shape, the batch row threshold and the BatchExecution
+// knob. Whether the vectorized leg fans out across partitions depends on
+// the layout and is not part of the leg.
 func (db *DB) planLeg(p *selectPlan) string {
 	t := p.rels[p.driver].table
 	rows := int64(t.RowCount())
@@ -152,9 +149,6 @@ func (db *DB) planLeg(p *selectPlan) string {
 	}
 	if batchOK && db.BatchExecution() && rows >= db.batchMinRows() {
 		return "vectorized"
-	}
-	if p.access.kind == accessScan && len(p.joins) == 0 && len(p.rels) == 1 && rows >= db.parallelMinRows() {
-		return "parallel"
 	}
 	return "serial"
 }

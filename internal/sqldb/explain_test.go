@@ -86,7 +86,7 @@ func TestPlanGoldenStability(t *testing.T) {
 // lookup back to a full scan, and the golden comparison must go red.
 func TestPlanGateCatchesRegression(t *testing.T) {
 	db := planFixture(t)
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	got, err := db.Explain("SELECT symbol FROM genes WHERE id = 42", "json")
 	if err != nil {
 		t.Fatal(err)
@@ -171,8 +171,8 @@ func TestExplainDocumentFields(t *testing.T) {
 		t.Fatalf("big scan leg = %q, want vectorized", doc.Leg)
 	}
 	doc = get("SELECT n + grp FROM big WHERE val > 100.0")
-	if doc.Leg != "parallel" {
-		t.Fatalf("expression-projection leg = %q, want parallel", doc.Leg)
+	if doc.Leg != "serial" {
+		t.Fatalf("expression-projection leg = %q, want serial", doc.Leg)
 	}
 	doc = get("SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp")
 	if doc.Leg != "vectorized" || doc.Aggregate == nil || doc.Aggregate.Mode != "vectorized" {

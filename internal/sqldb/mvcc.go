@@ -162,8 +162,7 @@ type writeCtx struct {
 	// latched marks the concurrent write path: the statement holds db.mu
 	// SHARED plus the write latches of the partitions it touches, rather
 	// than the database exclusively. Reads must then take partition read
-	// locks (vis().lockPart) and candidate collection must stay serial —
-	// the parallel collector reads partitions raw.
+	// locks (vis().lockPart).
 	latched bool
 	tx      uint64 // provisional stamp for installed versions
 	snap    uint64 // first-committer-wins conflict horizon

@@ -206,33 +206,43 @@ func TestWherePredicatesMatchOracle(t *testing.T) {
 }
 
 // TestPlannerEquivalenceOracle fuzzes the planner: random generated queries
-// executed once with index access enabled, once with it forced off, once
-// with partition-parallel execution forced on, and once per vectorized leg
-// (batch kernels on, serial and parallel) must return identical result
-// sequences (joins, ranges, IN lists, ORDER BY/LIMIT/OFFSET, DISTINCT,
-// GROUP BY). Since all modes share the executor, the planner preserves
-// scan emission order (including sort-tie order), and both exchanges merge
-// partitions back into row-ID order, the comparison is exact, not just
-// set-based. Float SUM/AVG is exact too: every leg accumulates partials
-// with compensated (Kahan) summation, so the fixture's non-dyadic REAL
-// values (multiples of 0.1) and the grouped SUM(f)/AVG(f) columns must
-// agree to the last bit regardless of how partial sums associate.
+// run on two fixture databases built from the same statements — one
+// partition, where the batch leg uses its serial producer, and eight, where
+// it fans out over the partition exchange — each on the row leg (with index
+// access, forced off, and streamed through a cursor) and the vectorized
+// leg, in lock mode and under MVCC. Every run must return the identical
+// result sequence (joins, ranges, IN lists, ORDER BY/LIMIT/OFFSET,
+// DISTINCT, GROUP BY). Since all modes share the executor, the planner
+// preserves scan emission order (including sort-tie order), and the
+// exchange merges partitions back into row-ID order, the comparison is
+// exact, not just set-based. Float SUM/AVG is exact too: every leg
+// accumulates partials with compensated (Kahan) summation, so the
+// fixture's non-dyadic REAL values (multiples of 0.1) and the grouped
+// SUM(f)/AVG(f) columns must agree to the last bit regardless of how
+// partial sums associate.
 func TestPlannerEquivalenceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(771104))
-	db := NewDB()
-	// Partition the storage and drop the parallel and batch thresholds so
-	// the 250-row fixture takes the parallel and vectorized paths; the
-	// parallelism hint stays at 1 (serial) and batch execution stays off
-	// except in the explicitly parallel/vectorized legs.
-	db.SetPartitions(4)
-	db.SetParallelMinRows(1)
-	db.SetParallelism(1)
-	db.SetBatchMinRows(1)
-	db.SetBatchExecution(false)
-	mustExec(t, db, "CREATE TABLE big (id INTEGER PRIMARY KEY, n INTEGER, f REAL, s TEXT, u INTEGER)")
-	mustExec(t, db, "CREATE INDEX idx_big_n ON big (n)")
-	mustExec(t, db, "CREATE INDEX idx_big_f ON big (f) USING BTREE")
-	mustExec(t, db, "CREATE INDEX idx_big_s ON big (s) USING BTREE")
+	serialDB, fanDB := NewDB(), NewDB()
+	serialDB.SetPartitions(1)
+	fanDB.SetPartitions(8)
+	dbs := []*DB{serialDB, fanDB}
+	dbNames := []string{"1 partition", "8 partitions"}
+	exec := func(sql string, args ...any) {
+		for _, db := range dbs {
+			mustExec(t, db, sql, args...)
+		}
+	}
+	// The batch threshold drops so the 250-row fixture takes the
+	// vectorized leg; batch execution stays off except in the explicitly
+	// vectorized legs.
+	for _, db := range dbs {
+		db.SetBatchMinRows(1)
+		db.SetBatchExecution(false)
+	}
+	exec("CREATE TABLE big (id INTEGER PRIMARY KEY, n INTEGER, f REAL, s TEXT, u INTEGER)")
+	exec("CREATE INDEX idx_big_n ON big (n)")
+	exec("CREATE INDEX idx_big_f ON big (f) USING BTREE")
+	exec("CREATE INDEX idx_big_s ON big (s) USING BTREE")
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", ""}
 	for i := 0; i < 250; i++ {
 		var n, f, s, u any
@@ -242,8 +252,8 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		if rng.Intn(6) > 0 {
 			// Multiples of 0.1 are deliberately non-dyadic: naive float
 			// summation would expose association-order differences between
-			// the serial, parallel, and vectorized legs; Kahan partials
-			// keep them byte-identical.
+			// the serial and fanned-out legs; Kahan partials keep them
+			// byte-identical.
 			f = float64(rng.Intn(40)) / 10
 		}
 		if rng.Intn(6) > 0 {
@@ -252,16 +262,16 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		if rng.Intn(2) > 0 {
 			u = int64(rng.Intn(5))
 		}
-		mustExec(t, db, "INSERT INTO big VALUES (?, ?, ?, ?, ?)", i, n, f, s, u)
+		exec("INSERT INTO big VALUES (?, ?, ?, ?, ?)", i, n, f, s, u)
 	}
-	mustExec(t, db, "CREATE TABLE side (k INTEGER, tag TEXT)")
-	mustExec(t, db, "CREATE INDEX idx_side_k ON side (k) USING BTREE")
+	exec("CREATE TABLE side (k INTEGER, tag TEXT)")
+	exec("CREATE INDEX idx_side_k ON side (k) USING BTREE")
 	for i := 0; i < 40; i++ {
 		var k any
 		if rng.Intn(8) > 0 {
 			k = int64(rng.Intn(12))
 		}
-		mustExec(t, db, "INSERT INTO side VALUES (?, ?)", k, fmt.Sprintf("tag%d", i%6))
+		exec("INSERT INTO side VALUES (?, ?)", k, fmt.Sprintf("tag%d", i%6))
 	}
 
 	conjunct := func() string {
@@ -353,9 +363,9 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		return sb.String()
 	}
 
-	formatRows := func(rows [][]Value) string {
+	format := func(rs *ResultSet) string {
 		var sb strings.Builder
-		for _, row := range rows {
+		for _, row := range rs.Rows {
 			for _, v := range row {
 				sb.WriteString(FormatValue(v))
 				sb.WriteByte('|')
@@ -364,11 +374,10 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		}
 		return sb.String()
 	}
-	format := func(rs *ResultSet) string { return formatRows(rs.Rows) }
 
 	// drainCursorFormatted streams a query through the cursor API, building
 	// the same formatted transcript the materialized comparison uses.
-	drainCursorFormatted := func(query string) (string, error) {
+	drainCursorFormatted := func(db *DB, query string) (string, error) {
 		cur, err := db.QueryCursor(query)
 		if err != nil {
 			return "", err
@@ -391,126 +400,75 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		}
 	}
 
+	type legResult struct {
+		name string
+		out  string
+		err  error
+	}
+	// runLegs executes query on every leg of db. Shapes the kernels don't
+	// cover fall back to the row cursor, so every query is answerable on
+	// all legs; with no concurrent writer the latest MVCC snapshot must
+	// reproduce the lock-mode transcripts byte for byte.
+	runLegs := func(db *DB, name, query string) []legResult {
+		var out []legResult
+		materialized := func(leg string) {
+			rs, err := db.Query(query)
+			r := legResult{name: name + " " + leg, err: err}
+			if err == nil {
+				r.out = format(rs)
+			}
+			out = append(out, r)
+		}
+		streamed := func(leg string) {
+			s, err := drainCursorFormatted(db, query)
+			out = append(out, legResult{name: name + " " + leg + " cursor", out: s, err: err})
+		}
+		materialized("row")
+		streamed("row")
+		db.setIndexAccess(false)
+		materialized("row without indexes")
+		db.setIndexAccess(true)
+		db.SetBatchExecution(true)
+		materialized("vectorized")
+		streamed("vectorized")
+		db.SetBatchExecution(false)
+		db.SetMVCC(true)
+		materialized("mvcc row")
+		streamed("mvcc row")
+		db.SetBatchExecution(true)
+		materialized("mvcc vectorized")
+		streamed("mvcc vectorized")
+		db.SetBatchExecution(false)
+		db.SetMVCC(false)
+		return out
+	}
+
 	for q := 0; q < 500; q++ {
 		query := genQuery()
-		db.SetIndexAccess(true)
-		withIdx, errIdx := db.Query(query)
-		streamed, errCur := drainCursorFormatted(query)
-		db.SetIndexAccess(false)
-		noIdx, errNo := db.Query(query)
-		db.SetIndexAccess(true)
-		// Parallel leg: partition-parallel scan/aggregate paths forced on
-		// (full-scan shapes take them; indexed shapes stay serial by
-		// design and must be unaffected).
-		db.SetParallelism(8)
-		parallel, errPar := db.Query(query)
-		parStreamed, errParCur := drainCursorFormatted(query)
-		db.SetParallelism(1)
-		// Vectorized legs: the batch kernels forced on, serial and
-		// parallel. Shapes the kernels don't cover fall back to the row
-		// cursor, so every query is answerable on all legs.
-		db.SetBatchExecution(true)
-		vec, errVec := db.Query(query)
-		vecStreamed, errVecCur := drainCursorFormatted(query)
-		db.SetParallelism(8)
-		vecPar, errVecPar := db.Query(query)
-		vecParStreamed, errVecParCur := drainCursorFormatted(query)
-		db.SetParallelism(1)
-		db.SetBatchExecution(false)
-		// MVCC legs: snapshot-isolation reads over the same four engines
-		// (serial row, streaming cursor, parallel, vectorized parallel).
-		// With no concurrent writer the latest snapshot must reproduce the
-		// lock-mode transcripts byte for byte.
-		db.SetMVCC(true)
-		mvcc, errMvcc := db.Query(query)
-		mvccStreamed, errMvccCur := drainCursorFormatted(query)
-		db.SetParallelism(8)
-		mvccPar, errMvccPar := db.Query(query)
-		db.SetBatchExecution(true)
-		mvccVecPar, errMvccVecPar := db.Query(query)
-		db.SetBatchExecution(false)
-		db.SetParallelism(1)
-		db.SetMVCC(false)
-		if (errIdx != nil) != (errNo != nil) {
-			t.Fatalf("query %q: error mismatch: with-index=%v no-index=%v", query, errIdx, errNo)
+		var legs []legResult
+		for i, db := range dbs {
+			legs = append(legs, runLegs(db, dbNames[i], query)...)
 		}
-		if (errIdx != nil) != (errCur != nil) {
-			t.Fatalf("query %q: error mismatch: materialized=%v cursor=%v", query, errIdx, errCur)
-		}
-		if (errIdx != nil) != (errPar != nil) || (errIdx != nil) != (errParCur != nil) {
-			t.Fatalf("query %q: error mismatch: serial=%v parallel=%v parallel-cursor=%v", query, errIdx, errPar, errParCur)
-		}
-		if (errIdx != nil) != (errVec != nil) || (errIdx != nil) != (errVecCur != nil) ||
-			(errIdx != nil) != (errVecPar != nil) || (errIdx != nil) != (errVecParCur != nil) {
-			t.Fatalf("query %q: error mismatch: serial=%v vec=%v vec-cursor=%v vec-par=%v vec-par-cursor=%v",
-				query, errIdx, errVec, errVecCur, errVecPar, errVecParCur)
-		}
-		if (errIdx != nil) != (errMvcc != nil) || (errIdx != nil) != (errMvccCur != nil) ||
-			(errIdx != nil) != (errMvccPar != nil) || (errIdx != nil) != (errMvccVecPar != nil) {
-			t.Fatalf("query %q: error mismatch: lock=%v mvcc=%v mvcc-cursor=%v mvcc-par=%v mvcc-vec-par=%v",
-				query, errIdx, errMvcc, errMvccCur, errMvccPar, errMvccVecPar)
-		}
-		if errIdx != nil {
-			continue
-		}
-		if format(withIdx) != format(noIdx) {
-			t.Fatalf("query %q:\nwith index (%d rows):\n%s\nwithout index (%d rows):\n%s",
-				query, withIdx.Len(), format(withIdx), noIdx.Len(), format(noIdx))
-		}
-		// The streaming cursor and the materializing drain share one
-		// engine; their result transcripts must be byte-identical.
-		if streamed != format(withIdx) {
-			t.Fatalf("query %q:\ncursor stream:\n%s\nmaterialized:\n%s", query, streamed, format(withIdx))
-		}
-		// Parallel execution must be indistinguishable from serial, row
-		// order included, on both the materializing and streaming paths.
-		if format(parallel) != format(withIdx) {
-			t.Fatalf("query %q:\nparallel (%d rows):\n%s\nserial (%d rows):\n%s",
-				query, parallel.Len(), format(parallel), withIdx.Len(), format(withIdx))
-		}
-		if parStreamed != format(withIdx) {
-			t.Fatalf("query %q:\nparallel cursor stream:\n%s\nserial:\n%s", query, parStreamed, format(withIdx))
-		}
-		// The vectorized legs must be indistinguishable from the row
-		// engine byte for byte — row order, NULL handling, and float
-		// SUM/AVG bits included.
-		if format(vec) != format(withIdx) {
-			t.Fatalf("query %q:\nvectorized (%d rows):\n%s\nrow engine (%d rows):\n%s",
-				query, vec.Len(), format(vec), withIdx.Len(), format(withIdx))
-		}
-		if vecStreamed != format(withIdx) {
-			t.Fatalf("query %q:\nvectorized cursor stream:\n%s\nrow engine:\n%s", query, vecStreamed, format(withIdx))
-		}
-		if format(vecPar) != format(withIdx) {
-			t.Fatalf("query %q:\nvectorized parallel (%d rows):\n%s\nrow engine (%d rows):\n%s",
-				query, vecPar.Len(), format(vecPar), withIdx.Len(), format(withIdx))
-		}
-		if vecParStreamed != format(withIdx) {
-			t.Fatalf("query %q:\nvectorized parallel cursor stream:\n%s\nrow engine:\n%s", query, vecParStreamed, format(withIdx))
-		}
-		// MVCC reads take the lock-free snapshot paths; the transcripts
-		// must still be byte-identical to lock mode on every leg.
-		if format(mvcc) != format(withIdx) {
-			t.Fatalf("query %q:\nmvcc (%d rows):\n%s\nlock mode (%d rows):\n%s",
-				query, mvcc.Len(), format(mvcc), withIdx.Len(), format(withIdx))
-		}
-		if mvccStreamed != format(withIdx) {
-			t.Fatalf("query %q:\nmvcc cursor stream:\n%s\nlock mode:\n%s", query, mvccStreamed, format(withIdx))
-		}
-		if format(mvccPar) != format(withIdx) {
-			t.Fatalf("query %q:\nmvcc parallel (%d rows):\n%s\nlock mode (%d rows):\n%s",
-				query, mvccPar.Len(), format(mvccPar), withIdx.Len(), format(withIdx))
-		}
-		if format(mvccVecPar) != format(withIdx) {
-			t.Fatalf("query %q:\nmvcc vectorized parallel (%d rows):\n%s\nlock mode (%d rows):\n%s",
-				query, mvccVecPar.Len(), format(mvccVecPar), withIdx.Len(), format(withIdx))
+		ref := legs[0]
+		for _, l := range legs[1:] {
+			if (ref.err != nil) != (l.err != nil) {
+				t.Fatalf("query %q: error mismatch: %s=%v %s=%v", query, ref.name, ref.err, l.name, l.err)
+			}
+			if l.out != ref.out {
+				t.Fatalf("query %q:\n%s:\n%s\n%s:\n%s", query, l.name, l.out, ref.name, ref.out)
+			}
 		}
 	}
-	if db.ParallelStats().ParallelScans == 0 || db.ParallelStats().ParallelAggregates == 0 {
-		t.Fatalf("fuzz never exercised the parallel paths: %+v", db.ParallelStats())
+	if ps := fanDB.ParallelStats(); ps.ParallelScans == 0 || ps.ParallelAggregates == 0 {
+		t.Fatalf("fuzz never exercised the partition exchange: %+v", ps)
 	}
-	if bs := db.BatchStats(); bs.BatchScans == 0 || bs.BatchAggregates == 0 {
-		t.Fatalf("fuzz never exercised the vectorized paths: %+v", bs)
+	if ps := serialDB.ParallelStats(); ps.ParallelScans != 0 || ps.ParallelAggregates != 0 {
+		t.Fatalf("a one-partition database fanned out: %+v", ps)
+	}
+	for i, db := range dbs {
+		if bs := db.BatchStats(); bs.BatchScans == 0 || bs.BatchAggregates == 0 {
+			t.Fatalf("%s: fuzz never exercised the vectorized paths: %+v", dbNames[i], bs)
+		}
 	}
 }
 

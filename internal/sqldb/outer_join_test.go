@@ -179,7 +179,7 @@ func TestLeftJoinAntiJoinUnionOracle(t *testing.T) {
 	}
 
 	for _, useIndex := range []bool{true, false} {
-		db.SetIndexAccess(useIndex)
+		db.setIndexAccess(useIndex)
 		outer := mustQuery(t, db, "SELECT l.id, r.w FROM l LEFT JOIN r ON l.k = r.k")
 		inner := mustQuery(t, db, "SELECT l.id, r.w FROM l JOIN r ON l.k = r.k")
 		// Manual anti-join: left rows with no right match (a NULL key never
@@ -197,5 +197,5 @@ func TestLeftJoinAntiJoinUnionOracle(t *testing.T) {
 				useIndex, len(got), len(want))
 		}
 	}
-	db.SetIndexAccess(true)
+	db.setIndexAccess(true)
 }

@@ -1,127 +1,32 @@
 package sqldb
 
-// Partition-parallel execution. Three operators exploit the hash-partitioned
-// row storage (table.go):
+// Partition layout and the partition exchange. Row storage is
+// hash-partitioned (table.go); the batch leg (batch.go) fans a full scan out
+// over the partitions whenever a table has more than one — the partition
+// count, set by SetPartitions, is the only knob. One batchWorker goroutine
+// per partition walks its partition in ascending row-ID order and feeds
+// filtered batches into a bounded channel; the consumer merges the
+// per-partition streams by row ID, so the output order is byte-identical to
+// a serial scan.
 //
-//   - parallelScan: a streaming exchange for SELECTs whose access path is a
-//     full scan with no joins. One worker goroutine per partition walks its
-//     partition in ascending row-ID order, evaluates the WHERE clause and
-//     the projection against a private row environment, and feeds batches
-//     into a bounded channel; the consumer merges the per-partition streams
-//     by row ID, so the output order is byte-identical to a serial scan.
-//   - parallelGroups (exec.go hooks in here): partition-parallel aggregation
-//     — each worker builds partial groups over its partition, merged at the
-//     barrier in partition order with first-seen ordering reconstructed
-//     from the smallest contributing row ID.
-//   - parallelCollectMatches: partition-parallel candidate collection for
-//     prepared UPDATE/DELETE plans (the old matchRows shape).
-//
-// Locking: scan workers never touch db.mu — a consumer may legitimately
+// Locking: exchange workers never touch db.mu — a consumer may legitimately
 // hold it (read-locked) for the whole drain, and a writer waiting on db.mu
 // would otherwise deadlock the exchange (Go's RWMutex blocks new readers
 // while a writer waits). Workers instead synchronize on the per-partition
-// locks, which every storage mutation takes; they poll the schema
-// generation at each batch and stop when it moves. In lock mode the
-// aggregation workers run entirely under the caller's database read lock,
-// so they read their partitions without further locking; under MVCC no
-// database lock is held, so they copy visible rows out in bounded chunks
-// under the partition read lock and evaluate outside it. The
-// write-collection workers are helpers of the writer-lock holder — the
-// only mutator — so they never lock partitions in either mode.
+// locks, which every storage mutation takes, and poll the schema generation
+// at each batch, stopping when it moves.
 
 import (
 	"sort"
-	"strings"
 	"sync"
-	"sync/atomic"
 )
 
-// DefaultParallelMinRows is the cardinality threshold below which eligible
-// statements stay serial: fan-out plus merge costs more than a small scan.
-const DefaultParallelMinRows = 4096
+// parChanDepth bounds each partition's exchange channel: workers run at
+// most this many batches ahead of the consumer.
+const parChanDepth = 4
 
-const (
-	// parBatchSize rows travel per exchange message, amortizing channel
-	// synchronization.
-	parBatchSize = 256
-	// parChanDepth bounds each partition's exchange channel: workers run at
-	// most this many batches ahead of the consumer.
-	parChanDepth = 4
-)
-
-// parallelSettings is the DB-level execution hint, adjustable at runtime
-// without any lock (commands plumb their -parallelism flag here).
-type parallelSettings struct {
-	// workers is the parallelism hint: <=1 forces serial execution, 0 means
-	// "default" (GOMAXPROCS). Values >1 enable the parallel paths, which
-	// then fan out one worker per partition.
-	workers atomic.Int32
-	// minRows overrides DefaultParallelMinRows when positive.
-	minRows atomic.Int64
-}
-
-// ConfigureParallelism applies an explicit N-way parallelism request (the
-// CLI -parallelism semantics): the execution hint always, and for N>1 also
-// re-shards storage into N partitions — the default partition count tracks
-// GOMAXPROCS, which may be lower than the requested fan-out. Re-sharding
-// is a schema change (cached plans rebuild, open cursors invalidate), so
-// this belongs at startup; use SetParallelism for the hint alone.
-func (db *DB) ConfigureParallelism(n int) {
-	db.SetParallelism(n)
-	if n > 1 {
-		db.SetPartitions(n)
-	}
-}
-
-// SetParallelism sets the execution parallelism hint: 0 restores the
-// default (one worker per CPU), 1 forces serial execution, and any larger
-// value enables the partition-parallel access paths.
-func (db *DB) SetParallelism(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.par.workers.Store(int32(n))
-}
-
-// Parallelism returns the effective parallelism hint (the default resolves
-// to GOMAXPROCS).
-func (db *DB) Parallelism() int {
-	if n := int(db.par.workers.Load()); n > 0 {
-		return n
-	}
-	return defaultPartitions()
-}
-
-// SetParallelMinRows sets the row-count threshold below which eligible
-// statements run serially (0 restores the default).
-func (db *DB) SetParallelMinRows(n int64) {
-	if n < 0 {
-		n = 0
-	}
-	db.par.minRows.Store(n)
-}
-
-func (db *DB) parallelMinRows() int64 {
-	if n := db.par.minRows.Load(); n > 0 {
-		return n
-	}
-	return DefaultParallelMinRows
-}
-
-// parallelEligible reports whether a partition-parallel operator should run
-// over t: the hint allows it, the table is actually partitioned, and the
-// estimated cardinality (exact, for a full scan) clears the threshold.
-func (db *DB) parallelEligible(t *Table) bool {
-	return db.Parallelism() > 1 &&
-		t.PartitionCount() > 1 &&
-		int64(t.RowCount()) >= db.parallelMinRows()
-}
-
-// ---------------------------------------------------------------------------
-// Parallel scan exchange
-
-// parBatch is one exchange message: a run of filtered, projected rows from
-// a single partition, ascending by row ID. A non-nil err aborts the scan.
+// parBatch is one exchange message: a run of filtered rows from a single
+// partition, ascending by row ID. A non-nil err aborts the scan.
 type parBatch struct {
 	ids  []int64
 	rows [][]Value
@@ -146,26 +51,6 @@ type parallelScan struct {
 	failed  error
 }
 
-// newParallelScan starts the exchange for the execution's base relation.
-// In lock mode the caller holds db.mu (shared or exclusive); workers
-// capture the partition set and the schema generation before it is
-// released. Under MVCC no database lock is held and workers resolve rows
-// at the execution's snapshot.
-func newParallelScan(ex *selectExec) *parallelScan {
-	rel := ex.p.rels[0]
-	parts := rel.table.partList()
-	ps := &parallelScan{done: make(chan struct{}), streams: make([]*parStream, len(parts))}
-	gen := ex.db.gen.Load()
-	args := ex.env.params
-	for i, part := range parts {
-		st := &parStream{ch: make(chan parBatch, parChanDepth), open: true}
-		ps.streams[i] = st
-		ps.wg.Add(1)
-		go ps.worker(ex.db, ex.p, args, ex.vis, rel.off, part, gen, st.ch)
-	}
-	return ps
-}
-
 // send delivers a batch unless the scan was closed, reporting delivery.
 func (ps *parallelScan) send(ch chan<- parBatch, b parBatch) bool {
 	select {
@@ -173,92 +58,6 @@ func (ps *parallelScan) send(ch chan<- parBatch, b parBatch) bool {
 		return true
 	case <-ps.done:
 		return false
-	}
-}
-
-// worker streams one partition: batches of live (id, row) pairs are pulled
-// under the partition read lock, then filtered and projected outside any
-// lock (row slices are immutable once published — updates swap whole
-// slices). The position is re-synchronized through the partition mutation
-// counter exactly like the serial scanProducer, so concurrent inserts,
-// deletes and compaction never re-emit or skip a live row.
-func (ps *parallelScan) worker(db *DB, p *selectPlan, args []Value, vis visibility, off int, part *tablePart, gen uint64, ch chan<- parBatch) {
-	defer ps.wg.Done()
-	defer close(ch)
-	env := p.newEnv(args)
-	wex := &selectExec{db: db, p: p, env: env, vis: vis}
-	var (
-		pos    int
-		lastID int64
-		mut    uint64
-		first  = true
-	)
-	ids := make([]int64, 0, parBatchSize)
-	rows := make([][]Value, 0, parBatchSize)
-	for {
-		ids, rows = ids[:0], rows[:0]
-		part.mu.RLock()
-		if db.gen.Load() != gen {
-			part.mu.RUnlock()
-			ps.send(ch, parBatch{err: ErrCursorInvalidated})
-			return
-		}
-		view := part.ids.load()
-		if first {
-			mut, first = part.mut.Load(), false
-		} else if m := part.mut.Load(); m != mut {
-			pos = sort.Search(len(view), func(i int) bool { return view[i] > lastID })
-			mut = m
-		}
-		for pos < len(view) && len(ids) < parBatchSize {
-			id := view[pos]
-			pos++
-			row := part.rows[id].resolve(vis)
-			if row == nil {
-				continue // tombstone, or a version invisible at this snapshot
-			}
-			lastID = id
-			ids = append(ids, id)
-			rows = append(rows, row)
-		}
-		exhausted := pos >= len(view)
-		part.mu.RUnlock()
-
-		// Surviving rows are carved out of one slab per batch: the slab is
-		// sized up front and never regrown, so earlier row slices stay
-		// valid, and the whole batch costs three allocations instead of
-		// one per row.
-		var out parBatch
-		var slab []Value
-		width := len(p.projExprs)
-		for i, id := range ids {
-			env.SetRow(off, rows[i])
-			pass, err := wex.evalWhere()
-			if err != nil {
-				ps.send(ch, parBatch{err: err})
-				return
-			}
-			if !pass {
-				continue
-			}
-			if slab == nil {
-				slab = make([]Value, 0, (len(ids)-i)*width)
-			}
-			slab = slab[:len(slab)+width]
-			prow := slab[len(slab)-width:]
-			if err := wex.projectInto(prow); err != nil {
-				ps.send(ch, parBatch{err: err})
-				return
-			}
-			out.ids = append(out.ids, id)
-			out.rows = append(out.rows, prow)
-		}
-		if len(out.ids) > 0 && !ps.send(ch, out) {
-			return
-		}
-		if exhausted {
-			return
-		}
 	}
 }
 
@@ -318,242 +117,21 @@ func (ps *parallelScan) close() {
 	ps.wg.Wait()
 }
 
-// parallelScanEligible reports whether the streaming-select execution
-// should run on the parallel exchange: full-scan access (index candidate
-// lists are already narrow — point and index lookups stay serial), no
-// joins stacked on top, and a table past the cardinality threshold.
-func (ex *selectExec) parallelScanEligible() bool {
-	return ex.p.access.kind == accessScan &&
-		len(ex.p.joins) == 0 &&
-		ex.db.parallelEligible(ex.p.rels[0].table)
-}
-
-// ---------------------------------------------------------------------------
-// Parallel aggregation
-
-// parallelAggEligible reports whether a grouped execution should use
-// partition-parallel partial aggregation: same shape constraints as the
-// parallel scan (full-scan access, no joins, past the threshold).
-func (ex *selectExec) parallelAggEligible() bool {
-	p := ex.p
-	return p.access.kind == accessScan &&
-		len(p.joins) == 0 &&
-		ex.db.parallelEligible(p.rels[0].table)
-}
-
-// parallelGroups builds per-partition partial aggregates concurrently and
-// merges them at the barrier. In lock mode the caller holds db.mu for the
-// whole operation (grouped execution is a pipeline breaker), so workers
-// read their partitions without locking; under MVCC workers copy the
-// visible rows out in bounded chunks under the partition read lock and
-// aggregate outside it, so a writer is never blocked for the whole
-// partition. Partials are merged in partition order — deterministic float
-// accumulation — and the merged groups are ordered by their smallest
-// contributing row ID, which reconstructs the serial engine's first-seen
-// emission order exactly.
-func (ex *selectExec) parallelGroups() (map[string]*groupState, []string, error) {
-	p := ex.p
-	rel := p.rels[0]
-	parts := rel.table.partList()
-	args := ex.env.params
-	vis := ex.vis
-	type partGroups struct {
-		groups map[string]*groupState
-		order  []string
-	}
-	results := make([]partGroups, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *tablePart) {
-			defer wg.Done()
-			env := p.newEnv(args)
-			wex := &selectExec{db: ex.db, p: p, env: env, vis: vis}
-			groups := make(map[string]*groupState)
-			var order []string
-			var kb strings.Builder
-			view := part.ids.load()
-			chunkIDs := make([]int64, 0, parBatchSize)
-			chunkRows := make([][]Value, 0, parBatchSize)
-			for start := 0; start < len(view); start += parBatchSize {
-				end := start + parBatchSize
-				if end > len(view) {
-					end = len(view)
-				}
-				chunkIDs, chunkRows = chunkIDs[:0], chunkRows[:0]
-				if vis.lockPart {
-					part.mu.RLock()
-				}
-				for _, id := range view[start:end] {
-					row := part.rows[id].resolve(vis)
-					if row == nil {
-						continue // tombstone, or invisible at this snapshot
-					}
-					chunkIDs = append(chunkIDs, id)
-					chunkRows = append(chunkRows, row)
-				}
-				if vis.lockPart {
-					part.mu.RUnlock()
-				}
-				for k, id := range chunkIDs {
-					env.SetRow(rel.off, chunkRows[k])
-					pass, err := wex.evalWhere()
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if !pass {
-						continue
-					}
-					if err := wex.addGroupRow(groups, &order, &kb, id); err != nil {
-						errs[i] = err
-						return
-					}
-				}
-			}
-			results[i] = partGroups{groups: groups, order: order}
-		}(i, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	merged := make(map[string]*groupState)
-	var keys []string
-	for _, pr := range results {
-		for _, key := range pr.order {
-			g := pr.groups[key]
-			m, ok := merged[key]
-			if !ok {
-				merged[key] = g
-				keys = append(keys, key)
-				continue
-			}
-			if g.firstID < m.firstID {
-				m.firstID = g.firstID
-				m.repRow = g.repRow
-				m.keyVals = g.keyVals
-			}
-			for j := range m.accs {
-				m.accs[j].merge(&g.accs[j])
-			}
-		}
-	}
-	sort.Slice(keys, func(a, b int) bool { return merged[keys[a]].firstID < merged[keys[b]].firstID })
-	return merged, keys, nil
-}
-
-// ---------------------------------------------------------------------------
-// Parallel write-candidate collection (prepared UPDATE/DELETE plans)
-
-// parallelCollectMatches evaluates a write plan's WHERE clause over all
-// partitions concurrently, returning the matching row IDs in ascending
-// order (identical to the serial scan). The caller holds the writer lock —
-// the workers are helpers of the only mutator, so partition reads need no
-// further synchronization in either mode; rows resolve at the write's
-// snapshot.
-func parallelCollectMatches(db *DB, wp *writePlan, args []Value, vis visibility) ([]int64, error) {
-	parts := wp.t.partList()
-	lists := make([][]int64, len(parts))
-	errs := make([]error, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *tablePart) {
-			defer wg.Done()
-			env := wp.newEnv(args)
-			var ids []int64
-			for _, id := range part.ids.load() {
-				row := part.rows[id].resolve(vis)
-				if row == nil {
-					continue
-				}
-				if wp.where != nil {
-					env.SetRow(0, row)
-					v, err := wp.where.Eval(env)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					b, isNull := toBool(v)
-					if isNull || !b {
-						continue
-					}
-				}
-				ids = append(ids, id)
-			}
-			lists[i] = ids
-		}(i, part)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return mergeSortedIDs(lists), nil
-}
-
-// mergeSortedIDs k-way-merges ascending ID lists into one ascending list.
-func mergeSortedIDs(lists [][]int64) []int64 {
-	total := 0
-	nonEmpty := 0
-	last := -1
-	for i, l := range lists {
-		total += len(l)
-		if len(l) > 0 {
-			nonEmpty++
-			last = i
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	if nonEmpty == 1 {
-		return lists[last]
-	}
-	out := make([]int64, 0, total)
-	pos := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		var bestID int64
-		for i, l := range lists {
-			if pos[i] < len(l) {
-				if id := l[pos[i]]; best < 0 || id < bestID {
-					best, bestID = i, id
-				}
-			}
-		}
-		out = append(out, bestID)
-		pos[best]++
-	}
-	return out
-}
-
 // ---------------------------------------------------------------------------
 // Observability
 
-// ParallelStats is a snapshot of the partition-parallel execution state:
-// the configured hint and how often each parallel operator actually ran.
+// ParallelStats counts batch-leg operators that fanned out across more
+// than one partition.
 type ParallelStats struct {
-	Workers               int    `json:"workers"`
-	MinRows               int64  `json:"min_rows"`
-	ParallelScans         uint64 `json:"parallel_scans"`
-	ParallelAggregates    uint64 `json:"parallel_aggregates"`
-	ParallelWriteCollects uint64 `json:"parallel_write_collects"`
+	ParallelScans      uint64 `json:"parallel_scans"`
+	ParallelAggregates uint64 `json:"parallel_aggregates"`
 }
 
-// ParallelStats returns the parallel-execution counters.
+// ParallelStats returns the partition fan-out counters.
 func (db *DB) ParallelStats() ParallelStats {
 	return ParallelStats{
-		Workers:               db.Parallelism(),
-		MinRows:               db.parallelMinRows(),
-		ParallelScans:         db.plans.parScans.Load(),
-		ParallelAggregates:    db.plans.parAggs.Load(),
-		ParallelWriteCollects: db.plans.parWrites.Load(),
+		ParallelScans:      db.plans.fanScans.Load(),
+		ParallelAggregates: db.plans.fanAggs.Load(),
 	}
 }
 
@@ -587,9 +165,11 @@ func (db *DB) PartitionStats() []TablePartitionStats {
 }
 
 // SetPartitions re-shards every table's row storage into n hash partitions
-// (0 restores the default, one per CPU) and makes n the partition count
-// for tables created afterwards. Repartitioning is a schema change: cached
-// plans are rebuilt and open cursors fail with ErrCursorInvalidated.
+// (0 restores the default, one per CPU; 1 keeps every scan serial) and
+// makes n the partition count for tables created afterwards. Batch scans
+// and aggregates over a table with more than one partition fan out one
+// worker per partition. Repartitioning is a schema change: cached plans are
+// rebuilt and open cursors fail with ErrCursorInvalidated.
 func (db *DB) SetPartitions(n int) {
 	if n < 0 {
 		n = 0

@@ -13,7 +13,7 @@ type PlanGoldenCase struct {
 
 // PlanGoldenCases covers every planner decision the plan document can
 // express: each access path, each join strategy and outer-join form, the
-// serial/parallel/vectorized legs, grouped aggregation, DISTINCT,
+// serial and vectorized legs, grouped aggregation, DISTINCT,
 // order-satisfying scans with early-exit LIMIT, and the write statements.
 // The list is exported (with NewPlanFixtureDB) so the golden test and the
 // gmbenchdiff plan gate assert the exact same shapes.
@@ -42,9 +42,10 @@ var PlanGoldenCases = []PlanGoldenCase{
 
 // NewPlanFixtureDB builds the deterministic database the golden cases
 // compile against. Row counts are chosen so `big` (5000 rows) crosses the
-// default 4096-row parallel/vectorized thresholds while `genes` (100) and
-// `annos` (301) stay on the serial legs — the plan documents therefore
-// exercise all three legs without touching machine-dependent knobs.
+// default 4096-row vectorized threshold while `genes` (100) and `annos`
+// (301) stay on the serial leg — the plan documents therefore exercise
+// both legs, and a full scan of `big` the kernels do not cover
+// (parallel_scan), without touching machine-dependent knobs.
 func NewPlanFixtureDB() (*DB, error) {
 	db := NewDB()
 	ddl := []string{

@@ -35,9 +35,9 @@ func TestRangePredicateUsesBTreeIndex(t *testing.T) {
 	}
 
 	// Same rows as the forced full scan.
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	want := mustQuery(t, db, "SELECT id FROM p WHERE w >= 10 AND w < 12 ORDER BY id")
-	db.SetIndexAccess(true)
+	db.setIndexAccess(true)
 	if fmt.Sprint(rs.Rows) != fmt.Sprint(want.Rows) {
 		t.Fatalf("range rows mismatch:\n got %v\nwant %v", rs.Rows, want.Rows)
 	}
@@ -54,7 +54,7 @@ func TestBetweenUsesBTreeIndex(t *testing.T) {
 	if after.IndexRangeScans != before.IndexRangeScans+1 {
 		t.Fatalf("BETWEEN did not use range scan")
 	}
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	want := mustQuery(t, db, "SELECT COUNT(*) FROM p WHERE w BETWEEN 5 AND 9")
 	if rs.Rows[0][0] != want.Rows[0][0] {
 		t.Fatalf("count = %v, want %v", rs.Rows[0][0], want.Rows[0][0])
@@ -77,9 +77,9 @@ func TestOrderByLimitFromIndex(t *testing.T) {
 		if after.OrderedScans != before.OrderedScans+1 {
 			t.Fatalf("%s: ordered scan not used", q)
 		}
-		db.SetIndexAccess(false)
+		db.setIndexAccess(false)
 		want := mustQuery(t, db, q)
-		db.SetIndexAccess(true)
+		db.setIndexAccess(true)
 		if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 			t.Fatalf("%s:\n got %v\nwant %v", q, got.Rows, want.Rows)
 		}
@@ -116,7 +116,7 @@ func TestInListLargeDedup(t *testing.T) {
 	if after.IndexInScans != before.IndexInScans+1 {
 		t.Fatal("IN list did not use index union")
 	}
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	want := mustQuery(t, db, q)
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Fatalf("IN mismatch: got %d rows, want %d", got.Len(), want.Len())
@@ -167,9 +167,9 @@ func TestIndexNestedLoopJoin(t *testing.T) {
 	if after.IndexJoins != before.IndexJoins+1 {
 		t.Fatal("join did not use index nested loop")
 	}
-	db.SetIndexAccess(false)
+	db.setIndexAccess(false)
 	want := mustQuery(t, db, "SELECT p.id, dim.label FROM p JOIN dim ON p.k = dim.k ORDER BY p.id")
-	db.SetIndexAccess(true)
+	db.setIndexAccess(true)
 	if fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
 		t.Fatalf("index join mismatch: %d vs %d rows", got.Len(), want.Len())
 	}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -440,6 +441,27 @@ func TestUniqueSecondaryIndex(t *testing.T) {
 	if _, err := db.Exec("CREATE UNIQUE INDEX idx_city2 ON people (city)"); err == nil {
 		t.Fatal("expected unique index build failure over duplicates")
 	}
+
+	// The build reports the first duplicate in row-ID order ("a" repeats
+	// at row 50, before "x" at row 200; NULLs never collide) whatever the
+	// partition layout, and a failed build leaves the index name free.
+	u := NewDB()
+	u.SetPartitions(4)
+	mustExec(t, u, "CREATE TABLE u (id INTEGER PRIMARY KEY, k TEXT)")
+	for _, r := range []struct {
+		id int64
+		k  any
+	}{
+		{0, "x"}, {10, "a"}, {50, "a"}, {200, "x"}, {201, nil}, {202, nil},
+	} {
+		mustExec(t, u, "INSERT INTO u VALUES (?, ?)", r.id, r.k)
+	}
+	_, err := u.Exec("CREATE UNIQUE INDEX uk ON u (k) USING BTREE")
+	var ue *UniqueError
+	if !errors.As(err, &ue) || ue.Table != "u" || ue.Value != "a" {
+		t.Fatalf("unique build over duplicates: %v, want UniqueError on %q", err, "a")
+	}
+	mustExec(t, u, "CREATE INDEX uk ON u (k) USING BTREE")
 }
 
 func TestBTreeIndexRangeConsistency(t *testing.T) {

@@ -435,14 +435,12 @@ type planCounters struct {
 	nestedJoins   atomic.Uint64
 	earlyLimitHit atomic.Uint64
 
-	// Partition-parallel operator executions (see parallel.go).
-	parScans  atomic.Uint64
-	parAggs   atomic.Uint64
-	parWrites atomic.Uint64
-
-	// Vectorized batch operator executions (see batch.go).
+	// Vectorized batch operator executions (see batch.go), and the subset
+	// that fanned out across more than one partition (see parallel.go).
 	batchScans atomic.Uint64
 	batchAggs  atomic.Uint64
+	fanScans   atomic.Uint64
+	fanAggs    atomic.Uint64
 }
 
 // PlanStats is a snapshot of the planner's execution counters: how often
@@ -475,11 +473,11 @@ func (db *DB) PlanStats() PlanStats {
 	}
 }
 
-// SetIndexAccess enables or disables index use by the planner. Disabling
+// setIndexAccess enables or disables index use by the planner. Disabling
 // forces full scans and hash/nested-loop joins — the execution model of the
 // seed engine — which the oracle tests and benchmarks compare against.
 // Toggling bumps the schema generation so cached plans are rebuilt.
-func (db *DB) SetIndexAccess(enabled bool) {
+func (db *DB) setIndexAccess(enabled bool) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.noIndex.Store(!enabled)

@@ -9,7 +9,7 @@ import (
 )
 
 // defaultPartitions is the partition count used when the database has no
-// explicit setting: one partition per schedulable CPU, so a parallel scan
+// explicit setting: one partition per schedulable CPU, so a batch exchange
 // can keep every core busy without oversubscribing.
 func defaultPartitions() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
@@ -24,7 +24,7 @@ func defaultPartitions() int {
 //
 // Each row maps to the head of its version chain (see mvcc.go). The
 // partition lock is the only synchronization point between lock-free MVCC
-// readers (and parallel scan workers) and writers: writers — who
+// readers (and exchange workers) and writers: writers — who
 // additionally hold either the database's exclusive lock or this
 // partition's write latch — take it around every row-map mutation, and
 // readers take the read side just long enough to copy the version-head
@@ -48,7 +48,7 @@ type tablePart struct {
 	// ids keeps the partition's live row IDs ascending (tombstones allowed,
 	// same scheme as the table-level slice), published lock-free so MVCC
 	// scans iterate without the partition lock; mut counts structural
-	// changes so a parallel worker can re-synchronize its position after
+	// changes so an exchange worker can re-synchronize its position after
 	// concurrent writes, exactly like scanProducer does against the
 	// table-level slice.
 	ids  idSlice
@@ -80,8 +80,8 @@ func (p *tablePart) compact() {
 // indexes can reference rows without caring about physical position.
 //
 // Row storage is hash-partitioned by row ID: each partition holds its own
-// row map, its own sorted live-ID slice and its own lock, so parallel
-// operators can give every partition a dedicated worker. The table
+// row map, its own sorted live-ID slice and its own lock, so the batch
+// exchange can give every partition a dedicated worker. The table
 // additionally maintains a global sorted ID slice so serial scans keep
 // their O(n), merge-free shape. Everything a lock-free MVCC reader
 // touches — the partition list, the index map, the ID slices, the row
@@ -222,7 +222,7 @@ func (t *Table) PartitionRows() []int {
 
 // repartition redistributes the rows over n hash partitions, carrying
 // whole version chains so snapshot visibility is preserved. The old
-// partition objects are left untouched, so a parallel worker that still
+// partition objects are left untouched, so an exchange worker that still
 // holds a reference reads a frozen (pre-repartition) view until its next
 // schema-generation check stops it. Caller holds the database exclusively
 // and bumps the schema generation.
@@ -925,27 +925,20 @@ func dedupSortedInt64s(ids []int64) []int64 {
 	return out
 }
 
-// prepIndex validates a CREATE INDEX request and allocates the empty index.
-func (t *Table) prepIndex(name, column string, kind IndexKind, unique bool) (*Index, int, error) {
-	if _, dup := t.indexMap()[name]; dup {
-		return nil, -1, fmt.Errorf("sqldb: index %q already exists on %s", name, t.Name)
-	}
-	col := t.Schema.ColumnIndex(column)
-	if col < 0 {
-		return nil, -1, fmt.Errorf("sqldb: no column %q in table %s", column, t.Name)
-	}
-	return newIndex(name, t.Schema.Columns[col].Name, col, kind, unique), col, nil
-}
-
 // CreateIndex builds a secondary index over one column, populating it from
 // the newest committed version of each row. Unique indexes fail if
 // existing data violates uniqueness. DDL is not versioned: snapshots
 // older than the index see the post-DDL entry set.
 func (t *Table) CreateIndex(name, column string, kind IndexKind, unique bool) (*Index, error) {
-	idx, col, err := t.prepIndex(name, column, kind, unique)
-	if err != nil {
-		return nil, err
+	if _, dup := t.indexMap()[name]; dup {
+		return nil, fmt.Errorf("sqldb: index %q already exists on %s", name, t.Name)
 	}
+	col := t.Schema.ColumnIndex(column)
+	if col < 0 {
+		return nil, fmt.Errorf("sqldb: no column %q in table %s", column, t.Name)
+	}
+	idx := newIndex(name, t.Schema.Columns[col].Name, col, kind, unique)
+	var err error
 	t.Scan(func(id int64, row []Value) bool {
 		key := row[col]
 		if unique && key != nil && idx.containsKey(key) {
@@ -957,122 +950,6 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind, unique bool) (*
 	})
 	if err != nil {
 		return nil, err
-	}
-	t.setIndex(name, idx)
-	return idx, nil
-}
-
-// indexEntry is one (key, row ID) pair of a per-partition sorted run.
-type indexEntry struct {
-	key Value
-	id  int64
-}
-
-// CreateIndexParallel builds a B-tree index from per-partition sorted runs
-// built concurrently (the partition worker pattern of parallel.go) and
-// k-way-merged into the tree. The caller must hold the database
-// exclusively — CREATE INDEX is a DDL write, so no provisional versions
-// exist and the workers read their partitions without locking (concurrent
-// MVCC snapshot readers only ever read the same maps). The resulting tree
-// is identical to a serial build: B-tree entries order by (key, row ID)
-// regardless of insertion order. Unique violations reproduce the serial
-// error exactly — the serial scan fails on the first row (in global
-// row-ID order) whose key was already present, i.e. the duplicated key
-// whose second-smallest row ID is globally minimal, which the merge pass
-// recomputes.
-func (t *Table) CreateIndexParallel(name, column string, unique bool) (*Index, error) {
-	idx, col, err := t.prepIndex(name, column, IndexBTree, unique)
-	if err != nil {
-		return nil, err
-	}
-	parts := t.partList()
-	runs := make([][]indexEntry, len(parts))
-	nullRuns := make([][]int64, len(parts))
-	var wg sync.WaitGroup
-	for i, part := range parts {
-		wg.Add(1)
-		go func(i int, part *tablePart) {
-			defer wg.Done()
-			ids := part.ids.load()
-			entries := make([]indexEntry, 0, len(ids))
-			var nulls []int64
-			for _, id := range ids {
-				row := part.rows[id].resolve(visLatest)
-				if row == nil {
-					continue // tombstone
-				}
-				if key := row[col]; key != nil {
-					entries = append(entries, indexEntry{key: key, id: id})
-				} else {
-					nulls = append(nulls, id)
-				}
-			}
-			sort.Slice(entries, func(a, b int) bool {
-				if c := Compare(entries[a].key, entries[b].key); c != 0 {
-					return c < 0
-				}
-				return entries[a].id < entries[b].id
-			})
-			runs[i] = entries
-			nullRuns[i] = nulls
-		}(i, part)
-	}
-	wg.Wait()
-
-	// K-way merge of the sorted runs. For unique indexes, equal keys are
-	// adjacent in merge order; the second entry of an equal-key run is the
-	// row the serial scan would have failed on for that key, and the
-	// smallest such row ID across keys is where the serial scan fails
-	// first.
-	heads := make([]int, len(runs))
-	var (
-		prevKey   Value
-		runLen    int
-		dupKey    Value
-		dupSecond int64 = -1
-	)
-	for {
-		best := -1
-		for i, run := range runs {
-			if heads[i] >= len(run) {
-				continue
-			}
-			if best < 0 {
-				best = i
-				continue
-			}
-			e, be := run[heads[i]], runs[best][heads[best]]
-			if c := Compare(e.key, be.key); c < 0 || (c == 0 && e.id < be.id) {
-				best = i
-			}
-		}
-		if best < 0 {
-			break
-		}
-		e := runs[best][heads[best]]
-		heads[best]++
-		if unique {
-			if prevKey != nil && Compare(e.key, prevKey) == 0 {
-				runLen++
-				if runLen == 2 && (dupSecond < 0 || e.id < dupSecond) {
-					dupKey, dupSecond = e.key, e.id
-				}
-			} else {
-				prevKey, runLen = e.key, 1
-			}
-			if dupSecond >= 0 {
-				continue // violation found; finish scanning for the minimum
-			}
-		}
-		idx.insert(e.key, e.id)
-	}
-	if unique && dupSecond >= 0 {
-		return nil, &UniqueError{Table: t.Name, Column: column, Value: dupKey}
-	}
-	for _, nulls := range nullRuns {
-		for _, id := range nulls {
-			idx.insert(nil, id)
-		}
 	}
 	t.setIndex(name, idx)
 	return idx, nil

@@ -5,8 +5,7 @@
 // The engine supports typed columns (INTEGER, REAL, TEXT, BOOLEAN), hash
 // and B-tree indexes, inner and left outer joins, grouping and aggregation,
 // ordering, DISTINCT projection, transactions with rollback, and snapshot
-// persistence. It is exposed through a native API (DB.Query / DB.Exec) and
-// through a database/sql driver registered under the name "gamdb".
+// persistence. It is exposed through a native API (DB.Query / DB.Exec).
 package sqldb
 
 import (
