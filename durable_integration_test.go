@@ -6,13 +6,31 @@ package genmapper
 // executor mapping cache, source graph) along with the engine state.
 
 import (
+	"fmt"
 	"path/filepath"
 	"reflect"
 	"testing"
 
+	"genmapper/internal/gam"
 	"genmapper/internal/gen"
 	"genmapper/internal/wal"
 )
+
+// checkRecount asserts that the system's maintained Stats equal those of a
+// repository freshly opened over its database, which counts with SQL
+// (opening adds no log record: its DDL changes nothing).
+func checkRecount(t *testing.T, what string, sys *System) {
+	t.Helper()
+	fresh, err := gam.Open(sys.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := sys.Stats()
+	want, _ := fresh.Stats()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: maintained stats %v, recount %v", what, got, want)
+	}
+}
 
 func importSmallUniverse(t *testing.T, sys *System) *Universe {
 	t.Helper()
@@ -264,11 +282,13 @@ func TestImportRecoveryCrashSweep(t *testing.T) {
 			if st, err := rec.Stats(); err != nil || !reflect.DeepEqual(st, stats[k]) {
 				t.Fatalf("op %d (%s): recovered stats %v (%v), want %v", op, variant, st, err, stats[k])
 			}
+			checkRecount(t, fmt.Sprintf("op %d (%s) recovered", op, variant), rec)
 			for i := k; i < len(files); i++ {
 				if err := importFile(rec, i); err != nil {
 					t.Fatalf("op %d (%s): import %s after recovery: %v", op, variant, files[i].name, err)
 				}
 			}
+			checkRecount(t, fmt.Sprintf("op %d (%s) finished", op, variant), rec)
 			if rec.DB().DumpString() != dumps[len(files)] {
 				t.Fatalf("op %d (%s): finishing the imports after recovery does not reach the undisturbed final state", op, variant)
 			}

@@ -164,7 +164,9 @@ func (s *System) Restore(path string) error {
 // (zero-valued with Enabled=false for in-memory systems).
 func (s *System) SQLWALStats() sqldb.WALStats { return s.db.WALStats() }
 
-// DB exposes the embedded database (for direct SQL).
+// DB exposes the embedded database (for direct SQL). Write the GAM tables
+// through the System, not through this handle: rows written around it are
+// missing from Stats, Sources and the lookup caches until Restore.
 func (s *System) DB() *sqldb.DB { return s.db }
 
 // Repo exposes the GAM repository (for operator-level access).

@@ -16,7 +16,8 @@ import (
 // live in a batch-local overlay consulted before the Repo's shared caches.
 // The overlay is merged into the shared caches only after the transaction
 // committed and is dropped when it rolled back, so a failed batch leaves no
-// ID behind for a row that no longer exists.
+// ID behind for a row that no longer exists. The batch's row-count deltas
+// behind Repo.Stats travel the same way.
 //
 // A Batch is not safe for concurrent use and is dead once Atomic returns.
 type Batch struct {
@@ -30,6 +31,11 @@ type Batch struct {
 	// mappingsChanged records a write to SOURCE_REL or OBJECT_REL: the
 	// commit then bumps the Repo's generation, once.
 	mappingsChanged bool
+
+	// Row-count deltas for the Repo's Stats counters. byType is allocated
+	// by the first association write, so read-only batches allocate none.
+	dObjects, dAssocs int64
+	dByType           map[RelType]int64
 }
 
 // Atomic runs fn on a fresh Batch inside one database transaction. When fn
@@ -134,6 +140,15 @@ func (b *Batch) publish() {
 			r.rels[key] = id
 		}
 	}
+	r.nObjects += b.dObjects
+	r.nAssocs += b.dAssocs
+	for typ, d := range b.dByType {
+		if n := r.byType[typ] + d; n != 0 {
+			r.byType[typ] = n
+		} else {
+			delete(r.byType, typ)
+		}
+	}
 }
 
 // source resolves a source ID against the overlay, then the shared cache.
@@ -175,6 +190,34 @@ func (b *Batch) findRel(key relKey) (SourceRelID, bool) {
 	}
 	id, ok := b.r.rels[key]
 	return id, ok
+}
+
+// countAssocs records n associations added (negative: removed) under
+// mapping rel. A mapping this batch does not know, or has deleted, counts
+// towards no type, as it joins no SOURCE_REL row.
+func (b *Batch) countAssocs(rel SourceRelID, n int64) {
+	if n == 0 {
+		return
+	}
+	b.dAssocs += n
+	var typ RelType
+	for key, id := range b.rels {
+		if id == rel {
+			typ = key.typ
+		}
+	}
+	for key, id := range b.r.rels {
+		if _, shadowed := b.rels[key]; id == rel && !shadowed {
+			typ = key.typ
+		}
+	}
+	if typ == "" {
+		return
+	}
+	if b.dByType == nil {
+		b.dByType = make(map[RelType]int64)
+	}
+	b.dByType[typ] += n
 }
 
 // ---------------------------------------------------------------------------
@@ -290,6 +333,7 @@ func (b *Batch) EnsureObjects(src SourceID, specs []ObjectSpec) ([]ObjectID, int
 		if err != nil {
 			return fmt.Errorf("gam: insert objects: %w", err)
 		}
+		b.dObjects += int64(size)
 		// AUTOINCREMENT IDs are contiguous for a single multi-row insert.
 		firstID := res.LastInsertID - int64(size) + 1
 		for ci, i := range chunk {
@@ -476,15 +520,18 @@ func (b *Batch) insertAssociations(rel SourceRelID, assocs []Assoc) (int, error)
 		b.mappingsChanged = true
 		return nil
 	})
+	b.countAssocs(rel, int64(inserted))
 	return inserted, err
 }
 
 // DeleteMapping removes a mapping and its associations (used to refresh
 // materialized derived mappings).
 func (b *Batch) DeleteMapping(rel SourceRelID) error {
-	if _, err := b.tx.Exec(sqlDeleteAssociations, int64(rel)); err != nil {
+	res, err := b.tx.Exec(sqlDeleteAssociations, int64(rel))
+	if err != nil {
 		return err
 	}
+	b.countAssocs(rel, -res.RowsAffected)
 	if _, err := b.tx.Exec(sqlDeleteSourceRel, int64(rel)); err != nil {
 		return err
 	}

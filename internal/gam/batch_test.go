@@ -13,7 +13,8 @@ import (
 	"genmapper/internal/wal"
 )
 
-// eachMode runs a test on a fresh repository in lock mode and under MVCC.
+// eachMode runs a test on a fresh repository in lock mode and under MVCC,
+// then checks the maintained Stats against the SQL recount.
 func eachMode(t *testing.T, test func(t *testing.T, r *Repo)) {
 	for _, mode := range []struct {
 		name string
@@ -28,6 +29,7 @@ func eachMode(t *testing.T, test func(t *testing.T, r *Repo)) {
 				t.Fatal(err)
 			}
 			test(t, r)
+			checkStats(t, r)
 		})
 	}
 }

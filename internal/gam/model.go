@@ -44,6 +44,13 @@
 // resolve an accession to a row that was rolled back. Generation() moves
 // once per committed batch that touched mappings, after the commit.
 //
+// The deployment counts behind Repo.Stats and the source list behind
+// Repo.Sources are caches of the same kind: no SQL runs for them after
+// Open. A batch carries its row-count deltas in its overlay; they are
+// published together with the commit that produced them and dropped on
+// rollback. gam owns every write to its schema — rows written around it
+// through Repo.DB are not counted (nor cached) until Reload.
+//
 // Batches are serialised on a writer mutex held for the life of the batch.
 // The cache mutex is held only around single cache accesses and around a
 // batch's final commit-and-publish step — commit and publication must look

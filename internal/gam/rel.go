@@ -2,6 +2,7 @@ package gam
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -183,14 +184,12 @@ func (r *Repo) AssociationsBatch(rels []SourceRelID) (map[SourceRelID][]Assoc, e
 }
 
 // AssociationCount returns the number of associations under a mapping
-// (all mappings when rel is 0).
+// (all mappings when rel is 0, read from the Stats counters).
 func (r *Repo) AssociationCount(rel SourceRelID) (int64, error) {
 	if rel == 0 {
-		rs, err := r.db.Query(sqlCountAssociations)
-		if err != nil {
-			return 0, err
-		}
-		return rs.Rows[0][0].(int64), nil
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.nAssocs, nil
 	}
 	rs, err := r.db.Query(sqlCountAssocsByRel, int64(rel))
 	if err != nil {
@@ -227,36 +226,48 @@ type Stats struct {
 	ByType       map[RelType]int64
 }
 
-// Stats computes the summary counters.
+// Stats returns the summary counters without running SQL: they are kept in
+// memory, set by Open and Reload and moved by each committed batch in the
+// step that publishes its cache overlay, so Stats shows committed states
+// only, never half a batch. ByType is a fresh map of the types with
+// associations. Rows written around gam (DB()) are not counted until Reload.
 func (r *Repo) Stats() (*Stats, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return &Stats{
+		Sources:      int64(len(r.sourcesByID)),
+		Objects:      r.nObjects,
+		Mappings:     int64(len(r.rels)),
+		Associations: r.nAssocs,
+		ByType:       maps.Clone(r.byType),
+	}, nil
+}
+
+// countStats computes the summary counters with SQL: the starting point of
+// loadCaches, and the oracle the maintained counters are tested against.
+func countStats(db *sqldb.DB) (*Stats, error) {
 	st := &Stats{ByType: make(map[RelType]int64)}
-	q := func(sql string) (int64, error) {
-		rs, err := r.db.Query(sql)
+	for _, c := range []struct {
+		n   *int64
+		sql string
+	}{
+		{&st.Sources, sqlCountSources},
+		{&st.Objects, sqlCountObjects},
+		{&st.Mappings, sqlCountSourceRels},
+		{&st.Associations, sqlCountAssociations},
+	} {
+		rs, err := db.Query(c.sql)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		return rs.Rows[0][0].(int64), nil
+		*c.n = rs.Rows[0][0].(int64)
 	}
-	var err error
-	if st.Sources, err = q(sqlCountSources); err != nil {
-		return nil, err
-	}
-	if st.Objects, err = q(sqlCountObjects); err != nil {
-		return nil, err
-	}
-	if st.Mappings, err = q(sqlCountSourceRels); err != nil {
-		return nil, err
-	}
-	if st.Associations, err = q(sqlCountAssociations); err != nil {
-		return nil, err
-	}
-	rs, err := r.db.Query(`SELECT sr.type, COUNT(*) FROM object_rel o
-		JOIN source_rel sr ON o.source_rel_id = sr.source_rel_id GROUP BY sr.type`)
+	err := queryEach(db, sqlCountAssocsByType, nil, func(row []sqldb.Value) error {
+		st.ByType[RelType(row[0].(string))] = row[1].(int64)
+		return nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	for _, row := range rs.Rows {
-		st.ByType[RelType(row[0].(string))] = row[1].(int64)
 	}
 	return st, nil
 }

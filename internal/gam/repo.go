@@ -2,6 +2,7 @@ package gam
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -44,6 +45,12 @@ type Repo struct {
 	sourcesByID map[SourceID]*Source
 	objects     map[SourceID]map[string]ObjectID // accession -> id, lazily loaded per source
 	rels        map[relKey]SourceRelID
+
+	// Whole-schema row counts behind Stats, kept like the caches: computed
+	// by loadCaches, moved only by a committed batch's publish. byType has
+	// no zero entries.
+	nObjects, nAssocs int64
+	byType            map[RelType]int64
 }
 
 // Generation returns the mapping-write counter. Any committed change to
@@ -156,7 +163,6 @@ func (b *bulkInsert) chunks(n int, exec func(start, size int, sql string) error)
 // prepare-at-Open warm-up list below can never drift apart.
 const (
 	sqlSelectSources             = "SELECT source_id, name, content, structure, release, import_date FROM source"
-	sqlSelectSourcesByName       = "SELECT source_id, name, content, structure, release, import_date FROM source ORDER BY name"
 	sqlInsertSource              = "INSERT INTO source (name, content, structure, release, import_date) VALUES (?, ?, ?, ?, ?)"
 	sqlUpdateSourceAudit         = "UPDATE source SET release = ?, import_date = ? WHERE source_id = ?"
 	sqlSelectObjectAccs          = "SELECT object_id, accession FROM object WHERE source_id = ?"
@@ -165,17 +171,22 @@ const (
 	sqlSelectObjectsBySourceScan = "SELECT object_id, source_id, accession, text, number FROM object WHERE source_id = ?"
 	sqlSelectObjectsNoText       = "SELECT object_id, accession FROM object WHERE source_id = ? AND text IS NULL"
 	sqlUpdateObjectInfo          = "UPDATE object SET text = ?, number = ? WHERE object_id = ?"
-	sqlCountObjects              = "SELECT COUNT(*) FROM object"
 	sqlCountObjectsBySource      = "SELECT COUNT(*) FROM object WHERE source_id = ?"
 	sqlInsertSourceRel           = "INSERT INTO source_rel (source1_id, source2_id, type) VALUES (?, ?, ?)"
 	sqlSelectSourceRels          = "SELECT source_rel_id, source1_id, source2_id, type FROM source_rel"
 	sqlSelectAssociations        = "SELECT object1_id, object2_id, evidence FROM object_rel WHERE source_rel_id = ?"
-	sqlCountSources              = "SELECT COUNT(*) FROM source"
-	sqlCountSourceRels           = "SELECT COUNT(*) FROM source_rel"
-	sqlCountAssociations         = "SELECT COUNT(*) FROM object_rel"
 	sqlCountAssocsByRel          = "SELECT COUNT(*) FROM object_rel WHERE source_rel_id = ?"
 	sqlDeleteAssociations        = "DELETE FROM object_rel WHERE source_rel_id = ?"
 	sqlDeleteSourceRel           = "DELETE FROM source_rel WHERE source_rel_id = ?"
+)
+
+// The whole-schema counts run only in countStats, once per Open or Reload.
+const (
+	sqlCountSources      = "SELECT COUNT(*) FROM source"
+	sqlCountObjects      = "SELECT COUNT(*) FROM object"
+	sqlCountSourceRels   = "SELECT COUNT(*) FROM source_rel"
+	sqlCountAssociations = "SELECT COUNT(*) FROM object_rel"
+	sqlCountAssocsByType = "SELECT sr.type, COUNT(*) FROM object_rel o JOIN source_rel sr ON o.source_rel_id = sr.source_rel_id GROUP BY sr.type"
 )
 
 // hotStatements lists the fixed-text statements issued per imported object,
@@ -184,12 +195,10 @@ const (
 // already runs on compiled plans and no import ever parses a statement.
 var hotStatements = append(append([]string{
 	sqlSelectSources,
-	sqlSelectSourcesByName,
 	sqlSelectObjectAccs,
 	sqlSelectObjectByID,
 	sqlSelectObjectsBySource,
 	sqlSelectObjectsBySourceScan,
-	sqlCountObjects,
 	sqlCountObjectsBySource,
 	sqlSelectObjectsNoText,
 	sqlInsertSource,
@@ -198,8 +207,6 @@ var hotStatements = append(append([]string{
 	sqlInsertSourceRel,
 	sqlSelectSourceRels,
 	sqlSelectAssociations,
-	sqlCountSourceRels,
-	sqlCountAssociations,
 	sqlCountAssocsByRel,
 	sqlDeleteAssociations,
 	sqlDeleteSourceRel,
@@ -234,15 +241,18 @@ func Open(db *sqldb.DB) (*Repo, error) {
 	return r, nil
 }
 
-// DB exposes the underlying database (for the operator layer's SQL).
+// DB exposes the underlying database (for the operator layer's SQL). gam
+// owns every write to its schema: rows written around it through this
+// handle are invisible to the lookup caches and to Stats until Reload.
 func (r *Repo) DB() *sqldb.DB { return r.db }
 
 // Reload discards every in-memory lookup cache (sources, object
 // accessions, source-rel keys) and reloads the source and mapping catalogs
-// from the database. Call it after the database's contents were replaced
-// wholesale (DB.Restore): the cached IDs reference pre-restore rows. Reload
-// bumps the mapping generation, so executor caches keyed on it invalidate
-// too. It waits for an open batch to finish.
+// and the Stats counters from the database. Call it after the database's
+// contents were replaced wholesale (DB.Restore) or written around gam: the
+// cached IDs reference pre-restore rows. Reload bumps the mapping
+// generation, so executor caches keyed on it invalidate too. It waits for
+// an open batch to finish.
 func (r *Repo) Reload() error {
 	if err := r.loadCaches(); err != nil {
 		return err
@@ -252,7 +262,7 @@ func (r *Repo) Reload() error {
 }
 
 // loadCaches replaces the lookup caches with the database's source and
-// mapping catalogs and an empty object cache.
+// mapping catalogs and an empty object cache, and recounts the rows.
 func (r *Repo) loadCaches() error {
 	r.wmu.Lock()
 	defer r.wmu.Unlock()
@@ -276,11 +286,16 @@ func (r *Repo) loadCaches() error {
 	if err != nil {
 		return fmt.Errorf("gam: load source rels: %w", err)
 	}
+	st, err := countStats(r.db)
+	if err != nil {
+		return fmt.Errorf("gam: count rows: %w", err)
+	}
 	r.mu.Lock()
 	r.sources = sources
 	r.sourcesByID = sourcesByID
 	r.objects = make(map[SourceID]map[string]ObjectID)
 	r.rels = rels
+	r.nObjects, r.nAssocs, r.byType = st.Objects, st.Associations, st.ByType
 	r.mu.Unlock()
 	return nil
 }
@@ -355,15 +370,16 @@ func (r *Repo) SourceByID(id SourceID) *Source {
 	return r.sourcesByID[id]
 }
 
-// Sources returns all sources ordered by name.
+// Sources returns copies of all sources ordered by name.
 func (r *Repo) Sources() []*Source {
-	var out []*Source
-	if err := queryEach(r.db, sqlSelectSourcesByName, nil, func(row []sqldb.Value) error {
-		out = append(out, rowToSource(row))
-		return nil
-	}); err != nil {
-		return nil
+	r.mu.Lock()
+	out := make([]*Source, 0, len(r.sourcesByID))
+	for _, s := range r.sourcesByID {
+		cp := *s
+		out = append(out, &cp)
 	}
+	r.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 
@@ -505,15 +521,14 @@ func (r *Repo) ObjectsBySource(src SourceID) ([]*Object, error) {
 }
 
 // ObjectCount returns the number of objects in a source (all sources when
-// src is 0).
+// src is 0, read from the Stats counters).
 func (r *Repo) ObjectCount(src SourceID) (int64, error) {
-	var rs *sqldb.ResultSet
-	var err error
 	if src == 0 {
-		rs, err = r.db.Query(sqlCountObjects)
-	} else {
-		rs, err = r.db.Query(sqlCountObjectsBySource, int64(src))
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		return r.nObjects, nil
 	}
+	rs, err := r.db.Query(sqlCountObjectsBySource, int64(src))
 	if err != nil {
 		return 0, err
 	}

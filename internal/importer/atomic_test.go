@@ -66,6 +66,7 @@ func testFailedImportLeavesNothing(t *testing.T, repo *gam.Repo) {
 		if s := repo.SourceByName(d.Source.Name); s != nil {
 			t.Fatalf("%s: source of the failed import is still cached: %+v", name, s)
 		}
+		checkStats(t, repo)
 	}
 	// The failed import's cross-reference target row in LocusLink is gone
 	// from the object cache as well (353 itself predates it).
@@ -80,6 +81,7 @@ func testFailedImportLeavesNothing(t *testing.T, repo *gam.Repo) {
 	if !st.SourceCreated || st.ObjectsNew != 3 || st.AssocsNew != 5 || st.SubsumedAssocs != 3 {
 		t.Fatalf("corrected import stats = %+v", st)
 	}
+	checkStats(t, repo)
 	// Dense IDs: the failed imports burnt none.
 	tax := repo.SourceByName("Tax")
 	if want := gam.SourceID(before.Sources + 1); tax.ID != want {

@@ -3,6 +3,7 @@ package importer
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -14,7 +15,8 @@ import (
 // eachMode runs a test on a fresh repository in lock mode and under MVCC:
 // an import reads back what it just wrote (duplicate elimination, the IS_A
 // rows under DeriveSubsumed), which only works under MVCC when those reads
-// go through the import's own transaction.
+// go through the import's own transaction. Afterwards the repository's
+// maintained Stats must equal the recount (checkStats).
 func eachMode(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
 	for _, mode := range []struct {
 		name string
@@ -29,7 +31,24 @@ func eachMode(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
 				t.Fatal(err)
 			}
 			test(t, repo)
+			checkStats(t, repo)
 		})
+	}
+}
+
+// checkStats asserts that the repository's maintained Stats equal those of
+// a repository freshly opened over the same database, which counts with
+// SQL.
+func checkStats(t *testing.T, repo *gam.Repo) {
+	t.Helper()
+	fresh, err := gam.Open(repo.DB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := repo.Stats()
+	want, _ := fresh.Stats()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("maintained stats %v, recount %v", got, want)
 	}
 }
 

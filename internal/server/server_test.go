@@ -15,6 +15,13 @@ import (
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
+	ts := httptest.NewServer(New(testSystem(t)))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+func testSystem(t *testing.T) *genmapper.System {
+	t.Helper()
 	sys, err := genmapper.New()
 	if err != nil {
 		t.Fatal(err)
@@ -28,9 +35,7 @@ func testServer(t *testing.T) *httptest.Server {
 	if _, err := sys.ImportDataset(ll, genmapper.ImportOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(New(sys))
-	t.Cleanup(ts.Close)
-	return ts
+	return sys
 }
 
 func TestHomePage(t *testing.T) {
@@ -404,6 +409,47 @@ func TestStatsCacheCountersMove(t *testing.T) {
 	}
 	if after["misses"] != mid["misses"] {
 		t.Fatalf("repeated query missed the cache: %v -> %v", mid, after)
+	}
+}
+
+// A warm Figure-5 request — the query page and the home page on a primed
+// system — runs no scan, join or batch leg: the source list and the
+// counts come from gam's caches, not from a per-request catalog query.
+func TestWarmPageRunsNoCatalogScan(t *testing.T) {
+	sys := testSystem(t)
+	sys.SetBatchMinRows(1) // any full scan would take the batch leg
+	ts := httptest.NewServer(New(sys))
+	t.Cleanup(ts.Close)
+	form := url.Values{"source": {"LocusLink"}, "mode": {"OR"}, "targets": {"Hugo\nGO"}}
+	request := func() {
+		resp, err := http.PostForm(ts.URL+"/query", form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readBody(t, resp); !strings.Contains(body, "APRT") {
+			t.Fatalf("query page lacks its result: %s", body)
+		}
+		resp.Body.Close()
+		if resp, err = http.Get(ts.URL + "/"); err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	request() // primes the executor
+	plans, batch := sys.SQLPlanStats(), sys.SQLBatchStats()
+	request()
+	p, b := sys.SQLPlanStats(), sys.SQLBatchStats()
+	for name, moved := range map[string]uint64{
+		"full scans":        p.FullScans - plans.FullScans,
+		"hash joins":        p.HashJoins - plans.HashJoins,
+		"index joins":       p.IndexJoins - plans.IndexJoins,
+		"nested-loop joins": p.NestedJoins - plans.NestedJoins,
+		"batch scans":       b.BatchScans - batch.BatchScans,
+		"batch aggregates":  b.BatchAggregates - batch.BatchAggregates,
+	} {
+		if moved != 0 {
+			t.Errorf("a warm request ran %d %s", moved, name)
+		}
 	}
 }
 
