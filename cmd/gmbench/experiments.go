@@ -881,16 +881,15 @@ func expVectorized(h *harness) error {
 }
 
 // ---------------------------------------------------------------------------
-// E16 — MVCC snapshot isolation under mixed read/write load
+// E16 — snapshot isolation under mixed read/write load
 
-// expConcurrency measures what snapshot isolation buys a mixed workload:
-// at 1/2/4/8 reader clients plus one writer, each cell runs the same
-// point-read/short-range mix for a fixed interval in lock mode and again
-// under MVCC, and reports reader and writer throughput. The second table
-// is the stall probe: a bulk UPDATE holds the write path while one reader
-// issues point reads, and the worst read latency is recorded — in lock
-// mode that latency is the UPDATE's duration (readers wait on db.mu),
-// under MVCC the reader keeps answering from its snapshot.
+// expConcurrency measures snapshot readers beside writers: at 1/2/4/8
+// reader clients plus one writer, each cell runs the same
+// point-read/short-range mix for a fixed interval and reports reader and
+// writer throughput. The second table is the stall probe: a bulk UPDATE
+// holds the write path while one reader issues point reads, and the worst
+// read latency is recorded — the reader keeps answering from its
+// snapshot. The third is multi-writer latch scaling.
 func expConcurrency(h *harness) error {
 	const rows = 100000
 	const interval = 250 * time.Millisecond
@@ -958,10 +957,10 @@ func expConcurrency(h *harness) error {
 		go func() {
 			defer wg.Done()
 			// The writer is paced (2k updates/s target, caught up in bursts
-			// because sleep granularity is coarse) so both modes face the
-			// same write pressure and reads/s compares like for like; an
-			// unpaced MVCC writer commits several times faster than lock
-			// mode and the comparison degenerates into CPU arbitration.
+			// because sleep granularity is coarse) so every cell faces the
+			// same write pressure and reads/s compares like for like across
+			// reader counts; unpaced, the comparison degenerates into CPU
+			// arbitration.
 			const writeRate = 2000.0
 			start := time.Now()
 			n := int64(0)
@@ -988,32 +987,23 @@ func expConcurrency(h *harness) error {
 		return float64(reads.Load()) / secs, float64(writes.Load()) / secs, nil
 	}
 
-	fmt.Printf("%-8s %-6s %14s %14s %14s\n", "readers", "mode", "reads/s", "writes/s", "read speedup")
+	fmt.Printf("%-8s %14s %14s %14s\n", "readers", "reads/s", "writes/s", "read scaling")
+	var oneReader float64
 	for _, readers := range []int{1, 2, 4, 8} {
-		var lockReads float64
-		for _, mvcc := range []bool{false, true} {
-			db.SetMVCC(mvcc)
-			r, w, err := cell(readers)
-			if err != nil {
-				return err
-			}
-			mode := "lock"
-			speedup := ""
-			if mvcc {
-				mode = "mvcc"
-				speedup = fmt.Sprintf("%.2fx", r/lockReads)
-			} else {
-				lockReads = r
-			}
-			fmt.Printf("%-8d %-6s %14.0f %14.0f %14s\n", readers, mode, r, w, speedup)
+		r, w, err := cell(readers)
+		if err != nil {
+			return err
 		}
+		if readers == 1 {
+			oneReader = r
+		}
+		fmt.Printf("%-8d %14.0f %14.0f %13.2fx\n", readers, r, w, r/oneReader)
 	}
 
 	// Stall probe: while a bulk UPDATE runs, measure the worst latency of
 	// a point read issued every millisecond.
 	fmt.Println("\nreader latency while a bulk UPDATE holds the write path:")
-	probe := func(mvcc bool) (worst time.Duration, updateTook time.Duration, err error) {
-		db.SetMVCC(mvcc)
+	probe := func() (worst time.Duration, updateTook time.Duration, err error) {
 		done := make(chan error, 1)
 		started := make(chan struct{})
 		go func() {
@@ -1040,29 +1030,20 @@ func expConcurrency(h *harness) error {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	for _, mvcc := range []bool{false, true} {
-		worst, took, err := probe(mvcc)
-		if err != nil {
-			return err
-		}
-		mode := "lock"
-		if mvcc {
-			mode = "mvcc"
-		}
-		fmt.Printf("  %-6s worst read latency %12v   (bulk UPDATE took %v)\n", mode, worst.Round(time.Microsecond), took.Round(time.Millisecond))
+	worst, took, err := probe()
+	if err != nil {
+		return err
 	}
+	fmt.Printf("  worst read latency %12v   (bulk UPDATE took %v)\n", worst.Round(time.Microsecond), took.Round(time.Millisecond))
 	// Multi-writer scaling: per-partition write latching lets writers on
 	// disjoint partitions install and commit concurrently. Each writer
 	// auto-commits single-row UPDATEs over its own rows; "spread" gives
 	// every writer its own partition, "pinned" forces all four into ONE
 	// partition — row-disjoint but latch-serialized, which is exactly the
-	// global-writer shape every MVCC write had before the latches, measured
-	// in the same run on the same machine.
+	// global-writer shape, measured in the same run on the same machine.
 	fmt.Println("\nmulti-writer commit throughput (row-disjoint UPDATE auto-commits):")
-	db.SetMVCC(false)
 	const wparts = 8
 	db.SetPartitions(wparts)
-	db.SetMVCC(true)
 	wcell := func(writers int, pinned bool) (float64, error) {
 		var stop atomic.Bool
 		var commits atomic.Int64
@@ -1124,12 +1105,11 @@ func expConcurrency(h *harness) error {
 	fmt.Printf("%-8d %-8s %14.0f %13s\n", 4, "pinned", pinned4, "")
 	fmt.Printf("\n4 spread writers vs 4 pinned (global-writer shape): %.2fx\n", spread4/pinned4)
 
-	db.SetMVCC(false)
 	st := db.MVCCStats()
 	fmt.Printf("\nmvcc: epoch=%d commits=%d conflicts=%d latch_waits=%d background_vacuums=%d vacuum_runs=%d versions_vacuumed=%d\n",
 		st.Epoch, st.Commits, st.Conflicts, st.LatchWaits, st.BackgroundVacuums, st.VacuumRuns, st.VersionsVacuumed)
-	fmt.Println("expected shape: mvcc read throughput >= 2x lock mode at 4+ readers, the mvcc worst")
-	fmt.Println("read latency stays orders of magnitude below the bulk UPDATE duration, and 4 spread")
+	fmt.Println("expected shape: read throughput scales with readers on 4+ cores, the worst read")
+	fmt.Println("latency stays orders of magnitude below the bulk UPDATE duration, and 4 spread")
 	fmt.Println("writers commit >= 2x the pinned (latch-serialized) rate on 4+ cores")
 	return nil
 }

@@ -41,7 +41,7 @@ var experiments = []experiment{
 	{"ablation-srs", "Ablation E12: SRS-style link navigation vs set-oriented GenerateView", expAblationSRS},
 	{"wal", "E13: durable write path — fsync policies and group commit", expWALDurability},
 	{"vectorized", "E15: vectorized (columnar batch) vs row execution at 1/2/4/8 partitions", expVectorized},
-	{"concurrency", "E16: MVCC vs lock-mode read/write throughput, writer-stall probe, multi-writer latch scaling", expConcurrency},
+	{"concurrency", "E16: snapshot reader/writer throughput, writer-stall probe, multi-writer latch scaling", expConcurrency},
 }
 
 func main() {

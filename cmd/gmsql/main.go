@@ -31,7 +31,6 @@ func main() {
 		paraN    = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
 		batchOn  = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
 		batchMin = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
-		mvccOn   = flag.Bool("mvcc", false, "MVCC snapshot isolation: readers run against snapshot epochs and never block on writers")
 	)
 	flag.Parse()
 
@@ -78,7 +77,6 @@ func main() {
 	if *batchMin > 0 {
 		db.SetBatchMinRows(*batchMin)
 	}
-	db.SetMVCC(*mvccOn)
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

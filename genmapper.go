@@ -218,11 +218,13 @@ func (s *System) SetBatchMinRows(n int64) { s.db.SetBatchMinRows(n) }
 // SQLBatchStats returns the vectorized execution counters and knobs.
 func (s *System) SQLBatchStats() sqldb.BatchStats { return s.db.BatchStats() }
 
-// SetMVCC toggles the embedded engine's multi-version concurrency control:
-// when on, readers run against snapshot epochs with no database lock and
-// never block on writers. Off by default; toggling is a schema change
-// (open cursors invalidate), so set it at startup.
-func (s *System) SetMVCC(on bool) { s.db.SetMVCC(on) }
+// SetMVCC does nothing: the embedded engine always runs under snapshot
+// isolation, so readers never block on writers and never see an open
+// import. bench/e2e still calls it; it is deleted when bench/ is next
+// unfrozen (ROADMAP item 2).
+//
+// Deprecated: snapshot isolation is always on; drop the call.
+func (s *System) SetMVCC(bool) {}
 
 // SQLMVCCStats returns the MVCC counters: current epoch, active snapshots,
 // commit/abort/conflict counts and vacuum progress.

@@ -201,57 +201,45 @@ func TestEndToEndProfilingOverUniverse(t *testing.T) {
 	}
 }
 
-// Re-importing the universe is a no-op, in lock mode and under MVCC, with
-// the Subsumed mappings derived inside each import's transaction: the two
-// modes must end with identical content (an import that could not read its
-// own IS_A rows would derive nothing under MVCC).
+// Re-importing the universe is a no-op, with the Subsumed mappings derived
+// inside each import's transaction (an import that could not read its own
+// IS_A rows would derive nothing).
 func TestUniverseReimportIdempotent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("double universe import skipped in -short mode")
 	}
 	opts := ImportOptions{DeriveSubsumed: true}
-	var lockStats *Stats
-	for _, mvcc := range []bool{false, true} {
-		sys, err := New()
-		if err != nil {
-			t.Fatal(err)
+	sys, err := New()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	u := gen.NewUniverse(gen.Config{Seed: 2, Scale: 0.001})
+	if _, err := sys.ImportUniverse(u, opts, nil); err != nil {
+		t.Fatal(err)
+	}
+	before, err := sys.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before.ByType[gam.RelSubsumed] == 0 {
+		t.Fatalf("no Subsumed associations derived: %s", before)
+	}
+	stats, err := sys.ImportUniverse(u, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range stats {
+		if st.ObjectsNew != 0 || st.AssocsNew != 0 {
+			t.Fatalf("source %s not idempotent: %s", st.Source, st)
 		}
-		sys.SetMVCC(mvcc)
-		u := gen.NewUniverse(gen.Config{Seed: 2, Scale: 0.001})
-		if _, err := sys.ImportUniverse(u, opts, nil); err != nil {
-			t.Fatal(err)
-		}
-		before, err := sys.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if before.ByType[gam.RelSubsumed] == 0 {
-			t.Fatalf("mvcc=%v: no Subsumed associations derived: %s", mvcc, before)
-		}
-		stats, err := sys.ImportUniverse(u, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, st := range stats {
-			if st.ObjectsNew != 0 || st.AssocsNew != 0 {
-				t.Fatalf("mvcc=%v: source %s not idempotent: %s", mvcc, st.Source, st)
-			}
-		}
-		after, err := sys.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("mvcc=%v: stats changed on re-import: %s vs %s", mvcc, before, after)
-		}
-		if lockStats == nil {
-			lockStats = after
-		} else if !reflect.DeepEqual(lockStats, after) {
-			t.Fatalf("MVCC import differs from lock mode: %s vs %s", after, lockStats)
-		}
-		if err := sys.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	after, err := sys.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("stats changed on re-import: %s vs %s", before, after)
 	}
 }
 

@@ -9,8 +9,9 @@ import (
 
 // Batch is the write surface of a Repo, bound to one database transaction
 // by Repo.Atomic. Every statement gam ever writes is executed here. Reads
-// made through a Batch observe the batch's own uncommitted writes, in lock
-// mode and under MVCC alike.
+// made through a Batch observe the database as of the batch's start plus
+// the batch's own uncommitted writes; readers outside it see none of them
+// until the commit.
 //
 // Cache entries a batch creates (sources, accession → ID, mapping keys)
 // live in a batch-local overlay consulted before the Repo's shared caches.
@@ -47,8 +48,8 @@ type Batch struct {
 //
 // Batches are serialised: Atomic blocks while another batch is open. fn
 // must write through the Batch only — calling the Repo's own write methods
-// (or Atomic) from inside fn deadlocks. Under MVCC the transaction reads at
-// the snapshot taken when the batch opened; a write conflict with a
+// (or Atomic) from inside fn deadlocks. The transaction reads at the
+// snapshot taken when the batch opened; a write conflict with a
 // transaction outside gam, or a snapshot revoked by the retention budget
 // (sqldb.ErrWriteConflict, sqldb.ErrSnapshotTooOld), fails the whole batch
 // cleanly. Atomic does not retry.
@@ -66,8 +67,8 @@ func (r *Repo) Atomic(fn func(*Batch) error) error {
 		b.tx.Rollback()
 		return err
 	}
-	// Commit and cache publication are one step to readers. Under MVCC the
-	// commit makes the new rows visible before it returns (it still waits
+	// Commit and cache publication are one step to readers. The commit
+	// makes the new rows visible before it returns (it still waits
 	// for the fsync): a reader resolving a mapping key in between would get
 	// the ID the commit has just deleted and read an empty mapping.
 	r.mu.Lock()
@@ -371,7 +372,7 @@ func (b *Batch) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, er
 	if len(bySpec) == 0 {
 		return 0, nil
 	}
-	// The scan holds the engine's read lock, so the bare objects are
+	// No statement runs inside another's iteration: the bare objects are
 	// collected first and updated afterwards.
 	type fill struct {
 		id   int64

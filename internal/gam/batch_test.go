@@ -13,24 +13,65 @@ import (
 	"genmapper/internal/wal"
 )
 
-// eachMode runs a test on a fresh repository in lock mode and under MVCC,
-// then checks the maintained Stats against the SQL recount.
-func eachMode(t *testing.T, test func(t *testing.T, r *Repo)) {
+// plainAndPinned runs a test on a fresh repository twice — plainly ("lock") and
+// beside readers whose snapshot predates the test ("mvcc"), so every
+// superseded version stays in storage and the suite runs over version
+// chains (the leg names predate this axis and are kept so test names stay
+// stable) — then checks the maintained Stats against the SQL recount. The
+// readers must still see an empty repository when the test is done,
+// unless the test replaced the tables wholesale (Restore invalidates them).
+func plainAndPinned(t *testing.T, test func(t *testing.T, r *Repo)) {
 	for _, mode := range []struct {
-		name string
-		mvcc bool
+		name   string
+		pinned bool
 	}{{"lock", false}, {"mvcc", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			db := sqldb.NewDB()
-			db.SetMVCC(mode.mvcc)
 			t.Cleanup(func() { db.Close() })
 			r, err := Open(db)
 			if err != nil {
 				t.Fatal(err)
 			}
+			if mode.pinned {
+				defer checkEmptySnapshot(t, openCounts(t, db))
+			}
 			test(t, r)
 			checkStats(t, r)
 		})
+	}
+}
+
+// openCounts opens one COUNT(*) cursor per GAM data table, pinning the
+// current snapshot until the cursors are drained.
+func openCounts(t *testing.T, db *sqldb.DB) []sqldb.Cursor {
+	t.Helper()
+	var curs []sqldb.Cursor
+	for _, table := range []string{"source", "object", "object_rel"} {
+		cur, err := db.QueryCursor("SELECT COUNT(*) FROM " + table)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curs = append(curs, cur)
+	}
+	return curs
+}
+
+// checkEmptySnapshot drains cursors opened on an empty repository: each
+// must still count zero rows.
+func checkEmptySnapshot(t *testing.T, curs []sqldb.Cursor) {
+	t.Helper()
+	for _, cur := range curs {
+		row, err := cur.Next()
+		cur.Close()
+		if errors.Is(err, sqldb.ErrCursorInvalidated) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row[0] != int64(0) {
+			t.Fatalf("a snapshot older than the test counts %v rows", row[0])
+		}
 	}
 }
 
@@ -81,7 +122,7 @@ func pairBatch(b *Batch, from, to string, n int) error {
 // A failed batch is invisible: database content, every cache and the
 // generation are what they were, and the IDs it drew are drawn again.
 func TestAtomicRollbackLeavesNothing(t *testing.T) {
-	eachMode(t, func(t *testing.T, r *Repo) {
+	plainAndPinned(t, func(t *testing.T, r *Repo) {
 		if err := r.Atomic(func(b *Batch) error { return pairBatch(b, "A", "B", 30) }); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +192,7 @@ func TestAtomicRollbackLeavesNothing(t *testing.T) {
 // Reads through the batch see the batch's own writes — the path
 // DeriveSubsumed depends on — and nobody else's view changes until commit.
 func TestBatchReadsItsOwnWrites(t *testing.T) {
-	eachMode(t, func(t *testing.T, r *Repo) {
+	plainAndPinned(t, func(t *testing.T, r *Repo) {
 		err := r.Atomic(func(b *Batch) error {
 			if err := pairBatch(b, "A", "B", 250); err != nil {
 				return err
@@ -232,7 +273,7 @@ func TestDeleteMappingIsAtomic(t *testing.T) {
 // LookupObjects on a cached source takes only the cache lock: it returns
 // while another goroutine's batch is open.
 func TestLookupObjectsWhileBatchOpen(t *testing.T) {
-	eachMode(t, func(t *testing.T, r *Repo) {
+	plainAndPinned(t, func(t *testing.T, r *Repo) {
 		if err := r.Atomic(func(b *Batch) error { return pairBatch(b, "A", "B", 10) }); err != nil {
 			t.Fatal(err)
 		}
@@ -343,12 +384,11 @@ func TestAtomicIsOneLogRecordAcrossSegments(t *testing.T) {
 	}
 }
 
-// Under MVCC a batch reads at the snapshot taken when it opened. A row it
+// A batch reads at the snapshot taken when it opened. A row it
 // then writes that someone outside gam changed in the meantime is a write
 // conflict: the whole batch fails and rolls back; gam does not retry.
 func TestAtomicMVCCWriteConflictFailsWholeBatch(t *testing.T) {
 	db := sqldb.NewDB()
-	db.SetMVCC(true)
 	defer db.Close()
 	r, err := Open(db)
 	if err != nil {
@@ -400,8 +440,8 @@ func TestAtomicMVCCWriteConflictFailsWholeBatch(t *testing.T) {
 }
 
 // gateFS is a filesystem whose fsyncs, once armed, announce themselves and
-// block until released: it holds a commit at the point where MVCC readers
-// already see its rows but Commit has not returned.
+// block until released: it holds a commit at the point where snapshot
+// readers already see its rows but Commit has not returned.
 type gateFS struct {
 	*wal.FaultFS
 	armed   atomic.Bool
@@ -431,7 +471,7 @@ func (f *gateFile) Sync() error {
 }
 
 // A replaced mapping's new ID and its rows become visible to readers in
-// one step. Under MVCC the commit publishes the rows before its fsync
+// one step. The commit publishes the rows before its fsync
 // returns; a reader that could still resolve the mapping key to the old ID
 // in that window would read a mapping with no associations.
 func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
@@ -441,7 +481,6 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	db.SetMVCC(true)
 	r, err := Open(db)
 	if err != nil {
 		t.Fatal(err)
@@ -544,7 +583,7 @@ func TestInsertLadderChunks(t *testing.T) {
 // TestEnsureObjectsIDsAlignAcrossChunks: whatever the ladder makes of n new
 // objects, they get consecutive IDs in spec order, aligned with specs.
 func TestEnsureObjectsIDsAlignAcrossChunks(t *testing.T) {
-	eachMode(t, func(t *testing.T, r *Repo) {
+	plainAndPinned(t, func(t *testing.T, r *Repo) {
 		src, _, err := r.EnsureSource(Source{Name: "S"})
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,8 @@
 // EnsureObjects, FillMissingObjectInfo, EnsureSourceRel, AddAssociations,
 // DeleteMapping, ReplaceMapping) plus the reads a writer needs
 // (LookupObject(s), Associations, FindIsARel), all bound to that transaction
-// and therefore seeing its own writes in lock mode and under MVCC — and
+// and therefore seeing its own writes, which no reader outside the batch
+// sees before the commit — and
 // commits when the caller returns nil: one commit, on a durable database
 // one log record and one fsync, however many statements ran. Any error
 // rolls everything back, AUTOINCREMENT counters included. importer.Import

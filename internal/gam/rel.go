@@ -126,9 +126,9 @@ func collectAssociations(q querier, rel SourceRelID) ([]Assoc, error) {
 }
 
 // AssociationsEach streams every association of a mapping through fn in
-// storage order, without materializing the association list. fn runs
-// under the engine's read lock (the rows are one consistent snapshot);
-// it must not write to the repository or issue further queries.
+// storage order, without materializing the association list. The rows are
+// one consistent snapshot; fn must not write to the repository or issue
+// further queries.
 func (r *Repo) AssociationsEach(rel SourceRelID, fn func(Assoc) error) error {
 	return associationsEach(r.db, rel, fn)
 }

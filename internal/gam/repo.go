@@ -308,9 +308,9 @@ type querier interface {
 }
 
 // queryEach streams a SELECT's rows through fn without materializing the
-// result set, holding the engine's read lock for the whole iteration so
-// fn observes one consistent statement snapshot (a concurrent
-// ReplaceMapping can never produce a half-old/half-new row set). The row
+// result set, at one statement snapshot for the whole iteration (a
+// concurrent ReplaceMapping can never produce a half-old/half-new row
+// set). The row
 // slice passed to fn is reused between calls; fn must copy anything it
 // keeps and must not write to the database.
 func queryEach(q querier, sql string, args []any, fn func([]sqldb.Value) error) error {
@@ -450,8 +450,9 @@ func (r *Repo) LookupObject(src SourceID, accession string) (ObjectID, error) {
 // to 0. Once a source's objects are cached this takes only the cache lock
 // and returns while a write batch is running. The first lookup of a source
 // loads its objects as a (read-only) batch of its own, which waits for an
-// open batch to finish: in lock mode a read beside an open batch would
-// cache that batch's uncommitted rows.
+// open batch to finish: a map loaded at a snapshot taken before that batch
+// commits lacks the batch's objects, and must not be installed in the
+// cache after the batch has published its overlay.
 func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]ObjectID, error) {
 	r.mu.Lock()
 	if cache, cached := r.objects[src]; cached {
@@ -481,8 +482,8 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 // ObjectsScanEach streams all objects of a source in storage order (no
 // accession sort) through fn — the cheapest full pass over a source, used
 // by bulk renderers to build lookup maps. The Object passed to fn is
-// reused between calls; copy it if kept. fn runs under the engine's read
-// lock and must not write to the repository or issue further queries.
+// reused between calls; copy it if kept. The objects are one consistent
+// snapshot; fn must not write to the repository or issue further queries.
 func (r *Repo) ObjectsScanEach(src SourceID, fn func(*Object) error) error {
 	var obj Object
 	return queryEach(r.db, sqlSelectObjectsBySourceScan, []any{int64(src)}, func(row []sqldb.Value) error {
@@ -494,8 +495,8 @@ func (r *Repo) ObjectsScanEach(src SourceID, fn func(*Object) error) error {
 
 // ObjectsBySourceEach streams all objects of a source ordered by
 // accession through fn, without materializing the object list. The Object
-// passed to fn is reused between calls; copy it if kept. fn runs under
-// the engine's read lock and must not write to the repository or issue
+// passed to fn is reused between calls; copy it if kept. The objects are
+// one consistent snapshot; fn must not write to the repository or issue
 // further queries.
 func (r *Repo) ObjectsBySourceEach(src SourceID, fn func(*Object) error) error {
 	var obj Object

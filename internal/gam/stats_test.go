@@ -49,7 +49,7 @@ func relAssocs(ids1, ids2 []ObjectID, n int, ev float64) []Assoc {
 // The maintained counters equal the SQL recount after every kind of write,
 // after failed batches, and after Reload over a restored database.
 func TestStatsMatchRecount(t *testing.T) {
-	eachMode(t, func(t *testing.T, r *Repo) {
+	plainAndPinned(t, func(t *testing.T, r *Repo) {
 		checkStats(t, r) // empty schema: ByType is empty, not nil
 
 		a, _, _ := r.EnsureSource(Source{Name: "b-second", Content: ContentGene})
@@ -153,11 +153,10 @@ func TestStatsAndSourcesAreCopies(t *testing.T) {
 	checkStats(t, r)
 }
 
-// Readers running beside MVCC and lock-mode writers see only committed
-// states: every component of an observed Stats belongs to a state some
+// Readers running beside writers see only committed states: every component of an observed Stats belongs to a state some
 // commit produced, and Associations is the sum over ByType.
 func TestStatsConcurrentWithWriters(t *testing.T) {
-	eachMode(t, func(t *testing.T, r *Repo) {
+	plainAndPinned(t, func(t *testing.T, r *Repo) {
 		const imports, pairs, replaces, readers = 12, 5, 40, 3
 		hub, _, _ := r.EnsureSource(Source{Name: "Hub"})
 		spoke, _, _ := r.EnsureSource(Source{Name: "Spoke"})

@@ -34,7 +34,7 @@ func taxonomyDataset(cyclic bool) *eav.Dataset {
 // (importStructure's own "references missing object" failure cannot be
 // provoked from a valid dataset: importOwnObjects creates every structural
 // endpoint. The cyclic IS_A graph fails one phase later still.)
-func TestFailedImportLeavesNothing(t *testing.T) { eachMode(t, testFailedImportLeavesNothing) }
+func TestFailedImportLeavesNothing(t *testing.T) { plainAndPinned(t, testFailedImportLeavesNothing) }
 
 func testFailedImportLeavesNothing(t *testing.T, repo *gam.Repo) {
 	if _, err := Import(repo, table1Dataset(), Options{}); err != nil {
@@ -106,7 +106,9 @@ func testFailedImportLeavesNothing(t *testing.T, repo *gam.Repo) {
 
 // A Subsumed refresh that fails after the old mapping was deleted keeps
 // the old mapping, ID and rows: delete, re-create and insert are one batch.
-func TestDeriveSubsumedRefreshIsAtomic(t *testing.T) { eachMode(t, testDeriveSubsumedRefreshIsAtomic) }
+func TestDeriveSubsumedRefreshIsAtomic(t *testing.T) {
+	plainAndPinned(t, testDeriveSubsumedRefreshIsAtomic)
+}
 
 func testDeriveSubsumedRefreshIsAtomic(t *testing.T, repo *gam.Repo) {
 	if _, err := Import(repo, taxonomyDataset(false), Options{DeriveSubsumed: true}); err != nil {

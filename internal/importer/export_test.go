@@ -38,7 +38,7 @@ func recordSet(d *eav.Dataset) []string {
 	return out
 }
 
-func TestExportRoundTrip(t *testing.T) { eachMode(t, testExportRoundTrip) }
+func TestExportRoundTrip(t *testing.T) { plainAndPinned(t, testExportRoundTrip) }
 
 func testExportRoundTrip(t *testing.T, repo *gam.Repo) {
 	orig := eav.NewDataset(eav.SourceInfo{Name: "LocusLink", Content: "gene", Release: "r1", Date: "d1"})
@@ -90,7 +90,7 @@ func testExportRoundTrip(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestExportStructure(t *testing.T) { eachMode(t, testExportStructure) }
+func TestExportStructure(t *testing.T) { plainAndPinned(t, testExportStructure) }
 
 func testExportStructure(t *testing.T, repo *gam.Repo) {
 	orig := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
@@ -126,7 +126,7 @@ func testExportStructure(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestExportUnknownSource(t *testing.T) { eachMode(t, testExportUnknownSource) }
+func TestExportUnknownSource(t *testing.T) { plainAndPinned(t, testExportUnknownSource) }
 
 func testExportUnknownSource(t *testing.T, repo *gam.Repo) {
 	if _, err := Export(repo, 12345); err == nil {
@@ -137,7 +137,7 @@ func testExportUnknownSource(t *testing.T, repo *gam.Repo) {
 // TestExportImportRoundTripProperty runs the round-trip over generated
 // universe sources with diverse shapes.
 func TestExportImportRoundTripProperty(t *testing.T) {
-	eachMode(t, testExportImportRoundTripProperty)
+	plainAndPinned(t, testExportImportRoundTripProperty)
 }
 
 func testExportImportRoundTripProperty(t *testing.T, repo *gam.Repo) {

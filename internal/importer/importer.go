@@ -12,8 +12,8 @@
 //
 // One Import call is one gam batch: one database transaction, on a durable
 // database one log record behind one fsync. A dataset that fails anywhere
-// (a malformed NUMBER value, a cyclic IS_A graph, a write conflict under
-// MVCC) and an import cut short by a crash leave nothing behind —
+// (a malformed NUMBER value, a cyclic IS_A graph, a write conflict) and an
+// import cut short by a crash leave nothing behind —
 // no source, object, mapping, cache entry or burnt ID.
 package importer
 

@@ -12,23 +12,38 @@ import (
 	"genmapper/internal/sqldb"
 )
 
-// eachMode runs a test on a fresh repository in lock mode and under MVCC:
-// an import reads back what it just wrote (duplicate elimination, the IS_A
-// rows under DeriveSubsumed), which only works under MVCC when those reads
-// go through the import's own transaction. Afterwards the repository's
-// maintained Stats must equal the recount (checkStats).
-func eachMode(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
+// plainAndPinned runs a test on a fresh repository twice — plainly ("lock") and
+// beside a reader whose snapshot predates the import ("mvcc"), so every
+// superseded version stays in storage (the leg names predate this axis
+// and are kept so test names stay stable). An import reads back what it
+// just wrote (duplicate elimination, the IS_A rows under DeriveSubsumed)
+// through its own transaction; the reader must still see nothing of it.
+// Afterwards the repository's maintained Stats must equal the recount
+// (checkStats).
+func plainAndPinned(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
 	for _, mode := range []struct {
-		name string
-		mvcc bool
+		name   string
+		pinned bool
 	}{{"lock", false}, {"mvcc", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			db := sqldb.NewDB()
-			db.SetMVCC(mode.mvcc)
 			t.Cleanup(func() { db.Close() })
 			repo, err := gam.Open(db)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if mode.pinned {
+				reader := db.Begin()
+				defer reader.Rollback()
+				defer func() {
+					rs, err := reader.Query("SELECT COUNT(*) FROM object")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n := rs.Rows[0][0]; n != int64(0) {
+						t.Fatalf("a snapshot older than the import sees %v objects", n)
+					}
+				}()
 			}
 			test(t, repo)
 			checkStats(t, repo)
@@ -63,7 +78,7 @@ func table1Dataset() *eav.Dataset {
 	return d
 }
 
-func TestImportTable1(t *testing.T) { eachMode(t, testImportTable1) }
+func TestImportTable1(t *testing.T) { plainAndPinned(t, testImportTable1) }
 
 func testImportTable1(t *testing.T, repo *gam.Repo) {
 	st, err := Import(repo, table1Dataset(), Options{})
@@ -96,7 +111,7 @@ func testImportTable1(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestReImportIsIdempotent(t *testing.T) { eachMode(t, testReImportIsIdempotent) }
+func TestReImportIsIdempotent(t *testing.T) { plainAndPinned(t, testReImportIsIdempotent) }
 
 func testReImportIsIdempotent(t *testing.T, repo *gam.Repo) {
 	if _, err := Import(repo, table1Dataset(), Options{}); err != nil {
@@ -122,7 +137,7 @@ func testReImportIsIdempotent(t *testing.T, repo *gam.Repo) {
 }
 
 func TestIncrementalImportRelatesToExisting(t *testing.T) {
-	eachMode(t, testIncrementalImportRelatesToExisting)
+	plainAndPinned(t, testIncrementalImportRelatesToExisting)
 }
 
 func testIncrementalImportRelatesToExisting(t *testing.T, repo *gam.Repo) {
@@ -162,7 +177,7 @@ func testIncrementalImportRelatesToExisting(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestTextBackFill(t *testing.T) { eachMode(t, testTextBackFill) }
+func TestTextBackFill(t *testing.T) { plainAndPinned(t, testTextBackFill) }
 
 func testTextBackFill(t *testing.T, repo *gam.Repo) {
 	// LocusLink references GO terms before GO itself is imported; the
@@ -198,7 +213,9 @@ func testTextBackFill(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestImportStructuralRelationships(t *testing.T) { eachMode(t, testImportStructuralRelationships) }
+func TestImportStructuralRelationships(t *testing.T) {
+	plainAndPinned(t, testImportStructuralRelationships)
+}
 
 func testImportStructuralRelationships(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
@@ -237,7 +254,7 @@ func testImportStructuralRelationships(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestDeriveSubsumed(t *testing.T) { eachMode(t, testDeriveSubsumed) }
+func TestDeriveSubsumed(t *testing.T) { plainAndPinned(t, testDeriveSubsumed) }
 
 func testDeriveSubsumed(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "GO", Structure: "network"})
@@ -272,7 +289,7 @@ func testDeriveSubsumed(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestDeriveSubsumedFlatSource(t *testing.T) { eachMode(t, testDeriveSubsumedFlatSource) }
+func TestDeriveSubsumedFlatSource(t *testing.T) { plainAndPinned(t, testDeriveSubsumedFlatSource) }
 
 func testDeriveSubsumedFlatSource(t *testing.T, repo *gam.Repo) {
 	if _, err := Import(repo, table1Dataset(), Options{}); err != nil {
@@ -288,7 +305,7 @@ func testDeriveSubsumedFlatSource(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestDeriveSubsumedRejectsCycle(t *testing.T) { eachMode(t, testDeriveSubsumedRejectsCycle) }
+func TestDeriveSubsumedRejectsCycle(t *testing.T) { plainAndPinned(t, testDeriveSubsumedRejectsCycle) }
 
 func testDeriveSubsumedRejectsCycle(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "Broken", Structure: "network"})
@@ -299,7 +316,7 @@ func testDeriveSubsumedRejectsCycle(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestSimilarityMappings(t *testing.T) { eachMode(t, testSimilarityMappings) }
+func TestSimilarityMappings(t *testing.T) { plainAndPinned(t, testSimilarityMappings) }
 
 func testSimilarityMappings(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "NetAffx-HG-U95A", Content: "gene"})
@@ -332,7 +349,7 @@ func testSimilarityMappings(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestContentHints(t *testing.T) { eachMode(t, testContentHints) }
+func TestContentHints(t *testing.T) { plainAndPinned(t, testContentHints) }
 
 func testContentHints(t *testing.T, repo *gam.Repo) {
 	st, err := Import(repo, table1Dataset(), Options{
@@ -350,7 +367,7 @@ func testContentHints(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestImportNumberRecords(t *testing.T) { eachMode(t, testImportNumberRecords) }
+func TestImportNumberRecords(t *testing.T) { plainAndPinned(t, testImportNumberRecords) }
 
 func testImportNumberRecords(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{Name: "Scores"})
@@ -371,7 +388,7 @@ func testImportNumberRecords(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestImportInvalidDataset(t *testing.T) { eachMode(t, testImportInvalidDataset) }
+func TestImportInvalidDataset(t *testing.T) { plainAndPinned(t, testImportInvalidDataset) }
 
 func testImportInvalidDataset(t *testing.T, repo *gam.Repo) {
 	d := eav.NewDataset(eav.SourceInfo{}) // missing name
@@ -380,7 +397,7 @@ func testImportInvalidDataset(t *testing.T, repo *gam.Repo) {
 	}
 }
 
-func TestImportFile(t *testing.T) { eachMode(t, testImportFile) }
+func TestImportFile(t *testing.T) { plainAndPinned(t, testImportFile) }
 
 func testImportFile(t *testing.T, repo *gam.Repo) {
 	dir := t.TempDir()

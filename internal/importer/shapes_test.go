@@ -13,7 +13,7 @@ import (
 // text to the engine's cache (the 18 ladder texts stay the only bulk
 // INSERTs in it), and one more source on the warm repository is imported
 // without a single statement-cache miss, i.e. without parsing anything.
-func TestInsertShapesAreBounded(t *testing.T) { eachMode(t, testInsertShapesAreBounded) }
+func TestInsertShapesAreBounded(t *testing.T) { plainAndPinned(t, testInsertShapesAreBounded) }
 
 func testInsertShapesAreBounded(t *testing.T, repo *gam.Repo) {
 	uni := gen.NewUniverse(gen.Config{Seed: 3, Scale: 0.002})

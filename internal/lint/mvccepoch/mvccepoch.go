@@ -9,13 +9,15 @@
 //     anywhere else can make versions visible whose beg stamps a reader
 //     has not been guaranteed to observe.
 //  2. rowVersion.beg may only be stored with the result of
-//     writeCtx.stamp() (version installation: provisional or lock-mode
-//     committed) or inside publishCommit (commit-epoch stamping). Any
-//     other store forges a visibility stamp outside the audited sites.
+//     writeCtx.stamp() (provisional version installation) or inside
+//     publishCommit (commit-epoch stamping). Any other store forges a
+//     visibility stamp outside the audited sites.
 //  3. A call to DB.publishCommit must be lexically preceded by a WAL
 //     append (durability.logCommit, WAL.Append, or buffering into
 //     Tx.logged) in the same function. Publishing first would let a
-//     snapshot reader observe a commit a crash could erase.
+//     snapshot reader observe a commit a crash could erase. Recovery
+//     replay (replayPublishers) is the one exemption: it publishes
+//     records it has just read from the log.
 //  4. DB.publishCommit may only be called from the audited committer
 //     functions (publishCallers). Since per-partition latching, epoch
 //     advances are serialized by holding either the database exclusively
@@ -58,14 +60,22 @@ var logCalls = map[string]bool{
 }
 
 // publishCallers are the audited commit paths: the only functions that
-// may call publishCommit. execPrepared and Tx.Commit hold the database
-// exclusively; commitConcurrent and execLatchedOnce hold db.mu shared
-// plus db.commitMu (the latched-writer serialization point).
+// may call publishCommit. execPrepared, Tx.Commit and applyRecord hold
+// the database exclusively; commitConcurrent and execLatchedOnce hold
+// db.mu shared plus db.commitMu (the latched-writer serialization point).
 var publishCallers = map[string]bool{
 	"execPrepared":     true,
 	"Commit":           true,
 	"commitConcurrent": true,
 	"execLatchedOnce":  true,
+	"applyRecord":      true,
+}
+
+// replayPublishers publish commits that are already in the log: recovery
+// replays each record it reads through the live write path, so there is
+// no append to precede the publication.
+var replayPublishers = map[string]bool{
+	"applyRecord": true,
 }
 
 // mutators are the sync/atomic methods that write.
@@ -122,7 +132,7 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 	})
 
 	for _, p := range publishes {
-		if firstLog == token.NoPos || p.Pos() < firstLog {
+		if !replayPublishers[fnName] && (firstLog == token.NoPos || p.Pos() < firstLog) {
 			pass.Reportf(p.Pos(), "publishCommit before any WAL append in this function; commit epochs may only become visible after the commit record is logged")
 		}
 		if pass.Pkg.Path() == sqldbPath && !publishCallers[fnName] {

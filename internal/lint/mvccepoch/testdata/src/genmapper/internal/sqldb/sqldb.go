@@ -13,16 +13,10 @@ type rowVersion struct {
 }
 
 type writeCtx struct {
-	mvcc bool
-	tx   uint64
+	tx uint64
 }
 
-func (w *writeCtx) stamp() uint64 {
-	if w.mvcc {
-		return 1<<63 | w.tx
-	}
-	return 0
-}
+func (w *writeCtx) stamp() uint64 { return 1<<63 | w.tx }
 
 type logStmt struct{ sql string }
 

@@ -296,8 +296,8 @@ func TestAPIEndpoints(t *testing.T) {
 	if !ok {
 		t.Fatalf("stats missing sql_mvcc block: %v", stats)
 	}
-	if _, ok := mvcc["enabled"].(bool); !ok {
-		t.Errorf("sql_mvcc missing %q: %v", "enabled", mvcc)
+	if _, ok := mvcc["enabled"]; ok {
+		t.Errorf("sql_mvcc still reports %q: snapshot isolation is the only mode: %v", "enabled", mvcc)
 	}
 	for _, k := range []string{"epoch", "active_snapshots", "commits", "aborts", "conflicts", "vacuum_runs", "versions_vacuumed", "latch_waits", "background_vacuums", "snapshots_aborted"} {
 		if _, ok := mvcc[k].(float64); !ok {

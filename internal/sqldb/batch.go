@@ -287,13 +287,10 @@ type batchSource interface {
 // serialBatchScan is the single-goroutine batch producer: it refills one
 // colbatch per call from the global sorted row-ID slice and runs the
 // filter kernels over it, so the per-row cost is a map load plus a typed
-// comparison instead of a full expression-tree walk. In lock mode the
-// caller holds db.mu (shared) across each next() call — dbCursor takes it
-// per step, QueryEach for the whole drain — which is what makes the
-// lock-free row reads safe: all storage mutations hold db.mu exclusively.
-// Under MVCC no database lock is held; each row resolves through
-// Table.get, which takes the partition read lock around the map access
-// and picks the version visible at the execution's snapshot.
+// comparison instead of a full expression-tree walk. No database lock is
+// held; each row resolves through Table.get, which takes the partition
+// read lock around the map access and picks the version visible at the
+// execution's snapshot.
 type serialBatchScan struct {
 	t      *Table
 	vis    visibility
@@ -425,11 +422,10 @@ func filterBatch(f *boundFilter, b *colbatch) ([]int64, [][]Value, error) {
 
 // newBatchScanExchange starts the partition exchange: workers ship batches
 // of kernel-filtered (id, row) pairs — original row references — and the
-// consumer's batch-to-row adapter applies the projection. In lock mode the
-// caller holds db.mu (shared or exclusive); workers capture the partition
-// set and schema generation before it is released and synchronize only on
-// partition locks afterwards. Under MVCC no database lock is held and
-// workers resolve rows at the execution's snapshot.
+// consumer's batch-to-row adapter applies the projection. No database lock
+// is held: workers capture the partition set and schema generation at
+// start, synchronize only on partition locks, and resolve rows at the
+// execution's snapshot.
 func newBatchScanExchange(ex *selectExec, bs *boundScan) *parallelScan {
 	rel := ex.p.rels[0]
 	parts := rel.table.partList()

@@ -734,10 +734,8 @@ func (ex *selectExec) batchAggBinding() *boundAgg {
 // typed per-column loops into partial groups, which merge through
 // aggAcc.merge in partition order (deterministic float accumulation), with
 // first-seen output order re-derived from the smallest contributing row
-// ID. In lock mode the caller holds db.mu for the whole operation (grouped
-// execution is a pipeline breaker), so partitions are read without
-// locking; under MVCC each batch is materialized under the partition read
-// lock and the kernels run outside it. With more than one partition the
+// ID. Each batch is materialized under the partition read lock and the
+// kernels run outside it. With more than one partition the
 // partitions run on worker goroutines, one each — the merged result is
 // identical to a single-partition run.
 func (ex *selectExec) batchGroups(ba *boundAgg) (map[string]*groupState, []string, error) {
@@ -815,9 +813,7 @@ func batchGroupPartition(p *selectPlan, sh *batchShape, bf *boundFilter, t *Tabl
 	pos := 0
 	for pos < len(view) {
 		b.reset()
-		if vis.lockPart {
-			part.mu.RLock()
-		}
+		part.mu.RLock()
 		for pos < len(view) && b.n < rowsPer {
 			id := view[pos]
 			pos++
@@ -827,9 +823,7 @@ func batchGroupPartition(p *selectPlan, sh *batchShape, bf *boundFilter, t *Tabl
 			}
 			b.add(id, row)
 		}
-		if vis.lockPart {
-			part.mu.RUnlock()
-		}
+		part.mu.RUnlock()
 		if b.n == 0 {
 			continue
 		}

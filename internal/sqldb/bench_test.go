@@ -59,7 +59,7 @@ func BenchmarkInsertSingleRow(b *testing.B) {
 // BenchmarkInsertBatch200 is one 200-row INSERT per op: into a table with
 // only its primary key, and into the OBJECT_REL shape bulk imports write
 // (AUTOINCREMENT key plus three secondary hash indexes, source_rel_id
-// constant across the statement) in lock mode and under MVCC.
+// constant across the statement).
 func BenchmarkInsertBatch200(b *testing.B) {
 	b.Run("PKOnly", func(b *testing.B) {
 		db := NewDB()
@@ -72,27 +72,20 @@ func BenchmarkInsertBatch200(b *testing.B) {
 		}
 		benchInsert200(b, db, "INSERT INTO t (v) VALUES (?)", args)
 	})
-	for _, mvcc := range []bool{false, true} {
-		name := "ObjectRel"
-		if mvcc {
-			name += "MVCC"
+	b.Run("ObjectRel", func(b *testing.B) {
+		db := NewDB()
+		defer db.Close()
+		for _, ddl := range objectRelDDL[:4] {
+			if _, err := db.Exec(ddl); err != nil {
+				b.Fatal(err)
+			}
 		}
-		b.Run(name, func(b *testing.B) {
-			db := NewDB()
-			defer db.Close()
-			db.SetMVCC(mvcc)
-			for _, ddl := range objectRelDDL[:4] {
-				if _, err := db.Exec(ddl); err != nil {
-					b.Fatal(err)
-				}
-			}
-			args := make([]any, 0, 800)
-			for i := 0; i < 200; i++ {
-				args = append(args, 7, 100+i/3, 1000+i, 0.5)
-			}
-			benchInsert200(b, db, "INSERT INTO object_rel (source_rel_id, object1_id, object2_id, evidence) VALUES (?, ?, ?, ?)", args)
-		})
-	}
+		args := make([]any, 0, 800)
+		for i := 0; i < 200; i++ {
+			args = append(args, 7, 100+i/3, 1000+i, 0.5)
+		}
+		benchInsert200(b, db, "INSERT INTO object_rel (source_rel_id, object1_id, object2_id, evidence) VALUES (?, ?, ?, ?)", args)
+	})
 }
 
 // benchInsert200 times the one-row INSERT text widened to 200 value groups.

@@ -23,16 +23,12 @@ import (
 // Next; a nil row with a nil error marks exhaustion. Close releases the
 // cursor's resources and is idempotent.
 //
-// Cursors do not pin the database: in lock mode each Next acquires the
-// read lock for just that step, so writers make progress while a large
-// result streams out and row reads are read-committed — concurrent
-// INSERT/UPDATE/DELETE may or may not be observed by the remaining rows.
-// Under MVCC the cursor instead pins a snapshot epoch at open: Next takes
-// no database lock at all and every row reflects exactly that snapshot;
-// the snapshot is released at Close (or exhaustion), unblocking vacuum.
-// In both modes any schema change (DDL, snapshot restore, repartitioning or
-// MVCC-mode toggle) invalidates the cursor: Next then fails with
-// ErrCursorInvalidated.
+// Cursors do not lock the database: a cursor pins a snapshot epoch at
+// open, Next takes no database lock at all, and every row reflects exactly
+// that snapshot, so writers make progress while a large result streams
+// out. The snapshot is released at Close (or exhaustion), unblocking
+// vacuum. Any schema change (DDL, snapshot restore or repartitioning)
+// invalidates the cursor: Next then fails with ErrCursorInvalidated.
 //
 // The slice returned by Next is reused between calls; copy the values you
 // need before calling Next again. A Cursor must not be used from multiple
@@ -66,42 +62,29 @@ func (db *DB) QueryCursor(sql string, args ...any) (Cursor, error) {
 
 // QueryEach executes a SELECT and streams its rows through fn under a
 // single consistent statement snapshot (like Query) without materializing
-// a result set (like QueryCursor). In lock mode the database read lock is
-// held for the whole iteration, so fn must not write to this database —
-// the held read lock would deadlock the write; under MVCC the iteration
-// holds a snapshot epoch instead of any lock. The row slice passed to fn
-// is reused between calls; fn must copy anything it keeps. A non-nil
-// error from fn stops the iteration and is returned.
+// a result set (like QueryCursor). The iteration holds a snapshot epoch,
+// not a database lock. The row slice passed to fn is reused between calls;
+// fn must copy anything it keeps. A non-nil error from fn stops the
+// iteration and is returned.
 func (db *DB) QueryEach(sql string, fn func(row []Value) error, args ...any) error {
 	return db.stmts.get(db, sql).QueryEach(fn, args...)
 }
 
 // QueryEach executes the prepared statement as a SELECT, streaming rows
-// to fn under one read lock. See DB.QueryEach.
+// to fn under one snapshot. See DB.QueryEach.
 func (s *Stmt) QueryEach(fn func(row []Value) error, args ...any) error {
 	vals, err := normalizeArgs(args)
 	if err != nil {
 		return err
 	}
 	db := s.db
-	if !db.mvcc.Load() {
-		db.mu.RLock()
-		if !db.mvcc.Load() {
-			// Shared lock pins the mode: raw lock-mode reads are safe.
-			defer db.mu.RUnlock()
-			return s.eachVis(fn, vals, visLatest)
-		}
-		// Mode flipped to MVCC between check and lock — latched writers
-		// may be running, so take the MVCC path (see Stmt.Query).
-		db.mu.RUnlock()
-	}
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
 	return s.eachVis(fn, vals, visibility{snap: snap, lockPart: true})
 }
 
-// eachVis runs the QueryEach drain pinned to vis; the caller provides the
-// synchronization (read lock in lock mode, registered snapshot under MVCC).
+// eachVis runs the QueryEach drain pinned to vis; the caller owns the
+// snapshot registration.
 func (s *Stmt) eachVis(fn func(row []Value) error, vals []Value, vis visibility) error {
 	db := s.db
 	p, err := s.ensure(db)
@@ -140,19 +123,6 @@ func (s *Stmt) QueryCursor(args ...any) (Cursor, error) {
 		return nil, err
 	}
 	db := s.db
-	if !db.mvcc.Load() {
-		db.mu.RLock()
-		if !db.mvcc.Load() {
-			// Shared lock pins the mode: the lock-mode build is safe, and
-			// dbCursor.Next re-checks the schema generation under the lock
-			// on every step, so a later flip invalidates before any raw read.
-			defer db.mu.RUnlock()
-			return s.cursorVis(vals, visLatest)
-		}
-		// Mode flipped to MVCC between check and lock — latched writers
-		// may be running, so build an MVCC cursor (see Stmt.Query).
-		db.mu.RUnlock()
-	}
 	snap := db.snaps.acquire(db)
 	c, err := s.cursorVis(vals, visibility{snap: snap, lockPart: true})
 	if err != nil {
@@ -163,9 +133,8 @@ func (s *Stmt) QueryCursor(args ...any) (Cursor, error) {
 	return c, nil
 }
 
-// cursorVis builds the public cursor handle pinned to vis. The caller
-// provides the synchronization for the build itself (read lock in lock
-// mode; under MVCC planning is lock-free).
+// cursorVis builds the public cursor handle pinned to vis (planning is
+// lock-free).
 func (s *Stmt) cursorVis(vals []Value, vis visibility) (*dbCursor, error) {
 	db := s.db
 	p, err := s.ensure(db)
@@ -179,7 +148,7 @@ func (s *Stmt) cursorVis(vals []Value, vis visibility) (*dbCursor, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &dbCursor{db: db, static: rs, cols: rs.Columns, gen: db.gen.Load(), mvcc: vis.lockPart, snap: vis.snap}, nil
+		return &dbCursor{db: db, static: rs, cols: rs.Columns, gen: db.gen.Load(), snap: vis.snap}, nil
 	}
 	if p.sel == nil {
 		return nil, fmt.Errorf("sqldb: QueryCursor requires a SELECT statement")
@@ -192,54 +161,45 @@ func (s *Stmt) cursorVis(vals []Value, vis visibility) (*dbCursor, error) {
 		inner: newSelectCursor(db, p.sel, vals, true, vis),
 		cols:  p.sel.projNames,
 		gen:   db.gen.Load(),
-		mvcc:  vis.lockPart,
 		snap:  vis.snap,
 	}, nil
 }
 
 // QueryCursor runs a streaming SELECT inside the transaction, observing
-// its own (uncommitted) writes like Tx.Query does. Under MVCC the cursor
-// reads at the transaction's snapshot (which the transaction owns — the
-// cursor does not release it) and sees the transaction's provisional
-// versions.
+// its own (uncommitted) writes like Tx.Query does: the cursor reads at the
+// transaction's snapshot (which the transaction owns — the cursor does not
+// release it) and sees the transaction's provisional versions.
 func (tx *Tx) QueryCursor(sql string, args ...any) (Cursor, error) {
 	if tx.done {
 		return nil, fmt.Errorf("sqldb: transaction already finished")
 	}
-	if tx.mvcc {
-		vals, err := normalizeArgs(args)
-		if err != nil {
-			return nil, err
-		}
-		return tx.db.stmts.get(tx.db, sql).cursorVis(vals, visibility{snap: tx.snap, tx: tx.id, lockPart: true})
+	vals, err := normalizeArgs(args)
+	if err != nil {
+		return nil, err
 	}
-	return tx.db.QueryCursor(sql, args...)
+	return tx.db.stmts.get(tx.db, sql).cursorVis(vals, tx.vis())
 }
 
 // QueryEach streams a SELECT's rows through fn inside the transaction,
 // with Tx.Query's visibility (the transaction's own writes included) and
-// DB.QueryEach's contract: one statement snapshot, a reused row slice, and
-// in lock mode a read lock held for the iteration, so fn must not write.
+// DB.QueryEach's contract: one statement snapshot and a reused row slice.
 func (tx *Tx) QueryEach(sql string, fn func(row []Value) error, args ...any) error {
 	if tx.done {
 		return fmt.Errorf("sqldb: transaction already finished")
 	}
-	if tx.mvcc {
-		if tx.db.snapRevoked(tx.snap) {
-			return ErrSnapshotTooOld
-		}
-		vals, err := normalizeArgs(args)
-		if err != nil {
-			return err
-		}
-		return tx.db.stmts.get(tx.db, sql).eachVis(fn, vals, visibility{snap: tx.snap, tx: tx.id, lockPart: true})
+	if tx.db.snapRevoked(tx.snap) {
+		return ErrSnapshotTooOld
 	}
-	return tx.db.QueryEach(sql, fn, args...)
+	vals, err := normalizeArgs(args)
+	if err != nil {
+		return err
+	}
+	return tx.db.stmts.get(tx.db, sql).eachVis(fn, vals, tx.vis())
 }
 
 // dbCursor is the public cursor handle: it wraps the lock-free engine
-// cursor with schema-generation validation plus, in lock mode, per-step
-// read locking, or, under MVCC, the pinned snapshot's lifetime.
+// cursor with schema-generation validation and the pinned snapshot's
+// lifetime.
 type dbCursor struct {
 	db     *DB
 	inner  *selectCursor
@@ -247,8 +207,7 @@ type dbCursor struct {
 	gen    uint64
 	closed bool
 
-	mvcc    bool   // MVCC read: skip per-step locking
-	snap    uint64 // pinned snapshot epoch (MVCC)
+	snap    uint64 // pinned snapshot epoch
 	ownSnap bool   // this cursor registered snap and must release it
 
 	// static serves pre-materialized rows (EXPLAIN) with no engine cursor;
@@ -284,31 +243,23 @@ func (c *dbCursor) Next() ([]Value, error) {
 		return row, nil
 	}
 	db := c.db
-	if c.mvcc {
-		if db.gen.Load() != c.gen {
-			c.releaseSnap()
-			return nil, ErrCursorInvalidated
-		}
-		if db.snapRevoked(c.snap) {
-			// The retention budget revoked this cursor's snapshot: the
-			// versions it reads may be vacuumed at any moment.
-			c.releaseSnap()
-			return nil, ErrSnapshotTooOld
-		}
-		row, err := c.inner.step()
-		if row == nil {
-			// Terminal (exhaustion or error): stop pinning the vacuum
-			// horizon even if the caller forgets to Close.
-			c.releaseSnap()
-		}
-		return row, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	if db.gen.Load() != c.gen {
+		c.releaseSnap()
 		return nil, ErrCursorInvalidated
 	}
-	return c.inner.step()
+	if db.snapRevoked(c.snap) {
+		// The retention budget revoked this cursor's snapshot: the
+		// versions it reads may be vacuumed at any moment.
+		c.releaseSnap()
+		return nil, ErrSnapshotTooOld
+	}
+	row, err := c.inner.step()
+	if row == nil {
+		// Terminal (exhaustion or error): stop pinning the vacuum horizon
+		// even if the caller forgets to Close.
+		c.releaseSnap()
+	}
+	return row, err
 }
 
 // Close releases the cursor's buffered state, cancels any exchange workers
@@ -329,9 +280,9 @@ func (c *dbCursor) Close() error {
 // ---------------------------------------------------------------------------
 // Engine cursor
 
-// selectCursor executes one SELECT as a pull pipeline. It takes no locks
-// itself: the materializing drain runs entirely under the caller's read
-// lock, and dbCursor re-acquires the lock around every step.
+// selectCursor executes one SELECT as a pull pipeline at its execution's
+// snapshot. It takes no database lock: row access synchronizes on the
+// partition read locks alone.
 type selectCursor struct {
 	ex *selectExec
 	// reuseRow makes step return one shared output buffer (the streaming
@@ -783,7 +734,7 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 // re-loads (re-synchronizing via binary search) whenever the table's
 // mutation counter moves, so an open cursor survives concurrent inserts,
 // deletes and ID-slice compaction without snapshotting anything. Row
-// visibility comes from the execution's snapshot, so under MVCC a reload
+// visibility comes from the execution's snapshot, so a reload
 // never changes which rows the cursor observes.
 type scanProducer struct {
 	rel    relBinding
@@ -876,7 +827,7 @@ type orderedProducer struct {
 	nullPos   int
 
 	chunk     []int64
-	chunkKeys []Value // entry key per chunk ID (MVCC stale-entry check)
+	chunkKeys []Value // entry key per chunk ID (stale-entry check)
 	runStarts []int   // chunk offsets where a new key run begins (desc only)
 	chunkPos  int
 	chunkSize int
@@ -917,28 +868,19 @@ func newOrderedProducer(ex *selectExec, rel relBinding) (*orderedProducer, error
 func (p *orderedProducer) next(ex *selectExec) (bool, error) {
 	t := p.rel.table
 	col := p.a.idx.Col
-	// Under MVCC, index entries are maintained lazily (vacuum removes
-	// postings whose key no longer appears in the row's version chain), so
-	// an entry's key can be stale for the version visible at this snapshot.
-	// Emitting such an entry would place the row at the wrong position of
-	// the key order (or emit it twice); require the visible row to still
-	// carry the entry's key. Lock mode maintains entries eagerly 1:1, so
-	// the check is skipped there.
-	checkKey := ex.vis.lockPart
+	// Index entries are maintained lazily (vacuum removes postings whose
+	// key no longer appears in the row's version chain), so an entry's key
+	// can be stale for the version visible at this snapshot. Emitting such
+	// an entry would place the row at the wrong position of the key order
+	// (or emit it twice); require the visible row to still carry the
+	// entry's key.
 	emit := func(id int64, key Value, isNull bool) bool {
 		row := t.get(id, ex.vis)
 		if row == nil {
 			return false
 		}
-		if checkKey {
-			v := row[col]
-			if isNull {
-				if v != nil {
-					return false
-				}
-			} else if v == nil || Compare(v, key) != 0 {
-				return false
-			}
+		if v := row[col]; isNull && v != nil || !isNull && (v == nil || Compare(v, key) != 0) {
+			return false
 		}
 		ex.env.SetRow(p.rel.off, row)
 		return true
@@ -1145,7 +1087,7 @@ func (j *joinProducer) startLeft(ex *selectExec) error {
 
 // nextCandidate returns the next candidate right row, or nil when the
 // current left tuple's candidates are exhausted. Rows resolve at the
-// execution's snapshot; stale MVCC index entries resolve to a row whose
+// execution's snapshot; stale index entries resolve to a row whose
 // key no longer matches and are rejected by the ON re-check.
 func (j *joinProducer) nextCandidate(ex *selectExec) []Value {
 	if j.candRows != nil {

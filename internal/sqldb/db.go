@@ -11,19 +11,16 @@ import (
 )
 
 // DB is an embedded relational database instance. It is safe for concurrent
-// use. Two execution modes share the same versioned storage (see mvcc.go):
-// in lock mode (the default) readers take a shared lock and writers an
-// exclusive one, with transactions providing read-uncommitted isolation;
-// with SetMVCC(true) readers run lock-free against a snapshot epoch and
-// transactions get snapshot isolation with first-committer-wins conflicts.
+// use. Every DB runs under snapshot isolation (see mvcc.go): readers run
+// lock-free against a snapshot epoch, and transactions read the database
+// as of Begin plus their own writes, with first-committer-wins conflicts.
 type DB struct {
 	mu     sync.RWMutex
 	writer sync.Mutex // serializes writers and spans transactions
 
 	// tables is the copy-on-write catalog: the map value is immutable and
 	// republished whole by DDL (under writer + exclusive mu), so lock-free
-	// MVCC planning and execution can resolve tables with a single atomic
-	// load.
+	// planning and execution can resolve tables with a single atomic load.
 	tables atomic.Pointer[map[string]*Table]
 
 	// gen is the schema generation, bumped by every DDL change (and its
@@ -33,7 +30,7 @@ type DB struct {
 	// can poll it between batches.
 	gen atomic.Uint64
 	// noIndex disables index access paths in the planner (see
-	// setIndexAccess). Atomic: the MVCC planning path reads it lock-free.
+	// setIndexAccess). Atomic: planning reads it lock-free.
 	noIndex atomic.Bool
 
 	// nparts is the hash-partition count for newly created tables (0 =
@@ -43,11 +40,10 @@ type DB struct {
 	// batch is the runtime vectorized-execution hint (see batch.go).
 	batch batchSettings
 
-	// MVCC state (see mvcc.go). epoch is the commit epoch: provisional
+	// Snapshot state (see mvcc.go). epoch is the commit epoch: provisional
 	// versions become visible when publishCommit stamps them and advances
 	// it (always after the WAL append). txSeq hands out transaction IDs
 	// for provisional stamps; snaps tracks active snapshots for vacuum.
-	mvcc             atomic.Bool
 	epoch            atomic.Uint64
 	txSeq            atomic.Uint64
 	snaps            snapTracker
@@ -56,7 +52,6 @@ type DB struct {
 	mvccConflicts    atomic.Uint64
 	vacuumRuns       atomic.Uint64
 	versionsVacuumed atomic.Uint64
-	lastVacuum       atomic.Uint64 // mvccCommits value at the last background pass
 	latchWaits       atomic.Uint64
 	bgVacuums        atomic.Uint64
 	snapsAborted     atomic.Uint64
@@ -71,18 +66,11 @@ type DB struct {
 	commitMu sync.Mutex
 
 	// Background vacuum goroutine state (see mvcc.go). vacMu guards the
-	// handle and interval; the goroutine runs while MVCC is on.
+	// handle and interval; the goroutine runs while some table carries
+	// version history.
 	vacMu       sync.Mutex
 	vac         *vacuumer
 	vacInterval time.Duration
-
-	// Mode-switch gate (see SetMVCC): Begins register with the gate so a
-	// mode flip drains in-flight transactions instead of stranding their
-	// provisional versions. All four fields are guarded by switchMu.
-	switchMu   sync.Mutex
-	switchCond *sync.Cond
-	switching  bool
-	activeTx   int
 
 	// stmts caches prepared statements by SQL text so repeated Query/Exec
 	// calls parse and plan once.
@@ -147,7 +135,6 @@ type Result struct {
 // NewDB creates an empty database.
 func NewDB() *DB {
 	db := &DB{stmts: newStmtCache(DefaultStmtCacheCapacity)}
-	db.switchCond = sync.NewCond(&db.switchMu)
 	db.storeTables(make(map[string]*Table))
 	return db
 }
@@ -220,17 +207,12 @@ func (p *prepared) validateExec(vals []Value, txnControlErr string) error {
 	return p.checkArgs(vals)
 }
 
-// newWriteCtx builds the write context for one auto-commit statement:
-// under MVCC the snapshot is captured while holding the writer lock, so
-// it is the latest epoch and auto-commit writes can never conflict.
+// newWriteCtx builds the write context for one auto-commit statement or
+// replayed log record. The snapshot is captured while holding the writer
+// lock and exclusive db.mu, so it is the latest epoch and the write can
+// never conflict.
 func (db *DB) newWriteCtx() *writeCtx {
-	w := &writeCtx{}
-	if db.mvcc.Load() {
-		w.mvcc = true
-		w.tx = db.txSeq.Add(1)
-		w.snap = db.epoch.Load()
-	}
-	return w
+	return &writeCtx{tx: db.txSeq.Add(1), snap: db.epoch.Load()}
 }
 
 // execPrepared runs a non-SELECT prepared statement as one auto-commit
@@ -238,9 +220,8 @@ func (db *DB) newWriteCtx() *writeCtx {
 // database the commit record is appended (in log order, inside the
 // exclusive section) and its LSN returned; the caller waits for
 // durability after releasing the locks so concurrent committers can share
-// one fsync. Under MVCC the statement's provisional versions are
-// published — made visible to snapshot readers — only after the append
-// succeeds.
+// one fsync. The statement's provisional versions are published — made
+// visible to snapshot readers — only after the append succeeds.
 func (db *DB) execPrepared(s *Stmt, vals []Value) (Result, uint64, error) {
 	p, err := s.ensure(db)
 	if err != nil {
@@ -321,9 +302,8 @@ func (u *undoLog) rollbackTo(db *DB, mark int) {
 // rollback leaves the counters exactly where the transaction found them: a
 // rolled-back transaction consumes no IDs, which keeps a live database
 // byte-identical to one that recovers from the WAL (where rolled-back
-// transactions never appear at all). The same entry serves both modes: an
-// MVCC insert's provisional versions are simply removed outright (fresh row
-// IDs have single-version chains).
+// transactions never appear at all). The provisional versions are simply
+// removed outright: fresh row IDs have single-version chains.
 type insertUndo struct {
 	table   string
 	first   int64
@@ -340,41 +320,17 @@ func (e insertUndo) undo(db *DB) {
 	}
 }
 
-type deleteUndo struct {
-	table string
-	rowID int64
-	row   []Value
-}
-
-func (e deleteUndo) undo(db *DB) {
-	if t := db.table(e.table); t != nil {
-		t.restore(e.rowID, e.row)
-	}
-}
-
-type updateUndo struct {
-	table string
-	rowID int64
-	old   []Value
-}
-
-func (e updateUndo) undo(db *DB) {
-	if t := db.table(e.table); t != nil {
-		t.undoUpdate(e.rowID, e.old)
-	}
-}
-
-// mvccUpdateUndo unlinks the provisional version an MVCC update chained
+// updateUndo unlinks the provisional version an update chained
 // onto the row and removes exactly the index entries the update
 // introduced (unless another version of the chain still needs them).
-type mvccUpdateUndo struct {
+type updateUndo struct {
 	table string
 	rowID int64
 	ver   *rowVersion
 	added []idxKeyAdd
 }
 
-func (e mvccUpdateUndo) undo(db *DB) {
+func (e updateUndo) undo(db *DB) {
 	t := db.table(e.table)
 	if t == nil {
 		return
@@ -391,15 +347,15 @@ func (e mvccUpdateUndo) undo(db *DB) {
 	}
 }
 
-// mvccDeleteUndo unlinks the provisional deletion tombstone and restores
+// deleteUndo unlinks the provisional deletion tombstone and restores
 // the live-row count (index and ID-slice entries were never touched).
-type mvccDeleteUndo struct {
+type deleteUndo struct {
 	table string
 	rowID int64
 	ver   *rowVersion
 }
 
-func (e mvccDeleteUndo) undo(db *DB) {
+func (e deleteUndo) undo(db *DB) {
 	if t := db.table(e.table); t != nil {
 		t.unlinkVersion(e.rowID, e.ver)
 		t.live.Add(1)
@@ -462,7 +418,7 @@ func (db *DB) executeWrite(p *prepared, args []Value, undo *undoLog, w *writeCtx
 	case *CreateTableStmt:
 		return db.executeCreateTable(s, undo)
 	case *CreateIndexStmt:
-		return db.executeCreateIndex(s, undo)
+		return db.executeCreateIndex(s, undo, w)
 	case *DropTableStmt:
 		return db.executeDropTable(s, undo)
 	case *DropIndexStmt:
@@ -537,8 +493,8 @@ build:
 // collectWriteMatches returns the IDs of rows satisfying the write plan's
 // WHERE clause (nil = all), via the plan's precomputed access path. Rows
 // resolve at the writer's visibility (newest committed state plus its own
-// provisional versions); under MVCC, stale index entries awaiting vacuum
-// are filtered by re-evaluating the WHERE clause against the visible row.
+// provisional versions); stale index entries awaiting vacuum are filtered
+// by re-evaluating the WHERE clause against the visible row.
 func (db *DB) collectWriteMatches(wp *writePlan, args []Value, w *writeCtx) ([]int64, error) {
 	return db.collectMatches(wp, args, w, true)
 }
@@ -647,8 +603,6 @@ func (db *DB) applyUpdate(p *updatePlan, args []Value, undo *undoLog, w *writeCt
 		if err := t.coerceRow(next); err != nil {
 			return Result{}, err
 		}
-		oldCopy := make([]Value, len(old))
-		copy(oldCopy, old)
 		ver, added, err := t.updateRow(w, id, next)
 		if err != nil {
 			if errors.Is(err, ErrWriteConflict) {
@@ -656,11 +610,7 @@ func (db *DB) applyUpdate(p *updatePlan, args []Value, undo *undoLog, w *writeCt
 			}
 			return Result{}, err
 		}
-		if w.mvcc {
-			undo.add(mvccUpdateUndo{table: t.Name, rowID: id, ver: ver, added: added})
-		} else {
-			undo.add(updateUndo{table: t.Name, rowID: id, old: oldCopy})
-		}
+		undo.add(updateUndo{table: t.Name, rowID: id, ver: ver, added: added})
 		res.RowsAffected++
 	}
 	return res, nil
@@ -680,28 +630,18 @@ func (db *DB) applyDelete(p *deletePlan, undo *undoLog, w *writeCtx, ids []int64
 	vis := w.vis()
 	var res Result
 	for _, id := range ids {
-		row := t.get(id, vis)
-		if row == nil {
+		if t.get(id, vis) == nil {
 			continue
 		}
-		if w.mvcc {
-			ver, err := t.deleteRow(w, id)
-			if err != nil {
-				if errors.Is(err, ErrWriteConflict) {
-					db.mvccConflicts.Add(1)
-				}
-				return Result{}, err
+		ver, err := t.deleteRow(w, id)
+		if err != nil {
+			if errors.Is(err, ErrWriteConflict) {
+				db.mvccConflicts.Add(1)
 			}
-			if ver != nil {
-				undo.add(mvccDeleteUndo{table: t.Name, rowID: id, ver: ver})
-				res.RowsAffected++
-			}
-			continue
+			return Result{}, err
 		}
-		rowCopy := make([]Value, len(row))
-		copy(rowCopy, row)
-		if t.Delete(id) {
-			undo.add(deleteUndo{table: t.Name, rowID: id, row: rowCopy})
+		if ver != nil {
+			undo.add(deleteUndo{table: t.Name, rowID: id, ver: ver})
 			res.RowsAffected++
 		}
 	}
@@ -726,7 +666,7 @@ func (db *DB) executeCreateTable(st *CreateTableStmt, undo *undoLog) (Result, er
 	return Result{}, nil
 }
 
-func (db *DB) executeCreateIndex(st *CreateIndexStmt, undo *undoLog) (Result, error) {
+func (db *DB) executeCreateIndex(st *CreateIndexStmt, undo *undoLog, w *writeCtx) (Result, error) {
 	t := db.table(st.Table)
 	if t == nil {
 		return Result{}, fmt.Errorf("sqldb: no such table %q", st.Table)
@@ -734,7 +674,7 @@ func (db *DB) executeCreateIndex(st *CreateIndexStmt, undo *undoLog) (Result, er
 	if _, exists := t.indexMap()[st.Name]; exists && st.IfNotExists {
 		return Result{}, nil
 	}
-	if _, err := t.CreateIndex(st.Name, st.Column, st.Kind, st.Unique); err != nil {
+	if _, err := t.createIndex(st.Name, st.Column, st.Kind, st.Unique, w.vis()); err != nil {
 		return Result{}, err
 	}
 	db.bumpSchemaGen()
@@ -789,13 +729,11 @@ func (db *DB) executeDropIndex(st *DropIndexStmt, undo *undoLog) (Result, error)
 // ---------------------------------------------------------------------------
 // Transactions
 
-// Tx is a transaction. In lock mode it is exclusive: while open it blocks
-// all other writers and readers observe intermediate state (read
-// uncommitted). Under MVCC it gets snapshot isolation: reads observe the
+// Tx is a transaction under snapshot isolation: reads observe the
 // database as of Begin (plus its own writes), the writer lock is acquired
-// lazily at the first write statement, and writes to rows committed after
-// the snapshot fail with ErrWriteConflict (first committer wins) — roll
-// back and retry.
+// lazily at the first INSERT or DDL statement, and writes to rows committed
+// after the snapshot fail with ErrWriteConflict (first committer wins) —
+// roll back and retry.
 type Tx struct {
 	db   *DB
 	undo *undoLog
@@ -805,32 +743,23 @@ type Tx struct {
 	// recovery replays the transaction atomically or not at all.
 	logged []logStmt
 
-	// MVCC state: the Begin snapshot, the provisional-version stamp, the
-	// versions installed so far, and whether the writer lock is held yet.
-	mvcc       bool
+	// The Begin snapshot, the provisional-version stamp, the versions
+	// installed so far, and whether the writer lock is held yet.
 	id         uint64
 	snap       uint64
 	installed  []*rowVersion
 	writerHeld bool
 }
 
-// Begin opens a transaction. In lock mode it blocks until any other
-// writer finishes; under MVCC it only captures a snapshot (read-only
-// transactions never serialize). Begin registers with the mode-switch
-// gate, so it blocks while a SetMVCC drain is in progress.
+// Begin opens a transaction. It only captures a snapshot: read-only
+// transactions never serialize with anything.
 func (db *DB) Begin() *Tx {
-	db.txEnter()
-	if db.mvcc.Load() {
-		return &Tx{
-			db:   db,
-			undo: &undoLog{},
-			mvcc: true,
-			id:   db.txSeq.Add(1),
-			snap: db.snaps.acquire(db),
-		}
+	return &Tx{
+		db:   db,
+		undo: &undoLog{},
+		id:   db.txSeq.Add(1),
+		snap: db.snaps.acquire(db),
 	}
-	db.writer.Lock()
-	return &Tx{db: db, undo: &undoLog{}}
 }
 
 // Exec runs a write statement inside the transaction. Statements go through
@@ -845,62 +774,57 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 		return Result{}, err
 	}
 	db := tx.db
-	if tx.mvcc {
-		if db.snapRevoked(tx.snap) {
-			return Result{}, ErrSnapshotTooOld
-		}
-		// Preparation is lock-free under MVCC, so the statement kind is
-		// known before any lock is chosen. Eligible UPDATEs and DELETEs
-		// take the concurrent latched path: db.mu shared plus the write
-		// latches of the partitions they touch, so transactions on
-		// disjoint partitions no longer serialize on the global writer
-		// lock. Ineligible ones (see latchEligible) fall through.
-		s := db.stmts.get(db, sql)
-		p, err := s.ensure(db)
-		if err != nil {
-			return Result{}, err
-		}
-		if err := p.validateExec(vals, errTxnControlTx); err != nil {
-			return Result{}, err
-		}
-		if latchEligible(p) != nil {
-			res, handled, err := tx.execLatchedStmt(sql, s, vals)
-			if handled {
-				return res, err
-			}
-		}
-		if !tx.writerHeld {
-			// First INSERT or DDL: start serializing against the other
-			// global writers — row-ID/AUTOINCREMENT allocation must happen
-			// in WAL order (see mvcc.go). The snapshot stays at Begin —
-			// commits that landed in between are exactly what conflictCheck
-			// detects.
-			db.writer.Lock()
-			tx.writerHeld = true
-		}
+	if db.snapRevoked(tx.snap) {
+		return Result{}, ErrSnapshotTooOld
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	p, err := db.stmts.get(db, sql).ensure(db)
+	// Preparation is lock-free, so the statement kind is known before any
+	// lock is chosen. Eligible UPDATEs and DELETEs take the concurrent
+	// latched path: db.mu shared plus the write latches of the partitions
+	// they touch, so transactions on disjoint partitions do not serialize
+	// on the global writer lock. Ineligible ones (see latchEligible) fall
+	// through.
+	s := db.stmts.get(db, sql)
+	p, err := s.ensure(db)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := p.validateExec(vals, errTxnControlTx); err != nil {
 		return Result{}, err
 	}
-	w := &writeCtx{mvcc: tx.mvcc, tx: tx.id, snap: tx.snap}
+	if latchEligible(p) != nil {
+		res, handled, err := tx.execLatchedStmt(sql, s, vals)
+		if handled {
+			return res, err
+		}
+	}
+	if !tx.writerHeld {
+		// First INSERT or DDL: start serializing against the other global
+		// writers — row-ID/AUTOINCREMENT allocation must happen in WAL
+		// order (see mvcc.go). The snapshot stays at Begin — commits that
+		// landed in between are exactly what conflictCheck detects.
+		db.writer.Lock()
+		tx.writerHeld = true
+	}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	p, err = s.ensure(db)
+	if err != nil {
+		return Result{}, err
+	}
+	// The statement installs straight into the transaction's version list.
+	w := &writeCtx{tx: tx.id, snap: tx.snap, installed: tx.installed}
 	// Statements are atomic within the transaction: a failure unwinds the
 	// statement's own changes immediately (not at Rollback), so a caller
 	// that ignores the error and commits anyway commits exactly the
 	// successful statements — which is also exactly what the WAL records.
-	mark := len(tx.undo.entries)
+	mark, installedMark := len(tx.undo.entries), len(tx.installed)
 	res, err := db.executeWrite(p, vals, tx.undo, w)
 	if err != nil {
 		tx.undo.rollbackTo(db, mark)
-		db.abortProvisional(w.installed)
+		db.abortProvisional(w.installed[installedMark:])
 		return Result{}, err
 	}
-	tx.installed = append(tx.installed, w.installed...)
+	tx.installed = w.installed
 	// Statements that changed nothing (UPDATE matching no rows, CREATE
 	// TABLE IF NOT EXISTS hitting an existing table) leave no undo entries
 	// and need no log record: replaying them is a no-op by definition.
@@ -910,26 +834,26 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 	return res, nil
 }
 
-// Query runs a SELECT inside the transaction. In lock mode it observes
-// the latest state (including the transaction's own writes); under MVCC
-// it observes the Begin snapshot plus the transaction's own writes —
-// repeatable reads for everything the transaction did not touch.
+// Query runs a SELECT inside the transaction: it observes the Begin
+// snapshot plus the transaction's own writes — repeatable reads for
+// everything the transaction did not touch.
 func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 	if tx.done {
 		return nil, fmt.Errorf("sqldb: transaction already finished")
 	}
-	if tx.mvcc {
-		if tx.db.snapRevoked(tx.snap) {
-			return nil, ErrSnapshotTooOld
-		}
-		vals, err := normalizeArgs(args)
-		if err != nil {
-			return nil, err
-		}
-		vis := visibility{snap: tx.snap, tx: tx.id, lockPart: true}
-		return tx.db.stmts.get(tx.db, sql).queryVis(vals, vis)
+	if tx.db.snapRevoked(tx.snap) {
+		return nil, ErrSnapshotTooOld
 	}
-	return tx.db.Query(sql, args...)
+	vals, err := normalizeArgs(args)
+	if err != nil {
+		return nil, err
+	}
+	return tx.db.stmts.get(tx.db, sql).queryVis(vals, tx.vis())
+}
+
+// vis is the visibility the transaction reads at.
+func (tx *Tx) vis() visibility {
+	return visibility{snap: tx.snap, tx: tx.id, lockPart: true}
 }
 
 // Commit makes the transaction's changes permanent. On a durable database
@@ -937,16 +861,16 @@ func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 // holding the writer lock (log order == commit order) and then waits for
 // the record to reach stable storage per the fsync policy; the wait
 // happens after the lock is released, so concurrent committers are
-// acknowledged by a shared fsync (group commit). Under MVCC the
-// transaction's provisional versions are published — stamped with the
-// commit epoch, which is advanced last — strictly after the append, so
-// snapshot readers can never observe a commit the log does not contain.
+// acknowledged by a shared fsync (group commit). The transaction's
+// provisional versions are published — stamped with the commit epoch,
+// which is advanced last — strictly after the append, so snapshot readers
+// can never observe a commit the log does not contain.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return fmt.Errorf("sqldb: transaction already finished")
 	}
 	db := tx.db
-	if tx.mvcc && !tx.writerHeld {
+	if !tx.writerHeld {
 		return tx.commitConcurrent()
 	}
 	var lsn uint64
@@ -963,7 +887,7 @@ func (tx *Tx) Commit() error {
 			return err
 		}
 	}
-	if tx.mvcc && len(tx.installed) > 0 {
+	if len(tx.installed) > 0 {
 		db.mu.Lock()
 		db.publishCommit(tx.installed)
 		db.mu.Unlock()
@@ -975,7 +899,7 @@ func (tx *Tx) Commit() error {
 	return nil
 }
 
-// commitConcurrent commits an MVCC transaction that never took the
+// commitConcurrent commits a transaction that never took the
 // global writer lock (UPDATE/DELETE-only, the common OLTP shape): it
 // holds db.mu only SHARED and serializes with other such committers on
 // commitMu around the WAL append + epoch publication, so disjoint
@@ -1019,29 +943,24 @@ func (tx *Tx) commitConcurrent() error {
 	return nil
 }
 
-// finish releases the transaction's locks, snapshot registration, and
-// mode-switch gate entry.
+// finish releases the transaction's writer lock (if it took one) and its
+// snapshot registration.
 func (tx *Tx) finish() {
 	tx.done = true
 	tx.undo = nil
 	tx.logged = nil
 	tx.installed = nil
-	if tx.mvcc {
-		if tx.writerHeld {
-			tx.db.writer.Unlock()
-			tx.writerHeld = false
-		}
-		tx.db.snaps.release(tx.snap)
-	} else {
+	if tx.writerHeld {
 		tx.db.writer.Unlock()
+		tx.writerHeld = false
 	}
-	tx.db.txExit()
+	tx.db.snaps.release(tx.snap)
 }
 
 // Rollback reverts every change made in the transaction. Nothing reaches
 // the WAL: a rolled-back transaction (including its DDL) is invisible to
-// recovery, and under MVCC its provisional versions — never published —
-// are unlinked before the writer lock is released.
+// recovery, and its provisional versions — never published — are
+// unlinked before the writer lock is released.
 func (tx *Tx) Rollback() error {
 	if tx.done {
 		return fmt.Errorf("sqldb: transaction already finished")

@@ -16,8 +16,8 @@
 // aggAcc.merge, float sums Kahan-compensated so every leg agrees
 // bit-for-bit). Point, index and range access, joins, and expressions the
 // kernels do not cover run on the serial row cursor; a batch-to-row
-// adapter keeps the Cursor/QueryEach surface — read-committed per-step
-// visibility, DDL invalidation, LIMIT/OFFSET, early Close — identical to
+// adapter keeps the Cursor/QueryEach surface — snapshot visibility, DDL
+// invalidation, LIMIT/OFFSET, early Close — identical to
 // the row leg, which the planner-equivalence fuzz asserts byte-for-byte.
 //
 // # Invariants
@@ -41,9 +41,8 @@
 //     committers that section is commitMu under shared mu — but wait
 //     for durability after unlocking —
 //     that window is what lets concurrent committers share one fsync
-//     (group commit). Exchange workers take only partition read locks,
-//     never mu, so a streaming consumer holding mu shared cannot
-//     deadlock them.
+//     (group commit). Readers — exchange workers included — take only
+//     partition read locks, never mu.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
 //     through executeWrite, and every caller must bind the mutation for
@@ -75,7 +74,7 @@
 //     touching that partition (checked by gmlint's partlock).
 //
 //  8. Version visibility flows through the epoch. Storage is version
-//     chains in both modes; a chain's head may carry a provisional
+//     chains; a chain's head may carry a provisional
 //     version (beg = provisionalBit|txID), visible only to its writing
 //     transaction, above committed versions ordered newest-first by
 //     commit epoch. A reader resolves the newest version with
@@ -84,11 +83,12 @@
 //     snapshot. Versions are installed with writeCtx.stamp() and become
 //     visible ONLY via publishCommit — which stamps the commit epoch
 //     and advances db.epoch last (the release fence), strictly after
-//     the commit's WAL append — or are unlinked by rollback. gmlint's
+//     the commit's WAL append (recovery replay publishes records it
+//     read from the log) — or are unlinked by rollback. gmlint's
 //     mvccepoch checks the publication sites and the append-before-
 //     publish order.
 //
-//  9. Latched writes own their partitions, not the database. An MVCC
+//  9. Latched writes own their partitions, not the database. An
 //     UPDATE/DELETE on the latched path holds db.mu only SHARED plus
 //     the tablePart.w latches of every partition it touches (acquired
 //     via the collectLatched prescan/validate loop), so it may mutate
@@ -97,9 +97,7 @@
 //     under commitMu — WAL order must equal publication order or serial
 //     replay diverges from the concurrent execution. Whole-database
 //     operations (DDL, INSERT row-ID allocation, vacuum, checkpoint,
-//     Dump, Save, SetMVCC) take mu exclusively, which excludes every
-//     latched writer wholesale. Latch sets are released on every path
-//     or returned to the caller (checked by gmlint's partlock); a mode
-//     check made before taking shared mu must be re-validated under it,
-//     because SetMVCC flips the mode under exclusive mu.
+//     Dump, Save) take mu exclusively, which excludes every latched
+//     writer wholesale. Latch sets are released on every path or
+//     returned to the caller (checked by gmlint's partlock).
 package sqldb

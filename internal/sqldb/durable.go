@@ -433,34 +433,37 @@ func loadNewestCheckpoint(fs wal.FS) (map[string]*Table, uint64, error) {
 }
 
 // applyRecord replays one commit record's statements as a single atomic
-// unit. A failure rolls the record back and aborts recovery. Replay runs
-// in lock mode (a zero writeCtx) regardless of the database's MVCC
-// setting: recovery is single-threaded, the record's effects are already
-// committed in the log, and lock-mode writes install plain committed
-// versions with no epochs to publish.
+// unit, through the one write path a live commit takes: the record's
+// versions install provisional and publishCommit then stamps them with
+// the next epoch. The record was read from the log, so there is nothing
+// to append before publishing. A failure rolls the record back and aborts
+// recovery.
 func (db *DB) applyRecord(stmts []logStmt) error {
 	db.writer.Lock()
 	defer db.writer.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	undo := &undoLog{}
-	w := &writeCtx{}
+	w := db.newWriteCtx()
+	fail := func(err error) error {
+		undo.rollback(db)
+		db.abortProvisional(w.installed)
+		return err
+	}
 	for _, st := range stmts {
 		p, err := db.stmts.get(db, st.sql).ensure(db)
 		if err != nil {
-			undo.rollback(db)
-			return err
+			return fail(err)
 		}
 		if p.sel != nil {
-			undo.rollback(db)
-			return fmt.Errorf("sqldb: SELECT in wal record")
+			return fail(fmt.Errorf("sqldb: SELECT in wal record"))
 		}
 		//gmlint:ignore walack recovery replays records already in the log; re-appending them would double every commit
 		if _, err := db.executeWrite(p, st.args, undo, w); err != nil {
-			undo.rollback(db)
-			return err
+			return fail(err)
 		}
 	}
+	db.publishCommit(w.installed)
 	return nil
 }
 
@@ -592,7 +595,7 @@ func (db *DB) restoreCheckpoint(snap *snapshot, lsn uint64) error {
 // Close stops the background vacuum goroutine and the checkpointer and
 // releases the WAL. It does not checkpoint: recovery replays the log tail
 // on the next open. Close on an in-memory database only stops the vacuum
-// goroutine (a no-op when MVCC was never enabled).
+// goroutine (a no-op when none is running).
 func (db *DB) Close() error {
 	db.stopVacuumer()
 	d := db.durable

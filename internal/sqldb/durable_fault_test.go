@@ -362,7 +362,6 @@ func TestMVCCCrashSweepInFlightTx(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		defer db.Close()
-		db.SetMVCC(true)
 		acked := 0
 		for i, c := range commits {
 			if err := c.apply(db); err != nil {
@@ -389,7 +388,6 @@ func TestMVCCCrashSweepInFlightTx(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: open: %v", op, err)
 		}
-		db.SetMVCC(true)
 		acked := 0
 		for i, c := range commits {
 			if err := c.apply(db); err != nil {
@@ -484,7 +482,6 @@ func TestMVCCMultiWriterWALEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.SetMVCC(true)
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -542,7 +539,6 @@ func TestMVCCMultiWriterWALEquivalenceConflict(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	db.SetMVCC(true)
 	var wg sync.WaitGroup
 	errs := make(chan error, writers)
 	for w := 0; w < writers; w++ {
@@ -597,7 +593,6 @@ func TestMVCCCrashSweepTwoLatchedWriters(t *testing.T) {
 			t.Fatalf("open: %v", err)
 		}
 		defer db.Close()
-		db.SetMVCC(true)
 		for _, c := range commits {
 			if err := c.apply(db); err != nil {
 				t.Fatalf("dry run: %v", err)
@@ -613,7 +608,6 @@ func TestMVCCCrashSweepTwoLatchedWriters(t *testing.T) {
 		if err != nil {
 			t.Fatalf("op %d: open: %v", op, err)
 		}
-		db.SetMVCC(true)
 		acked := 0
 		for _, c := range commits {
 			if err := c.apply(db); err != nil {
@@ -651,4 +645,56 @@ func TestMVCCCrashSweepTwoLatchedWriters(t *testing.T) {
 			t.Fatalf("op %d: recovered prefix %d but %d commits acknowledged — durability violated", op, k, acked)
 		}
 	}
+}
+
+// CREATE INDEX indexes every version a chain carries: the rows its own
+// transaction inserted just before (provisional, as they are again when
+// recovery replays the transaction's log record) and the key another open
+// transaction's UPDATE installed. Once both commit, every row is reachable
+// through the index, live and after recovery alike.
+func TestCreateIndexCoversProvisionalVersions(t *testing.T) {
+	fs := wal.NewFaultFS()
+	db, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 10)")
+	upd := db.Begin()
+	if _, err := upd.Exec("UPDATE t SET k = 11 WHERE id = 1"); err != nil {
+		t.Fatal(err)
+	}
+	tx := db.Begin()
+	for _, sql := range []string{"INSERT INTO t VALUES (2, 20)", "CREATE INDEX idx_k ON t (k)"} {
+		if _, err := tx.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rs, err := tx.Query("SELECT id FROM t WHERE k = 20"); err != nil || len(rs.Rows) != 1 {
+		t.Fatalf("the transaction's own row through its new index: %v, %v", rs, err)
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := upd.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, db *DB) {
+		t.Helper()
+		for k, want := range map[int]string{10: "[]", 11: "[[1]]", 20: "[[2]]"} {
+			rs := mustQuery(t, db, "SELECT id FROM t WHERE k = ?", k)
+			if got := fmt.Sprint(rs.Rows); got != want {
+				t.Errorf("%s: k = %d finds %s, want %s", name, k, got, want)
+			}
+		}
+	}
+	check("live", db)
+	fs.SimulateCrash(nil)
+	db.Close()
+	rec, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	defer rec.Close()
+	check("recovered", rec)
 }

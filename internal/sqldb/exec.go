@@ -34,10 +34,9 @@ type selectExec struct {
 	p   *selectPlan
 	env *RowEnv
 
-	// vis is the snapshot this execution reads at. Lock-mode executions
-	// run under db.mu and use visLatest; MVCC executions carry the
-	// statement's or transaction's snapshot epoch (vis.lockPart set, so
-	// row-map reads take the partition read lock).
+	// vis is the snapshot this execution reads at: the statement's or
+	// transaction's snapshot epoch (vis.lockPart set, so row-map reads
+	// take the partition read lock).
 	vis visibility
 
 	// orderedHint is the number of output rows the consumer expects to
@@ -66,15 +65,9 @@ type fixedCol struct {
 func (f *fixedCol) Eval(env *RowEnv) (Value, error) { return env.vals[f.pos], nil }
 func (f *fixedCol) String() string                  { return fmt.Sprintf("col#%d", f.pos) }
 
-// executeSelect materializes a SELECT by draining its cursor pipeline.
-// Caller holds db.mu (shared or exclusive).
-func (db *DB) executeSelect(p *selectPlan, args []Value) (*ResultSet, error) {
-	return db.executeSelectVis(p, args, visLatest)
-}
-
-// executeSelectVis is executeSelect pinned to an explicit snapshot. MVCC
-// reads pass a registered snapshot epoch and hold no db.mu at all; the
-// partition read locks taken per row copy are the only synchronization.
+// executeSelectVis materializes a SELECT at a registered snapshot by
+// draining its cursor pipeline. It holds no db.mu at all; the partition
+// read locks taken per row copy are the only synchronization.
 func (db *DB) executeSelectVis(p *selectPlan, args []Value, vis visibility) (*ResultSet, error) {
 	c := newSelectCursor(db, p, args, false, vis)
 	defer c.close()
@@ -553,7 +546,7 @@ func collectAccessIDs(a *accessPlan, penv *RowEnv) ([]int64, error) {
 			ids = append(ids, id)
 			return true
 		})
-		// Under MVCC a row's chain can hold entries under several keys of
+		// A row's chain can hold entries under several keys of
 		// the same index (set semantics, vacuumed lazily), so one ID may
 		// appear under multiple in-range keys.
 		sortInt64s(ids)

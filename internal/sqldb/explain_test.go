@@ -56,26 +56,22 @@ func TestPlanGoldens(t *testing.T) {
 }
 
 // TestPlanGoldenStability re-runs every golden case at partition counts
-// 1/2/4/8 with MVCC off and on: the plan document must not change with
-// the storage layout or the concurrency mode.
+// 1/2/4/8: the plan document must not change with the storage layout.
 func TestPlanGoldenStability(t *testing.T) {
 	db := planFixture(t)
 	for _, parts := range []int{1, 2, 4, 8} {
 		db.SetPartitions(parts)
-		for _, mvcc := range []bool{false, true} {
-			db.SetMVCC(mvcc)
-			for _, tc := range PlanGoldenCases {
-				got, err := db.Explain(tc.SQL, "json")
-				if err != nil {
-					t.Fatalf("parts=%d mvcc=%v %s: %v", parts, mvcc, tc.Name, err)
-				}
-				want, err := os.ReadFile(goldenPath(tc.Name))
-				if err != nil {
-					t.Fatalf("%s: %v", tc.Name, err)
-				}
-				if got+"\n" != string(want) {
-					t.Errorf("parts=%d mvcc=%v %s: plan JSON not byte-stable\n--- got ---\n%s", parts, mvcc, tc.Name, got)
-				}
+		for _, tc := range PlanGoldenCases {
+			got, err := db.Explain(tc.SQL, "json")
+			if err != nil {
+				t.Fatalf("parts=%d %s: %v", parts, tc.Name, err)
+			}
+			want, err := os.ReadFile(goldenPath(tc.Name))
+			if err != nil {
+				t.Fatalf("%s: %v", tc.Name, err)
+			}
+			if got+"\n" != string(want) {
+				t.Errorf("parts=%d %s: plan JSON not byte-stable\n--- got ---\n%s", parts, tc.Name, got)
 			}
 		}
 	}

@@ -25,8 +25,8 @@ func (k IndexKind) String() string {
 // B-tree indexes keep entries ordered for range scans.
 //
 // Every structural operation synchronizes on the index's own RWMutex:
-// writers hold the database writer lock anyway, but MVCC snapshot readers
-// probe indexes with no database lock at all, so the per-index lock is
+// writers hold the database writer lock or a partition latch, but snapshot
+// readers probe indexes with no database lock at all, so the per-index lock is
 // what keeps a lookup from racing an entry insert. Readers copy matches
 // out (Lookup) or finish the traversal (Range) before resolving row
 // visibility, so the lock is never held across row access.
@@ -130,23 +130,6 @@ func (idx *Index) delete(key Value, row int64) {
 		return
 	}
 	idx.tree.Delete(key, row)
-}
-
-func (idx *Index) containsKey(key Value) bool {
-	if key == nil {
-		return false
-	}
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	if idx.Kind == IndexHash {
-		return len(idx.hash[makeHashKey(key)]) > 0
-	}
-	found := false
-	idx.tree.AscendRange(key, key, true, true, true, true, func(Value, int64) bool {
-		found = true
-		return false
-	})
-	return found
 }
 
 // Lookup returns the row IDs whose key equals the given value. NULL keys

@@ -2,10 +2,10 @@ package sqldb
 
 import "errors"
 
-// Per-partition write latching (ROADMAP item 1): MVCC UPDATE and DELETE
-// statements do not take the global writer lock. Instead they hold db.mu
-// SHARED — which keeps out whole-database operations (DDL, vacuum,
-// checkpoint, SetMVCC, the INSERT global path) — plus the write latches
+// Per-partition write latching: UPDATE and DELETE statements do not take
+// the global writer lock. Instead they hold db.mu SHARED — which keeps out
+// whole-database operations (DDL, vacuum, checkpoint, the INSERT global
+// path) — plus the write latches
 // (tablePart.w) of exactly the partitions they touch, so statements on
 // disjoint partitions execute and commit concurrently and serialize only
 // on db.commitMu around the WAL append + epoch publication.
@@ -176,19 +176,14 @@ func (db *DB) collectLatched(wp *writePlan, vals []Value, w *writeCtx) ([]int64,
 // conflict no matter how often we retry).
 const maxLatchedRetries = 4
 
-// execLatched runs one auto-commit MVCC UPDATE/DELETE on the latched
-// path. handled=false means the statement is not eligible (not an
-// UPDATE/DELETE, or MVCC was switched off) and the caller must fall back
-// to the global writer path. The returned LSN is nonzero when a commit
-// record was appended; the caller waits for durability.
+// execLatched runs one auto-commit UPDATE/DELETE on the latched path.
+// handled=false means the statement is not eligible (see latchEligible)
+// and the caller must fall back to the global writer path. The returned
+// LSN is nonzero when a commit record was appended; the caller waits for
+// durability.
 func (db *DB) execLatched(s *Stmt, vals []Value) (res Result, lsn uint64, handled bool, err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	if !db.mvcc.Load() {
-		// Mode flipped between the caller's check and our shared lock
-		// (SetMVCC holds mu exclusively, so under it the mode is stable).
-		return Result{}, 0, false, nil
-	}
 	p, err := s.ensure(db)
 	if err != nil {
 		return Result{}, 0, true, err
@@ -214,7 +209,7 @@ func (db *DB) execLatched(s *Stmt, vals []Value) (res Result, lsn uint64, handle
 // after the latches are held, so the statement conflicts only with
 // provisional versions of transactions still in flight.
 func (db *DB) execLatchedOnce(sqlText string, p *prepared, wp *writePlan, vals []Value) (Result, uint64, error) {
-	w := &writeCtx{mvcc: true, latched: true, tx: db.txSeq.Add(1)}
+	w := &writeCtx{latched: true, tx: db.txSeq.Add(1)}
 	w.snap = db.epoch.Load()
 	ids, ls, err := db.collectLatched(wp, vals, w)
 	if err != nil {
@@ -254,7 +249,7 @@ func (db *DB) execLatchedOnce(sqlText string, p *prepared, wp *writePlan, vals [
 	return res, lsn, nil
 }
 
-// execLatchedStmt runs one UPDATE/DELETE statement of an open MVCC
+// execLatchedStmt runs one UPDATE/DELETE statement of an open
 // transaction on the latched path. The provisional versions stay in the
 // transaction (published at Commit); the latches are held only for the
 // statement — between statements the transaction holds nothing, exactly
@@ -274,7 +269,7 @@ func (tx *Tx) execLatchedStmt(sqlText string, s *Stmt, vals []Value) (Result, bo
 	if wp == nil {
 		return Result{}, false, nil
 	}
-	w := &writeCtx{mvcc: true, latched: true, tx: tx.id, snap: tx.snap}
+	w := &writeCtx{latched: true, tx: tx.id, snap: tx.snap}
 	ids, ls, err := db.collectLatched(wp, vals, w)
 	if err != nil {
 		return Result{}, true, err

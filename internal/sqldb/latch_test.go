@@ -1,6 +1,6 @@
 package sqldb
 
-// Concurrent MVCC writer tests: per-partition write latching (latch.go).
+// Concurrent writer tests: per-partition write latching (latch.go).
 // Disjoint writers must run concurrently and correctly; overlapping
 // writers must resolve to exactly one winner per row; latch waits are
 // counted; statements that cannot run latched fall back to the global
@@ -23,7 +23,6 @@ func multiWriterDB(t *testing.T, rows int) *DB {
 	for i := 0; i < rows; i++ {
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?, ?)", i, 0, fmt.Sprintf("val%d", i))
 	}
-	db.SetMVCC(true)
 	return db
 }
 
@@ -196,83 +195,5 @@ func TestLatchEligibility(t *testing.T) {
 		if !errors.As(err, &ue) {
 			t.Fatalf("duplicate PK update failed with %v, want UniqueError", err)
 		}
-	}
-}
-
-// Flipping SetMVCC under concurrent transactional and query load must
-// drain cleanly: no stranded provisional versions, no torn states, no
-// leaked snapshots. Run with -race in CI.
-func TestSetMVCCUnderConcurrentLoad(t *testing.T) {
-	db := multiWriterDB(t, 32)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan error, 8)
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				tx := db.Begin()
-				_, err := tx.Exec("UPDATE t SET n = n + 1 WHERE id = ?", (w*11+i)%32)
-				if err != nil {
-					tx.Rollback()
-					if !errors.Is(err, ErrWriteConflict) {
-						errs <- err
-						return
-					}
-					continue
-				}
-				if err := tx.Commit(); err != nil && !errors.Is(err, ErrWriteConflict) {
-					errs <- err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if _, err := db.Query("SELECT SUM(n), COUNT(*) FROM t"); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-
-	for flip := 0; flip < 6; flip++ {
-		time.Sleep(10 * time.Millisecond)
-		db.SetMVCC(flip%2 == 0)
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	// Whatever mode we ended in: every version chain must resolve to a
-	// committed state (a stranded provisional version would make the row
-	// invisible) and the snapshot tracker must be empty.
-	db.SetMVCC(true)
-	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t"); got != 32 {
-		t.Fatalf("COUNT(*) = %d after mode flips, want 32", got)
-	}
-	if st := db.MVCCStats(); st.ActiveSnapshots != 0 {
-		t.Fatalf("leaked snapshot registrations: %+v", st)
-	}
-	db.Vacuum()
-	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t"); got != 32 {
-		t.Fatalf("COUNT(*) = %d after vacuum, want 32", got)
 	}
 }

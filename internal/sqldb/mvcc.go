@@ -1,47 +1,46 @@
 package sqldb
 
-// Multi-version concurrency control (ROADMAP item 1). Storage keeps a
-// version chain per row (rowVersion); every read resolves the newest
-// version visible at its snapshot. Two runtime modes share that storage:
+// Multi-version concurrency control: snapshot isolation is the engine's
+// only concurrency mode. Storage keeps a version chain per row
+// (rowVersion); every read resolves the newest version visible at its
+// snapshot.
 //
-//   - Lock mode (the default, SetMVCC(false)): the original discipline.
-//     Readers hold db.mu shared, writers exclusive; writes install
-//     committed versions directly (beg = 0, "always visible") and chains
-//     never grow past one version.
+// Readers take NO database lock at all. A statement (or transaction)
+// captures a snapshot epoch at start and registers it with the snapshot
+// tracker; every access path resolves row visibility against that epoch,
+// synchronizing only on partition locks held long enough to copy version
+// pointers out of the row map. UPDATE and DELETE writers run concurrently:
+// each holds db.mu SHARED plus the write latches (tablePart.w) of exactly
+// the partitions it touches, acquired in ascending partition order
+// (latch.go), so non-overlapping writers install provisional versions and
+// run their first-committer-wins checks fully in parallel and serialize
+// only at the WAL append + commit-epoch publication (db.commitMu). INSERT
+// and DDL take the global writer + exclusive-mu path: the logical WAL
+// replays statements in commit order, so row-ID/AUTOINCREMENT allocation
+// must happen in that same order to keep a live database byte-identical
+// to a recovered one. Provisional versions are stamped with the writing
+// transaction's ID and published only AFTER the WAL append
+// (publishCommit), so a crash can never leave an acknowledged-but-unlogged
+// commit and a reader can never observe a mid-statement or mid-transaction
+// state: a commit is visible whole or not at all. Rollback unlinks the
+// provisional versions. First-committer-wins conflict detection raises
+// ErrWriteConflict when a transaction writes a row whose newest committed
+// version postdates the transaction's snapshot — including a row carrying
+// another in-flight transaction's provisional version.
 //
-//   - MVCC mode (SetMVCC(true)): readers take NO database lock at all.
-//     A statement (or transaction) captures a snapshot epoch at start and
-//     registers it with the snapshot tracker; every access path resolves
-//     row visibility against that epoch, synchronizing only on partition
-//     locks held long enough to copy version pointers out of the row map.
-//     UPDATE and DELETE writers run concurrently: each holds db.mu SHARED
-//     plus the write latches (tablePart.w) of exactly the partitions it
-//     touches, acquired in ascending partition order (latch.go), so
-//     non-overlapping writers install provisional versions and run their
-//     first-committer-wins checks fully in parallel and serialize only at
-//     the WAL append + commit-epoch publication (db.commitMu). INSERT and
-//     DDL keep the global writer + exclusive-mu path: the logical WAL
-//     replays statements in commit order, so row-ID/AUTOINCREMENT
-//     allocation must happen in that same order to keep a live database
-//     byte-identical to a recovered one. Provisional versions are stamped
-//     with the writing transaction's ID and published only AFTER the WAL
-//     append (publishCommit), so a crash can never leave an
-//     acknowledged-but-unlogged commit and a reader can never observe a
-//     mid-statement state. Rollback unlinks the provisional versions.
-//     First-committer-wins conflict detection raises ErrWriteConflict when
-//     a transaction writes a row whose newest committed version postdates
-//     the transaction's snapshot — including, now that writers overlap, a
-//     row carrying another in-flight transaction's provisional version.
-//
-// Version reclamation: a background vacuum goroutine (vacuumLoop, started
-// by SetMVCC(true), stopped by SetMVCC(false) and DB.Close) wakes on a
-// ticker and trims every chain to the newest version visible at the
-// oldest active snapshot; the public Vacuum does the same on demand.
-// Vacuum runs under db.writer + exclusive db.mu, which excludes latched
-// writers (they hold db.mu shared), checkpoints, and commit publication.
-// A retention budget (SetSnapshotRetention) bounds how long a snapshot
-// may pin the horizon: older registrations are revoked, their owners'
-// next operation fails with ErrSnapshotTooOld, and the horizon advances.
+// Version reclamation: a commit that leaves version history (an UPDATE's
+// superseded version, a DELETE's tombstone) starts the background vacuum
+// goroutine (vacuumLoop) unless one is running. It wakes on a ticker,
+// trims every chain to the newest version visible at the oldest active
+// snapshot, and exits once no table carries history, so a database with
+// nothing to reclaim owns no goroutine (and an unreferenced one can be
+// collected). DB.Close stops it; the public Vacuum does the same work on
+// demand. Vacuum runs under db.writer + exclusive db.mu, which excludes
+// latched writers (they hold db.mu shared), checkpoints, and commit
+// publication. A retention budget (SetSnapshotRetention) bounds how long a
+// snapshot may pin the horizon: older registrations are revoked, their
+// owners' next operation fails with ErrSnapshotTooOld, and the horizon
+// advances.
 
 import (
 	"errors"
@@ -71,8 +70,9 @@ var ErrSnapshotTooOld = errors.New("sqldb: snapshot too old (exceeded the snapsh
 // on a committed stamp.
 const provisionalBit = uint64(1) << 63
 
-// snapLatest is the snapshot epoch that admits every committed version
-// (lock-mode visibility: read the newest committed state).
+// snapLatest is the snapshot epoch that admits every committed version:
+// writers resolve the newest committed state (plus their own provisional
+// versions) at it.
 const snapLatest = provisionalBit - 1
 
 // rowVersion is one version of one row. Versions form a singly linked
@@ -94,15 +94,12 @@ type visibility struct {
 	// tx, when non-zero, additionally admits provisional versions written
 	// by this transaction (read-your-own-writes).
 	tx uint64
-	// lockPart marks the lock-free (MVCC) read path: row-map access must
-	// take the partition read lock because no database lock excludes
-	// writers. Lock-mode readers run under db.mu and skip it.
+	// lockPart marks an access that no database lock shields from
+	// writers: row-map reads must take the partition read lock. Every
+	// query sets it; only holders of the exclusive db.mu (the global write
+	// path, Dump, checkpoints) may leave it unset.
 	lockPart bool
 }
-
-// visLatest is lock-mode visibility: newest committed state, reads
-// synchronized by db.mu.
-var visLatest = visibility{snap: snapLatest}
 
 // visible returns the newest version of the chain visible under vis, or
 // nil when no version qualifies.
@@ -154,11 +151,9 @@ func chainHasKey(v *rowVersion, col int, key Value) bool {
 	return false
 }
 
-// writeCtx carries one write statement's MVCC context through the
-// executor into storage. The zero value is lock-mode: versions install
-// committed (beg 0) and no conflict detection runs.
+// writeCtx carries one write statement's transaction context through the
+// executor into storage.
 type writeCtx struct {
-	mvcc bool
 	// latched marks the concurrent write path: the statement holds db.mu
 	// SHARED plus the write latches of the partitions it touches, rather
 	// than the database exclusively. Reads must then take partition read
@@ -182,20 +177,18 @@ func (w *writeCtx) vis() visibility {
 	return visibility{snap: snapLatest, tx: w.tx, lockPart: w.latched}
 }
 
-// stamp returns the beg value for a freshly installed version.
-func (w *writeCtx) stamp() uint64 {
-	if w.mvcc {
-		return provisionalBit | w.tx
-	}
-	return 0 // lock mode: committed, visible to every snapshot
-}
+// stamp returns the beg value for a freshly installed version: provisional,
+// owned by the writing transaction until publishCommit stamps the commit
+// epoch.
+func (w *writeCtx) stamp() uint64 { return provisionalBit | w.tx }
 
 // ---------------------------------------------------------------------------
 // Snapshot tracking
 
 // snapEntry is the bookkeeping for one active snapshot epoch: how many
 // registrations share it and when the earliest of them was acquired (the
-// timestamp the retention budget is enforced against).
+// timestamp the retention budget is enforced against; zero until a
+// budget applies, see acquire and revokeOlder).
 type snapEntry struct {
 	n  int
 	at time.Time
@@ -206,30 +199,33 @@ type snapEntry struct {
 // vacuum reclaims only below the oldest registered epoch. The retention
 // budget revokes registrations that outstay their welcome: a revoked
 // epoch stops pinning the vacuum horizon, and its owners observe
-// ErrSnapshotTooOld on their next operation.
+// ErrSnapshotTooOld on their next operation. Entries are stored by value,
+// so registering a fresh epoch allocates nothing.
 type snapTracker struct {
 	mu      sync.Mutex
-	active  map[uint64]*snapEntry
+	active  map[uint64]snapEntry
 	revoked map[uint64]int // registrations revoked but not yet released
 }
 
 // acquire registers a snapshot at the database's current epoch and
 // returns it. The epoch is read under the tracker lock, so vacuum — which
 // computes its horizon under the same lock — can never miss a snapshot
-// that was captured before the horizon was fixed.
+// that was captured before the horizon was fixed. The clock is read only
+// while a retention budget is set: every statement registers, and most
+// databases never set one.
 func (s *snapTracker) acquire(db *DB) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := db.epoch.Load()
 	if s.active == nil {
-		s.active = make(map[uint64]*snapEntry)
+		s.active = make(map[uint64]snapEntry)
 	}
 	ent := s.active[e]
-	if ent == nil {
-		ent = &snapEntry{at: time.Now()}
-		s.active[e] = ent
+	if ent.n == 0 && db.retention.Load() != 0 {
+		ent.at = time.Now()
 	}
 	ent.n++
+	s.active[e] = ent
 	return e
 }
 
@@ -239,11 +235,12 @@ func (s *snapTracker) acquire(db *DB) uint64 {
 func (s *snapTracker) release(e uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent := s.active[e]; ent != nil {
+	if ent, ok := s.active[e]; ok {
 		if ent.n <= 1 {
 			delete(s.active, e)
 		} else {
 			ent.n--
+			s.active[e] = ent
 		}
 		return
 	}
@@ -284,13 +281,22 @@ func (s *snapTracker) count() int {
 // revokeOlder aborts every registration acquired before cutoff at an
 // epoch older than cur, returning how many were revoked. Snapshots AT the
 // current epoch pin nothing reclaimable (no commit has superseded them),
-// so they are left alone no matter their age.
+// so they are left alone no matter their age. An entry registered before
+// the budget was set has no timestamp yet: its age is counted from now.
 func (s *snapTracker) revokeOlder(cutoff time.Time, cur uint64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
 	for e, ent := range s.active {
-		if e >= cur || !ent.at.Before(cutoff) {
+		if e >= cur {
+			continue
+		}
+		if ent.at.IsZero() {
+			ent.at = time.Now()
+			s.active[e] = ent
+			continue
+		}
+		if !ent.at.Before(cutoff) {
 			continue
 		}
 		if s.revoked == nil {
@@ -333,100 +339,40 @@ func (db *DB) SetSnapshotRetention(d time.Duration) {
 }
 
 // ---------------------------------------------------------------------------
-// Mode, epoch publication, stats
-
-// SetMVCC switches between lock-mode and MVCC execution at runtime. The
-// switch drains in-flight transactions first — new Begins block until the
-// switch completes, active transactions run to Commit/Rollback — so a
-// mode flip can never strand another discipline's provisional versions,
-// then bumps the schema generation so open cursors — built under the
-// other locking discipline — invalidate instead of mixing disciplines.
-// Enabling MVCC starts the background vacuum goroutine; disabling stops
-// it. Calling SetMVCC from a goroutine that itself holds an open
-// transaction deadlocks, exactly like any other whole-database operation.
-func (db *DB) SetMVCC(on bool) {
-	db.switchMu.Lock()
-	for db.switching {
-		db.switchCond.Wait()
-	}
-	if db.mvcc.Load() == on {
-		db.switchMu.Unlock()
-		return
-	}
-	db.switching = true
-	for db.activeTx > 0 {
-		db.switchCond.Wait()
-	}
-	db.switchMu.Unlock()
-
-	db.writer.Lock()
-	db.mu.Lock()
-	db.mvcc.Store(on)
-	db.bumpSchemaGen()
-	db.mu.Unlock()
-	db.writer.Unlock()
-
-	if on {
-		db.startVacuumer()
-	} else {
-		db.stopVacuumer()
-	}
-
-	db.switchMu.Lock()
-	db.switching = false
-	db.switchCond.Broadcast()
-	db.switchMu.Unlock()
-}
-
-// txEnter registers a starting transaction with the mode-switch gate:
-// Begins block while a SetMVCC drain is in progress, so the mode a
-// transaction observes at Begin is the mode it finishes under.
-func (db *DB) txEnter() {
-	db.switchMu.Lock()
-	for db.switching {
-		db.switchCond.Wait()
-	}
-	db.activeTx++
-	db.switchMu.Unlock()
-}
-
-// txExit balances txEnter when the transaction finishes.
-func (db *DB) txExit() {
-	db.switchMu.Lock()
-	db.activeTx--
-	if db.activeTx == 0 {
-		db.switchCond.Broadcast()
-	}
-	db.switchMu.Unlock()
-}
-
-// MVCCEnabled reports whether snapshot-isolation execution is on.
-func (db *DB) MVCCEnabled() bool { return db.mvcc.Load() }
+// Epoch publication
 
 // publishCommit makes a write statement's (or transaction's) installed
 // versions durable-visible: every provisional version is stamped with the
 // next commit epoch, and the global epoch is advanced LAST, so a reader
 // that captures the new epoch is guaranteed to observe every stamp
-// (release/acquire on db.epoch).
+// (release/acquire on db.epoch). A commit that leaves version history — a
+// version chained onto an older one, or a tombstone — starts the
+// background vacuumer.
 //
 // The caller MUST have appended the commit's WAL record first — nothing
-// may become visible to lock-free readers before it is in the log — and
-// must hold either the database exclusively (writer + exclusive db.mu:
-// the INSERT/DDL path and recovery) or db.mu shared + db.commitMu (the
-// latched UPDATE/DELETE path). Both serialize epoch advances: exclusive
-// mu excludes every latched committer, and latched committers exclude
-// each other on commitMu. gmlint's mvccepoch checks the publication
-// sites and the append/serialization-before-publish order.
+// may become visible to lock-free readers before it is in the log — unless
+// it is recovery replaying a record read from the log, and must hold
+// either the database exclusively (writer + exclusive db.mu: the
+// INSERT/DDL path and recovery) or db.mu shared + db.commitMu (the latched
+// UPDATE/DELETE path). Both serialize epoch advances: exclusive mu
+// excludes every latched committer, and latched committers exclude each
+// other on commitMu. gmlint's mvccepoch checks the publication sites and
+// the append/serialization-before-publish order.
 func (db *DB) publishCommit(installed []*rowVersion) {
 	if len(installed) == 0 {
 		return
 	}
 	e := db.epoch.Load() + 1
+	hist := false
 	for _, v := range installed {
 		v.beg.Store(e)
+		hist = hist || v.row == nil || v.next.Load() != nil
 	}
 	db.epoch.Store(e)
 	db.mvccCommits.Add(1)
+	if hist {
+		db.startVacuumer()
+	}
 }
 
 // abortProvisional is the bookkeeping counterpart of publishCommit for
@@ -445,9 +391,9 @@ func (db *DB) abortProvisional(installed []*rowVersion) {
 
 // DefaultVacuumInterval is the background vacuum goroutine's tick period.
 // Vacuum cost is proportional to the number of rows with version history
-// (each table's hist set), not table size, and a tick with no commits
-// since the last pass skips without taking any lock, so a short period
-// keeps chains short without taxing idle or insert-only databases.
+// (each table's hist set), not table size, and a tick that finds nothing
+// new to reclaim takes no database lock, so a short period keeps chains
+// short without taxing the writers.
 const DefaultVacuumInterval = 50 * time.Millisecond
 
 // vacuumer is the background vacuum goroutine's lifecycle handle,
@@ -457,9 +403,17 @@ type vacuumer struct {
 	done chan struct{}
 }
 
-// SetVacuumInterval tunes the background vacuum tick period (restarting
+// vacuumMark is what a background pass depends on: a pass can reclaim
+// nothing new unless a commit, an abort or a released snapshot moved one
+// of these since the previous pass.
+type vacuumMark struct {
+	commits, aborts, horizon uint64
+}
+
+// setVacuumInterval tunes the background vacuum tick period (restarting
 // the goroutine when it is running). Non-positive restores the default.
-func (db *DB) SetVacuumInterval(d time.Duration) {
+// Tests use it to make background passes fast or to keep them away.
+func (db *DB) setVacuumInterval(d time.Duration) {
 	db.vacMu.Lock()
 	db.vacInterval = d
 	running := db.vac != nil
@@ -470,7 +424,9 @@ func (db *DB) SetVacuumInterval(d time.Duration) {
 	}
 }
 
-// startVacuumer launches the background vacuum goroutine (idempotent).
+// startVacuumer launches the background vacuum goroutine unless one is
+// running. Cheap enough for the commit path: one uncontended mutex when
+// the goroutine already runs.
 func (db *DB) startVacuumer() {
 	db.vacMu.Lock()
 	defer db.vacMu.Unlock()
@@ -487,8 +443,8 @@ func (db *DB) startVacuumer() {
 }
 
 // stopVacuumer stops the background vacuum goroutine and waits for it to
-// exit (idempotent; called by SetMVCC(false) and DB.Close). Never called
-// with database locks held — the in-flight tick may be waiting for them.
+// exit (idempotent; called by DB.Close). Never called with database locks
+// held — the in-flight tick may be waiting for them.
 func (db *DB) stopVacuumer() {
 	db.vacMu.Lock()
 	v := db.vac
@@ -500,27 +456,51 @@ func (db *DB) stopVacuumer() {
 	}
 }
 
+// retireVacuumer unregisters v after a pass that left no history behind,
+// unless a commit landed since that pass (it may have added history and
+// found v still registered, so v must run on). Under vacMu this races
+// safely with startVacuumer: a committer either bumped the commit count
+// before the check here, or takes vacMu after it and starts a fresh
+// goroutine.
+func (db *DB) retireVacuumer(v *vacuumer, commits uint64) bool {
+	db.vacMu.Lock()
+	defer db.vacMu.Unlock()
+	if db.mvccCommits.Load() != commits {
+		return false
+	}
+	if db.vac == v {
+		db.vac = nil
+	}
+	return true
+}
+
 // vacuumLoop is the background vacuum goroutine: every tick it enforces
 // the snapshot retention budget and reclaims versions below the oldest
-// live snapshot.
+// live snapshot, and it exits once nothing is left to reclaim.
 func (db *DB) vacuumLoop(v *vacuumer, interval time.Duration) {
 	defer close(v.done)
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	var last vacuumMark
 	for {
 		select {
 		case <-v.stop:
 			return
 		case <-t.C:
-			db.vacuumTick()
+			m := db.vacuumTick(last)
+			if !db.hasHistory() && db.retireVacuumer(v, m.commits) {
+				return
+			}
+			last = m
 		}
 	}
 }
 
-// vacuumTick runs one background pass: revoke over-budget snapshots,
-// then vacuum — but only when commits have landed since the last pass,
-// so an idle database pays one atomic load per tick and no locks.
-func (db *DB) vacuumTick() {
+// vacuumTick runs one background pass: revoke over-budget snapshots, then
+// vacuum — but only when a commit, an abort or a snapshot release since
+// the previous pass (last) can have made something reclaimable. It returns
+// the mark the pass ran at.
+func (db *DB) vacuumTick(last vacuumMark) vacuumMark {
 	revoked := 0
 	if ret := time.Duration(db.retention.Load()); ret > 0 {
 		revoked = db.snaps.revokeOlder(time.Now().Add(-ret), db.epoch.Load())
@@ -528,33 +508,42 @@ func (db *DB) vacuumTick() {
 			db.snapsAborted.Add(uint64(revoked))
 		}
 	}
-	c := db.mvccCommits.Load()
-	if c == db.lastVacuum.Load() && revoked == 0 {
-		return
+	m := vacuumMark{
+		commits: db.mvccCommits.Load(),
+		aborts:  db.mvccAborts.Load(),
+		horizon: db.snaps.oldest(db.epoch.Load()),
+	}
+	if m == last && revoked == 0 {
+		return m
 	}
 	db.writer.Lock()
 	defer db.writer.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if !db.mvcc.Load() {
-		return
-	}
-	db.lastVacuum.Store(c)
 	db.vacuumLocked()
 	db.bgVacuums.Add(1)
+	return m
+}
+
+// hasHistory reports whether any table still carries version history.
+func (db *DB) hasHistory() bool {
+	for _, t := range db.tableMap() {
+		t.histMu.Lock()
+		n := len(t.hist)
+		t.histMu.Unlock()
+		if n > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // Vacuum reclaims row versions no active snapshot can see and removes the
 // index entries and tombstoned rows they kept alive. The background
-// vacuum goroutine does this automatically while MVCC is on; explicit
-// calls are useful after bulk updates and in tests. On a lock-mode
-// database Vacuum is a documented no-op that runs (and counts) nothing:
-// lock-mode writes never grow version chains, so there is nothing to
-// reclaim. Returns the number of versions reclaimed.
+// vacuum goroutine does this automatically; explicit calls are useful
+// after bulk updates and in tests. Returns the number of versions
+// reclaimed.
 func (db *DB) Vacuum() int {
-	if !db.mvcc.Load() {
-		return 0
-	}
 	db.writer.Lock()
 	defer db.writer.Unlock()
 	db.mu.Lock()
@@ -581,7 +570,6 @@ func (db *DB) vacuumLocked() int {
 // MVCCStats is a snapshot of the MVCC subsystem (served as sql_mvcc on
 // /api/stats).
 type MVCCStats struct {
-	Enabled          bool   `json:"enabled"`
 	Epoch            uint64 `json:"epoch"`
 	ActiveSnapshots  int    `json:"active_snapshots"`
 	Commits          uint64 `json:"commits"`
@@ -604,7 +592,6 @@ type MVCCStats struct {
 // MVCCStats returns the MVCC counters.
 func (db *DB) MVCCStats() MVCCStats {
 	return MVCCStats{
-		Enabled:           db.mvcc.Load(),
 		Epoch:             db.epoch.Load(),
 		ActiveSnapshots:   db.snaps.count(),
 		Commits:           db.mvccCommits.Load(),
@@ -700,27 +687,6 @@ func (s *idSlice) removeRange(lo, hi int64) {
 	fresh = append(fresh, ids[:from]...)
 	fresh = append(fresh, ids[to:]...)
 	s.store(fresh)
-}
-
-// insertSorted adds id at its sorted position, reporting whether it was
-// already present. A trailing insert reuses the append fast path;
-// interior inserts allocate fresh.
-func (s *idSlice) insertSorted(id int64) (present bool) {
-	ids := s.load()
-	pos := searchID(ids, id)
-	if pos < len(ids) && ids[pos] == id {
-		return true
-	}
-	if pos == len(ids) {
-		s.append(id)
-		return false
-	}
-	fresh := make([]int64, 0, len(ids)+1)
-	fresh = append(fresh, ids[:pos]...)
-	fresh = append(fresh, id)
-	fresh = append(fresh, ids[pos:]...)
-	s.store(fresh)
-	return false
 }
 
 // sortInPlace re-sorts the published contents (bulk-load finalization

@@ -1,23 +1,16 @@
 package sqldb
 
-// MVCC benchmarks: what snapshot isolation costs on the paths lock mode
-// already measures (point lookup, scan+filter, grouped aggregate, single
-// -row update), plus the contention shape lock mode cannot offer — many
-// readers sharing the snapshot tracker with no database lock.
+// Snapshot-isolation benchmarks: the snapshot acquire/release and version
+// resolution on the hot paths (point lookup, scan+filter, grouped
+// aggregate, single-row update), plus the contention shape — many readers
+// sharing the snapshot tracker with no database lock.
 
 import "testing"
-
-func mvccBenchDB(b *testing.B, rows int) *DB {
-	b.Helper()
-	db := benchDB(b, rows)
-	db.SetMVCC(true)
-	return db
-}
 
 // Counterpart of BenchmarkPointLookupPK: adds the snapshot acquire/release
 // and the per-row version-chain resolve.
 func BenchmarkMVCCPointLookup(b *testing.B) {
-	db := mvccBenchDB(b, 10000)
+	db := benchDB(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -33,7 +26,7 @@ func BenchmarkMVCCPointLookup(b *testing.B) {
 
 // Counterpart of BenchmarkFullScanFilter on the lock-free scan path.
 func BenchmarkMVCCScanFilter(b *testing.B) {
-	db := mvccBenchDB(b, 10000)
+	db := benchDB(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -50,7 +43,7 @@ func BenchmarkMVCCScanFilter(b *testing.B) {
 // Grouped aggregate under MVCC: the batch leg with partition RLock
 // chunking instead of lock-free reads.
 func BenchmarkMVCCGroupBy(b *testing.B) {
-	db := mvccBenchDB(b, 10000)
+	db := benchDB(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -68,7 +61,7 @@ func BenchmarkMVCCGroupBy(b *testing.B) {
 // publication, with the background vacuum goroutine running as it would
 // in production.
 func BenchmarkMVCCUpdateRow(b *testing.B) {
-	db := mvccBenchDB(b, 10000)
+	db := benchDB(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -81,7 +74,7 @@ func BenchmarkMVCCUpdateRow(b *testing.B) {
 // Parallel point readers with no writer: the snapshot tracker mutex is
 // the only shared state, so this measures reader-reader scalability.
 func BenchmarkMVCCReadersParallel(b *testing.B) {
-	db := mvccBenchDB(b, 10000)
+	db := benchDB(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
@@ -99,11 +92,11 @@ func BenchmarkMVCCReadersParallel(b *testing.B) {
 	})
 }
 
-// Single-row INSERT with version-chain storage: the PR 5 regression the
-// blind two-append bookkeeping shaves (lock mode, matching the historical
-// BenchmarkInsertSingleRow shape but on a pre-sized table).
+// Single-row INSERT with version-chain storage: the regression the blind
+// two-append bookkeeping shaves (the BenchmarkInsertSingleRow shape, on a
+// pre-sized table).
 func BenchmarkMVCCInsertRow(b *testing.B) {
-	db := mvccBenchDB(b, 0)
+	db := benchDB(b, 0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

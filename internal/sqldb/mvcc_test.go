@@ -1,6 +1,6 @@
 package sqldb
 
-// MVCC snapshot-isolation tests: visibility rules, repeatable reads,
+// Snapshot-isolation tests: visibility rules, repeatable reads,
 // first-committer-wins conflicts, rollback unlinking, vacuum reclamation,
 // and the headline property — readers never block on writers.
 
@@ -16,15 +16,14 @@ import (
 func mvccDB(t *testing.T) *DB {
 	t.Helper()
 	db := NewDB()
+	// Pin the background vacuum far away: these tests assert the results
+	// of explicit Vacuum calls, which a background pass would race.
+	db.setVacuumInterval(time.Hour)
 	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)")
 	mustExec(t, db, "CREATE INDEX idx_k ON t (k)")
 	for i := 0; i < 100; i++ {
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?, ?)", i, i%10, fmt.Sprintf("val%d", i))
 	}
-	// Pin the background vacuum far away: these tests assert the results
-	// of explicit Vacuum calls, which a background pass would race.
-	db.SetVacuumInterval(time.Hour)
-	db.SetMVCC(true)
 	return db
 }
 
@@ -274,7 +273,6 @@ func TestMVCCConcurrentCommittedPrefix(t *testing.T) {
 	for i := 0; i < accounts; i++ {
 		mustExec(t, db, "INSERT INTO acct VALUES (?, ?)", i, 100)
 	}
-	db.SetMVCC(true)
 
 	// Writer: transfer between accounts in transactions; total balance is
 	// invariant, so any reader observing a partial transaction sees a
@@ -442,32 +440,11 @@ func TestMVCCConcurrentMixedPaths(t *testing.T) {
 	}
 }
 
-// Toggling the mode mid-flight invalidates open cursors instead of mixing
-// locking disciplines.
-func TestSetMVCCInvalidatesCursors(t *testing.T) {
-	db := mvccDB(t)
-	cur, err := db.QueryCursor("SELECT id FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
-	}
-	db.SetMVCC(false)
-	if _, err := cur.Next(); err == nil {
-		t.Fatal("cursor survived a mode switch; it must invalidate")
-	}
-}
-
 // The epoch advances once per commit and snapshots release: basic stats
 // accounting a monitoring endpoint can rely on.
 func TestMVCCStatsAccounting(t *testing.T) {
 	db := mvccDB(t)
 	st0 := db.MVCCStats()
-	if !st0.Enabled {
-		t.Fatal("stats report MVCC disabled")
-	}
 	mustExec(t, db, "UPDATE t SET v = 'x' WHERE id = 1")
 	mustExec(t, db, "UPDATE t SET v = 'y' WHERE id = 2")
 	st := db.MVCCStats()

@@ -210,9 +210,9 @@ func TestWherePredicatesMatchOracle(t *testing.T) {
 // partition, where the batch leg uses its serial producer, and eight, where
 // it fans out over the partition exchange — each on the row leg (with index
 // access, forced off, and streamed through a cursor) and the vectorized
-// leg, in lock mode and under MVCC. Every run must return the identical
-// result sequence (joins, ranges, IN lists, ORDER BY/LIMIT/OFFSET,
-// DISTINCT, GROUP BY). Since all modes share the executor, the planner
+// leg. Every run must return the identical result sequence (joins, ranges,
+// IN lists, ORDER BY/LIMIT/OFFSET, DISTINCT, GROUP BY). Since all legs
+// share the executor, the planner
 // preserves scan emission order (including sort-tie order), and the
 // exchange merges partitions back into row-ID order, the comparison is
 // exact, not just set-based. Float SUM/AVG is exact too: every leg
@@ -407,8 +407,7 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 	}
 	// runLegs executes query on every leg of db. Shapes the kernels don't
 	// cover fall back to the row cursor, so every query is answerable on
-	// all legs; with no concurrent writer the latest MVCC snapshot must
-	// reproduce the lock-mode transcripts byte for byte.
+	// all legs.
 	runLegs := func(db *DB, name, query string) []legResult {
 		var out []legResult
 		materialized := func(leg string) {
@@ -432,14 +431,6 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		materialized("vectorized")
 		streamed("vectorized")
 		db.SetBatchExecution(false)
-		db.SetMVCC(true)
-		materialized("mvcc row")
-		streamed("mvcc row")
-		db.SetBatchExecution(true)
-		materialized("mvcc vectorized")
-		streamed("mvcc vectorized")
-		db.SetBatchExecution(false)
-		db.SetMVCC(false)
 		return out
 	}
 

@@ -217,7 +217,7 @@ func decodeTables(r io.Reader) (map[string]*Table, error) {
 		// invariant, so don't trust external snapshot producers.
 		t.finishLoad()
 		for _, is := range ts.Indexes {
-			if _, err := t.CreateIndex(is.Name, is.Column, is.Kind, is.Unique); err != nil {
+			if _, err := t.createIndex(is.Name, is.Column, is.Kind, is.Unique, visibility{snap: snapLatest}); err != nil {
 				return nil, fmt.Errorf("sqldb: load: rebuild index %s: %w", is.Name, err)
 			}
 		}

@@ -99,10 +99,10 @@ func (s *Stmt) SQL() string { return s.sql }
 
 // ensure returns the statement's compiled form for the current schema
 // generation, (re)parsing and (re)planning when needed. Planning reads
-// only the copy-on-write catalog and atomic planner knobs, so callers on
-// the MVCC path run it with no database lock; lock-mode callers hold
-// db.mu (shared or exclusive). Concurrent callers may both prepare; each
-// builds a private AST, so the losing Store is merely redundant work.
+// only the copy-on-write catalog and atomic planner knobs, so readers run
+// it with no database lock; writers hold db.mu. Concurrent callers may
+// both prepare; each builds a private AST, so the losing Store is merely
+// redundant work.
 func (s *Stmt) ensure(db *DB) (*prepared, error) {
 	gen := db.gen.Load()
 	if p := s.prep.Load(); p != nil && p.gen == gen {
@@ -145,8 +145,7 @@ func (s *Stmt) ensure(db *DB) (*prepared, error) {
 	return p, nil
 }
 
-// Query executes the prepared statement as a SELECT. In lock mode it
-// holds db.mu shared for the whole execution; under MVCC it takes no
+// Query executes the prepared statement as a SELECT. It takes no
 // database lock at all — it registers a snapshot epoch and resolves row
 // visibility against it, so a concurrent writer (even one holding the
 // writer lock across a long transaction) never stalls the read.
@@ -156,44 +155,14 @@ func (s *Stmt) Query(args ...any) (*ResultSet, error) {
 		return nil, err
 	}
 	db := s.db
-	if !db.mvcc.Load() {
-		db.mu.RLock()
-		if !db.mvcc.Load() {
-			// The shared lock pins the mode (SetMVCC stores it under
-			// exclusive db.mu), so the raw lock-mode reads are safe.
-			defer db.mu.RUnlock()
-			p, err := s.ensure(db)
-			if err != nil {
-				return nil, err
-			}
-			if p.expl != nil {
-				return db.explainResult(p.expl)
-			}
-			if p.sel == nil {
-				return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-			}
-			if err := p.checkArgs(vals); err != nil {
-				return nil, err
-			}
-			return db.executeSelect(p.sel, vals)
-		}
-		// SetMVCC(true) completed between the check and the shared lock:
-		// latched writers (which hold db.mu shared, not exclusive) may
-		// already be installing versions, so fall through to the MVCC
-		// read path. The reverse race — a stale MVCC read while the mode
-		// flips off — is harmless: lockPart reads synchronize on the
-		// partition locks that every writer path takes around map writes.
-		db.mu.RUnlock()
-	}
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
 	return s.queryVis(vals, visibility{snap: snap, lockPart: true})
 }
 
 // queryVis executes the statement as a SELECT at an explicit visibility,
-// without any database lock (MVCC path; planning reads only the
-// copy-on-write catalog and atomic knobs). The caller owns the snapshot
-// registration.
+// without any database lock (planning reads only the copy-on-write
+// catalog and atomic knobs). The caller owns the snapshot registration.
 func (s *Stmt) queryVis(vals []Value, vis visibility) (*ResultSet, error) {
 	db := s.db
 	p, err := s.ensure(db)
@@ -221,7 +190,8 @@ func (s *Stmt) Exec(args ...any) (Result, error) {
 	// Reject statement kinds Exec can never run BEFORE taking the writer
 	// lock: db.Exec("COMMIT") while a transaction is open must error, not
 	// block behind it forever.
-	switch leadingKeyword(s.sql) {
+	kw := leadingKeyword(s.sql)
+	switch kw {
 	case "SELECT":
 		return Result{}, fmt.Errorf("sqldb: Exec cannot run SELECT; use Query")
 	case "EXPLAIN":
@@ -238,30 +208,26 @@ func (s *Stmt) Exec(args ...any) (Result, error) {
 		}
 	}
 	db := s.db
-	// MVCC UPDATE/DELETE takes the latched concurrent path: db.mu shared
-	// plus the write latches of the partitions the statement touches, so
+	// UPDATE/DELETE takes the latched concurrent path: db.mu shared plus
+	// the write latches of the partitions the statement touches, so
 	// disjoint writers commit in parallel (see latch.go). Everything else
-	// — INSERT (row-ID allocation must follow WAL order), DDL, lock mode —
-	// serializes on the global writer lock as before.
-	if db.mvcc.Load() {
-		res, lsn, handled, err := db.execLatched(s, vals)
-		if handled {
-			if err != nil {
-				return Result{}, err
-			}
-			if d := db.durable; d != nil && lsn != 0 {
-				if err := d.wait(lsn); err != nil {
-					return res, err
-				}
-			}
-			return res, nil
-		}
+	// — INSERT (row-ID allocation must follow WAL order), DDL, UPDATEs of
+	// unique-indexed columns — serializes on the global writer lock.
+	var (
+		res     Result
+		lsn     uint64
+		handled bool
+	)
+	if kw == "UPDATE" || kw == "DELETE" {
+		res, lsn, handled, err = db.execLatched(s, vals)
 	}
-	db.writer.Lock()
-	db.mu.Lock()
-	res, lsn, err := db.execPrepared(s, vals)
-	db.mu.Unlock()
-	db.writer.Unlock()
+	if !handled {
+		db.writer.Lock()
+		db.mu.Lock()
+		res, lsn, err = db.execPrepared(s, vals)
+		db.mu.Unlock()
+		db.writer.Unlock()
+	}
 	if err != nil {
 		return Result{}, err
 	}

@@ -23,19 +23,18 @@ func defaultPartitions() int {
 // round-robins inserts across partitions and keeps them balanced.
 //
 // Each row maps to the head of its version chain (see mvcc.go). The
-// partition lock is the only synchronization point between lock-free MVCC
-// readers (and exchange workers) and writers: writers — who
-// additionally hold either the database's exclusive lock or this
-// partition's write latch — take it around every row-map mutation, and
-// readers take the read side just long enough to copy the version-head
-// pointer (or materialize a batch) out of the map; version resolution
-// itself happens on atomics, outside any lock. Serial lock-mode readers
-// run under the database lock and need no partition lock at all.
+// partition lock is the only synchronization point between lock-free
+// readers (and exchange workers) and writers: writers — who additionally
+// hold either the database's exclusive lock or this partition's write
+// latch — take it around every row-map mutation, and readers take the
+// read side just long enough to copy the version-head pointer (or
+// materialize a batch) out of the map; version resolution itself happens
+// on atomics, outside any lock.
 type tablePart struct {
 	mu   sync.RWMutex
 	rows map[int64]*rowVersion
 
-	// w is the partition write latch: a latched MVCC UPDATE/DELETE (see
+	// w is the partition write latch: a latched UPDATE/DELETE (see
 	// latch.go) holds the latches of exactly the partitions it touches —
 	// acquired in ascending partition order — instead of the global
 	// writer lock, so writers on disjoint partitions run concurrently.
@@ -46,11 +45,11 @@ type tablePart struct {
 	w sync.Mutex
 
 	// ids keeps the partition's live row IDs ascending (tombstones allowed,
-	// same scheme as the table-level slice), published lock-free so MVCC
-	// scans iterate without the partition lock; mut counts structural
-	// changes so an exchange worker can re-synchronize its position after
-	// concurrent writes, exactly like scanProducer does against the
-	// table-level slice.
+	// same scheme as the table-level slice), published lock-free so
+	// snapshot scans iterate without the partition lock; mut counts
+	// structural changes so an exchange worker can re-synchronize its
+	// position after concurrent writes, exactly like scanProducer does
+	// against the table-level slice.
 	ids  idSlice
 	dead int
 	mut  atomic.Uint64
@@ -83,10 +82,11 @@ func (p *tablePart) compact() {
 // row map, its own sorted live-ID slice and its own lock, so the batch
 // exchange can give every partition a dedicated worker. The table
 // additionally maintains a global sorted ID slice so serial scans keep
-// their O(n), merge-free shape. Everything a lock-free MVCC reader
+// their O(n), merge-free shape. Everything a lock-free reader
 // touches — the partition list, the index map, the ID slices, the row
 // count and the mutation counters — is published through atomics;
-// mutation happens only under the database writer lock.
+// mutation happens only under the database writer lock or a partition
+// write latch.
 type Table struct {
 	Name    string
 	Schema  *Schema
@@ -111,8 +111,8 @@ type Table struct {
 	mut atomic.Uint64
 
 	// hist is the set of row IDs carrying version history: a chain longer
-	// than one version or a deletion tombstone. Only MVCC writes grow it
-	// (lock-mode chains never exceed one version), and vacuum walks
+	// than one version or a deletion tombstone. UPDATE and DELETE grow it
+	// (an INSERT installs single-version chains), and vacuum walks
 	// exactly this set, so reclamation cost follows the number of
 	// versioned rows, not table size — an insert-only workload vacuums in
 	// O(1). Guarded by histMu: latched writers on different partitions
@@ -314,9 +314,9 @@ func (t *Table) prepareRow(row []Value, seq int64) (int64, error) {
 
 // firstUniqueViolation returns the position of the first row whose non-NULL
 // key in the unique index's column is taken — by a stored row or by an
-// earlier row of rows — or -1. Under MVCC the index may hold entries for
-// superseded or uncommitted keys, so membership resolves version
-// visibility, not raw entry presence.
+// earlier row of rows — or -1. The index may hold entries for superseded
+// or uncommitted keys, so membership resolves version visibility, not raw
+// entry presence.
 func (t *Table) firstUniqueViolation(w *writeCtx, idx *Index, rows [][]Value) int {
 	// The keys of earlier rows, collected only once keys stop ascending
 	// strictly: AUTOINCREMENT keys never do and cannot repeat.
@@ -327,7 +327,7 @@ func (t *Table) firstUniqueViolation(w *writeCtx, idx *Index, rows [][]Value) in
 		if key == nil {
 			continue // SQL: NULLs never collide
 		}
-		if w.mvcc && t.keyInUse(idx, key, w.vis()) || !w.mvcc && idx.containsKey(key) {
+		if t.keyInUse(idx, key, w.vis()) {
 			return r
 		}
 		if seen == nil && prev != nil && Compare(prev, key) >= 0 {
@@ -349,12 +349,12 @@ func (t *Table) firstUniqueViolation(w *writeCtx, idx *Index, rows [][]Value) in
 }
 
 // installRows stores rows that prepareRows accepted under consecutive row
-// IDs and returns the first; it cannot fail. Under MVCC the versions
-// install provisional (invisible until publishCommit), in lock mode
-// committed. Each partition takes its rows under one lock acquisition and
-// each index its entries under one. A reader never finds an ID whose row is
-// missing: partition maps are filled before the global ID slice (blind
-// appends, row IDs being monotone), indexes last.
+// IDs and returns the first; it cannot fail. The versions install
+// provisional (invisible until publishCommit). Each partition takes its
+// rows under one lock acquisition and each index its entries under one. A
+// reader never finds an ID whose row is missing: partition maps are filled
+// before the global ID slice (blind appends, row IDs being monotone),
+// indexes last.
 func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 	first := t.nextRow + 1
 	t.nextRow += int64(len(rows))
@@ -388,16 +388,13 @@ func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 	for _, idx := range t.Indexes() {
 		idx.insertRows(rows, first)
 	}
-	if w.mvcc {
-		w.installed = append(w.installed, vers...)
-	}
+	w.installed = append(w.installed, vers...)
 	return first
 }
 
 // keyInUse reports whether any row whose version is visible under vis
-// carries the key in the index's column. This is the chain-aware
-// counterpart of Index.containsKey: stale index entries (superseded keys
-// awaiting vacuum) are filtered by resolving the candidate's visible
+// carries the key in the index's column. Stale index entries (superseded
+// keys awaiting vacuum) are filtered by resolving the candidate's visible
 // version and comparing its actual key.
 func (t *Table) keyInUse(idx *Index, key Value, vis visibility) bool {
 	for _, id := range idx.Lookup(key) {
@@ -420,15 +417,9 @@ func (e *UniqueError) Error() string {
 	return fmt.Sprintf("sqldb: UNIQUE constraint violated: %s.%s = %s", e.Table, e.Column, FormatValue(e.Value))
 }
 
-// Get returns the newest committed row stored under id, or nil when
-// absent (lock-mode visibility).
-func (t *Table) Get(id int64) []Value {
-	return t.get(id, visLatest)
-}
-
 // get resolves the row version visible under vis, or nil when no version
-// qualifies. On the lock-free path (vis.lockPart) the version-head copy
-// is the only operation under the partition read lock.
+// qualifies. With vis.lockPart the version-head copy is the only operation
+// under the partition read lock.
 func (t *Table) get(id int64, vis visibility) []Value {
 	p := t.part(id)
 	if vis.lockPart {
@@ -440,43 +431,7 @@ func (t *Table) get(id int64, vis visibility) []Value {
 	return p.rows[id].resolve(vis)
 }
 
-// Delete removes the row with the given ID under lock-mode rules (the
-// whole version chain is dropped and every chain key leaves the indexes),
-// maintaining compaction thresholds. It reports whether a row was removed.
-func (t *Table) Delete(id int64) bool {
-	p := t.part(id)
-	head := p.rows[id]
-	if head.resolve(visLatest) == nil {
-		return false // absent, or already tombstoned by an MVCC delete
-	}
-	for _, idx := range t.indexMap() {
-		for v := head; v != nil; v = v.next.Load() {
-			if v.row != nil {
-				idx.delete(v.row[idx.Col], id)
-			}
-		}
-	}
-	p.mu.Lock()
-	delete(p.rows, id)
-	p.dead++
-	if p.dead > 16 && p.dead*2 > len(p.ids.load()) {
-		p.compact()
-	}
-	p.mut.Add(1)
-	p.mu.Unlock()
-	t.histMu.Lock()
-	delete(t.hist, id)
-	t.histMu.Unlock()
-	t.live.Add(-1)
-	t.dead++
-	t.mut.Add(1)
-	if t.dead > 64 && t.dead*2 > len(t.ids.load()) {
-		t.compactIDs()
-	}
-	return true
-}
-
-// deleteRow installs an MVCC deletion tombstone over the row's chain:
+// deleteRow installs a deletion tombstone over the row's chain:
 // the row map entry, ID-slice entries and index entries all stay (old
 // snapshots still resolve the prior version) until vacuum reclaims them.
 // First-committer-wins: a newest committed version past the writer's
@@ -510,7 +465,7 @@ func (t *Table) deleteRow(w *writeCtx, id int64) (*rowVersion, error) {
 // partition latch makes the check-then-install atomic per partition, so
 // two writers racing for one row always see each other).
 func (w *writeCtx) conflictCheck(head *rowVersion) error {
-	if !w.mvcc || head == nil {
+	if head == nil {
 		return nil
 	}
 	b := head.beg.Load()
@@ -526,8 +481,9 @@ func (w *writeCtx) conflictCheck(head *rowVersion) error {
 	return nil
 }
 
-// histAdd records that a row now carries version history. Called by MVCC
-// writers on both paths; histMu orders concurrent latched writers.
+// histAdd records that a row now carries version history. Called by
+// UPDATE and DELETE writers on both paths; histMu orders concurrent
+// latched writers.
 func (t *Table) histAdd(id int64) {
 	t.histMu.Lock()
 	if t.hist == nil {
@@ -585,33 +541,7 @@ func (t *Table) undoInsert(first int64, n int) {
 	t.mut.Add(1)
 }
 
-// restore re-inserts a previously deleted row under its original ID,
-// maintaining indexes and the sorted ID slices. It backs lock-mode
-// transaction rollback of deletes; the caller guarantees the ID is free.
-func (t *Table) restore(id int64, row []Value) {
-	p := t.part(id)
-	if _, ok := p.rows[id]; ok {
-		return
-	}
-	ver := &rowVersion{row: row} // beg 0: committed, lock-mode rollback
-	p.mu.Lock()
-	p.rows[id] = ver
-	if p.ids.insertSorted(id) {
-		p.dead-- // tombstone revived in place
-	}
-	p.mut.Add(1)
-	p.mu.Unlock()
-	if t.ids.insertSorted(id) {
-		t.dead-- // tombstone revived in place
-	}
-	t.live.Add(1)
-	for _, idx := range t.indexMap() {
-		idx.insert(row[idx.Col], id)
-	}
-	t.mut.Add(1)
-}
-
-// unlinkVersion reverts a rolled-back MVCC write by restoring the
+// unlinkVersion reverts a rolled-back write by restoring the
 // version's predecessor as the chain head. Index entries the write added
 // are removed by the caller (which recorded them), live-count adjustments
 // likewise. The head comparison happens under p.mu so a latched rollback
@@ -632,29 +562,19 @@ func (t *Table) unlinkVersion(id int64, ver *rowVersion) {
 	p.mu.Unlock()
 }
 
-// idxKeyAdd records one index entry added by an MVCC update, so rollback
+// idxKeyAdd records one index entry added by an update, so rollback
 // can remove exactly the entries the write introduced.
 type idxKeyAdd struct {
 	idx *Index
 	key Value
 }
 
-// Update replaces the row with the given ID under lock-mode rules (new
-// values already validated/coerced by the caller via coerceRow) and
-// maintains indexes eagerly.
-func (t *Table) Update(id int64, newRow []Value) error {
-	_, _, err := t.updateRow(&writeCtx{}, id, newRow)
-	return err
-}
-
-// updateRow replaces the row with the given ID. Lock mode swaps in a
-// fresh single-version head and maintains index entries eagerly (delete
-// old key, insert new), exactly the pre-MVCC behavior. MVCC chains a
-// provisional version onto the head, leaves superseded index entries for
-// vacuum, and inserts an entry for the new key only when no version of
-// the chain already holds it (the index keeps set semantics per (key,
-// row) so lookups never yield duplicates); the added entries are returned
-// for rollback.
+// updateRow replaces the row with the given ID: it chains a provisional
+// version onto the head, leaves superseded index entries for vacuum, and
+// inserts an entry for the new key only when no version of the chain
+// already holds it (the index keeps set semantics per (key, row) so
+// lookups never yield duplicates); the added entries are returned for
+// rollback.
 func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, []idxKeyAdd, error) {
 	p := t.part(id)
 	// Raw head read: the caller holds either the database exclusively or
@@ -679,28 +599,9 @@ func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, [
 		if Equal(old[idx.Col], nk) {
 			continue // key unchanged
 		}
-		inUse := false
-		if w.mvcc {
-			inUse = t.keyInUse(idx, nk, w.vis())
-		} else {
-			inUse = idx.containsKey(nk)
-		}
-		if inUse {
+		if t.keyInUse(idx, nk, w.vis()) {
 			return nil, nil, &UniqueError{Table: t.Name, Column: idx.Column, Value: nk}
 		}
-	}
-	if !w.mvcc {
-		for _, idx := range t.indexMap() {
-			if Compare(old[idx.Col], newRow[idx.Col]) != 0 {
-				idx.delete(old[idx.Col], id)
-				idx.insert(newRow[idx.Col], id)
-			}
-		}
-		ver := &rowVersion{row: newRow} // beg 0: committed
-		p.mu.Lock()
-		p.rows[id] = ver
-		p.mu.Unlock()
-		return nil, nil, nil
 	}
 	var added []idxKeyAdd
 	for _, idx := range t.indexMap() {
@@ -722,26 +623,6 @@ func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, [
 	t.histAdd(id)
 	w.installed = append(w.installed, ver)
 	return ver, added, nil
-}
-
-// undoUpdate reverts the row with the given ID to its pre-update values
-// (lock-mode transaction rollback). A no-op when the row no longer exists.
-func (t *Table) undoUpdate(id int64, old []Value) {
-	p := t.part(id)
-	cur := p.rows[id].resolve(visLatest)
-	if cur == nil {
-		return
-	}
-	for _, idx := range t.indexMap() {
-		if Compare(cur[idx.Col], old[idx.Col]) != 0 {
-			idx.delete(cur[idx.Col], id)
-			idx.insert(old[idx.Col], id)
-		}
-	}
-	ver := &rowVersion{row: old} // beg 0: committed
-	p.mu.Lock()
-	p.rows[id] = ver
-	p.mu.Unlock()
 }
 
 // vacuum trims every versioned row's chain to the newest version visible
@@ -877,10 +758,10 @@ func (t *Table) coerceRow(row []Value) error {
 }
 
 // Scan visits the newest committed version of every row in ascending
-// row-ID order until fn returns false (lock-mode visibility; the caller
-// holds the database lock).
+// row-ID order until fn returns false. The caller holds the database
+// exclusively (Dump, checkpoints), so no partition lock is taken.
 func (t *Table) Scan(fn func(id int64, row []Value) bool) {
-	t.scanVis(visLatest, fn)
+	t.scanVis(visibility{snap: snapLatest}, fn)
 }
 
 // scanVis visits every row version visible under vis in ascending row-ID
@@ -925,11 +806,14 @@ func dedupSortedInt64s(ids []int64) []int64 {
 	return out
 }
 
-// CreateIndex builds a secondary index over one column, populating it from
-// the newest committed version of each row. Unique indexes fail if
-// existing data violates uniqueness. DDL is not versioned: snapshots
-// older than the index see the post-DDL entry set.
-func (t *Table) CreateIndex(name, column string, kind IndexKind, unique bool) (*Index, error) {
+// createIndex builds a secondary index like the ones writers maintain: one
+// (key, row) entry for every key any version of a row's chain carries,
+// committed or provisional, so old snapshots and open transactions find
+// their rows under the keys they resolve. Uniqueness is checked on the
+// rows visible under vis (the creating writer's view). DDL is not
+// versioned: snapshots older than the index use it too. Caller holds the
+// database exclusively.
+func (t *Table) createIndex(name, column string, kind IndexKind, unique bool, vis visibility) (*Index, error) {
 	if _, dup := t.indexMap()[name]; dup {
 		return nil, fmt.Errorf("sqldb: index %q already exists on %s", name, t.Name)
 	}
@@ -938,21 +822,42 @@ func (t *Table) CreateIndex(name, column string, kind IndexKind, unique bool) (*
 		return nil, fmt.Errorf("sqldb: no column %q in table %s", column, t.Name)
 	}
 	idx := newIndex(name, t.Schema.Columns[col].Name, col, kind, unique)
-	var err error
-	t.Scan(func(id int64, row []Value) bool {
-		key := row[col]
-		if unique && key != nil && idx.containsKey(key) {
-			err = &UniqueError{Table: t.Name, Column: column, Value: key}
-			return false
+	var taken map[hashKey]bool
+	if unique {
+		taken = make(map[hashKey]bool)
+	}
+	for _, id := range t.ids.load() {
+		head := t.part(id).rows[id]
+		if row := head.resolve(vis); unique && row != nil && row[col] != nil {
+			k := makeHashKey(row[col])
+			if taken[k] {
+				return nil, &UniqueError{Table: t.Name, Column: column, Value: row[col]}
+			}
+			taken[k] = true
 		}
-		idx.insert(key, id)
-		return true
-	})
-	if err != nil {
-		return nil, err
+		for v := head; v != nil; v = v.next.Load() {
+			if v.row != nil && !chainHasKeyBefore(head, v, col) {
+				idx.insert(v.row[col], id)
+			}
+		}
 	}
 	t.setIndex(name, idx)
 	return idx, nil
+}
+
+// chainHasKeyBefore reports whether a version newer than v in head's chain
+// carries v's key in column col (its index entry already exists).
+func chainHasKeyBefore(head, v *rowVersion, col int) bool {
+	key := v.row[col]
+	for u := head; u != v; u = u.next.Load() {
+		if u.row == nil {
+			continue
+		}
+		if k := u.row[col]; k == nil && key == nil || k != nil && key != nil && Compare(k, key) == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // DropIndex removes a secondary index by name.

@@ -8,6 +8,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -24,16 +25,27 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// vacuumerRunning reports whether the background vacuum goroutine is
+// registered.
+func vacuumerRunning(db *DB) bool {
+	db.vacMu.Lock()
+	defer db.vacMu.Unlock()
+	return db.vac != nil
+}
+
 // The background goroutine reclaims version chains on its own: no
-// explicit Vacuum call anywhere.
+// explicit Vacuum call anywhere. It starts with the first commit that
+// leaves history and exits once everything is reclaimed.
 func TestBackgroundVacuumReclaims(t *testing.T) {
 	db := NewDB()
+	db.setVacuumInterval(2 * time.Millisecond)
 	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
 	for i := 0; i < 20; i++ {
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", i, "v0")
 	}
-	db.SetVacuumInterval(2 * time.Millisecond)
-	db.SetMVCC(true)
+	if vacuumerRunning(db) {
+		t.Fatal("insert-only commits started the vacuumer; they leave no history")
+	}
 	for r := 0; r < 5; r++ {
 		for i := 0; i < 20; i++ {
 			mustExec(t, db, "UPDATE t SET v = ? WHERE id = ?", fmt.Sprintf("rev%d", r), i)
@@ -43,11 +55,12 @@ func TestBackgroundVacuumReclaims(t *testing.T) {
 		st := db.MVCCStats()
 		return st.BackgroundVacuums > 0 && st.VersionsVacuumed > 0
 	})
-	// An idle database stops vacuuming: passes need commits to chase.
-	st := db.MVCCStats()
-	idle := st.BackgroundVacuums
+	// With the history reclaimed the goroutine exits, and an idle
+	// database runs no further passes.
+	waitFor(t, "the vacuumer to exit", func() bool { return !vacuumerRunning(db) })
+	idle := db.MVCCStats().BackgroundVacuums
 	time.Sleep(20 * time.Millisecond)
-	if got := db.MVCCStats().BackgroundVacuums; got > idle+1 {
+	if got := db.MVCCStats().BackgroundVacuums; got != idle {
 		t.Fatalf("background vacuum ran %d passes on an idle database", got-idle)
 	}
 	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t"); got != 20 {
@@ -55,21 +68,31 @@ func TestBackgroundVacuumReclaims(t *testing.T) {
 	}
 }
 
-// On a lock-mode database Vacuum is a documented no-op: nothing reclaimed
-// and no counter moves.
-func TestVacuumLockModeNoOp(t *testing.T) {
-	db := NewDB()
-	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-	for i := 0; i < 10; i++ {
-		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", i, "v")
-		mustExec(t, db, "UPDATE t SET v = 'w' WHERE id = ?", i)
+// A database that committed an UPDATE owns a vacuum goroutine only until
+// the history is reclaimed; then nothing outside the caller references it,
+// and dropping the last reference lets the collector free it. (The
+// finalizer sits on a table: the DB itself is in a cycle with its
+// statement cache, and a finalizer on a cycle member need not run.)
+func TestUnreferencedDBIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		db := NewDB()
+		db.setVacuumInterval(time.Millisecond)
+		mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+		mustExec(t, db, "INSERT INTO t VALUES (1, 'a')")
+		mustExec(t, db, "UPDATE t SET v = 'b' WHERE id = 1")
+		waitFor(t, "the vacuumer to reclaim and exit", func() bool { return !vacuumerRunning(db) })
+		runtime.SetFinalizer(db.table("t"), func(*Table) { close(collected) })
+	}()
+	for i := 0; i < 100; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
-	if got := db.Vacuum(); got != 0 {
-		t.Fatalf("lock-mode Vacuum reclaimed %d versions, want 0", got)
-	}
-	if st := db.MVCCStats(); st.VacuumRuns != 0 {
-		t.Fatalf("lock-mode Vacuum bumped vacuum_runs to %d, want 0", st.VacuumRuns)
-	}
+	t.Fatal("an unreferenced database that committed an UPDATE was never collected")
 }
 
 // A snapshot older than the retention budget is revoked by the background
@@ -81,8 +104,7 @@ func TestSnapshotRetentionRevokes(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", i, "v0")
 	}
-	db.SetVacuumInterval(2 * time.Millisecond)
-	db.SetMVCC(true)
+	db.setVacuumInterval(2 * time.Millisecond)
 	db.SetSnapshotRetention(10 * time.Millisecond)
 
 	// Cursor leg: pin a snapshot, let commits supersede it, outwait the
