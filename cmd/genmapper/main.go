@@ -23,17 +23,15 @@ import (
 
 func main() {
 	var (
-		dbPath   = flag.String("db", "gam.snap", "database snapshot file (ignored when -data-dir is set)")
-		dataDir  = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); writes survive crashes")
-		fsync    = flag.String("fsync", "group", "WAL fsync policy: always, group, off (with -data-dir)")
-		addr     = flag.String("addr", ":8080", "listen address")
-		demo     = flag.Bool("demo", false, "serve a small synthetic universe instead of a snapshot")
-		seed     = flag.Int64("seed", 1, "demo universe seed")
-		scale    = flag.Float64("scale", 0.002, "demo universe scale")
-		pprofF   = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
-		paraN    = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
-		batchOn  = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
-		batchMin = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
+		dbPath  = flag.String("db", "gam.snap", "database snapshot file (ignored when -data-dir is set)")
+		dataDir = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); writes survive crashes")
+		fsync   = flag.String("fsync", "group", "WAL fsync policy: always, group, off (with -data-dir)")
+		addr    = flag.String("addr", ":8080", "listen address")
+		demo    = flag.Bool("demo", false, "serve a small synthetic universe instead of a snapshot")
+		seed    = flag.Int64("seed", 1, "demo universe seed")
+		scale   = flag.Float64("scale", 0.002, "demo universe scale")
+		pprofF  = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
+		paraN   = flag.Int("parallelism", 0, "storage partition count: 0 = one per CPU (default), N>0 = shard storage into N hash partitions (the unit of write latching)")
 	)
 	flag.Parse()
 
@@ -67,10 +65,6 @@ func main() {
 		os.Exit(1)
 	}
 	sys.SetPartitions(*paraN)
-	sys.SetBatchExecution(*batchOn)
-	if *batchMin > 0 {
-		sys.SetBatchMinRows(*batchMin)
-	}
 	st, err := sys.Stats()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "genmapper:", err)

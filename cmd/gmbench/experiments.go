@@ -752,135 +752,6 @@ func expWALDurability(h *harness) error {
 }
 
 // ---------------------------------------------------------------------------
-// E15 — vectorized (columnar batch) execution
-
-// expVectorized measures row vs vectorized execution of the four full-table
-// shapes the batch engine accelerates — scan+filter, filter-only, grouped
-// aggregate, and export streaming — over a 200k-row table at 1/2/4/8
-// partitions. Every cell runs the same query twice, batch execution off
-// then on, so each ratio compares the two engines at the same partition
-// count; with more than one partition the batch leg fans out one worker
-// per partition. The batch win does not need multiple cores: the kernels
-// cut per-row interpretation cost, so the ratio holds even on one core.
-func expVectorized(h *harness) error {
-	const rows = 200000
-	db := sqldb.NewDB()
-	db.SetBatchMinRows(1)
-	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT, f REAL)"); err != nil {
-		return err
-	}
-	fmt.Printf("(building %d-row table, GOMAXPROCS=%d ...)\n\n", rows, runtime.GOMAXPROCS(0))
-	const chunk = 200
-	for start := 0; start < rows; start += chunk {
-		sql := "INSERT INTO t VALUES "
-		args := make([]any, 0, chunk*4)
-		for i := start; i < start+chunk; i++ {
-			if i > start {
-				sql += ", "
-			}
-			sql += "(?, ?, ?, ?)"
-			args = append(args, i, i%97, fmt.Sprintf("val%d", i), float64(i%400)/4)
-		}
-		if _, err := db.Exec(sql, args...); err != nil {
-			return err
-		}
-	}
-
-	scan := func() error {
-		n := 0
-		err := db.QueryEach("SELECT id, v FROM t WHERE k < 90", func(row []sqldb.Value) error {
-			n++
-			return nil
-		})
-		if err == nil && n == 0 {
-			return fmt.Errorf("scan matched nothing")
-		}
-		return err
-	}
-	filter := func() error {
-		n := 0
-		err := db.QueryEach("SELECT id FROM t WHERE k BETWEEN 10 AND 19 AND f < 50", func(row []sqldb.Value) error {
-			n++
-			return nil
-		})
-		if err == nil && n == 0 {
-			return fmt.Errorf("filter matched nothing")
-		}
-		return err
-	}
-	agg := func() error {
-		rs, err := db.Query("SELECT k, COUNT(*), SUM(id), MIN(f), MAX(v) FROM t GROUP BY k")
-		if err == nil && rs.Len() != 97 {
-			return fmt.Errorf("aggregate groups = %d", rs.Len())
-		}
-		return err
-	}
-	export := func() error {
-		// The engine half of view/export streaming: every column of every
-		// row through QueryEach. Formatting is sink cost, identical on
-		// both engines, so it stays out of the measurement.
-		n := 0
-		err := db.QueryEach("SELECT id, k, v, f FROM t", func(row []sqldb.Value) error {
-			n++
-			return nil
-		})
-		if err == nil && n != rows {
-			return fmt.Errorf("export streamed %d rows", n)
-		}
-		return err
-	}
-	best := func(fn func() error) (time.Duration, error) {
-		bestD := time.Duration(0)
-		for r := 0; r < 3; r++ {
-			start := time.Now()
-			if err := fn(); err != nil {
-				return 0, err
-			}
-			if d := time.Since(start); bestD == 0 || d < bestD {
-				bestD = d
-			}
-		}
-		return bestD, nil
-	}
-
-	shapes := []func() error{scan, filter, agg, export}
-	fmt.Printf("%-10s %-6s %12s %12s %12s %12s %34s\n",
-		"partitions", "batch", "scan", "filter", "aggregate", "export", "speedup (scan/filter/agg/export)")
-	for _, parts := range []int{1, 2, 4, 8} {
-		db.SetPartitions(parts)
-		var row, vec [4]time.Duration
-		for _, batch := range []bool{false, true} {
-			db.SetBatchExecution(batch)
-			for i, fn := range shapes {
-				d, err := best(fn)
-				if err != nil {
-					return err
-				}
-				if batch {
-					vec[i] = d
-				} else {
-					row[i] = d
-				}
-			}
-		}
-		fmt.Printf("%-10d %-6s %12v %12v %12v %12v\n",
-			parts, "off", row[0].Round(time.Microsecond), row[1].Round(time.Microsecond),
-			row[2].Round(time.Microsecond), row[3].Round(time.Microsecond))
-		fmt.Printf("%-10s %-6s %12v %12v %12v %12v %10.2fx /%6.2fx /%6.2fx /%6.2fx\n",
-			"", "on", vec[0].Round(time.Microsecond), vec[1].Round(time.Microsecond),
-			vec[2].Round(time.Microsecond), vec[3].Round(time.Microsecond),
-			float64(row[0])/float64(vec[0]), float64(row[1])/float64(vec[1]),
-			float64(row[2])/float64(vec[2]), float64(row[3])/float64(vec[3]))
-	}
-	bs := db.BatchStats()
-	fmt.Printf("\nbatch ops: scans=%d aggregates=%d (rows/batch=%d)\n",
-		bs.BatchScans, bs.BatchAggregates, bs.RowsPerBatch)
-	fmt.Println("expected shape: batch=on beats batch=off at every partition count; aggregate and")
-	fmt.Println("export reach >=3x on quiet hardware (gated 3-run medians live in BENCH_pr7.json)")
-	return nil
-}
-
-// ---------------------------------------------------------------------------
 // E16 — snapshot isolation under mixed read/write load
 
 // expConcurrency measures snapshot readers beside writers: at 1/2/4/8

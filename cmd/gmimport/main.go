@@ -36,9 +36,7 @@ func main() {
 		stats     = flag.Bool("stats", false, "print database statistics and exit")
 		verbose   = flag.Bool("v", false, "print per-source import statistics")
 		engine    = flag.Bool("engine-stats", false, "print SQL engine statement-cache and planner counters after the run")
-		parallel  = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
-		batchOn   = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
-		batchMin  = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
+		parallel  = flag.Int("parallelism", 0, "storage partition count: 0 = one per CPU (default), N>0 = shard storage into N hash partitions (the unit of write latching)")
 	)
 	flag.Parse()
 
@@ -47,10 +45,6 @@ func main() {
 		fail(err)
 	}
 	sys.SetPartitions(*parallel)
-	sys.SetBatchExecution(*batchOn)
-	if *batchMin > 0 {
-		sys.SetBatchMinRows(*batchMin)
-	}
 	durable := *dataDir != ""
 	if durable {
 		defer sys.Close()

@@ -24,13 +24,11 @@ import (
 
 func main() {
 	var (
-		dbPath   = flag.String("db", "gam.snap", "database snapshot file (created on .save when missing; ignored with -data-dir)")
-		dataDir  = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); every write is crash-safe")
-		fsync    = flag.String("fsync", "group", "WAL fsync policy with -data-dir: always, group, off")
-		quiet    = flag.Bool("q", false, "suppress the prompt (for piped input)")
-		paraN    = flag.Int("parallelism", 0, "storage partitions: 0 = one per CPU (default), 1 = serial, N>1 = shard storage into N hash partitions; batch scans and aggregates fan out one worker per partition")
-		batchOn  = flag.Bool("batch", true, "vectorized (columnar batch) execution for eligible scans and aggregates")
-		batchMin = flag.Int64("batch-min-rows", 0, "minimum table rows before the planner picks the vectorized leg (0 = engine default)")
+		dbPath  = flag.String("db", "gam.snap", "database snapshot file (created on .save when missing; ignored with -data-dir)")
+		dataDir = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); every write is crash-safe")
+		fsync   = flag.String("fsync", "group", "WAL fsync policy with -data-dir: always, group, off")
+		quiet   = flag.Bool("q", false, "suppress the prompt (for piped input)")
+		paraN   = flag.Int("parallelism", 0, "storage partition count: 0 = one per CPU (default), N>0 = shard storage into N hash partitions (the unit of write latching)")
 	)
 	flag.Parse()
 
@@ -73,10 +71,6 @@ func main() {
 	}
 
 	db.SetPartitions(*paraN)
-	db.SetBatchExecution(*batchOn)
-	if *batchMin > 0 {
-		db.SetBatchMinRows(*batchMin)
-	}
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -197,26 +197,25 @@ func (s *System) SQLExplain(sql, format string) (string, error) {
 }
 
 // SetPartitions re-shards the embedded engine's storage into n hash
-// partitions (0 = one per CPU, the default; 1 = serial). Batch scans and
-// aggregates over a table with more than one partition fan out one worker
-// per partition. Re-sharding is a schema change — do this at startup.
+// partitions (0 = one per CPU, the default; 1 = one partition). The
+// partition is the unit of write latching, so UPDATEs and DELETEs on
+// disjoint partitions commit concurrently. Re-sharding is a schema change
+// — do this at startup.
 func (s *System) SetPartitions(n int) { s.db.SetPartitions(n) }
 
-// SQLParallelStats returns how often batch scans and aggregates fanned out
-// across partitions.
-func (s *System) SQLParallelStats() sqldb.ParallelStats { return s.db.ParallelStats() }
+// SQLParallelStats returns zero counters: the engine has no partition
+// fan-out left to count. bench/e2e still reads it; it is deleted when
+// bench/ is next unfrozen (ROADMAP item 2).
+//
+// Deprecated: always zero; drop the call.
+func (s *System) SQLParallelStats() sqldb.ParallelStats { return sqldb.ParallelStats{} }
 
-// SetBatchExecution toggles the embedded engine's vectorized (columnar
-// batch) execution leg for eligible full-table scans and aggregates. On
-// by default; the row engine always remains as the fallback.
-func (s *System) SetBatchExecution(on bool) { s.db.SetBatchExecution(on) }
-
-// SetBatchMinRows sets the minimum table cardinality before the planner
-// picks the vectorized leg (0 restores the engine default).
-func (s *System) SetBatchMinRows(n int64) { s.db.SetBatchMinRows(n) }
-
-// SQLBatchStats returns the vectorized execution counters and knobs.
-func (s *System) SQLBatchStats() sqldb.BatchStats { return s.db.BatchStats() }
+// SQLBatchStats returns zero counters: the engine has no vectorized leg
+// left to count. bench/e2e still reads it; it is deleted when bench/ is
+// next unfrozen (ROADMAP item 2).
+//
+// Deprecated: always zero; drop the call.
+func (s *System) SQLBatchStats() sqldb.BatchStats { return sqldb.BatchStats{} }
 
 // SetMVCC does nothing: the embedded engine always runs under snapshot
 // isolation, so readers never block on writers and never see an open

@@ -173,8 +173,8 @@ func checkBlocked(pass *analysis.Pass, pos token.Pos, op string, held map[string
 		if h.class.domain != "db" {
 			continue
 		}
-		// A shared db.mu is how streaming reads legitimately wait on the
-		// parallel exchange; only exclusive holds are fsync-ordering bugs.
+		// A shared db.mu may block: latched committers share it, so commits
+		// still group; only exclusive holds are fsync-ordering bugs.
 		if h.class.label == "db.mu" && h.shared {
 			continue
 		}

@@ -80,8 +80,8 @@ func ackUnderWriter(db *DB, ch chan int) {
 func streamShared(db *DB, ch chan int) int {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	// A shared db.mu may wait on the parallel exchange: writers are not
-	// blocked behind this read.
+	// A shared db.mu may block: latched committers share it, so commits
+	// still group behind this read.
 	return <-ch
 }
 

@@ -1,12 +1,10 @@
 // Package partlock checks that partition locks are released on every
 // path out of the function that acquired them.
 //
-// The batch producers materialize runs of rows under tablePart.mu — one
-// acquisition per batch instead of one per row — which makes the hold a
-// window the whole exchange stalls behind. A producer that returns early
-// (schema-generation bump, filter error, exhaustion) while still holding
-// the partition lock deadlocks every writer touching that partition, and
-// unlike a leaked file handle nothing ever cleans it up.
+// Readers and writers take tablePart.mu around each row-map access. A
+// function that returns early while still holding the partition lock
+// deadlocks every writer touching that partition, and unlike a leaked
+// file handle nothing ever cleans it up.
 //
 // The analysis is intraprocedural and walks each function body in source
 // order, keeping a stack of outstanding tablePart.mu acquisitions:
@@ -32,7 +30,7 @@
 // The source-order model is deliberately linear: an unlock inside one
 // branch discharges the obligation for the code after the branch too.
 // That under-reports some genuinely leaky shapes but never false-positives
-// on the engine's real producers, which is the right trade for a hard CI
+// on the engine's real lock sites, which is the right trade for a hard CI
 // gate.
 package partlock
 
@@ -51,8 +49,8 @@ var Analyzer = &analysis.Analyzer{
 }
 
 // partLocks are the lock fields whose holds must not escape the
-// acquiring function. tablePart.mu is the one batch producers take per
-// batch; the set is a map so siblings can be added as storage grows.
+// acquiring function. tablePart.mu guards each partition's row map; the
+// set is a map so siblings can be added as storage grows.
 var partLocks = map[string]string{
 	"genmapper/internal/sqldb.tablePart.mu": "tablePart.mu",
 }

@@ -16,9 +16,9 @@ type batchMsg struct {
 	err error
 }
 
-// batchProducerClean mirrors the real batch worker: one acquisition per
-// batch, released before the channel send on both the invalidation path
-// and the steady-state path.
+// batchProducerClean holds the lock across a run of rows and releases it
+// before the channel send on both the invalidation path and the
+// steady-state path.
 func batchProducerClean(part *tablePart, gen, cur uint64, ch chan<- batchMsg) {
 	for {
 		part.mu.RLock()

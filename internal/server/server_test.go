@@ -271,25 +271,9 @@ func TestAPIEndpoints(t *testing.T) {
 			t.Errorf("cache stats missing %q: %v", k, cache)
 		}
 	}
-	par, ok := stats["sql_parallel"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing sql_parallel block: %v", stats)
-	}
-	for _, k := range []string{"parallel_scans", "parallel_aggregates"} {
-		if _, ok := par[k].(float64); !ok {
-			t.Errorf("sql_parallel missing %q: %v", k, par)
-		}
-	}
-	batch, ok := stats["sql_batch"].(map[string]any)
-	if !ok {
-		t.Fatalf("stats missing sql_batch block: %v", stats)
-	}
-	if _, ok := batch["enabled"].(bool); !ok {
-		t.Errorf("sql_batch missing %q: %v", "enabled", batch)
-	}
-	for _, k := range []string{"min_rows", "rows_per_batch", "batch_scans", "batch_aggregates"} {
-		if _, ok := batch[k].(float64); !ok {
-			t.Errorf("sql_batch missing %q: %v", k, batch)
+	for _, gone := range []string{"sql_parallel", "sql_batch"} {
+		if _, ok := stats[gone]; ok {
+			t.Errorf("stats still report %q: the engine has one execution leg: %v", gone, stats)
 		}
 	}
 	mvcc, ok := stats["sql_mvcc"].(map[string]any)
@@ -413,11 +397,10 @@ func TestStatsCacheCountersMove(t *testing.T) {
 }
 
 // A warm Figure-5 request — the query page and the home page on a primed
-// system — runs no scan, join or batch leg: the source list and the
-// counts come from gam's caches, not from a per-request catalog query.
+// system — runs no scan or join: the source list and the counts come from
+// gam's caches, not from a per-request catalog query.
 func TestWarmPageRunsNoCatalogScan(t *testing.T) {
 	sys := testSystem(t)
-	sys.SetBatchMinRows(1) // any full scan would take the batch leg
 	ts := httptest.NewServer(New(sys))
 	t.Cleanup(ts.Close)
 	form := url.Values{"source": {"LocusLink"}, "mode": {"OR"}, "targets": {"Hugo\nGO"}}
@@ -436,16 +419,14 @@ func TestWarmPageRunsNoCatalogScan(t *testing.T) {
 		resp.Body.Close()
 	}
 	request() // primes the executor
-	plans, batch := sys.SQLPlanStats(), sys.SQLBatchStats()
+	plans := sys.SQLPlanStats()
 	request()
-	p, b := sys.SQLPlanStats(), sys.SQLBatchStats()
+	p := sys.SQLPlanStats()
 	for name, moved := range map[string]uint64{
 		"full scans":        p.FullScans - plans.FullScans,
 		"hash joins":        p.HashJoins - plans.HashJoins,
 		"index joins":       p.IndexJoins - plans.IndexJoins,
 		"nested-loop joins": p.NestedJoins - plans.NestedJoins,
-		"batch scans":       b.BatchScans - batch.BatchScans,
-		"batch aggregates":  b.BatchAggregates - batch.BatchAggregates,
 	} {
 		if moved != 0 {
 			t.Errorf("a warm request ran %d %s", moved, name)

@@ -547,14 +547,11 @@ func BenchmarkPrefix10Of100kCursorStream(b *testing.B) {
 // ---------------------------------------------------------------------------
 // Partitioned storage for the engine-leg benchmarks below.
 
-// benchPartitionedDB builds a 100k-row table sharded into parts partitions
-// with batch execution off; with parts > 1 batch scans and aggregates fan
-// out across the partitions once a benchmark switches batch execution on.
+// benchPartitionedDB builds a 100k-row table sharded into parts partitions.
 func benchPartitionedDB(b *testing.B, parts int) *DB {
 	b.Helper()
 	db := NewDB()
 	db.SetPartitions(parts)
-	db.SetBatchExecution(false)
 	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)"); err != nil {
 		b.Fatal(err)
 	}
@@ -577,20 +574,12 @@ func benchPartitionedDB(b *testing.B, parts int) *DB {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized columnar execution (PR 7). Each shape runs as a pair — row
-// engine vs batch kernels — over the same partitioned 100k-row table, so
-// the ns/op ratio is the vectorization win at a fixed partition count.
+// Full-table shapes over the partitioned 100k-row table: scan+filter,
+// selective filter, grouped aggregate and export streaming, at one and
+// four partitions. The Vec* names keep their committed baselines.
 
-// benchVectorDB is benchPartitionedDB with the vectorized leg switched as
-// requested.
-func benchVectorDB(b *testing.B, parts int, batch bool) *DB {
+func benchVecScan(b *testing.B, parts int) {
 	db := benchPartitionedDB(b, parts)
-	db.SetBatchExecution(batch)
-	return db
-}
-
-func benchVecScan(b *testing.B, parts int, batch bool) {
-	db := benchVectorDB(b, parts, batch)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -605,12 +594,10 @@ func benchVecScan(b *testing.B, parts int, batch bool) {
 	}
 }
 
-func BenchmarkVecScanRowSerial(b *testing.B) { benchVecScan(b, 1, false) }
-func BenchmarkVecScanSerial(b *testing.B)    { benchVecScan(b, 1, true) }
-func BenchmarkVecScanParts4(b *testing.B)    { benchVecScan(b, 4, true) }
+func BenchmarkVecScanRowSerial(b *testing.B) { benchVecScan(b, 1) }
 
-func benchVecFilter(b *testing.B, parts int, batch bool) {
-	db := benchVectorDB(b, parts, batch)
+func benchVecFilter(b *testing.B, parts int) {
+	db := benchPartitionedDB(b, parts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -625,13 +612,11 @@ func benchVecFilter(b *testing.B, parts int, batch bool) {
 	}
 }
 
-func BenchmarkVecFilterRowSerial(b *testing.B) { benchVecFilter(b, 1, false) }
-func BenchmarkVecFilterSerial(b *testing.B)    { benchVecFilter(b, 1, true) }
-func BenchmarkVecFilterRowParts4(b *testing.B) { benchVecFilter(b, 4, false) }
-func BenchmarkVecFilterParts4(b *testing.B)    { benchVecFilter(b, 4, true) }
+func BenchmarkVecFilterRowSerial(b *testing.B) { benchVecFilter(b, 1) }
+func BenchmarkVecFilterRowParts4(b *testing.B) { benchVecFilter(b, 4) }
 
-func benchVecAgg(b *testing.B, parts int, batch bool) {
-	db := benchVectorDB(b, parts, batch)
+func benchVecAgg(b *testing.B, parts int) {
+	db := benchPartitionedDB(b, parts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -642,16 +627,14 @@ func benchVecAgg(b *testing.B, parts int, batch bool) {
 	}
 }
 
-func BenchmarkVecAggRowSerial(b *testing.B) { benchVecAgg(b, 1, false) }
-func BenchmarkVecAggSerial(b *testing.B)    { benchVecAgg(b, 1, true) }
-func BenchmarkVecAggParts4(b *testing.B)    { benchVecAgg(b, 4, true) }
+func BenchmarkVecAggRowSerial(b *testing.B) { benchVecAgg(b, 1) }
 
 // benchVecExport measures the view/export streaming shape: every column
 // of every row delivered through QueryEach. The sink is a touch of each
-// value rather than a TSV writer, so the pair isolates the engine's
-// streaming cost — the formatter costs the same on both legs.
-func benchVecExport(b *testing.B, parts int, batch bool) {
-	db := benchVectorDB(b, parts, batch)
+// value rather than a TSV writer, so the bench isolates the engine's
+// streaming cost.
+func benchVecExport(b *testing.B, parts int) {
+	db := benchPartitionedDB(b, parts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -667,10 +650,8 @@ func benchVecExport(b *testing.B, parts int, batch bool) {
 	}
 }
 
-func BenchmarkVecExportRowSerial(b *testing.B) { benchVecExport(b, 1, false) }
-func BenchmarkVecExportSerial(b *testing.B)    { benchVecExport(b, 1, true) }
-func BenchmarkVecExportRowParts4(b *testing.B) { benchVecExport(b, 4, false) }
-func BenchmarkVecExportParts4(b *testing.B)    { benchVecExport(b, 4, true) }
+func BenchmarkVecExportRowSerial(b *testing.B) { benchVecExport(b, 1) }
+func BenchmarkVecExportRowParts4(b *testing.B) { benchVecExport(b, 4) }
 
 // ---------------------------------------------------------------------------
 // CREATE INDEX over partitioned storage (the name keeps its baseline).

@@ -110,8 +110,6 @@ func (s *Stmt) eachVis(fn func(row []Value) error, vals []Value, vis visibility)
 		return err
 	}
 	c := newSelectCursor(db, p.sel, vals, true, vis)
-	// fn may abort the iteration mid-stream; close cancels a partition
-	// exchange so its workers never outlive the call.
 	defer c.close()
 	return c.each(fn)
 }
@@ -168,7 +166,8 @@ func (s *Stmt) cursorVis(vals []Value, vis visibility) (*dbCursor, error) {
 // QueryCursor runs a streaming SELECT inside the transaction, observing
 // its own (uncommitted) writes like Tx.Query does: the cursor reads at the
 // transaction's snapshot (which the transaction owns — the cursor does not
-// release it) and sees the transaction's provisional versions.
+// release it) and sees the transaction's provisional versions. Writes the
+// transaction makes while the cursor is open may or may not be observed.
 func (tx *Tx) QueryCursor(sql string, args ...any) (Cursor, error) {
 	if tx.done {
 		return nil, fmt.Errorf("sqldb: transaction already finished")
@@ -262,8 +261,8 @@ func (c *dbCursor) Next() ([]Value, error) {
 	return row, err
 }
 
-// Close releases the cursor's buffered state, cancels any exchange workers
-// still running, and releases a cursor-owned snapshot. Idempotent.
+// Close releases the cursor's buffered state and a cursor-owned snapshot.
+// Idempotent.
 func (c *dbCursor) Close() error {
 	if c.closed {
 		return nil
@@ -295,10 +294,8 @@ type selectCursor struct {
 	// Streaming state (non-grouped, non-distinct, order already satisfied).
 	streaming bool
 	prod      rowProducer
-	bsrc      batchSource // non-nil: vectorized batch leg instead of prod
-	batchProj []int       // batch leg's projection column positions
-	skip      int64       // OFFSET rows still to drop
-	remain    int64       // LIMIT rows still to emit; -1 = unlimited
+	skip      int64 // OFFSET rows still to drop
+	remain    int64 // LIMIT rows still to emit; -1 = unlimited
 	rowBuf    []Value
 
 	// Buffered state (pipeline breakers: GROUP BY, DISTINCT, real sorts).
@@ -396,23 +393,6 @@ func (c *selectCursor) start() error {
 	if c.remain > 0 && c.remain+c.skip <= 1<<20 {
 		c.ex.orderedHint = int(c.remain + c.skip)
 	}
-	// The vectorized leg fans out one batch worker per partition when the
-	// table has several; with one partition the serial batch producer
-	// amortizes the caller's lock over one batch instead of one row.
-	if bs := c.ex.batchScanBinding(); bs != nil {
-		c.ex.db.plans.batchScans.Add(1)
-		c.batchProj = bs.shape.projCols
-		if c.ex.p.rels[0].table.PartitionCount() > 1 {
-			c.ex.db.plans.fanScans.Add(1)
-			c.bsrc = newBatchScanExchange(c.ex, bs)
-		} else {
-			c.bsrc = newSerialBatchScan(c.ex, bs)
-		}
-		if c.reuseRow {
-			c.rowBuf = make([]Value, len(p.projExprs))
-		}
-		return nil
-	}
 	prod, err := c.ex.buildProducer()
 	if err != nil {
 		return err
@@ -424,90 +404,14 @@ func (c *selectCursor) start() error {
 	return nil
 }
 
-// close releases engine-cursor resources; with an exchange running it
-// cancels the workers and waits them out. Idempotent, and required on
-// every exit path that can leave the exchange mid-stream (early Close,
-// LIMIT, errors).
+// close releases engine-cursor resources. Idempotent.
 func (c *selectCursor) close() {
 	c.done = true
-	if c.bsrc != nil {
-		c.bsrc.close()
-	}
 	c.buf = nil
 }
 
-// stepBatch is the batch-to-row adapter: it pulls merged filtered rows
-// (original storage references) from the batch source, applies the column
-// projection, and runs the OFFSET/LIMIT window — keeping the public
-// Cursor/QueryEach surface identical to the row leg.
-func (c *selectCursor) stepBatch() ([]Value, error) {
-	ex := c.ex
-	for {
-		row, err := c.bsrc.next()
-		if err != nil {
-			c.close()
-			return nil, err
-		}
-		if row == nil {
-			c.close()
-			return nil, nil
-		}
-		if c.skip > 0 {
-			c.skip--
-			continue
-		}
-		out := c.rowBuf
-		if out == nil {
-			out = make([]Value, len(c.batchProj))
-		}
-		for j, pos := range c.batchProj {
-			out[j] = row[pos]
-		}
-		if c.remain > 0 {
-			c.remain--
-			if c.remain == 0 {
-				// Row production stops before the source is exhausted.
-				ex.db.plans.earlyLimitHit.Add(1)
-				c.close()
-			}
-		}
-		return out, nil
-	}
-}
-
-// each streams every output row to fn (the QueryEach drain). On the
-// vectorized leg it consumes whole filtered runs instead of stepping row
-// by row, which drops the per-row pull dispatch from the hot loop; the
-// emitted sequence, OFFSET/LIMIT window, and counter behavior are
-// identical to the step path.
+// each streams every output row to fn (the QueryEach drain).
 func (c *selectCursor) each(fn func(row []Value) error) error {
-	if !c.started {
-		if err := c.start(); err != nil {
-			c.done = true
-			return err
-		}
-	}
-	if !c.done && c.streaming && c.bsrc != nil {
-		if s, ok := c.bsrc.(*serialBatchScan); ok {
-			return c.eachSerialBatch(s, fn)
-		}
-		if ps, ok := c.bsrc.(*parallelScan); ok {
-			return c.eachExchange(ps, fn)
-		}
-		for !c.done {
-			row, err := c.stepBatch()
-			if err != nil {
-				return err
-			}
-			if row == nil {
-				return nil
-			}
-			if err := fn(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	for {
 		row, err := c.step()
 		if err != nil {
@@ -522,111 +426,7 @@ func (c *selectCursor) each(fn func(row []Value) error) error {
 	}
 }
 
-// eachSerialBatch drains the serial batch producer run-at-a-time: the
-// OFFSET/LIMIT window is applied by slicing each run, and the projection
-// copies into the one shared output buffer the QueryEach contract
-// promises (rows are valid only during the callback).
-func (c *selectCursor) eachSerialBatch(s *serialBatchScan, fn func(row []Value) error) error {
-	proj := c.batchProj
-	buf := c.rowBuf
-	if buf == nil {
-		buf = make([]Value, len(proj))
-	}
-	for {
-		rows, err := s.nextRun()
-		if err != nil {
-			c.close()
-			return err
-		}
-		if rows == nil {
-			c.close()
-			return nil
-		}
-		if c.skip > 0 {
-			if n := int64(len(rows)); c.skip >= n {
-				c.skip -= n
-				continue
-			}
-			rows = rows[c.skip:]
-			c.skip = 0
-		}
-		limited := false
-		if c.remain > 0 {
-			if int64(len(rows)) >= c.remain {
-				rows = rows[:c.remain]
-				limited = true
-			}
-			c.remain -= int64(len(rows))
-		}
-		for _, row := range rows {
-			for j, pos := range proj {
-				buf[j] = row[pos]
-			}
-			if err := fn(buf); err != nil {
-				c.close()
-				return err
-			}
-		}
-		if limited {
-			// Row production stops before the source is exhausted.
-			c.ex.db.plans.earlyLimitHit.Add(1)
-			c.close()
-			return nil
-		}
-	}
-}
-
-// eachExchange drains the batch exchange for QueryEach: the min-merge
-// over the partition streams is pulled directly — no per-row adapter
-// dispatch — with the projection landing in the shared output buffer and
-// the OFFSET/LIMIT window behaving exactly like stepBatch.
-func (c *selectCursor) eachExchange(ps *parallelScan, fn func(row []Value) error) error {
-	proj := c.batchProj
-	buf := c.rowBuf
-	if buf == nil {
-		buf = make([]Value, len(proj))
-	}
-	for {
-		row, err := ps.next()
-		if err != nil {
-			c.close()
-			return err
-		}
-		if row == nil {
-			c.close()
-			return nil
-		}
-		if c.skip > 0 {
-			c.skip--
-			continue
-		}
-		for j, pos := range proj {
-			buf[j] = row[pos]
-		}
-		last := false
-		if c.remain > 0 {
-			c.remain--
-			if c.remain == 0 {
-				// Row production stops before the source is exhausted.
-				c.ex.db.plans.earlyLimitHit.Add(1)
-				c.close()
-				last = true
-			}
-		}
-		if err := fn(buf); err != nil {
-			c.close()
-			return err
-		}
-		if last {
-			return nil
-		}
-	}
-}
-
 func (c *selectCursor) stepStreaming() ([]Value, error) {
-	if c.bsrc != nil {
-		return c.stepBatch()
-	}
 	ex := c.ex
 	for {
 		ok, err := c.prod.next(ex)
@@ -693,7 +493,7 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 	switch {
 	case a.kind == accessScan:
 		c.fullScans.Add(1)
-		prod = newScanProducer(base)
+		prod = newScanProducer(base, ex.orderedHint)
 	case a.ordered:
 		c.orderedScans.Add(1)
 		op, err := newOrderedProducer(ex, base)
@@ -736,40 +536,72 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 // deletes and ID-slice compaction without snapshotting anything. Row
 // visibility comes from the execution's snapshot, so a reload
 // never changes which rows the cursor observes.
+//
+// Rows are resolved a run at a time into ahead: back-to-back row-map
+// probes overlap their cache misses, which one probe per pulled row —
+// interleaved with the consumer's work — cannot. Resolving early is safe
+// because the snapshot fixes every row's visible version. Runs start
+// small, so a consumer that stops after a few rows resolves few, and grow
+// toward scanRunSize.
 type scanProducer struct {
 	rel    relBinding
 	ids    []int64
 	pos    int
 	lastID int64
 	mut    uint64
+
+	ahead [][]Value
+	apos  int
+	run   int
 }
 
-func newScanProducer(rel relBinding) *scanProducer {
-	return &scanProducer{rel: rel, ids: rel.table.ids.load(), mut: rel.table.mut.Load()}
+// scanRunSize caps how many rows one scanProducer refill resolves.
+const scanRunSize = 256
+
+func newScanProducer(rel relBinding, hint int) *scanProducer {
+	run := 16
+	if hint > run {
+		run = min(hint, scanRunSize)
+	}
+	return &scanProducer{rel: rel, ids: rel.table.ids.load(), mut: rel.table.mut.Load(), run: run}
 }
 
 func (s *scanProducer) next(ex *selectExec) (bool, error) {
+	if s.apos == len(s.ahead) && !s.refill(ex) {
+		return false, nil
+	}
+	ex.env.SetRow(s.rel.off, s.ahead[s.apos])
+	s.apos++
+	return true, nil
+}
+
+// refill resolves the next run of visible rows into ahead, reporting
+// whether any remain.
+func (s *scanProducer) refill(ex *selectExec) bool {
 	t := s.rel.table
 	if m := t.mut.Load(); m != s.mut {
 		// The ID slice may have been appended to, compacted or truncated
-		// since the last step; continue after the last row emitted. Row
+		// since the last refill; continue after the last row examined. Row
 		// IDs are monotone, so this never re-emits a row.
 		s.ids = t.ids.load()
 		s.pos = sort.Search(len(s.ids), func(i int) bool { return s.ids[i] > s.lastID })
 		s.mut = m
 	}
-	for s.pos < len(s.ids) {
+	if s.ahead == nil {
+		// One buffer for the whole scan, sized to the largest run it needs.
+		s.ahead = make([][]Value, 0, min(scanRunSize, len(s.ids)-s.pos))
+	}
+	s.ahead, s.apos = s.ahead[:0], 0
+	for s.pos < len(s.ids) && len(s.ahead) < s.run {
 		id := s.ids[s.pos]
 		s.pos++
-		row := t.get(id, ex.vis)
-		if row == nil {
-			continue // tombstone, or a version invisible at this snapshot
-		}
 		s.lastID = id
-		ex.env.SetRow(s.rel.off, row)
-		return true, nil
+		if row := t.get(id, ex.vis); row != nil {
+			s.ahead = append(s.ahead, row) // nil: tombstone, or invisible at this snapshot
+		}
 	}
-	return false, nil
+	s.run = min(s.run*4, scanRunSize)
+	return len(s.ahead) > 0
 }
 
 // idListProducer emits the rows of a precomputed candidate ID list (the

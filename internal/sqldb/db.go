@@ -26,8 +26,7 @@ type DB struct {
 	// gen is the schema generation, bumped by every DDL change (and its
 	// rollback). Prepared plans record the generation they were built under
 	// and are transparently rebuilt when it moves. Written under mu; read
-	// atomically so exchange workers (which never take mu, see parallel.go)
-	// can poll it between batches.
+	// atomically so lock-free cursors can poll it at every step.
 	gen atomic.Uint64
 	// noIndex disables index access paths in the planner (see
 	// setIndexAccess). Atomic: planning reads it lock-free.
@@ -37,8 +36,6 @@ type DB struct {
 	// default, one per CPU). Guarded by mu; SetPartitions re-shards
 	// existing tables too.
 	nparts int
-	// batch is the runtime vectorized-execution hint (see batch.go).
-	batch batchSettings
 
 	// Snapshot state (see mvcc.go). epoch is the commit epoch: provisional
 	// versions become visible when publishCommit stamps them and advances

@@ -1,24 +1,19 @@
 // Package sqldb is the embedded relational engine: SQL parsing, planning,
-// indexed row execution and vectorized (columnar batch) execution that
-// fans out across hash partitions, transactions with undo-log rollback,
-// MVCC snapshot isolation with lock-free readers, streaming cursors, and
-// WAL-backed durability with group commit and checkpointing.
+// Volcano-style row execution over hash-partitioned storage, transactions
+// with undo-log rollback, MVCC snapshot isolation with lock-free readers,
+// streaming cursors, and WAL-backed durability with group commit and
+// checkpointing.
 //
-// # Execution legs
+// # Execution
 //
-// There are two. Full-scan SELECTs and aggregates over tables past
-// SetBatchMinRows (default 4096 rows) run on the batch leg: producers
-// materialize ~1024 rows column-major out of tablePart storage under one
-// lock acquisition per batch — one producer per partition when the table
-// has more than one (SetPartitions) — typed kernels evaluate the WHERE
-// clause into tri-state selection vectors, and the aggregate accumulators
-// fold whole batches (GROUP BY through per-batch hash grouping merged via
-// aggAcc.merge, float sums Kahan-compensated so every leg agrees
-// bit-for-bit). Point, index and range access, joins, and expressions the
-// kernels do not cover run on the serial row cursor; a batch-to-row
-// adapter keeps the Cursor/QueryEach surface — snapshot visibility, DDL
-// invalidation, LIMIT/OFFSET, early Close — identical to
-// the row leg, which the planner-equivalence fuzz asserts byte-for-byte.
+// There is one execution leg: the row cursor (cursor.go). Every SELECT —
+// point, index and range access, full scans, joins, aggregates —
+// runs as a pull pipeline of row producers, one row at a time, at the
+// statement's snapshot; materialized Query, QueryEach and QueryCursor
+// only differ in how they drain it. Storage partitions (SetPartitions)
+// shape write latching, not reads: a scan walks the table's global ID
+// slice whatever the layout, so results are identical on any partition
+// count, which the planner-equivalence fuzz asserts byte-for-byte.
 //
 // # Invariants
 //
@@ -41,8 +36,7 @@
 //     committers that section is commitMu under shared mu — but wait
 //     for durability after unlocking —
 //     that window is what lets concurrent committers share one fsync
-//     (group commit). Readers — exchange workers included — take only
-//     partition read locks, never mu.
+//     (group commit). Readers take only partition read locks, never mu.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
 //     through executeWrite, and every caller must bind the mutation for
@@ -59,19 +53,18 @@
 //     (or restore) that invalidates those cursors.
 //
 //  5. Cursors are closed. Every Cursor obtained from QueryCursor is
-//     closed on all paths or handed off; on a partition exchange Close is
-//     what winds down the worker pool (TestParallelCursorEarlyClose
-//     guards the no-leak property).
+//     closed on all paths or handed off: Close releases the cursor's
+//     pinned snapshot, which otherwise holds back vacuum
+//     (TestCursorEarlyClose and TestSnapshotReleasedOnErrorPaths guard it).
 //
 //  6. Durability errors are handled. Errors from WAL, fsync, Close and
 //     file-removal calls are never silently dropped; best-effort sites
 //     carry a //gmlint:ignore justification.
 //
-//  7. Partition locks are released on every path. Batch producers and
-//     exchange workers hold tablePart.mu for a whole batch; any
-//     early return (schema-generation bump, send failure, kernel error)
-//     must unlock first — a held partition lock wedges every writer
-//     touching that partition (checked by gmlint's partlock).
+//  7. Partition locks are released on every path. Any early return
+//     while tablePart.mu is held must unlock first — a held partition
+//     lock wedges every writer touching that partition (checked by
+//     gmlint's partlock).
 //
 //  8. Version visibility flows through the epoch. Storage is version
 //     chains; a chain's head may carry a provisional

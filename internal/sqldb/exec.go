@@ -1,10 +1,10 @@
 package sqldb
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ResultSet is the materialized output of a SELECT.
@@ -41,8 +41,12 @@ type selectExec struct {
 
 	// orderedHint is the number of output rows the consumer expects to
 	// need (LIMIT+OFFSET on the streaming path), used to size the first
-	// chunk of an ordered index traversal; 0 means unknown.
+	// chunk of an ordered index traversal or scan run; 0 means unknown.
 	orderedHint int
+
+	// keyBuf is the GROUP BY key scratch buffer, reused across input rows
+	// so probing the group map allocates nothing.
+	keyBuf []byte
 }
 
 // aggSlot reads a precomputed aggregate value for the current group.
@@ -224,31 +228,60 @@ func (ex *selectExec) runSimple() ([][]Value, [][]Value, error) {
 // Grouped (aggregate) execution
 
 type groupState struct {
-	keyVals []Value
-	repRow  []Value // environment snapshot of the first row in the group
-	accs    []aggAcc
-	firstID int64 // smallest contributing row ID (orders the partition merge)
+	repRow []Value // environment snapshot of the first row in the group
+	accs   []aggAcc
+}
+
+// appendKey appends the group/DISTINCT key encoding of v to buf. Key
+// identity matches Compare: an int64, or an integral float64 within int64
+// range, encodes as the exact integer (1 and 1.0 share a key, 2^53 and
+// 2^53+1 do not, -0.0 and 0 do); any other float encodes as its bits.
+// Every encoding has a fixed width or a length prefix, so concatenated
+// column keys never collide across column boundaries.
+func appendKey(buf []byte, v Value) []byte {
+	switch x := v.(type) {
+	case nil:
+		return append(buf, 'n')
+	case int64:
+		return binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(x))
+	case float64:
+		if x == math.Trunc(x) && x >= -(1<<63) && x < 1<<63 {
+			return binary.BigEndian.AppendUint64(append(buf, 'i'), uint64(int64(x)))
+		}
+		return binary.BigEndian.AppendUint64(append(buf, 'f'), math.Float64bits(x))
+	case string:
+		buf = binary.AppendUvarint(append(buf, 's'), uint64(len(x)))
+		return append(buf, x...)
+	case bool:
+		if x {
+			return append(buf, 'b', 1)
+		}
+		return append(buf, 'b', 0)
+	}
+	str := fmt.Sprint(v)
+	buf = binary.AppendUvarint(append(buf, '?'), uint64(len(str)))
+	return append(buf, str...)
 }
 
 // addGroupRow folds the environment's current row (WHERE already passed)
-// into the group map, creating the group on first sight.
-func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string, kb *strings.Builder) error {
+// into the group map, creating the group on first sight. Only a new group
+// allocates: the key is encoded into the reused keyBuf, and the map probe
+// with string(keyBuf) does not copy it.
+func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string) error {
 	p := ex.p
-	keyVals := make([]Value, len(p.st.GroupBy))
-	kb.Reset()
-	for i, g := range p.st.GroupBy {
+	buf := ex.keyBuf[:0]
+	for _, g := range p.st.GroupBy {
 		v, err := g.Eval(ex.env)
 		if err != nil {
 			return err
 		}
-		keyVals[i] = v
-		hk := makeHashKey(v)
-		fmt.Fprintf(kb, "%c|%v|%s;", hk.kind, hk.num, hk.str)
+		buf = appendKey(buf, v)
 	}
-	key := kb.String()
-	gs, ok := groups[key]
+	ex.keyBuf = buf
+	gs, ok := groups[string(buf)]
 	if !ok {
-		gs = &groupState{keyVals: keyVals, accs: make([]aggAcc, len(p.aggCalls))}
+		key := string(buf)
+		gs = &groupState{accs: make([]aggAcc, len(p.aggCalls))}
 		for i, call := range p.aggCalls {
 			gs.accs[i] = newAggAcc(call)
 		}
@@ -265,21 +298,15 @@ func (ex *selectExec) addGroupRow(groups map[string]*groupState, order *[]string
 	return nil
 }
 
-// serialGroups drains the producer pipeline into the group map: every
-// grouped query the batch kernels do not cover (joined, indexed, small or
-// expression-keyed inputs). Its emission order already is first-seen
-// order.
-func (ex *selectExec) serialGroups() (map[string]*groupState, []string, error) {
+// collectGroups drains the producer pipeline into the group map. order
+// lists the group keys in first-seen order, which is the emission order.
+func (ex *selectExec) collectGroups() (map[string]*groupState, []string, error) {
 	prod, err := ex.buildProducer()
 	if err != nil {
 		return nil, nil, err
 	}
 	groups := make(map[string]*groupState)
 	var order []string
-	// One builder for every row: taking its address inside the loop would
-	// heap-allocate it per row.
-	var kb strings.Builder
-
 	for {
 		ok, err := prod.next(ex)
 		if err != nil {
@@ -295,7 +322,7 @@ func (ex *selectExec) serialGroups() (map[string]*groupState, []string, error) {
 		if !pass {
 			continue
 		}
-		if err := ex.addGroupRow(groups, &order, &kb); err != nil {
+		if err := ex.addGroupRow(groups, &order); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -304,17 +331,7 @@ func (ex *selectExec) serialGroups() (map[string]*groupState, []string, error) {
 
 func (ex *selectExec) runGrouped() ([][]Value, [][]Value, error) {
 	p := ex.p
-	var (
-		groups map[string]*groupState
-		order  []string
-		err    error
-	)
-	if ba := ex.batchAggBinding(); ba != nil {
-		ex.db.plans.batchAggs.Add(1)
-		groups, order, err = ex.batchGroups(ba)
-	} else {
-		groups, order, err = ex.serialGroups()
-	}
+	groups, order, err := ex.collectGroups()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -367,10 +384,8 @@ func (ex *selectExec) runGrouped() ([][]Value, [][]Value, error) {
 }
 
 // aggAcc accumulates one aggregate function over a group. Float partials
-// use Kahan (Neumaier-compensated) summation, so serial folds and the
-// vectorized kernels' per-partition partials all produce the same
-// correctly-rounded SUM/AVG — the determinism oracle asserts exact
-// equality across all legs on non-dyadic fixtures.
+// use Kahan (Neumaier-compensated) summation, so SUM/AVG are correctly
+// rounded whatever order the rows arrive in.
 type aggAcc struct {
 	count   int64
 	sumI    int64
@@ -396,26 +411,6 @@ func (a *aggAcc) kahanAdd(x float64) {
 	a.sumF = t
 }
 
-// merge folds another partial accumulator (same aggregate, different
-// partition) into a. Ties in MIN/MAX keep a's value, which — with
-// partitions merged in order — reproduces the serial first-wins choice.
-// COUNT, MIN, MAX and integer SUM merge exactly; float SUM/AVG merge the
-// compensated partials (partial sum folded through kahanAdd, compensation
-// terms added), which keeps the merged result equal to the serial fold.
-func (a *aggAcc) merge(b *aggAcc) {
-	a.count += b.count
-	a.sumI += b.sumI
-	a.kahanAdd(b.sumF)
-	a.comp += b.comp
-	a.isFloat = a.isFloat || b.isFloat
-	if b.minV != nil && (a.minV == nil || Compare(b.minV, a.minV) < 0) {
-		a.minV = b.minV
-	}
-	if b.maxV != nil && (a.maxV == nil || Compare(b.maxV, a.maxV) > 0) {
-		a.maxV = b.maxV
-	}
-}
-
 func (a *aggAcc) add(call *FuncCall, env *RowEnv) error {
 	if call.Star {
 		a.count++
@@ -434,9 +429,7 @@ func (a *aggAcc) add(call *FuncCall, env *RowEnv) error {
 	return a.addValue(call.Name, v)
 }
 
-// addValue folds one non-NULL value — the single accumulation routine
-// shared by the row engine (add) and the vectorized generic loops, so
-// both legs have identical numeric and error behavior.
+// addValue folds one non-NULL value into the accumulator.
 func (a *aggAcc) addValue(name string, v Value) error {
 	a.count++
 	switch name {
@@ -587,17 +580,16 @@ func (a *accessPlan) evalBounds(penv *RowEnv) (lo, hi Value, hasLo, hasHi, empty
 func distinctRows(rows, orderKeys [][]Value) ([][]Value, [][]Value) {
 	seen := make(map[string]bool, len(rows))
 	var outR, outK [][]Value
+	var buf []byte
 	for i, row := range rows {
-		var kb strings.Builder
+		buf = buf[:0]
 		for _, v := range row {
-			hk := makeHashKey(v)
-			fmt.Fprintf(&kb, "%c|%v|%s;", hk.kind, hk.num, hk.str)
+			buf = appendKey(buf, v)
 		}
-		key := kb.String()
-		if seen[key] {
+		if seen[string(buf)] {
 			continue
 		}
-		seen[key] = true
+		seen[string(buf)] = true
 		outR = append(outR, row)
 		if orderKeys != nil {
 			outK = append(outK, orderKeys[i])

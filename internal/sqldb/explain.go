@@ -10,7 +10,7 @@ import (
 // document. Bump it only when a field changes meaning or disappears;
 // adding fields is backward-compatible within a version. The schema is
 // specified field-by-field in docs/plan-json.md.
-const PlanVersion = 2
+const PlanVersion = 3
 
 // explainPlan is the compiled form of an EXPLAIN statement: the inner
 // statement's plan plus the requested rendering format. Rendering happens
@@ -61,7 +61,7 @@ func planExplain(db *DB, st *ExplainStmt) (*explainPlan, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan document (plan_version 2)
+// Plan document (plan_version 3)
 
 // PlanDoc is the versioned EXPLAIN document. Field order here is the
 // serialization order (encoding/json marshals struct fields in declaration
@@ -83,7 +83,6 @@ type PlanDoc struct {
 	Limit       string          `json:"limit,omitempty"`
 	Offset      string          `json:"offset,omitempty"`
 	EarlyExit   bool            `json:"early_exit,omitempty"`
-	Leg         string          `json:"leg,omitempty"`
 	Cardinality *CardinalityDoc `json:"cardinality,omitempty"`
 	Sets        []string        `json:"sets,omitempty"` // UPDATE assignments
 	Rows        int             `json:"rows,omitempty"` // INSERT literal rows
@@ -124,7 +123,6 @@ type AggregateDoc struct {
 	GroupBy []string `json:"group_by,omitempty"`
 	Calls   []string `json:"calls,omitempty"`
 	Having  string   `json:"having,omitempty"`
-	Mode    string   `json:"mode"` // serial | vectorized
 }
 
 // CardinalityDoc reports the input cardinality of the driven relation.
@@ -134,23 +132,6 @@ type AggregateDoc struct {
 type CardinalityDoc struct {
 	Estimate int64 `json:"estimate"`
 	Exact    bool  `json:"exact"`
-}
-
-// planLeg names the execution leg the plan takes, from machine-independent
-// inputs only: plan shape, the batch row threshold and the BatchExecution
-// knob. Whether the vectorized leg fans out across partitions depends on
-// the layout and is not part of the leg.
-func (db *DB) planLeg(p *selectPlan) string {
-	t := p.rels[p.driver].table
-	rows := int64(t.RowCount())
-	batchOK := p.batch != nil && p.batch.scanOK
-	if p.grouped {
-		batchOK = p.batch != nil && p.batch.aggOK
-	}
-	if batchOK && db.BatchExecution() && rows >= db.batchMinRows() {
-		return "vectorized"
-	}
-	return "serial"
 }
 
 // describeAccess renders one accessPlan against its relation.
@@ -190,7 +171,7 @@ var joinStrategyNames = map[joinStrategy]string{
 }
 
 // describeSelect walks a compiled SELECT plan into a PlanDoc.
-func (db *DB) describeSelect(p *selectPlan) *PlanDoc {
+func describeSelect(p *selectPlan) *PlanDoc {
 	st := p.st
 	driver := p.rels[p.driver]
 	doc := &PlanDoc{
@@ -226,10 +207,8 @@ func (db *DB) describeSelect(p *selectPlan) *PlanDoc {
 	if st.Where != nil {
 		doc.Filter = st.Where.String()
 	}
-	leg := db.planLeg(p)
-	doc.Leg = leg
 	if p.grouped {
-		agg := &AggregateDoc{Mode: leg}
+		agg := &AggregateDoc{}
 		for _, g := range st.GroupBy {
 			agg.GroupBy = append(agg.GroupBy, g.String())
 		}
@@ -275,7 +254,6 @@ func describeWrite(stmt string, wp *writePlan, sets []string) *PlanDoc {
 	if wp.where != nil {
 		doc.Filter = wp.where.String()
 	}
-	doc.Leg = "serial"
 	doc.Cardinality = &CardinalityDoc{Estimate: int64(wp.t.RowCount()), Exact: true}
 	return doc
 }
@@ -284,7 +262,7 @@ func describeWrite(stmt string, wp *writePlan, sets []string) *PlanDoc {
 func (db *DB) describePlan(ep *explainPlan) *PlanDoc {
 	switch {
 	case ep.sel != nil:
-		return db.describeSelect(ep.sel)
+		return describeSelect(ep.sel)
 	case ep.upd != nil:
 		var sets []string
 		for i, pos := range ep.upd.setPos {
@@ -302,7 +280,6 @@ func (db *DB) describePlan(ep *explainPlan) *PlanDoc {
 		} else {
 			doc.Table = ep.ins.Table
 		}
-		doc.Leg = "serial"
 		return doc
 	}
 }
@@ -364,17 +341,17 @@ func renderPlanText(doc *PlanDoc) string {
 		fmt.Fprintf(&b, "  filter: %s\n", doc.Filter)
 	}
 	if g := doc.Aggregate; g != nil {
-		b.WriteString("  aggregate:")
+		var parts []string
 		if len(g.GroupBy) > 0 {
-			fmt.Fprintf(&b, " group by %s;", strings.Join(g.GroupBy, ", "))
+			parts = append(parts, "group by "+strings.Join(g.GroupBy, ", "))
 		}
 		if len(g.Calls) > 0 {
-			fmt.Fprintf(&b, " %s;", strings.Join(g.Calls, ", "))
+			parts = append(parts, strings.Join(g.Calls, ", "))
 		}
 		if g.Having != "" {
-			fmt.Fprintf(&b, " having %s;", g.Having)
+			parts = append(parts, "having "+g.Having)
 		}
-		fmt.Fprintf(&b, " mode=%s\n", g.Mode)
+		fmt.Fprintf(&b, "  aggregate: %s\n", strings.Join(parts, "; "))
 	}
 	if doc.Distinct {
 		b.WriteString("  distinct\n")
@@ -401,9 +378,6 @@ func renderPlanText(doc *PlanDoc) string {
 	}
 	if doc.Rows > 0 {
 		fmt.Fprintf(&b, "  rows: %d\n", doc.Rows)
-	}
-	if doc.Leg != "" {
-		fmt.Fprintf(&b, "  leg: %s\n", doc.Leg)
 	}
 	if c := doc.Cardinality; c != nil {
 		kind := "estimated"

@@ -162,17 +162,9 @@ func TestExplainDocumentFields(t *testing.T) {
 		t.Fatalf("cross join doc = %+v", doc.Joins[0])
 	}
 
-	doc = get("SELECT n, val FROM big WHERE val > 100.0")
-	if doc.Leg != "vectorized" {
-		t.Fatalf("big scan leg = %q, want vectorized", doc.Leg)
-	}
-	doc = get("SELECT n + grp FROM big WHERE val > 100.0")
-	if doc.Leg != "serial" {
-		t.Fatalf("expression-projection leg = %q, want serial", doc.Leg)
-	}
 	doc = get("SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp")
-	if doc.Leg != "vectorized" || doc.Aggregate == nil || doc.Aggregate.Mode != "vectorized" {
-		t.Fatalf("grouped big doc leg=%q agg=%+v", doc.Leg, doc.Aggregate)
+	if a := doc.Aggregate; a == nil || len(a.GroupBy) != 1 || a.GroupBy[0] != "grp" || len(a.Calls) != 2 {
+		t.Fatalf("grouped big doc agg=%+v", doc.Aggregate)
 	}
 
 	doc = get("UPDATE genes SET symbol = 'X' WHERE id = 7")

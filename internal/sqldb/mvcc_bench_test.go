@@ -40,8 +40,8 @@ func BenchmarkMVCCScanFilter(b *testing.B) {
 	}
 }
 
-// Grouped aggregate under MVCC: the batch leg with partition RLock
-// chunking instead of lock-free reads.
+// Grouped aggregate under MVCC: a full scan resolving every row at the
+// statement's snapshot, one partition RLock per row-map probe.
 func BenchmarkMVCCGroupBy(b *testing.B) {
 	db := benchDB(b, 10000)
 	b.ReportAllocs()

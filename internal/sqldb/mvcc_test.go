@@ -364,7 +364,6 @@ func TestMVCCConcurrentCommittedPrefix(t *testing.T) {
 // to give the race detector surface area over the lock-free paths.
 func TestMVCCConcurrentMixedPaths(t *testing.T) {
 	db := mvccDB(t)
-	db.SetBatchMinRows(1)
 	var stop atomic.Bool
 	errs := make(chan error, 8)
 

@@ -375,10 +375,6 @@ type selectPlan struct {
 	// orderSatisfied means rows are produced in ORDER BY order already, so
 	// the sort is skipped and LIMIT can stop the scan early.
 	orderSatisfied bool
-
-	// batch is the vectorized-execution coverage record (nil when no
-	// batch leg applies); see batch_kernels.go.
-	batch *batchShape
 }
 
 // newEnv builds a fresh row environment for one execution of the plan. The
@@ -415,8 +411,6 @@ func planSelect(db *DB, st *SelectStmt) (*selectPlan, error) {
 		return nil, err
 	}
 	p.cols = pl.env.cols
-	// Kernel coverage needs bound column positions, so it compiles last.
-	p.batch = compileBatchShape(p)
 	return p, nil
 }
 

@@ -12,9 +12,9 @@ type PlanGoldenCase struct {
 }
 
 // PlanGoldenCases covers every planner decision the plan document can
-// express: each access path, each join strategy and outer-join form, the
-// serial and vectorized legs, grouped aggregation, DISTINCT,
-// order-satisfying scans with early-exit LIMIT, and the write statements.
+// express: each access path, each join strategy and outer-join form,
+// grouped aggregation, DISTINCT, order-satisfying scans with early-exit
+// LIMIT, and the write statements.
 // The list is exported (with NewPlanFixtureDB) so the golden test and the
 // gmbenchdiff plan gate assert the exact same shapes.
 var PlanGoldenCases = []PlanGoldenCase{
@@ -32,20 +32,15 @@ var PlanGoldenCases = []PlanGoldenCase{
 	{Name: "cross_join", SQL: "SELECT g.symbol, a.term FROM genes g CROSS JOIN annos a"},
 	{Name: "group_aggregate", SQL: "SELECT chrom, COUNT(*) FROM genes GROUP BY chrom"},
 	{Name: "distinct_order", SQL: "SELECT DISTINCT chrom FROM genes ORDER BY chrom"},
-	{Name: "vectorized_scan", SQL: "SELECT n, val FROM big WHERE val > 100.0"},
-	{Name: "vectorized_aggregate", SQL: "SELECT grp, COUNT(*), SUM(val) FROM big GROUP BY grp"},
-	{Name: "parallel_scan", SQL: "SELECT n + grp FROM big WHERE val > 100.0"},
+	{Name: "expression_scan", SQL: "SELECT n + grp FROM big WHERE val > 100.0"},
 	{Name: "update_indexed", SQL: "UPDATE genes SET symbol = 'X' WHERE id = 7"},
 	{Name: "delete_range", SQL: "DELETE FROM big WHERE n < 100"},
 	{Name: "insert_rows", SQL: "INSERT INTO annos (gene_id, term) VALUES (1, 'GO:1'), (2, 'GO:2')"},
 }
 
 // NewPlanFixtureDB builds the deterministic database the golden cases
-// compile against. Row counts are chosen so `big` (5000 rows) crosses the
-// default 4096-row vectorized threshold while `genes` (100) and `annos`
-// (301) stay on the serial leg — the plan documents therefore exercise
-// both legs, and a full scan of `big` the kernels do not cover
-// (parallel_scan), without touching machine-dependent knobs.
+// compile against: `genes` (100 rows), `annos` (301) and `big` (5000), so
+// cardinalities differ by table without touching machine-dependent knobs.
 func NewPlanFixtureDB() (*DB, error) {
 	db := NewDB()
 	ddl := []string{

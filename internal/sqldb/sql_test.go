@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -311,6 +312,46 @@ func TestGroupByExpression(t *testing.T) {
 	rs := mustQuery(t, db, "SELECT age % 2, COUNT(*) FROM people WHERE age IS NOT NULL GROUP BY age % 2 ORDER BY 1")
 	if len(rs.Rows) != 2 {
 		t.Fatalf("groups = %d, want 2", len(rs.Rows))
+	}
+}
+
+// TestGroupAndDistinctKeysFollowCompare: GROUP BY and DISTINCT put two
+// rows together exactly when Compare calls every key column equal — no
+// string content can forge a column boundary, int64s stay exact past 2^53,
+// and numeric equality spans INTEGER and REAL.
+func TestGroupAndDistinctKeysFollowCompare(t *testing.T) {
+	cases := []struct {
+		name string
+		cols string // columns of table k, all nullable
+		rows [][]any
+		key  string // GROUP BY / DISTINCT key list
+		want int    // distinct keys
+	}{
+		{"strings are length-prefixed", "a TEXT, b TEXT",
+			[][]any{{"a;s|0|b", "c"}, {"a", "b;s|0|c"}}, "a, b", 2},
+		{"int64 beyond 2^53 stays exact", "n INTEGER",
+			[][]any{{int64(1 << 53)}, {int64(1<<53 + 1)}}, "n", 2},
+		{"INTEGER 1 equals REAL 1.0", "i INTEGER, f REAL",
+			[][]any{{int64(1), nil}, {nil, 1.0}}, "COALESCE(i, f)", 1},
+		{"negative zero equals zero", "f REAL",
+			[][]any{{math.Copysign(0, -1)}, {0.0}}, "f", 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			db := NewDB()
+			mustExec(t, db, "CREATE TABLE k ("+c.cols+")")
+			marks := strings.TrimSuffix(strings.Repeat("?, ", len(c.rows[0])), ", ")
+			for _, r := range c.rows {
+				mustExec(t, db, "INSERT INTO k VALUES ("+marks+")", r...)
+			}
+			grouped := mustQuery(t, db, "SELECT "+c.key+", COUNT(*) FROM k GROUP BY "+c.key)
+			if grouped.Len() != c.want {
+				t.Errorf("GROUP BY %s: %d groups %v, want %d", c.key, grouped.Len(), grouped.Rows, c.want)
+			}
+			if distinct := mustQuery(t, db, "SELECT DISTINCT "+c.key+" FROM k"); distinct.Len() != c.want {
+				t.Errorf("DISTINCT %s: %d rows %v, want %d", c.key, distinct.Len(), distinct.Rows, c.want)
+			}
+		})
 	}
 }
 

@@ -400,13 +400,6 @@ type planCounters struct {
 	hashJoins     atomic.Uint64
 	nestedJoins   atomic.Uint64
 	earlyLimitHit atomic.Uint64
-
-	// Vectorized batch operator executions (see batch.go), and the subset
-	// that fanned out across more than one partition (see parallel.go).
-	batchScans atomic.Uint64
-	batchAggs  atomic.Uint64
-	fanScans   atomic.Uint64
-	fanAggs    atomic.Uint64
 }
 
 // PlanStats is a snapshot of the planner's execution counters: how often
@@ -437,6 +430,27 @@ func (db *DB) PlanStats() PlanStats {
 		NestedJoins:     c.nestedJoins.Load(),
 		EarlyLimitHits:  c.earlyLimitHit.Load(),
 	}
+}
+
+// BatchStats is the zero-valued counter set of the deleted vectorized leg.
+// bench/e2e still reads it through genmapper.System.SQLBatchStats; it is
+// deleted with that method when bench/ is next unfrozen (ROADMAP item 2).
+//
+// Deprecated: the engine has one execution leg; these counters stay zero.
+type BatchStats struct {
+	BatchScans      uint64 `json:"batch_scans"`
+	BatchAggregates uint64 `json:"batch_aggregates"`
+}
+
+// ParallelStats is the zero-valued counter set of the deleted partition
+// fan-out. bench/e2e still reads it through
+// genmapper.System.SQLParallelStats; it is deleted with that method when
+// bench/ is next unfrozen (ROADMAP item 2).
+//
+// Deprecated: scans no longer fan out; these counters stay zero.
+type ParallelStats struct {
+	ParallelScans      uint64 `json:"parallel_scans"`
+	ParallelAggregates uint64 `json:"parallel_aggregates"`
 }
 
 // setIndexAccess enables or disables index use by the planner. Disabling

@@ -9,8 +9,8 @@ import (
 )
 
 // defaultPartitions is the partition count used when the database has no
-// explicit setting: one partition per schedulable CPU, so a batch exchange
-// can keep every core busy without oversubscribing.
+// explicit setting: one partition per schedulable CPU, so latched writers
+// on disjoint partitions can keep every core busy.
 func defaultPartitions() int {
 	if n := runtime.GOMAXPROCS(0); n > 1 {
 		return n
@@ -24,12 +24,11 @@ func defaultPartitions() int {
 //
 // Each row maps to the head of its version chain (see mvcc.go). The
 // partition lock is the only synchronization point between lock-free
-// readers (and exchange workers) and writers: writers — who additionally
-// hold either the database's exclusive lock or this partition's write
-// latch — take it around every row-map mutation, and readers take the
-// read side just long enough to copy the version-head pointer (or
-// materialize a batch) out of the map; version resolution itself happens
-// on atomics, outside any lock.
+// readers and writers: writers — who additionally hold either the
+// database's exclusive lock or this partition's write latch — take it
+// around every row-map mutation, and readers take the read side just long
+// enough to copy the version-head pointer out of the map; version
+// resolution itself happens on atomics, outside any lock.
 type tablePart struct {
 	mu   sync.RWMutex
 	rows map[int64]*rowVersion
@@ -43,35 +42,10 @@ type tablePart struct {
 	// to synchronize with lock-free readers. Lock order: db.mu (shared)
 	// < w < Table.histMu < p.mu. Acquired ONLY via Table.acquireLatches.
 	w sync.Mutex
-
-	// ids keeps the partition's live row IDs ascending (tombstones allowed,
-	// same scheme as the table-level slice), published lock-free so
-	// snapshot scans iterate without the partition lock; mut counts
-	// structural changes so an exchange worker can re-synchronize its
-	// position after concurrent writes, exactly like scanProducer does
-	// against the table-level slice.
-	ids  idSlice
-	dead int
-	mut  atomic.Uint64
 }
 
 func newTablePart() *tablePart {
 	return &tablePart{rows: make(map[int64]*rowVersion)}
-}
-
-// compact rewrites the partition's ID slice without tombstones. Caller
-// holds p.mu exclusively.
-func (p *tablePart) compact() {
-	ids := p.ids.load()
-	live := make([]int64, 0, len(ids)-p.dead)
-	for _, id := range ids {
-		if _, ok := p.rows[id]; ok {
-			live = append(live, id)
-		}
-	}
-	p.ids.store(live)
-	p.dead = 0
-	p.mut.Add(1)
 }
 
 // Table is the in-memory heap storage for one relation plus its indexes.
@@ -79,12 +53,11 @@ func (p *tablePart) compact() {
 // indexes can reference rows without caring about physical position.
 //
 // Row storage is hash-partitioned by row ID: each partition holds its own
-// row map, its own sorted live-ID slice and its own lock, so the batch
-// exchange can give every partition a dedicated worker. The table
-// additionally maintains a global sorted ID slice so serial scans keep
-// their O(n), merge-free shape. Everything a lock-free reader
-// touches — the partition list, the index map, the ID slices, the row
-// count and the mutation counters — is published through atomics;
+// row map, lock and write latch, so writers on disjoint partitions run
+// concurrently (latch.go). The table maintains one global sorted ID slice
+// so scans keep their O(n), merge-free shape. Everything a lock-free reader
+// touches — the partition list, the index map, the ID slice, the row
+// count and the mutation counter — is published through atomics;
 // mutation happens only under the database writer lock or a partition
 // write latch.
 type Table struct {
@@ -220,12 +193,77 @@ func (t *Table) PartitionRows() []int {
 	return out
 }
 
+// TablePartitionStats reports one table's partition layout and occupancy.
+type TablePartitionStats struct {
+	Table      string `json:"table"`
+	Partitions int    `json:"partitions"`
+	Rows       []int  `json:"rows"`
+}
+
+// PartitionStats returns per-partition live row counts for every table,
+// sorted by table name. Reads the copy-on-write catalog, so no database
+// lock is needed.
+func (db *DB) PartitionStats() []TablePartitionStats {
+	tables := db.tableMap()
+	names := make([]string, 0, len(tables))
+	for n := range tables {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	out := make([]TablePartitionStats, 0, len(names))
+	for _, n := range names {
+		t := tables[n]
+		out = append(out, TablePartitionStats{
+			Table:      t.Name,
+			Partitions: t.PartitionCount(),
+			Rows:       t.PartitionRows(),
+		})
+	}
+	return out
+}
+
+// SetPartitions re-shards every table's row storage into n hash partitions
+// (0 restores the default, one per CPU; 1 puts every row under one lock)
+// and makes n the partition count for tables created afterwards. The
+// partition is the unit of write latching: UPDATEs and DELETEs on disjoint
+// partitions commit concurrently (latch.go). Scans read through the
+// table's global ID slice whatever the layout. Repartitioning is a schema
+// change: cached plans are rebuilt and open cursors fail with
+// ErrCursorInvalidated.
+func (db *DB) SetPartitions(n int) {
+	if n < 0 {
+		n = 0
+	}
+	db.writer.Lock()
+	defer db.writer.Unlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	db.nparts = n
+	for _, t := range db.tableMap() {
+		t.repartition(db.partitionCount())
+	}
+	db.bumpSchemaGen()
+}
+
+// Partitions returns the effective partition count for new tables.
+func (db *DB) Partitions() int {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	return db.partitionCount()
+}
+
+// partitionCount resolves the configured partition count. Caller holds
+// db.mu.
+func (db *DB) partitionCount() int {
+	if db.nparts > 0 {
+		return db.nparts
+	}
+	return defaultPartitions()
+}
+
 // repartition redistributes the rows over n hash partitions, carrying
-// whole version chains so snapshot visibility is preserved. The old
-// partition objects are left untouched, so an exchange worker that still
-// holds a reference reads a frozen (pre-repartition) view until its next
-// schema-generation check stops it. Caller holds the database exclusively
-// and bumps the schema generation.
+// whole version chains so snapshot visibility is preserved. Caller holds
+// the database exclusively and bumps the schema generation.
 func (t *Table) repartition(n int) {
 	if n <= 0 {
 		n = defaultPartitions()
@@ -247,7 +285,6 @@ func (t *Table) repartition(n int) {
 		}
 		p := parts[uint64(id)%uint64(len(parts))]
 		p.rows[id] = head
-		p.ids.append(id) // global order ascending => per-part ascending
 		live = append(live, id)
 	}
 	t.parts.Store(&parts)
@@ -375,9 +412,7 @@ func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 		p.mu.Lock()
 		for ; i < len(rows); i += len(parts) {
 			p.rows[first+int64(i)] = vers[i]
-			p.ids.append(first + int64(i))
 		}
-		p.mut.Add(1)
 		p.mu.Unlock()
 	}
 	for i := range rows {
@@ -508,7 +543,7 @@ func (t *Table) compactIDs() {
 }
 
 // undoInsert removes the n rows a now-rolled-back INSERT statement stored
-// under the IDs from first on and splices those IDs out of the ID slices
+// under the IDs from first on and splices those IDs out of the ID slice
 // (no tombstones: the rollback also returns the IDs to the allocator, and a
 // tombstone under a reusable ID would collide with the next insert).
 func (t *Table) undoInsert(first int64, n int) {
@@ -530,12 +565,6 @@ func (t *Table) undoInsert(first int64, n int) {
 		delete(p.rows, id)
 		p.mu.Unlock()
 		t.live.Add(-1)
-	}
-	for _, p := range t.partList() {
-		p.mu.Lock()
-		p.ids.removeRange(first, end)
-		p.mut.Add(1)
-		p.mu.Unlock()
 	}
 	t.ids.removeRange(first, end)
 	t.mut.Add(1)
@@ -670,11 +699,6 @@ func (t *Table) vacuum(horizon uint64) int {
 			// resolve this row again — drop it physically.
 			dropped = append(dropped, head)
 			delete(p.rows, id)
-			p.dead++
-			if p.dead > 16 && p.dead*2 > len(p.ids.load()) {
-				p.compact()
-			}
-			p.mut.Add(1)
 		}
 		p.mu.Unlock()
 		// Index maintenance outside the partition lock (lock order: index
@@ -714,12 +738,11 @@ func (t *Table) vacuum(horizon uint64) int {
 }
 
 // loadRow installs a row under an explicit ID without constraint checks;
-// it backs snapshot/checkpoint loading. Caller sorts the ID slices (via
+// it backs snapshot/checkpoint loading. Caller sorts the ID slice (via
 // finishLoad) once all rows are in.
 func (t *Table) loadRow(id int64, row []Value) {
 	p := t.part(id)
 	p.rows[id] = &rowVersion{row: row} // beg 0: committed
-	p.ids.append(id)
 	t.ids.append(id)
 	t.live.Add(1)
 	for _, idx := range t.indexMap() {
@@ -731,10 +754,6 @@ func (t *Table) loadRow(id int64, row []Value) {
 // whose input order is not trusted.
 func (t *Table) finishLoad() {
 	t.ids.sortInPlace()
-	for _, p := range t.partList() {
-		p.ids.sortInPlace()
-		p.mut.Add(1)
-	}
 	t.mut.Add(1)
 }
 
@@ -905,9 +924,6 @@ func (t *Table) Truncate() {
 	for _, p := range t.partList() {
 		p.mu.Lock()
 		p.rows = make(map[int64]*rowVersion)
-		p.ids.store(nil)
-		p.dead = 0
-		p.mut.Add(1)
 		p.mu.Unlock()
 	}
 	t.ids.store(nil)
