@@ -50,28 +50,12 @@ func benchSystem(b *testing.B) (*System, *gen.Universe) {
 
 // ---------------------------------------------------------------------------
 // E0 — SQL engine substrate: the repository's hot statements through the
-// prepared-statement cache vs the seed parse-per-call behavior.
+// prepared-statement cache. The parse-per-call baseline is
+// internal/sqldb's BenchmarkQueryParsePerCall.
 
 func BenchmarkRepoHotStatementCached(b *testing.B) {
 	sys, _ := benchSystem(b)
 	repo := sys.Repo()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		obj, err := repo.Object(gam.ObjectID(i%1000 + 1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if obj == nil {
-			b.Fatal("missing object")
-		}
-	}
-}
-
-func BenchmarkRepoHotStatementParsePerCall(b *testing.B) {
-	sys, _ := benchSystem(b)
-	repo := sys.Repo()
-	sys.DB().SetStmtCacheCapacity(0)
-	defer sys.DB().SetStmtCacheCapacity(sqldb.DefaultStmtCacheCapacity)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		obj, err := repo.Object(gam.ObjectID(i%1000 + 1))

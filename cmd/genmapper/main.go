@@ -31,7 +31,6 @@ func main() {
 		seed    = flag.Int64("seed", 1, "demo universe seed")
 		scale   = flag.Float64("scale", 0.002, "demo universe scale")
 		pprofF  = flag.Bool("pprof", false, "expose net/http/pprof endpoints under /debug/pprof/")
-		paraN   = flag.Int("parallelism", 0, "storage partition count: 0 = one per CPU (default), N>0 = shard storage into N hash partitions (the unit of write latching)")
 	)
 	flag.Parse()
 
@@ -64,7 +63,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "genmapper:", err)
 		os.Exit(1)
 	}
-	sys.SetPartitions(*paraN)
 	st, err := sys.Stats()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "genmapper:", err)

@@ -760,7 +760,7 @@ func expWALDurability(h *harness) error {
 // writer throughput. The second table is the stall probe: a bulk UPDATE
 // holds the write path while one reader issues point reads, and the worst
 // read latency is recorded — the reader keeps answering from its
-// snapshot. The third is multi-writer latch scaling.
+// snapshot.
 func expConcurrency(h *harness) error {
 	const rows = 100000
 	const interval = 250 * time.Millisecond
@@ -906,81 +906,10 @@ func expConcurrency(h *harness) error {
 		return err
 	}
 	fmt.Printf("  worst read latency %12v   (bulk UPDATE took %v)\n", worst.Round(time.Microsecond), took.Round(time.Millisecond))
-	// Multi-writer scaling: per-partition write latching lets writers on
-	// disjoint partitions install and commit concurrently. Each writer
-	// auto-commits single-row UPDATEs over its own rows; "spread" gives
-	// every writer its own partition, "pinned" forces all four into ONE
-	// partition — row-disjoint but latch-serialized, which is exactly the
-	// global-writer shape, measured in the same run on the same machine.
-	fmt.Println("\nmulti-writer commit throughput (row-disjoint UPDATE auto-commits):")
-	const wparts = 8
-	db.SetPartitions(wparts)
-	wcell := func(writers int, pinned bool) (float64, error) {
-		var stop atomic.Bool
-		var commits atomic.Int64
-		var firstErr error
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				n := int64(0)
-				for k := 0; !stop.Load(); k++ {
-					var id int
-					if pinned {
-						id = ((k*writers + w) * wparts) % rows // all in partition 0
-					} else {
-						id = (k*wparts + w) % rows // writer w stays in partition w
-					}
-					if _, werr := db.Exec("UPDATE t SET v = ? WHERE id = ?", "mw", id); werr != nil {
-						mu.Lock()
-						if firstErr == nil {
-							firstErr = werr
-						}
-						mu.Unlock()
-						return
-					}
-					n++
-				}
-				commits.Add(n)
-			}(w)
-		}
-		time.Sleep(interval)
-		stop.Store(true)
-		wg.Wait()
-		if firstErr != nil {
-			return 0, firstErr
-		}
-		return float64(commits.Load()) / interval.Seconds(), nil
-	}
-	fmt.Printf("%-8s %-8s %14s %14s\n", "writers", "layout", "commits/s", "scaling")
-	var spread1, spread4 float64
-	for _, writers := range []int{1, 2, 4} {
-		cps, err := wcell(writers, false)
-		if err != nil {
-			return err
-		}
-		if writers == 1 {
-			spread1 = cps
-		}
-		if writers == 4 {
-			spread4 = cps
-		}
-		fmt.Printf("%-8d %-8s %14.0f %13.2fx\n", writers, "spread", cps, cps/spread1)
-	}
-	pinned4, err := wcell(4, true)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("%-8d %-8s %14.0f %13s\n", 4, "pinned", pinned4, "")
-	fmt.Printf("\n4 spread writers vs 4 pinned (global-writer shape): %.2fx\n", spread4/pinned4)
-
 	st := db.MVCCStats()
-	fmt.Printf("\nmvcc: epoch=%d commits=%d conflicts=%d latch_waits=%d background_vacuums=%d vacuum_runs=%d versions_vacuumed=%d\n",
-		st.Epoch, st.Commits, st.Conflicts, st.LatchWaits, st.BackgroundVacuums, st.VacuumRuns, st.VersionsVacuumed)
-	fmt.Println("expected shape: read throughput scales with readers on 4+ cores, the worst read")
-	fmt.Println("latency stays orders of magnitude below the bulk UPDATE duration, and 4 spread")
-	fmt.Println("writers commit >= 2x the pinned (latch-serialized) rate on 4+ cores")
+	fmt.Printf("\nmvcc: epoch=%d commits=%d conflicts=%d background_vacuums=%d vacuum_runs=%d versions_vacuumed=%d\n",
+		st.Epoch, st.Commits, st.Conflicts, st.BackgroundVacuums, st.VacuumRuns, st.VersionsVacuumed)
+	fmt.Println("expected shape: read throughput scales with readers on 4+ cores, and the worst")
+	fmt.Println("read latency stays orders of magnitude below the bulk UPDATE duration")
 	return nil
 }

@@ -40,7 +40,7 @@ var experiments = []experiment{
 	{"ablation-materialize", "Ablation E11: materialized Composed mapping vs on-the-fly Compose", expAblationMaterialize},
 	{"ablation-srs", "Ablation E12: SRS-style link navigation vs set-oriented GenerateView", expAblationSRS},
 	{"wal", "E13: durable write path — fsync policies and group commit", expWALDurability},
-	{"concurrency", "E16: snapshot reader/writer throughput, writer-stall probe, multi-writer latch scaling", expConcurrency},
+	{"concurrency", "E16: snapshot reader/writer throughput, writer-stall probe", expConcurrency},
 }
 
 func main() {

@@ -36,7 +36,6 @@ func main() {
 		stats     = flag.Bool("stats", false, "print database statistics and exit")
 		verbose   = flag.Bool("v", false, "print per-source import statistics")
 		engine    = flag.Bool("engine-stats", false, "print SQL engine statement-cache and planner counters after the run")
-		parallel  = flag.Int("parallelism", 0, "storage partition count: 0 = one per CPU (default), N>0 = shard storage into N hash partitions (the unit of write latching)")
 	)
 	flag.Parse()
 
@@ -44,7 +43,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	sys.SetPartitions(*parallel)
 	durable := *dataDir != ""
 	if durable {
 		defer sys.Close()

@@ -28,7 +28,6 @@ func main() {
 		dataDir = flag.String("data-dir", "", "durable data directory (WAL + checkpoints); every write is crash-safe")
 		fsync   = flag.String("fsync", "group", "WAL fsync policy with -data-dir: always, group, off")
 		quiet   = flag.Bool("q", false, "suppress the prompt (for piped input)")
-		paraN   = flag.Int("parallelism", 0, "storage partition count: 0 = one per CPU (default), N>0 = shard storage into N hash partitions (the unit of write latching)")
 	)
 	flag.Parse()
 
@@ -69,8 +68,6 @@ func main() {
 			}
 		}
 	}
-
-	db.SetPartitions(*paraN)
 
 	sc := bufio.NewScanner(os.Stdin)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -196,13 +196,6 @@ func (s *System) SQLExplain(sql, format string) (string, error) {
 	return s.db.Explain(sql, format)
 }
 
-// SetPartitions re-shards the embedded engine's storage into n hash
-// partitions (0 = one per CPU, the default; 1 = one partition). The
-// partition is the unit of write latching, so UPDATEs and DELETEs on
-// disjoint partitions commit concurrently. Re-sharding is a schema change
-// — do this at startup.
-func (s *System) SetPartitions(n int) { s.db.SetPartitions(n) }
-
 // SQLParallelStats returns zero counters: the engine has no partition
 // fan-out left to count. bench/e2e still reads it; it is deleted when
 // bench/ is next unfrozen (ROADMAP item 2).
@@ -228,10 +221,6 @@ func (s *System) SetMVCC(bool) {}
 // SQLMVCCStats returns the MVCC counters: current epoch, active snapshots,
 // commit/abort/conflict counts and vacuum progress.
 func (s *System) SQLMVCCStats() sqldb.MVCCStats { return s.db.MVCCStats() }
-
-// SQLPartitionStats returns per-table partition layouts and per-partition
-// row counts.
-func (s *System) SQLPartitionStats() []sqldb.TablePartitionStats { return s.db.PartitionStats() }
 
 // Stats returns the deployment counters (§5-style).
 func (s *System) Stats() (*Stats, error) { return s.repo.Stats() }

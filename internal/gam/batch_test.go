@@ -405,12 +405,13 @@ func TestAtomicMVCCWriteConflictFailsWholeBatch(t *testing.T) {
 	before := mustStats(t, r)
 
 	err = r.Atomic(func(b *Batch) error {
-		if _, _, err := b.EnsureSource(Source{Name: "N"}); err != nil {
-			return err
-		}
-		// A committed update lands after the batch's snapshot.
+		// A committed update lands after the batch's snapshot, before the
+		// batch's first write takes the writer lock.
 		if _, err := db.Exec("UPDATE object SET text = 'theirs' WHERE object_id = ?", int64(x)); err != nil {
 			return fmt.Errorf("outside update: %w", err)
+		}
+		if _, _, err := b.EnsureSource(Source{Name: "N"}); err != nil {
+			return err
 		}
 		_, err := b.FillMissingObjectInfo(s.ID, []ObjectSpec{{Accession: "x", Text: "ours"}})
 		return err

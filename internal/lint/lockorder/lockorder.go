@@ -1,21 +1,14 @@
 // Package lockorder checks the engine's documented lock-acquisition order
-// and that no blocking operation runs under an exclusive database lock.
+// and that no blocking operation runs under a database lock.
 //
 // The engine's deadlock-freedom argument is a total order per lock domain:
 //
-//	db domain:  DB.writer < DB.mu < tablePart.w < Table.histMu
-//	            < tablePart.mu < DB.commitMu
+//	db domain:  DB.writer < DB.mu < Table.histMu < Table.rowsMu
 //	wal domain: WAL.syncMu < WAL.mu
 //
 // and one cross-cutting rule: fsync-class operations (File.Sync,
 // WAL.Durable, the durability wait) never run while a db-domain lock is
-// held exclusively — that is what makes group commit group anything.
-//
-// tablePart.w (the per-partition write latch) is a multi-instance class:
-// a latched statement holds several at once, acquired in ascending
-// partition order by Table.acquireLatches — the only function allowed to
-// take it — so re-acquisition within the class is not a violation and is
-// exempted below; ordering against the other classes is still checked.
+// held — that is what makes group commit group anything.
 //
 // The analysis is intraprocedural and walks each function body in source
 // order, maintaining the set of locks held: Lock/RLock on a classified
@@ -24,7 +17,7 @@
 // analyzed as separate bodies with an empty held set — a goroutine does
 // not inherit its spawner's locks. Acquiring a class ranked lower than one
 // already held, re-acquiring a held class, or making a blocking call with
-// a db-domain lock held exclusively is reported.
+// a db-domain lock held is reported.
 package lockorder
 
 import (
@@ -38,7 +31,7 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc:  "checks lock-acquisition order and blocking calls under exclusive locks",
+	Doc:  "checks lock-acquisition order and blocking calls under database locks",
 	Run:  run,
 }
 
@@ -47,23 +40,20 @@ type lockClass struct {
 	domain string
 	rank   int    // acquisition order within the domain, ascending
 	label  string // how the lock is named in diagnostics and docs
-	multi  bool   // several instances held at once (ordered by the acquirer)
 }
 
 // classes maps "pkgpath.Type.field" keys to their documented order.
 var classes = map[string]lockClass{
 	"genmapper/internal/sqldb.DB.writer":    {domain: "db", rank: 0, label: "db.writer"},
 	"genmapper/internal/sqldb.DB.mu":        {domain: "db", rank: 1, label: "db.mu"},
-	"genmapper/internal/sqldb.tablePart.w":  {domain: "db", rank: 2, label: "tablePart.w", multi: true},
-	"genmapper/internal/sqldb.Table.histMu": {domain: "db", rank: 3, label: "Table.histMu"},
-	"genmapper/internal/sqldb.tablePart.mu": {domain: "db", rank: 4, label: "tablePart.mu"},
-	"genmapper/internal/sqldb.DB.commitMu":  {domain: "db", rank: 5, label: "db.commitMu"},
+	"genmapper/internal/sqldb.Table.histMu": {domain: "db", rank: 2, label: "Table.histMu"},
+	"genmapper/internal/sqldb.Table.rowsMu": {domain: "db", rank: 3, label: "Table.rowsMu"},
 	"genmapper/internal/wal.WAL.syncMu":     {domain: "wal", rank: 0, label: "wal.syncMu"},
 	"genmapper/internal/wal.WAL.mu":         {domain: "wal", rank: 1, label: "wal.mu"},
 }
 
 // blockingMethods are fsync-class calls: they block on disk or on another
-// goroutine's fsync and must not run under an exclusive db-domain lock.
+// goroutine's fsync and must not run under a db-domain lock.
 var blockingMethods = map[string]string{
 	"genmapper/internal/wal.WAL.Durable":       "WAL.Durable",
 	"genmapper/internal/wal.File.Sync":         "File.Sync",
@@ -73,9 +63,8 @@ var blockingMethods = map[string]string{
 
 // held tracks one acquired lock.
 type heldLock struct {
-	class  lockClass
-	shared bool // RLock rather than Lock
-	pos    token.Pos
+	class lockClass
+	pos   token.Pos
 }
 
 func run(pass *analysis.Pass) (any, error) {
@@ -142,8 +131,7 @@ func visitCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, held m
 	}
 	switch method {
 	case "Lock", "RLock":
-		shared := method == "RLock"
-		if prev, again := held[key]; again && !class.multi {
+		if prev, again := held[key]; again {
 			pass.Reportf(call.Pos(), "%s acquired while already held (acquired at %s)", class.label, pass.Fset.Position(prev.pos))
 			return
 		}
@@ -156,7 +144,7 @@ func visitCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, held m
 		// lock held to function end, which the model below reflects by
 		// never removing on defer.
 		if !insideDefer(stack) {
-			held[key] = heldLock{class: class, shared: shared, pos: call.Pos()}
+			held[key] = heldLock{class: class, pos: call.Pos()}
 		}
 	case "Unlock", "RUnlock":
 		if !insideDefer(stack) {
@@ -165,17 +153,12 @@ func visitCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, held m
 	}
 }
 
-// checkBlocked reports op if any db-domain lock is held exclusively (or at
-// all, for the writer and partition locks — waiting under those starves
-// every other writer).
+// checkBlocked reports op if any db-domain lock is held: waiting under one
+// stalls the writer, and with it every commit that could have joined the
+// same fsync.
 func checkBlocked(pass *analysis.Pass, pos token.Pos, op string, held map[string]heldLock) {
 	for _, h := range held {
 		if h.class.domain != "db" {
-			continue
-		}
-		// A shared db.mu may block: latched committers share it, so commits
-		// still group; only exclusive holds are fsync-ordering bugs.
-		if h.class.label == "db.mu" && h.shared {
 			continue
 		}
 		pass.Reportf(pos, "%s while holding %s (acquired at %s); release db locks before blocking so commits can group", op, h.class.label, pass.Fset.Position(h.pos))
@@ -196,5 +179,5 @@ func domainOrder(domain string) string {
 	if domain == "wal" {
 		return "syncMu < mu"
 	}
-	return "writer < mu < tablePart.w < Table.histMu < tablePart.mu < commitMu"
+	return "writer < mu < Table.histMu < Table.rowsMu"
 }

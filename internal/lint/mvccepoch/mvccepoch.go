@@ -19,10 +19,10 @@
 //     replay (replayPublishers) is the one exemption: it publishes
 //     records it has just read from the log.
 //  4. DB.publishCommit may only be called from the audited committer
-//     functions (publishCallers). Since per-partition latching, epoch
-//     advances are serialized by holding either the database exclusively
-//     or db.commitMu under shared db.mu; that argument is made per call
-//     site, so a new site must be added here deliberately.
+//     functions (publishCallers). Epoch advances are serialized by
+//     holding db.writer plus the exclusive db.mu, so WAL order equals
+//     publication order; that argument is made per call site, so a new
+//     site must be added here deliberately.
 package mvccepoch
 
 import (
@@ -60,15 +60,12 @@ var logCalls = map[string]bool{
 }
 
 // publishCallers are the audited commit paths: the only functions that
-// may call publishCommit. execPrepared, Tx.Commit and applyRecord hold
-// the database exclusively; commitConcurrent and execLatchedOnce hold
-// db.mu shared plus db.commitMu (the latched-writer serialization point).
+// may call publishCommit. execPrepared, Tx.Commit and applyRecord all hold
+// db.writer and publish under the exclusive db.mu.
 var publishCallers = map[string]bool{
-	"execPrepared":     true,
-	"Commit":           true,
-	"commitConcurrent": true,
-	"execLatchedOnce":  true,
-	"applyRecord":      true,
+	"execPrepared": true,
+	"Commit":       true,
+	"applyRecord":  true,
 }
 
 // replayPublishers publish commits that are already in the log: recovery
@@ -136,7 +133,7 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 			pass.Reportf(p.Pos(), "publishCommit before any WAL append in this function; commit epochs may only become visible after the commit record is logged")
 		}
 		if pass.Pkg.Path() == sqldbPath && !publishCallers[fnName] {
-			pass.Reportf(p.Pos(), "publishCommit called outside the audited committer functions; epoch advances must be serialized (exclusive db.mu, or db.commitMu under shared mu) — add the new site to mvccepoch's publishCallers with that argument")
+			pass.Reportf(p.Pos(), "publishCommit called outside the audited committer functions; epoch advances must be serialized (db.writer plus exclusive db.mu) — add the new site to mvccepoch's publishCallers with that argument")
 		}
 	}
 	for _, lit := range lits {

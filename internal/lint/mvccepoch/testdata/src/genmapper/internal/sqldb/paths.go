@@ -36,16 +36,11 @@ func (db *DB) execPrepared(installed []*rowVersion) error {
 }
 
 // Publishing before the append would let a snapshot reader observe a
-// commit a crash could erase.
-func (db *DB) commitConcurrent(installed []*rowVersion) error {
+// commit a crash could erase, audited committer or not.
+func (db *DB) Commit(installed []*rowVersion) error {
 	db.publishCommit(installed) // want `publishCommit before any WAL append`
 	_, err := db.durable.logCommit(nil)
 	return err
-}
-
-// Publishing with no append in sight is the same violation.
-func (db *DB) execLatchedOnce(installed []*rowVersion) {
-	db.publishCommit(installed) // want `publishCommit before any WAL append`
 }
 
 // Buffering into the transaction log defers the append to Commit, which
@@ -57,7 +52,7 @@ func (tx *Tx) Commit(sql string, installed []*rowVersion) {
 
 // Publishing from an unaudited function is rejected even with the append
 // in order: every publication site must carry a serialization argument
-// (exclusive db.mu, or db.commitMu under shared mu).
+// (db.writer plus the exclusive db.mu).
 func (db *DB) publishRogue(installed []*rowVersion) error {
 	if _, err := db.durable.logCommit(nil); err != nil {
 		return err

@@ -434,7 +434,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"sql_stmt_cache": s.sys.SQLStmtCacheStats(),
 		"sql_plans":      s.sys.SQLPlanStats(),
 		"sql_mvcc":       s.sys.SQLMVCCStats(),
-		"sql_partitions": s.sys.SQLPartitionStats(),
 		"wal":            s.sys.SQLWALStats(),
 	})
 }

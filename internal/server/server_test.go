@@ -271,9 +271,9 @@ func TestAPIEndpoints(t *testing.T) {
 			t.Errorf("cache stats missing %q: %v", k, cache)
 		}
 	}
-	for _, gone := range []string{"sql_parallel", "sql_batch"} {
+	for _, gone := range []string{"sql_parallel", "sql_batch", "sql_partitions"} {
 		if _, ok := stats[gone]; ok {
-			t.Errorf("stats still report %q: the engine has one execution leg: %v", gone, stats)
+			t.Errorf("stats still report %q: the engine has one execution leg and unpartitioned storage: %v", gone, stats)
 		}
 	}
 	mvcc, ok := stats["sql_mvcc"].(map[string]any)
@@ -287,14 +287,6 @@ func TestAPIEndpoints(t *testing.T) {
 		if _, ok := mvcc[k].(float64); !ok {
 			t.Errorf("sql_mvcc missing %q: %v", k, mvcc)
 		}
-	}
-	parts, ok := stats["sql_partitions"].([]any)
-	if !ok || len(parts) == 0 {
-		t.Fatalf("stats missing sql_partitions: %v", stats)
-	}
-	first, ok := parts[0].(map[string]any)
-	if !ok || first["table"] == "" || first["partitions"] == nil {
-		t.Errorf("sql_partitions entry malformed: %v", parts[0])
 	}
 }
 

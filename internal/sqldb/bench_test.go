@@ -207,7 +207,7 @@ const cacheBenchSQL = `SELECT id, k, v FROM t
 
 func BenchmarkQueryParsePerCall(b *testing.B) {
 	db := benchDB(b, 10000)
-	db.SetStmtCacheCapacity(0) // seed behavior: every call re-lexes and re-parses
+	db.setStmtCacheCapacity(0) // seed behavior: every call re-lexes and re-parses
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -545,13 +545,12 @@ func BenchmarkPrefix10Of100kCursorStream(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Partitioned storage for the engine-leg benchmarks below.
+// A 100k-row table for the full-table benchmarks below.
 
-// benchPartitionedDB builds a 100k-row table sharded into parts partitions.
-func benchPartitionedDB(b *testing.B, parts int) *DB {
+// benchBigDB builds a 100k-row table in 200-row INSERTs.
+func benchBigDB(b *testing.B) *DB {
 	b.Helper()
 	db := NewDB()
-	db.SetPartitions(parts)
 	if _, err := db.Exec("CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER, v TEXT)"); err != nil {
 		b.Fatal(err)
 	}
@@ -574,12 +573,12 @@ func benchPartitionedDB(b *testing.B, parts int) *DB {
 }
 
 // ---------------------------------------------------------------------------
-// Full-table shapes over the partitioned 100k-row table: scan+filter,
-// selective filter, grouped aggregate and export streaming, at one and
-// four partitions. The Vec* names keep their committed baselines.
+// Full-table shapes over the 100k-row table: scan+filter, selective
+// filter, grouped aggregate and export streaming. The Vec* names keep
+// their committed baselines.
 
-func benchVecScan(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
+func BenchmarkVecScanRowSerial(b *testing.B) {
+	db := benchBigDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -594,10 +593,8 @@ func benchVecScan(b *testing.B, parts int) {
 	}
 }
 
-func BenchmarkVecScanRowSerial(b *testing.B) { benchVecScan(b, 1) }
-
-func benchVecFilter(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
+func BenchmarkVecFilterRowSerial(b *testing.B) {
+	db := benchBigDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -612,11 +609,8 @@ func benchVecFilter(b *testing.B, parts int) {
 	}
 }
 
-func BenchmarkVecFilterRowSerial(b *testing.B) { benchVecFilter(b, 1) }
-func BenchmarkVecFilterRowParts4(b *testing.B) { benchVecFilter(b, 4) }
-
-func benchVecAgg(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
+func BenchmarkVecAggRowSerial(b *testing.B) {
+	db := benchBigDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -627,14 +621,12 @@ func benchVecAgg(b *testing.B, parts int) {
 	}
 }
 
-func BenchmarkVecAggRowSerial(b *testing.B) { benchVecAgg(b, 1) }
-
-// benchVecExport measures the view/export streaming shape: every column
-// of every row delivered through QueryEach. The sink is a touch of each
-// value rather than a TSV writer, so the bench isolates the engine's
-// streaming cost.
-func benchVecExport(b *testing.B, parts int) {
-	db := benchPartitionedDB(b, parts)
+// BenchmarkVecExportRowSerial measures the view/export streaming shape:
+// every column of every row delivered through QueryEach. The sink is a
+// touch of each value rather than a TSV writer, so the bench isolates the
+// engine's streaming cost.
+func BenchmarkVecExportRowSerial(b *testing.B) {
+	db := benchBigDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -650,14 +642,11 @@ func benchVecExport(b *testing.B, parts int) {
 	}
 }
 
-func BenchmarkVecExportRowSerial(b *testing.B) { benchVecExport(b, 1) }
-func BenchmarkVecExportRowParts4(b *testing.B) { benchVecExport(b, 4) }
-
 // ---------------------------------------------------------------------------
-// CREATE INDEX over partitioned storage (the name keeps its baseline).
+// CREATE INDEX over the 100k-row table (the name keeps its baseline).
 
 func BenchmarkCreateIndexSerial(b *testing.B) {
-	db := benchPartitionedDB(b, 4)
+	db := benchBigDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,8 +27,8 @@ import (
 // open, Next takes no database lock at all, and every row reflects exactly
 // that snapshot, so writers make progress while a large result streams
 // out. The snapshot is released at Close (or exhaustion), unblocking
-// vacuum. Any schema change (DDL, snapshot restore or repartitioning)
-// invalidates the cursor: Next then fails with ErrCursorInvalidated.
+// vacuum. Any schema change (DDL or snapshot restore) invalidates the
+// cursor: Next then fails with ErrCursorInvalidated.
 //
 // The slice returned by Next is reused between calls; copy the values you
 // need before calling Next again. A Cursor must not be used from multiple
@@ -44,7 +44,7 @@ type Cursor interface {
 }
 
 // ErrCursorInvalidated is returned by Cursor.Next when a schema change
-// (DDL, Restore, SetPartitions) occurred after the cursor was opened.
+// (DDL, Restore) occurred after the cursor was opened.
 var ErrCursorInvalidated = errors.New("sqldb: cursor invalidated by schema change")
 
 var errCursorClosed = errors.New("sqldb: cursor is closed")
@@ -80,7 +80,7 @@ func (s *Stmt) QueryEach(fn func(row []Value) error, args ...any) error {
 	db := s.db
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
-	return s.eachVis(fn, vals, visibility{snap: snap, lockPart: true})
+	return s.eachVis(fn, vals, visibility{snap: snap, lockRows: true})
 }
 
 // eachVis runs the QueryEach drain pinned to vis; the caller owns the
@@ -122,7 +122,7 @@ func (s *Stmt) QueryCursor(args ...any) (Cursor, error) {
 	}
 	db := s.db
 	snap := db.snaps.acquire(db)
-	c, err := s.cursorVis(vals, visibility{snap: snap, lockPart: true})
+	c, err := s.cursorVis(vals, visibility{snap: snap, lockRows: true})
 	if err != nil {
 		db.snaps.release(snap)
 		return nil, err
@@ -281,7 +281,7 @@ func (c *dbCursor) Close() error {
 
 // selectCursor executes one SELECT as a pull pipeline at its execution's
 // snapshot. It takes no database lock: row access synchronizes on the
-// partition read locks alone.
+// row-map read lock alone.
 type selectCursor struct {
 	ex *selectExec
 	// reuseRow makes step return one shared output buffer (the streaming

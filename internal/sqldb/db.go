@@ -14,9 +14,13 @@ import (
 // use. Every DB runs under snapshot isolation (see mvcc.go): readers run
 // lock-free against a snapshot epoch, and transactions read the database
 // as of Begin plus their own writes, with first-committer-wins conflicts.
+// Writers run one at a time.
 type DB struct {
-	mu     sync.RWMutex
-	writer sync.Mutex // serializes writers and spans transactions
+	mu sync.RWMutex
+	// writer admits one writer at a time: an auto-commit statement holds
+	// it for the statement, a transaction from its first write until
+	// Commit or Rollback.
+	writer sync.Mutex
 
 	// tables is the copy-on-write catalog: the map value is immutable and
 	// republished whole by DDL (under writer + exclusive mu), so lock-free
@@ -32,11 +36,6 @@ type DB struct {
 	// setIndexAccess). Atomic: planning reads it lock-free.
 	noIndex atomic.Bool
 
-	// nparts is the hash-partition count for newly created tables (0 =
-	// default, one per CPU). Guarded by mu; SetPartitions re-shards
-	// existing tables too.
-	nparts int
-
 	// Snapshot state (see mvcc.go). epoch is the commit epoch: provisional
 	// versions become visible when publishCommit stamps them and advances
 	// it (always after the WAL append). txSeq hands out transaction IDs
@@ -49,18 +48,9 @@ type DB struct {
 	mvccConflicts    atomic.Uint64
 	vacuumRuns       atomic.Uint64
 	versionsVacuumed atomic.Uint64
-	latchWaits       atomic.Uint64
 	bgVacuums        atomic.Uint64
 	snapsAborted     atomic.Uint64
 	retention        atomic.Int64 // snapshot retention budget, ns (0 = unbounded)
-
-	// commitMu serializes latched (concurrent UPDATE/DELETE) commits at
-	// their narrowest point: the WAL append + publishCommit epoch advance.
-	// Latched committers hold db.mu SHARED plus their partition latches;
-	// exclusive-mu holders (the INSERT/DDL global path, vacuum,
-	// checkpoint, recovery) are excluded from them by mu itself and so
-	// never need commitMu. Last in the lock order.
-	commitMu sync.Mutex
 
 	// Background vacuum goroutine state (see mvcc.go). vacMu guards the
 	// handle and interval; the goroutine runs while some table carries
@@ -336,7 +326,7 @@ func (e updateUndo) undo(db *DB) {
 	if len(e.added) == 0 {
 		return
 	}
-	head := t.part(e.rowID).rows[e.rowID]
+	head := t.rows[e.rowID]
 	for _, a := range e.added {
 		if !chainHasKey(head, a.idx.Col, a.key) {
 			a.idx.delete(a.key, e.rowID)
@@ -493,14 +483,6 @@ build:
 // provisional versions); stale index entries awaiting vacuum are filtered
 // by re-evaluating the WHERE clause against the visible row.
 func (db *DB) collectWriteMatches(wp *writePlan, args []Value, w *writeCtx) ([]int64, error) {
-	return db.collectMatches(wp, args, w, true)
-}
-
-// collectMatches is collectWriteMatches with plan-counter accounting made
-// optional: the latched path's unlatched prescan (which only seeds the
-// latch set and is always re-run under latches) passes counted=false so
-// each statement still counts one access-path execution.
-func (db *DB) collectMatches(wp *writePlan, args []Value, w *writeCtx, counted bool) ([]int64, error) {
 	t := wp.t
 	env := wp.newEnv(args)
 	vis := w.vis()
@@ -523,15 +505,13 @@ func (db *DB) collectMatches(wp *writePlan, args []Value, w *writeCtx, counted b
 	}
 
 	if wp.access.kind != accessScan {
-		if counted {
-			switch wp.access.kind {
-			case accessEq:
-				db.plans.indexEq.Add(1)
-			case accessIn:
-				db.plans.indexIn.Add(1)
-			case accessRange:
-				db.plans.indexRange.Add(1)
-			}
+		switch wp.access.kind {
+		case accessEq:
+			db.plans.indexEq.Add(1)
+		case accessIn:
+			db.plans.indexIn.Add(1)
+		case accessRange:
+			db.plans.indexRange.Add(1)
 		}
 		candidates, err := collectAccessIDs(&wp.access, env)
 		if err != nil {
@@ -548,9 +528,7 @@ func (db *DB) collectMatches(wp *writePlan, args []Value, w *writeCtx, counted b
 		}
 		return ids, nil
 	}
-	if counted {
-		db.plans.fullScans.Add(1)
-	}
+	db.plans.fullScans.Add(1)
 	var scanErr error
 	t.scanVis(vis, func(id int64, row []Value) bool {
 		if err := check(id, row); err != nil {
@@ -570,14 +548,6 @@ func (db *DB) executeUpdate(p *updatePlan, args []Value, undo *undoLog, w *write
 	if err != nil {
 		return Result{}, err
 	}
-	return db.applyUpdate(p, args, undo, w, ids)
-}
-
-// applyUpdate installs the new versions for the already-collected
-// candidate IDs. Split from candidate collection so the latched path can
-// run its latch-validate loop between the two (every id's partition is
-// then latched, making the raw row-map reads in updateRow safe).
-func (db *DB) applyUpdate(p *updatePlan, args []Value, undo *undoLog, w *writeCtx, ids []int64) (Result, error) {
 	t := p.t
 	env := p.newEnv(args)
 	vis := w.vis()
@@ -618,11 +588,6 @@ func (db *DB) executeDelete(p *deletePlan, args []Value, undo *undoLog, w *write
 	if err != nil {
 		return Result{}, err
 	}
-	return db.applyDelete(p, undo, w, ids)
-}
-
-// applyDelete is applyUpdate's counterpart for DELETE (see there).
-func (db *DB) applyDelete(p *deletePlan, undo *undoLog, w *writeCtx, ids []int64) (Result, error) {
 	t := p.t
 	vis := w.vis()
 	var res Result
@@ -657,7 +622,7 @@ func (db *DB) executeCreateTable(st *CreateTableStmt, undo *undoLog) (Result, er
 	if err != nil {
 		return Result{}, err
 	}
-	db.putTable(key, NewTablePartitions(st.Name, schema, db.partitionCount()))
+	db.putTable(key, NewTable(st.Name, schema))
 	db.bumpSchemaGen()
 	undo.add(createTableUndo{name: st.Name})
 	return Result{}, nil
@@ -728,9 +693,9 @@ func (db *DB) executeDropIndex(st *DropIndexStmt, undo *undoLog) (Result, error)
 
 // Tx is a transaction under snapshot isolation: reads observe the
 // database as of Begin (plus its own writes), the writer lock is acquired
-// lazily at the first INSERT or DDL statement, and writes to rows committed
-// after the snapshot fail with ErrWriteConflict (first committer wins) —
-// roll back and retry.
+// lazily at the first write statement and held until Commit or Rollback,
+// and writes to rows committed after the snapshot fail with
+// ErrWriteConflict (first committer wins) — roll back and retry.
 type Tx struct {
 	db   *DB
 	undo *undoLog
@@ -774,12 +739,8 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 	if db.snapRevoked(tx.snap) {
 		return Result{}, ErrSnapshotTooOld
 	}
-	// Preparation is lock-free, so the statement kind is known before any
-	// lock is chosen. Eligible UPDATEs and DELETEs take the concurrent
-	// latched path: db.mu shared plus the write latches of the partitions
-	// they touch, so transactions on disjoint partitions do not serialize
-	// on the global writer lock. Ineligible ones (see latchEligible) fall
-	// through.
+	// Preparation is lock-free, so a statement Exec cannot run fails
+	// before it could wait for the writer lock.
 	s := db.stmts.get(db, sql)
 	p, err := s.ensure(db)
 	if err != nil {
@@ -788,17 +749,11 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 	if err := p.validateExec(vals, errTxnControlTx); err != nil {
 		return Result{}, err
 	}
-	if latchEligible(p) != nil {
-		res, handled, err := tx.execLatchedStmt(sql, s, vals)
-		if handled {
-			return res, err
-		}
-	}
 	if !tx.writerHeld {
-		// First INSERT or DDL: start serializing against the other global
-		// writers — row-ID/AUTOINCREMENT allocation must happen in WAL
-		// order (see mvcc.go). The snapshot stays at Begin — commits that
-		// landed in between are exactly what conflictCheck detects.
+		// First write: until Commit or Rollback no other writer runs, so
+		// the WAL's commit order is the order writes happened in (see
+		// mvcc.go). The snapshot stays at Begin — commits that landed in
+		// between are exactly what conflictCheck detects.
 		db.writer.Lock()
 		tx.writerHeld = true
 	}
@@ -850,7 +805,7 @@ func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 
 // vis is the visibility the transaction reads at.
 func (tx *Tx) vis() visibility {
-	return visibility{snap: tx.snap, tx: tx.id, lockPart: true}
+	return visibility{snap: tx.snap, tx: tx.id, lockRows: true}
 }
 
 // Commit makes the transaction's changes permanent. On a durable database
@@ -861,14 +816,17 @@ func (tx *Tx) vis() visibility {
 // acknowledged by a shared fsync (group commit). The transaction's
 // provisional versions are published — stamped with the commit epoch,
 // which is advanced last — strictly after the append, so snapshot readers
-// can never observe a commit the log does not contain.
+// can never observe a commit the log does not contain. A snapshot revoked
+// by the retention budget aborts instead: over-budget transactions do not
+// commit.
 func (tx *Tx) Commit() error {
 	if tx.done {
 		return fmt.Errorf("sqldb: transaction already finished")
 	}
 	db := tx.db
-	if !tx.writerHeld {
-		return tx.commitConcurrent()
+	if db.snapRevoked(tx.snap) {
+		tx.abort()
+		return ErrSnapshotTooOld
 	}
 	var lsn uint64
 	if d := db.durable; d != nil && len(tx.logged) > 0 {
@@ -876,11 +834,7 @@ func (tx *Tx) Commit() error {
 		if lsn, err = d.logCommit(tx.logged); err != nil {
 			// The log is unavailable: the transaction cannot be made
 			// durable, so it must not become visible either.
-			db.mu.Lock()
-			tx.undo.rollback(db)
-			db.abortProvisional(tx.installed)
-			db.mu.Unlock()
-			tx.finish()
+			tx.abort()
 			return err
 		}
 	}
@@ -889,50 +843,6 @@ func (tx *Tx) Commit() error {
 		db.publishCommit(tx.installed)
 		db.mu.Unlock()
 	}
-	tx.finish()
-	if d := db.durable; d != nil && lsn != 0 {
-		return d.wait(lsn)
-	}
-	return nil
-}
-
-// commitConcurrent commits a transaction that never took the
-// global writer lock (UPDATE/DELETE-only, the common OLTP shape): it
-// holds db.mu only SHARED and serializes with other such committers on
-// commitMu around the WAL append + epoch publication, so disjoint
-// committers queue on one short mutex instead of the whole database. A
-// snapshot revoked by the retention budget aborts here — its conflict
-// checks were still sound, but the retention contract is that over-budget
-// transactions do not commit.
-func (tx *Tx) commitConcurrent() error {
-	db := tx.db
-	if db.snapRevoked(tx.snap) {
-		db.mu.Lock()
-		tx.undo.rollback(db)
-		db.abortProvisional(tx.installed)
-		db.mu.Unlock()
-		tx.finish()
-		return ErrSnapshotTooOld
-	}
-	var lsn uint64
-	db.mu.RLock()
-	db.commitMu.Lock()
-	if d := db.durable; d != nil && len(tx.logged) > 0 {
-		var err error
-		if lsn, err = d.logCommit(tx.logged); err != nil {
-			db.commitMu.Unlock()
-			db.mu.RUnlock()
-			db.mu.Lock()
-			tx.undo.rollback(db)
-			db.abortProvisional(tx.installed)
-			db.mu.Unlock()
-			tx.finish()
-			return err
-		}
-	}
-	db.publishCommit(tx.installed)
-	db.commitMu.Unlock()
-	db.mu.RUnlock()
 	tx.finish()
 	if d := db.durable; d != nil && lsn != 0 {
 		return d.wait(lsn)
@@ -962,10 +872,15 @@ func (tx *Tx) Rollback() error {
 	if tx.done {
 		return fmt.Errorf("sqldb: transaction already finished")
 	}
+	tx.abort()
+	return nil
+}
+
+// abort unlinks the transaction's changes and finishes it.
+func (tx *Tx) abort() {
 	tx.db.mu.Lock()
 	tx.undo.rollback(tx.db)
 	tx.db.abortProvisional(tx.installed)
 	tx.db.mu.Unlock()
 	tx.finish()
-	return nil
 }

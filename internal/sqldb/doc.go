@@ -1,5 +1,5 @@
 // Package sqldb is the embedded relational engine: SQL parsing, planning,
-// Volcano-style row execution over hash-partitioned storage, transactions
+// Volcano-style row execution over versioned row storage, transactions
 // with undo-log rollback, MVCC snapshot isolation with lock-free readers,
 // streaming cursors, and WAL-backed durability with group commit and
 // checkpointing.
@@ -10,10 +10,9 @@
 // point, index and range access, full scans, joins, aggregates —
 // runs as a pull pipeline of row producers, one row at a time, at the
 // statement's snapshot; materialized Query, QueryEach and QueryCursor
-// only differ in how they drain it. Storage partitions (SetPartitions)
-// shape write latching, not reads: a scan walks the table's global ID
-// slice whatever the layout, so results are identical on any partition
-// count, which the planner-equivalence fuzz asserts byte-for-byte.
+// only differ in how they drain it. A scan walks the table's sorted ID
+// slice, so results come in row-ID order, which the planner-equivalence
+// fuzz relies on to compare access paths byte-for-byte.
 //
 // # Invariants
 //
@@ -21,22 +20,18 @@
 // compiler cannot check but gmlint (cmd/gmlint) does; code in this package
 // must preserve them:
 //
-//  1. Lock order. Locks are always acquired writer < mu < tablePart.w <
-//     Table.histMu < tablePart.mu < commitMu, and the WAL's internally
-//     are syncMu < mu. tablePart.w latches are multi-instance: a latched
-//     statement acquires several, always in ascending partition order
-//     and only via Table.acquireLatches. Release before re-acquiring
-//     against the order (see wal.AdvanceTo for the dance).
+//  1. Lock order. Locks are always acquired writer < mu < Table.histMu <
+//     Table.rowsMu, and the WAL's internally are syncMu < mu. Release
+//     before re-acquiring against the order (see wal.AdvanceTo for the
+//     dance).
 //
-//  2. No blocking under exclusive db locks. fsync-class calls
-//     (wal.Durable, File.Sync, durability.wait) and channel operations
-//     never run while writer, an exclusive mu, a write latch, commitMu,
-//     or a partition lock is held. Commits append to the log inside the
-//     exclusive section (log order = commit order) — for latched
-//     committers that section is commitMu under shared mu — but wait
-//     for durability after unlocking —
-//     that window is what lets concurrent committers share one fsync
-//     (group commit). Readers take only partition read locks, never mu.
+//  2. No blocking under db locks. fsync-class calls (wal.Durable,
+//     File.Sync, durability.wait) and channel operations never run
+//     while writer, mu or a row-map lock is held. Commits append to the
+//     log while holding writer (log order = commit order) but wait for
+//     durability after unlocking — that window is what lets concurrent
+//     committers share one fsync (group commit). Readers take only the
+//     row-map read lock, never mu.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
 //     through executeWrite, and every caller must bind the mutation for
@@ -61,9 +56,9 @@
 //     file-removal calls are never silently dropped; best-effort sites
 //     carry a //gmlint:ignore justification.
 //
-//  7. Partition locks are released on every path. Any early return
-//     while tablePart.mu is held must unlock first — a held partition
-//     lock wedges every writer touching that partition (checked by
+//  7. Row-map locks are released on every path. Any early return
+//     while Table.rowsMu is held must unlock first — a held row-map lock
+//     wedges the writer and every reader of that table (checked by
 //     gmlint's partlock).
 //
 //  8. Version visibility flows through the epoch. Storage is version
@@ -81,16 +76,11 @@
 //     mvccepoch checks the publication sites and the append-before-
 //     publish order.
 //
-//  9. Latched writes own their partitions, not the database. An
-//     UPDATE/DELETE on the latched path holds db.mu only SHARED plus
-//     the tablePart.w latches of every partition it touches (acquired
-//     via the collectLatched prescan/validate loop), so it may mutate
-//     row maps (under tablePart.mu) and version chains only in latched
-//     partitions, and must keep the WAL append and publishCommit atomic
-//     under commitMu — WAL order must equal publication order or serial
-//     replay diverges from the concurrent execution. Whole-database
-//     operations (DDL, INSERT row-ID allocation, vacuum, checkpoint,
-//     Dump, Save) take mu exclusively, which excludes every latched
-//     writer wholesale. Latch sets are released on every path or
-//     returned to the caller (checked by gmlint's partlock).
+//  9. One writer at a time. Every write statement holds writer — an
+//     auto-commit statement for itself, a transaction from its first
+//     write until Commit or Rollback — and runs under the exclusive mu.
+//     The WAL replays whole commits serially, so WAL order = commit
+//     order = publication order; a second writer that overlapped an
+//     open transaction would make serial replay diverge from the live
+//     execution (TestMVCCMultiWriterOpenTxReplay).
 package sqldb

@@ -279,9 +279,8 @@ func decodeRecord(p []byte) ([]logStmt, error) {
 }
 
 // logCommit appends one commit record for stmts and returns its LSN.
-// The caller holds its commit-serialization section — writer + exclusive
-// db.mu on the global path, db.commitMu (under shared mu) on the latched
-// path — so the append happens in commit order; the fsync wait does not.
+// The caller holds db.writer, so the append happens in commit order; the
+// fsync wait does not.
 func (d *durability) logCommit(stmts []logStmt) (uint64, error) {
 	return d.w.Append(encodeRecord(stmts))
 }
@@ -505,10 +504,9 @@ func (db *DB) Checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 
-	// writer.Lock waits out open global-path transactions; the EXCLUSIVE
-	// mu additionally waits out latched writers and concurrent committers
-	// (they hold mu shared), so the snapshot contains exactly the state
-	// described by log records <= lsn.
+	// writer.Lock waits out open writing transactions and the exclusive
+	// mu any statement in progress, so the snapshot contains exactly the
+	// state described by log records <= lsn.
 	db.writer.Lock()
 	db.mu.Lock()
 	snap := db.buildSnapshot()
@@ -619,9 +617,8 @@ func (db *DB) Close() error {
 // identically for all future statements, which is exactly the equivalence
 // the crash-recovery oracle tests assert.
 func (db *DB) Dump(w io.Writer) error {
-	// Exclusive mu: a shared lock would admit latched writers and
-	// concurrent committers mid-dump (writer alone no longer excludes
-	// them), and the dump reads nextRow/nextSeq and whole chains.
+	// Exclusive mu: the dump reads nextRow/nextSeq and whole chains, which
+	// a statement in progress changes.
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	tables := db.tableMap()

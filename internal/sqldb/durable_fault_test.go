@@ -1,11 +1,13 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"genmapper/internal/wal"
 )
@@ -231,69 +233,6 @@ func TestDBCrashSweep(t *testing.T) {
 	}
 }
 
-// TestDBCrashSweepPartitioned proves the WAL and checkpoint/recovery
-// machinery is partition-transparent: the durable database runs sharded,
-// the shadow prefix dumps come from a database sharded to a DIFFERENT
-// partition count, and after a crash at every third IO op the recovered
-// dump (default layout) must still be byte-identical to a committed shadow
-// prefix.
-func TestDBCrashSweepPartitioned(t *testing.T) {
-	commits := crashWorkload()
-
-	shadow := NewDB()
-	shadow.SetPartitions(5)
-	dumps := []string{shadow.DumpString()}
-	for i, c := range commits {
-		if err := c.apply(shadow); err != nil {
-			t.Fatalf("shadow commit %d: %v", i, err)
-		}
-		dumps = append(dumps, shadow.DumpString())
-	}
-
-	runPoint := func(fs *wal.FaultFS) int {
-		db, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		defer db.Close()
-		db.SetPartitions(4)
-		acked := 0
-		for _, c := range commits {
-			if err := c.apply(db); err != nil {
-				return acked
-			}
-			acked++
-		}
-		return acked
-	}
-
-	dry := wal.NewFaultFS()
-	if n := runPoint(dry); n != len(commits) {
-		t.Fatalf("dry run acked %d of %d", n, len(commits))
-	}
-	total := dry.OpCount()
-	for op := 1; op <= total; op += 3 {
-		fs := wal.NewFaultFS()
-		fs.SetPlan(wal.FaultPlan{AtOp: op, Kind: wal.FaultCrash})
-		acked := runPoint(fs)
-		fs.SimulateCrash(nil)
-
-		rec, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
-		if err != nil {
-			t.Fatalf("op %d: recovery failed: %v", op, err)
-		}
-		got := rec.DumpString()
-		rec.Close()
-		k := matchPrefix(dumps, got)
-		if k < 0 {
-			t.Fatalf("op %d: recovered partitioned state equals NO committed prefix\nacked=%d\n%s", op, acked, got)
-		}
-		if k < acked {
-			t.Fatalf("op %d: recovered prefix %d but %d commits acknowledged", op, k, acked)
-		}
-	}
-}
-
 // TestRandomizedRecoveryOracle extends the planner-equivalence fuzz style
 // to durability: N random write statements run against an in-memory
 // shadow and a durable database; the durable one is killed at a random
@@ -460,13 +399,13 @@ func randomWorkload(rng *rand.Rand) []dbCommit {
 }
 
 // TestMVCCMultiWriterWALEquivalence is the concurrent-writer oracle: N
-// latched writers on disjoint key ranges commit concurrently, and the
-// recovered database — WAL replay alone, the crash discards nothing
-// because every commit was acked under SyncAlways — must be
-// byte-identical to the live dump. This pins the invariant that makes
-// concurrent commit sound: WAL append order equals epoch publication
-// order (both happen under db.commitMu), so a serial replay reproduces
-// exactly the state the interleaved writers produced.
+// writers on disjoint key ranges commit concurrently, and the recovered
+// database — WAL replay alone, the crash discards nothing because every
+// commit was acked under SyncAlways — must be byte-identical to the live
+// dump. This pins the invariant that makes concurrent commit sound: WAL
+// append order equals epoch publication order (both happen under
+// db.writer), so a serial replay reproduces exactly the state the
+// interleaved writers produced.
 func TestMVCCMultiWriterWALEquivalence(t *testing.T) {
 	const writers, rows, rounds = 4, 32, 6
 	fs := wal.NewFaultFS()
@@ -522,7 +461,7 @@ func TestMVCCMultiWriterWALEquivalence(t *testing.T) {
 // Conflict-heavy variant: every writer hammers the same eight rows with
 // non-commutative assignments, so the final value of each row depends on
 // exactly which commit published last. Replay equivalence therefore
-// proves the append/publish order really is atomic under commitMu — a
+// proves the append/publish order really is atomic under db.writer — a
 // single swapped pair would recover a different byte image.
 func TestMVCCMultiWriterWALEquivalenceConflict(t *testing.T) {
 	const writers, iters = 4, 30
@@ -575,82 +514,75 @@ func TestMVCCMultiWriterWALEquivalenceConflict(t *testing.T) {
 	}
 }
 
-// TestMVCCCrashSweepTwoLatchedWriters extends the in-flight-transaction
-// sweep to the latched path: at every crash point TWO transactions have
-// each installed provisional versions through latched UPDATEs on
-// different rows — overlapping in time exactly as concurrent writers do —
-// when the crash is taken. Neither was committed, so neither may appear
-// in the recovered image, and recovery must still be byte-identical to an
-// acknowledged prefix.
-func TestMVCCCrashSweepTwoLatchedWriters(t *testing.T) {
-	commits := crashWorkload()
-	dumps := prefixDumps(t, commits)
-
-	dry := wal.NewFaultFS()
-	func() {
-		db, err := OpenDurable("", durableOpts(dry, wal.SyncAlways))
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		defer db.Close()
-		for _, c := range commits {
-			if err := c.apply(db); err != nil {
-				t.Fatalf("dry run: %v", err)
+// TestMVCCMultiWriterOpenTxReplay: a second writer that arrives while a
+// transaction has written but not committed must commit after it, so the
+// WAL's commit order is the order the writes happened in. The transaction
+// deletes every row with k < 5; the second writer either inserts such a
+// row or moves another row into the predicate. Replaying the log must
+// reproduce the live database byte for byte, the second writer's
+// acknowledged row included.
+func TestMVCCMultiWriterOpenTxReplay(t *testing.T) {
+	for _, c := range []struct{ name, sql string }{
+		{"insert", "INSERT INTO t VALUES (2, 1)"},
+		{"update", "UPDATE t SET k = 1 WHERE id = 1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := wal.NewFaultFS()
+			db, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}()
-	total := dry.OpCount()
-	for op := 1; op <= total; op += 2 {
-		fs := wal.NewFaultFS()
-		fs.SetPlan(wal.FaultPlan{AtOp: op, Kind: wal.FaultCrash})
+			mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+			mustExec(t, db, "INSERT INTO t VALUES (1, 100), (3, 2)")
 
-		db, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
-		if err != nil {
-			t.Fatalf("op %d: open: %v", op, err)
-		}
-		acked := 0
-		for _, c := range commits {
-			if err := c.apply(db); err != nil {
-				break
+			tx := db.Begin()
+			if _, err := tx.Exec("DELETE FROM t WHERE k < 5"); err != nil {
+				t.Fatal(err)
 			}
-			acked++
-		}
-		// Two writing transactions in flight on different rows: both took
-		// the latched path (eligible UPDATEs), both hold uncommitted
-		// provisional versions when the crash is taken. At early crash
-		// points kv may not exist yet; then the writes target nothing.
-		tx1 := db.Begin()
-		tx1.Exec("UPDATE kv SET v = ? WHERE k = ?", -777, "key-2")
-		tx2 := db.Begin()
-		tx2.Exec("UPDATE kv SET v = ? WHERE k = ?", -888, "key-4")
-		fs.SimulateCrash(nil)
-		tx1.Rollback()
-		tx2.Rollback()
-		db.Close()
+			done := make(chan error, 1)
+			go func() {
+				_, err := db.Exec(c.sql)
+				done <- err
+			}()
+			// A writer that overlaps the transaction finishes here; one that
+			// waits for it does not, and must not stall the commit.
+			var second error
+			joined := false
+			select {
+			case second = <-done:
+				joined = true
+			case <-time.After(50 * time.Millisecond):
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if !joined {
+				second = <-done
+			}
+			if second != nil {
+				t.Fatalf("second writer: %v", second)
+			}
 
-		rec, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
-		if err != nil {
-			t.Fatalf("op %d: recovery failed: %v", op, err)
-		}
-		got := rec.DumpString()
-		rec.Close()
-		if strings.Contains(got, "-777") || strings.Contains(got, "-888") {
-			t.Fatalf("op %d: uncommitted latched write resurrected:\n%s", op, got)
-		}
-		k := matchPrefix(dumps, got)
-		if k < 0 {
-			t.Fatalf("op %d: recovered state equals NO committed prefix\nacked=%d\n%s", op, acked, got)
-		}
-		if k < acked {
-			t.Fatalf("op %d: recovered prefix %d but %d commits acknowledged — durability violated", op, k, acked)
-		}
+			live := db.DumpString()
+			fs.SimulateCrash(nil)
+			db.Close()
+			rec, err := OpenDurable("", durableOpts(fs, wal.SyncAlways))
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			got := rec.DumpString()
+			rec.Close()
+			if got != live {
+				t.Fatalf("WAL replay diverges from the live database\nlive:\n%s\nrecovered:\n%s", live, got)
+			}
+		})
 	}
 }
 
 // CREATE INDEX indexes every version a chain carries: the rows its own
-// transaction inserted just before (provisional, as they are again when
-// recovery replays the transaction's log record) and the key another open
-// transaction's UPDATE installed. Once both commit, every row is reachable
+// transaction inserted just before and the key its own UPDATE chained onto
+// a committed row (provisional, as they are again when recovery replays
+// the transaction's log record). Once it commits, every row is reachable
 // through the index, live and after recovery alike.
 func TestCreateIndexCoversProvisionalVersions(t *testing.T) {
 	fs := wal.NewFaultFS()
@@ -660,23 +592,18 @@ func TestCreateIndexCoversProvisionalVersions(t *testing.T) {
 	}
 	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
 	mustExec(t, db, "INSERT INTO t VALUES (1, 10)")
-	upd := db.Begin()
-	if _, err := upd.Exec("UPDATE t SET k = 11 WHERE id = 1"); err != nil {
-		t.Fatal(err)
-	}
 	tx := db.Begin()
-	for _, sql := range []string{"INSERT INTO t VALUES (2, 20)", "CREATE INDEX idx_k ON t (k)"} {
+	for _, sql := range []string{"UPDATE t SET k = 11 WHERE id = 1", "INSERT INTO t VALUES (2, 20)", "CREATE INDEX idx_k ON t (k)"} {
 		if _, err := tx.Exec(sql); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if rs, err := tx.Query("SELECT id FROM t WHERE k = 20"); err != nil || len(rs.Rows) != 1 {
-		t.Fatalf("the transaction's own row through its new index: %v, %v", rs, err)
+	for _, k := range []int{11, 20} {
+		if rs, err := tx.Query("SELECT id FROM t WHERE k = ?", k); err != nil || len(rs.Rows) != 1 {
+			t.Fatalf("the transaction's own k = %d through its new index: %v, %v", k, rs, err)
+		}
 	}
 	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := upd.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	check := func(name string, db *DB) {
@@ -697,4 +624,9 @@ func TestCreateIndexCoversProvisionalVersions(t *testing.T) {
 	}
 	defer rec.Close()
 	check("recovered", rec)
+}
+
+// isWriteConflict reports whether err is (or wraps) ErrWriteConflict.
+func isWriteConflict(err error) bool {
+	return errors.Is(err, ErrWriteConflict)
 }

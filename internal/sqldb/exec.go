@@ -35,8 +35,8 @@ type selectExec struct {
 	env *RowEnv
 
 	// vis is the snapshot this execution reads at: the statement's or
-	// transaction's snapshot epoch (vis.lockPart set, so row-map reads
-	// take the partition read lock).
+	// transaction's snapshot epoch (vis.lockRows set, so row-map reads
+	// take the row-map read lock).
 	vis visibility
 
 	// orderedHint is the number of output rows the consumer expects to
@@ -70,8 +70,8 @@ func (f *fixedCol) Eval(env *RowEnv) (Value, error) { return env.vals[f.pos], ni
 func (f *fixedCol) String() string                  { return fmt.Sprintf("col#%d", f.pos) }
 
 // executeSelectVis materializes a SELECT at a registered snapshot by
-// draining its cursor pipeline. It holds no db.mu at all; the partition
-// read locks taken per row copy are the only synchronization.
+// draining its cursor pipeline. It holds no db.mu at all; the row-map
+// read lock taken per row copy is the only synchronization.
 func (db *DB) executeSelectVis(p *selectPlan, args []Value, vis visibility) (*ResultSet, error) {
 	c := newSelectCursor(db, p, args, false, vis)
 	defer c.close()

@@ -65,9 +65,9 @@ func planExplain(db *DB, st *ExplainStmt) (*explainPlan, error) {
 
 // PlanDoc is the versioned EXPLAIN document. Field order here is the
 // serialization order (encoding/json marshals struct fields in declaration
-// order), so the JSON output is byte-stable. The runtime partition count is
-// deliberately excluded: the document must not change between machines or
-// partition layouts (see docs/plan-json.md).
+// order), so the JSON output is byte-stable. Nothing machine-dependent is
+// included: the document must not change between machines (see
+// docs/plan-json.md).
 type PlanDoc struct {
 	PlanVersion int             `json:"plan_version"`
 	Statement   string          `json:"statement"`

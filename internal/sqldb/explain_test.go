@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -55,23 +56,25 @@ func TestPlanGoldens(t *testing.T) {
 	}
 }
 
-// TestPlanGoldenStability re-runs every golden case at partition counts
-// 1/2/4/8: the plan document must not change with the storage layout.
+// TestPlanGoldenStability re-runs every golden case at GOMAXPROCS
+// 1/2/4/8: the plan document must not change with the machine's core
+// count.
 func TestPlanGoldenStability(t *testing.T) {
 	db := planFixture(t)
-	for _, parts := range []int{1, 2, 4, 8} {
-		db.SetPartitions(parts)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 4, 8} {
+		runtime.GOMAXPROCS(procs)
 		for _, tc := range PlanGoldenCases {
 			got, err := db.Explain(tc.SQL, "json")
 			if err != nil {
-				t.Fatalf("parts=%d %s: %v", parts, tc.Name, err)
+				t.Fatalf("GOMAXPROCS=%d %s: %v", procs, tc.Name, err)
 			}
 			want, err := os.ReadFile(goldenPath(tc.Name))
 			if err != nil {
 				t.Fatalf("%s: %v", tc.Name, err)
 			}
 			if got+"\n" != string(want) {
-				t.Errorf("parts=%d %s: plan JSON not byte-stable\n--- got ---\n%s", parts, tc.Name, got)
+				t.Errorf("GOMAXPROCS=%d %s: plan JSON not byte-stable\n--- got ---\n%s", procs, tc.Name, got)
 			}
 		}
 	}

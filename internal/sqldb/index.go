@@ -25,8 +25,8 @@ func (k IndexKind) String() string {
 // B-tree indexes keep entries ordered for range scans.
 //
 // Every structural operation synchronizes on the index's own RWMutex:
-// writers hold the database writer lock or a partition latch, but snapshot
-// readers probe indexes with no database lock at all, so the per-index lock is
+// the writer holds the database exclusively, but snapshot readers probe
+// indexes with no database lock at all, so the per-index lock is
 // what keeps a lookup from racing an entry insert. Readers copy matches
 // out (Lookup) or finish the traversal (Range) before resolving row
 // visibility, so the lock is never held across row access.

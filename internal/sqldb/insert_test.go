@@ -48,43 +48,41 @@ func objectRelRows(n int, tagPrefix string) (string, []any) {
 	return multiRowSQL(objectRelInsert+"(?, ?, ?, ?, ?)", n), args
 }
 
-// insertModes runs fn on a fresh object_rel database at one and at four
-// partitions, each once plain ("mvcc=false") and once beside a reader whose
-// snapshot predates every row ("mvcc=true"; the leg names predate this
-// axis and are kept so test names stay stable). The reader must still see
-// an empty table when fn is done.
+// insertModes runs fn on a fresh object_rel database, once plain
+// ("mvcc=false") and once beside a reader whose snapshot predates every
+// row ("mvcc=true"). The reader must still see an empty table when fn is
+// done. The "mvcc=" and "parts=1" labels predate the deletion of lock mode
+// and of partitioned storage; they are kept so the recorded test names
+// stay stable until the subtests are renamed together (ROADMAP item 4).
 func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 	for _, pinned := range []bool{false, true} {
-		for _, parts := range []int{1, 4} {
-			t.Run(fmt.Sprintf("mvcc=%v/parts=%d", pinned, parts), func(t *testing.T) {
-				db := NewDB()
-				defer db.Close()
-				db.SetPartitions(parts)
-				for _, ddl := range objectRelDDL {
-					mustExec(t, db, ddl)
-				}
-				if !pinned {
-					fn(t, db)
-					return
-				}
-				reader := db.Begin()
-				defer reader.Rollback()
+		t.Run(fmt.Sprintf("mvcc=%v/parts=1", pinned), func(t *testing.T) {
+			db := NewDB()
+			defer db.Close()
+			for _, ddl := range objectRelDDL {
+				mustExec(t, db, ddl)
+			}
+			if !pinned {
 				fn(t, db)
-				rs, err := reader.Query("SELECT COUNT(*) FROM object_rel")
-				if err != nil {
-					t.Fatal(err)
-				}
-				if n := rs.Rows[0][0]; n != int64(0) {
-					t.Fatalf("a snapshot older than every row sees %v rows", n)
-				}
-			})
-		}
+				return
+			}
+			reader := db.Begin()
+			defer reader.Rollback()
+			fn(t, db)
+			rs, err := reader.Query("SELECT COUNT(*) FROM object_rel")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := rs.Rows[0][0]; n != int64(0) {
+				t.Fatalf("a snapshot older than every row sees %v rows", n)
+			}
+		})
 	}
 }
 
 // tableState is everything a failed or rolled-back INSERT must leave as it
 // found it: the dump (rows and both counters), every index's entry count,
-// the ID slice and the partition maps.
+// the ID slice and the row map.
 func tableState(db *DB, table string) string {
 	var sb strings.Builder
 	sb.WriteString(db.DumpString())
@@ -94,17 +92,14 @@ func tableState(db *DB, table string) string {
 	for _, idx := range t.Indexes() {
 		fmt.Fprintf(&sb, "index %s: %d entries, %d NULL\n", idx.Name, idx.Len(), len(idx.NullRowIDs()))
 	}
-	fmt.Fprintf(&sb, "ids: %d global, live %d", len(t.ids.load()), t.live.Load())
-	for _, p := range t.partList() {
-		fmt.Fprintf(&sb, ", part %d", len(p.rows))
-	}
+	fmt.Fprintf(&sb, "ids: %d, live %d, rows %d", len(t.ids.load()), t.live.Load(), len(t.rows))
 	return sb.String()
 }
 
 // TestMultiRowInsertEqualsSingleRows: an N-row INSERT is the same
 // transition as N one-row INSERTs in one transaction — same rows under the
-// same row IDs and AUTOINCREMENT values, same counters, same results — at
-// both partition counts, around the 200-row chunk size.
+// same row IDs and AUTOINCREMENT values, same counters, same results —
+// around the 200-row chunk size.
 func TestMultiRowInsertEqualsSingleRows(t *testing.T) {
 	for _, n := range []int{1, 2, 199, 200, 201} {
 		n := n
@@ -116,7 +111,6 @@ func TestMultiRowInsertEqualsSingleRows(t *testing.T) {
 				// Reference: the same rows one statement at a time.
 				ref := NewDB()
 				defer ref.Close()
-				ref.SetPartitions(db.table("object_rel").PartitionCount())
 				for _, ddl := range objectRelDDL {
 					mustExec(t, ref, ddl)
 				}
@@ -167,7 +161,7 @@ func TestMultiRowInsertEqualsSingleRows(t *testing.T) {
 				}
 				dumps = append(dumps, db.DumpString())
 			})
-			// Dump bytes do not depend on a pinned reader or the partition count.
+			// Dump bytes do not depend on a pinned reader.
 			for i := 1; i < len(dumps); i++ {
 				if dumps[i] != dumps[0] {
 					t.Errorf("dump of combination %d differs from combination 0", i)

@@ -8,25 +8,21 @@ package sqldb
 // Readers take NO database lock at all. A statement (or transaction)
 // captures a snapshot epoch at start and registers it with the snapshot
 // tracker; every access path resolves row visibility against that epoch,
-// synchronizing only on partition locks held long enough to copy version
-// pointers out of the row map. UPDATE and DELETE writers run concurrently:
-// each holds db.mu SHARED plus the write latches (tablePart.w) of exactly
-// the partitions it touches, acquired in ascending partition order
-// (latch.go), so non-overlapping writers install provisional versions and
-// run their first-committer-wins checks fully in parallel and serialize
-// only at the WAL append + commit-epoch publication (db.commitMu). INSERT
-// and DDL take the global writer + exclusive-mu path: the logical WAL
-// replays statements in commit order, so row-ID/AUTOINCREMENT allocation
-// must happen in that same order to keep a live database byte-identical
-// to a recovered one. Provisional versions are stamped with the writing
+// synchronizing only on the row-map lock held long enough to copy version
+// pointers out of the map. There is one writer at a time: every write
+// statement holds db.writer — an auto-commit statement for itself, a
+// transaction from its first write until Commit or Rollback — and runs
+// under the exclusive db.mu. The logical WAL replays statements in commit
+// order, so writes must happen in that same order to keep a live database
+// byte-identical to a recovered one: WAL order = commit order =
+// publication order. Provisional versions are stamped with the writing
 // transaction's ID and published only AFTER the WAL append
 // (publishCommit), so a crash can never leave an acknowledged-but-unlogged
 // commit and a reader can never observe a mid-statement or mid-transaction
 // state: a commit is visible whole or not at all. Rollback unlinks the
 // provisional versions. First-committer-wins conflict detection raises
 // ErrWriteConflict when a transaction writes a row whose newest committed
-// version postdates the transaction's snapshot — including a row carrying
-// another in-flight transaction's provisional version.
+// version postdates the transaction's snapshot, taken at Begin.
 //
 // Version reclamation: a commit that leaves version history (an UPDATE's
 // superseded version, a DELETE's tombstone) starts the background vacuum
@@ -36,11 +32,10 @@ package sqldb
 // nothing to reclaim owns no goroutine (and an unreferenced one can be
 // collected). DB.Close stops it; the public Vacuum does the same work on
 // demand. Vacuum runs under db.writer + exclusive db.mu, which excludes
-// latched writers (they hold db.mu shared), checkpoints, and commit
-// publication. A retention budget (SetSnapshotRetention) bounds how long a
-// snapshot may pin the horizon: older registrations are revoked, their
-// owners' next operation fails with ErrSnapshotTooOld, and the horizon
-// advances.
+// writers, checkpoints, and commit publication. A retention budget
+// (setSnapshotRetention) bounds how long a snapshot may pin the horizon:
+// older registrations are revoked, their owners' next operation fails
+// with ErrSnapshotTooOld, and the horizon advances.
 
 import (
 	"errors"
@@ -49,17 +44,15 @@ import (
 	"time"
 )
 
-// ErrWriteConflict is returned (wrapped) by write statements inside an
-// MVCC transaction when a row they target was committed by another
-// transaction after this transaction's snapshot was taken, or currently
-// carries another in-flight transaction's provisional version. The
-// transaction should be rolled back and retried. Auto-commit UPDATE and
-// DELETE statements retry transient conflicts internally but surface the
-// error when the row stays claimed by an open transaction.
+// ErrWriteConflict is returned by write statements inside a transaction
+// when a row they target was committed by another transaction after this
+// transaction's snapshot was taken. The transaction should be rolled back
+// and retried. Auto-commit statements never conflict: they read the
+// newest committed state while holding the writer lock.
 var ErrWriteConflict = errors.New("sqldb: write conflict (row committed after transaction snapshot); retry the transaction")
 
 // ErrSnapshotTooOld is returned by transactions and cursors whose
-// snapshot was revoked by the retention budget (SetSnapshotRetention):
+// snapshot was revoked by the retention budget (setSnapshotRetention):
 // the versions the snapshot pinned may since have been vacuumed. The
 // transaction must be rolled back and retried on a fresh snapshot.
 var ErrSnapshotTooOld = errors.New("sqldb: snapshot too old (exceeded the snapshot retention budget); retry on a fresh snapshot")
@@ -94,11 +87,11 @@ type visibility struct {
 	// tx, when non-zero, additionally admits provisional versions written
 	// by this transaction (read-your-own-writes).
 	tx uint64
-	// lockPart marks an access that no database lock shields from
-	// writers: row-map reads must take the partition read lock. Every
-	// query sets it; only holders of the exclusive db.mu (the global write
-	// path, Dump, checkpoints) may leave it unset.
-	lockPart bool
+	// lockRows marks an access that no database lock shields from the
+	// writer: row-map reads must take the row-map read lock. Every query
+	// sets it; only holders of the exclusive db.mu (writers, Dump,
+	// checkpoints) may leave it unset.
+	lockRows bool
 }
 
 // visible returns the newest version of the chain visible under vis, or
@@ -154,13 +147,8 @@ func chainHasKey(v *rowVersion, col int, key Value) bool {
 // writeCtx carries one write statement's transaction context through the
 // executor into storage.
 type writeCtx struct {
-	// latched marks the concurrent write path: the statement holds db.mu
-	// SHARED plus the write latches of the partitions it touches, rather
-	// than the database exclusively. Reads must then take partition read
-	// locks (vis().lockPart).
-	latched bool
-	tx      uint64 // provisional stamp for installed versions
-	snap    uint64 // first-committer-wins conflict horizon
+	tx   uint64 // provisional stamp for installed versions
+	snap uint64 // first-committer-wins conflict horizon
 	// installed accumulates the provisional versions this statement (or
 	// transaction) created, in install order; publishCommit stamps them
 	// with the commit epoch, rollback unlinks them via the undo log.
@@ -168,13 +156,10 @@ type writeCtx struct {
 }
 
 // vis is the visibility write statements read under: the newest committed
-// state plus the transaction's own provisional writes. On the global path
-// the writer holds the database exclusively, so no partition locking is
-// needed; on the latched path only the touched partitions are held, so
-// reads that may probe other partitions (unique checks, candidate
-// collection) take partition read locks.
+// state plus the transaction's own provisional writes. The writer holds
+// the database exclusively, so it reads the row map without locking.
 func (w *writeCtx) vis() visibility {
-	return visibility{snap: snapLatest, tx: w.tx, lockPart: w.latched}
+	return visibility{snap: snapLatest, tx: w.tx}
 }
 
 // stamp returns the beg value for a freshly installed version: provisional,
@@ -325,13 +310,13 @@ func (db *DB) snapRevoked(snap uint64) bool {
 	return db.retention.Load() != 0 && db.snaps.isRevoked(snap)
 }
 
-// SetSnapshotRetention bounds how long a snapshot (a transaction's or a
+// setSnapshotRetention bounds how long a snapshot (a transaction's or a
 // cursor's) may pin the vacuum horizon. Registrations older than the
 // budget are revoked by the background vacuum's next pass: their owners'
 // next operation fails with ErrSnapshotTooOld, and version chains above
 // the revoked horizon become reclaimable. A zero (or negative) budget —
-// the default — never revokes.
-func (db *DB) SetSnapshotRetention(d time.Duration) {
+// the default — never revokes. Tests use it to exercise revocation.
+func (db *DB) setSnapshotRetention(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -352,12 +337,9 @@ func (db *DB) SetSnapshotRetention(d time.Duration) {
 // The caller MUST have appended the commit's WAL record first — nothing
 // may become visible to lock-free readers before it is in the log — unless
 // it is recovery replaying a record read from the log, and must hold
-// either the database exclusively (writer + exclusive db.mu: the
-// INSERT/DDL path and recovery) or db.mu shared + db.commitMu (the latched
-// UPDATE/DELETE path). Both serialize epoch advances: exclusive mu
-// excludes every latched committer, and latched committers exclude each
-// other on commitMu. gmlint's mvccepoch checks the publication sites and
-// the append/serialization-before-publish order.
+// db.writer and the exclusive db.mu, which serialize epoch advances in
+// WAL order. gmlint's mvccepoch checks the publication sites and the
+// append-before-publish order.
 func (db *DB) publishCommit(installed []*rowVersion) {
 	if len(installed) == 0 {
 		return
@@ -552,10 +534,9 @@ func (db *DB) Vacuum() int {
 }
 
 // vacuumLocked trims version chains below the oldest active snapshot.
-// Caller holds db.writer and exclusive db.mu, which excludes latched
-// writers, commit publication and checkpoints. In-flight transactions may
-// own provisional versions (they hold no locks between statements);
-// vacuum preserves them — a provisional stamp is above every horizon.
+// Caller holds db.writer and exclusive db.mu, which excludes writers,
+// commit publication and checkpoints; a transaction holds db.writer from
+// its first write, so no provisional version exists during a pass.
 func (db *DB) vacuumLocked() int {
 	horizon := db.snaps.oldest(db.epoch.Load())
 	reclaimed := 0
@@ -577,9 +558,11 @@ type MVCCStats struct {
 	Conflicts        uint64 `json:"conflicts"`
 	VacuumRuns       uint64 `json:"vacuum_runs"`
 	VersionsVacuumed uint64 `json:"versions_vacuumed"`
-	// LatchWaits counts contended partition write-latch acquisitions: a
-	// writer that found a latch held and had to wait. The concurrency
-	// dividend shows up as this staying near zero for disjoint writers.
+	// LatchWaits is the counter of the deleted partition write latches.
+	// bench/e2e still reads it; it is deleted when bench/ is next
+	// unfrozen (ROADMAP item 2).
+	//
+	// Deprecated: writers serialize on one lock; this stays zero.
 	LatchWaits uint64 `json:"latch_waits"`
 	// BackgroundVacuums counts passes run by the background goroutine
 	// (VacuumRuns additionally includes explicit Vacuum calls).
@@ -599,7 +582,6 @@ func (db *DB) MVCCStats() MVCCStats {
 		Conflicts:         db.mvccConflicts.Load(),
 		VacuumRuns:        db.vacuumRuns.Load(),
 		VersionsVacuumed:  db.versionsVacuumed.Load(),
-		LatchWaits:        db.latchWaits.Load(),
 		BackgroundVacuums: db.bgVacuums.Load(),
 		SnapshotsAborted:  db.snapsAborted.Load(),
 	}

@@ -41,7 +41,7 @@ func BenchmarkMVCCScanFilter(b *testing.B) {
 }
 
 // Grouped aggregate under MVCC: a full scan resolving every row at the
-// statement's snapshot, one partition RLock per row-map probe.
+// statement's snapshot, one row-map RLock per probe.
 func BenchmarkMVCCGroupBy(b *testing.B) {
 	db := benchDB(b, 10000)
 	b.ReportAllocs()

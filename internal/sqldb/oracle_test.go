@@ -206,28 +206,20 @@ func TestWherePredicatesMatchOracle(t *testing.T) {
 }
 
 // TestPlannerEquivalenceOracle fuzzes the planner: random generated queries
-// run on two fixture databases built from the same statements — one
-// partition and eight — each with index access, with index access forced
+// run on a fixture database with index access, with index access forced
 // off, and streamed through a cursor. Every run must return the identical
 // result sequence (joins, ranges, IN lists, ORDER BY/LIMIT/OFFSET,
 // DISTINCT, GROUP BY). Since every run shares the executor, the planner
 // preserves scan emission order (including sort-tie order), and scans walk
-// row-ID order whatever the partition layout, the comparison is exact, not
-// just set-based. Float SUM/AVG is exact too: accumulation is compensated
+// row-ID order, the comparison is exact, not just set-based. Float SUM/AVG is exact too: accumulation is compensated
 // (Kahan), so the fixture's non-dyadic REAL values (multiples of 0.1) and
 // the grouped SUM(f)/AVG(f) columns must agree to the last bit whichever
 // access path ordered the input rows.
 func TestPlannerEquivalenceOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(771104))
-	onePart, eightParts := NewDB(), NewDB()
-	onePart.SetPartitions(1)
-	eightParts.SetPartitions(8)
-	dbs := []*DB{onePart, eightParts}
-	dbNames := []string{"1 partition", "8 partitions"}
+	db := NewDB()
 	exec := func(sql string, args ...any) {
-		for _, db := range dbs {
-			mustExec(t, db, sql, args...)
-		}
+		mustExec(t, db, sql, args...)
 	}
 	exec("CREATE TABLE big (id INTEGER PRIMARY KEY, n INTEGER, f REAL, s TEXT, u INTEGER)")
 	exec("CREATE INDEX idx_big_n ON big (n)")
@@ -395,11 +387,11 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		err  error
 	}
 	// runLegs executes query on every leg of db.
-	runLegs := func(db *DB, name, query string) []legResult {
+	runLegs := func(query string) []legResult {
 		var out []legResult
 		materialized := func(leg string) {
 			rs, err := db.Query(query)
-			r := legResult{name: name + " " + leg, err: err}
+			r := legResult{name: leg, err: err}
 			if err == nil {
 				r.out = format(rs)
 			}
@@ -407,7 +399,7 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		}
 		streamed := func(leg string) {
 			s, err := drainCursorFormatted(db, query)
-			out = append(out, legResult{name: name + " " + leg + " cursor", out: s, err: err})
+			out = append(out, legResult{name: leg + " cursor", out: s, err: err})
 		}
 		materialized("row")
 		streamed("row")
@@ -419,10 +411,7 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 
 	for q := 0; q < 500; q++ {
 		query := genQuery()
-		var legs []legResult
-		for i, db := range dbs {
-			legs = append(legs, runLegs(db, dbNames[i], query)...)
-		}
+		legs := runLegs(query)
 		ref := legs[0]
 		for _, l := range legs[1:] {
 			if (ref.err != nil) != (l.err != nil) {

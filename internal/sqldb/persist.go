@@ -46,8 +46,7 @@ func init() {
 // Save writes a consistent snapshot of the whole database to path. The file
 // is written atomically via a temporary file and rename.
 func (db *DB) Save(path string) error {
-	// Exclusive mu: latched writers and concurrent committers hold mu
-	// shared, and the snapshot must not see a half-applied statement.
+	// Exclusive mu: the snapshot must not see a half-applied statement.
 	db.mu.Lock()
 	snap := db.buildSnapshot()
 	db.mu.Unlock()
@@ -96,9 +95,8 @@ func (db *DB) buildSnapshot() *snapshot {
 			NextRow: t.nextRow,
 			NextSeq: t.nextSeq,
 		}
-		// Scan emits live rows in ascending row-ID order regardless of the
-		// partition layout, so snapshots (and therefore checkpoints) stay
-		// byte-identical across partition counts.
+		// Scan emits live rows in ascending row-ID order, so snapshots (and
+		// therefore checkpoints) are byte-reproducible.
 		ts.RowIDs = make([]int64, 0, t.RowCount())
 		ts.Rows = make([][]Value, 0, t.RowCount())
 		t.Scan(func(id int64, row []Value) bool {
@@ -154,11 +152,6 @@ func (db *DB) Restore(path string) error {
 	db.writer.Lock()
 	db.mu.Lock()
 	db.storeTables(tables)
-	// Loaded tables carry the package default partition count; re-shard to
-	// this database's configured layout (no-op when they match).
-	for _, t := range tables {
-		t.repartition(db.partitionCount())
-	}
 	db.bumpSchemaGen()
 	var snap *snapshot
 	var lsn uint64

@@ -190,7 +190,7 @@ func TestStmtCacheCountersAndEviction(t *testing.T) {
 		t.Fatalf("expected >=4 cache hits, got %+v (base %+v)", st, base)
 	}
 
-	db.SetStmtCacheCapacity(2)
+	db.setStmtCacheCapacity(2)
 	for i := 0; i < 10; i++ {
 		mustQuery(t, db, fmt.Sprintf("SELECT COUNT(*) FROM p WHERE k = %d", i))
 	}
@@ -200,7 +200,7 @@ func TestStmtCacheCountersAndEviction(t *testing.T) {
 	}
 
 	// Capacity zero: every call misses but still works.
-	db.SetStmtCacheCapacity(0)
+	db.setStmtCacheCapacity(0)
 	pre := db.StmtCacheStats()
 	mustQuery(t, db, q, 1)
 	mustQuery(t, db, q, 1)

