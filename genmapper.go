@@ -467,10 +467,11 @@ type Query struct {
 	Limit int
 }
 
-// generateView runs GenerateView for the query and applies its
-// Limit/Offset window, returning the object-ID view both the materializing
-// and streaming render paths consume.
-func (s *System) generateView(q Query) (*ops.View, error) {
+// GenerateView runs ops.GenerateView for the query and applies its
+// Limit/Offset window, returning the object-ID view the render paths
+// consume: AnnotationView, StreamAnnotationView, and the query page, which
+// needs the row count before it streams the rows through view.Stream.
+func (s *System) GenerateView(q Query) (*ops.View, error) {
 	src := s.repo.SourceByName(q.Source)
 	if src == nil {
 		return nil, fmt.Errorf("genmapper: unknown source %q", q.Source)
@@ -542,7 +543,7 @@ func applyRowWindow(v *ops.View, offset, limit int) {
 // AnnotationView runs GenerateView for the query and renders the result
 // (Figures 3 and 6b).
 func (s *System) AnnotationView(q Query) (*Table, error) {
-	v, err := s.generateView(q)
+	v, err := s.GenerateView(q)
 	if err != nil {
 		return nil, err
 	}
@@ -556,7 +557,7 @@ func (s *System) AnnotationView(q Query) (*Table, error) {
 // can still be reported cleanly; flush, when non-nil, is invoked after
 // every flushEvery rendered rows and once at the end.
 func (s *System) StreamAnnotationView(q Query, w io.Writer, format string, flushEvery int, flush func() error) error {
-	v, err := s.generateView(q)
+	v, err := s.GenerateView(q)
 	if err != nil {
 		return err
 	}

@@ -114,8 +114,8 @@ func atomic2[T, U any](r *Repo, fn func(*Batch) (T, U, error)) (T, U, error) {
 	return t, u, nil
 }
 
-// publish merges the overlay of a committed batch into the shared caches.
-// Caller holds r.mu.
+// publish merges the overlay of a committed batch into the shared caches
+// and moves the publish counter. Caller holds r.mu.
 func (b *Batch) publish() {
 	r := b.r
 	for key, s := range b.sources {
@@ -150,6 +150,7 @@ func (b *Batch) publish() {
 			delete(r.byType, typ)
 		}
 	}
+	r.bumpPublished()
 }
 
 // source resolves a source ID against the overlay, then the shared cache.

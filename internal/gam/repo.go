@@ -27,6 +27,12 @@ type Repo struct {
 	// at load time to detect staleness.
 	gen atomic.Uint64
 
+	// published counts the states Stats and Sources have shown: every
+	// committed batch's publish step and every Reload moves it, object-only
+	// batches included (they leave gen alone). Derived renderings of those
+	// two read it first and are valid while it holds.
+	published atomic.Uint64
+
 	// replaceHook, when set, is invoked at named stages of ReplaceMapping so
 	// tests can inject mid-transaction failures. Production code leaves it nil.
 	replaceHook func(stage string) error
@@ -60,6 +66,15 @@ type Repo struct {
 func (r *Repo) Generation() uint64 { return r.gen.Load() }
 
 func (r *Repo) bumpGen() { r.gen.Add(1) }
+
+// Published returns the publish counter. Load it lock-free BEFORE reading
+// Stats or Sources: a rendering of what they return, tagged with the value
+// loaded, is then current exactly while Published() still returns it. (A
+// publish racing the read can only make the tag older than the rendering,
+// which costs a re-render, never a stale hit.)
+func (r *Repo) Published() uint64 { return r.published.Load() }
+
+func (r *Repo) bumpPublished() { r.published.Add(1) }
 
 // SetReplaceMappingHook installs a failure-injection hook for tests of
 // ReplaceMapping atomicity. Stages: "after-delete" (old mapping rows gone,
@@ -251,13 +266,14 @@ func (r *Repo) DB() *sqldb.DB { return r.db }
 // and the Stats counters from the database. Call it after the database's
 // contents were replaced wholesale (DB.Restore) or written around gam: the
 // cached IDs reference pre-restore rows. Reload bumps the mapping
-// generation, so executor caches keyed on it invalidate too. It waits for
-// an open batch to finish.
+// generation and the publish counter, so executor caches and renderings of
+// Stats keyed on them invalidate too. It waits for an open batch to finish.
 func (r *Repo) Reload() error {
 	if err := r.loadCaches(); err != nil {
 		return err
 	}
 	r.bumpGen()
+	r.bumpPublished()
 	return nil
 }
 

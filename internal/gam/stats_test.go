@@ -172,8 +172,40 @@ func TestStatsConcurrentWithWriters(t *testing.T) {
 		}
 		base := mustStats(t, r)
 
+		// The writers start once every reader has returned one Stats, and
+		// each reader takes one more after they finish: however the
+		// scheduler runs them (GOMAXPROCS 1 included), every reader
+		// observes the states before and after the writers.
 		var done atomic.Bool
-		var wg sync.WaitGroup
+		var started, wg sync.WaitGroup
+		started.Add(readers)
+		var observed atomic.Int64
+		var rw sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			rw.Add(1)
+			go func() {
+				defer rw.Done()
+				ready := sync.OnceFunc(started.Done)
+				defer ready() // a reader failing on its first Stats must not block the writers
+				for {
+					last := done.Load()
+					st, err := r.Stats()
+					if err == nil {
+						err = committedState(st, base, pairs, sizes)
+					}
+					observed.Add(1)
+					if err != nil {
+						t.Errorf("observed %v: %v", st, err)
+						return
+					}
+					ready()
+					if last {
+						return
+					}
+				}
+			}()
+		}
+		started.Wait()
 		wg.Add(2)
 		go func() { // mapping refreshes, as view.update's writer does
 			defer wg.Done()
@@ -195,25 +227,6 @@ func TestStatsConcurrentWithWriters(t *testing.T) {
 				}
 			}
 		}()
-		var observed atomic.Int64
-		var rw sync.WaitGroup
-		for i := 0; i < readers; i++ {
-			rw.Add(1)
-			go func() {
-				defer rw.Done()
-				for !done.Load() {
-					st, err := r.Stats()
-					if err == nil {
-						err = committedState(st, base, pairs, sizes)
-					}
-					observed.Add(1)
-					if err != nil {
-						t.Errorf("observed %v: %v", st, err)
-						return
-					}
-				}
-			}()
-		}
 		wg.Wait()
 		done.Store(true)
 		rw.Wait()

@@ -1,11 +1,12 @@
 // Package atomicgen enforces the discipline around sync/atomic struct
-// fields, above all the schema-generation counters (`sqldb.DB.gen`,
-// `gam.Repo.gen`) that cursors poll lock-free.
+// fields, above all the generation counters (`sqldb.DB.gen`,
+// `gam.Repo.gen`, `gam.Repo.published`) that cursors and caches poll
+// lock-free.
 //
 // Three rules:
 //
 //  1. Registered generation counters may only be mutated inside their
-//     accessor methods (`bumpSchemaGen`, `bumpGen`); every other
+//     accessor methods (`bumpSchemaGen`, `bumpGen`, `bumpPublished`); every other
 //     Store/Add/Swap/CompareAndSwap is reported.
 //  2. Any atomic field may only be mutated from its declaring package —
 //     cross-package writes bypass whatever protocol the owner maintains.
@@ -32,6 +33,8 @@ var Analyzer = &analysis.Analyzer{
 var accessors = map[string]map[string]bool{
 	"genmapper/internal/sqldb.DB.gen": {"bumpSchemaGen": true},
 	"genmapper/internal/gam.Repo.gen": {"bumpGen": true},
+	// Page shells cached against Published() must see every publish.
+	"genmapper/internal/gam.Repo.published": {"bumpPublished": true},
 }
 
 // mutators are the sync/atomic methods that write.

@@ -6,15 +6,20 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"html/template"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"genmapper"
+	"genmapper/internal/ops"
+	"genmapper/internal/view"
 )
 
 // Config controls optional server features.
@@ -29,6 +34,8 @@ type Config struct {
 type Server struct {
 	sys *genmapper.System
 	mux *http.ServeMux
+	// shell caches the page shell of the latest gam publish seen.
+	shell atomic.Pointer[cachedShell]
 }
 
 // New builds the handler for a system with default configuration.
@@ -60,7 +67,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-var pageTmpl = template.Must(template.New("page").Parse(`<!DOCTYPE html>
+// The Figure-5 page is a shell (doctype, CSS, stats line, source list,
+// query form) that changes only when gam publishes, a short per-request
+// middle (the error line, or the view's row count and export links), the
+// view's table as the html RowWriter streams it, and pageTail.
+var pageTmpl = template.Must(template.New("shell").Parse(`<!DOCTYPE html>
 <html><head><title>GenMapper</title>
 <style>
 body { font-family: sans-serif; margin: 2em; }
@@ -89,32 +100,83 @@ textarea { width: 30em; }
 &nbsp; (empty = all rows)</p>
 <p><button type="submit">Generate view</button></p>
 </form>
-{{if .Error}}<p style="color:red">{{.Error}}</p>{{end}}
-{{if .Table}}
-<h2>Annotation view ({{len .Table.Rows}} rows)</h2>
+`))
+
+// middleTmpl renders a pageMiddle; a view page's table follows it.
+var middleTmpl = template.Must(template.New("middle").Parse(
+	`{{if .Error}}<p style="color:red">{{.Error}}</p>{{end}}
+{{if .ExportBase}}
+<h2>Annotation view ({{.Rows}} rows)</h2>
 <p><a href="{{.ExportBase}}&format=tsv">TSV</a> |
 <a href="{{.ExportBase}}&format=csv">CSV</a> |
 <a href="{{.ExportBase}}&format=json">JSON</a></p>
-<table><tr>{{range .Table.Columns}}<th>{{.}}</th>{{end}}</tr>
-{{range .Table.Rows}}<tr>{{range .}}<td>{{if .}}{{.}}{{else}}<span class="null">-</span>{{end}}</td>{{end}}</tr>{{end}}
-</table>
-{{end}}
-</body></html>`))
+{{end}}`))
 
-type pageData struct {
-	Sources    []*genmapper.Source
-	StatsLine  string
-	Table      *genmapper.Table
+const pageTail = "\n</body></html>"
+
+type shellData struct {
+	Sources   []*genmapper.Source
+	StatsLine string
+}
+
+// pageMiddle is the per-request part of a page. ExportBase is set exactly
+// on a view page: it is never empty there.
+type pageMiddle struct {
 	Error      string
+	Rows       int
 	ExportBase string
 }
 
-func (s *Server) pageData() pageData {
-	d := pageData{Sources: s.sys.Sources()}
+// cachedShell is a rendered shell, tagged with the gam publish counter
+// value loaded before the catalog it shows was read.
+type cachedShell struct {
+	published uint64
+	html      []byte
+}
+
+// pageShell returns the page shell of gam's current publish, rendering it
+// only when gam has published since the cached copy. A hit reads one
+// atomic counter and takes no gam lock.
+func (s *Server) pageShell() ([]byte, error) {
+	pub := s.sys.Repo().Published() // before the catalog: see Repo.Published
+	if c := s.shell.Load(); c != nil && c.published == pub {
+		return c.html, nil
+	}
+	d := shellData{Sources: s.sys.Sources()}
 	if st, err := s.sys.Stats(); err == nil {
 		d.StatsLine = st.String()
 	}
-	return d
+	var buf bytes.Buffer
+	if err := pageTmpl.Execute(&buf, d); err != nil {
+		return nil, err
+	}
+	s.shell.Store(&cachedShell{published: pub, html: buf.Bytes()})
+	return buf.Bytes(), nil
+}
+
+func setHTML(w http.ResponseWriter) { w.Header().Set("Content-Type", "text/html; charset=utf-8") }
+
+// writeHead writes the shell and the middle of a page.
+func writeHead(w http.ResponseWriter, shell []byte, m pageMiddle) error {
+	if _, err := w.Write(shell); err != nil {
+		return err
+	}
+	return middleTmpl.Execute(w, m)
+}
+
+// renderPage writes a whole page without a view: the home page, or the
+// query page showing an error. A failed write means the client is gone;
+// nothing is appended to what was sent.
+func (s *Server) renderPage(w http.ResponseWriter, m pageMiddle) {
+	shell, err := s.pageShell()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	setHTML(w)
+	if writeHead(w, shell, m) == nil {
+		io.WriteString(w, pageTail)
+	}
 }
 
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
@@ -122,14 +184,7 @@ func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	s.renderPage(w, s.pageData())
-}
-
-func (s *Server) renderPage(w http.ResponseWriter, d pageData) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if err := pageTmpl.Execute(w, d); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	s.renderPage(w, pageMiddle{})
 }
 
 // parseTargetSpec parses one target specification of the form
@@ -206,27 +261,41 @@ func parseQuerySpec(r *http.Request) (genmapper.Query, error) {
 	return q, nil
 }
 
+// handleQuery serves the annotation view page (Figure 6b). The view's
+// rows stream through view.Stream's html writer; the shell and middle go
+// out on its first byte. An error before that byte (a bad form, view
+// generation, row 0's render) gets the full page with the error line; an
+// error after it ends the body where it stands, as /export does.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
 		return
 	}
-	d := s.pageData()
+	var v *ops.View
 	q, err := parseQuerySpec(r)
+	if err == nil {
+		v, err = s.sys.GenerateView(q)
+	}
 	if err != nil {
-		d.Error = err.Error()
-		s.renderPage(w, d)
+		s.renderPage(w, pageMiddle{Error: err.Error()})
 		return
 	}
-	table, err := s.sys.AnnotationView(q)
+	shell, err := s.pageShell()
 	if err != nil {
-		d.Error = err.Error()
-		s.renderPage(w, d)
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	d.Table = table
-	d.ExportBase = exportURL(q)
-	s.renderPage(w, d)
+	dw := &deferredHeaderWriter{w: w, start: func() error {
+		setHTML(w)
+		return writeHead(w, shell, pageMiddle{Rows: len(v.Rows), ExportBase: exportURL(q)})
+	}}
+	if err := view.Stream(s.sys.Repo(), v, view.Options{WithText: q.WithText}, dw, "html", 0, nil); err != nil {
+		if !dw.started {
+			s.renderPage(w, pageMiddle{Error: err.Error()})
+		}
+		return
+	}
+	io.WriteString(w, pageTail)
 }
 
 // exportURL serializes a query into GET parameters for the export links.
@@ -264,22 +333,22 @@ func exportURL(q genmapper.Query) string {
 // flushes to the client.
 const exportFlushRows = 512
 
-// deferredHeaderWriter delays the export headers until the first payload
-// byte: a query that fails validation (before any output) can still get a
-// clean error status and plain-text body.
+// deferredHeaderWriter delays a response's headers (and, for the query
+// page, its head) until the first payload byte: a request that fails
+// before any output can still get a clean error response.
 type deferredHeaderWriter struct {
-	w          http.ResponseWriter
-	setHeaders func()
-	started    bool
-	n          int
+	w       http.ResponseWriter
+	start   func() error
+	started bool
 }
 
 func (d *deferredHeaderWriter) Write(p []byte) (int, error) {
 	if !d.started {
-		d.setHeaders()
 		d.started = true
+		if err := d.start(); err != nil {
+			return 0, err
+		}
 	}
-	d.n += len(p)
 	return d.w.Write(p)
 }
 
@@ -311,7 +380,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 	if format != "csv" && format != "json" {
 		format = "tsv"
 	}
-	dw := &deferredHeaderWriter{w: w, setHeaders: func() {
+	dw := &deferredHeaderWriter{w: w, start: func() error {
 		switch format {
 		case "csv":
 			w.Header().Set("Content-Type", "text/csv")
@@ -322,6 +391,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "text/tab-separated-values")
 			w.Header().Set("Content-Disposition", `attachment; filename="view.tsv"`)
 		}
+		return nil
 	}}
 	flusher, _ := w.(http.Flusher)
 	flush := func() error {
@@ -331,7 +401,7 @@ func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
 		return nil
 	}
 	if err := s.sys.StreamAnnotationView(q, dw, format, exportFlushRows, flush); err != nil {
-		if dw.n == 0 {
+		if !dw.started {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
 		// Mid-stream errors are past the status line; the truncated body is

@@ -20,7 +20,7 @@ func testServer(t *testing.T) *httptest.Server {
 	return ts
 }
 
-func testSystem(t *testing.T) *genmapper.System {
+func testSystem(t testing.TB) *genmapper.System {
 	t.Helper()
 	sys, err := genmapper.New()
 	if err != nil {
@@ -63,7 +63,7 @@ func TestHomePage(t *testing.T) {
 	}
 }
 
-func readBody(t *testing.T, resp *http.Response) string {
+func readBody(t testing.TB, resp *http.Response) string {
 	t.Helper()
 	var sb strings.Builder
 	buf := make([]byte, 4096)

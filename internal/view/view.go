@@ -174,13 +174,14 @@ func Render(repo *gam.Repo, v *ops.View, opts Options) (*Table, error) {
 }
 
 // Stream renders a generated view row by row into the named format (tsv,
-// csv, json or text), never materializing the table. When flush is non-nil
+// csv, json, text or html), never materializing the table. When flush is non-nil
 // it is invoked after every flushEvery rows (and once at the end), after
 // the writer's own buffers are drained — the hook HTTP handlers use to
 // push partial results to the client.
 //
-// text format inherently buffers (column widths need every row); the other
-// formats emit each row as it is rendered.
+// text format inherently buffers (column widths need every row), and html
+// hands rows on in writes of about 4 kB; the other formats emit each row
+// as it is rendered.
 func Stream(repo *gam.Repo, v *ops.View, opts Options, w io.Writer, format string, flushEvery int, flush func() error) error {
 	r := newRenderer(repo, opts)
 	cols, err := r.header(v)
@@ -252,12 +253,14 @@ type RowWriter interface {
 	Close() error
 }
 
-// NewRowWriter returns the writer for the named format: text, tsv, csv or
-// json.
+// NewRowWriter returns the writer for the named format: text, tsv, csv,
+// json or html.
 func NewRowWriter(w io.Writer, format string) (RowWriter, error) {
 	switch strings.ToLower(format) {
 	case "tsv":
 		return &tsvWriter{w: w}, nil
+	case "html":
+		return &htmlWriter{w: w}, nil
 	case "csv":
 		return &csvWriter{cw: csv.NewWriter(w)}, nil
 	case "json":
@@ -265,7 +268,7 @@ func NewRowWriter(w io.Writer, format string) (RowWriter, error) {
 	case "text", "":
 		return &textWriter{w: w}, nil
 	}
-	return nil, fmt.Errorf("view: unknown export format %q (text, tsv, csv, json)", format)
+	return nil, fmt.Errorf("view: unknown export format %q (text, tsv, csv, json, html)", format)
 }
 
 // tsvWriter writes tab-separated values, one line per row.
@@ -291,6 +294,90 @@ func (t *tsvWriter) Header(cols []string) error { return t.line(cols) }
 func (t *tsvWriter) Row(cells []string) error   { return t.line(cells) }
 func (t *tsvWriter) Flush() error               { return nil }
 func (t *tsvWriter) Close() error               { return nil }
+
+// htmlWriter writes the table element of the Figure-5 page: a header row
+// of <th> cells, one <tr> of <td> cells per row, and an empty cell as a
+// greyed "-". Cells are escaped by appendHTML, byte for byte what
+// html/template writes for {{.}} in element content. The header goes out
+// at once (it is the stream's first byte); rows collect in buf and leave
+// in chunks of about htmlChunk bytes.
+type htmlWriter struct {
+	w   io.Writer
+	buf []byte
+}
+
+// htmlChunk is the buffered size at which htmlWriter hands rows to w.
+const htmlChunk = 4096
+
+func (h *htmlWriter) Header(cols []string) error {
+	h.buf = append(h.buf, "<table><tr>"...)
+	for _, c := range cols {
+		h.buf = append(h.buf, "<th>"...)
+		h.buf = appendHTML(h.buf, c)
+		h.buf = append(h.buf, "</th>"...)
+	}
+	h.buf = append(h.buf, "</tr>\n"...)
+	return h.Flush()
+}
+
+func (h *htmlWriter) Row(cells []string) error {
+	h.buf = append(h.buf, "<tr>"...)
+	for _, c := range cells {
+		if c == "" {
+			h.buf = append(h.buf, `<td><span class="null">-</span></td>`...)
+			continue
+		}
+		h.buf = append(h.buf, "<td>"...)
+		h.buf = appendHTML(h.buf, c)
+		h.buf = append(h.buf, "</td>"...)
+	}
+	h.buf = append(h.buf, "</tr>"...)
+	if len(h.buf) >= htmlChunk {
+		return h.Flush()
+	}
+	return nil
+}
+
+func (h *htmlWriter) Flush() error {
+	if len(h.buf) == 0 {
+		return nil
+	}
+	_, err := h.w.Write(h.buf)
+	h.buf = h.buf[:0]
+	return err
+}
+
+func (h *htmlWriter) Close() error {
+	h.buf = append(h.buf, "\n</table>\n"...)
+	return h.Flush()
+}
+
+// htmlEscapes is html/template's replacement table for element content:
+// these seven bytes are replaced, every other byte — invalid UTF-8 and
+// non-characters included — is copied. No multi-byte sequence decodes to
+// one of them, so the byte-wise walk equals the template's rune-wise one.
+var htmlEscapes = [256]string{
+	0:    "\uFFFD",
+	'"':  "&#34;",
+	'&':  "&amp;",
+	'\'': "&#39;",
+	'+':  "&#43;",
+	'<':  "&lt;",
+	'>':  "&gt;",
+}
+
+// appendHTML appends s escaped for HTML element content.
+func appendHTML(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if r := htmlEscapes[s[i]]; r != "" {
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, r...)
+			start = i + 1
+		}
+	}
+	return append(dst, s[start:]...)
+}
 
 // csvWriter writes RFC-4180 CSV.
 type csvWriter struct {
