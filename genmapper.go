@@ -509,8 +509,9 @@ func (s *System) GenerateView(q Query) (*ops.View, error) {
 				return nil, fmt.Errorf("genmapper: target %q: via path must lead from %s to %s", t.Source, q.Source, t.Source)
 			}
 			// Explicit paths run on the executor so repeated via-queries
-			// hit the mapping cache like automatic ones.
-			m, err := s.exec.MapPath(ids)
+			// hit the mapping cache like automatic ones; GenerateView only
+			// reads the shared mapping.
+			m, err := s.exec.MapPathShared(ids)
 			if err != nil {
 				return nil, fmt.Errorf("genmapper: target %q: %w", t.Source, err)
 			}

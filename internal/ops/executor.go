@@ -14,7 +14,11 @@
 //     edges are fetched in one batched SQL round-trip
 //     (Repo.AssociationsBatch) instead of one query per edge, and the
 //     edge mappings are composed by parallel pairwise tree reduction
-//     across a worker pool instead of a sequential left fold.
+//     across a worker pool instead of a sequential left fold;
+//   - cached mappings are shared, never copied on a hit: Resolver and
+//     MapPathShared hand them out read-only, and GenerateView joins
+//     through the domain index a shared mapping keeps. Map and MapPath
+//     return private copies.
 package ops
 
 import (
@@ -107,7 +111,7 @@ func (e *Executor) Reset() {
 
 // get returns a cached mapping when present and still valid at the current
 // repository generation. Stale entries are evicted on sight. The returned
-// mapping is a private clone the caller may mutate.
+// mapping is shared: the caller must not mutate it.
 func (e *Executor) get(key string, gen uint64) (*Mapping, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -122,24 +126,21 @@ func (e *Executor) get(key string, gen uint64) (*Mapping, bool) {
 		return nil, false
 	}
 	e.hits++
-	return ent.m.clone(), true
+	return ent.m, true
 }
 
-// put stores a mapping loaded while the repository was at generation gen.
-// The executor keeps a private clone so later caller mutations cannot leak
-// into the cache.
+// put caches m, loaded while the repository was at generation gen. m
+// becomes shared: from here on nobody mutates it, and it gets the slot for
+// its domain index. m is either fresh from a load or compose, so no other
+// goroutine sees the slot being set, or already shared (a one-edge path is
+// its edge), so it has one.
 func (e *Executor) put(key string, gen uint64, m *Mapping) {
-	e.putOwned(key, gen, m.clone())
-}
-
-// putOwned stores a mapping the executor takes ownership of: the caller
-// must not hand m to code that mutates it afterwards. Used for edge
-// mappings, which are only ever read (by Compose) and never returned to
-// callers uncloned.
-func (e *Executor) putOwned(key string, gen uint64, cp *Mapping) {
+	if m.index == nil {
+		m.index = new(indexSlot)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lru.Put(key, &cacheEntry{gen: gen, m: cp})
+	e.lru.Put(key, &cacheEntry{gen: gen, m: m})
 }
 
 func edgeKey(s, t gam.SourceID, typ gam.RelType) string {
@@ -156,8 +157,18 @@ func pathKey(path []gam.SourceID) string {
 }
 
 // Map is the cached equivalent of ops.Map: it returns the mapping between
-// s and t, serving repeated requests from the LRU.
+// s and t, serving repeated requests from the LRU. The result is a private
+// copy the caller may mutate.
 func (e *Executor) Map(s, t gam.SourceID) (*Mapping, error) {
+	m, err := e.mapShared(s, t)
+	if err != nil {
+		return nil, err
+	}
+	return m.clone(), nil
+}
+
+// mapShared is Map without the copy: it returns the shared cached mapping.
+func (e *Executor) mapShared(s, t gam.SourceID) (*Mapping, error) {
 	gen := e.repo.Generation()
 	rel, reversed, err := e.repo.FindMapping(s, t)
 	if err != nil {
@@ -174,8 +185,8 @@ func (e *Executor) Map(s, t gam.SourceID) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	e.putOwned(key, gen, m)
-	return m.clone(), nil
+	e.put(key, gen, m)
+	return m, nil
 }
 
 // loadEdgeMapping streams one edge's associations straight from the engine
@@ -215,8 +226,21 @@ func edgeMapping(s, t gam.SourceID, rel *gam.SourceRel, reversed bool, assocs []
 
 // MapPath is the cached, parallel equivalent of ops.MapPath: it loads the
 // mappings along the source path and composes them into a single mapping
-// from path[0] to path[len-1].
+// from path[0] to path[len-1]. The result is a private copy the caller may
+// mutate.
 func (e *Executor) MapPath(path []gam.SourceID) (*Mapping, error) {
+	m, err := e.MapPathShared(path)
+	if err != nil {
+		return nil, err
+	}
+	return m.clone(), nil
+}
+
+// MapPathShared is MapPath without the copy: it returns the executor's
+// cached mapping, shared with every other caller. The caller must not
+// mutate it. Pass it to GenerateView as a TargetSpec.Mapping, which joins
+// through the index the mapping keeps.
+func (e *Executor) MapPathShared(path []gam.SourceID) (*Mapping, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("ops: mapping path needs at least two sources, got %d", len(path))
 	}
@@ -277,7 +301,7 @@ func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error
 	for _, p := range misses {
 		s, t := path[p.idx], path[p.idx+1]
 		m := edgeMapping(s, t, p.rel, p.reversed, batch[p.rel.ID])
-		e.putOwned(edgeKey(s, t, p.rel.Type), gen, m)
+		e.put(edgeKey(s, t, p.rel.Type), gen, m)
 		maps[p.idx] = m
 	}
 	return maps, nil
@@ -292,7 +316,7 @@ func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error
 // scored evidence) makes duplicate collapse grouping-independent.
 func (e *Executor) composeParallel(maps []*Mapping) (*Mapping, error) {
 	if len(maps) == 1 {
-		return maps[0].clone(), nil
+		return maps[0], nil // shared like its edge, index included
 	}
 	sem := make(chan struct{}, e.workers)
 	for len(maps) > 1 {
@@ -339,10 +363,11 @@ func (e *Executor) composeParallel(maps []*Mapping) (*Mapping, error) {
 // direct mapping when one exists, otherwise a composition over the path
 // found by pathFind (typically graph.ShortestPath). Only the absence of a
 // direct mapping triggers the path fallback; real repository errors
-// propagate unchanged.
+// propagate unchanged. The mappings it returns are the shared cached ones:
+// callers read them and must not mutate them.
 func (e *Executor) Resolver(pathFind func(from, to gam.SourceID) []gam.SourceID) Resolver {
 	return func(from, to gam.SourceID) (*Mapping, error) {
-		m, err := e.Map(from, to)
+		m, err := e.mapShared(from, to)
 		if err == nil {
 			return m, nil
 		}
@@ -353,6 +378,6 @@ func (e *Executor) Resolver(pathFind func(from, to gam.SourceID) []gam.SourceID)
 		if p == nil {
 			return nil, fmt.Errorf("ops: no mapping or mapping path between sources %d and %d", from, to)
 		}
-		return e.MapPath(p)
+		return e.MapPathShared(p)
 	}
 }

@@ -11,9 +11,12 @@
 package ops
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
 
 	"genmapper/internal/gam"
 )
@@ -27,12 +30,99 @@ var ErrNoMapping = errors.New("no mapping between sources")
 // Mapping is the working representation of one source-level relationship
 // with its object associations: the operator algebra's value type.
 // From is the domain source, To the range source.
+//
+// A Mapping the Executor caches is shared: every caller that gets it from
+// the cache reads the same value, and nobody may mutate it. Only a shared
+// Mapping keeps its domain index; clones are private and carry none.
 type Mapping struct {
 	Rel    gam.SourceRelID // 0 for derived, not-yet-materialized mappings
 	From   gam.SourceID
 	To     gam.SourceID
 	Type   gam.RelType
 	Assocs []gam.Assoc
+
+	index *indexSlot // non-nil iff the mapping is shared
+}
+
+// indexSlot holds a shared mapping's domain index, built by the first
+// GenerateView that joins through the mapping and published once.
+type indexSlot struct {
+	once sync.Once
+	ix   *domainIndex
+}
+
+// domainIndex groups a mapping by domain object: domains are the distinct
+// Object1 values in ascending order, and domains[i]'s distinct targets, in
+// ascending order, are targets[offs[i]:offs[i+1]], each with the strongest
+// evidence among the pair's duplicates (the rule Dedup applies). The
+// arrays hold no pointers, so there is nothing in them for the GC to scan.
+type domainIndex struct {
+	domains []gam.ObjectID
+	offs    []int32
+	targets []indexTarget
+}
+
+type indexTarget struct {
+	id       gam.ObjectID
+	evidence float64
+}
+
+// domainIndex returns the index GenerateView joins m through. A shared
+// mapping builds its full index once and keeps it; any other mapping may
+// change between calls, so it gets a throwaway index of the associations
+// whose domain object is in sSet (nil = all).
+func (m *Mapping) domainIndex(sSet ObjectSet) *domainIndex {
+	if m.index == nil {
+		return buildDomainIndex(m.Assocs, sSet)
+	}
+	m.index.once.Do(func() { m.index.ix = buildDomainIndex(m.Assocs, nil) })
+	return m.index.ix
+}
+
+func buildDomainIndex(assocs []gam.Assoc, sSet ObjectSet) *domainIndex {
+	pairs := make([]gam.Assoc, 0, len(assocs))
+	for _, a := range assocs {
+		if sSet == nil || sSet[a.Object1] {
+			pairs = append(pairs, a)
+		}
+	}
+	slices.SortFunc(pairs, func(a, b gam.Assoc) int {
+		if c := cmp.Compare(a.Object1, b.Object1); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Object2, b.Object2)
+	})
+	nd, nt := 0, 0
+	for i, a := range pairs {
+		switch {
+		case i == 0 || a.Object1 != pairs[i-1].Object1:
+			nd++
+			nt++
+		case a.Object2 != pairs[i-1].Object2:
+			nt++
+		}
+	}
+	ix := &domainIndex{
+		domains: make([]gam.ObjectID, 0, nd),
+		offs:    make([]int32, 0, nd+1),
+		targets: make([]indexTarget, 0, nt),
+	}
+	for i, a := range pairs {
+		switch {
+		case i == 0 || a.Object1 != pairs[i-1].Object1:
+			ix.domains = append(ix.domains, a.Object1)
+			ix.offs = append(ix.offs, int32(len(ix.targets)))
+			ix.targets = append(ix.targets, indexTarget{a.Object2, a.Evidence})
+		case a.Object2 != pairs[i-1].Object2:
+			ix.targets = append(ix.targets, indexTarget{a.Object2, a.Evidence})
+		default:
+			if last := &ix.targets[len(ix.targets)-1]; stronger(a.Evidence, last.evidence) {
+				last.evidence = a.Evidence
+			}
+		}
+	}
+	ix.offs = append(ix.offs, int32(len(ix.targets)))
+	return ix
 }
 
 // Len returns the number of associations.
@@ -127,10 +217,11 @@ func RestrictRange(m *Mapping, t ObjectSet) *Mapping {
 	return out
 }
 
+// clone returns a private copy of m: its own association slice and no
+// domain index.
 func (m *Mapping) clone() *Mapping {
-	cp := *m
-	cp.Assocs = append([]gam.Assoc(nil), m.Assocs...)
-	return &cp
+	return &Mapping{Rel: m.Rel, From: m.From, To: m.To, Type: m.Type,
+		Assocs: append([]gam.Assoc(nil), m.Assocs...)}
 }
 
 // Invert swaps domain and range.
@@ -151,12 +242,6 @@ func Invert(m *Mapping) *Mapping {
 // with evidence strength and keeps multi-step composition independent of
 // the grouping order (sequential fold vs. the executor's tree reduction).
 func Dedup(m *Mapping) *Mapping {
-	stronger := func(a, b float64) bool { // is a stronger than b?
-		if b == 0 {
-			return false // nothing beats a fact
-		}
-		return a == 0 || a > b
-	}
 	best := make(map[[2]gam.ObjectID]float64, len(m.Assocs))
 	order := make([][2]gam.ObjectID, 0, len(m.Assocs))
 	for _, a := range m.Assocs {
@@ -177,6 +262,15 @@ func Dedup(m *Mapping) *Mapping {
 		out.Assocs[i] = gam.Assoc{Object1: key[0], Object2: key[1], Evidence: best[key]}
 	}
 	return out
+}
+
+// stronger reports whether evidence a outranks evidence b: a fact (unset,
+// 0) outranks any score, otherwise the higher score wins.
+func stronger(a, b float64) bool {
+	if b == 0 {
+		return false // nothing beats a fact
+	}
+	return a == 0 || a > b
 }
 
 // Compose derives a new mapping between m1.From and m2.To by transitivity

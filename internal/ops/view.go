@@ -2,7 +2,7 @@ package ops
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"genmapper/internal/gam"
 )
@@ -84,6 +84,12 @@ func (v *View) SourceObjects() []gam.ObjectID {
 // annotated; s the relevant source objects (nil = all objects of S);
 // targets the annotation targets; mode the AND/OR combination. resolve
 // finds mappings for targets without an explicit path.
+//
+// The mappings are only read, never copied, so they may be an Executor's
+// shared ones: each step joins the view row by row through the mapping's
+// domain index (see Mapping.domainIndex). The rows come out in
+// lexicographic order: they start sorted, each row's targets are appended
+// in ascending order, and a NULL only ever appears alone.
 func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []TargetSpec, mode Combine, resolve Resolver) (*View, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("ops: GenerateView needs at least one target")
@@ -92,22 +98,25 @@ func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []Targ
 		resolve = DirectResolver(repo)
 	}
 	if sSet == nil {
-		objs, err := repo.ObjectsBySource(s)
+		sSet = make(ObjectSet)
+		err := repo.ObjectsScanEach(s, func(o *gam.Object) error {
+			sSet[o.ID] = true
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
-		sSet = make(ObjectSet, len(objs))
-		for _, o := range objs {
-			sSet[o.ID] = true
-		}
 	}
 
-	// V = s: start with all given source objects.
+	// V = s: start with all given source objects, one backing array.
+	ids := sSet.Sorted()
+	rows := make([]ViewRow, len(ids))
+	for i := range ids {
+		rows[i] = ViewRow(ids[i : i+1 : i+1])
+	}
+
 	view := &View{Source: s}
-	for _, id := range sSet.Sorted() {
-		view.Rows = append(view.Rows, ViewRow{id})
-	}
-
+	var j joiner
 	for i, tgt := range targets {
 		view.Targets = append(view.Targets, tgt.Source)
 
@@ -131,90 +140,109 @@ func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []Targ
 		if err != nil {
 			return nil, fmt.Errorf("ops: target %d (source %d): %w", i, tgt.Source, err)
 		}
-
-		// mi = RestrictRange(RestrictDomain(Mi, s), ti).
-		if tgt.MinEvidence > 0 {
-			mi = MinEvidence(mi, tgt.MinEvidence)
+		if len(rows) > 0 {
+			rows = j.join(rows, mi.domainIndex(sSet), &tgt, mode)
 		}
-		restricted := RestrictRange(RestrictDomain(mi, sSet), tgt.Restrict)
-
-		var joinMap map[gam.ObjectID][]gam.ObjectID
-		if tgt.Negate {
-			// sî = s \ Domain(mi); show the associations those objects do
-			// have in the unrestricted mapping, padded with NULLs
-			// (mî right outer join sî of Figure 5).
-			matched := make(ObjectSet)
-			for _, a := range restricted.Assocs {
-				matched[a.Object1] = true
-			}
-			neg := make(ObjectSet)
-			for id := range sSet {
-				if !matched[id] {
-					neg[id] = true
-				}
-			}
-			outside := RestrictDomain(mi, neg)
-			joinMap = groupByDomain(outside)
-			for id := range neg {
-				if _, ok := joinMap[id]; !ok {
-					joinMap[id] = []gam.ObjectID{0}
-				}
-			}
-		} else {
-			joinMap = groupByDomain(restricted)
-		}
-
-		// V = V inner join (AND) / left outer join (OR) mi on S.
-		var next []ViewRow
-		for _, row := range view.Rows {
-			matches := joinMap[row[0]]
-			if len(matches) == 0 {
-				if mode == CombineAND {
-					continue
-				}
-				next = append(next, append(append(ViewRow{}, row...), 0))
-				continue
-			}
-			for _, t := range matches {
-				next = append(next, append(append(ViewRow{}, row...), t))
-			}
-		}
-		view.Rows = next
 	}
-	sortViewRows(view.Rows)
+	if len(rows) > 0 {
+		view.Rows = rows
+	}
 	return view, nil
 }
 
-// groupByDomain indexes associations by domain object with deterministic
-// (ascending) target order and per-domain deduplication.
-func groupByDomain(m *Mapping) map[gam.ObjectID][]gam.ObjectID {
-	out := make(map[gam.ObjectID][]gam.ObjectID)
-	for _, a := range m.Assocs {
-		out[a.Object1] = append(out[a.Object1], a.Object2)
-	}
-	for id, list := range out {
-		sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-		dedup := list[:0]
-		var prev gam.ObjectID = -1
-		for _, t := range list {
-			if t != prev {
-				dedup = append(dedup, t)
-				prev = t
-			}
-		}
-		out[id] = dedup
-	}
-	return out
+// joiner runs the join steps of one GenerateView, reusing its scratch
+// buffers from step to step.
+type joiner struct {
+	picks []gam.ObjectID // every row's targets for this step, flattened
+	spans []pickSpan     // row r joins with picks[spans[r].lo:spans[r].hi]
 }
 
-func sortViewRows(rows []ViewRow) {
-	sort.Slice(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
+type pickSpan struct{ lo, hi int32 }
+
+// join is one step of Figure 5: V = V inner join (AND) / left outer join
+// (OR) mi on S, where mi = RestrictRange(RestrictDomain(Mi, s), ti) and,
+// for a negated target, the right outer join with ŝ = s \ Domain(mi). The
+// rows of the next view share one exactly sized backing array.
+func (j *joiner) join(rows []ViewRow, ix *domainIndex, tgt *TargetSpec, mode Combine) []ViewRow {
+	j.picks = j.picks[:0]
+	j.spans = slices.Grow(j.spans[:0], len(rows))[:len(rows)]
+	total, from := 0, 0
+	var cur pickSpan
+	for r, row := range rows {
+		// Rows are sorted, so rows of one source object are adjacent and
+		// share its picks.
+		if r == 0 || row[0] != rows[r-1][0] {
+			cur.lo = int32(len(j.picks))
+			from = j.pick(ix, from, row[0], tgt, mode)
+			cur.hi = int32(len(j.picks))
+		}
+		j.spans[r] = cur
+		total += int(cur.hi - cur.lo)
+	}
+	if total == 0 {
+		return nil
+	}
+	width := len(rows[0]) + 1
+	cells := make([]gam.ObjectID, total*width)
+	next := make([]ViewRow, 0, total)
+	for r, row := range rows {
+		for _, t := range j.picks[j.spans[r].lo:j.spans[r].hi] {
+			c := cells[:width:width]
+			cells = cells[width:]
+			copy(c, row)
+			c[width-1] = t
+			next = append(next, ViewRow(c))
+		}
+	}
+	return next
+}
+
+// pick appends to j.picks the targets source object id joins with in this
+// step (0 for NULL, nothing when the row is dropped). It searches the index
+// from position from on, because ids arrive in ascending order, and returns
+// the position to search from next.
+func (j *joiner) pick(ix *domainIndex, from int, id gam.ObjectID, tgt *TargetSpec, mode Combine) int {
+	k, found := slices.BinarySearch(ix.domains[from:], id)
+	k += from
+	var ts []indexTarget
+	if found {
+		ts = ix.targets[ix.offs[k]:ix.offs[k+1]]
+	}
+	passes := func(t indexTarget) bool {
+		return tgt.MinEvidence <= 0 || t.evidence == 0 || t.evidence >= tgt.MinEvidence
+	}
+	restricted := func(t indexTarget) bool {
+		return passes(t) && (tgt.Restrict == nil || tgt.Restrict[t.id])
+	}
+	if tgt.Negate {
+		// id is in ŝ iff it has no restricted target: show its targets
+		// that pass MinEvidence, whatever Restrict says, or NULL (mî right
+		// outer join ŝ of Figure 5). Any other row has no partner in mî.
+		if slices.ContainsFunc(ts, restricted) {
+			if mode == CombineOR {
+				j.picks = append(j.picks, 0)
+			}
+			return k
+		}
+		n := len(j.picks)
+		for _, t := range ts {
+			if passes(t) {
+				j.picks = append(j.picks, t.id)
 			}
 		}
-		return false
-	})
+		if len(j.picks) == n {
+			j.picks = append(j.picks, 0)
+		}
+		return k
+	}
+	n := len(j.picks)
+	for _, t := range ts {
+		if restricted(t) {
+			j.picks = append(j.picks, t.id)
+		}
+	}
+	if len(j.picks) == n && mode == CombineOR {
+		j.picks = append(j.picks, 0)
+	}
+	return k
 }
