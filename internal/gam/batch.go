@@ -33,6 +33,10 @@ type Batch struct {
 	// commit then bumps the Repo's generation, once.
 	mappingsChanged bool
 
+	// objectsFilled records an UPDATE of object text or number: publish
+	// then retires Repo.Object's cache.
+	objectsFilled bool
+
 	// Row-count deltas for the Repo's Stats counters. byType is allocated
 	// by the first association write, so read-only batches allocate none.
 	dObjects, dAssocs int64
@@ -140,6 +144,9 @@ func (b *Batch) publish() {
 		} else {
 			r.rels[key] = id
 		}
+	}
+	if b.objectsFilled {
+		r.retireObjects()
 	}
 	r.nObjects += b.dObjects
 	r.nAssocs += b.dAssocs
@@ -393,6 +400,7 @@ func (b *Batch) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, er
 		if _, err := b.tx.Exec(sqlUpdateObjectInfo, f.spec.textArg(), f.spec.numberArg(), f.id); err != nil {
 			return n, err
 		}
+		b.objectsFilled = true
 	}
 	return len(fills), nil
 }

@@ -18,6 +18,13 @@ import (
 // All writes go through Atomic (batch.go): one transaction, one commit.
 // The write methods on Repo itself are one-call batches.
 //
+// Object serves committed object rows from a cache filled on first read
+// (see Object). gam never deletes an object or changes its ID, source or
+// accession, so a cached row stays true under every batch except one that
+// fills text and number (FillMissingObjectInfo): its publish step retires
+// the whole cache, and so does Reload. Rows written around gam through DB
+// stay invisible to the cache, as to the other caches, until Reload.
+//
 // A Repo is safe for concurrent use.
 type Repo struct {
 	db *sqldb.DB
@@ -57,6 +64,36 @@ type Repo struct {
 	// no zero entries.
 	nObjects, nAssocs int64
 	byType            map[RelType]int64
+
+	// rows is Object's cache of committed rows. It takes neither mu nor
+	// wmu: publish (after a fill) and loadCaches retire it by swapping in
+	// an empty one.
+	rows atomic.Pointer[objectCache]
+}
+
+// objectCache maps object IDs to committed rows, filled by Object's misses.
+type objectCache struct {
+	mu sync.RWMutex
+	m  map[ObjectID]Object
+}
+
+func (c *objectCache) get(id ObjectID) (Object, bool) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	o, ok := c.m[id]
+	return o, ok
+}
+
+func (c *objectCache) put(o Object) {
+	c.mu.Lock()
+	c.m[o.ID] = o
+	c.mu.Unlock()
+}
+
+// retireObjects swaps in an empty object cache. A reader still holding the
+// old one can only install into it, and no later reader loads it.
+func (r *Repo) retireObjects() {
+	r.rows.Store(&objectCache{m: make(map[ObjectID]Object)})
 }
 
 // Generation returns the mapping-write counter. Any committed change to
@@ -312,6 +349,7 @@ func (r *Repo) loadCaches() error {
 	r.objects = make(map[SourceID]map[string]ObjectID)
 	r.rels = rels
 	r.nObjects, r.nAssocs, r.byType = st.Objects, st.Associations, st.ByType
+	r.retireObjects()
 	r.mu.Unlock()
 	return nil
 }
@@ -483,8 +521,21 @@ func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]Obje
 	return atomic1(r, func(b *Batch) (map[string]ObjectID, error) { return b.LookupObjects(src, accessions) })
 }
 
-// Object returns the full object row by ID, or nil.
+// Object returns the full object row by ID, or nil; the caller owns the
+// returned copy. A committed row is read from the database once and then
+// served from memory, taking no gam lock, until a batch that fills object
+// text (FillMissingObjectInfo) publishes or Reload runs. An absent ID is
+// never cached. A row changed or deleted around gam (through DB) after
+// Object read it keeps being served as read until Reload.
 func (r *Repo) Object(id ObjectID) (*Object, error) {
+	// Load the cache before the query: a fill that commits in between
+	// retires this cache, so the possibly stale row lands where no later
+	// reader looks.
+	c := r.rows.Load()
+	o, ok := c.get(id)
+	if ok {
+		return &o, nil
+	}
 	rs, err := r.db.Query(sqlSelectObjectByID, int64(id))
 	if err != nil {
 		return nil, err
@@ -492,7 +543,9 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	if len(rs.Rows) == 0 {
 		return nil, nil
 	}
-	return rowToObject(rs.Rows[0]), nil
+	fillObject(&o, rs.Rows[0])
+	c.put(o)
+	return &o, nil
 }
 
 // ObjectsScanEach streams all objects of a source in storage order (no
@@ -550,12 +603,6 @@ func (r *Repo) ObjectCount(src SourceID) (int64, error) {
 		return 0, err
 	}
 	return rs.Rows[0][0].(int64), nil
-}
-
-func rowToObject(row []sqldb.Value) *Object {
-	o := &Object{}
-	fillObject(o, row)
-	return o
 }
 
 // fillObject populates an Object from a full object row, copying the

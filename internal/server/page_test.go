@@ -26,6 +26,7 @@ import (
 	"genmapper"
 	"genmapper/internal/eav"
 	"genmapper/internal/gam"
+	"genmapper/internal/view"
 )
 
 // pageCase is one request of the byte-identity suite: a GET / when form is
@@ -358,10 +359,7 @@ func TestQueryRenderErrorAfterFirstByte(t *testing.T) {
 // Hugo and GO, OR) through httptest on the primed scale-0.01 universe.
 func BenchmarkQueryPage(b *testing.B) {
 	sys := universeSystem(b)
-	accs := make([]string, 300)
-	for i := range accs {
-		accs[i] = universe.uni.Accession("LocusLink", i)
-	}
+	accs := queryPageAccessions()
 	form := url.Values{"source": {"LocusLink"}, "mode": {"OR"},
 		"accessions": {strings.Join(accs, "\n")}, "targets": {"Hugo\nGO"}}
 	ts := httptest.NewServer(New(sys))
@@ -381,5 +379,41 @@ func BenchmarkQueryPage(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		get()
+	}
+}
+
+// queryPageAccessions are BenchmarkQueryPage's 300 LocusLink accessions.
+func queryPageAccessions() []string {
+	accs := make([]string, 300)
+	for i := range accs {
+		accs[i] = universe.uni.Accession("LocusLink", i)
+	}
+	return accs
+}
+
+// TestQueryPageStreamAllocs bounds what a warm view.Stream of
+// BenchmarkQueryPage's view allocates. gam serves the view's objects from
+// its object cache, so a warm stream allocates per distinct object, not
+// per statement; a per-cell point query shows up here as ten times the
+// count. The count does not depend on the machine.
+func TestQueryPageStreamAllocs(t *testing.T) {
+	sys := universeSystem(t)
+	v, err := sys.GenerateView(genmapper.Query{Source: "LocusLink", Mode: "OR",
+		Accessions: queryPageAccessions(), Targets: []genmapper.Target{{Source: "Hugo"}, {Source: "GO"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := func() {
+		if err := view.Stream(sys.Repo(), v, view.Options{}, io.Discard, "html", 0, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream() // fills gam's object cache
+	allocs := testing.AllocsPerRun(10, stream)
+	// Measured: 659 allocations per warm stream of 713 rows (7 301 with a
+	// point query per distinct object). The bound leaves ~25% headroom.
+	const maxAllocs = 825
+	if allocs > maxAllocs {
+		t.Fatalf("warm view.Stream of %d rows: %.0f allocs, want <= %d", len(v.Rows), allocs, maxAllocs)
 	}
 }

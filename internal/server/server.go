@@ -102,16 +102,6 @@ textarea { width: 30em; }
 </form>
 `))
 
-// middleTmpl renders a pageMiddle; a view page's table follows it.
-var middleTmpl = template.Must(template.New("middle").Parse(
-	`{{if .Error}}<p style="color:red">{{.Error}}</p>{{end}}
-{{if .ExportBase}}
-<h2>Annotation view ({{.Rows}} rows)</h2>
-<p><a href="{{.ExportBase}}&format=tsv">TSV</a> |
-<a href="{{.ExportBase}}&format=csv">CSV</a> |
-<a href="{{.ExportBase}}&format=json">JSON</a></p>
-{{end}}`))
-
 const pageTail = "\n</body></html>"
 
 type shellData struct {
@@ -161,7 +151,40 @@ func writeHead(w http.ResponseWriter, shell []byte, m pageMiddle) error {
 	if _, err := w.Write(shell); err != nil {
 		return err
 	}
-	return middleTmpl.Execute(w, m)
+	_, err := io.WriteString(w, m.html())
+	return err
+}
+
+// htmlEscaper escapes text for HTML element content and quoted attribute
+// values byte for byte as html/template does: view's cell escaper, as a
+// Replacer.
+var htmlEscaper = strings.NewReplacer("\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;",
+	"'", "&#39;", "+", "&#43;", "<", "&lt;", ">", "&gt;")
+
+// html renders the middle: the error line, and on a view page the row
+// count and the three export links; a view page's table follows it. The
+// bytes are those of the html/template oracle in middle_test.go. There,
+// an href gets html/template's URL filter and normalizer before the
+// attribute escaping; both pass exportURL's output through unchanged (it
+// starts with "/", and every value in it went through URLQueryEscaper), so
+// only the escaping is done here.
+func (m pageMiddle) html() string {
+	var b strings.Builder
+	if m.Error != "" {
+		b.WriteString(`<p style="color:red">`)
+		htmlEscaper.WriteString(&b, m.Error)
+		b.WriteString("</p>")
+	}
+	b.WriteString("\n")
+	if m.ExportBase != "" {
+		fmt.Fprintf(&b, `
+<h2>Annotation view (%d rows)</h2>
+<p><a href="%[2]s&format=tsv">TSV</a> |
+<a href="%[2]s&format=csv">CSV</a> |
+<a href="%[2]s&format=json">JSON</a></p>
+`, m.Rows, htmlEscaper.Replace(m.ExportBase))
+	}
+	return b.String()
 }
 
 // renderPage writes a whole page without a view: the home page, or the
