@@ -291,6 +291,11 @@ func BenchmarkImportDuplicate(b *testing.B) {
 
 // ---------------------------------------------------------------------------
 // E6 — derived relationships
+//
+// The ComposeChain benchmarks run System.ComposePath against a warm
+// executor: after the first iteration each is a path-cache hit plus the
+// copy MapPath hands out, not a composition. BenchmarkCompose in
+// internal/ops times Compose itself.
 
 func BenchmarkComposeChain2(b *testing.B) {
 	benchComposeChain(b, []string{"NetAffx-HG-U133A", "Unigene", "LocusLink"})

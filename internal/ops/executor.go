@@ -16,16 +16,16 @@
 //     edge mappings are composed by parallel pairwise tree reduction
 //     across a worker pool instead of a sequential left fold;
 //   - cached mappings are shared, never copied on a hit: Resolver and
-//     MapPathShared hand them out read-only, and GenerateView joins
-//     through the domain index a shared mapping keeps. Map and MapPath
-//     return private copies.
+//     MapPathShared hand them out read-only, Compose joins through the
+//     grouping a shared mapping keeps and GenerateView through its domain
+//     index. Map and MapPath return private copies.
 package ops
 
 import (
 	"errors"
 	"fmt"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 
 	"genmapper/internal/cache"
@@ -130,30 +130,43 @@ func (e *Executor) get(key string, gen uint64) (*Mapping, bool) {
 }
 
 // put caches m, loaded while the repository was at generation gen. m
-// becomes shared: from here on nobody mutates it, and it gets the slot for
-// its domain index. m is either fresh from a load or compose, so no other
-// goroutine sees the slot being set, or already shared (a one-edge path is
-// its edge), so it has one.
+// becomes shared: its associations are sorted here, once, and grouped,
+// and from here on nobody mutates them. m is either fresh from a load or
+// compose, so no other goroutine sees it change, or already shared (a
+// one-edge path is its edge), so it is left as it is. A fresh edge may
+// share its batch's slice with an edge cached earlier in the same load (a
+// path that takes one mapping twice in the same direction); that slice is
+// sorted already, so sortAssocs only reads it.
 func (e *Executor) put(key string, gen uint64, m *Mapping) {
 	if m.index == nil {
-		m.index = new(indexSlot)
+		sortAssocs(m.Assocs, true)
+		m.index = &indexSlot{groups: groupAssocs(m.Assocs)}
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.lru.Put(key, &cacheEntry{gen: gen, m: m})
 }
 
+// edgeKey and pathKey build a cache key in a stack buffer, so a lookup
+// allocates only the key string.
 func edgeKey(s, t gam.SourceID, typ gam.RelType) string {
-	return fmt.Sprintf("e|%d|%d|%s", s, t, typ)
+	var buf [64]byte
+	b := append(buf[:0], "e|"...)
+	b = strconv.AppendInt(b, int64(s), 10)
+	b = append(b, '|')
+	b = strconv.AppendInt(b, int64(t), 10)
+	b = append(b, '|')
+	return string(append(b, typ...))
 }
 
 func pathKey(path []gam.SourceID) string {
-	var sb strings.Builder
-	sb.WriteString("p")
+	var buf [64]byte
+	b := append(buf[:0], 'p')
 	for _, s := range path {
-		fmt.Fprintf(&sb, "|%d", s)
+		b = append(b, '|')
+		b = strconv.AppendInt(b, int64(s), 10)
 	}
-	return sb.String()
+	return string(b)
 }
 
 // Map is the cached equivalent of ops.Map: it returns the mapping between
@@ -311,9 +324,13 @@ func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error
 // pairwise tree reduction: each round composes adjacent pairs concurrently
 // across the worker pool, halving the chain, until one mapping remains.
 // Edge order is preserved and the pairing is fixed, so the result is
-// deterministic and equals the sequential left fold of ComposePath:
-// Compose is associative, and Dedup's strength ordering (facts outrank
-// scored evidence) makes duplicate collapse grouping-independent.
+// deterministic. For evidence in [0, 1] it equals the sequential left fold
+// of ComposePath, order included: Compose is associative, its output is
+// sorted, and the strength ordering its duplicate collapse uses (facts
+// outrank scored evidence) makes that collapse grouping-independent.
+// Outside [0, 1] a path of four or more edges can derive other evidence
+// than the fold: a negative score turns the strongest partial result into
+// the weakest.
 func (e *Executor) composeParallel(maps []*Mapping) (*Mapping, error) {
 	if len(maps) == 1 {
 		return maps[0], nil // shared like its edge, index included

@@ -2,6 +2,7 @@ package ops
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -120,15 +121,9 @@ func TestExecutorMapPathMatchesSequential(t *testing.T) {
 		if got.From != want.From || got.To != want.To {
 			t.Fatalf("%d hops: endpoints %d->%d, want %d->%d", hops, got.From, got.To, want.From, want.To)
 		}
-		ws, gs := assocSet(want), assocSet(got)
-		if len(ws) != len(gs) {
-			t.Fatalf("%d hops: %d pairs, want %d", hops, len(gs), len(ws))
-		}
-		for k, v := range ws {
-			gv, ok := gs[k]
-			if !ok || gv != v {
-				t.Fatalf("%d hops: pair %v = %v, want %v", hops, k, gv, v)
-			}
+		// Both come out sorted, so they match slice for slice.
+		if !slices.Equal(got.Assocs, want.Assocs) {
+			t.Fatalf("%d hops: %v, want %v", hops, got.Assocs, want.Assocs)
 		}
 		// A second run must be answered from the path cache.
 		st := e.Stats()

@@ -32,8 +32,10 @@ var ErrNoMapping = errors.New("no mapping between sources")
 // From is the domain source, To the range source.
 //
 // A Mapping the Executor caches is shared: every caller that gets it from
-// the cache reads the same value, and nobody may mutate it. Only a shared
-// Mapping keeps its domain index; clones are private and carry none.
+// the cache reads the same value, and nobody may mutate it. A shared
+// Mapping's associations are sorted by (Object1, Object2), duplicate pairs
+// included, and it keeps their grouping by domain object and its domain
+// index; clones are private and carry neither.
 type Mapping struct {
 	Rel    gam.SourceRelID // 0 for derived, not-yet-materialized mappings
 	From   gam.SourceID
@@ -44,11 +46,76 @@ type Mapping struct {
 	index *indexSlot // non-nil iff the mapping is shared
 }
 
-// indexSlot holds a shared mapping's domain index, built by the first
-// GenerateView that joins through the mapping and published once.
+// indexSlot holds what a shared mapping keeps beside its associations:
+// their grouping, set before the mapping is shared, and the domain index,
+// built by the first GenerateView that joins through the mapping and
+// published once.
 type indexSlot struct {
-	once sync.Once
-	ix   *domainIndex
+	groups assocGroups
+	once   sync.Once
+	ix     *domainIndex
+}
+
+// assocGroups groups associations sorted by (Object1, Object2) by domain
+// object: domains are the distinct Object1 values in ascending order, and
+// domains[i]'s associations, duplicate pairs included, are
+// assocs[offs[i]:offs[i+1]].
+type assocGroups struct {
+	assocs  []gam.Assoc
+	domains []gam.ObjectID
+	offs    []int32
+}
+
+// groupAssocs groups assocs, which must be sorted by (Object1, Object2).
+// It shares assocs and allocates only the domains and offsets.
+func groupAssocs(assocs []gam.Assoc) assocGroups {
+	nd := 0
+	for i := range assocs {
+		if i == 0 || assocs[i].Object1 != assocs[i-1].Object1 {
+			nd++
+		}
+	}
+	g := assocGroups{assocs: assocs, domains: make([]gam.ObjectID, 0, nd), offs: make([]int32, 0, nd+1)}
+	for i, a := range assocs {
+		if i == 0 || a.Object1 != assocs[i-1].Object1 {
+			g.domains = append(g.domains, a.Object1)
+			g.offs = append(g.offs, int32(i))
+		}
+	}
+	g.offs = append(g.offs, int32(len(assocs)))
+	return g
+}
+
+// groups returns m's associations grouped by domain object. A shared
+// mapping keeps its grouping; any other mapping gets a throwaway one, over
+// its own associations when they are sorted and over a sorted copy
+// otherwise.
+func (m *Mapping) groups() assocGroups {
+	if m.index != nil {
+		return m.index.groups
+	}
+	return groupAssocs(sortAssocs(m.Assocs, false))
+}
+
+func cmpAssoc(a, b gam.Assoc) int {
+	if c := cmp.Compare(a.Object1, b.Object1); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Object2, b.Object2)
+}
+
+// sortAssocs returns assocs sorted by (Object1, Object2): assocs itself
+// when already sorted, else sorted in place if the caller owns them and a
+// sorted copy if not. Sorted input is only read.
+func sortAssocs(assocs []gam.Assoc, owned bool) []gam.Assoc {
+	if slices.IsSortedFunc(assocs, cmpAssoc) {
+		return assocs
+	}
+	if !owned {
+		assocs = slices.Clone(assocs)
+	}
+	slices.SortFunc(assocs, cmpAssoc)
+	return assocs
 }
 
 // domainIndex groups a mapping by domain object: domains are the distinct
@@ -73,55 +140,52 @@ type indexTarget struct {
 // whose domain object is in sSet (nil = all).
 func (m *Mapping) domainIndex(sSet ObjectSet) *domainIndex {
 	if m.index == nil {
-		return buildDomainIndex(m.Assocs, sSet)
+		pairs := m.Assocs
+		if sSet != nil {
+			pairs = make([]gam.Assoc, 0, len(m.Assocs))
+			for _, a := range m.Assocs {
+				if sSet[a.Object1] {
+					pairs = append(pairs, a)
+				}
+			}
+		}
+		return buildDomainIndex(groupAssocs(sortAssocs(pairs, sSet != nil)))
 	}
-	m.index.once.Do(func() { m.index.ix = buildDomainIndex(m.Assocs, nil) })
+	m.index.once.Do(func() { m.index.ix = buildDomainIndex(m.index.groups) })
 	return m.index.ix
 }
 
-func buildDomainIndex(assocs []gam.Assoc, sSet ObjectSet) *domainIndex {
-	pairs := make([]gam.Assoc, 0, len(assocs))
-	for _, a := range assocs {
-		if sSet == nil || sSet[a.Object1] {
-			pairs = append(pairs, a)
-		}
-	}
-	slices.SortFunc(pairs, func(a, b gam.Assoc) int {
-		if c := cmp.Compare(a.Object1, b.Object1); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Object2, b.Object2)
-	})
-	nd, nt := 0, 0
-	for i, a := range pairs {
-		switch {
-		case i == 0 || a.Object1 != pairs[i-1].Object1:
-			nd++
-			nt++
-		case a.Object2 != pairs[i-1].Object2:
+// buildDomainIndex collapses each of g's duplicate pairs into one target.
+// The index shares g's domains, and g's offsets too unless a duplicate
+// pair moves them.
+func buildDomainIndex(g assocGroups) *domainIndex {
+	as := g.assocs
+	nt := 0
+	for i, a := range as {
+		if i == 0 || a.Object1 != as[i-1].Object1 || a.Object2 != as[i-1].Object2 {
 			nt++
 		}
 	}
-	ix := &domainIndex{
-		domains: make([]gam.ObjectID, 0, nd),
-		offs:    make([]int32, 0, nd+1),
-		targets: make([]indexTarget, 0, nt),
+	ix := &domainIndex{domains: g.domains, offs: g.offs, targets: make([]indexTarget, 0, nt)}
+	collapse := nt < len(as)
+	if collapse {
+		ix.offs = make([]int32, len(g.offs))
 	}
-	for i, a := range pairs {
-		switch {
-		case i == 0 || a.Object1 != pairs[i-1].Object1:
-			ix.domains = append(ix.domains, a.Object1)
-			ix.offs = append(ix.offs, int32(len(ix.targets)))
-			ix.targets = append(ix.targets, indexTarget{a.Object2, a.Evidence})
-		case a.Object2 != pairs[i-1].Object2:
-			ix.targets = append(ix.targets, indexTarget{a.Object2, a.Evidence})
-		default:
-			if last := &ix.targets[len(ix.targets)-1]; stronger(a.Evidence, last.evidence) {
-				last.evidence = a.Evidence
+	for d := range g.domains {
+		group := as[g.offs[d]:g.offs[d+1]]
+		for i, a := range group {
+			if i > 0 && a.Object2 == group[i-1].Object2 {
+				if last := &ix.targets[len(ix.targets)-1]; stronger(a.Evidence, last.evidence) {
+					last.evidence = a.Evidence
+				}
+				continue
 			}
+			ix.targets = append(ix.targets, indexTarget{a.Object2, a.Evidence})
+		}
+		if collapse {
+			ix.offs[d+1] = int32(len(ix.targets))
 		}
 	}
-	ix.offs = append(ix.offs, int32(len(ix.targets)))
 	return ix
 }
 
@@ -153,7 +217,8 @@ func (s ObjectSet) Sorted() []gam.ObjectID {
 // Map implements the Map(S, T) operation of Table 2: it searches the
 // database for an existing mapping between S and T and returns the
 // corresponding object associations. Mappings stored in the opposite
-// direction are flipped so that the result always has From = S.
+// direction are flipped so that the result always has From = S. The
+// associations come sorted by (Object1, Object2), duplicate pairs kept.
 func Map(repo *gam.Repo, s, t gam.SourceID) (*Mapping, error) {
 	rel, reversed, err := repo.FindMapping(s, t)
 	if err != nil {
@@ -166,16 +231,14 @@ func Map(repo *gam.Repo, s, t gam.SourceID) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	return edgeMapping(s, t, rel, reversed, assocs), nil
+	m := edgeMapping(s, t, rel, reversed, assocs)
+	sortAssocs(m.Assocs, true) // a fresh load: nobody else has it
+	return m, nil
 }
 
 // Domain implements Table 2's Domain(map): SELECT DISTINCT S FROM map.
 func Domain(m *Mapping) []gam.ObjectID {
-	seen := make(ObjectSet, len(m.Assocs))
-	for _, a := range m.Assocs {
-		seen[a.Object1] = true
-	}
-	return seen.Sorted()
+	return slices.Clone(m.groups().domains)
 }
 
 // Range implements Table 2's Range(map): SELECT DISTINCT T FROM map.
@@ -239,8 +302,10 @@ func Invert(m *Mapping) *Mapping {
 // outranks any scored value — a derivation certain by facts must not be
 // downgraded by a weaker scored derivation of the same pair; among scored
 // values the highest wins. This ordering makes duplicate collapse agree
-// with evidence strength and keeps multi-step composition independent of
-// the grouping order (sequential fold vs. the executor's tree reduction).
+// with evidence strength and, for evidence in [0, 1], keeps multi-step
+// composition independent of the grouping order (sequential fold vs. the
+// executor's tree reduction); Compose collapses its derived pairs by the
+// same rule.
 func Dedup(m *Mapping) *Mapping {
 	best := make(map[[2]gam.ObjectID]float64, len(m.Assocs))
 	order := make([][2]gam.ObjectID, 0, len(m.Assocs))
@@ -280,43 +345,76 @@ func stronger(a, b float64) bool {
 // identity, and a pair of unset evidences stays unset — but an explicitly
 // asserted 1.0 is preserved as 1.0 rather than collapsed to "unset", so
 // asserted certainty remains distinguishable from absence of evidence.
-// Duplicate derived pairs collapse, keeping the strongest evidence.
+// Duplicate derived pairs collapse, keeping the strongest evidence (the
+// rule Dedup applies). The result is sorted by (Object1, Object2).
+//
+// Neither operand's duplicate pairs are collapsed first: the combined
+// evidence is not monotone in its inputs outside [0, 1], so every
+// derivation is combined and only the derived pairs collapse.
 func Compose(m1, m2 *Mapping) (*Mapping, error) {
 	if m1.To != m2.From {
 		return nil, fmt.Errorf("ops: cannot compose: mapping targets source %d but next mapping starts at %d", m1.To, m2.From)
 	}
-	// Hash join on the shared middle objects.
-	byMiddle := make(map[gam.ObjectID][]gam.Assoc)
-	for _, a := range m2.Assocs {
-		byMiddle[a.Object1] = append(byMiddle[a.Object1], a)
-	}
+	// Merge join: m1's domain objects in ascending order; for each, its
+	// middle objects, also ascending, looked up among m2's domains from
+	// where the previous one was found.
+	left, right := m1.groups(), m2.groups()
 	out := &Mapping{From: m1.From, To: m2.To, Type: gam.RelComposed}
-	for _, a1 := range m1.Assocs {
-		for _, a2 := range byMiddle[a1.Object2] {
-			var ev float64
-			switch ev1, ev2 := a1.Evidence, a2.Evidence; {
-			case ev1 == 0 && ev2 == 0:
-				ev = 0 // both facts: the derived pair is a fact
-			case ev1 == 0:
-				ev = ev2
-			case ev2 == 0:
-				ev = ev1
-			default:
-				ev = ev1 * ev2
+	var derived []indexTarget // one domain object's derived pairs
+	for d, id := range left.domains {
+		derived = derived[:0]
+		k := 0
+		for _, a1 := range left.assocs[left.offs[d]:left.offs[d+1]] {
+			j, found := slices.BinarySearch(right.domains[k:], a1.Object2)
+			if k += j; !found {
+				continue
 			}
-			out.Assocs = append(out.Assocs, gam.Assoc{Object1: a1.Object1, Object2: a2.Object2, Evidence: ev})
+			for _, a2 := range right.assocs[right.offs[k]:right.offs[k+1]] {
+				derived = append(derived, indexTarget{a2.Object2, combine(a1.Evidence, a2.Evidence)})
+			}
+		}
+		slices.SortFunc(derived, func(a, b indexTarget) int { return cmp.Compare(a.id, b.id) })
+		for i, t := range derived {
+			if i > 0 && t.id == derived[i-1].id {
+				if last := &out.Assocs[len(out.Assocs)-1]; stronger(t.evidence, last.Evidence) {
+					last.Evidence = t.evidence
+				}
+				continue
+			}
+			out.Assocs = append(out.Assocs, gam.Assoc{Object1: id, Object2: t.id, Evidence: t.evidence})
 		}
 	}
-	return Dedup(out), nil
+	return out, nil
+}
+
+// combine is the evidence of a pair derived from associations with
+// evidence ev1 and ev2 (see Compose).
+func combine(ev1, ev2 float64) float64 {
+	switch {
+	case ev1 == 0 && ev2 == 0:
+		return 0 // both facts: the derived pair is a fact
+	case ev1 == 0:
+		return ev2
+	case ev2 == 0:
+		return ev1
+	}
+	return ev1 * ev2
 }
 
 // ComposePath folds Compose over a mapping path of two or more mappings
 // connecting two sources (the "mapping path" input of the paper's Compose).
+// The result is sorted by (Object1, Object2) and has no duplicate pairs. A
+// path of one mapping returns a sorted copy of it, duplicate pairs kept.
 func ComposePath(maps ...*Mapping) (*Mapping, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("ops: empty mapping path")
 	}
-	acc := maps[0].clone()
+	if len(maps) == 1 {
+		out := maps[0].clone()
+		sortAssocs(out.Assocs, true)
+		return out, nil
+	}
+	acc := maps[0]
 	for _, next := range maps[1:] {
 		composed, err := Compose(acc, next)
 		if err != nil {
@@ -328,8 +426,8 @@ func ComposePath(maps ...*Mapping) (*Mapping, error) {
 }
 
 // MapPath loads the mappings along a source path and composes them into a
-// single mapping from path[0] to path[len-1]. A path of length 2 reduces
-// to Map.
+// single mapping from path[0] to path[len-1], sorted by (Object1, Object2)
+// like ComposePath's result. A path of length 2 reduces to Map.
 func MapPath(repo *gam.Repo, path []gam.SourceID) (*Mapping, error) {
 	if len(path) < 2 {
 		return nil, fmt.Errorf("ops: mapping path needs at least two sources, got %d", len(path))
