@@ -907,8 +907,8 @@ func expConcurrency(h *harness) error {
 	}
 	fmt.Printf("  worst read latency %12v   (bulk UPDATE took %v)\n", worst.Round(time.Microsecond), took.Round(time.Millisecond))
 	st := db.MVCCStats()
-	fmt.Printf("\nmvcc: epoch=%d commits=%d conflicts=%d background_vacuums=%d vacuum_runs=%d versions_vacuumed=%d\n",
-		st.Epoch, st.Commits, st.Conflicts, st.BackgroundVacuums, st.VacuumRuns, st.VersionsVacuumed)
+	fmt.Printf("\nmvcc: epoch=%d commits=%d background_vacuums=%d vacuum_runs=%d versions_vacuumed=%d\n",
+		st.Epoch, st.Commits, st.BackgroundVacuums, st.VacuumRuns, st.VersionsVacuumed)
 	fmt.Println("expected shape: read throughput scales with readers on 4+ cores, and the worst")
 	fmt.Println("read latency stays orders of magnitude below the bulk UPDATE duration")
 	return nil

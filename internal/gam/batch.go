@@ -46,20 +46,17 @@ type Batch struct {
 // Atomic runs fn on a fresh Batch inside one database transaction. When fn
 // returns nil the transaction commits — on a durable database as a single
 // log record behind a single fsync — and the batch's cache entries become
-// visible; when fn (or the commit) fails, everything fn wrote is rolled
+// visible; when fn (or the log append) fails, everything fn wrote is rolled
 // back, no AUTOINCREMENT value stays burnt, the caches and Generation() are
 // untouched, and the error is returned.
 //
-// Batches are serialised: Atomic blocks while another batch is open. fn
-// must write through the Batch only — calling the Repo's own write methods
-// (or Atomic) from inside fn deadlocks. The transaction reads at the
-// snapshot taken when the batch opened; a write conflict with a
-// transaction outside gam, or a snapshot revoked by the retention budget
-// (sqldb.ErrWriteConflict, sqldb.ErrSnapshotTooOld), fails the whole batch
-// cleanly. Atomic does not retry.
+// Batches are serialised on the database's writer lock, which the
+// transaction holds from Begin until the caches are published, so fn
+// reads the state it writes on. fn must write through the Batch only —
+// calling the Repo's own write methods (or Atomic) from inside fn
+// deadlocks. The fsync is waited for with no lock held; when it fails its
+// error is returned, and the caches, like the database, show the batch.
 func (r *Repo) Atomic(fn func(*Batch) error) error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
 	b := &Batch{
 		r:       r,
 		tx:      r.db.Begin(),
@@ -71,20 +68,21 @@ func (r *Repo) Atomic(fn func(*Batch) error) error {
 		b.tx.Rollback()
 		return err
 	}
-	// Commit and cache publication are one step to readers. The commit
-	// makes the new rows visible before it returns (it still waits
-	// for the fsync): a reader resolving a mapping key in between would get
-	// the ID the commit has just deleted and read an empty mapping.
+	// Rows and overlay are published in one step to readers, or a reader
+	// could resolve a mapping key to the ID the commit has just deleted.
 	r.mu.Lock()
-	err := b.tx.Commit()
+	err := b.tx.Publish()
 	if err == nil {
 		b.publish()
+		if b.mappingsChanged {
+			r.bumpGen()
+		}
 	}
 	r.mu.Unlock()
-	if err == nil && b.mappingsChanged {
-		r.bumpGen()
+	if err != nil {
+		return err
 	}
-	return err
+	return b.tx.Commit()
 }
 
 // atomic1 and atomic2 run fn as a batch of its own and return its results,

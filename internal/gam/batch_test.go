@@ -384,91 +384,38 @@ func TestAtomicIsOneLogRecordAcrossSegments(t *testing.T) {
 	}
 }
 
-// A batch reads at the snapshot taken when it opened. A row it
-// then writes that someone outside gam changed in the meantime is a write
-// conflict: the whole batch fails and rolls back; gam does not retry.
-func TestAtomicMVCCWriteConflictFailsWholeBatch(t *testing.T) {
-	db := sqldb.NewDB()
-	defer db.Close()
+// syncGate parks the first fsync of a FaultFS after arming: syncing is
+// closed when that Sync starts, which then waits for release. The commit
+// it holds is in the log and visible to snapshots, and Commit has not
+// returned.
+type syncGate struct {
+	armed            atomic.Bool
+	syncing, release chan struct{}
+}
+
+// gatedRepo opens a repository on a durable database whose fsyncs pass
+// through a syncGate.
+func gatedRepo(t *testing.T) (*Repo, *syncGate) {
+	t.Helper()
+	g := &syncGate{syncing: make(chan struct{}), release: make(chan struct{})}
+	fs := wal.NewFaultFS()
+	fs.SyncHook = func() error {
+		if g.armed.CompareAndSwap(true, false) {
+			close(g.syncing)
+			<-g.release
+		}
+		return nil
+	}
+	db, err := sqldb.OpenDurable("", sqldb.DurableOptions{FS: fs, Sync: wal.SyncAlways, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
 	r, err := Open(db)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := r.EnsureSource(Source{Name: "S"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, _, err := r.EnsureObject(s.ID, ObjectSpec{Accession: "x"}) // bare: no text yet
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := mustStats(t, r)
-
-	err = r.Atomic(func(b *Batch) error {
-		// A committed update lands after the batch's snapshot, before the
-		// batch's first write takes the writer lock.
-		if _, err := db.Exec("UPDATE object SET text = 'theirs' WHERE object_id = ?", int64(x)); err != nil {
-			return fmt.Errorf("outside update: %w", err)
-		}
-		if _, _, err := b.EnsureSource(Source{Name: "N"}); err != nil {
-			return err
-		}
-		_, err := b.FillMissingObjectInfo(s.ID, []ObjectSpec{{Accession: "x", Text: "ours"}})
-		return err
-	})
-	if !errors.Is(err, sqldb.ErrWriteConflict) {
-		t.Fatalf("Atomic = %v, want ErrWriteConflict", err)
-	}
-	if r.SourceByName("N") != nil {
-		t.Fatal("source of the conflicted batch survived")
-	}
-	if after := mustStats(t, r); !reflect.DeepEqual(before, after) {
-		t.Fatalf("stats after conflict = %v, want %v", after, before)
-	}
-	if obj, err := r.Object(x); err != nil || obj.Text != "theirs" {
-		t.Fatalf("object after conflict = %+v (%v), want the outside writer's text", obj, err)
-	}
-	// The batch can simply be run again.
-	if err := r.Atomic(func(b *Batch) error {
-		_, _, err := b.EnsureSource(Source{Name: "N"})
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n := r.SourceByName("N"); n == nil || n.ID != 2 {
-		t.Fatalf("source N after retry = %+v, want ID 2", n)
-	}
-}
-
-// gateFS is a filesystem whose fsyncs, once armed, announce themselves and
-// block until released: it holds a commit at the point where snapshot
-// readers already see its rows but Commit has not returned.
-type gateFS struct {
-	*wal.FaultFS
-	armed   atomic.Bool
-	syncing chan struct{}
-	release chan struct{}
-}
-
-type gateFile struct {
-	wal.File
-	fs *gateFS
-}
-
-func (fs *gateFS) Create(name string) (wal.File, error) {
-	f, err := fs.FaultFS.Create(name)
-	if err != nil {
-		return nil, err
-	}
-	return &gateFile{File: f, fs: fs}, nil
-}
-
-func (f *gateFile) Sync() error {
-	if f.fs.armed.CompareAndSwap(true, false) {
-		close(f.fs.syncing)
-		<-f.fs.release
-	}
-	return f.File.Sync()
+	return r, g
 }
 
 // A replaced mapping's new ID and its rows become visible to readers in
@@ -476,16 +423,7 @@ func (f *gateFile) Sync() error {
 // returns; a reader that could still resolve the mapping key to the old ID
 // in that window would read a mapping with no associations.
 func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
-	fs := &gateFS{FaultFS: wal.NewFaultFS(), syncing: make(chan struct{}), release: make(chan struct{})}
-	db, err := sqldb.OpenDurable("", sqldb.DurableOptions{FS: fs, Sync: wal.SyncAlways, CheckpointInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	r, err := Open(db)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r, g := gatedRepo(t)
 	const n = 20
 	if err := r.Atomic(func(b *Batch) error { return pairBatch(b, "A", "B", n) }); err != nil {
 		t.Fatal(err)
@@ -496,7 +434,7 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 		t.Fatalf("setup: %d associations (%v)", len(assocs), err)
 	}
 
-	fs.armed.Store(true)
+	g.armed.Store(true)
 	replaced := make(chan SourceRelID, 1)
 	go func() {
 		id, err := r.ReplaceMapping(1, 2, RelFact, assocs)
@@ -505,7 +443,7 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 		}
 		replaced <- id
 	}()
-	<-fs.syncing // the replacement is in the log and visible to snapshots
+	<-g.syncing // the replacement is in the log and visible to snapshots
 
 	type view struct {
 		rel  SourceRelID
@@ -520,14 +458,14 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 		}
 		seen <- view{rel, len(rows)}
 	}()
-	// With the cache published in the same step as the commit the reader
-	// waits for it; give one that does not wait the time to get through.
+	// The rows and the cache are both published before the fsync, so the
+	// reader needs no wait; one that waited would get through on release.
 	var v view
 	select {
 	case v = <-seen:
 	case <-time.After(100 * time.Millisecond):
 	}
-	close(fs.release)
+	close(g.release)
 	id := <-replaced
 	if v == (view{}) {
 		v = <-seen
@@ -535,6 +473,62 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 	if v.rows != n || (v.rel != old && v.rel != id) {
 		t.Fatalf("reader during the commit resolved mapping %d with %d rows; want %d rows under %d or %d",
 			v.rel, v.rows, n, old, id)
+	}
+}
+
+// While a ReplaceMapping is parked inside its commit's fsync, readers of
+// the catalog and of cached objects return: no gam lock is held across
+// the wait for durability.
+func TestReadersDuringFsync(t *testing.T) {
+	r, g := gatedRepo(t)
+	const n = 20
+	if err := r.Atomic(func(b *Batch) error { return pairBatch(b, "A", "B", n) }); err != nil {
+		t.Fatal(err)
+	}
+	old, _, _ := r.FindRel(1, 2, RelFact)
+	assocs, err := r.Associations(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc1, err := r.LookupObject(1, "acc00001")
+	if err != nil || acc1 == 0 {
+		t.Fatalf("setup: LookupObject = %d, %v", acc1, err)
+	}
+
+	g.armed.Store(true)
+	replaced := make(chan error, 1)
+	go func() {
+		_, err := r.ReplaceMapping(1, 2, RelFact, assocs)
+		replaced <- err
+	}()
+	<-g.syncing
+	read := make(chan error, 1)
+	go func() {
+		if _, err := r.Stats(); err != nil {
+			read <- err
+			return
+		}
+		if rel, _, err := r.FindMapping(1, 2); err != nil || rel == nil {
+			read <- fmt.Errorf("FindMapping = %v, %v", rel, err)
+			return
+		}
+		if id, err := r.LookupObject(1, "acc00001"); err != nil || id != acc1 {
+			read <- fmt.Errorf("LookupObject = %d, %v; want %d", id, err, acc1)
+			return
+		}
+		read <- nil
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("readers waited for the fsync of a ReplaceMapping")
+	}
+	close(g.release)
+	if err := <-replaced; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -52,12 +52,13 @@
 // rollback. gam owns every write to its schema — rows written around it
 // through Repo.DB are not counted (nor cached) until Reload.
 //
-// Batches are serialised on a writer mutex held for the life of the batch.
-// The cache mutex is held only around single cache accesses and around a
-// batch's final commit-and-publish step — commit and publication must look
-// like one step, or a reader could resolve a mapping key to an ID whose
-// rows the commit has just deleted — so lookups on cached sources and
-// FindMapping wait for an import's commit, never for the import.
+// Batches are serialised on the database's writer lock, which a batch's
+// transaction holds from Begin. The cache mutex is held only around single
+// cache accesses and around a batch's publish step — the commit's rows and
+// the cache overlay must appear in one step, or a reader could resolve a
+// mapping key to an ID whose rows the commit has just deleted — and never
+// across the fsync, so lookups on cached sources and FindMapping wait for
+// neither an import nor its fsync.
 package gam
 
 import "fmt"

@@ -105,7 +105,7 @@ func TestObjectCacheHitTakesNoLockAndNoSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	stmts := r.db.StmtCacheStats()
-	r.wmu.Lock()
+	tx := r.db.Begin() // the lock a batch holds
 	r.mu.Lock()
 	done := make(chan *Object)
 	go func() {
@@ -121,7 +121,9 @@ func TestObjectCacheHitTakesNoLockAndNoSQL(t *testing.T) {
 		t.Fatal("Object of a cached ID waits for gam's locks")
 	}
 	r.mu.Unlock()
-	r.wmu.Unlock()
+	if err := tx.Rollback(); err != nil {
+		t.Fatal(err)
+	}
 	if got := r.db.StmtCacheStats(); got.Hits != stmts.Hits || got.Misses != stmts.Misses {
 		t.Fatalf("a hit ran a statement: %+v, then %+v", stmts, got)
 	}

@@ -245,7 +245,7 @@ func (r *Repo) Stats() (*Stats, error) {
 
 // countStats computes the summary counters with SQL: the starting point of
 // loadCaches, and the oracle the maintained counters are tested against.
-func countStats(db *sqldb.DB) (*Stats, error) {
+func countStats(q querier) (*Stats, error) {
 	st := &Stats{ByType: make(map[RelType]int64)}
 	for _, c := range []struct {
 		n   *int64
@@ -256,13 +256,14 @@ func countStats(db *sqldb.DB) (*Stats, error) {
 		{&st.Mappings, sqlCountSourceRels},
 		{&st.Associations, sqlCountAssociations},
 	} {
-		rs, err := db.Query(c.sql)
-		if err != nil {
+		if err := queryEach(q, c.sql, nil, func(row []sqldb.Value) error {
+			*c.n = row[0].(int64)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		*c.n = rs.Rows[0][0].(int64)
 	}
-	err := queryEach(db, sqlCountAssocsByType, nil, func(row []sqldb.Value) error {
+	err := queryEach(q, sqlCountAssocsByType, nil, func(row []sqldb.Value) error {
 		st.ByType[RelType(row[0].(string))] = row[1].(int64)
 		return nil
 	})

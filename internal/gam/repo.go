@@ -44,15 +44,13 @@ type Repo struct {
 	// tests can inject mid-transaction failures. Production code leaves it nil.
 	replaceHook func(stage string) error
 
-	// wmu serialises write batches; it is held for the life of a batch,
-	// which for an import is seconds. mu guards the lookup caches and is
-	// held only around a cache access and around a batch's commit-and-
-	// publish step, never while a batch runs. The caches are mutated only
-	// with BOTH held (a committed batch publishing its overlay, a batch
-	// caching a freshly loaded object map, Reload), so holding either one
-	// is enough to read them: readers take mu, the open batch reads under
-	// its wmu.
-	wmu         sync.Mutex
+	// mu guards the lookup caches, held only around a cache access and
+	// around a batch's publish step, never across an fsync. The caches
+	// are mutated only with mu held by a transaction that holds the
+	// database's writer lock (a batch publishing its overlay or caching a
+	// freshly loaded object map, loadCaches), so holding either one is
+	// enough to read them: readers take mu, the open batch reads under
+	// the writer. Lock order: the writer, then mu.
 	mu          sync.Mutex
 	sources     map[string]*Source // lower(name) -> source
 	sourcesByID map[SourceID]*Source
@@ -65,8 +63,8 @@ type Repo struct {
 	nObjects, nAssocs int64
 	byType            map[RelType]int64
 
-	// rows is Object's cache of committed rows. It takes neither mu nor
-	// wmu: publish (after a fill) and loadCaches retire it by swapping in
+	// rows is Object's cache of committed rows. It takes no lock of the
+	// Repo: publish (after a fill) and loadCaches retire it by swapping in
 	// an empty one.
 	rows atomic.Pointer[objectCache]
 }
@@ -315,13 +313,14 @@ func (r *Repo) Reload() error {
 }
 
 // loadCaches replaces the lookup caches with the database's source and
-// mapping catalogs and an empty object cache, and recounts the rows.
+// mapping catalogs and an empty object cache, and recounts the rows, in a
+// transaction whose writer lock keeps batches out meanwhile.
 func (r *Repo) loadCaches() error {
-	r.wmu.Lock()
-	defer r.wmu.Unlock()
+	tx := r.db.Begin()
+	defer tx.Rollback()
 	sources := make(map[string]*Source)
 	sourcesByID := make(map[SourceID]*Source)
-	err := queryEach(r.db, sqlSelectSources, nil, func(row []sqldb.Value) error {
+	err := queryEach(tx, sqlSelectSources, nil, func(row []sqldb.Value) error {
 		s := rowToSource(row)
 		sources[strings.ToLower(s.Name)] = s
 		sourcesByID[s.ID] = s
@@ -331,7 +330,7 @@ func (r *Repo) loadCaches() error {
 		return fmt.Errorf("gam: load sources: %w", err)
 	}
 	rels := make(map[relKey]SourceRelID)
-	err = queryEach(r.db, sqlSelectSourceRels, nil, func(row []sqldb.Value) error {
+	err = queryEach(tx, sqlSelectSourceRels, nil, func(row []sqldb.Value) error {
 		rel := rowToSourceRel(row)
 		rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel.ID
 		return nil
@@ -339,7 +338,7 @@ func (r *Repo) loadCaches() error {
 	if err != nil {
 		return fmt.Errorf("gam: load source rels: %w", err)
 	}
-	st, err := countStats(r.db)
+	st, err := countStats(tx)
 	if err != nil {
 		return fmt.Errorf("gam: count rows: %w", err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"genmapper/internal/sqldb"
+	"genmapper/internal/wal"
 )
 
 // checkStats asserts that the maintained Stats equal the SQL recount and
@@ -137,6 +138,41 @@ func TestStatsMatchRecount(t *testing.T) {
 			t.Fatalf("stats after restore = %v, want %v", got, saved)
 		}
 	})
+}
+
+// A commit whose fsync fails is visible in the database by then, and the
+// maintained counters and caches follow it: Stats still equals the SQL
+// recount, and ReplaceMapping returns the fsync's error.
+func TestStatsMatchRecountAfterFailedSync(t *testing.T) {
+	fs := wal.NewFaultFS()
+	var fail atomic.Bool
+	boom := errors.New("fsync failed")
+	fs.SyncHook = func() error {
+		if fail.Load() {
+			return boom
+		}
+		return nil
+	}
+	db, err := sqldb.OpenDurable("", sqldb.DurableOptions{FS: fs, Sync: wal.SyncAlways, CheckpointInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	r, err := Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Atomic(func(b *Batch) error { return pairBatch(b, "A", "B", 6) }); err != nil {
+		t.Fatal(err)
+	}
+	fail.Store(true)
+	if _, err := r.ReplaceMapping(1, 2, RelSimilarity, relAssocs([]ObjectID{1, 2, 3}, []ObjectID{7, 8}, 3, 0.5)); !errors.Is(err, boom) {
+		t.Fatalf("ReplaceMapping = %v, want the fsync's error", err)
+	}
+	checkStats(t, r)
+	if n := mustStats(t, r).ByType[RelSimilarity]; n != 3 {
+		t.Fatalf("similarity associations = %d, want the 3 the failed fsync left visible", n)
+	}
 }
 
 // Stats hands out copies: a caller editing its ByType map or a Source

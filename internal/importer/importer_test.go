@@ -13,11 +13,11 @@ import (
 )
 
 // plainAndPinned runs a test on a fresh repository twice — plainly ("lock") and
-// beside a reader whose snapshot predates the import ("mvcc"), so every
+// beside a cursor whose snapshot predates the import ("mvcc"), so every
 // superseded version stays in storage (the leg names predate this axis
 // and are kept so test names stay stable). An import reads back what it
 // just wrote (duplicate elimination, the IS_A rows under DeriveSubsumed)
-// through its own transaction; the reader must still see nothing of it.
+// through its own transaction; the cursor must still count nothing of it.
 // Afterwards the repository's maintained Stats must equal the recount
 // (checkStats).
 func plainAndPinned(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
@@ -33,14 +33,17 @@ func plainAndPinned(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
 				t.Fatal(err)
 			}
 			if mode.pinned {
-				reader := db.Begin()
-				defer reader.Rollback()
+				reader, err := db.QueryCursor("SELECT COUNT(*) FROM object")
+				if err != nil {
+					t.Fatal(err)
+				}
 				defer func() {
-					rs, err := reader.Query("SELECT COUNT(*) FROM object")
+					row, err := reader.Next()
+					reader.Close()
 					if err != nil {
 						t.Fatal(err)
 					}
-					if n := rs.Rows[0][0]; n != int64(0) {
+					if n := row[0]; n != int64(0) {
 						t.Fatalf("a snapshot older than the import sees %v objects", n)
 					}
 				}()

@@ -60,11 +60,11 @@ var logCalls = map[string]bool{
 }
 
 // publishCallers are the audited commit paths: the only functions that
-// may call publishCommit. execPrepared, Tx.Commit and applyRecord all hold
-// db.writer and publish under the exclusive db.mu.
+// may call publishCommit. execPrepared, Tx.Publish and applyRecord all
+// hold db.writer and publish under the exclusive db.mu.
 var publishCallers = map[string]bool{
 	"execPrepared": true,
-	"Commit":       true,
+	"Publish":      true,
 	"applyRecord":  true,
 }
 
@@ -118,7 +118,7 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.SelectorExpr:
-			// Buffering into tx.logged defers the append to Commit, which
+			// Buffering into tx.logged defers the append to Publish, which
 			// re-checks the ordering there; treat it as the log step.
 			if key, ok := lintutil.FieldKey(pass.TypesInfo, t); ok && key == sqldbPath+".Tx.logged" && firstLog == token.NoPos {
 				firstLog = t.Pos()

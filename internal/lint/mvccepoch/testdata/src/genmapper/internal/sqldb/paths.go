@@ -37,15 +37,15 @@ func (db *DB) execPrepared(installed []*rowVersion) error {
 
 // Publishing before the append would let a snapshot reader observe a
 // commit a crash could erase, audited committer or not.
-func (db *DB) Commit(installed []*rowVersion) error {
+func (db *DB) Publish(installed []*rowVersion) error {
 	db.publishCommit(installed) // want `publishCommit before any WAL append`
 	_, err := db.durable.logCommit(nil)
 	return err
 }
 
-// Buffering into the transaction log defers the append to Commit, which
+// Buffering into the transaction log defers the append to Publish, which
 // re-checks the ordering there.
-func (tx *Tx) Commit(sql string, installed []*rowVersion) {
+func (tx *Tx) Publish(sql string, installed []*rowVersion) {
 	tx.logged = append(tx.logged, logStmt{sql: sql})
 	tx.db.publishCommit(installed)
 }

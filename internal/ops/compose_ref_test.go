@@ -89,27 +89,6 @@ func refComposePath(chain [][]gam.Assoc) []gam.Assoc {
 	return acc
 }
 
-// refComposeTree composes a chain in the pairing composeParallel uses:
-// adjacent pairs each round, an odd last list riding up, and a left fold
-// once three or fewer remain. Outside [0, 1] the derived evidence depends
-// on the grouping (a negative score turns the strongest partial result
-// into the weakest), so an executor's path is checked against this
-// grouping and ComposePath against refComposePath.
-func refComposeTree(chain [][]gam.Assoc) []gam.Assoc {
-	for len(chain) > 3 {
-		next := make([][]gam.Assoc, 0, (len(chain)+1)/2)
-		for i := 0; i < len(chain); i += 2 {
-			if i+1 == len(chain) {
-				next = append(next, chain[i])
-			} else {
-				next = append(next, refCompose(chain[i], chain[i+1]))
-			}
-		}
-		chain = next
-	}
-	return refComposePath(chain)
-}
-
 // refEvidence mixes unset (0), asserted 1.0, scores in (0, 1) and values
 // outside [0, 1]. The scores are multiples of 1/8, so the product of a
 // few is exact and every grouping of a composition gives the same
@@ -279,8 +258,8 @@ func TestComposePathMatchesReference(t *testing.T) {
 
 // TestExecutorMapPathMatchesReference stores generated chains, some
 // mappings in the opposite direction, and checks Executor.MapPath cold,
-// warm and after ReplaceMapping against the reference in the executor's
-// grouping, and ops.MapPath against the left fold.
+// warm and after ReplaceMapping, and ops.MapPath, against the reference
+// left fold: the two derive the same evidence even outside [0, 1].
 func TestExecutorMapPathMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -331,7 +310,7 @@ func TestExecutorMapPathMatchesReference(t *testing.T) {
 		e := NewExecutor(repo)
 		check := func(when string) {
 			t.Helper()
-			want, wantFold := refComposeTree(chain), refComposePath(chain)
+			want := refComposePath(chain)
 			got, err := e.MapPath(path)
 			if err != nil {
 				t.Fatal(err)
@@ -343,8 +322,8 @@ func TestExecutorMapPathMatchesReference(t *testing.T) {
 			if !slices.Equal(got.Assocs, want) {
 				t.Fatalf("seed %d, %d hops, %s:\n got %v\nwant %v", seed, hops, when, got.Assocs, want)
 			}
-			if !slices.Equal(plain.Assocs, wantFold) {
-				t.Fatalf("seed %d, %d hops, %s: ops.MapPath\n got %v\nwant %v", seed, hops, when, plain.Assocs, wantFold)
+			if !slices.Equal(plain.Assocs, want) {
+				t.Fatalf("seed %d, %d hops, %s: ops.MapPath\n got %v\nwant %v", seed, hops, when, plain.Assocs, want)
 			}
 		}
 		check("cold")
@@ -426,7 +405,7 @@ var composeSink *Mapping
 // BenchmarkCompose times ComposePath's left fold of Compose over generated
 // chains of 2 to 4 mappings, 2 000 objects a source and about 3
 // associations an object, with scored and unset evidence. "shared"
-// operands are cached by an executor, as composeParallel meets them;
+// operands are cached by an executor, as its MapPath meets them;
 // "private" ones are in the order their caller built them.
 func BenchmarkCompose(b *testing.B) {
 	for _, hops := range []int{2, 3, 4} {

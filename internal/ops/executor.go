@@ -1,6 +1,6 @@
 // Mapping-path execution engine. The plain ops.MapPath loads and composes
 // every mapping from the SQL layer on each call; the Executor turns the
-// same operation into a cached, parallel pipeline so that repeated
+// same operation into a cached pipeline so that repeated
 // annotation queries (the paper's dominant workload, §5.1) hit memory:
 //
 //   - loaded edge mappings and composed path results live in a bounded
@@ -13,8 +13,8 @@
 //   - on a path-cache miss, the per-edge associations of all uncached
 //     edges are fetched in one batched SQL round-trip
 //     (Repo.AssociationsBatch) instead of one query per edge, and the
-//     edge mappings are composed by parallel pairwise tree reduction
-//     across a worker pool instead of a sequential left fold;
+//     edge mappings are composed by ComposePath's left fold, so a path
+//     derives the same evidence here as through ops.MapPath;
 //   - cached mappings are shared, never copied on a hit: Resolver and
 //     MapPathShared hand them out read-only, Compose joins through the
 //     grouping a shared mapping keeps and GenerateView through its domain
@@ -24,7 +24,6 @@ package ops
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strconv"
 	"sync"
 
@@ -41,9 +40,6 @@ type ExecutorConfig struct {
 	// Capacity is the maximum number of cached mappings (edges and
 	// composed paths together). <= 0 selects DefaultCacheCapacity.
 	Capacity int
-	// Workers bounds the compose worker pool. <= 0 selects GOMAXPROCS.
-	// This is a local pool bound; it does not affect the storage engine.
-	Workers int
 }
 
 // CacheStats reports executor cache effectiveness.
@@ -54,10 +50,9 @@ type CacheStats struct {
 }
 
 // Executor executes mapping-path queries against a repository with
-// caching and parallel composition. It is safe for concurrent use.
+// caching. It is safe for concurrent use.
 type Executor struct {
-	repo    *gam.Repo
-	workers int
+	repo *gam.Repo
 
 	mu     sync.Mutex
 	lru    *cache.LRU[string, *cacheEntry]
@@ -80,13 +75,9 @@ func NewExecutorConfig(repo *gam.Repo, cfg ExecutorConfig) *Executor {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = DefaultCacheCapacity
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	return &Executor{
-		repo:    repo,
-		workers: cfg.Workers,
-		lru:     cache.New[string, *cacheEntry](cfg.Capacity),
+		repo: repo,
+		lru:  cache.New[string, *cacheEntry](cfg.Capacity),
 	}
 }
 
@@ -237,7 +228,7 @@ func edgeMapping(s, t gam.SourceID, rel *gam.SourceRel, reversed bool, assocs []
 	return m
 }
 
-// MapPath is the cached, parallel equivalent of ops.MapPath: it loads the
+// MapPath is the cached equivalent of ops.MapPath: it loads the
 // mappings along the source path and composes them into a single mapping
 // from path[0] to path[len-1]. The result is a private copy the caller may
 // mutate.
@@ -266,9 +257,12 @@ func (e *Executor) MapPathShared(path []gam.SourceID) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	composed, err := e.composeParallel(maps)
-	if err != nil {
-		return nil, err
+	// A one-edge path is its edge, shared like it, index included.
+	composed := maps[0]
+	for _, next := range maps[1:] {
+		if composed, err = Compose(composed, next); err != nil {
+			return nil, err
+		}
 	}
 	e.put(pkey, gen, composed)
 	return composed, nil
@@ -318,62 +312,6 @@ func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error
 		maps[p.idx] = m
 	}
 	return maps, nil
-}
-
-// composeParallel reduces the edge mappings to a single mapping by
-// pairwise tree reduction: each round composes adjacent pairs concurrently
-// across the worker pool, halving the chain, until one mapping remains.
-// Edge order is preserved and the pairing is fixed, so the result is
-// deterministic. For evidence in [0, 1] it equals the sequential left fold
-// of ComposePath, order included: Compose is associative, its output is
-// sorted, and the strength ordering its duplicate collapse uses (facts
-// outrank scored evidence) makes that collapse grouping-independent.
-// Outside [0, 1] a path of four or more edges can derive other evidence
-// than the fold: a negative score turns the strongest partial result into
-// the weakest.
-func (e *Executor) composeParallel(maps []*Mapping) (*Mapping, error) {
-	if len(maps) == 1 {
-		return maps[0], nil // shared like its edge, index included
-	}
-	sem := make(chan struct{}, e.workers)
-	for len(maps) > 1 {
-		if len(maps) <= 3 {
-			// One compose this round: run it inline, goroutines buy nothing.
-			c, err := Compose(maps[0], maps[1])
-			if err != nil {
-				return nil, err
-			}
-			if len(maps) == 2 {
-				return c, nil
-			}
-			maps = []*Mapping{c, maps[2]}
-			continue
-		}
-		next := make([]*Mapping, (len(maps)+1)/2)
-		errs := make([]error, len(next))
-		var wg sync.WaitGroup
-		for i := 0; i < len(next); i++ {
-			if 2*i+1 == len(maps) {
-				next[i] = maps[2*i] // odd leftover rides up a level
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				next[i], errs[i] = Compose(maps[2*i], maps[2*i+1])
-			}(i)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		maps = next
-	}
-	return maps[0], nil
 }
 
 // Resolver returns a mapping resolver backed by the executor cache: a

@@ -283,7 +283,10 @@ func TestAPIEndpoints(t *testing.T) {
 	if _, ok := mvcc["enabled"]; ok {
 		t.Errorf("sql_mvcc still reports %q: snapshot isolation is the only mode: %v", "enabled", mvcc)
 	}
-	for _, k := range []string{"epoch", "active_snapshots", "commits", "aborts", "conflicts", "vacuum_runs", "versions_vacuumed", "latch_waits", "background_vacuums", "snapshots_aborted"} {
+	if _, ok := mvcc["snapshots_aborted"]; ok {
+		t.Errorf("sql_mvcc still reports %q: there is no snapshot retention budget: %v", "snapshots_aborted", mvcc)
+	}
+	for _, k := range []string{"epoch", "active_snapshots", "commits", "aborts", "conflicts", "vacuum_runs", "versions_vacuumed", "latch_waits", "background_vacuums"} {
 		if _, ok := mvcc[k].(float64); !ok {
 			t.Errorf("sql_mvcc missing %q: %v", k, mvcc)
 		}

@@ -170,7 +170,7 @@ func (s *Stmt) cursorVis(vals []Value, vis visibility) (*dbCursor, error) {
 // transaction makes while the cursor is open may or may not be observed.
 func (tx *Tx) QueryCursor(sql string, args ...any) (Cursor, error) {
 	if tx.done {
-		return nil, fmt.Errorf("sqldb: transaction already finished")
+		return nil, errTxFinished
 	}
 	vals, err := normalizeArgs(args)
 	if err != nil {
@@ -184,10 +184,7 @@ func (tx *Tx) QueryCursor(sql string, args ...any) (Cursor, error) {
 // DB.QueryEach's contract: one statement snapshot and a reused row slice.
 func (tx *Tx) QueryEach(sql string, fn func(row []Value) error, args ...any) error {
 	if tx.done {
-		return fmt.Errorf("sqldb: transaction already finished")
-	}
-	if tx.db.snapRevoked(tx.snap) {
-		return ErrSnapshotTooOld
+		return errTxFinished
 	}
 	vals, err := normalizeArgs(args)
 	if err != nil {
@@ -245,12 +242,6 @@ func (c *dbCursor) Next() ([]Value, error) {
 	if db.gen.Load() != c.gen {
 		c.releaseSnap()
 		return nil, ErrCursorInvalidated
-	}
-	if db.snapRevoked(c.snap) {
-		// The retention budget revoked this cursor's snapshot: the
-		// versions it reads may be vacuumed at any moment.
-		c.releaseSnap()
-		return nil, ErrSnapshotTooOld
 	}
 	row, err := c.inner.step()
 	if row == nil {

@@ -13,13 +13,12 @@ import (
 // DB is an embedded relational database instance. It is safe for concurrent
 // use. Every DB runs under snapshot isolation (see mvcc.go): readers run
 // lock-free against a snapshot epoch, and transactions read the database
-// as of Begin plus their own writes, with first-committer-wins conflicts.
-// Writers run one at a time.
+// as of Begin plus their own writes. Writers run one at a time.
 type DB struct {
 	mu sync.RWMutex
 	// writer admits one writer at a time: an auto-commit statement holds
-	// it for the statement, a transaction from its first write until
-	// Commit or Rollback.
+	// it for the statement, a transaction from Begin until Commit or
+	// Rollback.
 	writer sync.Mutex
 
 	// tables is the copy-on-write catalog: the map value is immutable and
@@ -45,12 +44,9 @@ type DB struct {
 	snaps            snapTracker
 	mvccCommits      atomic.Uint64
 	mvccAborts       atomic.Uint64
-	mvccConflicts    atomic.Uint64
 	vacuumRuns       atomic.Uint64
 	versionsVacuumed atomic.Uint64
 	bgVacuums        atomic.Uint64
-	snapsAborted     atomic.Uint64
-	retention        atomic.Int64 // snapshot retention budget, ns (0 = unbounded)
 
 	// Background vacuum goroutine state (see mvcc.go). vacMu guards the
 	// handle and interval; the goroutine runs while some table carries
@@ -195,11 +191,9 @@ func (p *prepared) validateExec(vals []Value, txnControlErr string) error {
 }
 
 // newWriteCtx builds the write context for one auto-commit statement or
-// replayed log record. The snapshot is captured while holding the writer
-// lock and exclusive db.mu, so it is the latest epoch and the write can
-// never conflict.
+// replayed log record.
 func (db *DB) newWriteCtx() *writeCtx {
-	return &writeCtx{tx: db.txSeq.Add(1), snap: db.epoch.Load()}
+	return &writeCtx{tx: db.txSeq.Add(1)}
 }
 
 // execPrepared runs a non-SELECT prepared statement as one auto-commit
@@ -572,9 +566,6 @@ func (db *DB) executeUpdate(p *updatePlan, args []Value, undo *undoLog, w *write
 		}
 		ver, added, err := t.updateRow(w, id, next)
 		if err != nil {
-			if errors.Is(err, ErrWriteConflict) {
-				db.mvccConflicts.Add(1)
-			}
 			return Result{}, err
 		}
 		undo.add(updateUndo{table: t.Name, rowID: id, ver: ver, added: added})
@@ -589,20 +580,9 @@ func (db *DB) executeDelete(p *deletePlan, args []Value, undo *undoLog, w *write
 		return Result{}, err
 	}
 	t := p.t
-	vis := w.vis()
 	var res Result
 	for _, id := range ids {
-		if t.get(id, vis) == nil {
-			continue
-		}
-		ver, err := t.deleteRow(w, id)
-		if err != nil {
-			if errors.Is(err, ErrWriteConflict) {
-				db.mvccConflicts.Add(1)
-			}
-			return Result{}, err
-		}
-		if ver != nil {
+		if ver := t.deleteRow(w, id); ver != nil {
 			undo.add(deleteUndo{table: t.Name, rowID: id, ver: ver})
 			res.RowsAffected++
 		}
@@ -691,11 +671,11 @@ func (db *DB) executeDropIndex(st *DropIndexStmt, undo *undoLog) (Result, error)
 // ---------------------------------------------------------------------------
 // Transactions
 
-// Tx is a transaction under snapshot isolation: reads observe the
-// database as of Begin (plus its own writes), the writer lock is acquired
-// lazily at the first write statement and held until Commit or Rollback,
-// and writes to rows committed after the snapshot fail with
-// ErrWriteConflict (first committer wins) — roll back and retry.
+// Tx is a transaction. Begin takes the writer lock and only then
+// captures the snapshot, so no commit lands between the transaction's
+// reads and its writes: it reads the database as of Begin plus its own
+// writes, and that is the newest committed state until it commits. It
+// holds the writer lock until Commit or Rollback.
 type Tx struct {
 	db   *DB
 	undo *undoLog
@@ -705,17 +685,24 @@ type Tx struct {
 	// recovery replays the transaction atomically or not at all.
 	logged []logStmt
 
-	// The Begin snapshot, the provisional-version stamp, the versions
-	// installed so far, and whether the writer lock is held yet.
-	id         uint64
-	snap       uint64
-	installed  []*rowVersion
-	writerHeld bool
+	// The Begin snapshot, the provisional-version stamp and the versions
+	// installed so far.
+	id        uint64
+	snap      uint64
+	installed []*rowVersion
+	// published is set from Publish to Commit: the transaction takes no
+	// more statements but still holds the writer lock. lsn is the log
+	// record Publish appended (0 for none), which Commit waits for.
+	published bool
+	lsn       uint64
 }
 
-// Begin opens a transaction. It only captures a snapshot: read-only
-// transactions never serialize with anything.
+// Begin opens a transaction. Like SQLite's BEGIN IMMEDIATE it takes the
+// writer lock first, waiting for an open transaction to finish, and then
+// captures its snapshot. A read that must not wait for a writer takes a
+// snapshot of its own instead (Query, QueryCursor).
 func (db *DB) Begin() *Tx {
+	db.writer.Lock()
 	return &Tx{
 		db:   db,
 		undo: &undoLog{},
@@ -724,47 +711,33 @@ func (db *DB) Begin() *Tx {
 	}
 }
 
+// errTxFinished is returned by a call on a transaction that can no longer
+// take it.
+var errTxFinished = errors.New("sqldb: transaction already finished")
+
 // Exec runs a write statement inside the transaction. Statements go through
 // the database's shared statement cache, so a transaction re-issuing the
 // same shapes as the non-transactional path parses nothing anew.
 func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 	if tx.done {
-		return Result{}, fmt.Errorf("sqldb: transaction already finished")
+		return Result{}, errTxFinished
 	}
 	vals, err := normalizeArgs(args)
 	if err != nil {
 		return Result{}, err
 	}
 	db := tx.db
-	if db.snapRevoked(tx.snap) {
-		return Result{}, ErrSnapshotTooOld
-	}
-	// Preparation is lock-free, so a statement Exec cannot run fails
-	// before it could wait for the writer lock.
-	s := db.stmts.get(db, sql)
-	p, err := s.ensure(db)
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	p, err := db.stmts.get(db, sql).ensure(db)
 	if err != nil {
 		return Result{}, err
 	}
 	if err := p.validateExec(vals, errTxnControlTx); err != nil {
 		return Result{}, err
 	}
-	if !tx.writerHeld {
-		// First write: until Commit or Rollback no other writer runs, so
-		// the WAL's commit order is the order writes happened in (see
-		// mvcc.go). The snapshot stays at Begin — commits that landed in
-		// between are exactly what conflictCheck detects.
-		db.writer.Lock()
-		tx.writerHeld = true
-	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	p, err = s.ensure(db)
-	if err != nil {
-		return Result{}, err
-	}
 	// The statement installs straight into the transaction's version list.
-	w := &writeCtx{tx: tx.id, snap: tx.snap, installed: tx.installed}
+	w := &writeCtx{tx: tx.id, installed: tx.installed}
 	// Statements are atomic within the transaction: a failure unwinds the
 	// statement's own changes immediately (not at Rollback), so a caller
 	// that ignores the error and commits anyway commits exactly the
@@ -791,10 +764,7 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 // everything the transaction did not touch.
 func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 	if tx.done {
-		return nil, fmt.Errorf("sqldb: transaction already finished")
-	}
-	if tx.db.snapRevoked(tx.snap) {
-		return nil, ErrSnapshotTooOld
+		return nil, errTxFinished
 	}
 	vals, err := normalizeArgs(args)
 	if err != nil {
@@ -808,60 +778,69 @@ func (tx *Tx) vis() visibility {
 	return visibility{snap: tx.snap, tx: tx.id, lockRows: true}
 }
 
-// Commit makes the transaction's changes permanent. On a durable database
-// it appends the transaction's statements as one log record while still
-// holding the writer lock (log order == commit order) and then waits for
-// the record to reach stable storage per the fsync policy; the wait
-// happens after the lock is released, so concurrent committers are
-// acknowledged by a shared fsync (group commit). The transaction's
-// provisional versions are published — stamped with the commit epoch,
-// which is advanced last — strictly after the append, so snapshot readers
-// can never observe a commit the log does not contain. A snapshot revoked
-// by the retention budget aborts instead: over-budget transactions do not
-// commit.
-func (tx *Tx) Commit() error {
+// Publish is the first step of Commit. It appends the transaction's
+// statements as one log record on a durable database and then publishes
+// its versions — stamped with the commit epoch, which is advanced last —
+// so snapshot readers can never observe a commit the log does not
+// contain. The transaction takes no further statement, but it keeps the
+// writer lock until Commit, so a caller can make state derived from the
+// commit visible before the next writer begins. A Publish that fails has
+// rolled the transaction back.
+func (tx *Tx) Publish() error {
 	if tx.done {
-		return fmt.Errorf("sqldb: transaction already finished")
+		return errTxFinished
 	}
 	db := tx.db
-	if db.snapRevoked(tx.snap) {
-		tx.abort()
-		return ErrSnapshotTooOld
-	}
-	var lsn uint64
 	if d := db.durable; d != nil && len(tx.logged) > 0 {
-		var err error
-		if lsn, err = d.logCommit(tx.logged); err != nil {
+		lsn, err := d.logCommit(tx.logged)
+		if err != nil {
 			// The log is unavailable: the transaction cannot be made
 			// durable, so it must not become visible either.
 			tx.abort()
 			return err
 		}
+		tx.lsn = lsn
 	}
 	if len(tx.installed) > 0 {
 		db.mu.Lock()
 		db.publishCommit(tx.installed)
 		db.mu.Unlock()
 	}
+	tx.done, tx.published = true, true
+	return nil
+}
+
+// Commit makes the transaction's changes permanent: it publishes them
+// (Publish) unless the caller already did, releases the writer lock, and
+// then waits for the log record to reach stable storage per the fsync
+// policy. The wait happens after the lock is released, so concurrent
+// committers are acknowledged by a shared fsync (group commit). When the
+// wait fails the changes are already visible; the error says they may not
+// survive a crash.
+func (tx *Tx) Commit() error {
+	if !tx.published {
+		if err := tx.Publish(); err != nil {
+			return err
+		}
+	}
+	tx.published = false
+	lsn := tx.lsn
 	tx.finish()
-	if d := db.durable; d != nil && lsn != 0 {
-		return d.wait(lsn)
+	if lsn != 0 {
+		return tx.db.durable.wait(lsn)
 	}
 	return nil
 }
 
-// finish releases the transaction's writer lock (if it took one) and its
-// snapshot registration.
+// finish releases the transaction's writer lock and its snapshot
+// registration.
 func (tx *Tx) finish() {
 	tx.done = true
 	tx.undo = nil
 	tx.logged = nil
 	tx.installed = nil
-	if tx.writerHeld {
-		tx.db.writer.Unlock()
-		tx.writerHeld = false
-	}
 	tx.db.snaps.release(tx.snap)
+	tx.db.writer.Unlock()
 }
 
 // Rollback reverts every change made in the transaction. Nothing reaches
@@ -870,7 +849,7 @@ func (tx *Tx) finish() {
 // unlinked before the writer lock is released.
 func (tx *Tx) Rollback() error {
 	if tx.done {
-		return fmt.Errorf("sqldb: transaction already finished")
+		return errTxFinished
 	}
 	tx.abort()
 	return nil

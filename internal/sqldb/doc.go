@@ -61,26 +61,24 @@
 //     wedges the writer and every reader of that table (checked by
 //     gmlint's partlock).
 //
-//  8. Version visibility flows through the epoch. Storage is version
-//     chains; a chain's head may carry a provisional
-//     version (beg = provisionalBit|txID), visible only to its writing
-//     transaction, above committed versions ordered newest-first by
-//     commit epoch. A reader resolves the newest version with
-//     beg <= its snapshot epoch; the snapshot is captured through
-//     snapTracker.acquire so vacuum can never reclaim below a live
+//  8. Version visibility flows through the epoch. A chain's head may
+//     carry a provisional version (beg = provisionalBit|txID), visible
+//     only to its writing transaction, above committed versions ordered
+//     newest-first by commit epoch. A reader resolves the newest version
+//     with beg <= its snapshot epoch, captured through
+//     snapTracker.acquire so vacuum never reclaims below a live
 //     snapshot. Versions are installed with writeCtx.stamp() and become
-//     visible ONLY via publishCommit — which stamps the commit epoch
-//     and advances db.epoch last (the release fence), strictly after
-//     the commit's WAL append (recovery replay publishes records it
-//     read from the log) — or are unlinked by rollback. gmlint's
-//     mvccepoch checks the publication sites and the append-before-
-//     publish order.
+//     visible ONLY via publishCommit — which stamps the commit epoch and
+//     advances db.epoch last (the release fence), strictly after the
+//     commit's WAL append (recovery replay publishes records it read
+//     from the log) — or are unlinked by rollback. gmlint's mvccepoch
+//     checks the publication sites and the append-before-publish order.
 //
-//  9. One writer at a time. Every write statement holds writer — an
-//     auto-commit statement for itself, a transaction from its first
-//     write until Commit or Rollback — and runs under the exclusive mu.
-//     The WAL replays whole commits serially, so WAL order = commit
-//     order = publication order; a second writer that overlapped an
-//     open transaction would make serial replay diverge from the live
-//     execution (TestMVCCMultiWriterOpenTxReplay).
+//  9. One writer at a time, taken at Begin. Every write statement holds
+//     writer — an auto-commit statement for itself, a transaction from
+//     Begin, before it captures its snapshot, until Commit or Rollback —
+//     and runs under the exclusive mu. WAL order = commit order =
+//     publication order, which serial replay needs
+//     (TestMVCCMultiWriterOpenTxReplay), and no commit lands between a
+//     transaction's reads and its writes.
 package sqldb

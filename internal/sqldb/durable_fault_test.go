@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -486,7 +485,7 @@ func TestMVCCMultiWriterWALEquivalenceConflict(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				_, err := db.Exec("UPDATE t SET n = ? WHERE id = ?", w*1000+i, i%8)
-				if err != nil && !isWriteConflict(err) {
+				if err != nil {
 					errs <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
@@ -624,9 +623,4 @@ func TestCreateIndexCoversProvisionalVersions(t *testing.T) {
 	}
 	defer rec.Close()
 	check("recovered", rec)
-}
-
-// isWriteConflict reports whether err is (or wraps) ErrWriteConflict.
-func isWriteConflict(err error) bool {
-	return errors.Is(err, ErrWriteConflict)
 }

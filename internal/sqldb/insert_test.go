@@ -49,11 +49,12 @@ func objectRelRows(n int, tagPrefix string) (string, []any) {
 }
 
 // insertModes runs fn on a fresh object_rel database, once plain
-// ("mvcc=false") and once beside a reader whose snapshot predates every
-// row ("mvcc=true"). The reader must still see an empty table when fn is
-// done. The "mvcc=" and "parts=1" labels predate the deletion of lock mode
-// and of partitioned storage; they are kept so the recorded test names
-// stay stable until the subtests are renamed together (ROADMAP item 4).
+// ("mvcc=false") and once beside a cursor whose snapshot predates every
+// row ("mvcc=true"). The cursor must still count an empty table when fn
+// is done. The "mvcc=" and "parts=1" labels predate the deletion of lock
+// mode and of partitioned storage; they are kept so the recorded test
+// names stay stable until the subtests are renamed together (ROADMAP
+// item 4).
 func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 	for _, pinned := range []bool{false, true} {
 		t.Run(fmt.Sprintf("mvcc=%v/parts=1", pinned), func(t *testing.T) {
@@ -66,14 +67,17 @@ func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 				fn(t, db)
 				return
 			}
-			reader := db.Begin()
-			defer reader.Rollback()
-			fn(t, db)
-			rs, err := reader.Query("SELECT COUNT(*) FROM object_rel")
+			reader, err := db.QueryCursor("SELECT COUNT(*) FROM object_rel")
 			if err != nil {
 				t.Fatal(err)
 			}
-			if n := rs.Rows[0][0]; n != int64(0) {
+			defer reader.Close()
+			fn(t, db)
+			row, err := reader.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := row[0]; n != int64(0) {
 				t.Fatalf("a snapshot older than every row sees %v rows", n)
 			}
 		})

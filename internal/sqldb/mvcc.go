@@ -11,18 +11,18 @@ package sqldb
 // synchronizing only on the row-map lock held long enough to copy version
 // pointers out of the map. There is one writer at a time: every write
 // statement holds db.writer — an auto-commit statement for itself, a
-// transaction from its first write until Commit or Rollback — and runs
-// under the exclusive db.mu. The logical WAL replays statements in commit
-// order, so writes must happen in that same order to keep a live database
+// transaction from Begin, before its snapshot is taken, until Commit or
+// Rollback — and runs under the exclusive db.mu. A transaction therefore
+// writes on the state it read: no commit lands between its snapshot and
+// its writes. The logical WAL replays statements in commit order, so
+// writes must happen in that same order to keep a live database
 // byte-identical to a recovered one: WAL order = commit order =
 // publication order. Provisional versions are stamped with the writing
 // transaction's ID and published only AFTER the WAL append
 // (publishCommit), so a crash can never leave an acknowledged-but-unlogged
 // commit and a reader can never observe a mid-statement or mid-transaction
 // state: a commit is visible whole or not at all. Rollback unlinks the
-// provisional versions. First-committer-wins conflict detection raises
-// ErrWriteConflict when a transaction writes a row whose newest committed
-// version postdates the transaction's snapshot, taken at Begin.
+// provisional versions.
 //
 // Version reclamation: a commit that leaves version history (an UPDATE's
 // superseded version, a DELETE's tombstone) starts the background vacuum
@@ -32,30 +32,14 @@ package sqldb
 // nothing to reclaim owns no goroutine (and an unreferenced one can be
 // collected). DB.Close stops it; the public Vacuum does the same work on
 // demand. Vacuum runs under db.writer + exclusive db.mu, which excludes
-// writers, checkpoints, and commit publication. A retention budget
-// (setSnapshotRetention) bounds how long a snapshot may pin the horizon:
-// older registrations are revoked, their owners' next operation fails
-// with ErrSnapshotTooOld, and the horizon advances.
+// writers, checkpoints, and commit publication. An open snapshot pins
+// the horizon until it is released.
 
 import (
-	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// ErrWriteConflict is returned by write statements inside a transaction
-// when a row they target was committed by another transaction after this
-// transaction's snapshot was taken. The transaction should be rolled back
-// and retried. Auto-commit statements never conflict: they read the
-// newest committed state while holding the writer lock.
-var ErrWriteConflict = errors.New("sqldb: write conflict (row committed after transaction snapshot); retry the transaction")
-
-// ErrSnapshotTooOld is returned by transactions and cursors whose
-// snapshot was revoked by the retention budget (setSnapshotRetention):
-// the versions the snapshot pinned may since have been vacuumed. The
-// transaction must be rolled back and retried on a fresh snapshot.
-var ErrSnapshotTooOld = errors.New("sqldb: snapshot too old (exceeded the snapshot retention budget); retry on a fresh snapshot")
 
 // provisionalBit marks a version's beg stamp as "uncommitted": the low
 // bits then carry the writing transaction's ID instead of a commit epoch.
@@ -147,8 +131,7 @@ func chainHasKey(v *rowVersion, col int, key Value) bool {
 // writeCtx carries one write statement's transaction context through the
 // executor into storage.
 type writeCtx struct {
-	tx   uint64 // provisional stamp for installed versions
-	snap uint64 // first-committer-wins conflict horizon
+	tx uint64 // provisional stamp for installed versions
 	// installed accumulates the provisional versions this statement (or
 	// transaction) created, in install order; publishCommit stamps them
 	// with the commit epoch, rollback unlinks them via the undo log.
@@ -170,76 +153,43 @@ func (w *writeCtx) stamp() uint64 { return provisionalBit | w.tx }
 // ---------------------------------------------------------------------------
 // Snapshot tracking
 
-// snapEntry is the bookkeeping for one active snapshot epoch: how many
-// registrations share it and when the earliest of them was acquired (the
-// timestamp the retention budget is enforced against; zero until a
-// budget applies, see acquire and revokeOlder).
-type snapEntry struct {
-	n  int
-	at time.Time
-}
-
-// snapTracker is the multiset of active snapshot epochs: statements,
-// cursors and transactions register on start and release on finish, and
-// vacuum reclaims only below the oldest registered epoch. The retention
-// budget revokes registrations that outstay their welcome: a revoked
-// epoch stops pinning the vacuum horizon, and its owners observe
-// ErrSnapshotTooOld on their next operation. Entries are stored by value,
-// so registering a fresh epoch allocates nothing.
+// snapTracker is the multiset of active snapshot epochs (epoch →
+// registrations): statements, cursors and transactions register on start
+// and release on finish, and vacuum reclaims only below the oldest
+// registered epoch.
 type snapTracker struct {
-	mu      sync.Mutex
-	active  map[uint64]snapEntry
-	revoked map[uint64]int // registrations revoked but not yet released
+	mu     sync.Mutex
+	active map[uint64]int
 }
 
 // acquire registers a snapshot at the database's current epoch and
 // returns it. The epoch is read under the tracker lock, so vacuum — which
 // computes its horizon under the same lock — can never miss a snapshot
-// that was captured before the horizon was fixed. The clock is read only
-// while a retention budget is set: every statement registers, and most
-// databases never set one.
+// that was captured before the horizon was fixed.
 func (s *snapTracker) acquire(db *DB) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := db.epoch.Load()
 	if s.active == nil {
-		s.active = make(map[uint64]snapEntry)
+		s.active = make(map[uint64]int)
 	}
-	ent := s.active[e]
-	if ent.n == 0 && db.retention.Load() != 0 {
-		ent.at = time.Now()
-	}
-	ent.n++
-	s.active[e] = ent
+	s.active[e]++
 	return e
 }
 
-// release drops one registration of epoch e, consuming a revocation
-// instead when the registration was already aborted by the retention
-// budget (so a revoked-then-released snapshot does not leak bookkeeping).
+// release drops one registration of epoch e.
 func (s *snapTracker) release(e uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ent, ok := s.active[e]; ok {
-		if ent.n <= 1 {
-			delete(s.active, e)
-		} else {
-			ent.n--
-			s.active[e] = ent
-		}
-		return
-	}
-	if n := s.revoked[e]; n > 0 {
-		if n == 1 {
-			delete(s.revoked, e)
-		} else {
-			s.revoked[e] = n - 1
-		}
+	if s.active[e] <= 1 {
+		delete(s.active, e)
+	} else {
+		s.active[e]--
 	}
 }
 
 // oldest returns the oldest active snapshot epoch, or def when none is
-// registered. Revoked registrations no longer pin the horizon.
+// registered.
 func (s *snapTracker) oldest(def uint64) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -257,70 +207,10 @@ func (s *snapTracker) count() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for _, ent := range s.active {
-		n += ent.n
+	for _, c := range s.active {
+		n += c
 	}
 	return n
-}
-
-// revokeOlder aborts every registration acquired before cutoff at an
-// epoch older than cur, returning how many were revoked. Snapshots AT the
-// current epoch pin nothing reclaimable (no commit has superseded them),
-// so they are left alone no matter their age. An entry registered before
-// the budget was set has no timestamp yet: its age is counted from now.
-func (s *snapTracker) revokeOlder(cutoff time.Time, cur uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for e, ent := range s.active {
-		if e >= cur {
-			continue
-		}
-		if ent.at.IsZero() {
-			ent.at = time.Now()
-			s.active[e] = ent
-			continue
-		}
-		if !ent.at.Before(cutoff) {
-			continue
-		}
-		if s.revoked == nil {
-			s.revoked = make(map[uint64]int)
-		}
-		s.revoked[e] += ent.n
-		n += ent.n
-		delete(s.active, e)
-	}
-	return n
-}
-
-// isRevoked reports whether epoch e has outstanding revoked
-// registrations (the owner should fail with ErrSnapshotTooOld).
-func (s *snapTracker) isRevoked(e uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.revoked[e] > 0
-}
-
-// snapRevoked reports whether the snapshot was aborted by the retention
-// budget. The retention atomic gates the tracker lock so the check is a
-// single atomic load on databases that never set a budget (every cursor
-// step runs it).
-func (db *DB) snapRevoked(snap uint64) bool {
-	return db.retention.Load() != 0 && db.snaps.isRevoked(snap)
-}
-
-// setSnapshotRetention bounds how long a snapshot (a transaction's or a
-// cursor's) may pin the vacuum horizon. Registrations older than the
-// budget are revoked by the background vacuum's next pass: their owners'
-// next operation fails with ErrSnapshotTooOld, and version chains above
-// the revoked horizon become reclaimable. A zero (or negative) budget —
-// the default — never revokes. Tests use it to exercise revocation.
-func (db *DB) setSnapshotRetention(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	db.retention.Store(int64(d))
 }
 
 // ---------------------------------------------------------------------------
@@ -456,9 +346,9 @@ func (db *DB) retireVacuumer(v *vacuumer, commits uint64) bool {
 	return true
 }
 
-// vacuumLoop is the background vacuum goroutine: every tick it enforces
-// the snapshot retention budget and reclaims versions below the oldest
-// live snapshot, and it exits once nothing is left to reclaim.
+// vacuumLoop is the background vacuum goroutine: every tick it reclaims
+// versions below the oldest live snapshot, and it exits once nothing is
+// left to reclaim.
 func (db *DB) vacuumLoop(v *vacuumer, interval time.Duration) {
 	defer close(v.done)
 	t := time.NewTicker(interval)
@@ -478,24 +368,16 @@ func (db *DB) vacuumLoop(v *vacuumer, interval time.Duration) {
 	}
 }
 
-// vacuumTick runs one background pass: revoke over-budget snapshots, then
-// vacuum — but only when a commit, an abort or a snapshot release since
-// the previous pass (last) can have made something reclaimable. It returns
-// the mark the pass ran at.
+// vacuumTick runs one background vacuum pass, but only when a commit, an
+// abort or a snapshot release since the previous pass (last) can have
+// made something reclaimable. It returns the mark the pass ran at.
 func (db *DB) vacuumTick(last vacuumMark) vacuumMark {
-	revoked := 0
-	if ret := time.Duration(db.retention.Load()); ret > 0 {
-		revoked = db.snaps.revokeOlder(time.Now().Add(-ret), db.epoch.Load())
-		if revoked > 0 {
-			db.snapsAborted.Add(uint64(revoked))
-		}
-	}
 	m := vacuumMark{
 		commits: db.mvccCommits.Load(),
 		aborts:  db.mvccAborts.Load(),
 		horizon: db.snaps.oldest(db.epoch.Load()),
 	}
-	if m == last && revoked == 0 {
+	if m == last {
 		return m
 	}
 	db.writer.Lock()
@@ -536,7 +418,7 @@ func (db *DB) Vacuum() int {
 // vacuumLocked trims version chains below the oldest active snapshot.
 // Caller holds db.writer and exclusive db.mu, which excludes writers,
 // commit publication and checkpoints; a transaction holds db.writer from
-// its first write, so no provisional version exists during a pass.
+// Begin, so no provisional version exists during a pass.
 func (db *DB) vacuumLocked() int {
 	horizon := db.snaps.oldest(db.epoch.Load())
 	reclaimed := 0
@@ -551,10 +433,16 @@ func (db *DB) vacuumLocked() int {
 // MVCCStats is a snapshot of the MVCC subsystem (served as sql_mvcc on
 // /api/stats).
 type MVCCStats struct {
-	Epoch            uint64 `json:"epoch"`
-	ActiveSnapshots  int    `json:"active_snapshots"`
-	Commits          uint64 `json:"commits"`
-	Aborts           uint64 `json:"aborts"`
+	Epoch           uint64 `json:"epoch"`
+	ActiveSnapshots int    `json:"active_snapshots"`
+	Commits         uint64 `json:"commits"`
+	Aborts          uint64 `json:"aborts"`
+	// Conflicts counted first-committer-wins write conflicts, which a
+	// transaction that takes the writer at Begin cannot meet. bench/e2e
+	// still reads it; it is deleted when bench/ is next unfrozen
+	// (ROADMAP item 2).
+	//
+	// Deprecated: writers serialize from Begin; this stays zero.
 	Conflicts        uint64 `json:"conflicts"`
 	VacuumRuns       uint64 `json:"vacuum_runs"`
 	VersionsVacuumed uint64 `json:"versions_vacuumed"`
@@ -567,9 +455,6 @@ type MVCCStats struct {
 	// BackgroundVacuums counts passes run by the background goroutine
 	// (VacuumRuns additionally includes explicit Vacuum calls).
 	BackgroundVacuums uint64 `json:"background_vacuums"`
-	// SnapshotsAborted counts registrations revoked by the retention
-	// budget (their owners observe ErrSnapshotTooOld).
-	SnapshotsAborted uint64 `json:"snapshots_aborted"`
 }
 
 // MVCCStats returns the MVCC counters.
@@ -579,11 +464,9 @@ func (db *DB) MVCCStats() MVCCStats {
 		ActiveSnapshots:   db.snaps.count(),
 		Commits:           db.mvccCommits.Load(),
 		Aborts:            db.mvccAborts.Load(),
-		Conflicts:         db.mvccConflicts.Load(),
 		VacuumRuns:        db.vacuumRuns.Load(),
 		VersionsVacuumed:  db.versionsVacuumed.Load(),
 		BackgroundVacuums: db.bgVacuums.Load(),
-		SnapshotsAborted:  db.snapsAborted.Load(),
 	}
 }
 

@@ -57,9 +57,8 @@ func BenchmarkMVCCGroupBy(b *testing.B) {
 	}
 }
 
-// Writer path: provisional install, first-committer-wins check, epoch
-// publication, with the background vacuum goroutine running as it would
-// in production.
+// Writer path: provisional install and epoch publication, with the
+// background vacuum goroutine running as it would in production.
 func BenchmarkMVCCUpdateRow(b *testing.B) {
 	db := benchDB(b, 10000)
 	b.ReportAllocs()

@@ -301,16 +301,11 @@ func (t *Table) get(id int64, vis visibility) []Value {
 // deleteRow installs a deletion tombstone over the row's chain:
 // the row map entry, ID-slice entries and index entries all stay (old
 // snapshots still resolve the prior version) until vacuum reclaims them.
-// First-committer-wins: a newest committed version past the writer's
-// snapshot fails with ErrWriteConflict.
-func (t *Table) deleteRow(w *writeCtx, id int64) (*rowVersion, error) {
+func (t *Table) deleteRow(w *writeCtx, id int64) *rowVersion {
 	head := t.rows[id] // raw read: the writer holds the database exclusively
 
 	if head.resolve(w.vis()) == nil {
-		return nil, nil // no visible row to delete
-	}
-	if err := w.conflictCheck(head); err != nil {
-		return nil, err
+		return nil // no visible row to delete
 	}
 	ver := &rowVersion{} // row == nil: tombstone
 	ver.beg.Store(w.stamp())
@@ -319,22 +314,7 @@ func (t *Table) deleteRow(w *writeCtx, id int64) (*rowVersion, error) {
 	t.live.Add(-1)
 	t.histAdd(id)
 	w.installed = append(w.installed, ver)
-	return ver, nil
-}
-
-// conflictCheck applies first-committer-wins: writing a row whose newest
-// version was committed after this transaction's snapshot is a conflict.
-// Chaining onto the transaction's own provisional version is not; a
-// provisional stamp exceeds every snapshot, so any other provisional head
-// would conflict too (with one writer at a time there is none).
-func (w *writeCtx) conflictCheck(head *rowVersion) error {
-	if head == nil {
-		return nil
-	}
-	if b := head.beg.Load(); b > w.snap && b != w.stamp() {
-		return ErrWriteConflict
-	}
-	return nil
+	return ver
 }
 
 // histAdd records that a row now carries version history. Called by
@@ -419,9 +399,6 @@ func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, [
 	old := head.resolve(w.vis())
 	if old == nil {
 		return nil, nil, fmt.Errorf("sqldb: row %d not found in %s", id, t.Name)
-	}
-	if err := w.conflictCheck(head); err != nil {
-		return nil, nil, err
 	}
 	for _, idx := range t.indexMap() {
 		if !idx.Unique {

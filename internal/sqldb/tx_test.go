@@ -1,8 +1,10 @@
 package sqldb
 
 import (
+	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTxCommit(t *testing.T) {
@@ -117,33 +119,79 @@ func TestTxDoubleFinish(t *testing.T) {
 	if _, err := tx.Exec("CREATE TABLE t (x INTEGER)"); err == nil {
 		t.Fatal("exec after commit should fail")
 	}
-}
 
-func TestTxSerializesWriters(t *testing.T) {
-	db := NewDB()
-	mustExec(t, db, "CREATE TABLE t (n INTEGER)")
-	tx := db.Begin()
-	done := make(chan struct{})
-	go func() {
-		// This writer must block until the transaction commits.
-		db.Exec("INSERT INTO t VALUES (1)")
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("concurrent writer did not block on open transaction")
-	default:
-	}
-	if _, err := tx.Exec("INSERT INTO t VALUES (2)"); err != nil {
+	// A published transaction takes no more statements and cannot roll
+	// back; its rows are visible, and Commit finishes it.
+	mustExec(t, db, "CREATE TABLE t (x INTEGER)")
+	tx = db.Begin()
+	if _, err := tx.Exec("INSERT INTO t VALUES (1)"); err != nil {
 		t.Fatal(err)
+	}
+	if err := tx.Publish(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Publish(); err == nil {
+		t.Fatal("double publish should fail")
+	}
+	if _, err := tx.Exec("INSERT INTO t VALUES (2)"); err == nil {
+		t.Fatal("exec after publish should fail")
+	}
+	if _, err := tx.Query("SELECT * FROM t"); err == nil {
+		t.Fatal("query after publish should fail")
+	}
+	if err := tx.Rollback(); err == nil {
+		t.Fatal("rollback after publish should fail")
+	}
+	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t"); got != 1 {
+		t.Fatalf("count after publish = %d, want 1", got)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	<-done
-	rs := mustQuery(t, db, "SELECT COUNT(*) FROM t")
-	if rs.Rows[0][0] != int64(2) {
-		t.Fatalf("count = %v, want 2", rs.Rows[0][0])
+	mustExec(t, db, "INSERT INTO t VALUES (1)") // the writer is free again
+}
+
+// An auto-commit write started after Begin waits for the whole
+// transaction, its reads and writes included, and then runs on what the
+// transaction committed.
+func TestTxSerializesWriters(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, "CREATE TABLE t (n INTEGER)")
+	mustExec(t, db, "INSERT INTO t VALUES (1)")
+	tx := db.Begin()
+	done := make(chan Result, 1)
+	go func() {
+		res, err := db.Exec("UPDATE t SET n = n + 10 WHERE n = 2")
+		if err != nil {
+			t.Error(err)
+		}
+		done <- res
+	}()
+	blocked := func(when string) {
+		t.Helper()
+		select {
+		case <-done:
+			t.Fatalf("auto-commit Exec ran beside the open transaction, %s", when)
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	if got := countRows(t, tx.Query, "SELECT COUNT(*) FROM t"); got != 1 {
+		t.Fatalf("transaction counts %d rows, want 1", got)
+	}
+	blocked("after its read")
+	if _, err := tx.Exec("INSERT INTO t VALUES (2)"); err != nil {
+		t.Fatal(err)
+	}
+	blocked("after its write")
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if res := <-done; res.RowsAffected != 1 {
+		t.Fatalf("the waiting UPDATE changed %d rows, want the transaction's row", res.RowsAffected)
+	}
+	rs := mustQuery(t, db, "SELECT n FROM t ORDER BY n")
+	if got := fmt.Sprint(rs.Rows); got != "[[1] [12]]" {
+		t.Fatalf("rows = %s, want [[1] [12]]", got)
 	}
 }
 

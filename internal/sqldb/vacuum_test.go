@@ -1,7 +1,6 @@
 package sqldb
 
-// Background vacuum, snapshot retention, and snapshot-release regression
-// tests. The leak tests pin the snapshot tracker to zero after every
+// Background vacuum and snapshot-release regression tests. The leak tests pin the snapshot tracker to zero after every
 // failure shape a statement or cursor can take — a leaked registration
 // silently pins the vacuum horizon forever.
 
@@ -93,59 +92,6 @@ func TestUnreferencedDBIsCollected(t *testing.T) {
 		}
 	}
 	t.Fatal("an unreferenced database that committed an UPDATE was never collected")
-}
-
-// A snapshot older than the retention budget is revoked by the background
-// pass: the owning cursor and transaction fail with ErrSnapshotTooOld,
-// the abort is counted, and the horizon advances past the revoked epoch.
-func TestSnapshotRetentionRevokes(t *testing.T) {
-	db := NewDB()
-	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
-	for i := 0; i < 10; i++ {
-		mustExec(t, db, "INSERT INTO t VALUES (?, ?)", i, "v0")
-	}
-	db.setVacuumInterval(2 * time.Millisecond)
-	db.setSnapshotRetention(10 * time.Millisecond)
-
-	// Cursor leg: pin a snapshot, let commits supersede it, outwait the
-	// budget.
-	cur, err := db.QueryCursor("SELECT id FROM t ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
-	}
-	mustExec(t, db, "UPDATE t SET v = 'v1' WHERE id = 0")
-	waitFor(t, "cursor snapshot revocation", func() bool {
-		return db.MVCCStats().SnapshotsAborted > 0
-	})
-	if _, err := cur.Next(); !errors.Is(err, ErrSnapshotTooOld) {
-		t.Fatalf("cursor.Next after revocation = %v, want ErrSnapshotTooOld", err)
-	}
-	cur.Close()
-
-	// Transaction leg: same shape through Tx.Exec and Tx.Commit.
-	aborted := db.MVCCStats().SnapshotsAborted
-	tx := db.Begin()
-	mustExec(t, db, "UPDATE t SET v = 'v2' WHERE id = 1")
-	waitFor(t, "transaction snapshot revocation", func() bool {
-		return db.MVCCStats().SnapshotsAborted > aborted
-	})
-	if _, err := tx.Exec("UPDATE t SET v = 'late' WHERE id = 2"); !errors.Is(err, ErrSnapshotTooOld) {
-		t.Fatalf("tx.Exec after revocation = %v, want ErrSnapshotTooOld", err)
-	}
-	if err := tx.Rollback(); err != nil {
-		t.Fatal(err)
-	}
-	if st := db.MVCCStats(); st.ActiveSnapshots != 0 {
-		t.Fatalf("revoked snapshots still registered: %+v", st)
-	}
-	// With the stale pins gone the background pass reclaims the
-	// superseded versions.
-	waitFor(t, "vacuum past the revoked horizon", func() bool {
-		return db.MVCCStats().VersionsVacuumed > 0
-	})
 }
 
 // Every failure shape a read can take must return the snapshot tracker to

@@ -77,6 +77,12 @@ type FaultFS struct {
 	// Group-commit tests use it to open the window in which concurrent
 	// committers pile up behind one in-flight fsync.
 	SyncDelay time.Duration
+
+	// SyncHook, when set, runs at the start of every Sync, after SyncDelay
+	// and likewise without the filesystem lock. A test can park a commit
+	// inside its fsync by blocking in it; a non-nil return fails that
+	// Sync, which then persists nothing and is not counted as an op.
+	SyncHook func() error
 }
 
 type faultFile struct {
@@ -318,6 +324,11 @@ func (h *faultHandle) Write(p []byte) (int, error) {
 func (h *faultHandle) Sync() error {
 	if d := h.fs.SyncDelay; d > 0 {
 		time.Sleep(d)
+	}
+	if hook := h.fs.SyncHook; hook != nil {
+		if err := hook(); err != nil {
+			return err
+		}
 	}
 	h.fs.mu.Lock()
 	defer h.fs.mu.Unlock()
