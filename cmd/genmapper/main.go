@@ -15,10 +15,20 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"time"
 
 	"genmapper"
 	"genmapper/internal/server"
 	"genmapper/internal/wal"
+)
+
+// Server timeouts bound how long a client may hold a connection without
+// sending a request. There is deliberately no write timeout: an /export
+// streams a whole source and may take longer than any fixed bound.
+const (
+	readHeaderTimeout = 10 * time.Second // request line and headers
+	readTimeout       = time.Minute      // the whole request, body included
+	idleTimeout       = 2 * time.Minute  // between keep-alive requests
 )
 
 func main() {
@@ -72,8 +82,14 @@ func main() {
 		log.Printf("pprof endpoints enabled at /debug/pprof/")
 	}
 	log.Printf("serving %s on %s", st, *addr)
-	h := server.NewWithConfig(sys, server.Config{EnablePprof: *pprofF})
-	if err := http.ListenAndServe(*addr, h); err != nil {
+	srv := &http.Server{
+		Addr:              *addr,
+		Handler:           server.NewWithConfig(sys, server.Config{EnablePprof: *pprofF}),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+	if err := srv.ListenAndServe(); err != nil {
 		log.Fatal(err)
 	}
 }

@@ -600,6 +600,7 @@ func min(a, b int) int {
 }
 
 // ObjectInfo retrieves one object by source name and accession (Figure 6c).
+// The caller owns the returned copy.
 func (s *System) ObjectInfo(source, accession string) (*Object, error) {
 	src := s.repo.SourceByName(source)
 	if src == nil {
@@ -612,5 +613,13 @@ func (s *System) ObjectInfo(source, accession string) (*Object, error) {
 	if id == 0 {
 		return nil, fmt.Errorf("genmapper: no object %q in source %s", accession, source)
 	}
-	return s.repo.Object(id)
+	obj, err := s.repo.Object(id)
+	if err != nil {
+		return nil, err
+	}
+	if obj == nil {
+		return nil, fmt.Errorf("genmapper: dangling object %q in source %s", accession, source)
+	}
+	cp := *obj // the cached row is shared; the caller gets its own
+	return &cp, nil
 }

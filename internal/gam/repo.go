@@ -63,35 +63,17 @@ type Repo struct {
 	nObjects, nAssocs int64
 	byType            map[RelType]int64
 
-	// rows is Object's cache of committed rows. It takes no lock of the
-	// Repo: publish (after a fill) and loadCaches retire it by swapping in
-	// an empty one.
-	rows atomic.Pointer[objectCache]
-}
-
-// objectCache maps object IDs to committed rows, filled by Object's misses.
-type objectCache struct {
-	mu sync.RWMutex
-	m  map[ObjectID]Object
-}
-
-func (c *objectCache) get(id ObjectID) (Object, bool) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	o, ok := c.m[id]
-	return o, ok
-}
-
-func (c *objectCache) put(o Object) {
-	c.mu.Lock()
-	c.m[o.ID] = o
-	c.mu.Unlock()
+	// rows is Object's cache of committed rows: ObjectID -> *Object, each
+	// entry shared and never written after it is stored. It takes no lock
+	// of the Repo: publish (after a fill) and loadCaches retire it by
+	// swapping in an empty map.
+	rows atomic.Pointer[sync.Map]
 }
 
 // retireObjects swaps in an empty object cache. A reader still holding the
 // old one can only install into it, and no later reader loads it.
 func (r *Repo) retireObjects() {
-	r.rows.Store(&objectCache{m: make(map[ObjectID]Object)})
+	r.rows.Store(new(sync.Map))
 }
 
 // Generation returns the mapping-write counter. Any committed change to
@@ -520,20 +502,21 @@ func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]Obje
 	return atomic1(r, func(b *Batch) (map[string]ObjectID, error) { return b.LookupObjects(src, accessions) })
 }
 
-// Object returns the full object row by ID, or nil; the caller owns the
-// returned copy. A committed row is read from the database once and then
-// served from memory, taking no gam lock, until a batch that fills object
-// text (FillMissingObjectInfo) publishes or Reload runs. An absent ID is
-// never cached. A row changed or deleted around gam (through DB) after
-// Object read it keeps being served as read until Reload.
+// Object returns the full object row by ID, or nil. The row is shared
+// with every other caller and read-only: do not write to it, copy it to
+// change it. A committed row is read from the database once and then
+// served from memory, taking no gam lock and allocating nothing, until a
+// batch that fills object text (FillMissingObjectInfo) publishes or
+// Reload runs. An absent ID is never cached. A row changed or deleted
+// around gam (through DB) after Object read it keeps being served as read
+// until Reload.
 func (r *Repo) Object(id ObjectID) (*Object, error) {
 	// Load the cache before the query: a fill that commits in between
 	// retires this cache, so the possibly stale row lands where no later
 	// reader looks.
 	c := r.rows.Load()
-	o, ok := c.get(id)
-	if ok {
-		return &o, nil
+	if o, ok := c.Load(id); ok {
+		return o.(*Object), nil
 	}
 	rs, err := r.db.Query(sqlSelectObjectByID, int64(id))
 	if err != nil {
@@ -542,14 +525,18 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	if len(rs.Rows) == 0 {
 		return nil, nil
 	}
-	fillObject(&o, rs.Rows[0])
-	c.put(o)
-	return &o, nil
+	o := new(Object)
+	fillObject(o, rs.Rows[0])
+	// A racing miss may have stored the same row first; keep its entry,
+	// so every reader of this cache shares one pointer.
+	got, _ := c.LoadOrStore(id, o)
+	return got.(*Object), nil
 }
 
 // ObjectsScanEach streams all objects of a source in storage order (no
 // accession sort) through fn — the cheapest full pass over a source, used
-// by bulk renderers to build lookup maps. The Object passed to fn is
+// by GenerateView to collect a whole source's IDs. It reads the database,
+// not Object's cache, and fills nothing. The Object passed to fn is
 // reused between calls; copy it if kept. The objects are one consistent
 // snapshot; fn must not write to the repository or issue further queries.
 func (r *Repo) ObjectsScanEach(src SourceID, fn func(*Object) error) error {

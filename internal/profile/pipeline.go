@@ -53,11 +53,7 @@ func (p *Pipeline) ProbeAnnotations() (map[string][]string, error) {
 // accessionPairs renders a mapping's associations as accession pairs
 // grouped by domain accession.
 func (p *Pipeline) accessionPairs(m *ops.Mapping) (map[string][]string, error) {
-	accCache := make(map[gam.ObjectID]string)
 	resolve := func(id gam.ObjectID) (string, error) {
-		if s, ok := accCache[id]; ok {
-			return s, nil
-		}
 		obj, err := p.repo.Object(id)
 		if err != nil {
 			return "", err
@@ -65,7 +61,6 @@ func (p *Pipeline) accessionPairs(m *ops.Mapping) (map[string][]string, error) {
 		if obj == nil {
 			return "", fmt.Errorf("profile: dangling object %d", id)
 		}
-		accCache[id] = obj.Accession
 		return obj.Accession, nil
 	}
 	out := make(map[string][]string)

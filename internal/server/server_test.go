@@ -214,6 +214,57 @@ func TestObjectEndpoint(t *testing.T) {
 	}
 }
 
+// An accession whose row was deleted around gam is a 404, not a nil
+// dereference in the handler.
+func TestObjectEndpointDanglingRow(t *testing.T) {
+	sys := testSystem(t)
+	ts := httptest.NewServer(New(sys))
+	t.Cleanup(ts.Close)
+	if _, err := sys.DB().Exec("DELETE FROM object WHERE accession = '353'"); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get(ts.URL + "/object?source=LocusLink&accession=353")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body := readBody(t, resp); resp.StatusCode != http.StatusNotFound || !strings.Contains(body, "dangling object") {
+		t.Fatalf("/object of a deleted row = %d %q", resp.StatusCode, body)
+	}
+}
+
+// ObjectInfo hands out a copy: a caller that writes to it changes neither a
+// later ObjectInfo nor the /object page, both served from gam's cache.
+func TestObjectInfoIsACopy(t *testing.T) {
+	sys := testSystem(t)
+	ts := httptest.NewServer(New(sys))
+	t.Cleanup(ts.Close)
+	page := func() string {
+		resp, err := http.Get(ts.URL + "/object?source=LocusLink&accession=353")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		return readBody(t, resp)
+	}
+	want := page() // fills gam's object cache
+	obj, err := sys.ObjectInfo("LocusLink", "353")
+	if err != nil {
+		t.Fatal(err)
+	}
+	obj.Accession, obj.Text, obj.HasNumber, obj.Number = "mine", "changed", true, 7
+	again, err := sys.ObjectInfo("LocusLink", "353")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again == obj || again.Accession != "353" || again.Text != "adenine phosphoribosyltransferase" || again.HasNumber {
+		t.Fatalf("ObjectInfo after a caller's write = %+v", again)
+	}
+	if got := page(); got != want {
+		t.Fatalf("/object after a caller's write = %s, want %s", got, want)
+	}
+}
+
 func TestPathEndpoint(t *testing.T) {
 	ts := testServer(t)
 	resp, err := http.Get(ts.URL + "/path?from=Hugo&to=GO")

@@ -8,12 +8,16 @@
 // Render materializes a Table, and Stream writes rows to an io.Writer as
 // they are resolved, so an export's memory use stays O(1) in the number of
 // rows and the first byte leaves before the last row is rendered.
+//
+// A cell is resolved through gam.Repo.Object, whose object cache is the
+// only place an object ID becomes a row: a warm render reads the shared
+// rows with no SQL and no map of its own, and a cold one pays one point
+// query per distinct object, once per cache generation.
 package view
 
 import (
 	"encoding/csv"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -41,65 +45,12 @@ type Options struct {
 	NullText string
 }
 
-// renderer resolves object IDs to display cells with a lookup cache shared
-// across the rows of one rendering.
+// renderer resolves object IDs to display cells, each through gam's shared
+// object row (Repo.Object): gam's object cache is the only one.
 type renderer struct {
-	repo  *gam.Repo
-	opts  Options
-	cache map[gam.ObjectID]string
+	repo *gam.Repo
+	opts Options
 }
-
-func newRenderer(repo *gam.Repo, opts Options) *renderer {
-	return &renderer{repo: repo, opts: opts, cache: make(map[gam.ObjectID]string)}
-}
-
-// preloadRowThreshold is the view size above which the renderer bulk-loads
-// the involved sources' objects in one cursor pass per source instead of
-// issuing a point query per distinct object ID. Below it, a handful of
-// point lookups beats scanning whole sources.
-const preloadRowThreshold = 2048
-
-// maybePreload fills the cell cache for every object of the view's
-// source and target sources, one streaming pass per source. A source is
-// only preloaded when its object count is comparable to the number of
-// cells the view will resolve — scanning a multi-million-object source to
-// serve a few thousand rows would cost more than the point lookups it
-// replaces. IDs outside the preloaded sources (or a failed preload) fall
-// back to per-ID lookups in cell.
-func (r *renderer) maybePreload(v *ops.View) {
-	if len(v.Rows) < preloadRowThreshold {
-		return
-	}
-	// A streamed preload row costs a fraction of a point lookup, so cap
-	// each source's pass at a few multiples of the per-column lookup bound
-	// (len(v.Rows)): on a source that dwarfs the view the pass stops
-	// there, the partial cache stays valid, and the remaining IDs fall
-	// back to point lookups.
-	budget := 4 * len(v.Rows)
-	seen := make(map[gam.SourceID]bool, len(v.Targets)+1)
-	for _, src := range append([]gam.SourceID{v.Source}, v.Targets...) {
-		if seen[src] {
-			continue
-		}
-		seen[src] = true
-		scanned := 0
-		_ = r.repo.ObjectsScanEach(src, func(o *gam.Object) error {
-			if scanned >= budget {
-				return errPreloadBudget
-			}
-			scanned++
-			cell := o.Accession
-			if r.opts.WithText && o.Text != "" {
-				cell = o.Accession + " (" + o.Text + ")"
-			}
-			r.cache[o.ID] = cell
-			return nil
-		})
-	}
-}
-
-// errPreloadBudget stops a preload pass that has outgrown its usefulness.
-var errPreloadBudget = errors.New("view: preload budget exhausted")
 
 // header resolves the view's source and target names.
 func (r *renderer) header(v *ops.View) ([]string, error) {
@@ -124,9 +75,6 @@ func (r *renderer) cell(id gam.ObjectID) (string, error) {
 	if id == 0 {
 		return r.opts.NullText, nil
 	}
-	if s, ok := r.cache[id]; ok {
-		return s, nil
-	}
 	obj, err := r.repo.Object(id)
 	if err != nil {
 		return "", err
@@ -134,12 +82,10 @@ func (r *renderer) cell(id gam.ObjectID) (string, error) {
 	if obj == nil {
 		return "", fmt.Errorf("view: dangling object id %d", id)
 	}
-	s := obj.Accession
 	if r.opts.WithText && obj.Text != "" {
-		s = obj.Accession + " (" + obj.Text + ")"
+		return obj.Accession + " (" + obj.Text + ")", nil
 	}
-	r.cache[id] = s
-	return s, nil
+	return obj.Accession, nil
 }
 
 // row resolves one view row into cells (len(cells) == len(row) required).
@@ -156,12 +102,11 @@ func (r *renderer) row(vr ops.ViewRow, cells []string) error {
 
 // Render resolves a generated view's object IDs to accessions.
 func Render(repo *gam.Repo, v *ops.View, opts Options) (*Table, error) {
-	r := newRenderer(repo, opts)
+	r := &renderer{repo: repo, opts: opts}
 	cols, err := r.header(v)
 	if err != nil {
 		return nil, err
 	}
-	r.maybePreload(v)
 	t := &Table{Columns: cols}
 	for _, vr := range v.Rows {
 		cells := make([]string, len(vr))
@@ -183,12 +128,11 @@ func Render(repo *gam.Repo, v *ops.View, opts Options) (*Table, error) {
 // hands rows on in writes of about 4 kB; the other formats emit each row
 // as it is rendered.
 func Stream(repo *gam.Repo, v *ops.View, opts Options, w io.Writer, format string, flushEvery int, flush func() error) error {
-	r := newRenderer(repo, opts)
+	r := &renderer{repo: repo, opts: opts}
 	cols, err := r.header(v)
 	if err != nil {
 		return err
 	}
-	r.maybePreload(v)
 	rw, err := NewRowWriter(w, format)
 	if err != nil {
 		return err
@@ -213,7 +157,7 @@ func Stream(repo *gam.Repo, v *ops.View, opts Options, w io.Writer, format strin
 		if len(vr) != len(cells) {
 			return fmt.Errorf("view: row %d has %d values, want %d", i, len(vr), len(cells))
 		}
-		if i > 0 { // row 0 is already resolved (and its cells still cached)
+		if i > 0 { // row 0 is already resolved into cells
 			if err := r.row(vr, cells); err != nil {
 				return err
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -298,16 +299,19 @@ func TestWriteJSONEmptyRowsShape(t *testing.T) {
 	}
 }
 
-// When a source dwarfs the view, the preload pass stops at its budget and
-// the remaining IDs resolve through point lookups — output is identical.
-func TestStreamPreloadBudgetFallback(t *testing.T) {
+// bigSource returns a repository with one source of n objects and their
+// IDs in creation order.
+func bigSource(t *testing.T, n int) (*gam.Repo, gam.SourceID, []gam.ObjectID) {
+	t.Helper()
 	repo, err := gam.Open(sqldb.NewDB())
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, _, _ := repo.EnsureSource(gam.Source{Name: "Big", Content: gam.ContentGene})
-	const objects = 10000
-	specs := make([]gam.ObjectSpec, objects)
+	src, _, err := repo.EnsureSource(gam.Source{Name: "Big", Content: gam.ContentGene})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]gam.ObjectSpec, n)
 	for i := range specs {
 		specs[i] = gam.ObjectSpec{Accession: fmt.Sprintf("B:%05d", i)}
 	}
@@ -315,14 +319,26 @@ func TestStreamPreloadBudgetFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// preloadRowThreshold (2048) rows, but referencing the TAIL of the
-	// source, past the 4x-rows preload budget — every cell must come from
-	// the point-lookup fallback.
-	v := &ops.View{Source: src.ID, Targets: []gam.SourceID{src.ID}}
-	for i := 0; i < preloadRowThreshold; i++ {
-		id := ids[objects-1-i]
+	return repo, src.ID, ids
+}
+
+// tailView is a view of the source onto itself over the last rows objects
+// of ids, newest first.
+func tailView(src gam.SourceID, ids []gam.ObjectID, rows int) *ops.View {
+	v := &ops.View{Source: src, Targets: []gam.SourceID{src}}
+	for i := 0; i < rows; i++ {
+		id := ids[len(ids)-1-i]
 		v.Rows = append(v.Rows, ops.ViewRow{id, id})
 	}
+	return v
+}
+
+// A large view (2 048 rows over the tail of a 10 000-object source) streams
+// byte for byte what Render and Write produce, from a cold object cache.
+func TestStreamPreloadBudgetFallback(t *testing.T) {
+	const objects = 10000
+	repo, src, ids := bigSource(t, objects)
+	v := tailView(src, ids, 2048)
 	var streamed bytes.Buffer
 	if err := Stream(repo, v, Options{}, &streamed, "tsv", 0, nil); err != nil {
 		t.Fatal(err)
@@ -336,9 +352,36 @@ func TestStreamPreloadBudgetFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	if streamed.String() != want.String() {
-		t.Fatal("budget-capped stream differs from materialized render")
+		t.Fatal("large-view stream differs from materialized render")
 	}
 	if !strings.Contains(streamed.String(), fmt.Sprintf("B:%05d", objects-1)) {
 		t.Fatal("expected tail accession missing from output")
+	}
+}
+
+// A warm Stream of a large view runs no SQL statement, and what it
+// allocates does not grow with its rows: every cell is a shared row of
+// gam's object cache.
+func TestWarmStreamRunsNoSQL(t *testing.T) {
+	repo, src, ids := bigSource(t, 8192)
+	stream := func(v *ops.View) func() {
+		return func() {
+			if err := Stream(repo, v, Options{}, io.Discard, "tsv", 0, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	small, large := tailView(src, ids, 2048), tailView(src, ids, 8192)
+	stream(large)() // fills gam's object cache
+	before := repo.DB().StmtCacheStats()
+	stream(small)()
+	stream(large)()
+	if after := repo.DB().StmtCacheStats(); after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Fatalf("warm streams ran statements: %+v, then %+v", before, after)
+	}
+	a2k := testing.AllocsPerRun(5, stream(small))
+	a8k := testing.AllocsPerRun(5, stream(large))
+	if a2k != a8k {
+		t.Fatalf("warm stream allocs: %.0f for 2 048 rows, %.0f for 8 192; want the same", a2k, a8k)
 	}
 }
