@@ -10,7 +10,6 @@ import (
 	"genmapper/internal/lint/errdrop"
 	"genmapper/internal/lint/lockorder"
 	"genmapper/internal/lint/mvccepoch"
-	"genmapper/internal/lint/partlock"
 	"genmapper/internal/lint/walack"
 )
 
@@ -22,7 +21,6 @@ func All() []*analysis.Analyzer {
 		errdrop.Analyzer,
 		lockorder.Analyzer,
 		mvccepoch.Analyzer,
-		partlock.Analyzer,
 		walack.Analyzer,
 	}
 }

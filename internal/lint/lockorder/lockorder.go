@@ -3,7 +3,7 @@
 //
 // The engine's deadlock-freedom argument is a total order per lock domain:
 //
-//	db domain:  DB.writer < DB.mu < Table.histMu < Table.rowsMu
+//	db domain:  DB.writer < DB.mu < Table.histMu
 //	wal domain: WAL.syncMu < WAL.mu
 //
 // and one cross-cutting rule: fsync-class operations (File.Sync,
@@ -47,7 +47,6 @@ var classes = map[string]lockClass{
 	"genmapper/internal/sqldb.DB.writer":    {domain: "db", rank: 0, label: "db.writer"},
 	"genmapper/internal/sqldb.DB.mu":        {domain: "db", rank: 1, label: "db.mu"},
 	"genmapper/internal/sqldb.Table.histMu": {domain: "db", rank: 2, label: "Table.histMu"},
-	"genmapper/internal/sqldb.Table.rowsMu": {domain: "db", rank: 3, label: "Table.rowsMu"},
 	"genmapper/internal/wal.WAL.syncMu":     {domain: "wal", rank: 0, label: "wal.syncMu"},
 	"genmapper/internal/wal.WAL.mu":         {domain: "wal", rank: 1, label: "wal.mu"},
 }
@@ -179,5 +178,5 @@ func domainOrder(domain string) string {
 	if domain == "wal" {
 		return "syncMu < mu"
 	}
-	return "writer < mu < Table.histMu < Table.rowsMu"
+	return "writer < mu < Table.histMu"
 }

@@ -1,13 +1,12 @@
 // Stub of the lock surface of genmapper/internal/sqldb. The mutex fields
 // are unexported, so ordered and inverted acquisitions both live here.
-// Documented order: DB.writer < DB.mu < Table.histMu < Table.rowsMu.
+// Documented order: DB.writer < DB.mu < Table.histMu.
 package sqldb
 
 import "sync"
 
 type Table struct {
 	histMu sync.Mutex
-	rowsMu sync.RWMutex
 }
 
 type durability struct{}
@@ -27,8 +26,6 @@ func execOrdered(db *DB) {
 	db.mu.Lock()
 	t := db.t
 	t.histMu.Lock()
-	t.rowsMu.Lock()
-	t.rowsMu.Unlock()
 	t.histMu.Unlock()
 	db.mu.Unlock()
 	db.writer.Unlock()
@@ -41,20 +38,21 @@ func execInverted(db *DB) {
 	db.mu.Unlock()
 }
 
-func rowsThenDB(db *DB, t *Table) {
-	t.rowsMu.RLock()
-	db.mu.RLock() // want `lock order violation: db\.mu acquired while holding Table\.rowsMu`
+// The history map lock nests inside db.mu: vacuum takes it under the
+// exclusive db.mu, so taking db.mu under it is the inversion vacuum would
+// deadlock on.
+func histThenDB(db *DB, t *Table) {
+	t.histMu.Lock()
+	db.mu.RLock() // want `lock order violation: db\.mu acquired while holding Table\.histMu`
 	db.mu.RUnlock()
-	t.rowsMu.RUnlock()
+	t.histMu.Unlock()
 }
 
-// The history map lock nests outside the row-map lock; taking it after
-// rowsMu is the inversion vacuum would deadlock on.
-func histAfterRows(t *Table) {
-	t.rowsMu.Lock()
-	t.histMu.Lock() // want `lock order violation: Table\.histMu acquired while holding Table\.rowsMu`
+func histThenWriter(db *DB, t *Table) {
+	t.histMu.Lock()
+	db.writer.Lock() // want `lock order violation: db\.writer acquired while holding Table\.histMu`
+	db.writer.Unlock()
 	t.histMu.Unlock()
-	t.rowsMu.Unlock()
 }
 
 func doubleLock(db *DB) {
@@ -94,8 +92,8 @@ func spawnWorker(db *DB, t *Table, done chan struct{}) {
 	defer db.mu.Unlock()
 	go func() {
 		// A goroutine does not inherit the spawner's locks.
-		t.rowsMu.Lock()
-		t.rowsMu.Unlock()
+		t.histMu.Lock()
+		t.histMu.Unlock()
 		done <- struct{}{}
 	}()
 }

@@ -16,7 +16,6 @@ package sqldb
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // Cursor is a streaming query result. Rows are pulled one at a time with
@@ -80,7 +79,7 @@ func (s *Stmt) QueryEach(fn func(row []Value) error, args ...any) error {
 	db := s.db
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
-	return s.eachVis(fn, vals, visibility{snap: snap, lockRows: true})
+	return s.eachVis(fn, vals, visibility{snap: snap})
 }
 
 // eachVis runs the QueryEach drain pinned to vis; the caller owns the
@@ -122,7 +121,7 @@ func (s *Stmt) QueryCursor(args ...any) (Cursor, error) {
 	}
 	db := s.db
 	snap := db.snaps.acquire(db)
-	c, err := s.cursorVis(vals, visibility{snap: snap, lockRows: true})
+	c, err := s.cursorVis(vals, visibility{snap: snap})
 	if err != nil {
 		db.snaps.release(snap)
 		return nil, err
@@ -271,8 +270,7 @@ func (c *dbCursor) Close() error {
 // Engine cursor
 
 // selectCursor executes one SELECT as a pull pipeline at its execution's
-// snapshot. It takes no database lock: row access synchronizes on the
-// row-map read lock alone.
+// snapshot. It takes no lock: rows are read from their slots atomically.
 type selectCursor struct {
 	ex *selectExec
 	// reuseRow makes step return one shared output buffer (the streaming
@@ -521,25 +519,22 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 }
 
 // scanProducer emits the base table's rows in ascending row-ID order. It
-// walks a loaded view of the table's live ID slice by position and
-// re-loads (re-synchronizing via binary search) whenever the table's
-// mutation counter moves, so an open cursor survives concurrent inserts,
-// deletes and ID-slice compaction without snapshotting anything. Row
-// visibility comes from the execution's snapshot, so a reload
+// keeps the next row ID to examine and walks the table's row slots from
+// there at each refill, so an open cursor survives concurrent inserts,
+// deletes and vacuum without snapshotting anything: row IDs only grow, so
+// a refill never re-emits a row, and row visibility comes from the
+// execution's snapshot, so a chunk added or dropped since the last refill
 // never changes which rows the cursor observes.
 //
-// Rows are resolved a run at a time into ahead: back-to-back row-map
-// probes overlap their cache misses, which one probe per pulled row —
+// Rows are resolved a run at a time into ahead: back-to-back slot probes
+// overlap their cache misses, which one probe per pulled row —
 // interleaved with the consumer's work — cannot. Resolving early is safe
 // because the snapshot fixes every row's visible version. Runs start
 // small, so a consumer that stops after a few rows resolves few, and grow
 // toward scanRunSize.
 type scanProducer struct {
-	rel    relBinding
-	ids    []int64
-	pos    int
-	lastID int64
-	mut    uint64
+	rel  relBinding
+	from int64 // the next row ID to examine
 
 	ahead [][]Value
 	apos  int
@@ -554,7 +549,7 @@ func newScanProducer(rel relBinding, hint int) *scanProducer {
 	if hint > run {
 		run = min(hint, scanRunSize)
 	}
-	return &scanProducer{rel: rel, ids: rel.table.ids.load(), mut: rel.table.mut.Load(), run: run}
+	return &scanProducer{rel: rel, run: run}
 }
 
 func (s *scanProducer) next(ex *selectExec) (bool, error) {
@@ -570,27 +565,18 @@ func (s *scanProducer) next(ex *selectExec) (bool, error) {
 // whether any remain.
 func (s *scanProducer) refill(ex *selectExec) bool {
 	t := s.rel.table
-	if m := t.mut.Load(); m != s.mut {
-		// The ID slice may have been appended to, compacted or truncated
-		// since the last refill; continue after the last row examined. Row
-		// IDs are monotone, so this never re-emits a row.
-		s.ids = t.ids.load()
-		s.pos = sort.Search(len(s.ids), func(i int) bool { return s.ids[i] > s.lastID })
-		s.mut = m
-	}
 	if s.ahead == nil {
 		// One buffer for the whole scan, sized to the largest run it needs.
-		s.ahead = make([][]Value, 0, min(scanRunSize, len(s.ids)-s.pos))
+		s.ahead = make([][]Value, 0, min(scanRunSize, t.RowCount()))
 	}
 	s.ahead, s.apos = s.ahead[:0], 0
-	for s.pos < len(s.ids) && len(s.ahead) < s.run {
-		id := s.ids[s.pos]
-		s.pos++
-		s.lastID = id
-		if row := t.get(id, ex.vis); row != nil {
+	t.eachHead(s.from, func(id int64, head *rowVersion) bool {
+		s.from = id + 1
+		if row := head.resolve(ex.vis); row != nil {
 			s.ahead = append(s.ahead, row) // nil: tombstone, or invisible at this snapshot
 		}
-	}
+		return len(s.ahead) < s.run
+	})
 	s.run = min(s.run*4, scanRunSize)
 	return len(s.ahead) > 0
 }

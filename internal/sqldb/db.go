@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -320,7 +321,7 @@ func (e updateUndo) undo(db *DB) {
 	if len(e.added) == 0 {
 		return
 	}
-	head := t.rows[e.rowID]
+	head := t.head(e.rowID)
 	for _, a := range e.added {
 		if !chainHasKey(head, a.idx.Col, a.key) {
 			a.idx.delete(a.key, e.rowID)
@@ -329,7 +330,7 @@ func (e updateUndo) undo(db *DB) {
 }
 
 // deleteUndo unlinks the provisional deletion tombstone and restores
-// the live-row count (index and ID-slice entries were never touched).
+// the live-row count (index entries were never touched).
 type deleteUndo struct {
 	table string
 	rowID int64
@@ -453,6 +454,10 @@ build:
 	seq, err := t.prepareRows(w, rows)
 	if err == nil {
 		err = evalErr
+	}
+	if err == nil && int64(len(rows)) >= math.MaxInt64-t.nextRow {
+		// Row IDs stay below MaxInt64, so "the row after" never overflows.
+		err = fmt.Errorf("sqldb: table %s has no row IDs left", t.Name)
 	}
 	if err != nil {
 		return Result{}, err
@@ -775,7 +780,7 @@ func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 
 // vis is the visibility the transaction reads at.
 func (tx *Tx) vis() visibility {
-	return visibility{snap: tx.snap, tx: tx.id, lockRows: true}
+	return visibility{snap: tx.snap, tx: tx.id}
 }
 
 // Publish is the first step of Commit. It appends the transaction's

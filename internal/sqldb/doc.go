@@ -10,8 +10,8 @@
 // point, index and range access, full scans, joins, aggregates —
 // runs as a pull pipeline of row producers, one row at a time, at the
 // statement's snapshot; materialized Query, QueryEach and QueryCursor
-// only differ in how they drain it. A scan walks the table's sorted ID
-// slice, so results come in row-ID order, which the planner-equivalence
+// only differ in how they drain it. A scan walks the table's row slots
+// (table.go) in row-ID order, so results come in row-ID order, which the planner-equivalence
 // fuzz relies on to compare access paths byte-for-byte.
 //
 // # Invariants
@@ -20,18 +20,18 @@
 // compiler cannot check but gmlint (cmd/gmlint) does; code in this package
 // must preserve them:
 //
-//  1. Lock order. Locks are always acquired writer < mu < Table.histMu <
-//     Table.rowsMu, and the WAL's internally are syncMu < mu. Release
-//     before re-acquiring against the order (see wal.AdvanceTo for the
-//     dance).
+//  1. Lock order. Locks are always acquired writer < mu < Table.histMu,
+//     and the WAL's internally are syncMu < mu. Release before
+//     re-acquiring against the order (see wal.AdvanceTo for the dance).
+//     Readers take none of them: a row's chain head is loaded from its
+//     slot atomically.
 //
 //  2. No blocking under db locks. fsync-class calls (wal.Durable,
 //     File.Sync, durability.wait) and channel operations never run
-//     while writer, mu or a row-map lock is held. Commits append to the
-//     log while holding writer (log order = commit order) but wait for
-//     durability after unlocking — that window is what lets concurrent
-//     committers share one fsync (group commit). Readers take only the
-//     row-map read lock, never mu.
+//     while writer or mu is held. Commits append to the log while
+//     holding writer (log order = commit order) but wait for durability
+//     after unlocking — that window is what lets concurrent committers
+//     share one fsync (group commit). Readers take no lock, never mu.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
 //     through executeWrite, and every caller must bind the mutation for
@@ -56,10 +56,8 @@
 //     file-removal calls are never silently dropped; best-effort sites
 //     carry a //gmlint:ignore justification.
 //
-//  7. Row-map locks are released on every path. Any early return
-//     while Table.rowsMu is held must unlock first — a held row-map lock
-//     wedges the writer and every reader of that table (checked by
-//     gmlint's partlock).
+//  7. Retired: it covered the row-map lock, which row slots replaced. The
+//     number is kept so the others keep theirs.
 //
 //  8. Version visibility flows through the epoch. A chain's head may
 //     carry a provisional version (beg = provisionalBit|txID), visible

@@ -35,8 +35,7 @@ type selectExec struct {
 	env *RowEnv
 
 	// vis is the snapshot this execution reads at: the statement's or
-	// transaction's snapshot epoch (vis.lockRows set, so row-map reads
-	// take the row-map read lock).
+	// transaction's snapshot epoch.
 	vis visibility
 
 	// orderedHint is the number of output rows the consumer expects to
@@ -70,8 +69,7 @@ func (f *fixedCol) Eval(env *RowEnv) (Value, error) { return env.vals[f.pos], ni
 func (f *fixedCol) String() string                  { return fmt.Sprintf("col#%d", f.pos) }
 
 // executeSelectVis materializes a SELECT at a registered snapshot by
-// draining its cursor pipeline. It holds no db.mu at all; the row-map
-// read lock taken per row copy is the only synchronization.
+// draining its cursor pipeline. It takes no lock at all.
 func (db *DB) executeSelectVis(p *selectPlan, args []Value, vis visibility) (*ResultSet, error) {
 	c := newSelectCursor(db, p, args, false, vis)
 	defer c.close()

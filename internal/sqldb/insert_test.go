@@ -48,16 +48,16 @@ func objectRelRows(n int, tagPrefix string) (string, []any) {
 	return multiRowSQL(objectRelInsert+"(?, ?, ?, ?, ?)", n), args
 }
 
-// insertModes runs fn on a fresh object_rel database, once plain
-// ("mvcc=false") and once beside a cursor whose snapshot predates every
-// row ("mvcc=true"). The cursor must still count an empty table when fn
-// is done. The "mvcc=" and "parts=1" labels predate the deletion of lock
-// mode and of partitioned storage; they are kept so the recorded test
-// names stay stable until the subtests are renamed together (ROADMAP
-// item 4).
+// insertModes runs fn on a fresh object_rel database, once "plain" and
+// once "pinned": beside a cursor whose snapshot predates every row. The
+// cursor must still count an empty table when fn is done.
 func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 	for _, pinned := range []bool{false, true} {
-		t.Run(fmt.Sprintf("mvcc=%v/parts=1", pinned), func(t *testing.T) {
+		name := "plain"
+		if pinned {
+			name = "pinned"
+		}
+		t.Run(name, func(t *testing.T) {
 			db := NewDB()
 			defer db.Close()
 			for _, ddl := range objectRelDDL {
@@ -85,8 +85,8 @@ func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 }
 
 // tableState is everything a failed or rolled-back INSERT must leave as it
-// found it: the dump (rows and both counters), every index's entry count,
-// the ID slice and the row map.
+// found it: the dump (rows and both counters), every index's entry count
+// and the row slots (chunks, live rows, occupied slots).
 func tableState(db *DB, table string) string {
 	var sb strings.Builder
 	sb.WriteString(db.DumpString())
@@ -96,7 +96,9 @@ func tableState(db *DB, table string) string {
 	for _, idx := range t.Indexes() {
 		fmt.Fprintf(&sb, "index %s: %d entries, %d NULL\n", idx.Name, idx.Len(), len(idx.NullRowIDs()))
 	}
-	fmt.Fprintf(&sb, "ids: %d, live %d, rows %d", len(t.ids.load()), t.live.Load(), len(t.rows))
+	heads := 0
+	t.eachHead(0, func(int64, *rowVersion) bool { heads++; return true })
+	fmt.Fprintf(&sb, "chunks: %d, live %d, heads %d", len(t.chunkList()), t.live.Load(), heads)
 	return sb.String()
 }
 

@@ -8,8 +8,8 @@ package sqldb
 // Readers take NO database lock at all. A statement (or transaction)
 // captures a snapshot epoch at start and registers it with the snapshot
 // tracker; every access path resolves row visibility against that epoch,
-// synchronizing only on the row-map lock held long enough to copy version
-// pointers out of the map. There is one writer at a time: every write
+// loading chain heads from their row slots atomically, with no lock at
+// all. There is one writer at a time: every write
 // statement holds db.writer — an auto-commit statement for itself, a
 // transaction from Begin, before its snapshot is taken, until Commit or
 // Rollback — and runs under the exclusive db.mu. A transaction therefore
@@ -53,7 +53,7 @@ const provisionalBit = uint64(1) << 63
 const snapLatest = provisionalBit - 1
 
 // rowVersion is one version of one row. Versions form a singly linked
-// chain from newest to oldest; the row map holds the head. The row slice
+// chain from newest to oldest; the row's slot holds the head. The row slice
 // is immutable once the version is published; beg and next are atomic so
 // lock-free readers can walk a chain while a commit publishes epochs or a
 // vacuum truncates tails below every active snapshot.
@@ -71,11 +71,6 @@ type visibility struct {
 	// tx, when non-zero, additionally admits provisional versions written
 	// by this transaction (read-your-own-writes).
 	tx uint64
-	// lockRows marks an access that no database lock shields from the
-	// writer: row-map reads must take the row-map read lock. Every query
-	// sets it; only holders of the exclusive db.mu (writers, Dump,
-	// checkpoints) may leave it unset.
-	lockRows bool
 }
 
 // visible returns the newest version of the chain visible under vis, or
@@ -139,8 +134,7 @@ type writeCtx struct {
 }
 
 // vis is the visibility write statements read under: the newest committed
-// state plus the transaction's own provisional writes. The writer holds
-// the database exclusively, so it reads the row map without locking.
+// state plus the transaction's own provisional writes.
 func (w *writeCtx) vis() visibility {
 	return visibility{snap: snapLatest, tx: w.tx}
 }
@@ -468,112 +462,4 @@ func (db *DB) MVCCStats() MVCCStats {
 		VersionsVacuumed:  db.versionsVacuumed.Load(),
 		BackgroundVacuums: db.bgVacuums.Load(),
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Lock-free sorted ID slices
-
-// idSlice publishes a sorted row-ID slice so MVCC readers can iterate it
-// with no lock at all. The representation is a backing array plus an
-// atomic published length inside one immutable header, so the insert hot
-// path — a blind append of a monotone row ID — is a plain element store
-// followed by a length store (release) with no allocation; a reader loads
-// the header, then the length (acquire), and sees every element the
-// length covers. Appends are the only in-place mutation: any splice,
-// compaction or truncation publishes a freshly allocated header, because
-// shrinking a length and later appending would overwrite an element a
-// stale reader may still be iterating.
-type idSlice struct {
-	p atomic.Pointer[idArr]
-}
-
-// idArr is one published generation of an idSlice: buf never moves or
-// shrinks for the lifetime of the header, and buf[:n] is the readable
-// prefix.
-type idArr struct {
-	buf []int64
-	n   atomic.Int64
-}
-
-// load returns the current published slice (nil when empty). The returned
-// slice must be treated as immutable.
-func (s *idSlice) load() []int64 {
-	a := s.p.Load()
-	if a == nil {
-		return nil
-	}
-	return a.buf[:a.n.Load()]
-}
-
-// append adds id at the end (caller — the single writer — guarantees id
-// exceeds every present element; ID-slice mutation happens only under the
-// exclusive database lock, see table.go). Steady state is
-// allocation-free; the backing array doubles when full.
-func (s *idSlice) append(id int64) {
-	a := s.p.Load()
-	if a == nil || int(a.n.Load()) == len(a.buf) {
-		var n int
-		if a != nil {
-			n = int(a.n.Load())
-		}
-		capacity := 2 * n
-		if capacity < 16 {
-			capacity = 16
-		}
-		grown := &idArr{buf: make([]int64, capacity)}
-		if a != nil {
-			copy(grown.buf, a.buf[:n])
-		}
-		grown.n.Store(int64(n))
-		s.p.Store(grown)
-		a = grown
-	}
-	n := a.n.Load()
-	a.buf[n] = id
-	a.n.Store(n + 1)
-}
-
-// store publishes ids as the new contents. The caller must pass a freshly
-// allocated slice it will never mutate afterwards.
-func (s *idSlice) store(ids []int64) {
-	a := &idArr{buf: ids}
-	a.n.Store(int64(len(ids)))
-	s.p.Store(a)
-}
-
-// removeRange splices the IDs in [lo, hi) out (fresh allocation).
-func (s *idSlice) removeRange(lo, hi int64) {
-	ids := s.load()
-	from, to := searchID(ids, lo), searchID(ids, hi)
-	if from == to {
-		return
-	}
-	fresh := make([]int64, 0, len(ids)-(to-from))
-	fresh = append(fresh, ids[:from]...)
-	fresh = append(fresh, ids[to:]...)
-	s.store(fresh)
-}
-
-// sortInPlace re-sorts the published contents (bulk-load finalization
-// only: the caller guarantees no concurrent readers exist yet).
-func (s *idSlice) sortInPlace() {
-	a := s.p.Load()
-	if a == nil {
-		return
-	}
-	sortInt64s(a.buf[:a.n.Load()])
-}
-
-// searchID returns the insertion position of id in the sorted slice.
-func searchID(ids []int64, id int64) int {
-	lo, hi := 0, len(ids)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if ids[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

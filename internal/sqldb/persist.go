@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 )
@@ -199,16 +200,25 @@ func decodeTables(r io.Reader) (map[string]*Table, error) {
 		t := NewTable(ts.Name, schema)
 		t.nextRow = ts.NextRow
 		t.nextSeq = ts.NextSeq
+		// Save writes one row ID per row, strictly ascending, each in
+		// [1, NextRow], and NextRow below MaxInt64 (executeInsert keeps it
+		// there): a repeated ID would lose a row, and one past NextRow
+		// would be handed out again by the next INSERT.
+		if len(ts.RowIDs) != len(ts.Rows) || ts.NextRow < 0 || ts.NextRow == math.MaxInt64 {
+			return nil, fmt.Errorf("sqldb: load: table %s has %d row IDs for %d rows, next row ID %d", ts.Name, len(ts.RowIDs), len(ts.Rows), ts.NextRow)
+		}
+		prev := int64(0)
 		for i, id := range ts.RowIDs {
+			if id <= prev || id > ts.NextRow {
+				return nil, fmt.Errorf("sqldb: load: table %s row ID %d after %d is not ascending within [1, %d]", ts.Name, id, prev, ts.NextRow)
+			}
+			prev = id
 			row := ts.Rows[i]
 			if len(row) != len(schema.Columns) {
 				return nil, fmt.Errorf("sqldb: load: table %s row %d has %d values, want %d", ts.Name, id, len(row), len(schema.Columns))
 			}
 			t.loadRow(id, row)
 		}
-		// Save writes RowIDs sorted, but Scan/restore depend on the
-		// invariant, so don't trust external snapshot producers.
-		t.finishLoad()
 		for _, is := range ts.Indexes {
 			if _, err := t.createIndex(is.Name, is.Column, is.Kind, is.Unique, visibility{snap: snapLatest}); err != nil {
 				return nil, fmt.Errorf("sqldb: load: rebuild index %s: %w", is.Name, err)

@@ -1,8 +1,14 @@
 package sqldb
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -197,4 +203,156 @@ func TestLoadBumpsSchemaGeneration(t *testing.T) {
 	if loaded.gen.Load() == 0 {
 		t.Fatal("loaded database still at schema generation 0")
 	}
+}
+
+// encodeTableSnapshot gob-encodes a one-table snapshot the way Save does.
+func encodeTableSnapshot(t testing.TB, ts tableSnapshot) *bytes.Buffer {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&snapshot{Version: snapshotVersion, Tables: []tableSnapshot{ts}}); err != nil {
+		t.Fatal(err)
+	}
+	return &buf
+}
+
+// loaderTable is a two-column table snapshot with one row per ID.
+func loaderTable(nextRow int64, ids []int64, rows int) tableSnapshot {
+	ts := tableSnapshot{
+		Name:    "t",
+		Columns: []Column{{Name: "k", Type: TypeInt}, {Name: "v", Type: TypeText}},
+		NextRow: nextRow,
+		RowIDs:  ids,
+		Indexes: []indexSnapshot{{Name: "idx_k", Column: "k", Kind: IndexHash}},
+	}
+	for i := 0; i < rows; i++ {
+		ts.Rows = append(ts.Rows, []Value{int64(i), fmt.Sprintf("r%d", i)})
+	}
+	return ts
+}
+
+// TestLoadRejectsMalformedRowIDs: Save writes row IDs strictly ascending,
+// each in [1, NextRow], one per row, and the loader accepts nothing else.
+// A repeated ID would load one row over the other, an ID past NextRow
+// would be handed out again by the next INSERT, and more IDs than rows
+// used to index past the rows.
+func TestLoadRejectsMalformedRowIDs(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		nextRow int64
+		ids     []int64
+		rows    int
+	}{
+		{"duplicate", 2, []int64{1, 1}, 2},
+		{"past next row", 0, []int64{1}, 1},
+		{"more ids than rows", 3, []int64{1, 2, 3}, 2},
+		{"more rows than ids", 3, []int64{1, 2}, 3},
+		{"descending", 2, []int64{2, 1}, 2},
+		{"zero", 2, []int64{0, 1}, 2},
+		{"negative next row", -1, nil, 0},
+		{"no row ID left", math.MaxInt64, []int64{1}, 1},
+	} {
+		t.Run(strings.ReplaceAll(c.name, " ", "_"), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "db.snap")
+			buf := encodeTableSnapshot(t, loaderTable(c.nextRow, c.ids, c.rows))
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			db, err := Load(path)
+			if err == nil {
+				defer db.Close()
+				t.Fatalf("loaded row IDs %v with next row ID %d:\n%s", c.ids, c.nextRow, db.DumpString())
+			}
+			if !strings.HasPrefix(err.Error(), "sqldb: load: table t ") {
+				t.Fatalf("error %q does not name the table", err)
+			}
+		})
+	}
+}
+
+// FuzzSnapshotLoad builds a table snapshot from a fuzzed next row ID, row
+// IDs (varint deltas from 0) and row count, encodes it as Save does and
+// decodes it. The loader never panics; a table it accepts scans each of
+// its IDs once, ascending and at most NextRow; a re-save reproduces the
+// same Dump; and the next INSERT takes a fresh row ID.
+func FuzzSnapshotLoad(f *testing.F) {
+	deltas := func(ds ...int64) []byte {
+		var b []byte
+		for _, d := range ds {
+			b = binary.AppendVarint(b, d)
+		}
+		return b
+	}
+	f.Add(int64(3), deltas(1, 1, 1), uint8(3))
+	f.Add(int64(5000), deltas(1, 2000, 1500), uint8(3))
+	f.Add(int64(2), deltas(1, 0), uint8(2))
+	f.Add(int64(0), deltas(1), uint8(1))
+	f.Add(int64(3), deltas(1, 1, 1), uint8(2))
+	f.Add(int64(2), deltas(2, -1), uint8(2))
+	f.Add(int64(math.MaxInt64-1), deltas(1, math.MaxInt64-3), uint8(2))
+	f.Add(int64(math.MaxInt64-2), deltas(math.MaxInt64-2), uint8(1))
+	f.Fuzz(func(t *testing.T, nextRow int64, idBytes []byte, rows uint8) {
+		var ids []int64
+		prev := int64(0)
+		for len(idBytes) > 0 {
+			d, n := binary.Varint(idBytes)
+			if n <= 0 {
+				break
+			}
+			idBytes = idBytes[n:]
+			prev += d
+			ids = append(ids, prev)
+		}
+		tables, err := decodeTables(encodeTableSnapshot(t, loaderTable(nextRow, ids, int(rows))))
+		if err != nil {
+			return
+		}
+		var got []int64
+		tables["t"].Scan(func(id int64, _ []Value) bool {
+			if id > nextRow || len(got) > 0 && id <= got[len(got)-1] {
+				t.Fatalf("scan emits %d after %v (next row ID %d)", id, got, nextRow)
+			}
+			got = append(got, id)
+			return true
+		})
+		if len(got) != len(ids) {
+			t.Fatalf("loaded %d rows from %d row IDs", len(got), len(ids))
+		}
+
+		db := NewDB()
+		defer db.Close()
+		db.storeTables(tables)
+		dump := db.DumpString()
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(db.buildSnapshot()); err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeTables(&buf)
+		if err != nil {
+			t.Fatalf("re-saved snapshot does not load: %v", err)
+		}
+		db2 := NewDB()
+		defer db2.Close()
+		db2.storeTables(again)
+		if d := db2.DumpString(); d != dump {
+			t.Fatalf("re-saved dump differs:\n%s\nwant\n%s", d, dump)
+		}
+
+		_, err = db.Exec("INSERT INTO t VALUES (-1, 'new')")
+		if nextRow == math.MaxInt64-1 {
+			if err == nil {
+				t.Fatal("an INSERT took row ID MaxInt64")
+			}
+			return
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := db.table("t").RowCount(); n != len(ids)+1 {
+			t.Fatalf("an INSERT after load leaves %d rows, want %d", n, len(ids)+1)
+		}
+		scanned := 0
+		if err := db.QueryEach("SELECT k FROM t", func([]Value) error { scanned++; return nil }); err != nil || scanned != len(ids)+1 {
+			t.Fatalf("a full scan after the INSERT returns %d rows (%v), want %d", scanned, err, len(ids)+1)
+		}
+	})
 }

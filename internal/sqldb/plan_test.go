@@ -286,7 +286,7 @@ func TestScanAfterDeleteAndRollback(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		mustExec(t, db, "INSERT INTO s VALUES (?)", i)
 	}
-	// Mass delete triggers tombstone compaction.
+	// A mass delete leaves tombstones in the row slots until vacuum.
 	if _, err := db.Exec("DELETE FROM s WHERE v < 400"); err != nil {
 		t.Fatal(err)
 	}

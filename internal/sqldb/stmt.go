@@ -157,7 +157,7 @@ func (s *Stmt) Query(args ...any) (*ResultSet, error) {
 	db := s.db
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
-	return s.queryVis(vals, visibility{snap: snap, lockRows: true})
+	return s.queryVis(vals, visibility{snap: snap})
 }
 
 // queryVis executes the statement as a SELECT at an explicit visibility,

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -11,11 +12,12 @@ import (
 // Rows are addressed by a stable, monotonically increasing row ID so that
 // indexes can reference rows without caring about physical position.
 //
-// The table maintains a sorted ID slice so scans walk rows in ID order in
-// O(n). Everything a lock-free reader touches — the row map,
-// the index map, the ID slice, the row count and the mutation counter —
-// is published through atomics or read under rowsMu; mutation happens
-// only under the database writer lock plus the exclusive db.mu.
+// Each row's version-chain head lives in a slot addressed by its row ID
+// (see rowChunk), so scans walk rows in ID order with no sort. Everything
+// a lock-free reader touches — the chunk list,
+// the slots, the index map and the row count — is published through
+// atomics; mutation happens only under the database writer lock plus the
+// exclusive db.mu.
 type Table struct {
 	Name    string
 	Schema  *Schema
@@ -24,27 +26,11 @@ type Table struct {
 	nextSeq int64 // AUTOINCREMENT counter
 	idx     atomic.Pointer[indexSet]
 
-	// rows maps each row ID to the head of its version chain (see
-	// mvcc.go). rowsMu is the only synchronization point between lock-free
-	// readers and the writer: the writer takes it around every row-map
-	// mutation, and readers take the read side just long enough to copy
-	// the version-head pointer out of the map; version resolution itself
-	// happens on atomics, outside any lock.
-	rowsMu sync.RWMutex
-	rows   map[int64]*rowVersion
-
-	// ids keeps the live row IDs in ascending order so serial scans need no
-	// per-call sort. Row IDs are allocated monotonically, so inserts append
-	// in O(1); deletes leave tombstones (IDs missing from the row map) that
-	// are compacted away once they outnumber the live rows.
-	ids  idSlice
-	dead int
-
-	// mut counts structural changes to the row set (insert, delete,
-	// restore — anything that touches the ID slice, including
-	// compaction). Open cursors compare it to re-synchronize their scan
-	// position after concurrent writes.
-	mut atomic.Uint64
+	// chunks lists the row chunks that hold at least one row, in
+	// ascending key order. A published list never changes: the writer
+	// appends past its length (where no reader looks) or publishes a
+	// fresh copy.
+	chunks atomic.Pointer[[]*rowChunk]
 
 	// hist is the set of row IDs carrying version history: a chain longer
 	// than one version or a deletion tombstone. UPDATE and DELETE grow it
@@ -56,10 +42,23 @@ type Table struct {
 	hist   map[int64]struct{}
 }
 
+// rowSlotBits sets the chunk size: one rowChunk holds the slots of
+// 2^rowSlotBits consecutive row IDs.
+const rowSlotBits = 10
+
+// rowChunk holds the chain heads of the row IDs key<<rowSlotBits through
+// key<<rowSlotBits + 2^rowSlotBits - 1, one slot each; a nil slot holds no
+// row. Readers load slots atomically; only the writer stores them.
+type rowChunk struct {
+	key   int64
+	slots [1 << rowSlotBits]atomic.Pointer[rowVersion]
+	used  int // non-nil slots; the writer's alone, off the readers' cache lines
+}
+
 // NewTable creates an empty table. A unique index is created automatically
 // for the primary key column, if any.
 func NewTable(name string, schema *Schema) *Table {
-	t := &Table{Name: name, Schema: schema, rows: make(map[int64]*rowVersion)}
+	t := &Table{Name: name, Schema: schema}
 	indexes := make(map[string]*Index)
 	if pk := schema.PrimaryKeyIndex(); pk >= 0 {
 		idx := newIndex(pkIndexName(name), schema.Columns[pk].Name, pk, IndexHash, true)
@@ -71,29 +70,86 @@ func NewTable(name string, schema *Schema) *Table {
 
 func pkIndexName(table string) string { return "__pk_" + table }
 
-// head returns the version-chain head of a row. With lock set the map read
-// happens under the row-map read lock, as lock-free readers need; the
-// writer, holding the database exclusively, passes false.
-func (t *Table) head(id int64, lock bool) *rowVersion {
-	if !lock {
-		return t.rows[id]
+// chunkList returns the published chunk list (immutable, see Table.chunks).
+func (t *Table) chunkList() []*rowChunk {
+	if p := t.chunks.Load(); p != nil {
+		return *p
 	}
-	t.rowsMu.RLock()
-	h := t.rows[id]
-	t.rowsMu.RUnlock()
-	return h
+	return nil
 }
 
-// setHead publishes v as the row's chain head (nil removes the row) under
-// the row-map lock.
-func (t *Table) setHead(id int64, v *rowVersion) {
-	t.rowsMu.Lock()
-	if v == nil {
-		delete(t.rows, id)
-	} else {
-		t.rows[id] = v
+// findChunk returns the position of the first chunk in cs whose key is at
+// least key. Where rows are dense the chunk sits at key - cs[0].key, so the
+// binary search is only the fallback.
+func findChunk(cs []*rowChunk, key int64) int {
+	if len(cs) > 0 {
+		if i := key - cs[0].key; i >= 0 && i < int64(len(cs)) && cs[i].key == key {
+			return int(i)
+		}
 	}
-	t.rowsMu.Unlock()
+	return sort.Search(len(cs), func(i int) bool { return cs[i].key >= key })
+}
+
+// head returns the version-chain head of a row, or nil when no row lives
+// at id. It takes no lock.
+func (t *Table) head(id int64) *rowVersion {
+	cs := t.chunkList()
+	key := id >> rowSlotBits
+	if i := findChunk(cs, key); i < len(cs) && cs[i].key == key {
+		return cs[i].slots[id&(1<<rowSlotBits-1)].Load()
+	}
+	return nil
+}
+
+// setHead stores v as the row's chain head; nil removes the row. Only the
+// writer calls it. A chunk is added when a row needs one and dropped when
+// its last row goes, so memory follows the rows, not the highest row ID.
+func (t *Table) setHead(id int64, v *rowVersion) {
+	cs := t.chunkList()
+	key := id >> rowSlotBits
+	i := findChunk(cs, key)
+	if i == len(cs) || cs[i].key != key {
+		if v == nil {
+			return
+		}
+		c := &rowChunk{key: key}
+		var grown []*rowChunk
+		if i == len(cs) {
+			grown = append(cs, c) // past the published length, where no reader looks
+		} else {
+			grown = slices.Insert(slices.Clip(cs), i, c) // a fresh copy
+		}
+		t.chunks.Store(&grown)
+		cs = grown
+	}
+	c := cs[i]
+	slot := &c.slots[id&(1<<rowSlotBits-1)]
+	if old := slot.Load(); old == nil && v != nil {
+		c.used++
+	} else if old != nil && v == nil {
+		c.used--
+	}
+	slot.Store(v)
+	if c.used == 0 {
+		rest := make([]*rowChunk, 0, len(cs)-1)
+		rest = append(append(rest, cs[:i]...), cs[i+1:]...)
+		t.chunks.Store(&rest)
+	}
+}
+
+// eachHead calls fn with the row ID and chain head of every row from
+// row ID from on, in ascending row-ID order, until fn returns false. It
+// takes no lock: it walks the chunk list published when it starts.
+func (t *Table) eachHead(from int64, fn func(id int64, head *rowVersion) bool) {
+	cs := t.chunkList()
+	for i := findChunk(cs, from>>rowSlotBits); i < len(cs); i++ {
+		base := cs[i].key << rowSlotBits
+		for s := max(from-base, 0); s < 1<<rowSlotBits; s++ {
+			if h := cs[i].slots[s].Load(); h != nil && !fn(base+s, h) {
+				return
+			}
+		}
+	}
 }
 
 // indexSet is one published generation of a table's indexes. It is
@@ -235,11 +291,8 @@ func (t *Table) firstUniqueViolation(w *writeCtx, idx *Index, rows [][]Value) in
 
 // installRows stores rows that prepareRows accepted under consecutive row
 // IDs and returns the first; it cannot fail. The versions install
-// provisional (invisible until publishCommit). The row map takes every row
-// under one lock acquisition and each index its entries under one. A
-// reader never finds an ID whose row is missing: the row map is filled
-// before the ID slice (blind appends, row IDs being monotone), indexes
-// last.
+// provisional (invisible until publishCommit). Slots are filled before
+// indexes, so a reader never finds an index entry whose row is missing.
 func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 	first := t.nextRow + 1
 	t.nextRow += int64(len(rows))
@@ -248,17 +301,9 @@ func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 	for i, row := range rows {
 		vers[i] = &rowVersion{row: row}
 		vers[i].beg.Store(w.stamp())
-	}
-	t.rowsMu.Lock()
-	for i, v := range vers {
-		t.rows[first+int64(i)] = v
-	}
-	t.rowsMu.Unlock()
-	for i := range rows {
-		t.ids.append(first + int64(i))
+		t.setHead(first+int64(i), vers[i])
 	}
 	t.live.Add(int64(len(rows)))
-	t.mut.Add(1)
 	for _, idx := range t.Indexes() {
 		idx.insertRows(rows, first)
 	}
@@ -292,17 +337,16 @@ func (e *UniqueError) Error() string {
 }
 
 // get resolves the row version visible under vis, or nil when no version
-// qualifies. With vis.lockRows the version-head copy is the only operation
-// under the row-map read lock.
+// qualifies.
 func (t *Table) get(id int64, vis visibility) []Value {
-	return t.head(id, vis.lockRows).resolve(vis)
+	return t.head(id).resolve(vis)
 }
 
-// deleteRow installs a deletion tombstone over the row's chain:
-// the row map entry, ID-slice entries and index entries all stay (old
-// snapshots still resolve the prior version) until vacuum reclaims them.
+// deleteRow installs a deletion tombstone over the row's chain: the
+// row's slot and index entries stay (old snapshots still resolve the
+// prior version) until vacuum reclaims them.
 func (t *Table) deleteRow(w *writeCtx, id int64) *rowVersion {
-	head := t.rows[id] // raw read: the writer holds the database exclusively
+	head := t.head(id)
 
 	if head.resolve(w.vis()) == nil {
 		return nil // no visible row to delete
@@ -328,28 +372,14 @@ func (t *Table) histAdd(id int64) {
 	t.histMu.Unlock()
 }
 
-// compactIDs rewrites the global ID slice without tombstones.
-func (t *Table) compactIDs() {
-	ids := t.ids.load()
-	live := make([]int64, 0, len(ids)-t.dead)
-	for _, id := range ids {
-		if _, ok := t.rows[id]; ok {
-			live = append(live, id)
-		}
-	}
-	t.ids.store(live)
-	t.dead = 0
-	t.mut.Add(1)
-}
-
 // undoInsert removes the n rows a now-rolled-back INSERT statement stored
-// under the IDs from first on and splices those IDs out of the ID slice
-// (no tombstones: the rollback also returns the IDs to the allocator, and a
-// tombstone under a reusable ID would collide with the next insert).
+// under the IDs from first on and empties their slots (no tombstones: the
+// rollback also returns the IDs to the allocator, and a tombstone under a
+// reusable ID would collide with the next insert).
 func (t *Table) undoInsert(first int64, n int) {
 	end := first + int64(n)
 	for id := first; id < end; id++ {
-		head := t.rows[id]
+		head := t.head(id)
 		if head == nil {
 			continue
 		}
@@ -363,8 +393,6 @@ func (t *Table) undoInsert(first int64, n int) {
 		t.setHead(id, nil)
 		t.live.Add(-1)
 	}
-	t.ids.removeRange(first, end)
-	t.mut.Add(1)
 }
 
 // unlinkVersion reverts a rolled-back write by restoring the
@@ -372,7 +400,7 @@ func (t *Table) undoInsert(first int64, n int) {
 // are removed by the caller (which recorded them), live-count adjustments
 // likewise.
 func (t *Table) unlinkVersion(id int64, ver *rowVersion) {
-	if t.rows[id] != ver {
+	if t.head(id) != ver {
 		return // already superseded or removed
 	}
 	t.setHead(id, ver.next.Load())
@@ -392,10 +420,7 @@ type idxKeyAdd struct {
 // lookups never yield duplicates); the added entries are returned for
 // rollback.
 func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, []idxKeyAdd, error) {
-	// Raw head read: the caller holds the database exclusively, so no
-	// other writer mutates the map; concurrent lock-free readers only read
-	// it.
-	head := t.rows[id]
+	head := t.head(id)
 	old := head.resolve(w.vis())
 	if old == nil {
 		return nil, nil, fmt.Errorf("sqldb: row %d not found in %s", id, t.Name)
@@ -450,10 +475,8 @@ func (t *Table) vacuum(horizon uint64) int {
 	reclaimed := 0
 	var dropped []*rowVersion // reused scratch
 	for id := range t.hist {
-		t.rowsMu.Lock()
-		head := t.rows[id]
+		head := t.head(id)
 		if head == nil {
-			t.rowsMu.Unlock()
 			delete(t.hist, id)
 			continue
 		}
@@ -478,12 +501,8 @@ func (t *Table) vacuum(horizon uint64) int {
 			// The surviving head is a committed tombstone: nothing can ever
 			// resolve this row again — drop it physically.
 			dropped = append(dropped, head)
-			delete(t.rows, id)
+			t.setHead(id, nil)
 		}
-		t.rowsMu.Unlock()
-		// Index maintenance outside the row-map lock (lock order: index
-		// locks are never nested inside it). The chain is mutated only
-		// under the writer lock, which we hold.
 		if len(dropped) > 0 {
 			remaining := head
 			if fullyDead {
@@ -501,39 +520,21 @@ func (t *Table) vacuum(horizon uint64) int {
 			}
 		}
 		reclaimed += len(dropped)
-		if fullyDead {
-			delete(t.hist, id)
-			t.dead++
-			t.mut.Add(1)
-			if t.dead > 64 && t.dead*2 > len(t.ids.load()) {
-				t.compactIDs()
-			}
-			continue
-		}
-		if keep == head && head.row != nil {
-			delete(t.hist, id) // chain is single-version and live again
+		if keep == head {
+			delete(t.hist, id) // gone, or single-version and live again
 		}
 	}
 	return reclaimed
 }
 
 // loadRow installs a row under an explicit ID without constraint checks;
-// it backs snapshot/checkpoint loading. Caller sorts the ID slice (via
-// finishLoad) once all rows are in.
+// it backs snapshot/checkpoint loading, which checks the IDs first.
 func (t *Table) loadRow(id int64, row []Value) {
-	t.rows[id] = &rowVersion{row: row} // beg 0: committed
-	t.ids.append(id)
+	t.setHead(id, &rowVersion{row: row}) // beg 0: committed
 	t.live.Add(1)
 	for _, idx := range t.indexMap() {
 		idx.insert(row[idx.Col], id)
 	}
-}
-
-// finishLoad restores the sorted-ID invariant after a bulk loadRow pass
-// whose input order is not trusted.
-func (t *Table) finishLoad() {
-	t.ids.sortInPlace()
-	t.mut.Add(1)
 }
 
 // coerceRow validates a candidate full row against schema constraints
@@ -556,27 +557,19 @@ func (t *Table) coerceRow(row []Value) error {
 }
 
 // Scan visits the newest committed version of every row in ascending
-// row-ID order until fn returns false. The caller holds the database
-// exclusively (Dump, checkpoints), so no row-map lock is taken.
+// row-ID order until fn returns false.
 func (t *Table) Scan(fn func(id int64, row []Value) bool) {
 	t.scanVis(visibility{snap: snapLatest}, fn)
 }
 
 // scanVis visits every row version visible under vis in ascending row-ID
 // order until fn returns false. Row-ID order makes scans deterministic,
-// which matters for reproducible query output and for the test suite. The
-// ID slice is maintained incrementally on insert/delete, so a scan is O(n)
-// with no sorting.
+// which matters for reproducible query output and for the test suite.
 func (t *Table) scanVis(vis visibility, fn func(id int64, row []Value) bool) {
-	for _, id := range t.ids.load() {
-		row := t.head(id, vis.lockRows).resolve(vis)
-		if row == nil {
-			continue // tombstone, or invisible at this snapshot
-		}
-		if !fn(id, row) {
-			return
-		}
-	}
+	t.eachHead(0, func(id int64, head *rowVersion) bool {
+		row := head.resolve(vis)
+		return row == nil || fn(id, row) // nil: tombstone, or invisible at this snapshot
+	})
 }
 
 // sortInt64s sorts a slice of row IDs ascending.
@@ -584,7 +577,7 @@ func sortInt64s(ids []int64) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
 
-// dedupSortedInt64s removes adjacent duplicates from a sorted ID slice.
+// dedupSortedInt64s removes adjacent duplicates from sorted row IDs.
 func dedupSortedInt64s(ids []int64) []int64 {
 	out := ids[:0]
 	for i, id := range ids {
@@ -615,12 +608,13 @@ func (t *Table) createIndex(name, column string, kind IndexKind, unique bool, vi
 	if unique {
 		taken = make(map[hashKey]bool)
 	}
-	for _, id := range t.ids.load() {
-		head := t.rows[id]
+	var dup Value
+	t.eachHead(0, func(id int64, head *rowVersion) bool {
 		if row := head.resolve(vis); unique && row != nil && row[col] != nil {
 			k := makeHashKey(row[col])
 			if taken[k] {
-				return nil, &UniqueError{Table: t.Name, Column: column, Value: row[col]}
+				dup = row[col]
+				return false
 			}
 			taken[k] = true
 		}
@@ -629,6 +623,10 @@ func (t *Table) createIndex(name, column string, kind IndexKind, unique bool, vi
 				idx.insert(v.row[col], id)
 			}
 		}
+		return true
+	})
+	if dup != nil {
+		return nil, &UniqueError{Table: t.Name, Column: column, Value: dup}
 	}
 	t.setIndex(name, idx)
 	return idx, nil
