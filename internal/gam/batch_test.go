@@ -13,18 +13,18 @@ import (
 	"genmapper/internal/wal"
 )
 
-// plainAndPinned runs a test on a fresh repository twice — plainly ("lock") and
-// beside readers whose snapshot predates the test ("mvcc"), so every
-// superseded version stays in storage and the suite runs over version
-// chains (the leg names predate this axis and are kept so test names stay
-// stable) — then checks the maintained Stats against the SQL recount. The
-// readers must still see an empty repository when the test is done,
-// unless the test replaced the tables wholesale (Restore invalidates them).
+// plainAndPinned runs a test on a fresh repository twice — plainly
+// ("plain") and beside readers whose snapshot predates the test
+// ("pinned"), so every superseded version stays in storage and the suite
+// runs over version chains — then checks the maintained Stats against the
+// SQL recount. The readers must still see an empty repository when the
+// test is done, unless the test replaced the tables wholesale (Restore
+// invalidates them).
 func plainAndPinned(t *testing.T, test func(t *testing.T, r *Repo)) {
 	for _, mode := range []struct {
 		name   string
 		pinned bool
-	}{{"lock", false}, {"mvcc", true}} {
+	}{{"plain", false}, {"pinned", true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			db := sqldb.NewDB()
 			t.Cleanup(func() { db.Close() })

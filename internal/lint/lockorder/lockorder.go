@@ -1,14 +1,15 @@
 // Package lockorder checks the engine's documented lock-acquisition order
-// and that no blocking operation runs under a database lock.
+// and that no blocking operation runs under the database lock.
 //
 // The engine's deadlock-freedom argument is a total order per lock domain:
 //
-//	db domain:  DB.writer < DB.mu < Table.histMu
+//	db domain:  DB.writer (the database's one lock)
 //	wal domain: WAL.syncMu < WAL.mu
 //
 // and one cross-cutting rule: fsync-class operations (File.Sync,
-// WAL.Durable, the durability wait) never run while a db-domain lock is
-// held — that is what makes group commit group anything.
+// WAL.Durable, the durability wait) and channel operations never run
+// while db.writer is held — that is what makes group commit group
+// anything.
 //
 // The analysis is intraprocedural and walks each function body in source
 // order, maintaining the set of locks held: Lock/RLock on a classified
@@ -16,8 +17,8 @@
 // held to the end (which is its runtime meaning). Function literals are
 // analyzed as separate bodies with an empty held set — a goroutine does
 // not inherit its spawner's locks. Acquiring a class ranked lower than one
-// already held, re-acquiring a held class, or making a blocking call with
-// a db-domain lock held is reported.
+// already held, re-acquiring a held class (db.writer included: it is not
+// reentrant), or making a blocking call with db.writer held is reported.
 package lockorder
 
 import (
@@ -44,15 +45,17 @@ type lockClass struct {
 
 // classes maps "pkgpath.Type.field" keys to their documented order.
 var classes = map[string]lockClass{
-	"genmapper/internal/sqldb.DB.writer":    {domain: "db", rank: 0, label: "db.writer"},
-	"genmapper/internal/sqldb.DB.mu":        {domain: "db", rank: 1, label: "db.mu"},
-	"genmapper/internal/sqldb.Table.histMu": {domain: "db", rank: 2, label: "Table.histMu"},
-	"genmapper/internal/wal.WAL.syncMu":     {domain: "wal", rank: 0, label: "wal.syncMu"},
-	"genmapper/internal/wal.WAL.mu":         {domain: "wal", rank: 1, label: "wal.mu"},
+	"genmapper/internal/sqldb.DB.writer": {domain: "db", rank: 0, label: "db.writer"},
+	"genmapper/internal/wal.WAL.syncMu":  {domain: "wal", rank: 0, label: "wal.syncMu"},
+	"genmapper/internal/wal.WAL.mu":      {domain: "wal", rank: 1, label: "wal.mu"},
 }
 
+// orders spells out, for diagnostics, the documented order of each domain
+// with more than one lock. The db domain has one lock and no order.
+var orders = map[string]string{"wal": "syncMu < mu"}
+
 // blockingMethods are fsync-class calls: they block on disk or on another
-// goroutine's fsync and must not run under a db-domain lock.
+// goroutine's fsync and must not run under db.writer.
 var blockingMethods = map[string]string{
 	"genmapper/internal/wal.WAL.Durable":       "WAL.Durable",
 	"genmapper/internal/wal.File.Sync":         "File.Sync",
@@ -136,7 +139,7 @@ func visitCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, held m
 		}
 		for _, h := range held {
 			if h.class.domain == class.domain && h.class.rank > class.rank {
-				pass.Reportf(call.Pos(), "lock order violation: %s acquired while holding %s; documented order is %s", class.label, h.class.label, domainOrder(class.domain))
+				pass.Reportf(call.Pos(), "lock order violation: %s acquired while holding %s; documented order is %s", class.label, h.class.label, orders[class.domain])
 			}
 		}
 		// A deferred Lock makes no sense and a deferred Unlock keeps the
@@ -152,15 +155,14 @@ func visitCall(pass *analysis.Pass, call *ast.CallExpr, stack []ast.Node, held m
 	}
 }
 
-// checkBlocked reports op if any db-domain lock is held: waiting under one
-// stalls the writer, and with it every commit that could have joined the
-// same fsync.
+// checkBlocked reports op if db.writer is held: waiting under it stalls
+// every commit that could have joined the same fsync.
 func checkBlocked(pass *analysis.Pass, pos token.Pos, op string, held map[string]heldLock) {
 	for _, h := range held {
 		if h.class.domain != "db" {
 			continue
 		}
-		pass.Reportf(pos, "%s while holding %s (acquired at %s); release db locks before blocking so commits can group", op, h.class.label, pass.Fset.Position(h.pos))
+		pass.Reportf(pos, "%s while holding %s (acquired at %s); release it before blocking so commits can group", op, h.class.label, pass.Fset.Position(h.pos))
 		return
 	}
 }
@@ -172,11 +174,4 @@ func insideDefer(stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-func domainOrder(domain string) string {
-	if domain == "wal" {
-		return "syncMu < mu"
-	}
-	return "writer < mu < Table.histMu"
 }

@@ -39,7 +39,7 @@ func advance(w *WAL) {
 
 func syncUnderWalLock(w *WAL) error {
 	// wal-domain locks may be held across fsync — that serialization is the
-	// point of syncMu; only db-domain locks must not be.
+	// point of syncMu; only db.writer must not be.
 	w.syncMu.Lock()
 	defer w.syncMu.Unlock()
 	return w.f.Sync()

@@ -20,7 +20,7 @@
 //     records it has just read from the log.
 //  4. DB.publishCommit may only be called from the audited committer
 //     functions (publishCallers). Epoch advances are serialized by
-//     holding db.writer plus the exclusive db.mu, so WAL order equals
+//     holding db.writer, the database's one lock, so WAL order equals
 //     publication order; that argument is made per call site, so a new
 //     site must be added here deliberately.
 package mvccepoch
@@ -61,7 +61,7 @@ var logCalls = map[string]bool{
 
 // publishCallers are the audited commit paths: the only functions that
 // may call publishCommit. execPrepared, Tx.Publish and applyRecord all
-// hold db.writer and publish under the exclusive db.mu.
+// publish under db.writer.
 var publishCallers = map[string]bool{
 	"execPrepared": true,
 	"Publish":      true,
@@ -133,7 +133,7 @@ func checkBody(pass *analysis.Pass, fnName string, body *ast.BlockStmt) {
 			pass.Reportf(p.Pos(), "publishCommit before any WAL append in this function; commit epochs may only become visible after the commit record is logged")
 		}
 		if pass.Pkg.Path() == sqldbPath && !publishCallers[fnName] {
-			pass.Reportf(p.Pos(), "publishCommit called outside the audited committer functions; epoch advances must be serialized (db.writer plus exclusive db.mu) — add the new site to mvccepoch's publishCallers with that argument")
+			pass.Reportf(p.Pos(), "publishCommit called outside the audited committer functions; epoch advances must be serialized (under db.writer) — add the new site to mvccepoch's publishCallers with that argument")
 		}
 	}
 	for _, lit := range lits {

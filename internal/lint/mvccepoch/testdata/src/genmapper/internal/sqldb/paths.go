@@ -52,7 +52,7 @@ func (tx *Tx) Publish(sql string, installed []*rowVersion) {
 
 // Publishing from an unaudited function is rejected even with the append
 // in order: every publication site must carry a serialization argument
-// (db.writer plus the exclusive db.mu).
+// (it holds db.writer).
 func (db *DB) publishRogue(installed []*rowVersion) error {
 	if _, err := db.durable.logCommit(nil); err != nil {
 		return err

@@ -31,16 +31,9 @@ import (
 	"genmapper/internal/gam"
 )
 
-// DefaultCacheCapacity bounds the executor LRU when no explicit capacity
-// is configured.
+// DefaultCacheCapacity bounds the executor LRU: the number of cached
+// mappings, edges and composed paths together.
 const DefaultCacheCapacity = 256
-
-// ExecutorConfig tunes an Executor.
-type ExecutorConfig struct {
-	// Capacity is the maximum number of cached mappings (edges and
-	// composed paths together). <= 0 selects DefaultCacheCapacity.
-	Capacity int
-}
 
 // CacheStats reports executor cache effectiveness.
 type CacheStats struct {
@@ -65,20 +58,15 @@ type cacheEntry struct {
 	m   *Mapping
 }
 
-// NewExecutor creates an executor with default configuration.
+// NewExecutor creates an executor whose cache holds DefaultCacheCapacity
+// mappings.
 func NewExecutor(repo *gam.Repo) *Executor {
-	return NewExecutorConfig(repo, ExecutorConfig{})
+	return newExecutor(repo, DefaultCacheCapacity)
 }
 
-// NewExecutorConfig creates an executor with explicit tuning.
-func NewExecutorConfig(repo *gam.Repo, cfg ExecutorConfig) *Executor {
-	if cfg.Capacity <= 0 {
-		cfg.Capacity = DefaultCacheCapacity
-	}
-	return &Executor{
-		repo: repo,
-		lru:  cache.New[string, *cacheEntry](cfg.Capacity),
-	}
+// newExecutor creates an executor whose cache holds capacity mappings.
+func newExecutor(repo *gam.Repo, capacity int) *Executor {
+	return &Executor{repo: repo, lru: cache.New[string, *cacheEntry](capacity)}
 }
 
 // Repo returns the repository the executor reads from.

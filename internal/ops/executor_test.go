@@ -230,7 +230,7 @@ func TestExecutorCacheInvalidationOnDelete(t *testing.T) {
 
 func TestExecutorLRUBound(t *testing.T) {
 	f := newChainFixture(t, 6, 4)
-	e := NewExecutorConfig(f.repo, ExecutorConfig{Capacity: 2})
+	e := newExecutor(f.repo, 2)
 	for i := 0; i+1 < len(f.sources); i++ {
 		if _, err := e.Map(f.sources[i].ID, f.sources[i+1].ID); err != nil {
 			t.Fatal(err)

@@ -16,21 +16,21 @@ import (
 // lock-free against a snapshot epoch, and transactions read the database
 // as of Begin plus their own writes. Writers run one at a time.
 type DB struct {
-	mu sync.RWMutex
-	// writer admits one writer at a time: an auto-commit statement holds
-	// it for the statement, a transaction from Begin until Commit or
-	// Rollback.
+	// writer is the database's one lock. It admits one writer at a time:
+	// an auto-commit statement holds it for the statement, a transaction
+	// from Begin until Commit or Rollback. Vacuum, checkpoints, Save, Dump
+	// and Restore take it too, so each sees exactly the committed state.
 	writer sync.Mutex
 
 	// tables is the copy-on-write catalog: the map value is immutable and
-	// republished whole by DDL (under writer + exclusive mu), so lock-free
-	// planning and execution can resolve tables with a single atomic load.
+	// republished whole by DDL (under writer), so lock-free planning and
+	// execution can resolve tables with a single atomic load.
 	tables atomic.Pointer[map[string]*Table]
 
 	// gen is the schema generation, bumped by every DDL change (and its
 	// rollback). Prepared plans record the generation they were built under
-	// and are transparently rebuilt when it moves. Written under mu; read
-	// atomically so lock-free cursors can poll it at every step.
+	// and are transparently rebuilt when it moves. Written under writer;
+	// read atomically so lock-free cursors can poll it at every step.
 	gen atomic.Uint64
 	// noIndex disables index access paths in the planner (see
 	// setIndexAccess). Atomic: planning reads it lock-free.
@@ -49,10 +49,8 @@ type DB struct {
 	versionsVacuumed atomic.Uint64
 	bgVacuums        atomic.Uint64
 
-	// Background vacuum goroutine state (see mvcc.go). vacMu guards the
-	// handle and interval; the goroutine runs while some table carries
-	// version history.
-	vacMu       sync.Mutex
+	// Background vacuum goroutine state (see mvcc.go), guarded by writer;
+	// the goroutine runs while some table carries version history.
 	vac         *vacuumer
 	vacInterval time.Duration
 
@@ -71,7 +69,7 @@ type DB struct {
 
 // bumpSchemaGen advances the schema generation and eagerly clears cached
 // compiled statements so plans drop their table/index references. Caller
-// holds db.mu exclusively.
+// holds db.writer.
 func (db *DB) bumpSchemaGen() {
 	db.gen.Add(1)
 	db.stmts.invalidateAll()
@@ -86,7 +84,7 @@ func (db *DB) tableMap() map[string]*Table { return *db.tables.Load() }
 func (db *DB) storeTables(m map[string]*Table) { db.tables.Store(&m) }
 
 // putTable publishes the catalog with t added under key (copy-on-write;
-// caller holds writer + exclusive mu).
+// caller holds writer).
 func (db *DB) putTable(key string, t *Table) {
 	old := db.tableMap()
 	next := make(map[string]*Table, len(old)+1)
@@ -98,7 +96,7 @@ func (db *DB) putTable(key string, t *Table) {
 }
 
 // delTable publishes the catalog with key removed (copy-on-write; caller
-// holds writer + exclusive mu).
+// holds writer).
 func (db *DB) delTable(key string) {
 	old := db.tableMap()
 	next := make(map[string]*Table, len(old))
@@ -198,12 +196,12 @@ func (db *DB) newWriteCtx() *writeCtx {
 }
 
 // execPrepared runs a non-SELECT prepared statement as one auto-commit
-// transaction. Caller holds writer and db.mu exclusively. On a durable
-// database the commit record is appended (in log order, inside the
-// exclusive section) and its LSN returned; the caller waits for
-// durability after releasing the locks so concurrent committers can share
-// one fsync. The statement's provisional versions are published — made
-// visible to snapshot readers — only after the append succeeds.
+// transaction. Caller holds writer. On a durable database the commit
+// record is appended (in log order, under the writer) and its LSN
+// returned; the caller waits for durability after releasing the writer
+// so concurrent committers can share one fsync. The statement's
+// provisional versions are published — made visible to snapshot readers
+// — only after the append succeeds.
 func (db *DB) execPrepared(s *Stmt, vals []Value) (Result, uint64, error) {
 	p, err := s.ensure(db)
 	if err != nil {
@@ -261,7 +259,7 @@ type undoLog struct {
 
 func (u *undoLog) add(e undoEntry) { u.entries = append(u.entries, e) }
 
-// rollback applies undo entries in reverse order. Caller holds db.mu.
+// rollback applies undo entries in reverse order. Caller holds db.writer.
 func (u *undoLog) rollback(db *DB) {
 	u.rollbackTo(db, 0)
 }
@@ -270,7 +268,7 @@ func (u *undoLog) rollback(db *DB) {
 // the log back to mark. It gives Tx.Exec statement-level atomicity: a
 // statement that fails mid-way (say row 3 of a multi-row INSERT) unwinds
 // only its own entries, leaving earlier statements of the transaction
-// intact. Caller holds db.mu.
+// intact. Caller holds db.writer.
 func (u *undoLog) rollbackTo(db *DB, mark int) {
 	for i := len(u.entries) - 1; i >= mark; i-- {
 		u.entries[i].undo(db)
@@ -383,7 +381,7 @@ func (e dropIndexUndo) undo(db *DB) {
 }
 
 // ---------------------------------------------------------------------------
-// Write-statement execution. Caller holds db.mu exclusively.
+// Write-statement execution. Caller holds db.writer.
 
 func (db *DB) executeWrite(p *prepared, args []Value, undo *undoLog, w *writeCtx) (Result, error) {
 	// UPDATE and DELETE run on their cached plans (access path chosen and
@@ -732,8 +730,6 @@ func (tx *Tx) Exec(sql string, args ...any) (Result, error) {
 		return Result{}, err
 	}
 	db := tx.db
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	p, err := db.stmts.get(db, sql).ensure(db)
 	if err != nil {
 		return Result{}, err
@@ -806,11 +802,7 @@ func (tx *Tx) Publish() error {
 		}
 		tx.lsn = lsn
 	}
-	if len(tx.installed) > 0 {
-		db.mu.Lock()
-		db.publishCommit(tx.installed)
-		db.mu.Unlock()
-	}
+	db.publishCommit(tx.installed)
 	tx.done, tx.published = true, true
 	return nil
 }
@@ -862,9 +854,7 @@ func (tx *Tx) Rollback() error {
 
 // abort unlinks the transaction's changes and finishes it.
 func (tx *Tx) abort() {
-	tx.db.mu.Lock()
 	tx.undo.rollback(tx.db)
 	tx.db.abortProvisional(tx.installed)
-	tx.db.mu.Unlock()
 	tx.finish()
 }

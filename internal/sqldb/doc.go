@@ -20,18 +20,25 @@
 // compiler cannot check but gmlint (cmd/gmlint) does; code in this package
 // must preserve them:
 //
-//  1. Lock order. Locks are always acquired writer < mu < Table.histMu,
-//     and the WAL's internally are syncMu < mu. Release before
-//     re-acquiring against the order (see wal.AdvanceTo for the dance).
-//     Readers take none of them: a row's chain head is loaded from its
-//     slot atomically.
+//  1. One lock. db.writer is the only lock that orders the database's
+//     writes: every write statement, Vacuum, Checkpoint, Save, Dump and
+//     Restore hold it, and the vacuumer retires under it. It is not
+//     reentrant, so a goroutine with a Tx open must not call db.Exec,
+//     Begin, Save, Dump or Close. The WAL's locks are acquired syncMu < mu
+//     (see wal.AdvanceTo for the dance). Readers take none of them: a
+//     row's chain head is loaded from its slot atomically.
 //
-//  2. No blocking under db locks. fsync-class calls (wal.Durable,
-//     File.Sync, durability.wait) and channel operations never run
-//     while writer or mu is held. Commits append to the log while
-//     holding writer (log order = commit order) but wait for durability
-//     after unlocking — that window is what lets concurrent committers
-//     share one fsync (group commit). Readers take no lock, never mu.
+//  2. No blocking under the writer. fsync-class calls (wal.Durable,
+//     File.Sync, durability.wait) and channel operations never run while
+//     writer is held. Commits append to the log while holding writer
+//     (log order = commit order) but wait for durability after unlocking
+//     — that window is what lets concurrent committers share one fsync
+//     (group commit). One known exception: WAL.Append rotates inline
+//     when a record fills the segment, and the rotation fsyncs the
+//     sealed segment under the writer (and, through Tx.Publish in
+//     gam.Atomic, under gam.Repo.mu). lockorder cannot see it, because
+//     the fsync happens inside package wal; moving the rotation out of
+//     Append is ROADMAP item 14.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
 //     through executeWrite, and every caller must bind the mutation for
@@ -44,7 +51,7 @@
 //
 //  4. Schema generation is atomic and accessor-only. db.gen is read
 //     lock-free by every cursor step to detect invalidation; it is
-//     mutated only by bumpSchemaGen, under the exclusive mu of the DDL
+//     mutated only by bumpSchemaGen, under the writer held by the DDL
 //     (or restore) that invalidates those cursors.
 //
 //  5. Cursors are closed. Every Cursor obtained from QueryCursor is
@@ -67,16 +74,18 @@
 //     snapTracker.acquire so vacuum never reclaims below a live
 //     snapshot. Versions are installed with writeCtx.stamp() and become
 //     visible ONLY via publishCommit — which stamps the commit epoch and
-//     advances db.epoch last (the release fence), strictly after the
-//     commit's WAL append (recovery replay publishes records it read
-//     from the log) — or are unlinked by rollback. gmlint's mvccepoch
-//     checks the publication sites and the append-before-publish order.
+//     advances db.epoch last (the release fence), under the writer,
+//     strictly after the commit's WAL append (recovery replay publishes
+//     records it read from the log) — or are unlinked by rollback.
+//     gmlint's mvccepoch checks the publication sites and the
+//     append-before-publish order.
 //
 //  9. One writer at a time, taken at Begin. Every write statement holds
 //     writer — an auto-commit statement for itself, a transaction from
-//     Begin, before it captures its snapshot, until Commit or Rollback —
-//     and runs under the exclusive mu. WAL order = commit order =
-//     publication order, which serial replay needs
-//     (TestMVCCMultiWriterOpenTxReplay), and no commit lands between a
-//     transaction's reads and its writes.
+//     Begin, before it captures its snapshot, until Commit or Rollback.
+//     WAL order = commit order = publication order, which serial replay
+//     needs (TestMVCCMultiWriterOpenTxReplay), and no commit lands
+//     between a transaction's reads and its writes. Save and Dump wait
+//     for an open transaction, so they record exactly the committed
+//     state (TestSaveAndDumpBesideOpenTx).
 package sqldb

@@ -440,8 +440,6 @@ func loadNewestCheckpoint(fs wal.FS) (map[string]*Table, uint64, error) {
 func (db *DB) applyRecord(stmts []logStmt) error {
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	undo := &undoLog{}
 	w := db.newWriteCtx()
 	fail := func(err error) error {
@@ -504,14 +502,11 @@ func (db *DB) Checkpoint() error {
 	d.ckptMu.Lock()
 	defer d.ckptMu.Unlock()
 
-	// writer.Lock waits out open writing transactions and the exclusive
-	// mu any statement in progress, so the snapshot contains exactly the
-	// state described by log records <= lsn.
+	// The writer waits out an open transaction, so the snapshot holds
+	// exactly the state described by log records <= lsn.
 	db.writer.Lock()
-	db.mu.Lock()
 	snap := db.buildSnapshot()
 	lsn := d.w.LastLSN()
-	db.mu.Unlock()
 	db.writer.Unlock()
 
 	return d.writeCheckpoint(snap, lsn)
@@ -615,12 +610,17 @@ func (db *DB) Close() error {
 // database: schemas, index definitions, row contents in row-ID order, and
 // the row/sequence counters. Two databases that dump identically behave
 // identically for all future statements, which is exactly the equivalence
-// the crash-recovery oracle tests assert.
+// the crash-recovery oracle tests assert. Like Save, it waits for an open
+// transaction and renders exactly the committed state; calling it from
+// inside one's own transaction deadlocks.
 func (db *DB) Dump(w io.Writer) error {
-	// Exclusive mu: the dump reads nextRow/nextSeq and whole chains, which
-	// a statement in progress changes.
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.writer.Lock()
+	defer db.writer.Unlock()
+	return db.dumpLocked(w)
+}
+
+// dumpLocked is Dump for a caller that holds db.writer.
+func (db *DB) dumpLocked(w io.Writer) error {
 	tables := db.tableMap()
 	names := make([]string, 0, len(tables))
 	for n := range tables {

@@ -25,7 +25,7 @@ func (k IndexKind) String() string {
 // B-tree indexes keep entries ordered for range scans.
 //
 // Every structural operation synchronizes on the index's own RWMutex:
-// the writer holds the database exclusively, but snapshot readers probe
+// only the writer changes an index, but snapshot readers probe
 // indexes with no database lock at all, so the per-index lock is
 // what keeps a lookup from racing an entry insert. Readers copy matches
 // out (Lookup) or finish the traversal (Range) before resolving row

@@ -86,12 +86,14 @@ func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 
 // tableState is everything a failed or rolled-back INSERT must leave as it
 // found it: the dump (rows and both counters), every index's entry count
-// and the row slots (chunks, live rows, occupied slots).
+// and the row slots (chunks, live rows, occupied slots). It takes no lock:
+// the caller runs alone or inside its own transaction, which holds the
+// writer already.
 func tableState(db *DB, table string) string {
 	var sb strings.Builder
-	sb.WriteString(db.DumpString())
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	if err := db.dumpLocked(&sb); err != nil {
+		panic(err)
+	}
 	t := db.table(table)
 	for _, idx := range t.Indexes() {
 		fmt.Fprintf(&sb, "index %s: %d entries, %d NULL\n", idx.Name, idx.Len(), len(idx.NullRowIDs()))

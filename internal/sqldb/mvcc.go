@@ -8,21 +8,20 @@ package sqldb
 // Readers take NO database lock at all. A statement (or transaction)
 // captures a snapshot epoch at start and registers it with the snapshot
 // tracker; every access path resolves row visibility against that epoch,
-// loading chain heads from their row slots atomically, with no lock at
-// all. There is one writer at a time: every write
-// statement holds db.writer — an auto-commit statement for itself, a
+// loading chain heads from their row slots atomically. There is one
+// writer at a time: every write statement holds db.writer, the
+// database's one lock — an auto-commit statement for itself, a
 // transaction from Begin, before its snapshot is taken, until Commit or
-// Rollback — and runs under the exclusive db.mu. A transaction therefore
-// writes on the state it read: no commit lands between its snapshot and
-// its writes. The logical WAL replays statements in commit order, so
-// writes must happen in that same order to keep a live database
-// byte-identical to a recovered one: WAL order = commit order =
-// publication order. Provisional versions are stamped with the writing
-// transaction's ID and published only AFTER the WAL append
-// (publishCommit), so a crash can never leave an acknowledged-but-unlogged
-// commit and a reader can never observe a mid-statement or mid-transaction
-// state: a commit is visible whole or not at all. Rollback unlinks the
-// provisional versions.
+// Rollback. A transaction therefore writes on the state it read: no
+// commit lands between its snapshot and its writes. The logical WAL
+// replays statements in commit order, so writes must happen in that same
+// order to keep a live database byte-identical to a recovered one: WAL
+// order = commit order = publication order. Provisional versions are
+// stamped with the writing transaction's ID and published only AFTER the
+// WAL append (publishCommit), so a crash can never leave an
+// acknowledged-but-unlogged commit and a reader can never observe a
+// mid-statement or mid-transaction state: a commit is visible whole or
+// not at all. Rollback unlinks the provisional versions.
 //
 // Version reclamation: a commit that leaves version history (an UPDATE's
 // superseded version, a DELETE's tombstone) starts the background vacuum
@@ -31,9 +30,9 @@ package sqldb
 // snapshot, and exits once no table carries history, so a database with
 // nothing to reclaim owns no goroutine (and an unreferenced one can be
 // collected). DB.Close stops it; the public Vacuum does the same work on
-// demand. Vacuum runs under db.writer + exclusive db.mu, which excludes
-// writers, checkpoints, and commit publication. An open snapshot pins
-// the horizon until it is released.
+// demand. Vacuum runs under db.writer, which excludes writers,
+// checkpoints, and commit publication. An open snapshot pins the horizon
+// until it is released.
 
 import (
 	"sync"
@@ -221,9 +220,9 @@ func (s *snapTracker) count() int {
 // The caller MUST have appended the commit's WAL record first — nothing
 // may become visible to lock-free readers before it is in the log — unless
 // it is recovery replaying a record read from the log, and must hold
-// db.writer and the exclusive db.mu, which serialize epoch advances in
-// WAL order. gmlint's mvccepoch checks the publication sites and the
-// append-before-publish order.
+// db.writer, which serializes epoch advances in WAL order. gmlint's
+// mvccepoch checks the publication sites and the append-before-publish
+// order.
 func (db *DB) publishCommit(installed []*rowVersion) {
 	if len(installed) == 0 {
 		return
@@ -270,32 +269,40 @@ type vacuumer struct {
 }
 
 // vacuumMark is what a background pass depends on: a pass can reclaim
-// nothing new unless a commit, an abort or a released snapshot moved one
-// of these since the previous pass.
+// nothing new unless a commit, an abort, a Vacuum, a schema change (DROP
+// TABLE, Restore) or a released snapshot moved it since the last pass.
 type vacuumMark struct {
-	commits, aborts, horizon uint64
+	commits, aborts, runs, gen, horizon uint64
+}
+
+// mark reads the current vacuumMark.
+func (db *DB) mark() vacuumMark {
+	return vacuumMark{
+		commits: db.mvccCommits.Load(),
+		aborts:  db.mvccAborts.Load(),
+		runs:    db.vacuumRuns.Load(),
+		gen:     db.gen.Load(),
+		horizon: db.snaps.oldest(db.epoch.Load()),
+	}
 }
 
 // setVacuumInterval tunes the background vacuum tick period (restarting
 // the goroutine when it is running). Non-positive restores the default.
 // Tests use it to make background passes fast or to keep them away.
 func (db *DB) setVacuumInterval(d time.Duration) {
-	db.vacMu.Lock()
+	db.writer.Lock()
 	db.vacInterval = d
-	running := db.vac != nil
-	db.vacMu.Unlock()
-	if running {
-		db.stopVacuumer()
+	db.writer.Unlock()
+	if db.stopVacuumer() {
+		db.writer.Lock()
 		db.startVacuumer()
+		db.writer.Unlock()
 	}
 }
 
 // startVacuumer launches the background vacuum goroutine unless one is
-// running. Cheap enough for the commit path: one uncontended mutex when
-// the goroutine already runs.
+// running. Caller holds db.writer (publishCommit's committers do).
 func (db *DB) startVacuumer() {
-	db.vacMu.Lock()
-	defer db.vacMu.Unlock()
 	if db.vac != nil {
 		return
 	}
@@ -308,36 +315,20 @@ func (db *DB) startVacuumer() {
 	go db.vacuumLoop(v, iv)
 }
 
-// stopVacuumer stops the background vacuum goroutine and waits for it to
-// exit (idempotent; called by DB.Close). Never called with database locks
-// held — the in-flight tick may be waiting for them.
-func (db *DB) stopVacuumer() {
-	db.vacMu.Lock()
+// stopVacuumer stops the background vacuum goroutine, waits for it to
+// exit and reports whether one was running (idempotent; called by
+// DB.Close). It holds db.writer only to unregister the goroutine, never
+// while waiting: the in-flight tick may be waiting for the writer.
+func (db *DB) stopVacuumer() bool {
+	db.writer.Lock()
 	v := db.vac
 	db.vac = nil
-	db.vacMu.Unlock()
+	db.writer.Unlock()
 	if v != nil {
 		close(v.stop)
 		<-v.done
 	}
-}
-
-// retireVacuumer unregisters v after a pass that left no history behind,
-// unless a commit landed since that pass (it may have added history and
-// found v still registered, so v must run on). Under vacMu this races
-// safely with startVacuumer: a committer either bumped the commit count
-// before the check here, or takes vacMu after it and starts a fresh
-// goroutine.
-func (db *DB) retireVacuumer(v *vacuumer, commits uint64) bool {
-	db.vacMu.Lock()
-	defer db.vacMu.Unlock()
-	if db.mvccCommits.Load() != commits {
-		return false
-	}
-	if db.vac == v {
-		db.vac = nil
-	}
-	return true
+	return v != nil
 }
 
 // vacuumLoop is the background vacuum goroutine: every tick it reclaims
@@ -353,47 +344,36 @@ func (db *DB) vacuumLoop(v *vacuumer, interval time.Duration) {
 		case <-v.stop:
 			return
 		case <-t.C:
-			m := db.vacuumTick(last)
-			if !db.hasHistory() && db.retireVacuumer(v, m.commits) {
+			var retired bool
+			if last, retired = db.vacuumTick(v, last); retired {
 				return
 			}
-			last = m
 		}
 	}
 }
 
-// vacuumTick runs one background vacuum pass, but only when a commit, an
-// abort or a snapshot release since the previous pass (last) can have
-// made something reclaimable. It returns the mark the pass ran at.
-func (db *DB) vacuumTick(last vacuumMark) vacuumMark {
-	m := vacuumMark{
-		commits: db.mvccCommits.Load(),
-		aborts:  db.mvccAborts.Load(),
-		horizon: db.snaps.oldest(db.epoch.Load()),
-	}
-	if m == last {
-		return m
+// vacuumTick runs one background pass, but only when something since the
+// previous pass (last) can have made versions reclaimable, and returns
+// the mark the pass ran at. A pass that leaves no history retires v
+// under the writer, so no committer can add history between the pass and
+// the retirement: the next one that does starts a fresh goroutine.
+func (db *DB) vacuumTick(v *vacuumer, last vacuumMark) (vacuumMark, bool) {
+	if db.mark() == last {
+		return last, false
 	}
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.vacuumLocked()
+	m := db.mark()
+	_, hist := db.vacuumLocked()
 	db.bgVacuums.Add(1)
-	return m
-}
-
-// hasHistory reports whether any table still carries version history.
-func (db *DB) hasHistory() bool {
-	for _, t := range db.tableMap() {
-		t.histMu.Lock()
-		n := len(t.hist)
-		t.histMu.Unlock()
-		if n > 0 {
-			return true
+	if !hist {
+		if db.vac == v {
+			db.vac = nil
 		}
+		return m, true
 	}
-	return false
+	m.runs++ // this pass
+	return m, false
 }
 
 // Vacuum reclaims row versions no active snapshot can see and removes the
@@ -404,24 +384,24 @@ func (db *DB) hasHistory() bool {
 func (db *DB) Vacuum() int {
 	db.writer.Lock()
 	defer db.writer.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	return db.vacuumLocked()
+	n, _ := db.vacuumLocked()
+	return n
 }
 
-// vacuumLocked trims version chains below the oldest active snapshot.
-// Caller holds db.writer and exclusive db.mu, which excludes writers,
-// commit publication and checkpoints; a transaction holds db.writer from
-// Begin, so no provisional version exists during a pass.
-func (db *DB) vacuumLocked() int {
+// vacuumLocked trims version chains below the oldest active snapshot and
+// reports how many versions it reclaimed and whether any table still
+// carries history. Caller holds db.writer, which excludes writers, commit
+// publication and checkpoints; a transaction holds db.writer from Begin,
+// so no provisional version exists during a pass.
+func (db *DB) vacuumLocked() (reclaimed int, hist bool) {
 	horizon := db.snaps.oldest(db.epoch.Load())
-	reclaimed := 0
 	for _, t := range db.tableMap() {
 		reclaimed += t.vacuum(horizon)
+		hist = hist || len(t.hist) > 0
 	}
 	db.vacuumRuns.Add(1)
 	db.versionsVacuumed.Add(uint64(reclaimed))
-	return reclaimed
+	return reclaimed, hist
 }
 
 // MVCCStats is a snapshot of the MVCC subsystem (served as sql_mvcc on

@@ -200,17 +200,14 @@ func TestMVCCIndexVisibilityAcrossKeyChange(t *testing.T) {
 }
 
 // The headline regression test: a held writer lock (a write statement in
-// progress holds db.writer plus exclusive db.mu) must not stall an MVCC
-// snapshot read.
+// progress holds db.writer) must not stall an MVCC snapshot read.
 func TestMVCCReaderNotBlockedByHeldWriterLock(t *testing.T) {
 	db := mvccDB(t)
-	// Seize the locks exactly as a write statement does, and hold them.
+	// Seize the lock exactly as a write statement does, and hold it.
 	db.writer.Lock()
-	db.mu.Lock()
 	release := make(chan struct{})
 	go func() {
 		<-release
-		db.mu.Unlock()
 		db.writer.Unlock()
 	}()
 	defer close(release)

@@ -46,11 +46,13 @@ func init() {
 
 // Save writes a consistent snapshot of the whole database to path. The file
 // is written atomically via a temporary file and rename.
+// It waits for an open transaction and saves exactly the committed state;
+// calling it from inside one's own transaction deadlocks. The file is
+// encoded and written after the writer lock is released.
 func (db *DB) Save(path string) error {
-	// Exclusive mu: the snapshot must not see a half-applied statement.
-	db.mu.Lock()
+	db.writer.Lock()
 	snap := db.buildSnapshot()
-	db.mu.Unlock()
+	db.writer.Unlock()
 
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -132,7 +134,7 @@ func Load(path string) (*DB, error) {
 // previously written by Save, in place: existing statement handles and the
 // database reference itself stay valid. The snapshot is decoded and its
 // tables rebuilt before any lock is taken; the swap itself is a single
-// exclusive-lock critical section.
+// critical section under the writer lock.
 //
 // Restoring is a schema change: it bumps the schema generation so cached
 // statement plans compiled against the pre-restore tables are rebuilt
@@ -151,18 +153,16 @@ func (db *DB) Restore(path string) error {
 		return err
 	}
 	db.writer.Lock()
-	db.mu.Lock()
 	db.storeTables(tables)
 	db.bumpSchemaGen()
 	var snap *snapshot
 	var lsn uint64
 	if db.durable != nil {
 		// Snapshot the restored state and its log position inside the
-		// critical section; encode and fsync after releasing the locks.
+		// critical section; encode and fsync after releasing the writer.
 		snap = db.buildSnapshot()
 		lsn = db.durable.w.LastLSN()
 	}
-	db.mu.Unlock()
 	db.writer.Unlock()
 	if snap != nil {
 		return db.restoreCheckpoint(snap, lsn)

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -61,6 +62,68 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	// Unique constraint still enforced after load.
 	if _, err := loaded.Exec("INSERT INTO src (id, name) VALUES (1, 'dup')"); err == nil {
 		t.Fatal("primary key uniqueness lost after load")
+	}
+}
+
+// Save and Dump wait for an open transaction and record exactly the
+// committed state. Each is started beside a transaction that inserts into
+// an AUTOINCREMENT table; after the transaction rolls back (or commits),
+// the dump and the loaded snapshot equal the live dump, and the next
+// INSERT draws the same id on the live and the restored database. Taken
+// between two statements of the open transaction, they would record its
+// row and sequence counters without its rows.
+func TestSaveAndDumpBesideOpenTx(t *testing.T) {
+	for _, commit := range []bool{false, true} {
+		name := "rollback"
+		if commit {
+			name = "commit"
+		}
+		t.Run(name, func(t *testing.T) {
+			db := NewDB()
+			defer db.Close()
+			mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT)")
+			mustExec(t, db, "INSERT INTO t (v) VALUES ('committed')")
+			tx := db.Begin()
+			if _, err := tx.Exec("INSERT INTO t (v) VALUES ('a'), ('b')"); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "db.snap")
+			saved := make(chan error, 1)
+			dumped := make(chan string, 1)
+			go func() { saved <- db.Save(path) }()
+			go func() { dumped <- db.DumpString() }()
+			time.Sleep(20 * time.Millisecond) // both are waiting, or ran inside the transaction
+			if _, err := tx.Exec("INSERT INTO t (v) VALUES ('c')"); err != nil {
+				t.Fatal(err)
+			}
+			if commit {
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+			} else if err := tx.Rollback(); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-saved; err != nil {
+				t.Fatal(err)
+			}
+			dump := <-dumped
+			live := db.DumpString()
+			if dump != live {
+				t.Errorf("Dump beside the open transaction:\n%s\nwant the live dump:\n%s", dump, live)
+			}
+			loaded, err := Load(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loaded.Close()
+			if got := loaded.DumpString(); got != live {
+				t.Errorf("snapshot saved beside the open transaction loads as:\n%s\nwant the live dump:\n%s", got, live)
+			}
+			want := mustExec(t, db, "INSERT INTO t (v) VALUES ('next')").LastInsertID
+			if got := mustExec(t, loaded, "INSERT INTO t (v) VALUES ('next')").LastInsertID; got != want {
+				t.Errorf("restored database hands out id %d, live one %d", got, want)
+			}
+		})
 	}
 }
 

@@ -176,7 +176,7 @@ func planTableAccess(t *Table, where Expr, resolve func(*ColumnRef) int, noIndex
 // target table, the bound WHERE clause, the chosen access path and the
 // row-environment layout. Like selectPlan it is built once per prepared
 // statement and shared immutably across executions, so writes no longer
-// re-bind and re-plan per Exec under the exclusive lock.
+// re-bind and re-plan per Exec under the writer lock.
 type writePlan struct {
 	t      *Table
 	where  Expr

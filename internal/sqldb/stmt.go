@@ -99,9 +99,9 @@ func (s *Stmt) SQL() string { return s.sql }
 
 // ensure returns the statement's compiled form for the current schema
 // generation, (re)parsing and (re)planning when needed. Planning reads
-// only the copy-on-write catalog and atomic planner knobs, so readers run
-// it with no database lock; writers hold db.mu. Concurrent callers may
-// both prepare; each builds a private AST, so the losing Store is merely
+// only the copy-on-write catalog and atomic planner knobs, so it takes no
+// database lock, whether a reader or a writer calls it. Concurrent callers
+// may both prepare; each builds a private AST, so the losing Store is merely
 // redundant work.
 func (s *Stmt) ensure(db *DB) (*prepared, error) {
 	gen := db.gen.Load()
@@ -208,14 +208,12 @@ func (s *Stmt) Exec(args ...any) (Result, error) {
 	}
 	db := s.db
 	db.writer.Lock()
-	db.mu.Lock()
 	res, lsn, err := db.execPrepared(s, vals)
-	db.mu.Unlock()
 	db.writer.Unlock()
 	if err != nil {
 		return Result{}, err
 	}
-	// Durability wait happens outside the locks: while this committer
+	// Durability wait happens outside the lock: while this committer
 	// waits on the fsync, the next one can already execute and join the
 	// same flush round (group commit).
 	if d := db.durable; d != nil && lsn != 0 {
@@ -256,8 +254,6 @@ func leadingKeyword(sql string) string {
 // statement cache, so preparing a hot statement also warms the string-based
 // Query/Exec path for the same text.
 func (db *DB) Prepare(sql string) (*Stmt, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 	s := db.stmts.get(db, sql)
 	if _, err := s.ensure(db); err != nil {
 		return nil, err
@@ -442,8 +438,8 @@ type ParallelStats struct {
 // seed engine — which the oracle tests and benchmarks compare against.
 // Toggling bumps the schema generation so cached plans are rebuilt.
 func (db *DB) setIndexAccess(enabled bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.writer.Lock()
+	defer db.writer.Unlock()
 	db.noIndex.Store(!enabled)
 	db.bumpSchemaGen()
 }

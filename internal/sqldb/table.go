@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 )
 
@@ -14,10 +13,9 @@ import (
 //
 // Each row's version-chain head lives in a slot addressed by its row ID
 // (see rowChunk), so scans walk rows in ID order with no sort. Everything
-// a lock-free reader touches — the chunk list,
-// the slots, the index map and the row count — is published through
-// atomics; mutation happens only under the database writer lock plus the
-// exclusive db.mu.
+// a lock-free reader touches — the chunk list, the slots, the index map
+// and the row count — is published through atomics; mutation happens only
+// under the database writer lock.
 type Table struct {
 	Name    string
 	Schema  *Schema
@@ -30,29 +28,35 @@ type Table struct {
 	// ascending key order. A published list never changes: the writer
 	// appends past its length (where no reader looks) or publishes a
 	// fresh copy.
-	chunks atomic.Pointer[[]*rowChunk]
+	chunks atomic.Pointer[[]chunkRef]
+	// used counts the occupied slots of each chunk in the chunk list, in
+	// the same order. Only the writer reads or writes it.
+	used []int
 
 	// hist is the set of row IDs carrying version history: a chain longer
 	// than one version or a deletion tombstone. UPDATE and DELETE grow it
 	// (an INSERT installs single-version chains), and vacuum walks
 	// exactly this set, so reclamation cost follows the number of
 	// versioned rows, not table size — an insert-only workload vacuums in
-	// O(1). Guarded by histMu, because hasHistory reads it without db.mu.
-	histMu sync.Mutex
-	hist   map[int64]struct{}
+	// O(1). Only the writer touches it.
+	hist map[int64]struct{}
 }
 
 // rowSlotBits sets the chunk size: one rowChunk holds the slots of
 // 2^rowSlotBits consecutive row IDs.
 const rowSlotBits = 10
 
-// rowChunk holds the chain heads of the row IDs key<<rowSlotBits through
-// key<<rowSlotBits + 2^rowSlotBits - 1, one slot each; a nil slot holds no
-// row. Readers load slots atomically; only the writer stores them.
-type rowChunk struct {
+// rowChunk holds the chain heads of 2^rowSlotBits consecutive row IDs, one
+// slot each; a nil slot holds no row. Readers load slots atomically; only
+// the writer stores them. A chunk is its slots alone: its key lives in the
+// chunk list, so a lookup reads keys from one array.
+type rowChunk [1 << rowSlotBits]atomic.Pointer[rowVersion]
+
+// chunkRef is one entry of a table's chunk list: the chunk that holds the
+// row IDs key<<rowSlotBits through key<<rowSlotBits + 2^rowSlotBits - 1.
+type chunkRef struct {
 	key   int64
-	slots [1 << rowSlotBits]atomic.Pointer[rowVersion]
-	used  int // non-nil slots; the writer's alone, off the readers' cache lines
+	slots *rowChunk
 }
 
 // NewTable creates an empty table. A unique index is created automatically
@@ -71,7 +75,7 @@ func NewTable(name string, schema *Schema) *Table {
 func pkIndexName(table string) string { return "__pk_" + table }
 
 // chunkList returns the published chunk list (immutable, see Table.chunks).
-func (t *Table) chunkList() []*rowChunk {
+func (t *Table) chunkList() []chunkRef {
 	if p := t.chunks.Load(); p != nil {
 		return *p
 	}
@@ -81,7 +85,7 @@ func (t *Table) chunkList() []*rowChunk {
 // findChunk returns the position of the first chunk in cs whose key is at
 // least key. Where rows are dense the chunk sits at key - cs[0].key, so the
 // binary search is only the fallback.
-func findChunk(cs []*rowChunk, key int64) int {
+func findChunk(cs []chunkRef, key int64) int {
 	if len(cs) > 0 {
 		if i := key - cs[0].key; i >= 0 && i < int64(len(cs)) && cs[i].key == key {
 			return int(i)
@@ -112,28 +116,29 @@ func (t *Table) setHead(id int64, v *rowVersion) {
 		if v == nil {
 			return
 		}
-		c := &rowChunk{key: key}
-		var grown []*rowChunk
+		c := chunkRef{key: key, slots: new(rowChunk)}
+		var grown []chunkRef
 		if i == len(cs) {
 			grown = append(cs, c) // past the published length, where no reader looks
 		} else {
 			grown = slices.Insert(slices.Clip(cs), i, c) // a fresh copy
 		}
 		t.chunks.Store(&grown)
+		t.used = slices.Insert(t.used, i, 0)
 		cs = grown
 	}
-	c := cs[i]
-	slot := &c.slots[id&(1<<rowSlotBits-1)]
+	slot := &cs[i].slots[id&(1<<rowSlotBits-1)]
 	if old := slot.Load(); old == nil && v != nil {
-		c.used++
+		t.used[i]++
 	} else if old != nil && v == nil {
-		c.used--
+		t.used[i]--
 	}
 	slot.Store(v)
-	if c.used == 0 {
-		rest := make([]*rowChunk, 0, len(cs)-1)
+	if t.used[i] == 0 {
+		rest := make([]chunkRef, 0, len(cs)-1)
 		rest = append(append(rest, cs[:i]...), cs[i+1:]...)
 		t.chunks.Store(&rest)
+		t.used = slices.Delete(t.used, i, i+1)
 	}
 }
 
@@ -173,7 +178,7 @@ func newIndexSet(byName map[string]*Index) *indexSet {
 func (t *Table) indexMap() map[string]*Index { return t.idx.Load().byName }
 
 // setIndex publishes a new index under name (copy-on-write, caller holds
-// the database exclusively).
+// db.writer).
 func (t *Table) setIndex(name string, idx *Index) {
 	old := t.indexMap()
 	next := make(map[string]*Index, len(old)+1)
@@ -185,7 +190,7 @@ func (t *Table) setIndex(name string, idx *Index) {
 }
 
 // removeIndex unpublishes the index under name (copy-on-write, caller
-// holds the database exclusively).
+// holds db.writer).
 func (t *Table) removeIndex(name string) {
 	old := t.indexMap()
 	next := make(map[string]*Index, len(old))
@@ -364,12 +369,10 @@ func (t *Table) deleteRow(w *writeCtx, id int64) *rowVersion {
 // histAdd records that a row now carries version history. Called by
 // UPDATE and DELETE writers.
 func (t *Table) histAdd(id int64) {
-	t.histMu.Lock()
 	if t.hist == nil {
 		t.hist = make(map[int64]struct{})
 	}
 	t.hist[id] = struct{}{}
-	t.histMu.Unlock()
 }
 
 // undoInsert removes the n rows a now-rolled-back INSERT statement stored
@@ -463,12 +466,9 @@ func (t *Table) updateRow(w *writeCtx, id int64, newRow []Value) (*rowVersion, [
 // vacuum trims every versioned row's chain to the newest version visible
 // at horizon, removes the index entries only the dropped versions kept
 // reachable, and physically removes rows whose surviving head is a
-// committed tombstone. Caller holds the database writer lock and
-// exclusive db.mu (so no provisional versions exist); returns the number
-// of versions reclaimed.
+// committed tombstone. Caller holds the database writer lock (so no
+// provisional versions exist); returns the number of versions reclaimed.
 func (t *Table) vacuum(horizon uint64) int {
-	t.histMu.Lock()
-	defer t.histMu.Unlock()
 	if len(t.hist) == 0 {
 		return 0
 	}
@@ -593,8 +593,8 @@ func dedupSortedInt64s(ids []int64) []int64 {
 // committed or provisional, so old snapshots and open transactions find
 // their rows under the keys they resolve. Uniqueness is checked on the
 // rows visible under vis (the creating writer's view). DDL is not
-// versioned: snapshots older than the index use it too. Caller holds the
-// database exclusively.
+// versioned: snapshots older than the index use it too. Caller holds
+// db.writer.
 func (t *Table) createIndex(name, column string, kind IndexKind, unique bool, vis visibility) (*Index, error) {
 	if _, dup := t.indexMap()[name]; dup {
 		return nil, fmt.Errorf("sqldb: index %q already exists on %s", name, t.Name)

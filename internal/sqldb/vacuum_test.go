@@ -27,9 +27,84 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // vacuumerRunning reports whether the background vacuum goroutine is
 // registered.
 func vacuumerRunning(db *DB) bool {
-	db.vacMu.Lock()
-	defer db.vacMu.Unlock()
+	db.writer.Lock()
+	defer db.writer.Unlock()
 	return db.vac != nil
+}
+
+// historyLeft reports whether any table carries version history. Caller
+// holds db.writer.
+func historyLeft(db *DB) bool {
+	for _, t := range db.tableMap() {
+		if len(t.hist) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// The vacuumer retires under the writer, so no commit can add history
+// between its last pass and its retirement. With a 1 ms tick it retires and
+// restarts round after round beside committed UPDATEs, while a sampler
+// checks under the writer that history never sits without a vacuumer; at
+// the end history has drained and the goroutine is gone.
+func TestVacuumerRetiresBesideCommits(t *testing.T) {
+	db := NewDB()
+	defer db.Close()
+	db.setVacuumInterval(time.Millisecond)
+	mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+	for i := 0; i < 8; i++ {
+		mustExec(t, db, "INSERT INTO t VALUES (?, 0)", i)
+	}
+	stop, sampled := make(chan struct{}), make(chan int)
+	go func() {
+		orphaned := 0
+		for {
+			select {
+			case <-stop:
+				sampled <- orphaned
+				return
+			default:
+			}
+			db.writer.Lock()
+			if historyLeft(db) && db.vac == nil {
+				orphaned++
+			}
+			db.writer.Unlock()
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	for round := 0; round < 20; round++ {
+		for i := 0; i < 40; i++ {
+			mustExec(t, db, "UPDATE t SET v = ? WHERE id = ?", round*40+i, i%8)
+		}
+		waitFor(t, "the vacuumer to drain history and retire", func() bool { return !vacuumerRunning(db) })
+	}
+	close(stop)
+	if n := <-sampled; n > 0 {
+		t.Fatalf("history sat without a vacuumer in %d samples", n)
+	}
+	db.writer.Lock()
+	left := historyLeft(db)
+	db.writer.Unlock()
+	if left {
+		t.Fatal("the retired vacuumer left history behind")
+	}
+	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t"); got != 8 {
+		t.Fatalf("COUNT(*) = %d after the rounds, want 8", got)
+	}
+
+	// A DROP TABLE that takes the last history with it retires the
+	// vacuumer too, though no commit and no snapshot release followed.
+	cur, err := db.QueryCursor("SELECT COUNT(*) FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cur.Close()
+	mustExec(t, db, "UPDATE t SET v = -1 WHERE id = 0")
+	time.Sleep(5 * time.Millisecond) // passes run and keep the pinned version
+	mustExec(t, db, "DROP TABLE t")
+	waitFor(t, "the vacuumer to retire after DROP TABLE", func() bool { return !vacuumerRunning(db) })
 }
 
 // The background goroutine reclaims version chains on its own: no
