@@ -518,15 +518,17 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	if o, ok := c.Load(id); ok {
 		return o.(*Object), nil
 	}
-	rs, err := r.db.Query(sqlSelectObjectByID, int64(id))
-	if err != nil {
+	// The point query streams its row straight into the new entry: no
+	// result set is built for one row.
+	var o *Object
+	err := queryEach(r.db, sqlSelectObjectByID, []any{int64(id)}, func(row []sqldb.Value) error {
+		o = new(Object)
+		fillObject(o, row)
+		return nil
+	})
+	if err != nil || o == nil {
 		return nil, err
 	}
-	if len(rs.Rows) == 0 {
-		return nil, nil
-	}
-	o := new(Object)
-	fillObject(o, rs.Rows[0])
 	// A racing miss may have stored the same row first; keep its entry,
 	// so every reader of this cache shares one pointer.
 	got, _ := c.LoadOrStore(id, o)

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"genmapper/internal/gam"
@@ -339,6 +340,167 @@ func TestExecutorMapPathMatchesReference(t *testing.T) {
 	}
 }
 
+// checkGrouped fails unless m is a composed path as the executor caches
+// it: its grouping is that of its own associations, and its associations,
+// domains and offsets are exactly sized.
+func checkGrouped(t *testing.T, m *Mapping) {
+	t.Helper()
+	if m.index == nil {
+		t.Fatal("composed path carries no grouping")
+	}
+	g, want := m.index.groups, groupAssocs(m.Assocs)
+	if !slices.Equal(g.assocs, m.Assocs) || !slices.Equal(g.domains, want.domains) || !slices.Equal(g.offs, want.offs) {
+		t.Fatalf("grouping %v %v, want %v %v", g.domains, g.offs, want.domains, want.offs)
+	}
+	if cap(m.Assocs) != len(m.Assocs) || cap(g.assocs) != len(g.assocs) || cap(g.domains) != len(g.domains) || cap(g.offs) != len(g.offs) {
+		t.Fatalf("slack: assocs %d/%d, grouped assocs %d/%d, domains %d/%d, offsets %d/%d",
+			len(m.Assocs), cap(m.Assocs), len(g.assocs), cap(g.assocs), len(g.domains), cap(g.domains), len(g.offs), cap(g.offs))
+	}
+}
+
+// TestComposeScratchNeverAliasesResults composes path A, then longer paths
+// through the same pooled scratch, and checks A's result, plain and grouped,
+// slice for slice against the reference: reused scratch must never be
+// memory a returned mapping points into.
+func TestComposeScratchNeverAliasesResults(t *testing.T) {
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		chainA := refChain(rng, 3)
+		wantA := refComposePath(chainA)
+		mapsA := make([]*Mapping, len(chainA))
+		for i, as := range chainA {
+			mapsA[i] = operand(as, gam.SourceID(i+1), operandForms[rng.Intn(len(operandForms))])
+		}
+		plainA, err := ComposePath(mapsA...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groupedA, err := composePath(mapsA, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b := 0; b < 4; b++ {
+			chainB := refChain(rng, 2+rng.Intn(4))
+			mapsB := make([]*Mapping, len(chainB))
+			for i, as := range chainB {
+				mapsB[i] = operand(as, gam.SourceID(i+1), operandForms[rng.Intn(len(operandForms))])
+			}
+			got, err := composePath(mapsB, b%2 == 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refComposePath(chainB); !slices.Equal(got.Assocs, want) {
+				t.Fatalf("seed %d, path B %d:\n got %v\nwant %v", seed, b, got.Assocs, want)
+			}
+		}
+		if !slices.Equal(plainA.Assocs, wantA) || !slices.Equal(groupedA.Assocs, wantA) {
+			t.Fatalf("seed %d: path A changed after later compositions:\n got %v\n and %v\nwant %v",
+				seed, plainA.Assocs, groupedA.Assocs, wantA)
+		}
+		checkGrouped(t, groupedA)
+		if cap(plainA.Assocs) != len(plainA.Assocs) || plainA.index != nil {
+			t.Fatalf("seed %d: ComposePath result has %d/%d assocs, index %v", seed, len(plainA.Assocs), cap(plainA.Assocs), plainA.index)
+		}
+	}
+}
+
+// TestComposePathEmptyIntermediate composes paths whose first or a middle
+// hop derives nothing: the result is empty wherever later hops would join,
+// and a grouped empty result is still a well-formed grouping.
+func TestComposePathEmptyIntermediate(t *testing.T) {
+	full := []gam.Assoc{{Object1: 1, Object2: 2}, {Object1: 1, Object2: 3, Evidence: 0.5}, {Object1: 2, Object2: 3}}
+	miss := []gam.Assoc{{Object1: 7, Object2: 8}} // meets nothing in full
+	for _, chain := range [][][]gam.Assoc{
+		{full, miss},
+		{miss, full, full},
+		{full, full, miss, full},
+		{full, miss, full, full, full},
+	} {
+		want := refComposePath(chain)
+		if len(want) != 0 {
+			t.Fatalf("chain %v derives %v", chain, want)
+		}
+		for _, form := range operandForms {
+			maps := make([]*Mapping, len(chain))
+			for i, as := range chain {
+				maps[i] = operand(as, gam.SourceID(i+1), form)
+			}
+			for _, grouped := range []bool{false, true} {
+				got, err := composePath(maps, grouped)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got.Assocs) != 0 || got.From != 1 || got.To != gam.SourceID(len(chain)+1) {
+					t.Fatalf("%s chain %v: got %d->%d %v", form, chain, got.From, got.To, got.Assocs)
+				}
+				if grouped {
+					checkGrouped(t, got)
+				}
+			}
+		}
+	}
+}
+
+// TestComposePathTakesOneMappingTwice composes a path that takes the same
+// Mapping value twice in a row (a mapping within one source), in every
+// form, against the reference.
+func TestComposePathTakesOneMappingTwice(t *testing.T) {
+	for seed := int64(1); seed <= 100; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		as := refAssocs(rng, 0, 6, 0, 6, 20)
+		want := refComposePath([][]gam.Assoc{as, as, as})
+		for _, form := range operandForms {
+			m := operand(as, 1, form)
+			m.To = m.From
+			got, err := ComposePath(m, m, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Assocs, want) {
+				t.Fatalf("seed %d (%s):\n got %v\nwant %v", seed, form, got.Assocs, want)
+			}
+		}
+	}
+}
+
+// TestComposeConcurrentPaths composes paths from many goroutines at once,
+// through ComposePath and the executor's grouped fold, so pooled scratch
+// moves between goroutines; each result must match its reference.
+func TestComposeConcurrentPaths(t *testing.T) {
+	const workers, rounds = 8, 40
+	var wg sync.WaitGroup
+	errc := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w + 1)))
+			for r := 0; r < rounds; r++ {
+				chain := refChain(rng, 2+rng.Intn(4))
+				want := refComposePath(chain)
+				maps := make([]*Mapping, len(chain))
+				for i, as := range chain {
+					maps[i] = operand(as, gam.SourceID(i+1), operandForms[rng.Intn(len(operandForms))])
+				}
+				got, err := composePath(maps, r%2 == 0)
+				if err != nil {
+					errc <- err
+					return
+				}
+				if !slices.Equal(got.Assocs, want) {
+					errc <- fmt.Errorf("worker %d, round %d:\n got %v\nwant %v", w, r, got.Assocs, want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+}
+
 // composeFuzzEvidence is the evidence a fuzz record's selector byte picks:
 // a fixed value, or the float64 in the record's next 8 bytes.
 var composeFuzzEvidence = []float64{0, 1.0, 0.5, 2.0, -0.5, math.MaxFloat64, -math.MaxFloat64,
@@ -369,9 +531,11 @@ func fuzzAssocs(data []byte) ([]gam.Assoc, bool) {
 	return out, true
 }
 
-// FuzzCompose checks Compose against refCompose on arbitrary operands. NaN
-// evidence is skipped: evidence is ranked with <, under which NaN has no
-// place, so no strongest evidence is defined for it.
+// FuzzCompose checks Compose against refCompose on arbitrary operands, and
+// the three-mapping path left ∘ right ∘ left, whose second hop joins the
+// first hop's result out of the fold's scratch, against refComposePath.
+// NaN evidence is skipped: evidence is ranked with <, under which NaN has
+// no place, so no strongest evidence is defined for it.
 func FuzzCompose(f *testing.F) {
 	f.Add([]byte{}, []byte{})
 	f.Add([]byte{1, 10, 0}, []byte{})
@@ -395,6 +559,16 @@ func FuzzCompose(f *testing.F) {
 				if !slices.Equal(got.Assocs, want) {
 					t.Fatalf("(%s, %s) %v ∘ %v:\n got %v\nwant %v", f1, f2, as1, as2, got.Assocs, want)
 				}
+			}
+		}
+		want3 := refComposePath([][]gam.Assoc{as1, as2, as1})
+		for _, form := range operandForms {
+			got, err := ComposePath(operand(as1, 1, form), operand(as2, 2, form), operand(as1, 3, form))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Assocs, want3) {
+				t.Fatalf("(%s) %v ∘ %v ∘ %v:\n got %v\nwant %v", form, as1, as2, as1, got.Assocs, want3)
 			}
 		}
 	})

@@ -14,7 +14,11 @@
 //     edges are fetched in one batched SQL round-trip
 //     (Repo.AssociationsBatch) instead of one query per edge, and the
 //     edge mappings are composed by ComposePath's left fold, so a path
-//     derives the same evidence here as through ops.MapPath;
+//     derives the same evidence here as through ops.MapPath. The fold's
+//     intermediate results live in pooled scratch memory; each hop's join
+//     emits its result grouped by domain object, and only the last one is
+//     copied, at exact length and with its grouping, into the cached
+//     mapping;
 //   - cached mappings are shared, never copied on a hit: Resolver and
 //     MapPathShared hand them out read-only, Compose joins through the
 //     grouping a shared mapping keeps and GenerateView through its domain
@@ -109,13 +113,14 @@ func (e *Executor) get(key string, gen uint64) (*Mapping, bool) {
 }
 
 // put caches m, loaded while the repository was at generation gen. m
-// becomes shared: its associations are sorted here, once, and grouped,
-// and from here on nobody mutates them. m is either fresh from a load or
-// compose, so no other goroutine sees it change, or already shared (a
-// one-edge path is its edge), so it is left as it is. A fresh edge may
-// share its batch's slice with an edge cached earlier in the same load (a
-// path that takes one mapping twice in the same direction); that slice is
-// sorted already, so sortAssocs only reads it.
+// becomes shared, and from here on nobody mutates it. A fresh edge's
+// associations are sorted here, once, and grouped; no other goroutine
+// sees it change. A composed path arrives sorted and grouped, exactly
+// sized, from the fold, and a mapping already shared (a one-edge path is
+// its edge) is left as it is: neither is sorted or grouped again. A fresh
+// edge may share its batch's slice with an edge cached earlier in the
+// same load (a path that takes one mapping twice in the same direction);
+// that slice is sorted already, so sortAssocs only reads it.
 func (e *Executor) put(key string, gen uint64, m *Mapping) {
 	if m.index == nil {
 		sortAssocs(m.Assocs, true)
@@ -245,10 +250,11 @@ func (e *Executor) MapPathShared(path []gam.SourceID) (*Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	// A one-edge path is its edge, shared like it, index included.
+	// A one-edge path is its edge, shared like it, index included. A
+	// longer one is composed by ComposePath's fold and comes out grouped.
 	composed := maps[0]
-	for _, next := range maps[1:] {
-		if composed, err = Compose(composed, next); err != nil {
+	if len(maps) > 1 {
+		if composed, err = composePath(maps, true); err != nil {
 			return nil, err
 		}
 	}

@@ -333,3 +333,60 @@ func TestExecutorCachedMappingIsIsolated(t *testing.T) {
 		}
 	}
 }
+
+// A path MapPathShared caches is the fold's exact copy: its associations,
+// domains and offsets carry no spare capacity, and its grouping is that of
+// its associations, so put neither sorts nor regroups it.
+func TestExecutorCachedPathIsExactlySized(t *testing.T) {
+	for _, hops := range []int{2, 3, 5} {
+		f := newChainFixture(t, hops+1, 37)
+		e := NewExecutor(f.repo)
+		m, err := e.MapPathShared(f.path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Assocs) == 0 {
+			t.Fatalf("%d hops: empty path", hops)
+		}
+		checkGrouped(t, m)
+	}
+}
+
+// TestExecutorColdPathAllocs bounds what composing a cold 3-edge path
+// allocates when its edges are cached: the cache key, the edge lookups, the
+// result and its cache entry, and no buffer that grows with the path. Two
+// fixture sizes must allocate the same number of times.
+func TestExecutorColdPathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop scratch at random")
+	}
+	var counts []float64
+	for _, objPer := range []int{20, 600} {
+		f := newChainFixture(t, 4, objPer)
+		e := NewExecutor(f.repo)
+		path := f.path()
+		for i := 0; i+1 < len(path); i++ {
+			if _, err := e.mapShared(path[i], path[i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		key := pathKey(path)
+		cold := func() {
+			e.mu.Lock()
+			e.lru.Delete(key)
+			e.mu.Unlock()
+			if _, err := e.MapPathShared(path); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cold() // sizes the pooled scratch
+		counts = append(counts, testing.AllocsPerRun(50, cold))
+	}
+	// Measured: 15 allocations at both sizes (39 and 51 while each hop
+	// appended into fresh arrays and put regrouped the result). The bound
+	// leaves 3 allocations of headroom.
+	const maxAllocs = 18
+	if counts[0] != counts[1] || counts[1] > maxAllocs {
+		t.Fatalf("cold 3-edge path: %v allocs at 20 and 600 objects a source; want equal and <= %d", counts, maxAllocs)
+	}
+}

@@ -67,7 +67,8 @@ type assocGroups struct {
 }
 
 // groupAssocs groups assocs, which must be sorted by (Object1, Object2).
-// It shares assocs and allocates only the domains and offsets.
+// It shares assocs and allocates only the domains and offsets, exactly
+// sized.
 func groupAssocs(assocs []gam.Assoc) assocGroups {
 	nd := 0
 	for i := range assocs {
@@ -75,7 +76,13 @@ func groupAssocs(assocs []gam.Assoc) assocGroups {
 			nd++
 		}
 	}
-	g := assocGroups{assocs: assocs, domains: make([]gam.ObjectID, 0, nd), offs: make([]int32, 0, nd+1)}
+	return groupAssocsInto(assocs, make([]gam.ObjectID, 0, nd), make([]int32, 0, nd+1))
+}
+
+// groupAssocsInto is groupAssocs writing the domains and offsets into the
+// memory of domains and offs, whose contents it discards.
+func groupAssocsInto(assocs []gam.Assoc, domains []gam.ObjectID, offs []int32) assocGroups {
+	g := assocGroups{assocs: assocs, domains: domains[:0], offs: offs[:0]}
 	for i, a := range assocs {
 		if i == 0 || a.Object1 != assocs[i-1].Object1 {
 			g.domains = append(g.domains, a.Object1)
@@ -86,15 +93,24 @@ func groupAssocs(assocs []gam.Assoc) assocGroups {
 	return g
 }
 
-// groups returns m's associations grouped by domain object. A shared
-// mapping keeps its grouping; any other mapping gets a throwaway one, over
-// its own associations when they are sorted and over a sorted copy
-// otherwise.
-func (m *Mapping) groups() assocGroups {
+// groupsIn returns m's associations grouped by domain object. A shared
+// mapping keeps its grouping; any other mapping gets a throwaway one built
+// in buf's memory, over its own associations when they are sorted and over
+// a sorted copy in buf otherwise. buf keeps only its own memory, never m's
+// associations.
+func (m *Mapping) groupsIn(buf *assocGroups) assocGroups {
 	if m.index != nil {
 		return m.index.groups
 	}
-	return groupAssocs(sortAssocs(m.Assocs, false))
+	as := m.Assocs
+	if !slices.IsSortedFunc(as, cmpAssoc) {
+		buf.assocs = append(buf.assocs[:0], as...)
+		slices.SortFunc(buf.assocs, cmpAssoc)
+		as = buf.assocs
+	}
+	g := groupAssocsInto(as, buf.domains, buf.offs)
+	buf.domains, buf.offs = g.domains, g.offs
+	return g
 }
 
 func cmpAssoc(a, b gam.Assoc) int {
@@ -238,7 +254,7 @@ func Map(repo *gam.Repo, s, t gam.SourceID) (*Mapping, error) {
 
 // Domain implements Table 2's Domain(map): SELECT DISTINCT S FROM map.
 func Domain(m *Mapping) []gam.ObjectID {
-	return slices.Clone(m.groups().domains)
+	return slices.Clone(m.groupsIn(new(assocGroups)).domains)
 }
 
 // Range implements Table 2's Range(map): SELECT DISTINCT T FROM map.
@@ -346,45 +362,17 @@ func stronger(a, b float64) bool {
 // asserted 1.0 is preserved as 1.0 rather than collapsed to "unset", so
 // asserted certainty remains distinguishable from absence of evidence.
 // Duplicate derived pairs collapse, keeping the strongest evidence (the
-// rule Dedup applies). The result is sorted by (Object1, Object2).
+// rule Dedup applies). The result is sorted by (Object1, Object2), and its
+// association slice is exactly as long as its capacity.
 //
 // Neither operand's duplicate pairs are collapsed first: the combined
 // evidence is not monotone in its inputs outside [0, 1], so every
 // derivation is combined and only the derived pairs collapse.
+//
+// Compose is the one-hop case of ComposePath's fold: the join works in
+// pooled scratch memory, and only the result is allocated.
 func Compose(m1, m2 *Mapping) (*Mapping, error) {
-	if m1.To != m2.From {
-		return nil, fmt.Errorf("ops: cannot compose: mapping targets source %d but next mapping starts at %d", m1.To, m2.From)
-	}
-	// Merge join: m1's domain objects in ascending order; for each, its
-	// middle objects, also ascending, looked up among m2's domains from
-	// where the previous one was found.
-	left, right := m1.groups(), m2.groups()
-	out := &Mapping{From: m1.From, To: m2.To, Type: gam.RelComposed}
-	var derived []indexTarget // one domain object's derived pairs
-	for d, id := range left.domains {
-		derived = derived[:0]
-		k := 0
-		for _, a1 := range left.assocs[left.offs[d]:left.offs[d+1]] {
-			j, found := slices.BinarySearch(right.domains[k:], a1.Object2)
-			if k += j; !found {
-				continue
-			}
-			for _, a2 := range right.assocs[right.offs[k]:right.offs[k+1]] {
-				derived = append(derived, indexTarget{a2.Object2, combine(a1.Evidence, a2.Evidence)})
-			}
-		}
-		slices.SortFunc(derived, func(a, b indexTarget) int { return cmp.Compare(a.id, b.id) })
-		for i, t := range derived {
-			if i > 0 && t.id == derived[i-1].id {
-				if last := &out.Assocs[len(out.Assocs)-1]; stronger(t.evidence, last.Evidence) {
-					last.Evidence = t.evidence
-				}
-				continue
-			}
-			out.Assocs = append(out.Assocs, gam.Assoc{Object1: id, Object2: t.id, Evidence: t.evidence})
-		}
-	}
-	return out, nil
+	return composePath([]*Mapping{m1, m2}, false)
 }
 
 // combine is the evidence of a pair derived from associations with
@@ -403,8 +391,15 @@ func combine(ev1, ev2 float64) float64 {
 
 // ComposePath folds Compose over a mapping path of two or more mappings
 // connecting two sources (the "mapping path" input of the paper's Compose).
-// The result is sorted by (Object1, Object2) and has no duplicate pairs. A
-// path of one mapping returns a sorted copy of it, duplicate pairs kept.
+// The result is sorted by (Object1, Object2), has no duplicate pairs and is
+// exactly sized. A path of one mapping returns a sorted copy of it,
+// duplicate pairs kept.
+//
+// Every hop joins groupings: a hop's result comes out grouped by domain
+// object, so the next hop joins through it as it stands. The intermediate
+// results live in pooled scratch memory, reused across calls; the path
+// allocates only its final result, and nothing it returns points into the
+// scratch.
 func ComposePath(maps ...*Mapping) (*Mapping, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("ops: empty mapping path")
@@ -414,15 +409,107 @@ func ComposePath(maps ...*Mapping) (*Mapping, error) {
 		sortAssocs(out.Assocs, true)
 		return out, nil
 	}
-	acc := maps[0]
-	for _, next := range maps[1:] {
-		composed, err := Compose(acc, next)
-		if err != nil {
-			return nil, err
+	return composePath(maps, false)
+}
+
+// composeScratch is the memory a fold composes in: the two buffers its
+// hops' results alternate between, the groupings of operands that are not
+// shared, and one domain object's derived pairs. Nothing a fold returns
+// points into it, and it keeps no pointer into a fold's operands.
+type composeScratch struct {
+	acc     [2]assocGroups
+	operand [2]assocGroups
+	derived []indexTarget
+}
+
+var composeScratchPool = sync.Pool{New: func() any { return new(composeScratch) }}
+
+// composePath folds the join over maps, two or more mappings, and copies
+// the last hop's result once, at exact length, into a fresh Mapping. A
+// grouped result also gets its grouping, copied the same way, as the
+// indexSlot a shared mapping keeps (the executor caches it as it is).
+func composePath(maps []*Mapping, grouped bool) (*Mapping, error) {
+	for i := 1; i < len(maps); i++ {
+		if maps[i-1].To != maps[i].From {
+			return nil, fmt.Errorf("ops: cannot compose: mapping targets source %d but next mapping starts at %d", maps[i-1].To, maps[i].From)
 		}
-		acc = composed
 	}
-	return acc, nil
+	s := composeScratchPool.Get().(*composeScratch)
+	defer composeScratchPool.Put(s)
+	g := s.fold(maps)
+	out := &Mapping{From: maps[0].From, To: maps[len(maps)-1].To, Type: gam.RelComposed, Assocs: exact(g.assocs)}
+	if grouped {
+		out.index = &indexSlot{groups: assocGroups{assocs: out.Assocs, domains: exact(g.domains), offs: exact(g.offs)}}
+	}
+	return out, nil
+}
+
+// exact returns a copy of s whose capacity is its length; nil when s is
+// empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
+}
+
+// fold left-folds the join over maps and returns the last hop's result,
+// which lives in s: each hop reads the previous hop's result from one of
+// s.acc and writes its own to the other. Once a hop derives nothing, no
+// later hop can, so the fold stops there.
+func (s *composeScratch) fold(maps []*Mapping) assocGroups {
+	acc := maps[0].groupsIn(&s.operand[0])
+	for i, next := range maps[1:] {
+		dst := &s.acc[i%2]
+		s.join(dst, acc, next.groupsIn(&s.operand[1]))
+		if acc = *dst; len(acc.assocs) == 0 {
+			break
+		}
+	}
+	return acc
+}
+
+// join composes left with right by merge join and writes the result,
+// grouped, into dst's memory: left's domain objects in ascending order;
+// for each, its middle objects, also ascending, looked up among right's
+// domains from where the previous one was found. A domain object enters
+// the result, with its offset, only when it derives a pair, so the result
+// needs no regrouping. dst must not be left's or right's memory.
+func (s *composeScratch) join(dst *assocGroups, left, right assocGroups) {
+	out := assocGroups{assocs: dst.assocs[:0], domains: dst.domains[:0], offs: dst.offs[:0]}
+	derived := s.derived // one domain object's derived pairs
+	for d, id := range left.domains {
+		derived = derived[:0]
+		k := 0
+		for _, a1 := range left.assocs[left.offs[d]:left.offs[d+1]] {
+			j, found := slices.BinarySearch(right.domains[k:], a1.Object2)
+			if k += j; !found {
+				continue
+			}
+			for _, a2 := range right.assocs[right.offs[k]:right.offs[k+1]] {
+				derived = append(derived, indexTarget{a2.Object2, combine(a1.Evidence, a2.Evidence)})
+			}
+		}
+		if len(derived) == 0 {
+			continue
+		}
+		slices.SortFunc(derived, func(a, b indexTarget) int { return cmp.Compare(a.id, b.id) })
+		out.domains = append(out.domains, id)
+		out.offs = append(out.offs, int32(len(out.assocs)))
+		for i, t := range derived {
+			if i > 0 && t.id == derived[i-1].id {
+				if last := &out.assocs[len(out.assocs)-1]; stronger(t.evidence, last.Evidence) {
+					last.Evidence = t.evidence
+				}
+				continue
+			}
+			out.assocs = append(out.assocs, gam.Assoc{Object1: id, Object2: t.id, Evidence: t.evidence})
+		}
+	}
+	out.offs = append(out.offs, int32(len(out.assocs)))
+	*dst, s.derived = out, derived
 }
 
 // MapPath loads the mappings along a source path and composes them into a
