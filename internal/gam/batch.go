@@ -507,8 +507,12 @@ func (b *Batch) AddAssociations(rel SourceRelID, assocs []Assoc, dedup bool) (in
 
 // insertAssociations chunk-inserts associations under a mapping with
 // multi-row INSERTs (unset evidence is stored as NULL). It returns the
-// number of rows inserted before any error.
+// number of rows inserted before any error. Evidence outside [0, 1], NaN
+// and ±Inf are rejected with an *EvidenceError before anything is written.
 func (b *Batch) insertAssociations(rel SourceRelID, assocs []Assoc) (int, error) {
+	if err := checkEvidence(assocs); err != nil {
+		return 0, err
+	}
 	inserted := 0
 	var relArg any = int64(rel)
 	args := make([]any, 0, 4*min(len(assocs), insertLadder[0]))
@@ -560,8 +564,13 @@ func (b *Batch) DeleteMapping(rel SourceRelID) error {
 // ReplaceMapping replaces the mapping (s1, s2, typ) and all its
 // associations with the given association set, creating the mapping when
 // absent. It returns the mapping ID now holding the associations (a fresh
-// one: the old mapping row is deleted, not reused).
+// one: the old mapping row is deleted, not reused). An association set
+// with invalid evidence (see insertAssociations) is rejected before the
+// old mapping is touched.
 func (b *Batch) ReplaceMapping(s1, s2 SourceID, typ RelType, assocs []Assoc) (SourceRelID, error) {
+	if err := checkEvidence(assocs); err != nil {
+		return 0, fmt.Errorf("gam: replace mapping: %w", err)
+	}
 	if old, ok := b.findRel(relKey{s1: s1, s2: s2, typ: typ}); ok {
 		if err := b.DeleteMapping(old); err != nil {
 			return 0, fmt.Errorf("gam: replace mapping: %w", err)

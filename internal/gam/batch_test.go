@@ -3,6 +3,7 @@ package gam
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"sync/atomic"
@@ -607,4 +608,76 @@ func TestEnsureObjectsIDsAlignAcrossChunks(t *testing.T) {
 			made += n
 		}
 	})
+}
+
+// Evidence that is no score (NaN, ±Inf, outside [0, 1]) is rejected by
+// ReplaceMapping and AddAssociations with an *EvidenceError naming the
+// first bad association, and nothing is written: not the new rows, not a
+// new mapping, and, for ReplaceMapping, not the deletion of the old one,
+// even inside a batch that goes on to commit.
+func TestInvalidEvidenceRejected(t *testing.T) {
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5, -math.SmallestNonzeroFloat64, 1.5, math.Nextafter(1, 2)}
+	for _, ev := range bad {
+		r := newRepo(t)
+		s1, _, err := r.EnsureSource(Source{Name: "A"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, _, err := r.EnsureSource(Source{Name: "B"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, _, err := r.EnsureObjects(s1.ID, []ObjectSpec{{Accession: "a"}, {Accession: "b"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		old := []Assoc{{Object1: ids[0], Object2: ids[1], Evidence: 0.5}}
+		rel, err := r.ReplaceMapping(s1.ID, s2.ID, RelFact, old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assocs := []Assoc{{Object1: ids[0], Object2: ids[0], Evidence: 1}, {Object1: ids[1], Object2: ids[0], Evidence: ev}}
+		stats, gen, pub := mustStats(t, r), r.Generation(), r.Published()
+		unchanged := func(entry string) {
+			t.Helper()
+			if got, err := r.Associations(rel); err != nil || !reflect.DeepEqual(got, old) {
+				t.Fatalf("%s(%g): mapping holds %v, %v; want %v", entry, ev, got, err, old)
+			}
+			if got := mustStats(t, r); !reflect.DeepEqual(got, stats) || r.Generation() != gen || r.Published() != pub {
+				t.Fatalf("%s(%g): stats %+v, generation %d, published %d; want %+v, %d, %d",
+					entry, ev, got, r.Generation(), r.Published(), stats, gen, pub)
+			}
+		}
+		check := func(entry string, err error) {
+			t.Helper()
+			var evErr *EvidenceError
+			if !errors.As(err, &evErr) || evErr.Index != 1 || evErr.Assoc.Object1 != ids[1] {
+				t.Fatalf("%s(%g) = %v, want an EvidenceError for association 1", entry, ev, err)
+			}
+		}
+		_, err = r.ReplaceMapping(s1.ID, s2.ID, RelFact, assocs)
+		check("ReplaceMapping", err)
+		unchanged("ReplaceMapping")
+		_, err = r.AddAssociations(rel, assocs, false)
+		check("AddAssociations", err)
+		unchanged("AddAssociations")
+		// Inside a batch the rejected call leaves the batch as it was, so
+		// committing it commits nothing.
+		err = r.Atomic(func(b *Batch) error {
+			_, err := b.ReplaceMapping(s1.ID, s2.ID, RelFact, assocs)
+			check("Batch.ReplaceMapping", err)
+			_, err = b.AddAssociations(rel, assocs, true)
+			check("Batch.AddAssociations", err)
+			if got, err := b.Associations(rel); err != nil || !reflect.DeepEqual(got, old) {
+				t.Fatalf("inside the batch (%g): mapping holds %v, %v", ev, got, err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := r.Associations(rel); err != nil || !reflect.DeepEqual(got, old) {
+			t.Fatalf("after the batch (%g): mapping holds %v, %v", ev, got, err)
+		}
+	}
 }

@@ -185,3 +185,27 @@ type Assoc struct {
 	Object2  ObjectID
 	Evidence float64
 }
+
+// EvidenceError rejects a write of associations, of which the one at
+// Index has evidence that is no score: NaN, ±Inf, or outside [0, 1]. A
+// batch write that returns it has written nothing.
+type EvidenceError struct {
+	Index int
+	Assoc Assoc
+}
+
+func (e *EvidenceError) Error() string {
+	return fmt.Sprintf("gam: association %d (%d -> %d): evidence %g is not in [0, 1]",
+		e.Index, e.Assoc.Object1, e.Assoc.Object2, e.Assoc.Evidence)
+}
+
+// checkEvidence returns an *EvidenceError for the first association whose
+// evidence is outside [0, 1]; the comparison fails for NaN too.
+func checkEvidence(assocs []Assoc) error {
+	for i, a := range assocs {
+		if !(a.Evidence >= 0 && a.Evidence <= 1) {
+			return &EvidenceError{Index: i, Assoc: a}
+		}
+	}
+	return nil
+}

@@ -2,7 +2,10 @@ package gam
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -92,7 +95,7 @@ func TestObjectCacheInstallAfterFillIsRetired(t *testing.T) {
 	if _, err := r.FillMissingObjectInfo(src, []ObjectSpec{{Accession: "x", Text: "filled"}}); err != nil {
 		t.Fatal(err)
 	}
-	c.Store(x, &stale)
+	c.install(x, &stale, r.objectIDBound)
 	if o, err := r.Object(x); err != nil || o.Text != "filled" {
 		t.Fatalf("Object = %+v, %v; want the filled text", o, err)
 	}
@@ -165,7 +168,7 @@ func mustObject(t *testing.T, r *Repo, id ObjectID) *Object {
 func TestObjectCacheMissAllocs(t *testing.T) {
 	r, _, x := cacheRepo(t)
 	miss := func() {
-		r.rows.Load().Delete(x)
+		r.rows.Load().forget(x)
 		if o, err := r.Object(x); err != nil || o == nil || o.Accession != "x" {
 			t.Fatalf("Object = %+v, %v", o, err)
 		}
@@ -180,12 +183,112 @@ func TestObjectCacheMissAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / n
-	// Measured: 10 allocations and 576 bytes per miss (12 and 648 while a
-	// miss ran db.Query and copied its row out of the result set). The
-	// bounds leave one allocation and 64 bytes of headroom; a result set
-	// per miss breaks them.
-	const maxAllocs, maxBytes = 11, 640
+	// Measured: 8 allocations and 504 bytes per miss (10 and 576 with a
+	// sync.Map for the cache and sort.Slice sorting the index's row IDs,
+	// 12 and 648 while a miss ran db.Query and copied its row out of the
+	// result set). The bounds leave no allocation and 32 bytes of
+	// headroom: a result set per miss, a map entry or a sort closure
+	// breaks them.
+	const maxAllocs, maxBytes = 8, 536
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Fatalf("Object miss: %.0f allocs, %d bytes; want <= %d, <= %d", allocs, bytes, maxAllocs, maxBytes)
+	}
+}
+
+// Goroutines miss concurrently on every ID of a source that spans several
+// chunks, each in its own order, so chunks are created and the directory
+// grows while other goroutines install and read. Every reader gets one
+// pointer per ID, and it is the one the table keeps.
+func TestObjectTableConcurrentMisses(t *testing.T) {
+	r := newRepo(t)
+	s, _, err := r.EnsureSource(Source{Name: "S"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]ObjectSpec, 3*objChunkSlots+17)
+	for i := range specs {
+		specs[i] = ObjectSpec{Accession: fmt.Sprintf("o%d", i)}
+	}
+	ids, _, err := r.EnsureObjects(s.ID, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 4
+	got := make([][]*Object, readers)
+	var wg sync.WaitGroup
+	for g := range got {
+		got[g] = make([]*Object, len(ids))
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for _, i := range rand.New(rand.NewSource(int64(g))).Perm(len(ids)) {
+				o, err := r.Object(ids[i])
+				if err != nil || o == nil || o.ID != ids[i] || o.Accession != specs[i].Accession {
+					t.Errorf("reader %d: Object(%d) = %+v, %v", g, ids[i], o, err)
+					return
+				}
+				got[g][i] = o
+			}
+		}(g)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	c := r.rows.Load()
+	for i, id := range ids {
+		kept := c.load(id)
+		for g := range got {
+			if got[g][i] != kept {
+				t.Fatalf("Object(%d): reader %d got %p, the table keeps %p", id, g, got[g][i], kept)
+			}
+		}
+	}
+	// IDs 1…3 086 live in chunks 0…3; doubling may reach past them, but
+	// never past the chunk of the last ID the bound admits.
+	if n, most := len(*c.dir.Load()), int((r.objectIDBound()-1)/objChunkSlots+1); n < 4 || n > most {
+		t.Fatalf("directory holds %d chunks, want 4…%d", n, most)
+	}
+}
+
+// Rows written around gam under an ID far past the dense range, or a
+// negative one, are served uncached: reading them grows the directory by
+// nothing and creates no chunk.
+func TestObjectTableFarIDsGrowNothing(t *testing.T) {
+	r, src, x := cacheRepo(t)
+	mustObject(t, r, x)
+	for _, id := range []int64{1 << 40, -1} {
+		if _, err := r.DB().Exec("INSERT INTO object (object_id, source_id, accession) VALUES (?, ?, ?)",
+			id, int64(src), fmt.Sprint("far", id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := r.rows.Load()
+	dir := c.dir.Load()
+	for _, id := range []ObjectID{1 << 40, -1} {
+		for i := 0; i < 2; i++ {
+			if o := mustObject(t, r, id); o == nil || o.ID != id || o.Accession != fmt.Sprint("far", id) {
+				t.Fatalf("Object(%d) = %+v", id, o)
+			}
+		}
+		if c.load(id) != nil {
+			t.Fatalf("Object(%d) was cached", id)
+		}
+	}
+	if c.dir.Load() != dir || len(*dir) != 1 {
+		t.Fatalf("far IDs grew the directory to %d chunks", len(*c.dir.Load()))
+	}
+	if o := mustObject(t, r, x); c.load(x) != o {
+		t.Fatal("the dense ID's row is no longer cached")
+	}
+}
+
+// forget empties id's slot, if it has one, so that the next Object(id)
+// misses.
+func (t *objectTable) forget(id ObjectID) {
+	if dir := *t.dir.Load(); uint64(id)/objChunkSlots < uint64(len(dir)) {
+		if c := dir[uint64(id)/objChunkSlots].Load(); c != nil {
+			c[uint64(id)%objChunkSlots].Store(nil)
+		}
 	}
 }

@@ -63,17 +63,27 @@ type Repo struct {
 	nObjects, nAssocs int64
 	byType            map[RelType]int64
 
-	// rows is Object's cache of committed rows: ObjectID -> *Object, each
-	// entry shared and never written after it is stored. It takes no lock
-	// of the Repo: publish (after a fill) and loadCaches retire it by
-	// swapping in an empty map.
-	rows atomic.Pointer[sync.Map]
+	// rows is Object's cache of committed rows, a table addressed by
+	// ObjectID (objtable.go), each entry shared and never written after it
+	// is stored. It takes no lock of the Repo: publish (after a fill) and
+	// loadCaches retire it by swapping in an empty table.
+	rows atomic.Pointer[objectTable]
 }
 
 // retireObjects swaps in an empty object cache. A reader still holding the
 // old one can only install into it, and no later reader loads it.
 func (r *Repo) retireObjects() {
-	r.rows.Store(new(sync.Map))
+	r.rows.Store(newObjectTable())
+}
+
+// objectIDBound bounds the IDs Object caches. Twice the object count, and
+// a chunk more, covers gam's dense AUTOINCREMENT IDs with room for gaps; a
+// row written around gam under a far-out or negative ID is served
+// uncached instead of growing the table's directory to reach it.
+func (r *Repo) objectIDBound() int64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return 2*r.nObjects + objChunkSlots
 }
 
 // Generation returns the mapping-write counter. Any committed change to
@@ -515,8 +525,8 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	// retires this cache, so the possibly stale row lands where no later
 	// reader looks.
 	c := r.rows.Load()
-	if o, ok := c.Load(id); ok {
-		return o.(*Object), nil
+	if o := c.load(id); o != nil {
+		return o, nil
 	}
 	// The point query streams its row straight into the new entry: no
 	// result set is built for one row.
@@ -531,8 +541,7 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	}
 	// A racing miss may have stored the same row first; keep its entry,
 	// so every reader of this cache shares one pointer.
-	got, _ := c.LoadOrStore(id, o)
-	return got.(*Object), nil
+	return c.install(id, o, r.objectIDBound), nil
 }
 
 // ObjectsScanEach streams all objects of a source in storage order (no

@@ -3,6 +3,7 @@ package ops
 import (
 	"cmp"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -260,7 +261,10 @@ func TestComposePathMatchesReference(t *testing.T) {
 // TestExecutorMapPathMatchesReference stores generated chains, some
 // mappings in the opposite direction, and checks Executor.MapPath cold,
 // warm and after ReplaceMapping, and ops.MapPath, against the reference
-// left fold: the two derive the same evidence even outside [0, 1].
+// left fold: the two derive the same evidence even outside [0, 1]. gam
+// rejects such evidence at its write boundary, so a mapping that carries
+// some is stored in two steps: ReplaceMapping writes its valid
+// associations, and the others are inserted around gam.
 func TestExecutorMapPathMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -298,8 +302,27 @@ func TestExecutorMapPathMatchesReference(t *testing.T) {
 			if reversed[i] {
 				s, t2, stored = t2, s, flip(as)
 			}
-			if _, err := repo.ReplaceMapping(s, t2, gam.RelFact, stored); err != nil {
+			var valid, invalid []gam.Assoc
+			for _, a := range stored {
+				if a.Evidence >= 0 && a.Evidence <= 1 {
+					valid = append(valid, a)
+				} else {
+					invalid = append(invalid, a)
+				}
+			}
+			var evErr *gam.EvidenceError
+			if _, err := repo.ReplaceMapping(s, t2, gam.RelFact, stored); len(invalid) > 0 && !errors.As(err, &evErr) {
+				t.Fatalf("ReplaceMapping of %v = %v, want an EvidenceError", invalid, err)
+			}
+			rel, err := repo.ReplaceMapping(s, t2, gam.RelFact, valid)
+			if err != nil {
 				t.Fatal(err)
+			}
+			for _, a := range invalid {
+				if _, err := repo.DB().Exec("INSERT INTO object_rel (source_rel_id, object1_id, object2_id, evidence) VALUES (?, ?, ?, ?)",
+					int64(rel), int64(a.Object1), int64(a.Object2), a.Evidence); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		chain := make([][]gam.Assoc, hops)
@@ -400,6 +423,73 @@ func TestComposeScratchNeverAliasesResults(t *testing.T) {
 		checkGrouped(t, groupedA)
 		if cap(plainA.Assocs) != len(plainA.Assocs) || plainA.index != nil {
 			t.Fatalf("seed %d: ComposePath result has %d/%d assocs, index %v", seed, len(plainA.Assocs), cap(plainA.Assocs), plainA.index)
+		}
+	}
+}
+
+// TestComposeNeverTrustsStalePositions runs joins through one scratch, so
+// each finds the slots of pos as earlier joins left them: first a wide
+// join that fills thousands of slots, then narrower ones whose left
+// operands name, among others, middle IDs that are no domain of the right
+// operand but whose slots hold positions inside it, and the two kinds of
+// join that search instead: one whose right operand has an outlying ID,
+// and one whose left operand looks up too few middle objects to pay for
+// filling pos. Every result must match the reference, grouping included.
+func TestComposeNeverTrustsStalePositions(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ids := func(from, step gam.ObjectID, n int) []gam.ObjectID {
+		out := make([]gam.ObjectID, n)
+		for i := range out {
+			out[i] = from + step*gam.ObjectID(i)
+		}
+		return out
+	}
+	ev := func() float64 { return refEvidence[rng.Intn(len(refEvidence))] }
+	cases := []struct {
+		name   string
+		mids   []gam.ObjectID // the right operand's domains
+		lo, hi gam.ObjectID   // the left operand names every middle ID in [lo, hi)
+		search bool           // the join searches instead of addressing by position
+	}{
+		{"wide", ids(0, 3, 2000), 0, 6000, false},
+		{"narrow", ids(1000, 10, 20), 1000, 1200, false},
+		{"narrow, below its base", ids(5000, 7, 40), 4990, 5300, false},
+		{"outlier", append(ids(0, 1, 100), 1<<40), 0, 120, true},
+		{"few lookups over many domains", ids(0, 1, 3000), 1500, 1502, true},
+		{"narrow after the search", ids(2, 3, 30), 0, 100, false},
+	}
+	s := new(composeScratch)
+	for _, c := range cases {
+		var left, right []gam.Assoc
+		for x := c.lo; x < c.hi; x++ {
+			for k := rng.Intn(3); k >= 0; k-- {
+				left = append(left, gam.Assoc{Object1: gam.ObjectID(rng.Intn(40)), Object2: x, Evidence: ev()})
+			}
+		}
+		left = append(left, gam.Assoc{Object1: 7, Object2: 1 << 40, Evidence: ev()})
+		for _, m := range c.mids {
+			for k := rng.Intn(3); k >= 0; k-- {
+				right = append(right, gam.Assoc{Object1: m, Object2: 1<<20 + gam.ObjectID(rng.Intn(60)), Evidence: ev()})
+			}
+		}
+		third := refAssocs(rng, 1<<20, 60, 1<<21, 20, 200)
+		for _, chain := range [][][]gam.Assoc{{left, right}, {left, right, third}} {
+			maps := make([]*Mapping, len(chain))
+			for i, as := range chain {
+				maps[i] = operand(as, gam.SourceID(i+1), operandForms[rng.Intn(len(operandForms))])
+			}
+			g := s.fold(maps)
+			want := refComposePath(chain)
+			if !slices.Equal(g.assocs, want) {
+				t.Fatalf("%s, %d hops:\n got %v\nwant %v", c.name, len(chain), g.assocs, want)
+			}
+			if wg := groupAssocs(want); !slices.Equal(g.domains, wg.domains) || !slices.Equal(g.offs, wg.offs) {
+				t.Fatalf("%s, %d hops: grouping %v %v, want %v %v", c.name, len(chain), g.domains, g.offs, wg.domains, wg.offs)
+			}
+		}
+		l, r := groupAssocs(sortAssocs(left, false)), groupAssocs(sortAssocs(right, false))
+		if searched := s.positions(l, r) == nil; searched != c.search {
+			t.Fatalf("%s: right operand searched = %v, want %v", c.name, searched, c.search)
 		}
 	}
 }
@@ -508,13 +598,13 @@ var composeFuzzEvidence = []float64{0, 1.0, 0.5, 2.0, -0.5, math.MaxFloat64, -ma
 
 // fuzzAssocs decodes a fuzz operand: records of a domain byte, a range
 // byte and an evidence selector, the selector followed by 8 bytes of a
-// float64 when it is past the fixed values. IDs are signed bytes, so
-// records meet often and negative IDs occur. Records past the 48th are
-// ignored, which keeps the quadratic reference fast.
+// float64 when it is past the fixed values. IDs are signed bytes (see
+// fuzzID), so records meet often and negative IDs occur. Records past the
+// 48th are ignored, which keeps the quadratic reference fast.
 func fuzzAssocs(data []byte) ([]gam.Assoc, bool) {
 	var out []gam.Assoc
 	for len(data) >= 3 && len(out) < 48 {
-		a := gam.Assoc{Object1: gam.ObjectID(int8(data[0])), Object2: gam.ObjectID(int8(data[1]))}
+		a := gam.Assoc{Object1: fuzzID(data[0]), Object2: fuzzID(data[1])}
 		sel := int(data[2])
 		data = data[3:]
 		if sel < len(composeFuzzEvidence) {
@@ -531,6 +621,26 @@ func fuzzAssocs(data []byte) ([]gam.Assoc, bool) {
 	return out, true
 }
 
+// fuzzID reads an ID byte as a signed byte. -100…100 stand for
+// themselves, so records meet often and spans stay small; the rest stand
+// for IDs spread over the whole int64 range, its two ends included, so
+// that a right operand holding one is too sparse to address by position
+// and is searched, and the span of its domains may overflow.
+func fuzzID(b byte) gam.ObjectID {
+	switch v := int64(int8(b)); {
+	case v == math.MinInt8:
+		return math.MinInt64
+	case v == math.MaxInt8:
+		return math.MaxInt64
+	case v < -100:
+		return gam.ObjectID((v + 100) << 56)
+	case v > 100:
+		return gam.ObjectID((v - 100) << 56)
+	default:
+		return gam.ObjectID(v)
+	}
+}
+
 // FuzzCompose checks Compose against refCompose on arbitrary operands, and
 // the three-mapping path left ∘ right ∘ left, whose second hop joins the
 // first hop's result out of the fold's scratch, against refComposePath.
@@ -543,6 +653,8 @@ func FuzzCompose(f *testing.F) {
 	f.Add([]byte{1, 10, 1, 1, 10, 0, 2, 10, 1}, []byte{10, 20, 1, 10, 21, 0, 11, 20, 1})
 	f.Add([]byte{1, 10, 5, 1, 11, 7, 255, 10, 6}, []byte{10, 20, 5, 11, 20, 7, 10, 20, 8, 10, 255, 9})
 	f.Add([]byte{1, 10, 99, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, []byte{10, 20, 99, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 10, 0, 2, 127, 2}, []byte{10, 20, 2, 127, 21, 0, 128, 20, 1}) // right spans the int64 range
+	f.Add([]byte{1, 10, 0, 2, 110, 2, 3, 11, 1}, []byte{10, 20, 2, 110, 21, 0, 11, 22, 1})
 	f.Fuzz(func(t *testing.T, left, right []byte) {
 		as1, ok1 := fuzzAssocs(left)
 		as2, ok2 := fuzzAssocs(right)

@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -414,12 +415,53 @@ func ComposePath(maps ...*Mapping) (*Mapping, error) {
 
 // composeScratch is the memory a fold composes in: the two buffers its
 // hops' results alternate between, the groupings of operands that are not
-// shared, and one domain object's derived pairs. Nothing a fold returns
-// points into it, and it keeps no pointer into a fold's operands.
+// shared, one domain object's derived pairs and the positions of a join's
+// middle objects. Nothing a fold returns points into it, and it keeps no
+// pointer into a fold's operands.
 type composeScratch struct {
 	acc     [2]assocGroups
 	operand [2]assocGroups
 	derived []indexTarget
+	pos     []int32
+}
+
+// posPerAssoc bounds the memory of a join's direct-addressed middle
+// lookup: the right operand's domains are addressed by position only
+// while the ID span they cover is at most this many times the number of
+// associations the join reads (left's and right's), so pos, at 4 bytes a
+// slot, never takes more than 16 bytes per association, less than the 24
+// the association itself takes. A sparser right operand, such as one with
+// a single outlying ID, is searched instead.
+const posPerAssoc = 4
+
+// positions writes each of right's domains' positions into s.pos at its
+// offset from the first and returns pos, or nil when the join should
+// search instead: when the domains are too sparse (see posPerAssoc), or
+// when left has so few associations that their binary searches, about
+// log2 of the domain count each, cost less than writing a slot per
+// domain. pos is never cleared: a slot another join wrote may still hold
+// its position, so a lookup trusts slot x only when domains[pos[x]] is
+// the ID it looks for (a sparse set, after Briggs and Torczon).
+func (s *composeScratch) positions(left, right assocGroups) []int32 {
+	domains := right.domains
+	if len(domains) == 0 || len(left.assocs)*bits.Len(uint(len(domains))) < len(domains) {
+		return nil
+	}
+	// Exact in uint64, as domains ascend; the +1 wraps to 0 only for a
+	// span of the whole int64 range.
+	span := uint64(domains[len(domains)-1]-domains[0]) + 1
+	if span == 0 || span > posPerAssoc*uint64(len(left.assocs)+len(right.assocs)) {
+		return nil
+	}
+	if uint64(cap(s.pos)) < span {
+		s.pos = make([]int32, span)
+	}
+	pos := s.pos[:span]
+	base := domains[0]
+	for i, id := range domains {
+		pos[id-base] = int32(i)
+	}
+	return pos
 }
 
 var composeScratchPool = sync.Pool{New: func() any { return new(composeScratch) }}
@@ -471,22 +513,38 @@ func (s *composeScratch) fold(maps []*Mapping) assocGroups {
 	return acc
 }
 
-// join composes left with right by merge join and writes the result,
-// grouped, into dst's memory: left's domain objects in ascending order;
-// for each, its middle objects, also ascending, looked up among right's
-// domains from where the previous one was found. A domain object enters
-// the result, with its offset, only when it derives a pair, so the result
+// join composes left with right and writes the result, grouped, into
+// dst's memory: left's domain objects in ascending order; for each, its
+// middle objects, each found among right's domains by its position in pos
+// or, when positions declines, by binary search from where the previous
+// one was found. A domain object enters the
+// result, with its offset, only when it derives a pair, so the result
 // needs no regrouping. dst must not be left's or right's memory.
 func (s *composeScratch) join(dst *assocGroups, left, right assocGroups) {
 	out := assocGroups{assocs: dst.assocs[:0], domains: dst.domains[:0], offs: dst.offs[:0]}
 	derived := s.derived // one domain object's derived pairs
+	pos := s.positions(left, right)
+	var base gam.ObjectID
+	if pos != nil {
+		base = right.domains[0]
+	}
 	for d, id := range left.domains {
 		derived = derived[:0]
 		k := 0
 		for _, a1 := range left.assocs[left.offs[d]:left.offs[d+1]] {
-			j, found := slices.BinarySearch(right.domains[k:], a1.Object2)
-			if k += j; !found {
-				continue
+			if pos != nil {
+				x := uint64(a1.Object2 - base)
+				if x >= uint64(len(pos)) {
+					continue
+				}
+				if k = int(pos[x]); k >= len(right.domains) || right.domains[k] != a1.Object2 {
+					continue
+				}
+			} else {
+				j, found := slices.BinarySearch(right.domains[k:], a1.Object2)
+				if k += j; !found {
+					continue
+				}
 			}
 			for _, a2 := range right.assocs[right.offs[k]:right.offs[k+1]] {
 				derived = append(derived, indexTarget{a2.Object2, combine(a1.Evidence, a2.Evidence)})

@@ -572,9 +572,9 @@ func (t *Table) scanVis(vis visibility, fn func(id int64, row []Value) bool) {
 	})
 }
 
-// sortInt64s sorts a slice of row IDs ascending.
+// sortInt64s sorts a slice of row IDs ascending, allocating nothing.
 func sortInt64s(ids []int64) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 }
 
 // dedupSortedInt64s removes adjacent duplicates from sorted row IDs.
