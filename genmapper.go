@@ -592,13 +592,6 @@ func (s *System) objectSet(src gam.SourceID, accessions []string) (ops.ObjectSet
 	return set, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // ObjectInfo retrieves one object by source name and accession (Figure 6c).
 // The caller owns the returned copy.
 func (s *System) ObjectInfo(source, accession string) (*Object, error) {

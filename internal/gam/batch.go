@@ -2,6 +2,7 @@ package gam
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"genmapper/internal/sqldb"
@@ -14,19 +15,24 @@ import (
 // until the commit.
 //
 // Cache entries a batch creates (sources, accession → ID, mapping keys)
-// live in a batch-local overlay consulted before the Repo's shared caches.
-// The overlay is merged into the shared caches only after the transaction
-// committed and is dropped when it rolled back, so a failed batch leaves no
-// ID behind for a row that no longer exists. The batch's row-count deltas
-// behind Repo.Stats travel the same way.
+// live in a batch-local overlay consulted before the Repo's published
+// catalog. The overlay goes into the next catalog only after the
+// transaction committed and is dropped when it rolled back, so a failed
+// batch leaves no ID behind for a row that no longer exists. The batch's
+// row-count deltas behind Repo.Stats travel the same way.
 //
 // A Batch is not safe for concurrent use and is dead once Atomic returns.
 type Batch struct {
 	r  *Repo
 	tx *sqldb.Tx
 
+	// cat is the catalog published when the batch began. Only a holder of
+	// the writer stores one, so it stays current until the batch publishes.
+	cat *catalog
+
 	sources map[string]*Source               // lower(name) -> source created or re-audited here
 	objects map[SourceID]map[string]ObjectID // accession -> ID of objects created here
+	loaded  map[SourceID]map[string]ObjectID // committed accession -> ID maps loaded here
 	rels    map[relKey]SourceRelID           // mappings created here; 0 marks one deleted here
 
 	// mappingsChanged records a write to SOURCE_REL or OBJECT_REL: the
@@ -57,9 +63,11 @@ type Batch struct {
 // deadlocks. The fsync is waited for with no lock held; when it fails its
 // error is returned, and the caches, like the database, show the batch.
 func (r *Repo) Atomic(fn func(*Batch) error) error {
+	tx := r.db.Begin()
 	b := &Batch{
 		r:       r,
-		tx:      r.db.Begin(),
+		tx:      tx,
+		cat:     r.cat.Load(),
 		sources: make(map[string]*Source),
 		objects: make(map[SourceID]map[string]ObjectID),
 		rels:    make(map[relKey]SourceRelID),
@@ -68,20 +76,12 @@ func (r *Repo) Atomic(fn func(*Batch) error) error {
 		b.tx.Rollback()
 		return err
 	}
-	// Rows and overlay are published in one step to readers, or a reader
-	// could resolve a mapping key to the ID the commit has just deleted.
-	r.mu.Lock()
-	err := b.tx.Publish()
-	if err == nil {
-		b.publish()
-		if b.mappingsChanged {
-			r.bumpGen()
-		}
-	}
-	r.mu.Unlock()
-	if err != nil {
+	// The rows first, then the catalog, both before the fsync wait: a
+	// reader that resolves a mapping key in the new catalog finds its rows.
+	if err := b.tx.Publish(); err != nil {
 		return err
 	}
+	b.publish()
 	return b.tx.Commit()
 }
 
@@ -116,86 +116,114 @@ func atomic2[T, U any](r *Repo, fn func(*Batch) (T, U, error)) (T, U, error) {
 	return t, u, nil
 }
 
-// publish merges the overlay of a committed batch into the shared caches
-// and moves the publish counter. Caller holds r.mu.
+// publish stores the catalog of a committed batch: the one it began with,
+// its overlay merged in, the counts moved and the counters advanced. Only
+// maps the batch changed are copied, and a source's accession map only if
+// it was published already; a map the batch loaded or created goes in as
+// it is, as no reader has seen it.
 func (b *Batch) publish() {
-	r := b.r
-	for key, s := range b.sources {
-		r.sources[key] = s
-		r.sourcesByID[s.ID] = s
-	}
-	for src, created := range b.objects {
-		base, ok := r.objects[src]
-		if !ok {
-			// Only a source this batch created has no base (see
-			// baseObjects): the overlay is its complete object set.
-			r.objects[src] = created
-			continue
-		}
-		for acc, id := range created {
-			base[acc] = id
+	c := *b.cat
+	if len(b.sources) > 0 {
+		c.sources, c.sourcesByID = maps.Clone(c.sources), maps.Clone(c.sourcesByID)
+		for key, s := range b.sources {
+			c.sources[key] = s
+			c.sourcesByID[s.ID] = s
 		}
 	}
-	for key, id := range b.rels {
-		if id == 0 {
-			delete(r.rels, key)
-		} else {
-			r.rels[key] = id
+	if len(b.objects)+len(b.loaded) > 0 {
+		c.objects = maps.Clone(c.objects)
+		maps.Copy(c.objects, b.loaded)
+		for src, created := range b.objects {
+			base, ok := c.objects[src]
+			switch {
+			case !ok:
+				// Only a source this batch created has no base (see
+				// baseObjects): the overlay is its complete object set.
+				c.objects[src] = created
+			case len(created) == 0:
+				// Nothing to add: the base stays as it is.
+			case b.loaded[src] == nil:
+				// Published before this batch: readers may hold it.
+				base = maps.Clone(base)
+				maps.Copy(base, created)
+				c.objects[src] = base
+			default:
+				maps.Copy(base, created)
+			}
+		}
+	}
+	if len(b.rels) > 0 {
+		c.rels = maps.Clone(c.rels)
+		for key, id := range b.rels {
+			if id == 0 {
+				delete(c.rels, key)
+			} else {
+				c.rels[key] = id
+			}
 		}
 	}
 	if b.objectsFilled {
-		r.retireObjects()
+		c.rows = newObjectTable()
 	}
-	r.nObjects += b.dObjects
-	r.nAssocs += b.dAssocs
-	for typ, d := range b.dByType {
-		if n := r.byType[typ] + d; n != 0 {
-			r.byType[typ] = n
-		} else {
-			delete(r.byType, typ)
+	c.nObjects += b.dObjects
+	c.nAssocs += b.dAssocs
+	if len(b.dByType) > 0 {
+		c.byType = maps.Clone(c.byType)
+		for typ, d := range b.dByType {
+			if n := c.byType[typ] + d; n != 0 {
+				c.byType[typ] = n
+			} else {
+				delete(c.byType, typ)
+			}
 		}
 	}
-	r.bumpPublished()
+	if b.mappingsChanged {
+		c.gen++
+	}
+	c.published++
+	b.r.cat.Store(&c)
 }
 
-// source resolves a source ID against the overlay, then the shared cache.
+// source resolves a source ID against the overlay, then the catalog.
 func (b *Batch) source(id SourceID) *Source {
 	for _, s := range b.sources {
 		if s.ID == id {
 			return s
 		}
 	}
-	return b.r.sourcesByID[id]
+	return b.cat.sourcesByID[id]
 }
 
-// baseObjects returns the shared accession -> ID map of a source, loading
-// it through the batch's transaction on first use. The load always precedes
-// the batch's first object insert into that source (EnsureObjects calls it
-// first), so what it reads — and caches for everyone — is committed state.
-// A source created by this batch has no committed objects: its base is nil
-// and nothing is cached until publish.
+// baseObjects returns the committed accession -> ID map of a source: the
+// catalog's, or one loaded through the batch's transaction on first use
+// and kept in the overlay until publish. The load always precedes the
+// batch's first object insert into that source (EnsureObjects calls it
+// first), so what it reads is committed state. A source created by this
+// batch has no committed objects: its base is nil.
 func (b *Batch) baseObjects(src SourceID) (map[string]ObjectID, error) {
-	r := b.r
-	if m, ok := r.objects[src]; ok || r.sourcesByID[src] == nil {
+	if m, ok := b.cat.objects[src]; ok || b.cat.sourcesByID[src] == nil {
+		return m, nil
+	}
+	if m, ok := b.loaded[src]; ok {
 		return m, nil
 	}
 	m, err := loadObjectIDs(b.tx, src)
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	r.objects[src] = m
-	r.mu.Unlock()
+	if b.loaded == nil {
+		b.loaded = make(map[SourceID]map[string]ObjectID)
+	}
+	b.loaded[src] = m
 	return m, nil
 }
 
-// findRel resolves a mapping key against the overlay, then the shared
-// cache.
+// findRel resolves a mapping key against the overlay, then the catalog.
 func (b *Batch) findRel(key relKey) (SourceRelID, bool) {
 	if id, ok := b.rels[key]; ok {
 		return id, id != 0
 	}
-	id, ok := b.r.rels[key]
+	id, ok := b.cat.rels[key]
 	return id, ok
 }
 
@@ -213,7 +241,7 @@ func (b *Batch) countAssocs(rel SourceRelID, n int64) {
 			typ = key.typ
 		}
 	}
-	for key, id := range b.r.rels {
+	for key, id := range b.cat.rels {
 		if _, shadowed := b.rels[key]; id == rel && !shadowed {
 			typ = key.typ
 		}
@@ -238,7 +266,7 @@ func (b *Batch) EnsureSource(info Source) (*Source, bool, error) {
 	key := strings.ToLower(info.Name)
 	s := b.sources[key]
 	if s == nil {
-		s = b.r.sources[key]
+		s = b.cat.sources[key]
 	}
 	if s != nil {
 		if info.Release != "" && info.Release != s.Release {
@@ -552,7 +580,7 @@ func (b *Batch) DeleteMapping(rel SourceRelID) error {
 			b.rels[key] = 0
 		}
 	}
-	for key, id := range b.r.rels {
+	for key, id := range b.cat.rels {
 		if _, shadowed := b.rels[key]; id == rel && !shadowed {
 			b.rels[key] = 0
 		}

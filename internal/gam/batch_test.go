@@ -271,7 +271,7 @@ func TestDeleteMappingIsAtomic(t *testing.T) {
 	}
 }
 
-// LookupObjects on a cached source takes only the cache lock: it returns
+// LookupObjects on a cached source takes no lock: it returns
 // while another goroutine's batch is open.
 func TestLookupObjectsWhileBatchOpen(t *testing.T) {
 	plainAndPinned(t, func(t *testing.T, r *Repo) {
@@ -398,6 +398,13 @@ type syncGate struct {
 // through a syncGate.
 func gatedRepo(t *testing.T) (*Repo, *syncGate) {
 	t.Helper()
+	return gatedRepoSegments(t, 0)
+}
+
+// gatedRepoSegments is gatedRepo with WAL segments of segmentSize bytes
+// (0: the default).
+func gatedRepoSegments(t *testing.T, segmentSize int64) (*Repo, *syncGate) {
+	t.Helper()
 	g := &syncGate{syncing: make(chan struct{}), release: make(chan struct{})}
 	fs := wal.NewFaultFS()
 	fs.SyncHook = func() error {
@@ -407,7 +414,7 @@ func gatedRepo(t *testing.T) (*Repo, *syncGate) {
 		}
 		return nil
 	}
-	db, err := sqldb.OpenDurable("", sqldb.DurableOptions{FS: fs, Sync: wal.SyncAlways, CheckpointInterval: -1})
+	db, err := sqldb.OpenDurable("", sqldb.DurableOptions{FS: fs, Sync: wal.SyncAlways, SegmentSize: segmentSize, CheckpointInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +489,42 @@ func TestReplaceMappingPublishesCacheWithCommit(t *testing.T) {
 // the wait for durability.
 func TestReadersDuringFsync(t *testing.T) {
 	r, g := gatedRepo(t)
-	const n = 20
+	readersDuringFsync(t, r, g, 20)
+}
+
+// A ReplaceMapping whose log record fills a small segment rotates inside
+// WAL.Append, so the fsync held is the sealed segment's, inside
+// Tx.Publish under the writer: the batch has published nothing yet, and
+// the catalog readers return with the state before it.
+func TestReadersDuringFsyncRotation(t *testing.T) {
+	r, g := gatedRepoSegments(t, 4<<10)
+	h := readersDuringFsync(t, r, g, 200)
+	if t.Failed() {
+		return
+	}
+	if h.segmentsAfter <= h.segments {
+		t.Fatalf("WAL segments %d -> %d: the ReplaceMapping did not rotate", h.segments, h.segmentsAfter)
+	}
+	if h.heldGen != h.gen || h.heldPub != h.pub {
+		t.Fatalf("during the rotation's fsync: generation %d, published %d; want %d, %d (nothing published)",
+			h.heldGen, h.heldPub, h.gen, h.pub)
+	}
+}
+
+// fsyncHold is what readersDuringFsync saw: the counters and WAL segments
+// before the ReplaceMapping, the counters readers got while its first
+// fsync was held, and the segments after it committed.
+type fsyncHold struct {
+	gen, pub, heldGen, heldPub uint64
+	segments, segmentsAfter    int
+}
+
+// readersDuringFsync imports n associations from A to B, parks a
+// ReplaceMapping of them in its first fsync and checks that Stats,
+// Sources, SourceByName, FindMapping, a cached LookupObject(s),
+// Generation and Published all return meanwhile.
+func readersDuringFsync(t *testing.T, r *Repo, g *syncGate, n int) fsyncHold {
+	t.Helper()
 	if err := r.Atomic(func(b *Batch) error { return pairBatch(b, "A", "B", n) }); err != nil {
 		t.Fatal(err)
 	}
@@ -495,6 +537,7 @@ func TestReadersDuringFsync(t *testing.T) {
 	if err != nil || acc1 == 0 {
 		t.Fatalf("setup: LookupObject = %d, %v", acc1, err)
 	}
+	h := fsyncHold{gen: r.Generation(), pub: r.Published(), segments: r.db.WALStats().Segments}
 
 	g.armed.Store(true)
 	replaced := make(chan error, 1)
@@ -503,27 +546,36 @@ func TestReadersDuringFsync(t *testing.T) {
 		replaced <- err
 	}()
 	<-g.syncing
-	read := make(chan error, 1)
+	type counters struct{ gen, pub uint64 }
+	read, fail := make(chan counters, 1), make(chan error, 1)
 	go func() {
 		if _, err := r.Stats(); err != nil {
-			read <- err
+			fail <- err
+			return
+		}
+		if srcs := r.Sources(); len(srcs) != 2 || r.SourceByName("a") == nil {
+			fail <- fmt.Errorf("Sources = %v", srcs)
 			return
 		}
 		if rel, _, err := r.FindMapping(1, 2); err != nil || rel == nil {
-			read <- fmt.Errorf("FindMapping = %v, %v", rel, err)
+			fail <- fmt.Errorf("FindMapping = %v, %v", rel, err)
 			return
 		}
 		if id, err := r.LookupObject(1, "acc00001"); err != nil || id != acc1 {
-			read <- fmt.Errorf("LookupObject = %d, %v; want %d", id, err, acc1)
+			fail <- fmt.Errorf("LookupObject = %d, %v; want %d", id, err, acc1)
 			return
 		}
-		read <- nil
+		if ids, err := r.LookupObjects(1, []string{"acc00001"}); err != nil || ids["acc00001"] != acc1 {
+			fail <- fmt.Errorf("LookupObjects = %v, %v; want %d", ids, err, acc1)
+			return
+		}
+		read <- counters{r.Generation(), r.Published()}
 	}()
 	select {
-	case err := <-read:
-		if err != nil {
-			t.Error(err)
-		}
+	case c := <-read:
+		h.heldGen, h.heldPub = c.gen, c.pub
+	case err := <-fail:
+		t.Error(err)
 	case <-time.After(5 * time.Second):
 		t.Error("readers waited for the fsync of a ReplaceMapping")
 	}
@@ -531,6 +583,8 @@ func TestReadersDuringFsync(t *testing.T) {
 	if err := <-replaced; err != nil {
 		t.Fatal(err)
 	}
+	h.segmentsAfter = r.db.WALStats().Segments
+	return h
 }
 
 // TestInsertLadderChunks: every n is cut into consecutive chunks of ladder

@@ -39,11 +39,11 @@
 //
 // The Repo's lookup caches are transactional with it. A batch records the
 // sources, accession → ID entries and mapping keys it creates (or deletes)
-// in a private overlay that shadows the shared caches for the batch's own
-// lookups; the overlay is published into the shared caches after a
-// successful commit and thrown away on rollback, so no reader can ever
-// resolve an accession to a row that was rolled back. Generation() moves
-// once per committed batch that touched mappings, after the commit.
+// in a private overlay that shadows the published catalog for the batch's
+// own lookups; the overlay goes into the next catalog after a successful
+// commit and is thrown away on rollback, so no reader can ever resolve an
+// accession to a row that was rolled back. Generation() moves once per
+// committed batch that touched mappings, after the commit.
 //
 // The deployment counts behind Repo.Stats and the source list behind
 // Repo.Sources are caches of the same kind: no SQL runs for them after
@@ -53,12 +53,16 @@
 // through Repo.DB are not counted (nor cached) until Reload.
 //
 // Batches are serialised on the database's writer lock, which a batch's
-// transaction holds from Begin. The cache mutex is held only around single
-// cache accesses and around a batch's publish step — the commit's rows and
-// the cache overlay must appear in one step, or a reader could resolve a
-// mapping key to an ID whose rows the commit has just deleted — and never
-// across the fsync, so lookups on cached sources and FindMapping wait for
-// neither an import nor its fsync.
+// transaction holds from Begin. The caches, the counts and counters behind
+// Stats, Generation and Published, and Object's row cache form one
+// immutable catalog behind one atomic pointer. A reader loads it once and
+// takes no lock, so lookups on cached sources, FindMapping and Stats wait
+// for neither an import nor any fsync, the log rotation's included. Only
+// a holder of the writer stores a new catalog: a batch right after its
+// transaction publishes its rows (so a reader that resolves a mapping key
+// in the new catalog finds its rows) and before it waits for the fsync,
+// and Open and Reload. The next catalog copies only the maps the batch
+// changed.
 package gam
 
 import "fmt"

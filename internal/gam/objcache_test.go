@@ -33,7 +33,7 @@ func TestObjectCacheRetiredOnlyByFillsAndReload(t *testing.T) {
 	if _, err := r.Object(x); err != nil {
 		t.Fatal(err)
 	}
-	kept := r.rows.Load()
+	kept := r.cat.Load().rows
 	steps := []struct {
 		name   string
 		run    func() error
@@ -70,10 +70,10 @@ func TestObjectCacheRetiredOnlyByFillsAndReload(t *testing.T) {
 		if err := st.run(); err != nil {
 			t.Fatalf("%s: %v", st.name, err)
 		}
-		if retired := r.rows.Load() != kept; retired != st.retire {
+		if retired := r.cat.Load().rows != kept; retired != st.retire {
 			t.Fatalf("%s: cache retired = %v, want %v", st.name, retired, st.retire)
 		}
-		kept = r.rows.Load()
+		kept = r.cat.Load().rows
 	}
 	if o, err := r.Object(x); err != nil || o.Text != "t" {
 		t.Fatalf("Object after fill = %+v, %v", o, err)
@@ -85,7 +85,7 @@ func TestObjectCacheRetiredOnlyByFillsAndReload(t *testing.T) {
 // later reader sees it.
 func TestObjectCacheInstallAfterFillIsRetired(t *testing.T) {
 	r, src, x := cacheRepo(t)
-	c := r.rows.Load()
+	c := r.cat.Load().rows
 	rs, err := r.db.Query(sqlSelectObjectByID, int64(x))
 	if err != nil || len(rs.Rows) != 1 {
 		t.Fatalf("point query = %v, %v", rs, err)
@@ -95,13 +95,13 @@ func TestObjectCacheInstallAfterFillIsRetired(t *testing.T) {
 	if _, err := r.FillMissingObjectInfo(src, []ObjectSpec{{Accession: "x", Text: "filled"}}); err != nil {
 		t.Fatal(err)
 	}
-	c.install(x, &stale, r.objectIDBound)
+	c.install(x, &stale, r.cat.Load().objectIDBound())
 	if o, err := r.Object(x); err != nil || o.Text != "filled" {
 		t.Fatalf("Object = %+v, %v; want the filled text", o, err)
 	}
 }
 
-// A hit takes no gam lock, runs no statement and allocates nothing: it
+// A hit takes no lock, runs no statement and allocates nothing: it
 // returns the cached row itself, the same pointer to every caller.
 func TestObjectCacheHitTakesNoLockAndNoSQL(t *testing.T) {
 	r, _, x := cacheRepo(t)
@@ -110,7 +110,6 @@ func TestObjectCacheHitTakesNoLockAndNoSQL(t *testing.T) {
 	}
 	stmts := r.db.StmtCacheStats()
 	tx := r.db.Begin() // the lock a batch holds
-	r.mu.Lock()
 	done := make(chan *Object)
 	go func() {
 		o, _ := r.Object(x)
@@ -122,9 +121,8 @@ func TestObjectCacheHitTakesNoLockAndNoSQL(t *testing.T) {
 			t.Errorf("hit = %+v", o)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Object of a cached ID waits for gam's locks")
+		t.Fatal("Object of a cached ID waits for the writer")
 	}
-	r.mu.Unlock()
 	if err := tx.Rollback(); err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +166,7 @@ func mustObject(t *testing.T, r *Repo, id ObjectID) *Object {
 func TestObjectCacheMissAllocs(t *testing.T) {
 	r, _, x := cacheRepo(t)
 	miss := func() {
-		r.rows.Load().forget(x)
+		r.cat.Load().rows.forget(x)
 		if o, err := r.Object(x); err != nil || o == nil || o.Accession != "x" {
 			t.Fatalf("Object = %+v, %v", o, err)
 		}
@@ -235,7 +233,7 @@ func TestObjectTableConcurrentMisses(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	c := r.rows.Load()
+	c := r.cat.Load().rows
 	for i, id := range ids {
 		kept := c.load(id)
 		for g := range got {
@@ -246,7 +244,7 @@ func TestObjectTableConcurrentMisses(t *testing.T) {
 	}
 	// IDs 1…3 086 live in chunks 0…3; doubling may reach past them, but
 	// never past the chunk of the last ID the bound admits.
-	if n, most := len(*c.dir.Load()), int((r.objectIDBound()-1)/objChunkSlots+1); n < 4 || n > most {
+	if n, most := len(*c.dir.Load()), int((r.cat.Load().objectIDBound()-1)/objChunkSlots+1); n < 4 || n > most {
 		t.Fatalf("directory holds %d chunks, want 4…%d", n, most)
 	}
 }
@@ -263,7 +261,7 @@ func TestObjectTableFarIDsGrowNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c := r.rows.Load()
+	c := r.cat.Load().rows
 	dir := c.dir.Load()
 	for _, id := range []ObjectID{1 << 40, -1} {
 		for i := 0; i < 2; i++ {

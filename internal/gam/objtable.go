@@ -48,10 +48,10 @@ func (t *objectTable) load(id ObjectID) *Object {
 }
 
 // install stores o as id's row unless one is stored already, and returns
-// the stored row. bound, called only when id's chunk does not exist yet,
-// limits the IDs the table holds to [0, bound()): o is returned, and not
-// stored, for an ID outside it.
-func (t *objectTable) install(id ObjectID, o *Object, bound func() int64) *Object {
+// the stored row. bound limits the IDs the table holds to [0, bound): o is
+// returned, and not stored, for an ID outside it whose chunk does not
+// exist.
+func (t *objectTable) install(id ObjectID, o *Object, bound int64) *Object {
 	c := t.chunk(id, bound)
 	if c == nil {
 		return o
@@ -64,16 +64,14 @@ func (t *objectTable) install(id ObjectID, o *Object, bound func() int64) *Objec
 }
 
 // chunk returns the chunk that holds id, creating it (and growing the
-// directory to reach it) when id is inside [0, bound()); nil when it is
-// not.
-func (t *objectTable) chunk(id ObjectID, bound func() int64) *objectChunk {
+// directory to reach it) when id is inside [0, limit); nil when it is not.
+func (t *objectTable) chunk(id ObjectID, limit int64) *objectChunk {
 	ci := uint64(id) / objChunkSlots
 	if dir := *t.dir.Load(); ci < uint64(len(dir)) {
 		if c := dir[ci].Load(); c != nil {
 			return c
 		}
 	}
-	limit := bound()
 	if id < 0 || int64(id) >= limit {
 		return nil
 	}

@@ -55,22 +55,21 @@ func (r *Repo) SourceRels() ([]*SourceRel, error) {
 // preferred over structural ones; among candidates, Fact beats Similarity
 // beats Composed.
 func (r *Repo) FindMapping(s1, s2 SourceID) (*SourceRel, bool, error) {
-	r.mu.Lock()
+	rels := r.cat.Load().rels
 	prefs := []RelType{RelFact, RelSimilarity, RelComposed, RelSubsumed, RelIsA, RelContains}
 	var found *SourceRel
 	reversed := false
 	for _, typ := range prefs {
-		if id, ok := r.rels[relKey{s1: s1, s2: s2, typ: typ}]; ok {
+		if id, ok := rels[relKey{s1: s1, s2: s2, typ: typ}]; ok {
 			found = &SourceRel{ID: id, Source1: s1, Source2: s2, Type: typ}
 			break
 		}
-		if id, ok := r.rels[relKey{s1: s2, s2: s1, typ: typ}]; ok {
+		if id, ok := rels[relKey{s1: s2, s2: s1, typ: typ}]; ok {
 			found = &SourceRel{ID: id, Source1: s2, Source2: s1, Type: typ}
 			reversed = true
 			break
 		}
 	}
-	r.mu.Unlock()
 	return found, reversed, nil
 }
 
@@ -82,9 +81,7 @@ func (r *Repo) FindIsARel(src SourceID) (SourceRelID, bool, error) {
 
 // FindRel returns the mapping (s1, s2, typ) exactly as stored, or 0.
 func (r *Repo) FindRel(s1, s2 SourceID, typ RelType) (SourceRelID, bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	id, ok := r.rels[relKey{s1: s1, s2: s2, typ: typ}]
+	id, ok := r.cat.Load().rels[relKey{s1: s1, s2: s2, typ: typ}]
 	return id, ok, nil
 }
 
@@ -187,9 +184,7 @@ func (r *Repo) AssociationsBatch(rels []SourceRelID) (map[SourceRelID][]Assoc, e
 // (all mappings when rel is 0, read from the Stats counters).
 func (r *Repo) AssociationCount(rel SourceRelID) (int64, error) {
 	if rel == 0 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.nAssocs, nil
+		return r.cat.Load().nAssocs, nil
 	}
 	rs, err := r.db.Query(sqlCountAssocsByRel, int64(rel))
 	if err != nil {
@@ -227,19 +222,18 @@ type Stats struct {
 }
 
 // Stats returns the summary counters without running SQL: they are kept in
-// memory, set by Open and Reload and moved by each committed batch in the
-// step that publishes its cache overlay, so Stats shows committed states
-// only, never half a batch. ByType is a fresh map of the types with
+// the catalog, set by Open and Reload and moved by each committed batch in
+// the catalog that publishes its cache overlay, so Stats shows committed
+// states only, never half a batch. ByType is a fresh map of the types with
 // associations. Rows written around gam (DB()) are not counted until Reload.
 func (r *Repo) Stats() (*Stats, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	c := r.cat.Load()
 	return &Stats{
-		Sources:      int64(len(r.sourcesByID)),
-		Objects:      r.nObjects,
-		Mappings:     int64(len(r.rels)),
-		Associations: r.nAssocs,
-		ByType:       maps.Clone(r.byType),
+		Sources:      int64(len(c.sourcesByID)),
+		Objects:      c.nObjects,
+		Mappings:     int64(len(c.rels)),
+		Associations: c.nAssocs,
+		ByType:       maps.Clone(c.byType),
 	}, nil
 }
 

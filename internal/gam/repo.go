@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"genmapper/internal/sqldb"
@@ -18,6 +17,12 @@ import (
 // All writes go through Atomic (batch.go): one transaction, one commit.
 // The write methods on Repo itself are one-call batches.
 //
+// The caches, the Stats counts, the generation and publish counters and
+// Object's row cache are one immutable catalog behind one pointer: a
+// reader loads it once and takes no lock, so no catalog read waits for a
+// batch or its fsync. Only a holder of the database's writer stores a new
+// catalog: a committed batch's publish step and loadCaches (Open, Reload).
+//
 // Object serves committed object rows from a cache filled on first read
 // (see Object). gam never deletes an object or changes its ID, source or
 // accession, so a cached row stays true under every batch except one that
@@ -29,79 +34,65 @@ import (
 type Repo struct {
 	db *sqldb.DB
 
-	// gen counts committed batches that changed mappings or associations.
-	// Caches of derived mapping data compare it against the value observed
-	// at load time to detect staleness.
-	gen atomic.Uint64
-
-	// published counts the states Stats and Sources have shown: every
-	// committed batch's publish step and every Reload moves it, object-only
-	// batches included (they leave gen alone). Derived renderings of those
-	// two read it first and are valid while it holds.
-	published atomic.Uint64
-
 	// replaceHook, when set, is invoked at named stages of ReplaceMapping so
 	// tests can inject mid-transaction failures. Production code leaves it nil.
 	replaceHook func(stage string) error
 
-	// mu guards the lookup caches, held only around a cache access and
-	// around a batch's publish step, never across an fsync. The caches
-	// are mutated only with mu held by a transaction that holds the
-	// database's writer lock (a batch publishing its overlay or caching a
-	// freshly loaded object map, loadCaches), so holding either one is
-	// enough to read them: readers take mu, the open batch reads under
-	// the writer. Lock order: the writer, then mu.
-	mu          sync.Mutex
+	// cat is the published catalog.
+	cat atomic.Pointer[catalog]
+}
+
+// catalog is what a Repo publishes, as of one committed state. Nothing in
+// it is written after it is stored, except that Object installs rows into
+// the table rows points to: the next catalog copies only the maps a batch
+// changed and shares the rest.
+type catalog struct {
 	sources     map[string]*Source // lower(name) -> source
 	sourcesByID map[SourceID]*Source
-	objects     map[SourceID]map[string]ObjectID // accession -> id, lazily loaded per source
+	objects     map[SourceID]map[string]ObjectID // accession -> id, loaded per source on first use
 	rels        map[relKey]SourceRelID
 
-	// Whole-schema row counts behind Stats, kept like the caches: computed
-	// by loadCaches, moved only by a committed batch's publish. byType has
-	// no zero entries.
+	// Whole-schema row counts behind Stats, computed by loadCaches and
+	// moved by each committed batch's publish. byType has no zero entries.
 	nObjects, nAssocs int64
 	byType            map[RelType]int64
 
+	// gen counts committed batches that changed mappings or associations,
+	// and Reloads. Caches of derived mapping data compare it against the
+	// value observed at load time to detect staleness.
+	gen uint64
+
+	// published counts the states Stats and Sources have shown: every
+	// committed batch's publish and every Reload moves it, object-only
+	// batches included (they leave gen alone). Derived renderings of those
+	// two read it first and are valid while it holds.
+	published uint64
+
 	// rows is Object's cache of committed rows, a table addressed by
 	// ObjectID (objtable.go), each entry shared and never written after it
-	// is stored. It takes no lock of the Repo: publish (after a fill) and
-	// loadCaches retire it by swapping in an empty table.
-	rows atomic.Pointer[objectTable]
-}
-
-// retireObjects swaps in an empty object cache. A reader still holding the
-// old one can only install into it, and no later reader loads it.
-func (r *Repo) retireObjects() {
-	r.rows.Store(newObjectTable())
+	// is stored. A publish after a fill, and loadCaches, give the next
+	// catalog an empty table.
+	rows *objectTable
 }
 
 // objectIDBound bounds the IDs Object caches. Twice the object count, and
 // a chunk more, covers gam's dense AUTOINCREMENT IDs with room for gaps; a
 // row written around gam under a far-out or negative ID is served
 // uncached instead of growing the table's directory to reach it.
-func (r *Repo) objectIDBound() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return 2*r.nObjects + objChunkSlots
-}
+func (c *catalog) objectIDBound() int64 { return 2*c.nObjects + objChunkSlots }
 
 // Generation returns the mapping-write counter. Any committed change to
 // mappings or associations bumps it, so a cached value loaded at
 // generation g is valid exactly while Generation() == g. A batch bumps it
 // at most once, after its commit; a rolled-back batch never does.
-func (r *Repo) Generation() uint64 { return r.gen.Load() }
+func (r *Repo) Generation() uint64 { return r.cat.Load().gen }
 
-func (r *Repo) bumpGen() { r.gen.Add(1) }
-
-// Published returns the publish counter. Load it lock-free BEFORE reading
-// Stats or Sources: a rendering of what they return, tagged with the value
-// loaded, is then current exactly while Published() still returns it. (A
-// publish racing the read can only make the tag older than the rendering,
-// which costs a re-render, never a stale hit.)
-func (r *Repo) Published() uint64 { return r.published.Load() }
-
-func (r *Repo) bumpPublished() { r.published.Add(1) }
+// Published returns the publish counter. Load it BEFORE reading Stats or
+// Sources: a rendering of what they return, tagged with the value loaded,
+// is then current exactly while Published() still returns it. (A publish
+// racing the read can only make the tag older than the rendering, which
+// costs a re-render, never a stale hit.)
+func (r *Repo) Published() uint64 { return r.cat.Load().published }
 
 // SetReplaceMappingHook installs a failure-injection hook for tests of
 // ReplaceMapping atomicity. Stages: "after-delete" (old mapping rows gone,
@@ -295,36 +286,34 @@ func (r *Repo) DB() *sqldb.DB { return r.db }
 // cached IDs reference pre-restore rows. Reload bumps the mapping
 // generation and the publish counter, so executor caches and renderings of
 // Stats keyed on them invalidate too. It waits for an open batch to finish.
-func (r *Repo) Reload() error {
-	if err := r.loadCaches(); err != nil {
-		return err
-	}
-	r.bumpGen()
-	r.bumpPublished()
-	return nil
-}
+func (r *Repo) Reload() error { return r.loadCaches() }
 
-// loadCaches replaces the lookup caches with the database's source and
-// mapping catalogs and an empty object cache, and recounts the rows, in a
-// transaction whose writer lock keeps batches out meanwhile.
+// loadCaches publishes a catalog of the database's source and mapping
+// catalogs, fresh row counts and an empty object cache, in a transaction
+// whose writer lock keeps batches out meanwhile. Past the first (Open's),
+// a catalog moves both counters on from the one it replaces.
 func (r *Repo) loadCaches() error {
 	tx := r.db.Begin()
 	defer tx.Rollback()
-	sources := make(map[string]*Source)
-	sourcesByID := make(map[SourceID]*Source)
+	c := &catalog{
+		sources:     make(map[string]*Source),
+		sourcesByID: make(map[SourceID]*Source),
+		objects:     make(map[SourceID]map[string]ObjectID),
+		rels:        make(map[relKey]SourceRelID),
+		rows:        newObjectTable(),
+	}
 	err := queryEach(tx, sqlSelectSources, nil, func(row []sqldb.Value) error {
 		s := rowToSource(row)
-		sources[strings.ToLower(s.Name)] = s
-		sourcesByID[s.ID] = s
+		c.sources[strings.ToLower(s.Name)] = s
+		c.sourcesByID[s.ID] = s
 		return nil
 	})
 	if err != nil {
 		return fmt.Errorf("gam: load sources: %w", err)
 	}
-	rels := make(map[relKey]SourceRelID)
 	err = queryEach(tx, sqlSelectSourceRels, nil, func(row []sqldb.Value) error {
 		rel := rowToSourceRel(row)
-		rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel.ID
+		c.rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel.ID
 		return nil
 	})
 	if err != nil {
@@ -334,14 +323,11 @@ func (r *Repo) loadCaches() error {
 	if err != nil {
 		return fmt.Errorf("gam: count rows: %w", err)
 	}
-	r.mu.Lock()
-	r.sources = sources
-	r.sourcesByID = sourcesByID
-	r.objects = make(map[SourceID]map[string]ObjectID)
-	r.rels = rels
-	r.nObjects, r.nAssocs, r.byType = st.Objects, st.Associations, st.ByType
-	r.retireObjects()
-	r.mu.Unlock()
+	c.nObjects, c.nAssocs, c.byType = st.Objects, st.Associations, st.ByType
+	if old := r.cat.Load(); old != nil {
+		c.gen, c.published = old.gen+1, old.published+1
+	}
+	r.cat.Store(c)
 	return nil
 }
 
@@ -403,27 +389,22 @@ func (r *Repo) EnsureSource(info Source) (*Source, bool, error) {
 // SourceByName returns the source with the given name (case-insensitive),
 // or nil when unknown.
 func (r *Repo) SourceByName(name string) *Source {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sources[strings.ToLower(name)]
+	return r.cat.Load().sources[strings.ToLower(name)]
 }
 
 // SourceByID returns the source with the given ID, or nil.
 func (r *Repo) SourceByID(id SourceID) *Source {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.sourcesByID[id]
+	return r.cat.Load().sourcesByID[id]
 }
 
 // Sources returns copies of all sources ordered by name.
 func (r *Repo) Sources() []*Source {
-	r.mu.Lock()
-	out := make([]*Source, 0, len(r.sourcesByID))
-	for _, s := range r.sourcesByID {
+	byID := r.cat.Load().sourcesByID
+	out := make([]*Source, 0, len(byID))
+	for _, s := range byID {
 		cp := *s
 		out = append(out, &cp)
 	}
-	r.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -481,41 +462,34 @@ func (r *Repo) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, err
 // LookupObject returns the ID of the object with the given accession in
 // the source, or 0 when absent. See LookupObjects for what it waits on.
 func (r *Repo) LookupObject(src SourceID, accession string) (ObjectID, error) {
-	r.mu.Lock()
-	cache, cached := r.objects[src]
-	id := cache[accession]
-	r.mu.Unlock()
-	if cached {
-		return id, nil
+	if cache, cached := r.cat.Load().objects[src]; cached {
+		return cache[accession], nil
 	}
 	return atomic1(r, func(b *Batch) (ObjectID, error) { return b.LookupObject(src, accession) })
 }
 
 // LookupObjects resolves many accessions at once; missing accessions map
-// to 0. Once a source's objects are cached this takes only the cache lock
-// and returns while a write batch is running. The first lookup of a source
+// to 0. Once a source's objects are cached this takes no lock and returns
+// while a write batch is running. The first lookup of a source
 // loads its objects as a (read-only) batch of its own, which waits for an
 // open batch to finish: a map loaded at a snapshot taken before that batch
 // commits lacks the batch's objects, and must not be installed in the
 // cache after the batch has published its overlay.
 func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]ObjectID, error) {
-	r.mu.Lock()
-	if cache, cached := r.objects[src]; cached {
+	if cache, cached := r.cat.Load().objects[src]; cached {
 		out := make(map[string]ObjectID, len(accessions))
 		for _, a := range accessions {
 			out[a] = cache[a]
 		}
-		r.mu.Unlock()
 		return out, nil
 	}
-	r.mu.Unlock()
 	return atomic1(r, func(b *Batch) (map[string]ObjectID, error) { return b.LookupObjects(src, accessions) })
 }
 
 // Object returns the full object row by ID, or nil. The row is shared
 // with every other caller and read-only: do not write to it, copy it to
 // change it. A committed row is read from the database once and then
-// served from memory, taking no gam lock and allocating nothing, until a
+// served from memory, taking no lock and allocating nothing, until a
 // batch that fills object text (FillMissingObjectInfo) publishes or
 // Reload runs. An absent ID is never cached. A row changed or deleted
 // around gam (through DB) after Object read it keeps being served as read
@@ -524,8 +498,8 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	// Load the cache before the query: a fill that commits in between
 	// retires this cache, so the possibly stale row lands where no later
 	// reader looks.
-	c := r.rows.Load()
-	if o := c.load(id); o != nil {
+	c := r.cat.Load()
+	if o := c.rows.load(id); o != nil {
 		return o, nil
 	}
 	// The point query streams its row straight into the new entry: no
@@ -541,7 +515,7 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	}
 	// A racing miss may have stored the same row first; keep its entry,
 	// so every reader of this cache shares one pointer.
-	return c.install(id, o, r.objectIDBound), nil
+	return c.rows.install(id, o, c.objectIDBound()), nil
 }
 
 // ObjectsScanEach streams all objects of a source in storage order (no
@@ -591,9 +565,7 @@ func (r *Repo) ObjectsBySource(src SourceID) ([]*Object, error) {
 // src is 0, read from the Stats counters).
 func (r *Repo) ObjectCount(src SourceID) (int64, error) {
 	if src == 0 {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		return r.nObjects, nil
+		return r.cat.Load().nObjects, nil
 	}
 	rs, err := r.db.Query(sqlCountObjectsBySource, int64(src))
 	if err != nil {

@@ -1,12 +1,11 @@
 // Package atomicgen enforces the discipline around sync/atomic struct
-// fields, above all the generation counters (`sqldb.DB.gen`,
-// `gam.Repo.gen`, `gam.Repo.published`) that cursors and caches poll
-// lock-free.
+// fields, above all the schema generation counter (`sqldb.DB.gen`) that
+// cursors poll lock-free.
 //
 // Three rules:
 //
-//  1. Registered generation counters may only be mutated inside their
-//     accessor methods (`bumpSchemaGen`, `bumpGen`, `bumpPublished`); every other
+//  1. A registered generation counter may only be mutated inside its
+//     accessor method (`bumpSchemaGen`); every other
 //     Store/Add/Swap/CompareAndSwap is reported.
 //  2. Any atomic field may only be mutated from its declaring package —
 //     cross-package writes bypass whatever protocol the owner maintains.
@@ -28,13 +27,10 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// accessors maps a registered atomic field to the only functions allowed to
+// accessors maps a registered atomic field to the only function allowed to
 // mutate it.
-var accessors = map[string]map[string]bool{
-	"genmapper/internal/sqldb.DB.gen": {"bumpSchemaGen": true},
-	"genmapper/internal/gam.Repo.gen": {"bumpGen": true},
-	// Page shells cached against Published() must see every publish.
-	"genmapper/internal/gam.Repo.published": {"bumpPublished": true},
+var accessors = map[string]string{
+	"genmapper/internal/sqldb.DB.gen": "bumpSchemaGen",
 }
 
 // mutators are the sync/atomic methods that write.
@@ -73,9 +69,8 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 			if !mutators[method] {
 				return false // Load etc: always fine
 			}
-			if allowed, registered := accessors[key]; registered && !allowed[fn.Name.Name] {
-				names := accessorNames(allowed)
-				pass.Reportf(sel.Pos(), "%s is mutated outside its accessor %s; generation bumps must go through the accessor so schema changes stay totally ordered", short, names)
+			if accessor, registered := accessors[key]; registered && fn.Name.Name != accessor {
+				pass.Reportf(sel.Pos(), "%s is mutated outside its accessor %s; generation bumps must go through the accessor so schema changes stay totally ordered", short, accessor)
 			} else if !registered && !declaredHere(pass, key) {
 				pass.Reportf(sel.Pos(), "atomic field %s is mutated outside its declaring package", short)
 			}
@@ -143,16 +138,4 @@ func isAtomicField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 	}
 	nk := lintutil.NamedKey(t)
 	return strings.HasPrefix(nk, "sync/atomic.")
-}
-
-func accessorNames(set map[string]bool) string {
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	if len(names) == 1 {
-		return names[0]
-	}
-	strs := strings.Join(names, " or ")
-	return strs
 }

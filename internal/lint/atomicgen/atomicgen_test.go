@@ -9,5 +9,5 @@ import (
 
 func TestAtomicgen(t *testing.T) {
 	analysistest.Run(t, analysistest.Testdata(), atomicgen.Analyzer,
-		"genmapper/internal/sqldb", "genmapper/internal/gam", "counter", "a")
+		"genmapper/internal/sqldb", "counter", "a")
 }

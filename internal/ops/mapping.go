@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"sync"
 
 	"genmapper/internal/gam"
@@ -227,7 +226,7 @@ func (s ObjectSet) Sorted() []gam.ObjectID {
 	for id := range s {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -260,11 +259,12 @@ func Domain(m *Mapping) []gam.ObjectID {
 
 // Range implements Table 2's Range(map): SELECT DISTINCT T FROM map.
 func Range(m *Mapping) []gam.ObjectID {
-	seen := make(ObjectSet, len(m.Assocs))
-	for _, a := range m.Assocs {
-		seen[a.Object2] = true
+	out := make([]gam.ObjectID, len(m.Assocs))
+	for i, a := range m.Assocs {
+		out[i] = a.Object2
 	}
-	return seen.Sorted()
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // RestrictDomain implements Table 2's RestrictDomain(map, s):

@@ -73,11 +73,12 @@ type View struct {
 
 // SourceObjects returns the distinct source objects present in the view.
 func (v *View) SourceObjects() []gam.ObjectID {
-	set := make(ObjectSet)
-	for _, r := range v.Rows {
-		set[r[0]] = true
+	out := make([]gam.ObjectID, len(v.Rows))
+	for i, r := range v.Rows {
+		out[i] = r[0]
 	}
-	return set.Sorted()
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // GenerateView implements the algorithm of Figure 5. S is the source to be
@@ -97,19 +98,24 @@ func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []Targ
 	if resolve == nil {
 		resolve = DirectResolver(repo)
 	}
+	// V = s: start with all given source objects, one backing array. The
+	// scan of a whole source yields its IDs in storage order, which is
+	// ascending unless rows were written around gam.
+	var ids []gam.ObjectID
 	if sSet == nil {
-		sSet = make(ObjectSet)
 		err := repo.ObjectsScanEach(s, func(o *gam.Object) error {
-			sSet[o.ID] = true
+			ids = append(ids, o.ID)
 			return nil
 		})
 		if err != nil {
 			return nil, err
 		}
+		if !slices.IsSorted(ids) {
+			slices.Sort(ids)
+		}
+	} else {
+		ids = sSet.Sorted()
 	}
-
-	// V = s: start with all given source objects, one backing array.
-	ids := sSet.Sorted()
 	rows := make([]ViewRow, len(ids))
 	for i := range ids {
 		rows[i] = ViewRow(ids[i : i+1 : i+1])

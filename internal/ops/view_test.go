@@ -488,3 +488,80 @@ func TestSharedIndexBesideReplaceMapping(t *testing.T) {
 		t.Fatal("the shared path changed under the writer")
 	}
 }
+
+// A whole-source view sorts the IDs its scan yields when they do not
+// ascend: an object written around gam under an ID below the source's
+// others comes last in storage order. The view equals the one over the
+// same IDs passed as an explicit set.
+func TestGenerateViewWholeSourceSortsScan(t *testing.T) {
+	db := sqldb.NewDB()
+	t.Cleanup(func() { db.Close() })
+	repo, err := gam.Open(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _, _ := repo.EnsureSource(gam.Source{Name: "A"})
+	b, _, _ := repo.EnsureSource(gam.Source{Name: "B"})
+	insert := func(id gam.ObjectID, src gam.SourceID, acc string) {
+		t.Helper()
+		if _, err := db.Exec("INSERT INTO object (object_id, source_id, accession) VALUES (?, ?, ?)",
+			int64(id), int64(src), acc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// B's object at 100 moves the AUTOINCREMENT counter past 50.
+	insert(100, b.ID, "b0")
+	ids, _, err := repo.EnsureObjects(a.ID, []gam.ObjectSpec{{Accession: "a1"}, {Accession: "a2"}, {Accession: "a3"}})
+	if err != nil || ids[0] <= 50 {
+		t.Fatalf("EnsureObjects = %v, %v; want IDs above 50", ids, err)
+	}
+	insert(50, a.ID, "early")
+	if err := repo.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	bIDs, _, err := repo.EnsureObjects(b.ID, []gam.ObjectSpec{{Accession: "b0"}, {Accession: "b1"}})
+	if err != nil || bIDs[0] != 100 {
+		t.Fatalf("B's objects = %v, %v", bIDs, err)
+	}
+	rel, _, err := repo.EnsureSourceRel(a.ID, b.ID, gam.RelFact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := repo.AddAssociations(rel, []gam.Assoc{
+		{Object1: 50, Object2: bIDs[1]}, {Object1: 50, Object2: bIDs[0]},
+		{Object1: ids[0], Object2: bIDs[0]}, {Object1: ids[2], Object2: bIDs[1]},
+	}, false); err != nil {
+		t.Fatal(err)
+	}
+
+	var scanned []gam.ObjectID
+	if err := repo.ObjectsScanEach(a.ID, func(o *gam.Object) error {
+		scanned = append(scanned, o.ID)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if slices.IsSorted(scanned) {
+		t.Fatalf("the scan yields %v, ascending: nothing to sort", scanned)
+	}
+	targets := []TargetSpec{{Source: b.ID}}
+	for _, mode := range []Combine{CombineOR, CombineAND} {
+		whole, err := GenerateView(repo, a.ID, nil, targets, mode, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		explicit, err := GenerateView(repo, a.ID, NewObjectSet(scanned...), targets, mode, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.IsSortedFunc(whole.Rows, func(x, y ViewRow) int { return slices.Compare(x, y) }) {
+			t.Fatalf("%v: whole-source rows %v are not sorted", mode, whole.Rows)
+		}
+		if !reflect.DeepEqual(whole, explicit) {
+			t.Fatalf("%v: whole-source view %v, explicit-set view %v", mode, whole.Rows, explicit.Rows)
+		}
+		if mode == CombineOR && whole.Rows[0][0] != 50 {
+			t.Fatalf("OR view starts with %v, want object 50", whole.Rows[0])
+		}
+	}
+}

@@ -35,10 +35,10 @@
 //     — that window is what lets concurrent committers share one fsync
 //     (group commit). One known exception: WAL.Append rotates inline
 //     when a record fills the segment, and the rotation fsyncs the
-//     sealed segment under the writer (and, through Tx.Publish in
-//     gam.Atomic, under gam.Repo.mu). lockorder cannot see it, because
-//     the fsync happens inside package wal; moving the rotation out of
-//     Append is ROADMAP item 14.
+//     sealed segment under the writer, so the next writer waits for it
+//     (gam's catalog readers take no lock and do not). lockorder cannot
+//     see it, because the fsync happens inside package wal; moving the
+//     rotation out of Append is ROADMAP item 14.
 //
 //  3. Write-ahead before acknowledge. All table-state mutation funnels
 //     through executeWrite, and every caller must bind the mutation for
