@@ -32,7 +32,7 @@ type Batch struct {
 
 	sources map[string]*Source               // lower(name) -> source created or re-audited here
 	objects map[SourceID]map[string]ObjectID // accession -> ID of objects created here
-	loaded  map[SourceID]map[string]ObjectID // committed accession -> ID maps loaded here
+	loaded  map[SourceID]*accessions         // committed accessions loaded here
 	rels    map[relKey]SourceRelID           // mappings created here; 0 marks one deleted here
 
 	// mappingsChanged records a write to SOURCE_REL or OBJECT_REL: the
@@ -118,9 +118,9 @@ func atomic2[T, U any](r *Repo, fn func(*Batch) (T, U, error)) (T, U, error) {
 
 // publish stores the catalog of a committed batch: the one it began with,
 // its overlay merged in, the counts moved and the counters advanced. Only
-// maps the batch changed are copied, and a source's accession map only if
-// it was published already; a map the batch loaded or created goes in as
-// it is, as no reader has seen it.
+// maps the batch changed are copied. A source's published accessions get
+// the batch's additions beside them (accessions.with); a map the batch
+// loaded or created goes in as it is, as no reader has seen it.
 func (b *Batch) publish() {
 	c := *b.cat
 	if len(b.sources) > 0 {
@@ -134,21 +134,19 @@ func (b *Batch) publish() {
 		c.objects = maps.Clone(c.objects)
 		maps.Copy(c.objects, b.loaded)
 		for src, created := range b.objects {
-			base, ok := c.objects[src]
+			a, ok := c.objects[src]
 			switch {
 			case !ok:
 				// Only a source this batch created has no base (see
 				// baseObjects): the overlay is its complete object set.
-				c.objects[src] = created
+				c.objects[src] = &accessions{base: created}
 			case len(created) == 0:
 				// Nothing to add: the base stays as it is.
 			case b.loaded[src] == nil:
 				// Published before this batch: readers may hold it.
-				base = maps.Clone(base)
-				maps.Copy(base, created)
-				c.objects[src] = base
+				c.objects[src] = a.with(created)
 			default:
-				maps.Copy(base, created)
+				maps.Copy(a.base, created)
 			}
 		}
 	}
@@ -194,28 +192,29 @@ func (b *Batch) source(id SourceID) *Source {
 	return b.cat.sourcesByID[id]
 }
 
-// baseObjects returns the committed accession -> ID map of a source: the
-// catalog's, or one loaded through the batch's transaction on first use
+// baseObjects returns the committed accessions of a source: the
+// catalog's, or a map loaded through the batch's transaction on first use
 // and kept in the overlay until publish. The load always precedes the
 // batch's first object insert into that source (EnsureObjects calls it
 // first), so what it reads is committed state. A source created by this
 // batch has no committed objects: its base is nil.
-func (b *Batch) baseObjects(src SourceID) (map[string]ObjectID, error) {
-	if m, ok := b.cat.objects[src]; ok || b.cat.sourcesByID[src] == nil {
-		return m, nil
+func (b *Batch) baseObjects(src SourceID) (*accessions, error) {
+	if a, ok := b.cat.objects[src]; ok || b.cat.sourcesByID[src] == nil {
+		return a, nil
 	}
-	if m, ok := b.loaded[src]; ok {
-		return m, nil
+	if a, ok := b.loaded[src]; ok {
+		return a, nil
 	}
 	m, err := loadObjectIDs(b.tx, src)
 	if err != nil {
 		return nil, err
 	}
 	if b.loaded == nil {
-		b.loaded = make(map[SourceID]map[string]ObjectID)
+		b.loaded = make(map[SourceID]*accessions)
 	}
-	b.loaded[src] = m
-	return m, nil
+	a := &accessions{base: m}
+	b.loaded[src] = a
+	return a, nil
 }
 
 // findRel resolves a mapping key against the overlay, then the catalog.
@@ -340,7 +339,7 @@ func (b *Batch) EnsureObjects(src SourceID, specs []ObjectSpec) ([]ObjectID, int
 		if spec.Accession == "" {
 			return nil, 0, fmt.Errorf("gam: object %d has empty accession", i)
 		}
-		if id, ok := base[spec.Accession]; ok {
+		if id := base.get(spec.Accession); id != 0 {
 			ids[i] = id
 			continue
 		}
@@ -413,8 +412,8 @@ func (b *Batch) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, er
 		spec ObjectSpec
 	}
 	var fills []fill
-	err := queryEach(b.tx, sqlSelectObjectsNoText, []any{int64(src)}, func(row []sqldb.Value) error {
-		if spec, ok := bySpec[row[1].(string)]; ok {
+	err := seekEach(b.tx, "object", colObjectSource, int64(src), func(_ int, row []sqldb.Value) error {
+		if spec, ok := bySpec[row[2].(string)]; ok && row[3] == nil {
 			fills = append(fills, fill{id: row[0].(int64), spec: spec})
 		}
 		return nil
@@ -441,7 +440,7 @@ func (b *Batch) LookupObject(src SourceID, accession string) (ObjectID, error) {
 	if err != nil {
 		return 0, err
 	}
-	return base[accession], nil
+	return base.get(accession), nil
 }
 
 // LookupObjects resolves many accessions at once; missing accessions map
@@ -457,7 +456,7 @@ func (b *Batch) LookupObjects(src SourceID, accessions []string) (map[string]Obj
 		if id, ok := created[a]; ok {
 			out[a] = id
 		} else {
-			out[a] = base[a]
+			out[a] = base.get(a)
 		}
 	}
 	return out, nil

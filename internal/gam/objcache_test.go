@@ -86,7 +86,7 @@ func TestObjectCacheRetiredOnlyByFillsAndReload(t *testing.T) {
 func TestObjectCacheInstallAfterFillIsRetired(t *testing.T) {
 	r, src, x := cacheRepo(t)
 	c := r.cat.Load().rows
-	rs, err := r.db.Query(sqlSelectObjectByID, int64(x))
+	rs, err := r.db.Query(oracleObjectByID, int64(x))
 	if err != nil || len(rs.Rows) != 1 {
 		t.Fatalf("point query = %v, %v", rs, err)
 	}
@@ -161,8 +161,8 @@ func mustObject(t *testing.T, r *Repo, id ObjectID) *Object {
 	return o
 }
 
-// A miss streams its row from one point query straight into the new
-// entry; it builds no result set for the one row.
+// A miss seeks its row by primary key straight into the new entry; it
+// runs no statement and builds no result set for the one row.
 func TestObjectCacheMissAllocs(t *testing.T) {
 	r, _, x := cacheRepo(t)
 	miss := func() {
@@ -181,13 +181,14 @@ func TestObjectCacheMissAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / n
-	// Measured: 8 allocations and 504 bytes per miss (10 and 576 with a
-	// sync.Map for the cache and sort.Slice sorting the index's row IDs,
-	// 12 and 648 while a miss ran db.Query and copied its row out of the
-	// result set). The bounds leave no allocation and 32 bytes of
-	// headroom: a result set per miss, a map entry or a sort closure
-	// breaks them.
-	const maxAllocs, maxBytes = 8, 536
+	// Measured: 3 allocations and 96 bytes per miss, the row's Object
+	// among them, since the miss seeks the primary key instead of running
+	// a SELECT (8 and 504 through the statement's plan, 10 and 576 with a
+	// sync.Map for the cache, 12 and 648 while a miss ran db.Query and
+	// copied its row out of the result set). The bounds are the
+	// measurement: a statement, a result set or a sort closure breaks
+	// them.
+	const maxAllocs, maxBytes = 3, 96
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Fatalf("Object miss: %.0f allocs, %d bytes; want <= %d, <= %d", allocs, bytes, maxAllocs, maxBytes)
 	}
@@ -290,3 +291,5 @@ func (t *objectTable) forget(id ObjectID) {
 		}
 	}
 }
+
+const oracleObjectByID = "SELECT object_id, source_id, accession, text, number FROM object WHERE object_id = ?"

@@ -26,20 +26,21 @@ func rowToSourceRel(row []sqldb.Value) *SourceRel {
 
 // SourceRelByID returns the mapping row, or nil.
 func (r *Repo) SourceRelByID(id SourceRelID) (*SourceRel, error) {
-	rs, err := r.db.Query(sqlSelectSourceRels+" WHERE source_rel_id = ?", int64(id))
+	var rel *SourceRel
+	err := seekEach(r.db, "source_rel", colID, int64(id), func(_ int, row []sqldb.Value) error {
+		rel = rowToSourceRel(row)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if len(rs.Rows) == 0 {
-		return nil, nil
-	}
-	return rowToSourceRel(rs.Rows[0]), nil
+	return rel, nil
 }
 
 // SourceRels returns all mappings ordered by ID.
 func (r *Repo) SourceRels() ([]*SourceRel, error) {
 	var out []*SourceRel
-	err := queryEach(r.db, sqlSelectSourceRels+" ORDER BY source_rel_id", nil, func(row []sqldb.Value) error {
+	err := r.db.QueryEach(sqlSelectSourceRels+" ORDER BY source_rel_id", func(row []sqldb.Value) error {
 		out = append(out, rowToSourceRel(row))
 		return nil
 	})
@@ -94,32 +95,52 @@ func (r *Repo) AddAssociations(rel SourceRelID, assocs []Assoc, dedup bool) (int
 	return atomic1(r, func(b *Batch) (int, error) { return b.AddAssociations(rel, assocs, dedup) })
 }
 
+// assocOf reads an association from a stored OBJECT_REL row.
+func assocOf(row []sqldb.Value) Assoc {
+	a := Assoc{Object1: ObjectID(row[2].(int64)), Object2: ObjectID(row[3].(int64))}
+	if v, ok := row[4].(float64); ok {
+		a.Evidence = v
+	}
+	return a
+}
+
 // associationsEach streams every association of a mapping through fn in
 // storage order.
 func associationsEach(q querier, rel SourceRelID, fn func(Assoc) error) error {
-	return queryEach(q, sqlSelectAssociations, []any{int64(rel)}, func(row []sqldb.Value) error {
-		a := Assoc{
-			Object1: ObjectID(row[0].(int64)),
-			Object2: ObjectID(row[1].(int64)),
-		}
-		if v, ok := row[2].(float64); ok {
-			a.Evidence = v
-		}
-		return fn(a)
+	return seekEach(q, "object_rel", colAssocRel, int64(rel), func(_ int, row []sqldb.Value) error {
+		return fn(assocOf(row))
 	})
+}
+
+// seekAssocs reads the associations of rels at one snapshot, each
+// mapping's in storage order into a slice sized by its index postings;
+// a mapping without associations gets nil.
+func seekAssocs(q querier, rels []SourceRelID) ([][]Assoc, error) {
+	keys := make([]sqldb.Value, len(rels))
+	for i, rel := range rels {
+		keys[i] = int64(rel)
+	}
+	out := make([][]Assoc, len(rels))
+	err := q.Seek("object_rel", colAssocRel, keys, func(k, n int, row []sqldb.Value) error {
+		if out[k] == nil {
+			out[k] = make([]Assoc, 0, n)
+		}
+		out[k] = append(out[k], assocOf(row))
+		return nil
+	})
+	return out, err
 }
 
 // collectAssociations materializes associationsEach (never nil).
 func collectAssociations(q querier, rel SourceRelID) ([]Assoc, error) {
-	out := []Assoc{}
-	err := associationsEach(q, rel, func(a Assoc) error {
-		out = append(out, a)
-		return nil
-	})
+	out, err := seekAssocs(q, []SourceRelID{rel})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	if out[0] == nil {
+		return []Assoc{}, nil
+	}
+	return out[0], nil
 }
 
 // AssociationsEach streams every association of a mapping through fn in
@@ -135,47 +156,24 @@ func (r *Repo) Associations(rel SourceRelID) ([]Assoc, error) {
 	return collectAssociations(r.db, rel)
 }
 
-// AssociationsBatch fetches the associations of several mappings in a single
-// SQL round-trip, keyed by mapping ID. Mapping IDs without associations map
-// to an empty (nil) slice. Duplicate IDs in rels are fetched once. The
-// result rows stream straight from the engine cursor into the per-mapping
-// slices — one buffering, not two.
+// AssociationsBatch fetches the associations of several mappings at one
+// snapshot, keyed by mapping ID. Mapping IDs without associations map to
+// an empty (nil) slice. Duplicate IDs in rels are fetched once.
 func (r *Repo) AssociationsBatch(rels []SourceRelID) (map[SourceRelID][]Assoc, error) {
 	out := make(map[SourceRelID][]Assoc, len(rels))
-	if len(rels) == 0 {
-		return out, nil
-	}
-	var sb strings.Builder
-	sb.WriteString("SELECT source_rel_id, object1_id, object2_id, evidence FROM object_rel WHERE source_rel_id IN (")
-	args := make([]any, 0, len(rels))
-	seen := make(map[SourceRelID]bool, len(rels))
+	uniq := make([]SourceRelID, 0, len(rels))
 	for _, rel := range rels {
-		if seen[rel] {
-			continue
+		if _, dup := out[rel]; !dup {
+			out[rel] = nil
+			uniq = append(uniq, rel)
 		}
-		seen[rel] = true
-		if len(args) > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString("?")
-		args = append(args, int64(rel))
-		out[rel] = nil
 	}
-	sb.WriteString(")")
-	err := queryEach(r.db, sb.String(), args, func(row []sqldb.Value) error {
-		rel := SourceRelID(row[0].(int64))
-		a := Assoc{
-			Object1: ObjectID(row[1].(int64)),
-			Object2: ObjectID(row[2].(int64)),
-		}
-		if v, ok := row[3].(float64); ok {
-			a.Evidence = v
-		}
-		out[rel] = append(out[rel], a)
-		return nil
-	})
+	lists, err := seekAssocs(r.db, uniq)
 	if err != nil {
 		return nil, fmt.Errorf("gam: batch associations: %w", err)
+	}
+	for i, rel := range uniq {
+		out[rel] = lists[i]
 	}
 	return out, nil
 }
@@ -186,11 +184,7 @@ func (r *Repo) AssociationCount(rel SourceRelID) (int64, error) {
 	if rel == 0 {
 		return r.cat.Load().nAssocs, nil
 	}
-	rs, err := r.db.Query(sqlCountAssocsByRel, int64(rel))
-	if err != nil {
-		return 0, err
-	}
-	return rs.Rows[0][0].(int64), nil
+	return seekCount(r.db, "object_rel", colAssocRel, int64(rel))
 }
 
 // DeleteMapping removes a mapping and its associations (used to refresh
@@ -250,14 +244,14 @@ func countStats(q querier) (*Stats, error) {
 		{&st.Mappings, sqlCountSourceRels},
 		{&st.Associations, sqlCountAssociations},
 	} {
-		if err := queryEach(q, c.sql, nil, func(row []sqldb.Value) error {
+		if err := q.QueryEach(c.sql, func(row []sqldb.Value) error {
 			*c.n = row[0].(int64)
 			return nil
 		}); err != nil {
 			return nil, err
 		}
 	}
-	err := queryEach(q, sqlCountAssocsByType, nil, func(row []sqldb.Value) error {
+	err := q.QueryEach(sqlCountAssocsByType, func(row []sqldb.Value) error {
 		st.ByType[RelType(row[0].(string))] = row[1].(int64)
 		return nil
 	})

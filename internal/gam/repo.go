@@ -2,6 +2,7 @@ package gam
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -49,7 +50,7 @@ type Repo struct {
 type catalog struct {
 	sources     map[string]*Source // lower(name) -> source
 	sourcesByID map[SourceID]*Source
-	objects     map[SourceID]map[string]ObjectID // accession -> id, loaded per source on first use
+	objects     map[SourceID]*accessions // loaded per source on first use
 	rels        map[relKey]SourceRelID
 
 	// Whole-schema row counts behind Stats, computed by loadCaches and
@@ -73,6 +74,60 @@ type catalog struct {
 	// is stored. A publish after a fill, and loadCaches, give the next
 	// catalog an empty table.
 	rows *objectTable
+}
+
+// accessions is a source's published accession → ID map: a base that
+// readers share and, beside it, the additions of batches published since
+// the base was built, in layers. A publish adds the batch's own map as the
+// newest layer, merging it with the newer layers not more than twice its
+// size, so each layer is over twice the next and there are few; once the
+// additions pass 1/foldDivisor of the base, they fold into a fresh base.
+// So an accession is copied O(log n) times between folds, and a publish
+// that adds k of them copies O(k log n) amortized, not the base. Nothing
+// is written after it is published.
+type accessions struct {
+	base   map[string]ObjectID
+	layers []map[string]ObjectID // newest last
+	added  int                   // entries across layers
+}
+
+const foldDivisor = 4
+
+// get returns the ID of an accession, probing the base first.
+func (a *accessions) get(acc string) ObjectID {
+	if a == nil {
+		return 0
+	}
+	if id, ok := a.base[acc]; ok {
+		return id
+	}
+	for i := len(a.layers) - 1; i >= 0; i-- {
+		if id, ok := a.layers[i][acc]; ok {
+			return id
+		}
+	}
+	return 0
+}
+
+// with returns a plus created, a non-empty map no reader has seen.
+func (a *accessions) with(created map[string]ObjectID) *accessions {
+	added := a.added + len(created)
+	if added*foldDivisor > len(a.base) {
+		base := make(map[string]ObjectID, len(a.base)+added)
+		maps.Copy(base, a.base)
+		for _, l := range a.layers {
+			maps.Copy(base, l)
+		}
+		maps.Copy(base, created)
+		return &accessions{base: base}
+	}
+	layers := append(make([]map[string]ObjectID, 0, len(a.layers)+1), a.layers...)
+	for n := len(layers); n > 0 && len(layers[n-1]) <= 2*len(created); n-- {
+		merged := maps.Clone(layers[n-1])
+		maps.Copy(merged, created)
+		created, layers = merged, layers[:n-1]
+	}
+	return &accessions{base: a.base, layers: append(layers, created), added: added}
 }
 
 // objectIDBound bounds the IDs Object caches. Twice the object count, and
@@ -195,22 +250,24 @@ func (b *bulkInsert) chunks(n int, exec func(start, size int, sql string) error)
 // The hot statement texts are named constants so the call sites and the
 // prepare-at-Open warm-up list below can never drift apart.
 const (
-	sqlSelectSources             = "SELECT source_id, name, content, structure, release, import_date FROM source"
-	sqlInsertSource              = "INSERT INTO source (name, content, structure, release, import_date) VALUES (?, ?, ?, ?, ?)"
-	sqlUpdateSourceAudit         = "UPDATE source SET release = ?, import_date = ? WHERE source_id = ?"
-	sqlSelectObjectAccs          = "SELECT object_id, accession FROM object WHERE source_id = ?"
-	sqlSelectObjectByID          = "SELECT object_id, source_id, accession, text, number FROM object WHERE object_id = ?"
-	sqlSelectObjectsBySource     = "SELECT object_id, source_id, accession, text, number FROM object WHERE source_id = ? ORDER BY accession"
-	sqlSelectObjectsBySourceScan = "SELECT object_id, source_id, accession, text, number FROM object WHERE source_id = ?"
-	sqlSelectObjectsNoText       = "SELECT object_id, accession FROM object WHERE source_id = ? AND text IS NULL"
-	sqlUpdateObjectInfo          = "UPDATE object SET text = ?, number = ? WHERE object_id = ?"
-	sqlCountObjectsBySource      = "SELECT COUNT(*) FROM object WHERE source_id = ?"
-	sqlInsertSourceRel           = "INSERT INTO source_rel (source1_id, source2_id, type) VALUES (?, ?, ?)"
-	sqlSelectSourceRels          = "SELECT source_rel_id, source1_id, source2_id, type FROM source_rel"
-	sqlSelectAssociations        = "SELECT object1_id, object2_id, evidence FROM object_rel WHERE source_rel_id = ?"
-	sqlCountAssocsByRel          = "SELECT COUNT(*) FROM object_rel WHERE source_rel_id = ?"
-	sqlDeleteAssociations        = "DELETE FROM object_rel WHERE source_rel_id = ?"
-	sqlDeleteSourceRel           = "DELETE FROM source_rel WHERE source_rel_id = ?"
+	sqlSelectSources         = "SELECT source_id, name, content, structure, release, import_date FROM source"
+	sqlInsertSource          = "INSERT INTO source (name, content, structure, release, import_date) VALUES (?, ?, ?, ?, ?)"
+	sqlUpdateSourceAudit     = "UPDATE source SET release = ?, import_date = ? WHERE source_id = ?"
+	sqlSelectObjectsBySource = "SELECT object_id, source_id, accession, text, number FROM object WHERE source_id = ? ORDER BY accession"
+	sqlUpdateObjectInfo      = "UPDATE object SET text = ?, number = ? WHERE object_id = ?"
+	sqlInsertSourceRel       = "INSERT INTO source_rel (source1_id, source2_id, type) VALUES (?, ?, ?)"
+	sqlSelectSourceRels      = "SELECT source_rel_id, source1_id, source2_id, type FROM source_rel"
+	sqlDeleteAssociations    = "DELETE FROM object_rel WHERE source_rel_id = ?"
+	sqlDeleteSourceRel       = "DELETE FROM source_rel WHERE source_rel_id = ?"
+)
+
+// The point and per-source reads do not go through SQL: they seek an
+// index (sqldb's Seek) and read the stored rows, whose columns are in
+// schemaDDL order.
+const (
+	colID           = 0 // each table's primary key
+	colObjectSource = 1 // object: object_id, source_id, accession, text, number
+	colAssocRel     = 1 // object_rel: object_rel_id, source_rel_id, object1_id, object2_id, evidence
 )
 
 // The whole-schema counts run only in countStats, once per Open or Reload.
@@ -228,19 +285,12 @@ const (
 // already runs on compiled plans and no import ever parses a statement.
 var hotStatements = append(append([]string{
 	sqlSelectSources,
-	sqlSelectObjectAccs,
-	sqlSelectObjectByID,
 	sqlSelectObjectsBySource,
-	sqlSelectObjectsBySourceScan,
-	sqlCountObjectsBySource,
-	sqlSelectObjectsNoText,
 	sqlInsertSource,
 	sqlUpdateSourceAudit,
 	sqlUpdateObjectInfo,
 	sqlInsertSourceRel,
 	sqlSelectSourceRels,
-	sqlSelectAssociations,
-	sqlCountAssocsByRel,
 	sqlDeleteAssociations,
 	sqlDeleteSourceRel,
 }, objectInsert[:]...), assocInsert[:]...)
@@ -298,11 +348,11 @@ func (r *Repo) loadCaches() error {
 	c := &catalog{
 		sources:     make(map[string]*Source),
 		sourcesByID: make(map[SourceID]*Source),
-		objects:     make(map[SourceID]map[string]ObjectID),
+		objects:     make(map[SourceID]*accessions),
 		rels:        make(map[relKey]SourceRelID),
 		rows:        newObjectTable(),
 	}
-	err := queryEach(tx, sqlSelectSources, nil, func(row []sqldb.Value) error {
+	err := tx.QueryEach(sqlSelectSources, func(row []sqldb.Value) error {
 		s := rowToSource(row)
 		c.sources[strings.ToLower(s.Name)] = s
 		c.sourcesByID[s.ID] = s
@@ -311,7 +361,7 @@ func (r *Repo) loadCaches() error {
 	if err != nil {
 		return fmt.Errorf("gam: load sources: %w", err)
 	}
-	err = queryEach(tx, sqlSelectSourceRels, nil, func(row []sqldb.Value) error {
+	err = tx.QueryEach(sqlSelectSourceRels, func(row []sqldb.Value) error {
 		rel := rowToSourceRel(row)
 		c.rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel.ID
 		return nil
@@ -336,27 +386,31 @@ func (r *Repo) loadCaches() error {
 // outside a batch.
 type querier interface {
 	QueryEach(sql string, fn func(row []sqldb.Value) error, args ...any) error
+	Seek(table string, col int, keys []sqldb.Value, fn func(k, n int, row []sqldb.Value) error) error
 }
 
-// queryEach streams a SELECT's rows through fn without materializing the
-// result set, at one statement snapshot for the whole iteration (a
-// concurrent ReplaceMapping can never produce a half-old/half-new row
-// set). The row
-// slice passed to fn is reused between calls; fn must copy anything it
-// keeps and must not write to the database.
-func queryEach(q querier, sql string, args []any, fn func([]sqldb.Value) error) error {
-	return q.QueryEach(sql, fn, args...)
+// seekEach hands fn the stored rows of table whose column col equals key,
+// in row-ID order, with the key's posting count (see sqldb's Seek: the
+// rows are read-only and valid only during the call).
+func seekEach(q querier, table string, col int, key int64, fn func(n int, row []sqldb.Value) error) error {
+	return q.Seek(table, col, []sqldb.Value{key}, func(_, n int, row []sqldb.Value) error { return fn(n, row) })
 }
 
 // loadObjectIDs reads the accession -> ID map of a source.
 func loadObjectIDs(q querier, src SourceID) (map[string]ObjectID, error) {
-	m := make(map[string]ObjectID)
-	err := queryEach(q, sqlSelectObjectAccs, []any{int64(src)}, func(row []sqldb.Value) error {
-		m[row[1].(string)] = ObjectID(row[0].(int64))
+	var m map[string]ObjectID
+	err := seekEach(q, "object", colObjectSource, int64(src), func(n int, row []sqldb.Value) error {
+		if m == nil {
+			m = make(map[string]ObjectID, n)
+		}
+		m[row[2].(string)] = ObjectID(row[0].(int64))
 		return nil
 	})
 	if err != nil {
 		return nil, fmt.Errorf("gam: load objects of source %d: %w", src, err)
+	}
+	if m == nil {
+		m = make(map[string]ObjectID)
 	}
 	return m, nil
 }
@@ -463,7 +517,7 @@ func (r *Repo) FillMissingObjectInfo(src SourceID, specs []ObjectSpec) (int, err
 // the source, or 0 when absent. See LookupObjects for what it waits on.
 func (r *Repo) LookupObject(src SourceID, accession string) (ObjectID, error) {
 	if cache, cached := r.cat.Load().objects[src]; cached {
-		return cache[accession], nil
+		return cache.get(accession), nil
 	}
 	return atomic1(r, func(b *Batch) (ObjectID, error) { return b.LookupObject(src, accession) })
 }
@@ -479,7 +533,7 @@ func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]Obje
 	if cache, cached := r.cat.Load().objects[src]; cached {
 		out := make(map[string]ObjectID, len(accessions))
 		for _, a := range accessions {
-			out[a] = cache[a]
+			out[a] = cache.get(a)
 		}
 		return out, nil
 	}
@@ -502,10 +556,11 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 	if o := c.rows.load(id); o != nil {
 		return o, nil
 	}
-	// The point query streams its row straight into the new entry: no
-	// result set is built for one row.
+	// The primary-key seek reads its row straight into the new entry. It
+	// calls the database, not seekEach: through the interface the key and
+	// the callback would be allocated.
 	var o *Object
-	err := queryEach(r.db, sqlSelectObjectByID, []any{int64(id)}, func(row []sqldb.Value) error {
+	err := r.db.Seek("object", colID, []sqldb.Value{int64(id)}, func(_, _ int, row []sqldb.Value) error {
 		o = new(Object)
 		fillObject(o, row)
 		return nil
@@ -519,18 +574,33 @@ func (r *Repo) Object(id ObjectID) (*Object, error) {
 }
 
 // ObjectsScanEach streams all objects of a source in storage order (no
-// accession sort) through fn — the cheapest full pass over a source, used
-// by GenerateView to collect a whole source's IDs. It reads the database,
-// not Object's cache, and fills nothing. The Object passed to fn is
-// reused between calls; copy it if kept. The objects are one consistent
-// snapshot; fn must not write to the repository or issue further queries.
+// accession sort) through fn, the cheapest full pass over a source. It
+// reads the database, not Object's cache, and fills nothing. The Object
+// passed to fn is reused between calls; copy it if kept. The objects are
+// one consistent snapshot; fn must not write to the repository or issue
+// further queries.
 func (r *Repo) ObjectsScanEach(src SourceID, fn func(*Object) error) error {
 	var obj Object
-	return queryEach(r.db, sqlSelectObjectsBySourceScan, []any{int64(src)}, func(row []sqldb.Value) error {
+	return seekEach(r.db, "object", colObjectSource, int64(src), func(_ int, row []sqldb.Value) error {
 		obj = Object{}
 		fillObject(&obj, row)
 		return fn(&obj)
 	})
+}
+
+// ObjectIDs returns the IDs of a source's objects in storage order, one
+// snapshot: ascending, as gam allocates them, unless rows were written
+// around gam. GenerateView collects a whole source with it.
+func (r *Repo) ObjectIDs(src SourceID) ([]ObjectID, error) {
+	var ids []ObjectID
+	err := seekEach(r.db, "object", colObjectSource, int64(src), func(n int, row []sqldb.Value) error {
+		if ids == nil {
+			ids = make([]ObjectID, 0, n)
+		}
+		ids = append(ids, ObjectID(row[0].(int64)))
+		return nil
+	})
+	return ids, err
 }
 
 // ObjectsBySourceEach streams all objects of a source ordered by
@@ -540,11 +610,11 @@ func (r *Repo) ObjectsScanEach(src SourceID, fn func(*Object) error) error {
 // further queries.
 func (r *Repo) ObjectsBySourceEach(src SourceID, fn func(*Object) error) error {
 	var obj Object
-	return queryEach(r.db, sqlSelectObjectsBySource, []any{int64(src)}, func(row []sqldb.Value) error {
+	return r.db.QueryEach(sqlSelectObjectsBySource, func(row []sqldb.Value) error {
 		obj = Object{}
 		fillObject(&obj, row)
 		return fn(&obj)
-	})
+	}, int64(src))
 }
 
 // ObjectsBySource returns all objects of a source ordered by accession.
@@ -567,11 +637,17 @@ func (r *Repo) ObjectCount(src SourceID) (int64, error) {
 	if src == 0 {
 		return r.cat.Load().nObjects, nil
 	}
-	rs, err := r.db.Query(sqlCountObjectsBySource, int64(src))
-	if err != nil {
-		return 0, err
-	}
-	return rs.Rows[0][0].(int64), nil
+	return seekCount(r.db, "object", colObjectSource, int64(src))
+}
+
+// seekCount counts the rows seekEach would hand over.
+func seekCount(q querier, table string, col int, key int64) (int64, error) {
+	var n int64
+	err := seekEach(q, table, col, key, func(int, []sqldb.Value) error {
+		n++
+		return nil
+	})
+	return n, err
 }
 
 // fillObject populates an Object from a full object row, copying the

@@ -25,7 +25,7 @@ func checkStats(t *testing.T, r *Repo) {
 		t.Fatalf("maintained stats %v, SQL recount %v", got, want)
 	}
 	srcs := []*Source{}
-	err = queryEach(r.db, sqlSelectSources+" ORDER BY name", nil, func(row []sqldb.Value) error {
+	err = r.db.QueryEach(sqlSelectSources+" ORDER BY name", func(row []sqldb.Value) error {
 		srcs = append(srcs, rowToSource(row))
 		return nil
 	})

@@ -98,16 +98,13 @@ func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []Targ
 	if resolve == nil {
 		resolve = DirectResolver(repo)
 	}
-	// V = s: start with all given source objects, one backing array. The
-	// scan of a whole source yields its IDs in storage order, which is
-	// ascending unless rows were written around gam.
+	// V = s: start with all given source objects, one backing array. A
+	// whole source's IDs come in storage order, which is ascending unless
+	// rows were written around gam.
 	var ids []gam.ObjectID
 	if sSet == nil {
-		err := repo.ObjectsScanEach(s, func(o *gam.Object) error {
-			ids = append(ids, o.ID)
-			return nil
-		})
-		if err != nil {
+		var err error
+		if ids, err = repo.ObjectIDs(s); err != nil {
 			return nil, err
 		}
 		if !slices.IsSorted(ids) {

@@ -207,3 +207,83 @@ func TestBTreeDepthGrowth(t *testing.T) {
 		t.Fatalf("depth after 10k inserts = %d, expected small logarithmic depth", d)
 	}
 }
+
+// Ascend visits all entries in order until fn returns false.
+func (t *btree) Ascend(fn func(key Value, row int64) bool) {
+	t.ascend(t.root, fn)
+}
+
+func (t *btree) ascend(n *btreeNode, fn func(Value, int64) bool) bool {
+	for i, e := range n.entries {
+		if !n.isLeaf() && !t.ascend(n.children[i], fn) {
+			return false
+		}
+		if !fn(e.key, e.row) {
+			return false
+		}
+	}
+	if !n.isLeaf() {
+		return t.ascend(n.children[len(n.children)-1], fn)
+	}
+	return true
+}
+
+// depth returns the height of the tree (for invariant tests).
+func (t *btree) depth() int {
+	d := 1
+	for n := t.root; !n.isLeaf(); n = n.children[0] {
+		d++
+	}
+	return d
+}
+
+// checkInvariants validates B-tree structural invariants; it returns a
+// descriptive string for the first violation found, or "" when valid.
+// Used by property-based tests.
+func (t *btree) checkInvariants() string {
+	var prev *btreeEntry
+	ok := ""
+	depth := -1
+	var walk func(n *btreeNode, d int, root bool) bool
+	walk = func(n *btreeNode, d int, root bool) bool {
+		if !root {
+			if len(n.entries) < t.degree-1 {
+				ok = "underfull node"
+				return false
+			}
+		}
+		if len(n.entries) > 2*t.degree-1 {
+			ok = "overfull node"
+			return false
+		}
+		if n.isLeaf() {
+			if depth == -1 {
+				depth = d
+			} else if depth != d {
+				ok = "leaves at different depths"
+				return false
+			}
+		} else if len(n.children) != len(n.entries)+1 {
+			ok = "children/entries count mismatch"
+			return false
+		}
+		for i := range n.entries {
+			if !n.isLeaf() && !walk(n.children[i], d+1, false) {
+				return false
+			}
+			e := n.entries[i]
+			if prev != nil && !entryLess(*prev, e) {
+				ok = "entries out of order"
+				return false
+			}
+			ecopy := e
+			prev = &ecopy
+		}
+		if !n.isLeaf() {
+			return walk(n.children[len(n.children)-1], d+1, false)
+		}
+		return true
+	}
+	walk(t.root, 0, true)
+	return ok
+}

@@ -499,11 +499,11 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 		case accessRange:
 			c.indexRange.Add(1)
 		}
-		ids, err := collectAccessIDs(a, ex.env)
+		s, err := a.seeker(base.table, ex.env, ex.vis)
 		if err != nil {
 			return nil, err
 		}
-		prod = &idListProducer{rel: base, ids: ids}
+		prod = &seekProducer{rel: base, s: s}
 	}
 
 	for i := range p.joins {
@@ -579,29 +579,6 @@ func (s *scanProducer) refill(ex *selectExec) bool {
 	})
 	s.run = min(s.run*4, scanRunSize)
 	return len(s.ahead) > 0
-}
-
-// idListProducer emits the rows of a precomputed candidate ID list (the
-// equality, IN-list and range index access paths). Rows deleted since the
-// list was collected come back nil from Get and are skipped.
-type idListProducer struct {
-	rel relBinding
-	ids []int64
-	pos int
-}
-
-func (p *idListProducer) next(ex *selectExec) (bool, error) {
-	for p.pos < len(p.ids) {
-		id := p.ids[p.pos]
-		p.pos++
-		row := p.rel.table.get(id, ex.vis)
-		if row == nil {
-			continue
-		}
-		ex.env.SetRow(p.rel.off, row)
-		return true, nil
-	}
-	return false, nil
 }
 
 // orderedStage sequences the phases of an ordered traversal: rows with
@@ -826,6 +803,7 @@ type joinProducer struct {
 
 	hash     map[hashKey][][]Value // joinHashBuild: built once per execution
 	rightIDs []int64               // joinNestedLoop: right table's row IDs
+	seek     seeker                // joinIndexLoop: the probe key's rows
 
 	haveLeft bool
 	matched  bool
@@ -853,6 +831,7 @@ func (j *joinProducer) init(ex *selectExec) {
 		j.hash = hash
 	case joinIndexLoop:
 		ex.db.plans.indexJoins.Add(1)
+		j.seek = seeker{t: j.rel.table, idx: j.plan.idx, vis: ex.vis}
 	default:
 		ex.db.plans.nestedJoins.Add(1)
 		ids := make([]int64, 0, j.rel.table.RowCount())
@@ -875,11 +854,7 @@ func (j *joinProducer) startLeft(ex *selectExec) error {
 		if err != nil {
 			return err
 		}
-		if key != nil {
-			ids := j.plan.idx.Lookup(key)
-			sortInt64s(ids) // match the right table's scan order for ties
-			j.candIDs = ids
-		}
+		j.seek.seek(nil, key) // in row-ID order, the right table's scan order for ties
 	case joinHashBuild:
 		key, err := j.plan.keyExpr.Eval(ex.env)
 		if err != nil {
@@ -896,9 +871,12 @@ func (j *joinProducer) startLeft(ex *selectExec) error {
 
 // nextCandidate returns the next candidate right row, or nil when the
 // current left tuple's candidates are exhausted. Rows resolve at the
-// execution's snapshot; stale index entries resolve to a row whose
-// key no longer matches and are rejected by the ON re-check.
+// execution's snapshot.
 func (j *joinProducer) nextCandidate(ex *selectExec) []Value {
+	if j.plan.strategy == joinIndexLoop {
+		_, row := j.seek.next()
+		return row
+	}
 	if j.candRows != nil {
 		if j.pos < len(j.candRows) {
 			row := j.candRows[j.pos]

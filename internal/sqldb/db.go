@@ -510,16 +510,12 @@ func (db *DB) collectWriteMatches(wp *writePlan, args []Value, w *writeCtx) ([]i
 		case accessRange:
 			db.plans.indexRange.Add(1)
 		}
-		candidates, err := collectAccessIDs(&wp.access, env)
+		s, err := wp.access.seeker(t, env, vis)
 		if err != nil {
 			return nil, err
 		}
-		for _, id := range candidates {
-			row := t.get(id, vis)
-			if row == nil {
-				continue
-			}
-			if err := check(id, row); err != nil {
+		for h, row := s.next(); row != nil; h, row = s.next() {
+			if err := check(h.id, row); err != nil {
 				return nil, err
 			}
 		}

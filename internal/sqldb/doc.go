@@ -14,6 +14,16 @@
 // (table.go) in row-ID order, so results come in row-ID order, which the planner-equivalence
 // fuzz relies on to compare access paths byte-for-byte.
 //
+// # Index seeks without SQL
+//
+// DB.Seek and Tx.Seek read rows by key through an index on one column
+// (seek.go), for callers whose reads never change shape: one snapshot per
+// call, each key's rows in row-ID order, and each row re-checked against
+// its key, since an index entry outlives an UPDATE of its column until
+// vacuum. The rows handed over are the stored rows: read-only, and not to
+// be kept past the callback. The planner's equality, IN-list and range
+// leaves and its index joins walk the same seeker.
+//
 // # Invariants
 //
 // The concurrency and durability design rests on conventions that the

@@ -479,73 +479,6 @@ func (a *aggAcc) result() Value {
 	return nil
 }
 
-// ---------------------------------------------------------------------------
-// Access-path candidate collection (shared with UPDATE/DELETE)
-
-// collectAccessIDs evaluates a non-ordered index access path into the
-// candidate row IDs, sorted ascending so emission matches full-scan order.
-func collectAccessIDs(a *accessPlan, penv *RowEnv) ([]int64, error) {
-	switch a.kind {
-	case accessEq:
-		v, err := a.key.Eval(penv)
-		if err != nil {
-			return nil, err
-		}
-		ids := a.idx.Lookup(v)
-		sortInt64s(ids)
-		return ids, nil
-	case accessIn:
-		// Deduplicate the item values through a hash-bucketed set: the
-		// hashKey narrows candidates to one bucket, Compare settles exact
-		// equality inside it (hashKey folds int64s beyond 2^53 onto the
-		// same float, so it alone would drop Compare-distinct values).
-		seen := make(map[hashKey][]Value, len(a.items))
-		var ids []int64
-		for _, item := range a.items {
-			v, err := item.Eval(penv)
-			if err != nil {
-				return nil, err
-			}
-			if v == nil {
-				continue // NULL matches nothing under IN
-			}
-			hk := makeHashKey(v)
-			dup := false
-			for _, prev := range seen[hk] {
-				if Compare(prev, v) == 0 {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen[hk] = append(seen[hk], v)
-			ids = append(ids, a.idx.Lookup(v)...)
-		}
-		// Hash indexes bucket by hashKey, so Compare-distinct values that
-		// share a bucket return overlapping postings; dedup after sorting.
-		sortInt64s(ids)
-		return dedupSortedInt64s(ids), nil
-	case accessRange:
-		lo, hi, hasLo, hasHi, empty, err := a.evalBounds(penv)
-		if err != nil || empty {
-			return nil, err
-		}
-		var ids []int64
-		a.idx.Range(lo, hi, hasLo, hasHi, a.loIncl, a.hiIncl, func(_ Value, id int64) bool {
-			ids = append(ids, id)
-			return true
-		})
-		// A row's chain can hold entries under several keys of
-		// the same index (set semantics, vacuumed lazily), so one ID may
-		// appear under multiple in-range keys.
-		sortInt64s(ids)
-		return dedupSortedInt64s(ids), nil
-	}
-	return nil, fmt.Errorf("sqldb: internal: access path has no candidate IDs")
-}
-
 // evalBounds evaluates the range bounds against the execution's parameters.
 // A NULL bound means the originating predicate can never be true, reported
 // as empty.

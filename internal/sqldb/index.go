@@ -28,7 +28,7 @@ func (k IndexKind) String() string {
 // only the writer changes an index, but snapshot readers probe
 // indexes with no database lock at all, so the per-index lock is
 // what keeps a lookup from racing an entry insert. Readers copy matches
-// out (Lookup) or finish the traversal (Range) before resolving row
+// out (appendPostings) or finish the traversal (Range) before resolving row
 // visibility, so the lock is never held across row access.
 type Index struct {
 	Name   string
@@ -132,26 +132,29 @@ func (idx *Index) delete(key Value, row int64) {
 	idx.tree.Delete(key, row)
 }
 
-// Lookup returns the row IDs whose key equals the given value. NULL keys
-// match nothing, per SQL semantics.
-func (idx *Index) Lookup(key Value) []int64 {
+// appendPostings appends the rows filed under key to dst, tagged with the
+// key's position k. NULL matches nothing.
+func (idx *Index) appendPostings(dst []seekHit, key Value, k int) []seekHit {
 	if key == nil {
-		return nil
+		return dst
 	}
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
 	if idx.Kind == IndexHash {
 		rows := idx.hash[makeHashKey(key)]
-		out := make([]int64, len(rows))
-		copy(out, rows)
-		return out
+		if cap(dst)-len(dst) < len(rows) {
+			dst = append(make([]seekHit, 0, len(dst)+len(rows)), dst...)
+		}
+		for _, id := range rows {
+			dst = append(dst, seekHit{id: id, k: k})
+		}
+		return dst
 	}
-	var out []int64
-	idx.tree.AscendRange(key, key, true, true, true, true, func(_ Value, row int64) bool {
-		out = append(out, row)
+	idx.tree.AscendRange(key, key, true, true, true, true, func(_ Value, id int64) bool {
+		dst = append(dst, seekHit{id: id, k: k})
 		return true
 	})
-	return out
+	return dst
 }
 
 // Range visits rows with keys in [lo,hi] (bounds optional) in key order.
@@ -190,18 +193,4 @@ func (idx *Index) NullRowIDs() []int64 {
 	}
 	sortInt64s(out)
 	return out
-}
-
-// Len returns the number of non-NULL entries in the index.
-func (idx *Index) Len() int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	if idx.Kind == IndexHash {
-		n := 0
-		for _, rows := range idx.hash {
-			n += len(rows)
-		}
-		return n
-	}
-	return idx.tree.Len()
 }

@@ -254,3 +254,17 @@ func TestInsertFailureBurnsNoSequence(t *testing.T) {
 		}
 	})
 }
+
+// Len returns the number of non-NULL entries in the index.
+func (idx *Index) Len() int {
+	idx.mu.RLock()
+	defer idx.mu.RUnlock()
+	if idx.Kind == IndexHash {
+		n := 0
+		for _, rows := range idx.hash {
+			n += len(rows)
+		}
+		return n
+	}
+	return idx.tree.Len()
+}

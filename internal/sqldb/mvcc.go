@@ -286,20 +286,6 @@ func (db *DB) mark() vacuumMark {
 	}
 }
 
-// setVacuumInterval tunes the background vacuum tick period (restarting
-// the goroutine when it is running). Non-positive restores the default.
-// Tests use it to make background passes fast or to keep them away.
-func (db *DB) setVacuumInterval(d time.Duration) {
-	db.writer.Lock()
-	db.vacInterval = d
-	db.writer.Unlock()
-	if db.stopVacuumer() {
-		db.writer.Lock()
-		db.startVacuumer()
-		db.writer.Unlock()
-	}
-}
-
 // startVacuumer launches the background vacuum goroutine unless one is
 // running. Caller holds db.writer (publishCommit's committers do).
 func (db *DB) startVacuumer() {

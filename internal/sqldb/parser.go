@@ -256,12 +256,6 @@ func (p *parser) expectIdent() (token, error) {
 	return token{}, p.errf("expected identifier, found %q", t.text)
 }
 
-// atIdent reports whether the current token can serve as an identifier.
-func (p *parser) atIdent() bool {
-	t := p.cur()
-	return t.kind == tokIdent || (t.kind == tokKeyword && softKeywords[t.text])
-}
-
 func (p *parser) parseStatement() (Statement, error) {
 	t := p.cur()
 	if t.kind != tokKeyword {

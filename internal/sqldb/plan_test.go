@@ -465,3 +465,24 @@ func TestEarlyLimitExit(t *testing.T) {
 		t.Fatalf("LIMIT 0 returned %d rows", rs.Len())
 	}
 }
+
+// setStmtCacheCapacity resizes the statement cache. Zero disables caching
+// (every call parses anew); tests and benchmarks use it to measure the
+// parse-per-call baseline and eviction.
+func (db *DB) setStmtCacheCapacity(n int) {
+	c := db.stmts
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.lru.SetCapacity(n)
+}
+
+// setIndexAccess enables or disables index use by the planner. Disabling
+// forces full scans and hash/nested-loop joins — the execution model of the
+// seed engine — which the oracle tests and benchmarks compare against.
+// Toggling bumps the schema generation so cached plans are rebuilt.
+func (db *DB) setIndexAccess(enabled bool) {
+	db.writer.Lock()
+	defer db.writer.Unlock()
+	db.noIndex.Store(!enabled)
+	db.bumpSchemaGen()
+}

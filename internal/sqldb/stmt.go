@@ -335,12 +335,6 @@ func (c *stmtCache) invalidateAll() {
 	})
 }
 
-func (c *stmtCache) setCapacity(n int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.lru.SetCapacity(n)
-}
-
 // StmtCacheStats reports statement-cache effectiveness.
 type StmtCacheStats struct {
 	Hits     uint64 `json:"hits"`
@@ -360,11 +354,6 @@ func (db *DB) StmtCacheStats() StmtCacheStats {
 		Entries: c.lru.Len(), Capacity: c.lru.Capacity(),
 	}
 }
-
-// setStmtCacheCapacity resizes the statement cache. Zero disables caching
-// (every call parses anew); tests and benchmarks use it to measure the
-// parse-per-call baseline and eviction.
-func (db *DB) setStmtCacheCapacity(n int) { db.stmts.setCapacity(n) }
 
 // ---------------------------------------------------------------------------
 // Planner counters
@@ -431,15 +420,4 @@ type BatchStats struct {
 type ParallelStats struct {
 	ParallelScans      uint64 `json:"parallel_scans"`
 	ParallelAggregates uint64 `json:"parallel_aggregates"`
-}
-
-// setIndexAccess enables or disables index use by the planner. Disabling
-// forces full scans and hash/nested-loop joins — the execution model of the
-// seed engine — which the oracle tests and benchmarks compare against.
-// Toggling bumps the schema generation so cached plans are rebuilt.
-func (db *DB) setIndexAccess(enabled bool) {
-	db.writer.Lock()
-	defer db.writer.Unlock()
-	db.noIndex.Store(!enabled)
-	db.bumpSchemaGen()
 }

@@ -317,17 +317,13 @@ func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 }
 
 // keyInUse reports whether any row whose version is visible under vis
-// carries the key in the index's column. Stale index entries (superseded
-// keys awaiting vacuum) are filtered by resolving the candidate's visible
-// version and comparing its actual key.
+// carries the key in the index's column (a seek: stale index entries, the
+// superseded keys awaiting vacuum, fail its key check).
 func (t *Table) keyInUse(idx *Index, key Value, vis visibility) bool {
-	for _, id := range idx.Lookup(key) {
-		row := t.get(id, vis)
-		if row != nil && row[idx.Col] != nil && Compare(row[idx.Col], key) == 0 {
-			return true
-		}
-	}
-	return false
+	s := seeker{t: t, idx: idx, vis: vis}
+	s.seek(nil, key)
+	_, row := s.next()
+	return row != nil
 }
 
 // UniqueError reports a uniqueness violation on insert or update.
@@ -577,17 +573,6 @@ func sortInt64s(ids []int64) {
 	slices.Sort(ids)
 }
 
-// dedupSortedInt64s removes adjacent duplicates from sorted row IDs.
-func dedupSortedInt64s(ids []int64) []int64 {
-	out := ids[:0]
-	for i, id := range ids {
-		if i == 0 || id != ids[i-1] {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // createIndex builds a secondary index like the ones writers maintain: one
 // (key, row) entry for every key any version of a row's chain carries,
 // committed or provisional, so old snapshots and open transactions find
@@ -645,15 +630,6 @@ func chainHasKeyBefore(head, v *rowVersion, col int) bool {
 		}
 	}
 	return false
-}
-
-// DropIndex removes a secondary index by name.
-func (t *Table) DropIndex(name string) error {
-	if _, ok := t.indexMap()[name]; !ok {
-		return fmt.Errorf("sqldb: no index %q on table %s", name, t.Name)
-	}
-	t.removeIndex(name)
-	return nil
 }
 
 // IndexOn returns an index whose key column matches the given column index,

@@ -231,3 +231,17 @@ func TestSnapshotReleasedOnErrorPaths(t *testing.T) {
 		t.Fatal("vacuum reclaimed nothing with no active snapshots")
 	}
 }
+
+// setVacuumInterval tunes the background vacuum tick period (restarting
+// the goroutine when it is running). Non-positive restores the default.
+// Tests use it to make background passes fast or to keep them away.
+func (db *DB) setVacuumInterval(d time.Duration) {
+	db.writer.Lock()
+	db.vacInterval = d
+	db.writer.Unlock()
+	if db.stopVacuumer() {
+		db.writer.Lock()
+		db.startVacuumer()
+		db.writer.Unlock()
+	}
+}

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -190,6 +191,15 @@ func (w *WAL) scan() error {
 		if err != nil {
 			return err
 		}
+		if validSize == 0 {
+			// The newest segment lost even its header. Drop it: left in
+			// place, it would sit before the segment Open creates when that
+			// one's name differs, where a short header is corruption.
+			if err := w.fs.Remove(name); err != nil {
+				return fmt.Errorf("wal: remove headerless segment %s: %w", name, err)
+			}
+			continue
+		}
 		if lastLSN >= w.nextLSN {
 			w.nextLSN = lastLSN + 1
 		}
@@ -246,8 +256,8 @@ func (w *WAL) scanSegment(name string, tolerateTail bool) (validSize int64, last
 		if length > maxRecordSize {
 			return truncate(off, "implausible record length")
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, length)
+		if err != nil {
 			return truncate(off, "short payload")
 		}
 		h := crc32.NewIEEE()
@@ -262,6 +272,26 @@ func (w *WAL) scanSegment(name string, tolerateTail bool) (validSize int64, last
 		lastLSN = lsn
 		off += frameHead + int64(length)
 	}
+}
+
+// readPayload reads a frame's n-byte payload. Past the first MiB it
+// allocates as the bytes arrive, so the garbage length of a torn frame
+// cannot make recovery allocate up to maxRecordSize for a short file.
+func readPayload(r io.Reader, n uint32) ([]byte, error) {
+	const eager = 1 << 20
+	if n <= eager {
+		p := make([]byte, n)
+		_, err := io.ReadFull(r, p)
+		return p, err
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // openSegment starts a fresh active segment named after the next LSN.
@@ -339,8 +369,8 @@ func (w *WAL) replaySegment(name string, fromLSN uint64, fn func(uint64, []byte)
 		if length > maxRecordSize {
 			return fmt.Errorf("%w: segment %s (implausible length)", ErrCorrupt, name)
 		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(r, payload); err != nil {
+		payload, err := readPayload(r, length)
+		if err != nil {
 			return fmt.Errorf("wal: replay %s: %w", name, err)
 		}
 		h := crc32.NewIEEE()
