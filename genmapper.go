@@ -24,6 +24,7 @@ package genmapper
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"genmapper/internal/eav"
@@ -476,7 +477,7 @@ func (s *System) GenerateView(q Query) (*ops.View, error) {
 	if src == nil {
 		return nil, fmt.Errorf("genmapper: unknown source %q", q.Source)
 	}
-	sSet, err := s.objectSet(src.ID, q.Accessions)
+	sIDs, err := s.objectIDs(src.ID, q.Accessions)
 	if err != nil {
 		return nil, err
 	}
@@ -495,11 +496,14 @@ func (s *System) GenerateView(q Query) (*ops.View, error) {
 		if tgt == nil {
 			return nil, fmt.Errorf("genmapper: unknown target source %q", t.Source)
 		}
-		tSet, err := s.objectSet(tgt.ID, t.Accessions)
-		if err != nil {
-			return nil, err
+		spec := ops.TargetSpec{Source: tgt.ID, Negate: t.Negate, MinEvidence: t.MinEvidence}
+		if len(t.Accessions) > 0 {
+			tIDs, err := s.objectIDs(tgt.ID, t.Accessions)
+			if err != nil {
+				return nil, err
+			}
+			spec.Restrict = ops.NewObjectSet(tIDs...)
 		}
-		spec := ops.TargetSpec{Source: tgt.ID, Restrict: tSet, Negate: t.Negate, MinEvidence: t.MinEvidence}
 		if len(t.Via) > 0 {
 			ids, err := s.sourceIDs(t.Via)
 			if err != nil {
@@ -519,7 +523,7 @@ func (s *System) GenerateView(q Query) (*ops.View, error) {
 		}
 		specs[i] = spec
 	}
-	v, err := ops.GenerateView(s.repo, src.ID, sSet, specs, mode, s.Resolver())
+	v, err := ops.GenerateViewIDs(s.repo, src.ID, sIDs, specs, mode, s.Resolver())
 	if err != nil {
 		return nil, err
 	}
@@ -565,31 +569,27 @@ func (s *System) StreamAnnotationView(q Query, w io.Writer, format string, flush
 	return view.Stream(s.repo, v, view.Options{WithText: q.WithText}, w, format, flushEvery, flush)
 }
 
-// objectSet resolves accessions to an ObjectSet (nil when accessions is
-// empty, meaning "all objects"). Unknown accessions are reported.
-func (s *System) objectSet(src gam.SourceID, accessions []string) (ops.ObjectSet, error) {
+// objectIDs resolves accessions to their objects' IDs, sorted and
+// distinct, in the one slice LookupObjects returns; nil when accessions is
+// empty, meaning "all objects". It is an error when none exists.
+func (s *System) objectIDs(src gam.SourceID, accessions []string) ([]gam.ObjectID, error) {
 	if len(accessions) == 0 {
 		return nil, nil
 	}
-	m, err := s.repo.LookupObjects(src, accessions)
+	ids, err := s.repo.LookupObjects(src, accessions)
 	if err != nil {
 		return nil, err
 	}
-	set := make(ops.ObjectSet, len(accessions))
-	var missing []string
-	for _, acc := range accessions {
-		id := m[acc]
-		if id == 0 {
-			missing = append(missing, acc)
-			continue
-		}
-		set[id] = true
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
+	if ids[0] == 0 { // the missing accessions sort first
+		ids = ids[1:]
 	}
-	if len(set) == 0 {
+	if len(ids) == 0 {
 		return nil, fmt.Errorf("genmapper: none of the %d accessions exist in the source (e.g. %s)",
-			len(accessions), strings.Join(missing[:min(3, len(missing))], ", "))
+			len(accessions), strings.Join(accessions[:min(3, len(accessions))], ", "))
 	}
-	return set, nil
+	return ids, nil
 }
 
 // ObjectInfo retrieves one object by source name and accession (Figure 6c).

@@ -294,7 +294,7 @@ func TestLookupObjectsWhileBatchOpen(t *testing.T) {
 			})
 		}()
 		<-opened
-		looked := make(chan map[string]ObjectID, 1)
+		looked := make(chan []ObjectID, 1)
 		go func() {
 			ids, err := r.LookupObjects(a.ID, []string{"acc00001", "pending"})
 			if err != nil {
@@ -304,7 +304,7 @@ func TestLookupObjectsWhileBatchOpen(t *testing.T) {
 		}()
 		select {
 		case ids := <-looked:
-			if ids["acc00001"] == 0 || ids["pending"] != 0 {
+			if ids[0] == 0 || ids[1] != 0 {
 				t.Errorf("lookup beside an open batch = %v, want the committed object only", ids)
 			}
 		case <-time.After(5 * time.Second):
@@ -565,7 +565,7 @@ func readersDuringFsync(t *testing.T, r *Repo, g *syncGate, n int) fsyncHold {
 			fail <- fmt.Errorf("LookupObject = %d, %v; want %d", id, err, acc1)
 			return
 		}
-		if ids, err := r.LookupObjects(1, []string{"acc00001"}); err != nil || ids["acc00001"] != acc1 {
+		if ids, err := r.LookupObjects(1, []string{"acc00001"}); err != nil || ids[0] != acc1 {
 			fail <- fmt.Errorf("LookupObjects = %v, %v; want %d", ids, err, acc1)
 			return
 		}

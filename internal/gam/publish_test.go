@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -105,12 +106,13 @@ func TestPublishManySmallBatchesEqualsReload(t *testing.T) {
 			t.Fatalf("batch %d: %d layers for %d additions", b, len(a.layers), a.added)
 		}
 		if b%50 == 0 {
-			got, err := r.LookupObjects(src, probe())
+			accs := probe()
+			got, err := r.LookupObjects(src, accs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for acc, id := range got {
-				if id != model[acc] {
+			for i, id := range got {
+				if acc := accs[i]; id != model[acc] {
 					t.Fatalf("batch %d: %s = %d, want %d", b, acc, id, model[acc])
 				}
 			}
@@ -128,7 +130,7 @@ func TestPublishManySmallBatchesEqualsReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !maps.Equal(before, after) {
+	if !slices.Equal(before, after) {
 		t.Fatal("lookups after many small batches differ from lookups after Reload")
 	}
 }

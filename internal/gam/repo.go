@@ -522,22 +522,30 @@ func (r *Repo) LookupObject(src SourceID, accession string) (ObjectID, error) {
 	return atomic1(r, func(b *Batch) (ObjectID, error) { return b.LookupObject(src, accession) })
 }
 
-// LookupObjects resolves many accessions at once; missing accessions map
-// to 0. Once a source's objects are cached this takes no lock and returns
+// LookupObjects resolves many accessions at once into a slice parallel to
+// accessions: the i-th ID is accessions[i]'s object, 0 when the source has
+// none. Once a source's objects are cached this takes no lock and returns
 // while a write batch is running. The first lookup of a source
 // loads its objects as a (read-only) batch of its own, which waits for an
 // open batch to finish: a map loaded at a snapshot taken before that batch
 // commits lacks the batch's objects, and must not be installed in the
 // cache after the batch has published its overlay.
-func (r *Repo) LookupObjects(src SourceID, accessions []string) (map[string]ObjectID, error) {
+func (r *Repo) LookupObjects(src SourceID, accessions []string) ([]ObjectID, error) {
+	out := make([]ObjectID, len(accessions))
 	if cache, cached := r.cat.Load().objects[src]; cached {
-		out := make(map[string]ObjectID, len(accessions))
-		for _, a := range accessions {
-			out[a] = cache.get(a)
+		for i, a := range accessions {
+			out[i] = cache.get(a)
 		}
 		return out, nil
 	}
-	return atomic1(r, func(b *Batch) (map[string]ObjectID, error) { return b.LookupObjects(src, accessions) })
+	m, err := atomic1(r, func(b *Batch) (map[string]ObjectID, error) { return b.LookupObjects(src, accessions) })
+	if err != nil {
+		return nil, err
+	}
+	for i, a := range accessions {
+		out[i] = m[a]
+	}
+	return out, nil
 }
 
 // Object returns the full object row by ID, or nil. The row is shared

@@ -12,6 +12,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -33,6 +34,12 @@ type Graph struct {
 	mu    sync.RWMutex
 	adj   map[gam.SourceID][]EdgeInfo
 	saved map[string][]gam.SourceID
+
+	// paths memoizes shortest paths between AddMapping calls. Readers
+	// fill it under mu's read lock, so memoMu orders them; AddMapping
+	// clears it under mu's write lock, so no path in it predates an edge.
+	memoMu sync.Mutex
+	paths  map[[2]gam.SourceID][]gam.SourceID
 }
 
 // New creates an empty graph.
@@ -40,6 +47,7 @@ func New() *Graph {
 	return &Graph{
 		adj:   make(map[gam.SourceID][]EdgeInfo),
 		saved: make(map[string][]gam.SourceID),
+		paths: make(map[[2]gam.SourceID][]gam.SourceID),
 	}
 }
 
@@ -64,6 +72,7 @@ func (g *Graph) AddMapping(e EdgeInfo) {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
+	clear(g.paths)
 	g.adj[e.From] = append(g.adj[e.From], e)
 	rev := EdgeInfo{Rel: e.Rel, From: e.To, To: e.From, Type: e.Type}
 	g.adj[e.To] = append(g.adj[e.To], rev)
@@ -112,11 +121,28 @@ func (g *Graph) EdgeCount() int {
 
 // ShortestPath returns a minimum-hop path of source IDs from src to dst
 // (inclusive), or nil when the sources are not connected. Ties break
-// deterministically toward lower source IDs.
+// deterministically toward lower source IDs. The search runs once per
+// pair until the next AddMapping; the caller owns the returned copy.
 func (g *Graph) ShortestPath(src, dst gam.SourceID) []gam.SourceID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.bfs(src, dst, 0)
+	return slices.Clone(g.shortest(src, dst))
+}
+
+// shortest is the memoized bfs(src, dst, 0). The path it returns is the
+// memo's: read it, never write to it. Caller holds at least a read lock.
+func (g *Graph) shortest(src, dst gam.SourceID) []gam.SourceID {
+	key := [2]gam.SourceID{src, dst}
+	g.memoMu.Lock()
+	p, ok := g.paths[key]
+	g.memoMu.Unlock()
+	if !ok {
+		p = g.bfs(src, dst, 0)
+		g.memoMu.Lock()
+		g.paths[key] = p
+		g.memoMu.Unlock()
+	}
+	return p
 }
 
 // ShortestPathVia returns the shortest path from src to dst that passes
@@ -126,15 +152,15 @@ func (g *Graph) ShortestPath(src, dst gam.SourceID) []gam.SourceID {
 func (g *Graph) ShortestPathVia(src, via, dst gam.SourceID) []gam.SourceID {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	first := g.bfs(src, via, 0)
+	first := g.shortest(src, via)
 	if first == nil {
 		return nil
 	}
-	second := g.bfs(via, dst, 0)
+	second := g.shortest(via, dst)
 	if second == nil {
 		return nil
 	}
-	return append(first, second[1:]...)
+	return append(slices.Clone(first), second[1:]...)
 }
 
 // bfs runs breadth-first search; maxLen > 0 bounds the path length in

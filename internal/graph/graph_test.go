@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"sync"
 	"testing"
 
 	"genmapper/internal/gam"
@@ -211,5 +212,82 @@ func TestDeterministicTieBreak(t *testing.T) {
 		if p := g.ShortestPath(1, 4); !pathEq(p, 1, 2, 4) {
 			t.Fatalf("tie-break path = %v, want [1 2 4]", p)
 		}
+	}
+}
+
+// ShortestPath memoizes its searches: an AddMapping that opens a shorter
+// route must be seen by the next lookup, and a caller writing to a path it
+// was given must not change what the next caller gets.
+func TestShortestPathMemoAfterAddMapping(t *testing.T) {
+	g := chainGraph()
+	if p := g.ShortestPath(1, 3); !pathEq(p, 1, 2, 3) {
+		t.Fatalf("ShortestPath(1,3) = %v, want [1 2 3]", p)
+	}
+	if p := g.ShortestPathVia(2, 1, 5); !pathEq(p, 2, 1, 5) {
+		t.Fatalf("ShortestPathVia(2,1,5) = %v, want [2 1 5]", p)
+	}
+	g.AddMapping(EdgeInfo{Rel: 6, From: 1, To: 3, Type: gam.RelFact})
+	if p := g.ShortestPath(1, 3); !pathEq(p, 1, 3) {
+		t.Fatalf("after a direct 1-3 mapping, ShortestPath(1,3) = %v, want [1 3]", p)
+	}
+	g.AddMapping(EdgeInfo{Rel: 7, From: 2, To: 5, Type: gam.RelFact})
+	if p := g.ShortestPathVia(2, 1, 5); !pathEq(p, 2, 1, 5) {
+		t.Fatalf("ShortestPathVia(2,1,5) = %v, want [2 1 5]", p)
+	}
+	if p := g.ShortestPath(2, 5); !pathEq(p, 2, 5) {
+		t.Fatalf("after a direct 2-5 mapping, ShortestPath(2,5) = %v, want [2 5]", p)
+	}
+
+	p := g.ShortestPath(1, 4)
+	if !pathEq(p, 1, 3, 4) {
+		t.Fatalf("ShortestPath(1,4) = %v, want [1 3 4]", p)
+	}
+	p[1], p[2] = 99, 98
+	_ = append(p[:1], 97) // a caller appending in place
+	if p := g.ShortestPath(1, 4); !pathEq(p, 1, 3, 4) {
+		t.Fatalf("a caller's write leaked into the memo: ShortestPath(1,4) = %v", p)
+	}
+	for _, dst := range []gam.SourceID{4, 3} { // via = dst: the path is its first leg
+		v := g.ShortestPathVia(1, 3, dst)
+		v[0] = 96
+		if p := g.ShortestPath(1, 3); !pathEq(p, 1, 3) {
+			t.Fatalf("a write to a via path leaked into the memo: ShortestPath(1,3) = %v", p)
+		}
+	}
+}
+
+// Lookups run beside AddMapping: under -race this checks the memo's
+// locking, and every path returned must be one of the graph's shortest
+// before or after the concurrent additions.
+func TestShortestPathConcurrent(t *testing.T) {
+	g := chainGraph()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				p := g.ShortestPath(1, 4)
+				if !pathEq(p, 1, 5, 4) && !pathEq(p, 1, 4) {
+					t.Errorf("ShortestPath(1,4) = %v", p)
+					return
+				}
+				p[0] = 0 // the caller's own copy
+				if q := g.ShortestPathVia(2, 1, 4); len(q) < 3 || q[0] != 2 || q[1] != 1 || q[len(q)-1] != 4 {
+					t.Errorf("ShortestPathVia(2,1,4) = %v", q)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 50; i++ {
+		g.AddMapping(EdgeInfo{Rel: gam.SourceRelID(100 + i), From: gam.SourceID(10 + i), To: gam.SourceID(11 + i), Type: gam.RelFact})
+		if i == 25 {
+			g.AddMapping(EdgeInfo{Rel: 99, From: 1, To: 4, Type: gam.RelFact})
+		}
+	}
+	wg.Wait()
+	if p := g.ShortestPath(1, 4); !pathEq(p, 1, 4) {
+		t.Fatalf("after the additions ShortestPath(1,4) = %v, want [1 4]", p)
 	}
 }

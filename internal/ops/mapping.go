@@ -153,19 +153,19 @@ type indexTarget struct {
 // domainIndex returns the index GenerateView joins m through. A shared
 // mapping builds its full index once and keeps it; any other mapping may
 // change between calls, so it gets a throwaway index of the associations
-// whose domain object is in sSet (nil = all).
-func (m *Mapping) domainIndex(sSet ObjectSet) *domainIndex {
+// whose domain object is in ids, sorted (nil = all).
+func (m *Mapping) domainIndex(ids []gam.ObjectID) *domainIndex {
 	if m.index == nil {
 		pairs := m.Assocs
-		if sSet != nil {
+		if ids != nil {
 			pairs = make([]gam.Assoc, 0, len(m.Assocs))
 			for _, a := range m.Assocs {
-				if sSet[a.Object1] {
+				if _, in := slices.BinarySearch(ids, a.Object1); in {
 					pairs = append(pairs, a)
 				}
 			}
 		}
-		return buildDomainIndex(groupAssocs(sortAssocs(pairs, sSet != nil)))
+		return buildDomainIndex(groupAssocs(sortAssocs(pairs, ids != nil)))
 	}
 	m.index.once.Do(func() { m.index.ix = buildDomainIndex(m.index.groups) })
 	return m.index.ix

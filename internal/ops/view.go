@@ -84,41 +84,48 @@ func (v *View) SourceObjects() []gam.ObjectID {
 // GenerateView implements the algorithm of Figure 5. S is the source to be
 // annotated; s the relevant source objects (nil = all objects of S);
 // targets the annotation targets; mode the AND/OR combination. resolve
-// finds mappings for targets without an explicit path.
+// finds mappings for targets without an explicit path. It is
+// GenerateViewIDs over the set's IDs.
+func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []TargetSpec, mode Combine, resolve Resolver) (*View, error) {
+	var ids []gam.ObjectID
+	if sSet != nil {
+		ids = sSet.Sorted() // never nil: an empty set selects no objects
+	}
+	return GenerateViewIDs(repo, s, ids, targets, mode, resolve)
+}
+
+// GenerateViewIDs is GenerateView with the relevant source objects given
+// as a sorted, duplicate-free ID vector: nil selects all objects of S, an
+// empty non-nil slice none. The view's rows never share ids' memory, but
+// GenerateViewIDs reads it until it returns.
 //
 // The mappings are only read, never copied, so they may be an Executor's
 // shared ones: each step joins the view row by row through the mapping's
 // domain index (see Mapping.domainIndex). The rows come out in
 // lexicographic order: they start sorted, each row's targets are appended
 // in ascending order, and a NULL only ever appears alone.
-func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []TargetSpec, mode Combine, resolve Resolver) (*View, error) {
+func GenerateViewIDs(repo *gam.Repo, s gam.SourceID, ids []gam.ObjectID, targets []TargetSpec, mode Combine, resolve Resolver) (*View, error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("ops: GenerateView needs at least one target")
 	}
 	if resolve == nil {
 		resolve = DirectResolver(repo)
 	}
-	// V = s: start with all given source objects, one backing array. A
-	// whole source's IDs come in storage order, which is ascending unless
-	// rows were written around gam.
-	var ids []gam.ObjectID
-	if sSet == nil {
+	// V = s: start with all given source objects, one per row. A whole
+	// source's IDs come in storage order, which is ascending unless rows
+	// were written around gam. Between steps the view is flat: cells holds
+	// its rows back to back, width IDs each.
+	cells := ids
+	if ids == nil {
 		var err error
-		if ids, err = repo.ObjectIDs(s); err != nil {
+		if cells, err = repo.ObjectIDs(s); err != nil {
 			return nil, err
 		}
-		if !slices.IsSorted(ids) {
-			slices.Sort(ids)
+		if !slices.IsSorted(cells) {
+			slices.Sort(cells)
 		}
-	} else {
-		ids = sSet.Sorted()
 	}
-	rows := make([]ViewRow, len(ids))
-	for i := range ids {
-		rows[i] = ViewRow(ids[i : i+1 : i+1])
-	}
-
-	view := &View{Source: s}
+	view := &View{Source: s, Targets: make([]gam.SourceID, 0, len(targets))}
 	var j joiner
 	for i, tgt := range targets {
 		view.Targets = append(view.Targets, tgt.Source)
@@ -143,12 +150,15 @@ func GenerateView(repo *gam.Repo, s gam.SourceID, sSet ObjectSet, targets []Targ
 		if err != nil {
 			return nil, fmt.Errorf("ops: target %d (source %d): %w", i, tgt.Source, err)
 		}
-		if len(rows) > 0 {
-			rows = j.join(rows, mi.domainIndex(sSet), &tgt, mode)
+		if len(cells) > 0 {
+			cells = j.join(cells, i+1, mi.domainIndex(ids), &tgt, mode)
 		}
 	}
-	if len(rows) > 0 {
-		view.Rows = rows
+	if width := len(targets) + 1; len(cells) > 0 {
+		view.Rows = make([]ViewRow, len(cells)/width)
+		for r := range view.Rows {
+			view.Rows[r] = ViewRow(cells[r*width : (r+1)*width : (r+1)*width])
+		}
 	}
 	return view, nil
 }
@@ -165,18 +175,21 @@ type pickSpan struct{ lo, hi int32 }
 // join is one step of Figure 5: V = V inner join (AND) / left outer join
 // (OR) mi on S, where mi = RestrictRange(RestrictDomain(Mi, s), ti) and,
 // for a negated target, the right outer join with ŝ = s \ Domain(mi). The
-// rows of the next view share one exactly sized backing array.
-func (j *joiner) join(rows []ViewRow, ix *domainIndex, tgt *TargetSpec, mode Combine) []ViewRow {
+// view comes in and goes out flat: its rows are cells' consecutive runs of
+// width IDs, and the next view's rows, one ID wider, fill one exactly
+// sized array. cells is only read.
+func (j *joiner) join(cells []gam.ObjectID, width int, ix *domainIndex, tgt *TargetSpec, mode Combine) []gam.ObjectID {
+	n := len(cells) / width
 	j.picks = j.picks[:0]
-	j.spans = slices.Grow(j.spans[:0], len(rows))[:len(rows)]
+	j.spans = slices.Grow(j.spans[:0], n)[:n]
 	total, from := 0, 0
 	var cur pickSpan
-	for r, row := range rows {
+	for r := range n {
 		// Rows are sorted, so rows of one source object are adjacent and
 		// share its picks.
-		if r == 0 || row[0] != rows[r-1][0] {
+		if id := cells[r*width]; r == 0 || id != cells[(r-1)*width] {
 			cur.lo = int32(len(j.picks))
-			from = j.pick(ix, from, row[0], tgt, mode)
+			from = j.pick(ix, from, id, tgt, mode)
 			cur.hi = int32(len(j.picks))
 		}
 		j.spans[r] = cur
@@ -185,16 +198,11 @@ func (j *joiner) join(rows []ViewRow, ix *domainIndex, tgt *TargetSpec, mode Com
 	if total == 0 {
 		return nil
 	}
-	width := len(rows[0]) + 1
-	cells := make([]gam.ObjectID, total*width)
-	next := make([]ViewRow, 0, total)
-	for r, row := range rows {
+	next := make([]gam.ObjectID, 0, total*(width+1))
+	for r := range n {
+		row := cells[r*width : (r+1)*width]
 		for _, t := range j.picks[j.spans[r].lo:j.spans[r].hi] {
-			c := cells[:width:width]
-			cells = cells[width:]
-			copy(c, row)
-			c[width-1] = t
-			next = append(next, ViewRow(c))
+			next = append(append(next, row...), t)
 		}
 	}
 	return next

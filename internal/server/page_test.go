@@ -10,6 +10,7 @@ package server
 // every byte the escaper replaces.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"log"
@@ -19,6 +20,8 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -418,4 +421,156 @@ func TestQueryPageStreamAllocs(t *testing.T) {
 	if allocs > maxAllocs {
 		t.Fatalf("warm view.Stream of %d rows: %.0f allocs, want <= %d", len(v.Rows), allocs, maxAllocs)
 	}
+}
+
+// queryPageForm is BenchmarkQueryPage's form.
+func queryPageForm() url.Values {
+	return url.Values{"source": {"LocusLink"}, "mode": {"OR"},
+		"accessions": {strings.Join(queryPageAccessions(), "\n")}, "targets": {"Hugo\nGO"}}
+}
+
+// TestQueryPageHandlerAllocs bounds what the handler allocates for
+// BenchmarkQueryPage's page, warm, measured at ServeHTTP on a recorder (the
+// recorder and the request are in the count). The accessions resolve into
+// one sorted ID slice, the shortest paths are memoized, the export links
+// are escaped straight into the pooled page buffer, and the page leaves in
+// one write; a map per request, a per-request path search or a string per
+// link shows up here as allocations. The count does not depend on the
+// machine.
+func TestQueryPageHandlerAllocs(t *testing.T) {
+	srv := New(universeSystem(t))
+	body := queryPageForm().Encode()
+	serve := func() {
+		r := httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(body))
+		r.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, r)
+		if w.Code != http.StatusOK || !strings.HasSuffix(w.Body.String(), pageTail) {
+			t.Fatalf("status %d, page of %d bytes", w.Code, w.Body.Len())
+		}
+	}
+	serve() // primes the executor, the object cache and the page shell
+	allocs := testing.AllocsPerRun(20, serve)
+	t.Logf("%.0f allocs per page", allocs)
+	// Measured: 94 allocations per page (138 with the accession maps, a
+	// path search per request, the links built as strings and the page
+	// written as it streamed). The bound leaves ~25% headroom.
+	const maxAllocs = 118
+	if allocs > maxAllocs {
+		t.Fatalf("warm query page: %.0f allocs, want <= %d", allocs, maxAllocs)
+	}
+}
+
+// A page that fits the page buffer leaves in one write: it carries its
+// Content-Length and is not chunked.
+func TestQueryPageContentLength(t *testing.T) {
+	ts := httptest.NewServer(New(universeSystem(t)))
+	defer ts.Close()
+	for _, form := range []url.Values{queryPageForm(), {"source": {"LocusLink"}, "targets": {"NoSuchSource"}}} {
+		resp, err := http.PostForm(ts.URL+"/query", form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readBody(t, resp)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || len(body) > pageBufSize {
+			t.Fatalf("status %d, %d bytes: want a page that fits the buffer", resp.StatusCode, len(body))
+		}
+		if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+			t.Errorf("page of %d bytes: Content-Length %d, Transfer-Encoding %v; want %d, none",
+				len(body), resp.ContentLength, resp.TransferEncoding, len(body))
+		}
+	}
+}
+
+// A page larger than the buffer streams, chunked, in full-buffer writes,
+// and its bytes are the shell, the middle, the view as view.Stream renders
+// it into a plain buffer, and the tail.
+func TestQueryPageLargerThanBuffer(t *testing.T) {
+	sys := universeSystem(t)
+	srv := New(sys)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	form := url.Values{"source": {"LocusLink"}, "mode": {"OR"}, "targets": {"Hugo\nGO"}}
+	resp, err := http.PostForm(ts.URL+"/query", form)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := readBody(t, resp)
+	resp.Body.Close()
+	if len(body) <= 2*pageBufSize {
+		t.Fatalf("page of %d bytes, want more than two buffers", len(body))
+	}
+	if resp.ContentLength != -1 || !slices.Equal(resp.TransferEncoding, []string{"chunked"}) {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v; want a chunked stream", resp.ContentLength, resp.TransferEncoding)
+	}
+
+	q := genmapper.Query{Source: "LocusLink", Mode: "OR", Targets: []genmapper.Target{{Source: "Hugo"}, {Source: "GO"}}}
+	v, err := sys.GenerateView(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shell, err := srv.pageShell()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := pageMiddle{Rows: len(v.Rows), Query: &q}.appendHTML(slices.Clone(shell))
+	var table bytes.Buffer
+	if err := view.Stream(sys.Repo(), v, view.Options{}, &table, "html", 0, nil); err != nil {
+		t.Fatal(err)
+	}
+	want = append(append(want, table.Bytes()...), pageTail...)
+	if body != string(want) {
+		at := 0
+		for at < len(body) && at < len(want) && body[at] == want[at] {
+			at++
+		}
+		t.Fatalf("streamed page differs at byte %d (got %d bytes, want %d)", at, len(body), len(want))
+	}
+}
+
+// pageWriter writes a page that outgrows its buffer in full buffers, the
+// last one partial, and a page that fits in one write with its length;
+// writes larger than the buffer are split across buffers.
+func TestPageWriterWrites(t *testing.T) {
+	for _, sizes := range [][]int{{10, 20}, {pageBufSize}, {pageBufSize - 1, 2}, {3*pageBufSize + 5}, {100, 2 * pageBufSize, 7}} {
+		w := &writesRecorder{ResponseRecorder: httptest.NewRecorder()}
+		pw := newPageWriter(w)
+		var want []byte
+		for i, n := range sizes {
+			p := bytes.Repeat([]byte{byte('a' + i)}, n)
+			want = append(want, p...)
+			if k, err := pw.Write(p); k != n || err != nil {
+				t.Fatalf("%v: Write = %d, %v", sizes, k, err)
+			}
+		}
+		pw.end()
+		if w.Body.String() != string(want) {
+			t.Fatalf("%v: wrote %d bytes, want %d", sizes, w.Body.Len(), len(want))
+		}
+		fits := len(want) <= pageBufSize
+		if cl := w.Header().Get("Content-Length"); fits != (cl == strconv.Itoa(len(want))) {
+			t.Errorf("%v: Content-Length %q for a %d-byte page", sizes, cl, len(want))
+		}
+		for i, n := range w.writes {
+			if last := i == len(w.writes)-1; n != pageBufSize && !last || n == 0 {
+				t.Errorf("%v: writes %v, want full buffers and a last partial one", sizes, w.writes)
+				break
+			}
+		}
+		if fits && len(w.writes) != 1 {
+			t.Errorf("%v: %d writes for a page that fits", sizes, len(w.writes))
+		}
+	}
+}
+
+// writesRecorder records the size of each write.
+type writesRecorder struct {
+	*httptest.ResponseRecorder
+	writes []int
+}
+
+func (w *writesRecorder) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.ResponseRecorder.Write(p)
 }

@@ -10,11 +10,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"html/template"
-	"io"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"genmapper"
@@ -109,12 +109,12 @@ type shellData struct {
 	StatsLine string
 }
 
-// pageMiddle is the per-request part of a page. ExportBase is set exactly
-// on a view page: it is never empty there.
+// pageMiddle is the per-request part of a page. Query is set exactly on a
+// view page.
 type pageMiddle struct {
-	Error      string
-	Rows       int
-	ExportBase string
+	Error string
+	Rows  int
+	Query *genmapper.Query
 }
 
 // cachedShell is a rendered shell, tagged with the gam publish counter
@@ -144,62 +144,202 @@ func (s *Server) pageShell() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-func setHTML(w http.ResponseWriter) { w.Header().Set("Content-Type", "text/html; charset=utf-8") }
-
-// writeHead writes the shell and the middle of a page.
-func writeHead(w http.ResponseWriter, shell []byte, m pageMiddle) error {
-	if _, err := w.Write(shell); err != nil {
-		return err
+// appendHTML appends the middle: the error line, and on a view page the
+// row count and the three export links; a view page's table follows it.
+// The bytes are those of the html/template oracle in middle_test.go, which
+// is given the query as exportURL serializes it. There, an href gets
+// html/template's URL filter and normalizer and then the attribute
+// escaping. The first two pass the link through unchanged (it starts with
+// "/", and every value in it is query-escaped), and the escaping changes
+// only its "&" separators and the "+" of an escaped space, so the link is
+// written once, escaped as it is built, and copied for the other formats.
+func (m pageMiddle) appendHTML(dst []byte) []byte {
+	if m.Error != "" {
+		dst = append(dst, `<p style="color:red">`...)
+		dst = view.AppendHTML(dst, m.Error)
+		dst = append(dst, "</p>"...)
 	}
-	_, err := io.WriteString(w, m.html())
+	dst = append(dst, '\n')
+	if m.Query == nil {
+		return dst
+	}
+	dst = append(dst, "\n<h2>Annotation view ("...)
+	dst = strconv.AppendInt(dst, int64(m.Rows), 10)
+	dst = append(dst, ` rows)</h2>
+<p><a href="`...)
+	lo := len(dst)
+	dst = appendExportLink(dst, m.Query)
+	hi := len(dst)
+	dst = append(dst, `&format=tsv">TSV</a> |
+<a href="`...)
+	dst = append(dst, dst[lo:hi]...)
+	dst = append(dst, `&format=csv">CSV</a> |
+<a href="`...)
+	dst = append(dst, dst[lo:hi]...)
+	return append(dst, `&format=json">JSON</a></p>
+`...)
+}
+
+// appendExportLink appends the query as the GET parameters of /export, as
+// an HTML attribute value: exportURL's bytes (middle_test.go) with each
+// "&" written "&amp;" and each "+" "&#43;".
+func appendExportLink(dst []byte, q *genmapper.Query) []byte {
+	dst = append(dst, "/export?source="...)
+	dst = appendQueryEscaped(dst, q.Source)
+	dst = append(dst, "&amp;mode="...)
+	dst = appendQueryEscaped(dst, q.Mode)
+	for i, a := range q.Accessions {
+		if i == 0 {
+			dst = append(dst, "&amp;accessions="...)
+		} else {
+			dst = append(dst, "%2C"...)
+		}
+		dst = appendQueryEscaped(dst, a)
+	}
+	for _, t := range q.Targets {
+		dst = append(dst, "&amp;target="...)
+		if t.Negate {
+			dst = append(dst, "%21"...)
+		}
+		dst = appendQueryEscaped(dst, t.Source)
+		for i, step := range t.Via {
+			if i == 0 {
+				dst = append(dst, "&#43;via&#43;"...)
+			} else {
+				dst = append(dst, "%3E"...)
+			}
+			dst = appendQueryEscaped(dst, step)
+		}
+	}
+	if q.Limit > 0 {
+		dst = append(dst, "&amp;limit="...)
+		dst = strconv.AppendInt(dst, int64(q.Limit), 10)
+	}
+	if q.Offset > 0 {
+		dst = append(dst, "&amp;offset="...)
+		dst = strconv.AppendInt(dst, int64(q.Offset), 10)
+	}
+	return dst
+}
+
+// queryEscapes is what a byte of a query value becomes in an export link:
+// nothing for RFC 3986's unreserved bytes, which are copied, else what
+// url.QueryEscape (behind template.URLQueryEscaper) writes for it, HTML
+// escaped for the attribute: "+" for a space, written "&#43;", and %XX
+// for any other byte.
+var queryEscapes = func() (t [256]string) {
+	const hex = "0123456789ABCDEF"
+	for c := 0; c < 256; c++ {
+		switch {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9',
+			c == '-', c == '.', c == '_', c == '~':
+		case c == ' ':
+			t[c] = "&#43;"
+		default:
+			t[c] = string([]byte{'%', hex[c>>4], hex[c&15]})
+		}
+	}
+	return t
+}()
+
+// appendQueryEscaped appends s as a value of an export link.
+func appendQueryEscaped(dst []byte, s string) []byte {
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if r := queryEscapes[s[i]]; r != "" {
+			dst = append(append(dst, s[start:i]...), r...)
+			start = i + 1
+		}
+	}
+	return append(dst, s[start:]...)
+}
+
+// pageBufSize is the size of a page buffer: a page that fits leaves in one
+// write, a larger one in writes of this size.
+const pageBufSize = 64 << 10
+
+var pageBufs = sync.Pool{New: func() any { b := make([]byte, 0, pageBufSize); return &b }}
+
+// pageWriter assembles a page in a pooled buffer. The page goes out when
+// it ends, in one write with its Content-Length, unless it outgrows the
+// buffer first: then each full buffer is written as it fills, and the
+// response is chunked.
+type pageWriter struct {
+	w    http.ResponseWriter
+	buf  *[]byte
+	sent bool // a full buffer went out: the headers are written
+}
+
+func newPageWriter(w http.ResponseWriter) *pageWriter {
+	pw := &pageWriter{w: w, buf: pageBufs.Get().(*[]byte)}
+	*pw.buf = (*pw.buf)[:0]
+	return pw
+}
+
+// head appends the shell and the middle that start every page.
+func (pw *pageWriter) head(shell []byte, m pageMiddle) {
+	pw.Write(shell)
+	*pw.buf = m.appendHTML(*pw.buf)
+}
+
+// Write appends p to the page, writing out each buffer it fills.
+func (pw *pageWriter) Write(p []byte) (int, error) {
+	n := len(p)
+	for b := *pw.buf; len(b)+len(p) > pageBufSize; b = *pw.buf {
+		k := max(0, pageBufSize-len(b))
+		*pw.buf = append(b, p[:k]...)
+		p = p[k:]
+		if err := pw.flush(); err != nil {
+			return n - len(p), err
+		}
+	}
+	*pw.buf = append(*pw.buf, p...)
+	return n, nil
+}
+
+func (pw *pageWriter) flush() error {
+	if !pw.sent {
+		pw.sent = true
+		setHTML(pw.w)
+	}
+	_, err := pw.w.Write(*pw.buf)
+	*pw.buf = (*pw.buf)[:0]
 	return err
 }
 
-// htmlEscaper escapes text for HTML element content and quoted attribute
-// values byte for byte as html/template does: view's cell escaper, as a
-// Replacer.
-var htmlEscaper = strings.NewReplacer("\x00", "\uFFFD", `"`, "&#34;", "&", "&amp;",
-	"'", "&#39;", "+", "&#43;", "<", "&lt;", ">", "&gt;")
-
-// html renders the middle: the error line, and on a view page the row
-// count and the three export links; a view page's table follows it. The
-// bytes are those of the html/template oracle in middle_test.go. There,
-// an href gets html/template's URL filter and normalizer before the
-// attribute escaping; both pass exportURL's output through unchanged (it
-// starts with "/", and every value in it went through URLQueryEscaper), so
-// only the escaping is done here.
-func (m pageMiddle) html() string {
-	var b strings.Builder
-	if m.Error != "" {
-		b.WriteString(`<p style="color:red">`)
-		htmlEscaper.WriteString(&b, m.Error)
-		b.WriteString("</p>")
+// end writes what the buffer holds, with the page's Content-Length if
+// nothing went out before, and returns the buffer to the pool. A failed
+// write means the client is gone; there is nothing to tell it.
+func (pw *pageWriter) end() {
+	if !pw.sent {
+		pw.w.Header().Set("Content-Length", strconv.Itoa(len(*pw.buf)))
 	}
-	b.WriteString("\n")
-	if m.ExportBase != "" {
-		fmt.Fprintf(&b, `
-<h2>Annotation view (%d rows)</h2>
-<p><a href="%[2]s&format=tsv">TSV</a> |
-<a href="%[2]s&format=csv">CSV</a> |
-<a href="%[2]s&format=json">JSON</a></p>
-`, m.Rows, htmlEscaper.Replace(m.ExportBase))
-	}
-	return b.String()
+	pw.flush()
+	pw.release()
 }
 
+// release returns the buffer to the pool unless it grew past its size.
+func (pw *pageWriter) release() {
+	if cap(*pw.buf) == pageBufSize {
+		pageBufs.Put(pw.buf)
+	}
+	pw.buf = nil
+}
+
+func setHTML(w http.ResponseWriter) { w.Header().Set("Content-Type", "text/html; charset=utf-8") }
+
 // renderPage writes a whole page without a view: the home page, or the
-// query page showing an error. A failed write means the client is gone;
-// nothing is appended to what was sent.
+// query page showing an error.
 func (s *Server) renderPage(w http.ResponseWriter, m pageMiddle) {
 	shell, err := s.pageShell()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	setHTML(w)
-	if writeHead(w, shell, m) == nil {
-		io.WriteString(w, pageTail)
-	}
+	pw := newPageWriter(w)
+	pw.head(shell, m)
+	pw.Write([]byte(pageTail))
+	pw.end()
 }
 
 func (s *Server) handleHome(w http.ResponseWriter, r *http.Request) {
@@ -221,11 +361,11 @@ func parseTargetSpec(spec string) genmapper.Target {
 	}
 	name, via, hasVia := strings.Cut(spec, " via ")
 	t.Source = strings.TrimSpace(name)
-	if hasVia {
-		for _, step := range strings.Split(via, ">") {
-			if s := strings.TrimSpace(step); s != "" {
-				t.Via = append(t.Via, s)
-			}
+	for hasVia {
+		var step string
+		step, via, hasVia = strings.Cut(via, ">")
+		if s := strings.TrimSpace(step); s != "" {
+			t.Via = append(t.Via, s)
 		}
 	}
 	return t
@@ -259,14 +399,20 @@ func parseQuerySpec(r *http.Request) (genmapper.Query, error) {
 	if q.Source == "" {
 		return q, fmt.Errorf("no source selected")
 	}
-	for _, line := range strings.Split(r.FormValue("accessions"), "\n") {
-		if acc := strings.TrimSpace(line); acc != "" {
-			q.Accessions = append(q.Accessions, acc)
+	if accs := r.FormValue("accessions"); accs != "" {
+		q.Accessions = make([]string, 0, strings.Count(accs, "\n")+1)
+		for more := true; more; {
+			var line string
+			line, accs, more = strings.Cut(accs, "\n")
+			if acc := strings.TrimSpace(line); acc != "" {
+				q.Accessions = append(q.Accessions, acc)
+			}
 		}
 	}
-	for _, line := range strings.Split(r.FormValue("targets"), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" {
+	for lines, more := r.FormValue("targets"), true; more; {
+		var line string
+		line, lines, more = strings.Cut(lines, "\n")
+		if line = strings.TrimSpace(line); line == "" {
 			continue
 		}
 		t := parseTargetSpec(line)
@@ -284,11 +430,12 @@ func parseQuerySpec(r *http.Request) (genmapper.Query, error) {
 	return q, nil
 }
 
-// handleQuery serves the annotation view page (Figure 6b). The view's
-// rows stream through view.Stream's html writer; the shell and middle go
-// out on its first byte. An error before that byte (a bad form, view
-// generation, row 0's render) gets the full page with the error line; an
-// error after it ends the body where it stands, as /export does.
+// handleQuery serves the annotation view page (Figure 6b): the shell, the
+// middle, the view's table as view.Stream's html writer renders it, and
+// pageTail, assembled in one pageWriter. An error before the table's
+// first byte (a bad form, view generation, row 0's render) gets the full
+// page with the error line instead; an error after it ends the body where
+// it stands, as /export does.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Redirect(w, r, "/", http.StatusSeeOther)
@@ -308,57 +455,29 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	dw := &deferredHeaderWriter{w: w, start: func() error {
-		setHTML(w)
-		return writeHead(w, shell, pageMiddle{Rows: len(v.Rows), ExportBase: exportURL(q)})
-	}}
-	if err := view.Stream(s.sys.Repo(), v, view.Options{WithText: q.WithText}, dw, "html", 0, nil); err != nil {
-		if !dw.started {
+	pw := newPageWriter(w)
+	pw.head(shell, pageMiddle{Rows: len(v.Rows), Query: &q})
+	head := len(*pw.buf)
+	if err := view.Stream(s.sys.Repo(), v, view.Options{WithText: q.WithText}, pw, "html", 0, nil); err != nil {
+		if !pw.sent && len(*pw.buf) == head {
+			pw.release()
 			s.renderPage(w, pageMiddle{Error: err.Error()})
+			return
 		}
+		pw.end()
 		return
 	}
-	io.WriteString(w, pageTail)
-}
-
-// exportURL serializes a query into GET parameters for the export links.
-func exportURL(q genmapper.Query) string {
-	var sb strings.Builder
-	sb.WriteString("/export?source=")
-	sb.WriteString(template.URLQueryEscaper(q.Source))
-	sb.WriteString("&mode=")
-	sb.WriteString(template.URLQueryEscaper(q.Mode))
-	if len(q.Accessions) > 0 {
-		sb.WriteString("&accessions=")
-		sb.WriteString(template.URLQueryEscaper(strings.Join(q.Accessions, ",")))
-	}
-	for _, t := range q.Targets {
-		spec := t.Source
-		if t.Negate {
-			spec = "!" + spec
-		}
-		if len(t.Via) > 0 {
-			spec += " via " + strings.Join(t.Via, ">")
-		}
-		sb.WriteString("&target=")
-		sb.WriteString(template.URLQueryEscaper(spec))
-	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&sb, "&limit=%d", q.Limit)
-	}
-	if q.Offset > 0 {
-		fmt.Fprintf(&sb, "&offset=%d", q.Offset)
-	}
-	return sb.String()
+	pw.Write([]byte(pageTail))
+	pw.end()
 }
 
 // exportFlushRows is how many rendered rows an export streams between
 // flushes to the client.
 const exportFlushRows = 512
 
-// deferredHeaderWriter delays a response's headers (and, for the query
-// page, its head) until the first payload byte: a request that fails
-// before any output can still get a clean error response.
+// deferredHeaderWriter delays a response's headers until the first
+// payload byte: a request that fails before any output can still get a
+// clean error response.
 type deferredHeaderWriter struct {
 	w       http.ResponseWriter
 	start   func() error

@@ -499,11 +499,11 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 		case accessRange:
 			c.indexRange.Add(1)
 		}
-		s, err := a.seeker(base.table, ex.env, ex.vis)
+		s, err := a.seeker(ex.env)
 		if err != nil {
 			return nil, err
 		}
-		prod = &seekProducer{rel: base, s: s}
+		prod = &seekProducer{s: s}
 	}
 
 	for i := range p.joins {
@@ -831,7 +831,7 @@ func (j *joinProducer) init(ex *selectExec) {
 		j.hash = hash
 	case joinIndexLoop:
 		ex.db.plans.indexJoins.Add(1)
-		j.seek = seeker{t: j.rel.table, idx: j.plan.idx, vis: ex.vis}
+		j.seek = seeker{idx: j.plan.idx}
 	default:
 		ex.db.plans.nestedJoins.Add(1)
 		ids := make([]int64, 0, j.rel.table.RowCount())
@@ -874,7 +874,7 @@ func (j *joinProducer) startLeft(ex *selectExec) error {
 // execution's snapshot.
 func (j *joinProducer) nextCandidate(ex *selectExec) []Value {
 	if j.plan.strategy == joinIndexLoop {
-		_, row := j.seek.next()
+		_, row := j.seek.next(j.rel.table, ex.vis)
 		return row
 	}
 	if j.candRows != nil {

@@ -510,12 +510,12 @@ func (db *DB) collectWriteMatches(wp *writePlan, args []Value, w *writeCtx) ([]i
 		case accessRange:
 			db.plans.indexRange.Add(1)
 		}
-		s, err := wp.access.seeker(t, env, vis)
+		s, err := wp.access.seeker(env)
 		if err != nil {
 			return nil, err
 		}
-		for h, row := s.next(); row != nil; h, row = s.next() {
-			if err := check(h.id, row); err != nil {
+		for id, row := s.next(t, vis); row != nil; id, row = s.next(t, vis) {
+			if err := check(id, row); err != nil {
 				return nil, err
 			}
 		}

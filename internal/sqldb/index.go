@@ -132,9 +132,9 @@ func (idx *Index) delete(key Value, row int64) {
 	idx.tree.Delete(key, row)
 }
 
-// appendPostings appends the rows filed under key to dst, tagged with the
-// key's position k. NULL matches nothing.
-func (idx *Index) appendPostings(dst []seekHit, key Value, k int) []seekHit {
+// appendPostings appends the IDs of the rows filed under key to dst. NULL
+// matches nothing.
+func (idx *Index) appendPostings(dst []int64, key Value) []int64 {
 	if key == nil {
 		return dst
 	}
@@ -143,15 +143,12 @@ func (idx *Index) appendPostings(dst []seekHit, key Value, k int) []seekHit {
 	if idx.Kind == IndexHash {
 		rows := idx.hash[makeHashKey(key)]
 		if cap(dst)-len(dst) < len(rows) {
-			dst = append(make([]seekHit, 0, len(dst)+len(rows)), dst...)
+			dst = append(make([]int64, 0, len(dst)+len(rows)), dst...)
 		}
-		for _, id := range rows {
-			dst = append(dst, seekHit{id: id, k: k})
-		}
-		return dst
+		return append(dst, rows...)
 	}
 	idx.tree.AscendRange(key, key, true, true, true, true, func(_ Value, id int64) bool {
-		dst = append(dst, seekHit{id: id, k: k})
+		dst = append(dst, id)
 		return true
 	})
 	return dst

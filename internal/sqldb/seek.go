@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 )
@@ -37,11 +36,11 @@ func (db *DB) seek(table string, col int, keys []Value, vis visibility, fn func(
 	if idx == nil {
 		return fmt.Errorf("sqldb: no index on column %d of %s", col, table)
 	}
-	s := seeker{t: t, idx: idx, vis: vis}
+	s := seeker{idx: idx}
 	for k, key := range keys {
 		s.seek(nil, key)
-		n := len(s.hits)
-		for _, row := s.next(); row != nil; _, row = s.next() {
+		n := len(s.ids)
+		for _, row := s.next(t, vis); row != nil; _, row = s.next(t, vis) {
 			if err := fn(k, n, row); err != nil {
 				return err
 			}
@@ -50,83 +49,86 @@ func (db *DB) seek(table string, col int, keys []Value, vis visibility, fn func(
 	return nil
 }
 
-// seekHit is one index posting: a row ID and the position of the key it
-// is filed under.
-type seekHit struct {
-	id int64
-	k  int
-}
-
 // seeker is the one index-seek access path, under Seek and under the
 // planner's equality and IN-list leaf. It walks the postings of its keys
-// in row-ID order, resolves each row's version visible under vis and
-// yields each row once, if its column still equals the key it is filed
-// under: an entry outlives an UPDATE of its column until vacuum, and a
-// hash bucket files every key that shares its hash, so a posting alone
-// proves nothing. The planner's range leaf walks the rows of a B-tree
-// range the same way, with no key: its WHERE re-check does the check.
+// in row-ID order, resolves each row's version visible at the snapshot
+// its caller reads at, and yields each row once, if its column still
+// equals one of the keys: an entry outlives an UPDATE of its column until
+// vacuum, and a hash bucket files every key that shares its hash, so a
+// posting alone proves nothing. A row visible with a key's value is filed
+// under that key, so matching any key is matching a key the row is filed
+// under. The planner's range leaf walks the rows of a B-tree range the
+// same way, with no key: its WHERE re-check does the check.
+//
+// A seeker holds no table and no snapshot, so that the planner's
+// producer, which embeds one, stays in the 80-byte size class.
 type seeker struct {
-	t    *Table
 	idx  *Index
-	vis  visibility
-	keys []Value   // a multi-key seek's keys
-	one  Value     // a one-key seek's key (keys nil); a NULL key has no postings
-	hits []seekHit // by row ID
+	keys []Value // a multi-key seek's keys
+	one  Value   // a one-key seek's key (keys nil); a NULL key has no postings
+	ids  []int64 // the postings' row IDs, ascending
 	pos  int
-	last int64 // the row yielded last; row IDs start at 1
 }
 
 // seek positions s on the postings of keys, or of the one key when keys
 // is nil (which allocates no key slice), reusing its buffer.
 func (s *seeker) seek(keys []Value, one Value) {
-	s.keys, s.one, s.hits, s.pos, s.last = keys, one, s.hits[:0], 0, 0
+	s.keys, s.one, s.ids, s.pos = keys, one, s.ids[:0], 0
 	if keys == nil {
-		s.hits = s.idx.appendPostings(s.hits, one, 0)
+		s.ids = s.idx.appendPostings(s.ids, one)
 	}
-	for k, key := range keys {
-		s.hits = s.idx.appendPostings(s.hits, key, k)
+	for _, key := range keys {
+		s.ids = s.idx.appendPostings(s.ids, key)
 	}
 	s.sort()
 }
 
 func (s *seeker) sort() {
-	byID := func(a, b seekHit) int { return cmp.Compare(a.id, b.id) }
-	if !slices.IsSortedFunc(s.hits, byID) {
-		slices.SortFunc(s.hits, byID)
+	if !slices.IsSorted(s.ids) {
+		slices.Sort(s.ids)
 	}
 }
 
-// next returns the next row and the posting it was found under, or a nil
+// next returns the next row of t visible under vis, with its ID, or a nil
 // row once the postings are exhausted.
-func (s *seeker) next() (seekHit, []Value) {
-	for s.pos < len(s.hits) {
-		h := s.hits[s.pos]
+func (s *seeker) next(t *Table, vis visibility) (int64, []Value) {
+	for s.pos < len(s.ids) {
+		id := s.ids[s.pos]
 		s.pos++
-		if h.id == s.last {
-			continue
+		if s.pos > 1 && s.ids[s.pos-2] == id {
+			continue // filed under several keys: checked at its first posting
 		}
-		key := s.one
-		if s.keys != nil {
-			key = s.keys[h.k]
-		}
-		row := s.t.get(h.id, s.vis)
-		if row != nil && (key == nil || Compare(row[s.idx.Col], key) == 0) {
-			s.last = h.id
-			return h, row
+		if row := t.get(id, vis); row != nil && s.matches(row[s.idx.Col]) {
+			return id, row
 		}
 	}
-	return seekHit{}, nil
+	return 0, nil
 }
 
-// seekProducer emits the rows of a non-ordered index access path.
+// matches reports whether v equals one of the seek's keys; a NULL key
+// equals nothing, and a walk with no key matches every row.
+func (s *seeker) matches(v Value) bool {
+	if s.keys == nil {
+		return s.one == nil || Compare(v, s.one) == 0
+	}
+	for _, key := range s.keys {
+		if key != nil && Compare(v, key) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// seekProducer emits the rows of a non-ordered index access path over the
+// execution's driving relation.
 type seekProducer struct {
-	rel relBinding
-	s   seeker
+	s seeker
 }
 
 func (p *seekProducer) next(ex *selectExec) (bool, error) {
-	if _, row := p.s.next(); row != nil {
-		ex.env.SetRow(p.rel.off, row)
+	base := &ex.p.rels[ex.p.driver]
+	if _, row := p.s.next(base.table, ex.vis); row != nil {
+		ex.env.SetRow(base.off, row)
 		return true, nil
 	}
 	return false, nil
@@ -134,15 +136,15 @@ func (p *seekProducer) next(ex *selectExec) (bool, error) {
 
 // seeker positions a seeker on a non-ordered index access path, its keys
 // or bounds evaluated against the execution's parameters.
-func (a *accessPlan) seeker(t *Table, penv *RowEnv, vis visibility) (seeker, error) {
-	s := seeker{t: t, idx: a.idx, vis: vis}
+func (a *accessPlan) seeker(penv *RowEnv) (seeker, error) {
+	s := seeker{idx: a.idx}
 	if a.kind == accessRange {
 		lo, hi, hasLo, hasHi, empty, err := a.evalBounds(penv)
 		if err != nil || empty {
 			return s, err
 		}
 		a.idx.Range(lo, hi, hasLo, hasHi, a.loIncl, a.hiIncl, func(_ Value, id int64) bool {
-			s.hits = append(s.hits, seekHit{id: id})
+			s.ids = append(s.ids, id)
 			return true
 		})
 		s.sort()

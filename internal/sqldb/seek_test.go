@@ -173,3 +173,46 @@ func TestSeekErrorsAndNulls(t *testing.T) {
 		t.Fatalf("seek of a repeated key = %v, %v; want each key sought", got, err)
 	}
 }
+
+// A multi-key seek yields a row when its column equals one of the keys,
+// once, however many of the keys it is filed under: a row moved off a
+// sought key keeps a stale posting there until vacuum and is not yielded
+// for it, a row filed under two sought keys comes once, and a row moved
+// to NULL matches no key, a NULL key included.
+func TestSeekerMultiKeyRecheck(t *testing.T) {
+	for _, kind := range []string{"HASH", "BTREE"} {
+		t.Run(kind, func(t *testing.T) {
+			db := NewDB()
+			db.setVacuumInterval(time.Hour)
+			defer db.Close()
+			mustExec(t, db, "CREATE TABLE t (id INTEGER PRIMARY KEY, k INTEGER)")
+			mustExec(t, db, "CREATE INDEX idx_t_k ON t (k) USING "+kind)
+			mustExec(t, db, "INSERT INTO t VALUES (1, 1), (2, 1), (3, 2), (4, 5)")
+			mustExec(t, db, "UPDATE t SET k = 3 WHERE id = 2")    // stale under 1, live under 3
+			mustExec(t, db, "UPDATE t SET k = 2 WHERE id = 1")    // stale under 1, live under 2
+			mustExec(t, db, "UPDATE t SET k = NULL WHERE id = 4") // stale under 5
+			tab := db.table("t")
+			vis := visibility{snap: snapLatest}
+			for _, c := range []struct {
+				keys []Value
+				want string
+			}{
+				{[]Value{int64(1)}, "[]"},
+				{[]Value{int64(1), int64(2)}, "[1 3]"},
+				{[]Value{int64(3), int64(1), int64(2)}, "[1 2 3]"},
+				{[]Value{int64(2), int64(2)}, "[1 3]"},
+				{[]Value{int64(5), nil}, "[]"},
+			} {
+				s := seeker{idx: tab.IndexOn(1)}
+				s.seek(c.keys, nil)
+				var got []int64
+				for id, row := s.next(tab, vis); row != nil; id, row = s.next(tab, vis) {
+					got = append(got, id)
+				}
+				if fmt.Sprint(got) != c.want {
+					t.Errorf("seek of %v = %v, want %s", c.keys, got, c.want)
+				}
+			}
+		})
+	}
+}

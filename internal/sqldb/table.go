@@ -320,9 +320,9 @@ func (t *Table) installRows(w *writeCtx, rows [][]Value, seq int64) int64 {
 // carries the key in the index's column (a seek: stale index entries, the
 // superseded keys awaiting vacuum, fail its key check).
 func (t *Table) keyInUse(idx *Index, key Value, vis visibility) bool {
-	s := seeker{t: t, idx: idx, vis: vis}
+	s := seeker{idx: idx}
 	s.seek(nil, key)
-	_, row := s.next()
+	_, row := s.next(t, vis)
 	return row != nil
 }
 

@@ -241,10 +241,12 @@ func (t *tsvWriter) Close() error               { return nil }
 
 // htmlWriter writes the table element of the Figure-5 page: a header row
 // of <th> cells, one <tr> of <td> cells per row, and an empty cell as a
-// greyed "-". Cells are escaped by appendHTML, byte for byte what
+// greyed "-". Cells are escaped by AppendHTML, byte for byte what
 // html/template writes for {{.}} in element content. The header goes out
 // at once (it is the stream's first byte); rows collect in buf and leave
-// in chunks of about htmlChunk bytes.
+// in chunks of about htmlChunk bytes. A row is built in a local slice and
+// stored back once: storing each cell's append into buf, a heap pointer,
+// costs a GC write barrier per cell while the collector marks.
 type htmlWriter struct {
 	w   io.Writer
 	buf []byte
@@ -257,7 +259,7 @@ func (h *htmlWriter) Header(cols []string) error {
 	h.buf = append(h.buf, "<table><tr>"...)
 	for _, c := range cols {
 		h.buf = append(h.buf, "<th>"...)
-		h.buf = appendHTML(h.buf, c)
+		h.buf = AppendHTML(h.buf, c)
 		h.buf = append(h.buf, "</th>"...)
 	}
 	h.buf = append(h.buf, "</tr>\n"...)
@@ -265,17 +267,17 @@ func (h *htmlWriter) Header(cols []string) error {
 }
 
 func (h *htmlWriter) Row(cells []string) error {
-	h.buf = append(h.buf, "<tr>"...)
+	b := append(h.buf, "<tr>"...)
 	for _, c := range cells {
 		if c == "" {
-			h.buf = append(h.buf, `<td><span class="null">-</span></td>`...)
+			b = append(b, `<td><span class="null">-</span></td>`...)
 			continue
 		}
-		h.buf = append(h.buf, "<td>"...)
-		h.buf = appendHTML(h.buf, c)
-		h.buf = append(h.buf, "</td>"...)
+		b = append(b, "<td>"...)
+		b = AppendHTML(b, c)
+		b = append(b, "</td>"...)
 	}
-	h.buf = append(h.buf, "</tr>"...)
+	h.buf = append(b, "</tr>"...)
 	if len(h.buf) >= htmlChunk {
 		return h.Flush()
 	}
@@ -310,8 +312,9 @@ var htmlEscapes = [256]string{
 	'>':  "&gt;",
 }
 
-// appendHTML appends s escaped for HTML element content.
-func appendHTML(dst []byte, s string) []byte {
+// AppendHTML appends s escaped for HTML element content or a quoted
+// attribute value, byte for byte as html/template escapes {{.}} there.
+func AppendHTML(dst []byte, s string) []byte {
 	start := 0
 	for i := 0; i < len(s); i++ {
 		if r := htmlEscapes[s[i]]; r != "" {
