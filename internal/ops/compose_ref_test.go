@@ -137,7 +137,7 @@ func operand(assocs []gam.Assoc, from gam.SourceID, form string) *Mapping {
 	case "sorted":
 		sortAssocs(m.Assocs, true)
 	case "shared":
-		NewExecutor(nil).put(fmt.Sprint(from), 0, m)
+		NewExecutor(nil).putEdge(edgeKey{rel: gam.SourceRelID(from)}, 0, m)
 	}
 	return m
 }
@@ -710,7 +710,7 @@ func BenchmarkCompose(b *testing.B) {
 				}
 				maps[i] = &Mapping{From: gam.SourceID(i + 1), To: gam.SourceID(i + 2), Type: gam.RelFact, Assocs: as}
 				if form == "shared" {
-					NewExecutor(nil).put(fmt.Sprint(i), 0, maps[i])
+					NewExecutor(nil).putEdge(edgeKey{rel: gam.SourceRelID(i)}, 0, maps[i])
 				}
 			}
 			b.Run(fmt.Sprintf("hops=%d/%s", hops, form), func(b *testing.B) {

@@ -3,13 +3,18 @@
 // same operation into a cached pipeline so that repeated
 // annotation queries (the paper's dominant workload, §5.1) hit memory:
 //
-//   - loaded edge mappings and composed path results live in a bounded
-//     LRU, keyed by (from, to, relType) for edges and by path signature
-//     for composed paths;
-//   - cache entries carry the repository generation observed before the
-//     load; any repository write bumps the generation, so stale entries
-//     are detected on lookup and refetched — a materialized or deleted
-//     mapping is never served stale;
+//   - loaded edges and composed paths are kept apart, as the paper keeps
+//     stored mappings (the edges of the source graph) apart from the
+//     compositions derived from them per query (§2, §4.2). Edges live in
+//     their own table, keyed by the stored mapping they were loaded from
+//     and the direction they are read in; composed paths live in a
+//     bounded LRU keyed by path signature, so a stream of one-shot paths
+//     evicts other paths, never the edges they are composed from;
+//   - both carry the repository generation observed before the load; any
+//     repository write bumps the generation. A stale path is detected on
+//     lookup and refetched, and the edge table belongs to one generation
+//     and is dropped whole when a lookup or a load sees a newer one — a
+//     materialized, replaced or deleted mapping is never served stale;
 //   - on a path-cache miss, the per-edge associations of all uncached
 //     edges are fetched in one batched SQL round-trip
 //     (Repo.AssociationsBatch) instead of one query per edge, and the
@@ -28,6 +33,7 @@ package ops
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -35,11 +41,19 @@ import (
 	"genmapper/internal/gam"
 )
 
-// DefaultCacheCapacity bounds the executor LRU: the number of cached
-// mappings, edges and composed paths together.
+// DefaultCacheCapacity bounds the executor's path LRU: the number of
+// composed paths it keeps. Loaded edges are not counted against it; the
+// edge table holds every edge used at the current repository generation.
+//
+// Neither bound is one of bytes. One composed path can hold millions of
+// associations, so 256 paths bound no byte count either. The edge table
+// is bounded by the repository itself: at most one copy of each stored
+// mapping's associations in each direction used, 24 bytes an association,
+// beside the roughly 390 bytes an association takes in sqldb.
 const DefaultCacheCapacity = 256
 
-// CacheStats reports executor cache effectiveness.
+// CacheStats reports executor cache effectiveness. Hits and misses count
+// edge and path lookups together; Entries counts cached edges and paths.
 type CacheStats struct {
 	Hits    uint64 `json:"hits"`
 	Misses  uint64 `json:"misses"`
@@ -51,10 +65,19 @@ type CacheStats struct {
 type Executor struct {
 	repo *gam.Repo
 
-	mu     sync.Mutex
-	lru    *cache.LRU[string, *cacheEntry]
-	hits   uint64
-	misses uint64
+	mu      sync.Mutex
+	edgeGen uint64               // the repository generation edges belongs to
+	edges   map[edgeKey]*Mapping // loaded edges, at generation edgeGen
+	paths   *cache.LRU[string, *cacheEntry]
+	hits    uint64
+	misses  uint64
+}
+
+// edgeKey names a loaded edge by what it was loaded from: the stored
+// mapping, and whether it is read against its stored direction.
+type edgeKey struct {
+	rel      gam.SourceRelID
+	reversed bool
 }
 
 type cacheEntry struct {
@@ -62,15 +85,16 @@ type cacheEntry struct {
 	m   *Mapping
 }
 
-// NewExecutor creates an executor whose cache holds DefaultCacheCapacity
-// mappings.
+// NewExecutor creates an executor whose path LRU holds
+// DefaultCacheCapacity composed paths.
 func NewExecutor(repo *gam.Repo) *Executor {
 	return newExecutor(repo, DefaultCacheCapacity)
 }
 
-// newExecutor creates an executor whose cache holds capacity mappings.
+// newExecutor creates an executor whose path LRU holds capacity composed
+// paths.
 func newExecutor(repo *gam.Repo, capacity int) *Executor {
-	return &Executor{repo: repo, lru: cache.New[string, *cacheEntry](capacity)}
+	return &Executor{repo: repo, edges: make(map[edgeKey]*Mapping), paths: cache.New[string, *cacheEntry](capacity)}
 }
 
 // Repo returns the repository the executor reads from.
@@ -80,31 +104,74 @@ func (e *Executor) Repo() *gam.Repo { return e.repo }
 func (e *Executor) Stats() CacheStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return CacheStats{Hits: e.hits, Misses: e.misses, Entries: e.lru.Len()}
+	return CacheStats{Hits: e.hits, Misses: e.misses, Entries: len(e.edges) + e.paths.Len()}
 }
 
-// Reset drops every cached mapping and zeroes the counters (used by cold
-// benchmarks and tests).
+// Reset drops every cached edge and path and zeroes the counters (used by
+// cold benchmarks and tests).
 func (e *Executor) Reset() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lru = cache.New[string, *cacheEntry](e.lru.Capacity())
+	e.edgeGen, e.edges = 0, make(map[edgeKey]*Mapping)
+	e.paths = cache.New[string, *cacheEntry](e.paths.Capacity())
 	e.hits, e.misses = 0, 0
 }
 
-// get returns a cached mapping when present and still valid at the current
-// repository generation. Stale entries are evicted on sight. The returned
-// mapping is shared: the caller must not mutate it.
-func (e *Executor) get(key string, gen uint64) (*Mapping, bool) {
+// edgesAt reports whether the edge table belongs to generation gen,
+// dropping the table first when gen is newer. A table at a newer
+// generation than gen is left alone. e.mu must be held.
+func (e *Executor) edgesAt(gen uint64) bool {
+	if gen > e.edgeGen {
+		clear(e.edges)
+		e.edgeGen = gen
+	}
+	return gen == e.edgeGen
+}
+
+// getEdge returns the loaded edge k when the edge table belongs to the
+// repository generation gen. The returned mapping is shared: the caller
+// must not mutate it.
+func (e *Executor) getEdge(k edgeKey, gen uint64) (*Mapping, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ent, ok := e.lru.Get(key)
+	if e.edgesAt(gen) {
+		if m, ok := e.edges[k]; ok {
+			e.hits++
+			return m, true
+		}
+	}
+	e.misses++
+	return nil, false
+}
+
+// putEdge makes m, the edge k loaded while the repository was at
+// generation gen, shared, and installs it unless the edge table has
+// moved on to a newer generation. From here on nobody mutates m: its
+// associations are sorted here, once, and grouped, before any other
+// goroutine sees it.
+func (e *Executor) putEdge(k edgeKey, gen uint64, m *Mapping) {
+	sortAssocs(m.Assocs, true)
+	m.index = &indexSlot{groups: groupAssocs(m.Assocs)}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.edgesAt(gen) {
+		e.edges[k] = m
+	}
+}
+
+// getPath returns a cached composed path when present and still valid at
+// the current repository generation. Stale entries are evicted on sight.
+// The returned mapping is shared: the caller must not mutate it.
+func (e *Executor) getPath(key string, gen uint64) (*Mapping, bool) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	ent, ok := e.paths.Get(key)
 	if !ok {
 		e.misses++
 		return nil, false
 	}
 	if ent.gen != gen {
-		e.lru.Delete(key)
+		e.paths.Delete(key)
 		e.misses++
 		return nil, false
 	}
@@ -112,42 +179,24 @@ func (e *Executor) get(key string, gen uint64) (*Mapping, bool) {
 	return ent.m, true
 }
 
-// put caches m, loaded while the repository was at generation gen. m
-// becomes shared, and from here on nobody mutates it. A fresh edge's
-// associations are sorted here, once, and grouped; no other goroutine
-// sees it change. A composed path arrives sorted and grouped, exactly
-// sized, from the fold, and a mapping already shared (a one-edge path is
-// its edge) is left as it is: neither is sorted or grouped again. A fresh
-// edge may share its batch's slice with an edge cached earlier in the
-// same load (a path that takes one mapping twice in the same direction);
-// that slice is sorted already, so sortAssocs only reads it.
-func (e *Executor) put(key string, gen uint64, m *Mapping) {
-	if m.index == nil {
-		sortAssocs(m.Assocs, true)
-		m.index = &indexSlot{groups: groupAssocs(m.Assocs)}
-	}
+// putPath caches m, composed while the repository was at generation gen.
+// m is shared already: a composed path arrives sorted and grouped, exactly
+// sized, from the fold, and a one-edge path is its edge.
+func (e *Executor) putPath(key string, gen uint64, m *Mapping) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.lru.Put(key, &cacheEntry{gen: gen, m: m})
+	e.paths.Put(key, &cacheEntry{gen: gen, m: m})
 }
 
-// edgeKey and pathKey build a cache key in a stack buffer, so a lookup
-// allocates only the key string.
-func edgeKey(s, t gam.SourceID, typ gam.RelType) string {
-	var buf [64]byte
-	b := append(buf[:0], "e|"...)
-	b = strconv.AppendInt(b, int64(s), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(t), 10)
-	b = append(b, '|')
-	return string(append(b, typ...))
-}
-
+// pathKey builds a path's cache key, its source IDs joined by '|', in a
+// stack buffer, so a lookup allocates only the key string.
 func pathKey(path []gam.SourceID) string {
 	var buf [64]byte
-	b := append(buf[:0], 'p')
-	for _, s := range path {
-		b = append(b, '|')
+	b := buf[:0]
+	for i, s := range path {
+		if i > 0 {
+			b = append(b, '|')
+		}
 		b = strconv.AppendInt(b, int64(s), 10)
 	}
 	return string(b)
@@ -174,15 +223,15 @@ func (e *Executor) mapShared(s, t gam.SourceID) (*Mapping, error) {
 	if rel == nil {
 		return nil, fmt.Errorf("ops: %w: %d and %d", ErrNoMapping, s, t)
 	}
-	key := edgeKey(s, t, rel.Type)
-	if m, ok := e.get(key, gen); ok {
+	key := edgeKey{rel: rel.ID, reversed: reversed}
+	if m, ok := e.getEdge(key, gen); ok {
 		return m, nil
 	}
 	m, err := e.loadEdgeMapping(s, t, rel, reversed)
 	if err != nil {
 		return nil, err
 	}
-	e.put(key, gen, m)
+	e.putEdge(key, gen, m)
 	return m, nil
 }
 
@@ -243,7 +292,7 @@ func (e *Executor) MapPathShared(path []gam.SourceID) (*Mapping, error) {
 	}
 	gen := e.repo.Generation()
 	pkey := pathKey(path)
-	if m, ok := e.get(pkey, gen); ok {
+	if m, ok := e.getPath(pkey, gen); ok {
 		return m, nil
 	}
 	maps, err := e.loadEdges(path, gen)
@@ -258,18 +307,19 @@ func (e *Executor) MapPathShared(path []gam.SourceID) (*Mapping, error) {
 			return nil, err
 		}
 	}
-	e.put(pkey, gen, composed)
+	e.putPath(pkey, gen, composed)
 	return composed, nil
 }
 
-// loadEdges returns the per-edge mappings of a path, serving cached edges
-// from the LRU and fetching all remaining edge associations in one batched
-// SQL round-trip.
+// loadEdges returns the per-edge mappings of a path, serving loaded edges
+// from the edge table and fetching all remaining edge associations in one
+// batched SQL round-trip. A path that takes one mapping twice in the same
+// direction loads it once and uses it at both steps.
 func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error) {
 	type pending struct {
-		idx      int
-		rel      *gam.SourceRel
-		reversed bool
+		idx int
+		rel *gam.SourceRel
+		key edgeKey
 	}
 	maps := make([]*Mapping, len(path)-1)
 	var misses []pending
@@ -282,11 +332,12 @@ func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error
 		if rel == nil {
 			return nil, fmt.Errorf("ops: path step %d: %w: %d and %d", i, ErrNoMapping, s, t)
 		}
-		if m, ok := e.get(edgeKey(s, t, rel.Type), gen); ok {
+		key := edgeKey{rel: rel.ID, reversed: reversed}
+		if m, ok := e.getEdge(key, gen); ok {
 			maps[i] = m
 			continue
 		}
-		misses = append(misses, pending{idx: i, rel: rel, reversed: reversed})
+		misses = append(misses, pending{idx: i, rel: rel, key: key})
 	}
 	if len(misses) == 0 {
 		return maps, nil
@@ -299,10 +350,14 @@ func (e *Executor) loadEdges(path []gam.SourceID, gen uint64) ([]*Mapping, error
 	if err != nil {
 		return nil, err
 	}
-	for _, p := range misses {
+	for j, p := range misses {
+		if d := slices.IndexFunc(misses[:j], func(q pending) bool { return q.key == p.key }); d >= 0 {
+			maps[p.idx] = maps[misses[d].idx]
+			continue
+		}
 		s, t := path[p.idx], path[p.idx+1]
-		m := edgeMapping(s, t, p.rel, p.reversed, batch[p.rel.ID])
-		e.put(edgeKey(s, t, p.rel.Type), gen, m)
+		m := edgeMapping(s, t, p.rel, p.key.reversed, batch[p.rel.ID])
+		e.putEdge(p.key, gen, m)
 		maps[p.idx] = m
 	}
 	return maps, nil

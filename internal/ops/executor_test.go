@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"genmapper/internal/gam"
@@ -137,6 +138,32 @@ func TestExecutorMapPathMatchesSequential(t *testing.T) {
 	}
 }
 
+// A path that takes one mapping twice in the same direction loads it once
+// and composes as ops.MapPath does.
+func TestExecutorPathTakesOneMappingTwice(t *testing.T) {
+	f := newChainFixture(t, 2, 9)
+	e := NewExecutor(f.repo)
+	a, b := f.sources[0].ID, f.sources[1].ID
+	path := []gam.SourceID{a, b, a, b}
+	want, err := MapPath(f.repo, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := e.MapPathShared(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Assocs, want.Assocs) {
+		t.Fatalf("%v, want %v", got.Assocs, want.Assocs)
+	}
+	if n := len(e.edges); n != 2 {
+		t.Fatalf("edge table holds %d edges, want 2 (one mapping, both directions)", n)
+	}
+	if st := e.Stats(); st.Misses != 4 {
+		t.Fatalf("stats %+v, want 4 misses (the path and its three steps)", st)
+	}
+}
+
 func TestExecutorCacheCounters(t *testing.T) {
 	f := newChainFixture(t, 4, 8)
 	e := NewExecutor(f.repo)
@@ -150,6 +177,9 @@ func TestExecutorCacheCounters(t *testing.T) {
 	}
 	if st.Entries != 4 {
 		t.Fatalf("cold entries = %d, want 4 (3 edges + 1 path)", st.Entries)
+	}
+	if edges, paths := len(e.edges), e.paths.Len(); edges != 3 || paths != 1 {
+		t.Fatalf("cold tables hold %d edges and %d paths, want 3 and 1", edges, paths)
 	}
 	// An edge of the cached path is also served warm.
 	if _, err := e.Map(f.sources[0].ID, f.sources[1].ID); err != nil {
@@ -228,17 +258,193 @@ func TestExecutorCacheInvalidationOnDelete(t *testing.T) {
 	}
 }
 
+// TestExecutorLRUBound checks the executor's two bounds: composed paths
+// stay within the LRU's capacity, and loaded edges stay at one per stored
+// mapping and direction at the current generation, however many paths
+// pass through them.
 func TestExecutorLRUBound(t *testing.T) {
 	f := newChainFixture(t, 6, 4)
 	e := newExecutor(f.repo, 2)
-	for i := 0; i+1 < len(f.sources); i++ {
-		if _, err := e.Map(f.sources[i].ID, f.sources[i+1].ID); err != nil {
+	path := f.path()
+	for i := 0; i+1 < len(path); i++ {
+		if _, err := e.Map(path[i], path[i+1]); err != nil {
 			t.Fatal(err)
 		}
+		if _, err := e.Map(path[i+1], path[i]); err != nil {
+			t.Fatal(err)
+		}
+		for j := i + 2; j < len(path); j++ {
+			if _, err := e.MapPathShared(path[i : j+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if st := e.Stats(); st.Entries > 2 {
-		t.Fatalf("LRU grew to %d entries with capacity 2", st.Entries)
+	rels := len(path) - 1
+	if n := e.paths.Len(); n > 2 {
+		t.Fatalf("path LRU grew to %d entries with capacity 2", n)
 	}
+	if n := len(e.edges); n != 2*rels {
+		t.Fatalf("edge table holds %d edges, want %d (%d mappings, both directions)", n, 2*rels, rels)
+	}
+	if e.edgeGen != f.repo.Generation() {
+		t.Fatalf("edge table at generation %d, repository at %d", e.edgeGen, f.repo.Generation())
+	}
+}
+
+// TestPathsDoNotEvictEdges composes more distinct paths than a capacity-2
+// executor keeps, all over the same four edges. After the first round no
+// edge is loaded again: every later lookup misses only on its path, and
+// every edge of it is the mapping loaded in the first round.
+func TestPathsDoNotEvictEdges(t *testing.T) {
+	f := newChainFixture(t, 5, 6)
+	e := newExecutor(f.repo, 2)
+	all := f.path()
+	var paths [][]gam.SourceID
+	for i := 0; i+2 < len(all); i++ {
+		for j := i + 2; j < len(all); j++ {
+			paths = append(paths, all[i:j+1])
+		}
+	}
+	edges := 0
+	for _, p := range paths {
+		edges += len(p) - 1
+	}
+	round := func() {
+		for _, p := range paths {
+			if _, err := e.MapPathShared(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	first := make([]*Mapping, len(all)-1)
+	for i := range first {
+		m, err := e.mapShared(all[i], all[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		first[i] = m
+	}
+	for r := 0; r < 3; r++ {
+		st := e.Stats()
+		round()
+		st2 := e.Stats()
+		// Six paths cycle through an LRU of two, so every path misses; its
+		// edges must all hit.
+		if misses, hits := st2.Misses-st.Misses, st2.Hits-st.Hits; misses != uint64(len(paths)) || hits != uint64(edges) {
+			t.Fatalf("round %d: %d misses and %d hits, want %d path misses and %d edge hits",
+				r, misses, hits, len(paths), edges)
+		}
+	}
+	for i := range first {
+		m, err := e.mapShared(all[i], all[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m != first[i] {
+			t.Fatalf("edge %d was loaded again", i)
+		}
+	}
+}
+
+// TestEdgeTableFollowsGeneration checks that the edge table belongs to
+// one repository generation: a write makes the next lookup load the new
+// rows, the table then holds only entries loaded at the current
+// generation, many writes leave at most one entry per stored mapping and
+// direction, and a load begun before a write installs nothing.
+func TestEdgeTableFollowsGeneration(t *testing.T) {
+	f := newChainFixture(t, 4, 6)
+	e := NewExecutor(f.repo)
+	path := f.path()
+	reversed := slices.Clone(path)
+	slices.Reverse(reversed)
+	if _, err := e.MapPathShared(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.MapPathShared(reversed); err != nil {
+		t.Fatal(err)
+	}
+	matches := func(stage string, s, t2 gam.SourceID) {
+		t.Helper()
+		got, err := e.mapShared(s, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Map(f.repo, s, t2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Assocs, want.Assocs) {
+			t.Fatalf("%s: edge %d->%d = %v, want %v", stage, s, t2, got.Assocs, want.Assocs)
+		}
+	}
+	current := func(stage string) {
+		t.Helper()
+		gen := f.repo.Generation()
+		if e.edgeGen != gen {
+			t.Fatalf("%s: edge table at generation %d, repository at %d", stage, e.edgeGen, gen)
+		}
+		rels, err := f.repo.SourceRels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(e.edges) > 2*len(rels) {
+			t.Fatalf("%s: edge table holds %d edges for %d mappings", stage, len(e.edges), len(rels))
+		}
+		for k := range e.edges {
+			if !slices.ContainsFunc(rels, func(r *gam.SourceRel) bool { return r.ID == k.rel }) {
+				t.Fatalf("%s: edge table holds mapping %d, which is gone", stage, k.rel)
+			}
+		}
+	}
+
+	// AddAssociations keeps the mapping's ID: only the generation tells
+	// the cached edge from the new rows.
+	r01, _, err := f.repo.FindMapping(path[0], path[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := []gam.Assoc{{Object1: f.objs[0][0], Object2: f.objs[1][5], Evidence: 0.7}}
+	if _, err := f.repo.AddAssociations(r01.ID, extra, false); err != nil {
+		t.Fatal(err)
+	}
+	matches("after AddAssociations", path[0], path[1])
+	matches("after AddAssociations, reversed", path[1], path[0])
+	current("after AddAssociations")
+
+	for i := 0; i < 20; i++ {
+		k := i % (len(path) - 1)
+		assocs := []gam.Assoc{{Object1: f.objs[k][i%6], Object2: f.objs[k+1][(i+1)%6]}}
+		if _, err := f.repo.ReplaceMapping(path[k], path[k+1], gam.RelFact, assocs); err != nil {
+			t.Fatal(err)
+		}
+		matches("after ReplaceMapping", path[k], path[k+1])
+		if _, err := e.MapPathShared(path); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.MapPathShared(reversed); err != nil {
+			t.Fatal(err)
+		}
+		current(fmt.Sprintf("write %d", i))
+	}
+
+	// A load that began before a write is not installed after it.
+	old := f.repo.Generation()
+	r12, rev, err := f.repo.FindMapping(path[1], path[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.repo.ReplaceMapping(path[0], path[1], gam.RelFact, extra); err != nil {
+		t.Fatal(err)
+	}
+	matches("before the late load", path[0], path[1])
+	key := edgeKey{rel: r12.ID, reversed: rev}
+	late := &Mapping{Rel: r12.ID, From: path[1], To: path[2], Type: gam.RelFact}
+	e.putEdge(key, old, late)
+	if e.edges[key] == late {
+		t.Fatal("a load stamped with an older generation was installed")
+	}
+	current("after the late load")
 }
 
 func TestExecutorConcurrentMapPath(t *testing.T) {
@@ -268,6 +474,146 @@ func TestExecutorConcurrentMapPath(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestExecutorEdgesBesideReplaceMapping runs MapPathShared and Resolver
+// calls beside a writer that flips the middle mapping of a chain between
+// two association sets with ReplaceMapping. Every result must equal what
+// ops.MapPath or ops.Map returns at one of the two committed states, and
+// once the writer stops, the executor must serve the last state.
+//
+// An empty result is counted apart: a reader that resolves the mapping's
+// ID just before a replace commits and loads its rows after reads none
+// (the resolve-then-load race, ROADMAP item 3). It is logged, not failed.
+func TestExecutorEdgesBesideReplaceMapping(t *testing.T) {
+	const objPer = 8
+	f := newChainFixture(t, 4, objPer)
+	e := NewExecutor(f.repo)
+	path := f.path()
+	back := slices.Clone(path)
+	slices.Reverse(back)
+	pathFind := func(from, to gam.SourceID) []gam.SourceID {
+		switch {
+		case from == path[0] && to == path[3]:
+			return path
+		case from == path[3] && to == path[0]:
+			return back
+		}
+		return nil
+	}
+	resolve := e.Resolver(pathFind)
+	states := make([][]gam.Assoc, 2)
+	for k := range states {
+		for j := 0; j < objPer; j++ {
+			states[k] = append(states[k], gam.Assoc{Object1: f.objs[1][j], Object2: f.objs[2][(j+k)%objPer]})
+		}
+	}
+	replace := func(k int) error {
+		_, err := f.repo.ReplaceMapping(path[1], path[2], gam.RelFact, states[k])
+		return err
+	}
+	type query struct {
+		name  string
+		exec  func() (*Mapping, error)
+		plain func() (*Mapping, error)
+	}
+	queries := []query{
+		{"path", func() (*Mapping, error) { return e.MapPathShared(path) },
+			func() (*Mapping, error) { return MapPath(f.repo, path) }},
+		{"reversed path", func() (*Mapping, error) { return e.MapPathShared(back) },
+			func() (*Mapping, error) { return MapPath(f.repo, back) }},
+		{"resolved edge", func() (*Mapping, error) { return resolve(path[1], path[2]) },
+			func() (*Mapping, error) { return Map(f.repo, path[1], path[2]) }},
+		{"resolved reversed edge", func() (*Mapping, error) { return resolve(path[2], path[1]) },
+			func() (*Mapping, error) { return Map(f.repo, path[2], path[1]) }},
+		{"resolved path", func() (*Mapping, error) { return resolve(path[3], path[0]) },
+			func() (*Mapping, error) { return MapPath(f.repo, back) }},
+	}
+	// want[k][q] is query q's associations at state k.
+	want := make([][][]gam.Assoc, len(states))
+	for k := range states {
+		if err := replace(k); err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range queries {
+			m, err := q.plain()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(m.Assocs) == 0 {
+				t.Fatalf("state %d: %s is empty", k, q.name)
+			}
+			want[k] = append(want[k], m.Assocs)
+		}
+	}
+
+	const readers, rounds = 4, 40
+	var empty atomic.Int64
+	errs := make(chan error, readers+1)
+	stop := make(chan struct{})
+	var writer sync.WaitGroup
+	writer.Add(1)
+	go func() {
+		defer writer.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := replace(i % 2); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				for qi, q := range queries {
+					m, err := q.exec()
+					if err != nil {
+						errs <- fmt.Errorf("reader %d round %d %s: %w", r, i, q.name, err)
+						return
+					}
+					switch {
+					case slices.Equal(m.Assocs, want[0][qi]), slices.Equal(m.Assocs, want[1][qi]):
+					case len(m.Assocs) == 0:
+						empty.Add(1)
+					default:
+						errs <- fmt.Errorf("reader %d round %d %s: %v matches no committed state", r, i, q.name, m.Assocs)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(stop)
+	writer.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := empty.Load(); n > 0 {
+		t.Logf("%d of %d results read the replaced mapping between its resolution and its load", n, readers*rounds*len(queries))
+	}
+	for _, q := range queries {
+		got, err := q.exec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := q.plain()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Assocs, plain.Assocs) {
+			t.Fatalf("after the writer: %s = %v, want %v", q.name, got.Assocs, plain.Assocs)
+		}
 	}
 }
 
@@ -353,9 +699,10 @@ func TestExecutorCachedPathIsExactlySized(t *testing.T) {
 }
 
 // TestExecutorColdPathAllocs bounds what composing a cold 3-edge path
-// allocates when its edges are cached: the cache key, the edge lookups, the
-// result and its cache entry, and no buffer that grows with the path. Two
-// fixture sizes must allocate the same number of times.
+// allocates when its edges are cached: the path key, the mapping each edge
+// lookup resolves (an edge key is a struct, not a string), the result and
+// its cache entry, and no buffer that grows with the path. Two fixture
+// sizes must allocate the same number of times.
 func TestExecutorColdPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
@@ -373,7 +720,7 @@ func TestExecutorColdPathAllocs(t *testing.T) {
 		key := pathKey(path)
 		cold := func() {
 			e.mu.Lock()
-			e.lru.Delete(key)
+			e.paths.Delete(key)
 			e.mu.Unlock()
 			if _, err := e.MapPathShared(path); err != nil {
 				t.Fatal(err)
@@ -382,10 +729,10 @@ func TestExecutorColdPathAllocs(t *testing.T) {
 		cold() // sizes the pooled scratch
 		counts = append(counts, testing.AllocsPerRun(50, cold))
 	}
-	// Measured: 15 allocations at both sizes (39 and 51 while each hop
-	// appended into fresh arrays and put regrouped the result). The bound
-	// is the measurement.
-	const maxAllocs = 15
+	// Measured: 12 allocations at both sizes (15 while each edge lookup
+	// built a string key; 39 and 51 while each hop appended into fresh
+	// arrays and put regrouped the result). The bound is the measurement.
+	const maxAllocs = 12
 	if counts[0] != counts[1] || counts[1] > maxAllocs {
 		t.Fatalf("cold 3-edge path: %v allocs at 20 and 600 objects a source; want equal and <= %d", counts, maxAllocs)
 	}

@@ -126,7 +126,8 @@ func GenerateViewIDs(repo *gam.Repo, s gam.SourceID, ids []gam.ObjectID, targets
 		}
 	}
 	view := &View{Source: s, Targets: make([]gam.SourceID, 0, len(targets))}
-	var j joiner
+	// The first step picks about one target (or NULL) per source object.
+	j := joiner{picks: make([]gam.ObjectID, 0, len(cells))}
 	for i, tgt := range targets {
 		view.Targets = append(view.Targets, tgt.Source)
 

@@ -302,13 +302,17 @@ func TestDomainIndexKeepsFactsApart(t *testing.T) {
 	}
 }
 
-// cachedMappings snapshots every mapping in the executor's cache.
+// cachedMappings snapshots every mapping in the executor's edge table and
+// path LRU, keyed "edge <rel>/<reversed>" and "path <signature>".
 func cachedMappings(e *Executor) map[string]*Mapping {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	out := make(map[string]*Mapping)
-	e.lru.Range(func(k string, ent *cacheEntry) bool {
-		out[k] = ent.m
+	for k, m := range e.edges {
+		out[fmt.Sprintf("edge %d/%v", k.rel, k.reversed)] = m
+	}
+	e.paths.Range(func(k string, ent *cacheEntry) bool {
+		out["path "+k] = ent.m
 		return true
 	})
 	return out
@@ -381,7 +385,7 @@ func TestSharedMappingsStayPristine(t *testing.T) {
 			}
 			var fresh *Mapping
 			var err error
-			if strings.HasPrefix(k, "p|") {
+			if strings.HasPrefix(k, "path ") {
 				fresh, err = MapPath(u.repo, u.path3())
 			} else {
 				fresh, err = Map(u.repo, m.From, m.To)

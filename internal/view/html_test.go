@@ -62,7 +62,7 @@ func TestHTMLWriterTable(t *testing.T) {
 }
 
 // The header leaves at once, so a stream failing at a later row has
-// written bytes; rows collect until about htmlChunk bytes are buffered.
+// written bytes; rows collect until about writeChunk bytes are buffered.
 func TestHTMLWriterChunks(t *testing.T) {
 	var buf bytes.Buffer
 	rw, _ := NewRowWriter(&buf, "html")
@@ -79,7 +79,7 @@ func TestHTMLWriterChunks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := buf.Len() - head; n < htmlChunk {
-		t.Errorf("rows left in a %d-byte write, want >= %d", n, htmlChunk)
+	if n := buf.Len() - head; n < writeChunk {
+		t.Errorf("rows left in a %d-byte write, want >= %d", n, writeChunk)
 	}
 }

@@ -124,9 +124,9 @@ func Render(repo *gam.Repo, v *ops.View, opts Options) (*Table, error) {
 // the writer's own buffers are drained — the hook HTTP handlers use to
 // push partial results to the client.
 //
-// text format inherently buffers (column widths need every row), and html
-// hands rows on in writes of about 4 kB; the other formats emit each row
-// as it is rendered.
+// text format inherently buffers (column widths need every row); tsv and
+// html write the header at once and hand rows on in writes of about 4 kB;
+// csv and json emit each row as it is rendered.
 func Stream(repo *gam.Repo, v *ops.View, opts Options, w io.Writer, format string, flushEvery int, flush func() error) error {
 	r := &renderer{repo: repo, opts: opts}
 	cols, err := r.header(v)
@@ -202,9 +202,9 @@ type RowWriter interface {
 func NewRowWriter(w io.Writer, format string) (RowWriter, error) {
 	switch strings.ToLower(format) {
 	case "tsv":
-		return &tsvWriter{w: w}, nil
+		return &tsvWriter{chunkWriter{w: w}}, nil
 	case "html":
-		return &htmlWriter{w: w}, nil
+		return &htmlWriter{chunkWriter{w: w}}, nil
 	case "csv":
 		return &csvWriter{cw: csv.NewWriter(w)}, nil
 	case "json":
@@ -215,45 +215,69 @@ func NewRowWriter(w io.Writer, format string) (RowWriter, error) {
 	return nil, fmt.Errorf("view: unknown export format %q (text, tsv, csv, json, html)", format)
 }
 
-// tsvWriter writes tab-separated values, one line per row.
-type tsvWriter struct {
+// chunkWriter collects rows for a RowWriter in buf and hands them to w in
+// writes of about writeChunk bytes.
+type chunkWriter struct {
 	w   io.Writer
 	buf []byte
 }
 
-func (t *tsvWriter) line(cells []string) error {
-	t.buf = t.buf[:0]
-	for i, c := range cells {
-		if i > 0 {
-			t.buf = append(t.buf, '\t')
-		}
-		t.buf = append(t.buf, c...)
+// writeChunk is the buffered size at which a chunkWriter hands rows to w.
+const writeChunk = 4096
+
+// rowDone writes the buffered rows once they reach writeChunk bytes.
+func (c *chunkWriter) rowDone() error {
+	if len(c.buf) >= writeChunk {
+		return c.Flush()
 	}
-	t.buf = append(t.buf, '\n')
-	_, err := t.w.Write(t.buf)
+	return nil
+}
+
+func (c *chunkWriter) Flush() error {
+	if len(c.buf) == 0 {
+		return nil
+	}
+	_, err := c.w.Write(c.buf)
+	c.buf = c.buf[:0]
 	return err
 }
 
-func (t *tsvWriter) Header(cols []string) error { return t.line(cols) }
-func (t *tsvWriter) Row(cells []string) error   { return t.line(cells) }
-func (t *tsvWriter) Flush() error               { return nil }
-func (t *tsvWriter) Close() error               { return nil }
+func (c *chunkWriter) Close() error { return c.Flush() }
+
+// tsvWriter writes tab-separated values, one line per row. The header
+// goes out at once (it is the stream's first byte); rows leave in chunks.
+type tsvWriter struct{ chunkWriter }
+
+func (t *tsvWriter) line(cells []string) {
+	b := t.buf
+	for i, c := range cells {
+		if i > 0 {
+			b = append(b, '\t')
+		}
+		b = append(b, c...)
+	}
+	t.buf = append(b, '\n')
+}
+
+func (t *tsvWriter) Header(cols []string) error {
+	t.line(cols)
+	return t.Flush()
+}
+
+func (t *tsvWriter) Row(cells []string) error {
+	t.line(cells)
+	return t.rowDone()
+}
 
 // htmlWriter writes the table element of the Figure-5 page: a header row
 // of <th> cells, one <tr> of <td> cells per row, and an empty cell as a
 // greyed "-". Cells are escaped by AppendHTML, byte for byte what
 // html/template writes for {{.}} in element content. The header goes out
-// at once (it is the stream's first byte); rows collect in buf and leave
-// in chunks of about htmlChunk bytes. A row is built in a local slice and
-// stored back once: storing each cell's append into buf, a heap pointer,
-// costs a GC write barrier per cell while the collector marks.
-type htmlWriter struct {
-	w   io.Writer
-	buf []byte
-}
-
-// htmlChunk is the buffered size at which htmlWriter hands rows to w.
-const htmlChunk = 4096
+// at once (it is the stream's first byte); rows leave in chunks. A row is
+// built in a local slice and stored back once: storing each cell's append
+// into buf, a heap pointer, costs a GC write barrier per cell while the
+// collector marks.
+type htmlWriter struct{ chunkWriter }
 
 func (h *htmlWriter) Header(cols []string) error {
 	h.buf = append(h.buf, "<table><tr>"...)
@@ -278,19 +302,7 @@ func (h *htmlWriter) Row(cells []string) error {
 		b = append(b, "</td>"...)
 	}
 	h.buf = append(b, "</tr>"...)
-	if len(h.buf) >= htmlChunk {
-		return h.Flush()
-	}
-	return nil
-}
-
-func (h *htmlWriter) Flush() error {
-	if len(h.buf) == 0 {
-		return nil
-	}
-	_, err := h.w.Write(h.buf)
-	h.buf = h.buf[:0]
-	return err
+	return h.rowDone()
 }
 
 func (h *htmlWriter) Close() error {

@@ -257,6 +257,45 @@ func TestStreamFlushHook(t *testing.T) {
 	}
 }
 
+// writeCounter records each Write it gets.
+type writeCounter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// A tsv stream sends its header at once and its rows in writes of about
+// writeChunk bytes, not one write a row; where Stream flushes changes
+// only how the bytes are cut, never the bytes.
+func TestStreamTSVChunks(t *testing.T) {
+	repo, src, ids := bigSource(t, 2048)
+	v := tailView(src, ids, 2048)
+	var want string
+	for _, every := range []int{0, 1, 512} {
+		var w writeCounter
+		if err := Stream(repo, v, Options{}, &w, "tsv", every, func() error { return nil }); err != nil {
+			t.Fatal(err)
+		}
+		if every == 0 {
+			want = w.String()
+			if head := len("Big\tBig\n"); w.writes[0] != head {
+				t.Fatalf("first write is %d bytes, want the %d-byte header alone", w.writes[0], head)
+			}
+			if max := (w.Len()+writeChunk-1)/writeChunk + 2; len(w.writes) > max {
+				t.Fatalf("%d rows, %d bytes in %d writes, want <= %d", len(v.Rows), w.Len(), len(w.writes), max)
+			}
+			continue
+		}
+		if w.String() != want {
+			t.Fatalf("flushEvery %d: the body differs from flushEvery 0's", every)
+		}
+	}
+}
+
 // A render failure on the first row must surface before any byte is
 // written (so HTTP handlers can still send a clean error status).
 func TestStreamFirstRowErrorWritesNothing(t *testing.T) {

@@ -49,12 +49,14 @@ func TestGenerateViewWarmAllocs(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / n
-	// Measured: 30 allocations and 8 664 bytes per view (43 and 19 240
-	// while the accessions resolved into two maps and the view was joined
-	// as row headers, 49 while the executor built its cache keys with fmt;
-	// 686 and 135 467 while every hit was cloned and the restricted copies
+	// Measured: 23 allocations and 9 120 bytes per view (28 and 8 632
+	// while the join's picks grew from empty by doubling, 30 while the
+	// executor built a string key per edge lookup, 43 and 19 240 while the
+	// accessions resolved into two maps and the view was joined as row
+	// headers, 49 while the executor built its cache keys with fmt; 686 and
+	// 135 467 while every hit was cloned and the restricted copies
 	// re-indexed). The bounds leave ~25% headroom.
-	const maxAllocs, maxBytes = 38, 11 << 10
+	const maxAllocs, maxBytes = 29, 11 << 10
 	if allocs > maxAllocs || bytes > maxBytes {
 		t.Fatalf("warm GenerateView: %.0f allocs, %d bytes per view; want <= %d, <= %d",
 			allocs, bytes, maxAllocs, maxBytes)
