@@ -156,7 +156,7 @@ func (b *Batch) publish() {
 			if id == 0 {
 				delete(c.rels, key)
 			} else {
-				c.rels[key] = id
+				c.rels[key] = &SourceRel{ID: id, Source1: key.s1, Source2: key.s2, Type: key.typ}
 			}
 		}
 	}
@@ -222,8 +222,10 @@ func (b *Batch) findRel(key relKey) (SourceRelID, bool) {
 	if id, ok := b.rels[key]; ok {
 		return id, id != 0
 	}
-	id, ok := b.cat.rels[key]
-	return id, ok
+	if rel, ok := b.cat.rels[key]; ok {
+		return rel.ID, true
+	}
+	return 0, false
 }
 
 // countAssocs records n associations added (negative: removed) under
@@ -240,8 +242,8 @@ func (b *Batch) countAssocs(rel SourceRelID, n int64) {
 			typ = key.typ
 		}
 	}
-	for key, id := range b.cat.rels {
-		if _, shadowed := b.rels[key]; id == rel && !shadowed {
+	for key, cr := range b.cat.rels {
+		if _, shadowed := b.rels[key]; cr.ID == rel && !shadowed {
 			typ = key.typ
 		}
 	}
@@ -579,8 +581,8 @@ func (b *Batch) DeleteMapping(rel SourceRelID) error {
 			b.rels[key] = 0
 		}
 	}
-	for key, id := range b.cat.rels {
-		if _, shadowed := b.rels[key]; id == rel && !shadowed {
+	for key, cr := range b.cat.rels {
+		if _, shadowed := b.rels[key]; cr.ID == rel && !shadowed {
 			b.rels[key] = 0
 		}
 	}

@@ -19,8 +19,8 @@ import (
 // ("pinned"), so every superseded version stays in storage and the suite
 // runs over version chains — then checks the maintained Stats against the
 // SQL recount. The readers must still see an empty repository when the
-// test is done, unless the test replaced the tables wholesale (Restore
-// invalidates them).
+// test is done, Restore included: a statement finishes over the tables
+// its plan bound.
 func plainAndPinned(t *testing.T, test func(t *testing.T, r *Repo)) {
 	for _, mode := range []struct {
 		name   string
@@ -34,7 +34,7 @@ func plainAndPinned(t *testing.T, test func(t *testing.T, r *Repo)) {
 				t.Fatal(err)
 			}
 			if mode.pinned {
-				defer checkEmptySnapshot(t, openCounts(t, db))
+				defer pinEmptySnapshot(t, db)()
 			}
 			test(t, r)
 			checkStats(t, r)
@@ -42,37 +42,70 @@ func plainAndPinned(t *testing.T, test func(t *testing.T, r *Repo)) {
 	}
 }
 
-// openCounts opens one COUNT(*) cursor per GAM data table, pinning the
-// current snapshot until the cursors are drained.
-func openCounts(t *testing.T, db *sqldb.DB) []sqldb.Cursor {
+// pinEmptySnapshot parks one full scan per GAM table on a snapshot that
+// predates the test. Each scan parks on a sentinel row (key -1) that is
+// deleted again at once, so the test starts on empty tables. check lets
+// the scans walk on in row-ID order, over every row slot the test filled,
+// and fails if any row past the sentinel is visible at their snapshot.
+func pinEmptySnapshot(t *testing.T, db *sqldb.DB) (check func()) {
 	t.Helper()
-	var curs []sqldb.Cursor
-	for _, table := range []string{"source", "object", "object_rel"} {
-		cur, err := db.QueryCursor("SELECT COUNT(*) FROM " + table)
-		if err != nil {
+	resumes := map[string]func() [][]sqldb.Value{}
+	for _, tb := range []struct{ name, key, sentinel string }{
+		{"source", "source_id", "(source_id, name, content, structure) VALUES (-1, '', '', '')"},
+		{"object", "object_id", "(object_id, source_id, accession) VALUES (-1, -1, '')"},
+		{"source_rel", "source_rel_id", "(source_rel_id, source1_id, source2_id, type) VALUES (-1, -1, -1, '')"},
+		{"object_rel", "object_rel_id", "(object_rel_id, source_rel_id, object1_id, object2_id) VALUES (-1, -1, -1, -1)"},
+	} {
+		if _, err := db.Exec("INSERT INTO " + tb.name + " " + tb.sentinel); err != nil {
 			t.Fatal(err)
 		}
-		curs = append(curs, cur)
+		resumes[tb.name] = parkQuery(t, db, "SELECT "+tb.key+" FROM "+tb.name)
+		if _, err := db.Exec("DELETE FROM " + tb.name + " WHERE " + tb.key + " = -1"); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return curs
+	return func() {
+		t.Helper()
+		for table, resume := range resumes {
+			if rows := resume(); len(rows) != 1 {
+				t.Errorf("a snapshot older than the test sees %d rows of %s", len(rows)-1, table)
+			}
+		}
+	}
 }
 
-// checkEmptySnapshot drains cursors opened on an empty repository: each
-// must still count zero rows.
-func checkEmptySnapshot(t *testing.T, curs []sqldb.Cursor) {
+// parkQuery runs sql through QueryEach on its own goroutine and returns
+// once the callback holds the first row: the statement's snapshot stays
+// registered, and every version superseded after it stays in storage,
+// until resume lets the callback return. resume yields every row the
+// statement streamed.
+func parkQuery(t *testing.T, db *sqldb.DB, sql string) (resume func() [][]sqldb.Value) {
 	t.Helper()
-	for _, cur := range curs {
-		row, err := cur.Next()
-		cur.Close()
-		if errors.Is(err, sqldb.ErrCursorInvalidated) {
-			continue
+	parked, release := make(chan struct{}), make(chan struct{})
+	var rows [][]sqldb.Value
+	done := make(chan error, 1)
+	go func() {
+		done <- db.QueryEach(sql, func(row []sqldb.Value) error {
+			rows = append(rows, append([]sqldb.Value(nil), row...))
+			if len(rows) == 1 {
+				close(parked)
+				<-release
+			}
+			return nil
+		})
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("%s returned (%v) before its first row", sql, err)
+	}
+	return func() [][]sqldb.Value {
+		t.Helper()
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", sql, err)
 		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row[0] != int64(0) {
-			t.Fatalf("a snapshot older than the test counts %v rows", row[0])
-		}
+		return rows
 	}
 }
 

@@ -318,6 +318,28 @@ func TestFindMappingDirectionAndPreference(t *testing.T) {
 	}
 }
 
+// FindMapping hands out the catalog's own *SourceRel: a lookup allocates
+// nothing, found in either direction or not found, and a batch that adds
+// a mapping publishes a catalog whose entry is served the same way.
+func TestFindMappingAllocs(t *testing.T) {
+	r := newRepo(t)
+	a, _, _ := r.EnsureSource(Source{Name: "A"})
+	b, _, _ := r.EnsureSource(Source{Name: "B"})
+	c, _, _ := r.EnsureSource(Source{Name: "C"})
+	if _, _, err := r.EnsureSourceRel(a.ID, b.ID, RelFact); err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]SourceID{{a.ID, b.ID}, {b.ID, a.ID}, {a.ID, c.ID}} {
+		if n := testing.AllocsPerRun(100, func() { _, _, _ = r.FindMapping(pair[0], pair[1]) }); n != 0 {
+			t.Fatalf("FindMapping(%d, %d): %.1f allocs per call, want 0", pair[0], pair[1], n)
+		}
+	}
+	first, _, _ := r.FindMapping(a.ID, b.ID)
+	if again, _, _ := r.FindMapping(b.ID, a.ID); again != first {
+		t.Fatal("FindMapping returned two different *SourceRel for one mapping")
+	}
+}
+
 func TestAssociations(t *testing.T) {
 	r := newRepo(t)
 	s1, _, _ := r.EnsureSource(Source{Name: "A"})

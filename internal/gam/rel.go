@@ -54,25 +54,23 @@ func (r *Repo) SourceRels() ([]*SourceRel, error) {
 // directions. The second return value reports whether the found mapping is
 // reversed (stored as s2->s1). Annotation and derived mappings are
 // preferred over structural ones; among candidates, Fact beats Similarity
-// beats Composed.
+// beats Composed. The returned *SourceRel is the catalog's own, shared by
+// every caller: read it, never write to it.
 func (r *Repo) FindMapping(s1, s2 SourceID) (*SourceRel, bool, error) {
 	rels := r.cat.Load().rels
-	prefs := []RelType{RelFact, RelSimilarity, RelComposed, RelSubsumed, RelIsA, RelContains}
-	var found *SourceRel
-	reversed := false
-	for _, typ := range prefs {
-		if id, ok := rels[relKey{s1: s1, s2: s2, typ: typ}]; ok {
-			found = &SourceRel{ID: id, Source1: s1, Source2: s2, Type: typ}
-			break
+	for _, typ := range mappingPrefs {
+		if rel, ok := rels[relKey{s1: s1, s2: s2, typ: typ}]; ok {
+			return rel, false, nil
 		}
-		if id, ok := rels[relKey{s1: s2, s2: s1, typ: typ}]; ok {
-			found = &SourceRel{ID: id, Source1: s2, Source2: s1, Type: typ}
-			reversed = true
-			break
+		if rel, ok := rels[relKey{s1: s2, s2: s1, typ: typ}]; ok {
+			return rel, true, nil
 		}
 	}
-	return found, reversed, nil
+	return nil, false, nil
 }
+
+// mappingPrefs is FindMapping's order of preference among mapping types.
+var mappingPrefs = []RelType{RelFact, RelSimilarity, RelComposed, RelSubsumed, RelIsA, RelContains}
 
 // FindIsARel returns the intra-source IS_A mapping of a source, or 0 when
 // the source has no taxonomy structure. The boolean reports presence.
@@ -82,8 +80,10 @@ func (r *Repo) FindIsARel(src SourceID) (SourceRelID, bool, error) {
 
 // FindRel returns the mapping (s1, s2, typ) exactly as stored, or 0.
 func (r *Repo) FindRel(s1, s2 SourceID, typ RelType) (SourceRelID, bool, error) {
-	id, ok := r.cat.Load().rels[relKey{s1: s1, s2: s2, typ: typ}]
-	return id, ok, nil
+	if rel, ok := r.cat.Load().rels[relKey{s1: s1, s2: s2, typ: typ}]; ok {
+		return rel.ID, true, nil
+	}
+	return 0, false, nil
 }
 
 // ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ type catalog struct {
 	sources     map[string]*Source // lower(name) -> source
 	sourcesByID map[SourceID]*Source
 	objects     map[SourceID]*accessions // loaded per source on first use
-	rels        map[relKey]SourceRelID
+	rels        map[relKey]*SourceRel    // read-only: FindMapping hands these out
 
 	// Whole-schema row counts behind Stats, computed by loadCaches and
 	// moved by each committed batch's publish. byType has no zero entries.
@@ -349,7 +349,7 @@ func (r *Repo) loadCaches() error {
 		sources:     make(map[string]*Source),
 		sourcesByID: make(map[SourceID]*Source),
 		objects:     make(map[SourceID]*accessions),
-		rels:        make(map[relKey]SourceRelID),
+		rels:        make(map[relKey]*SourceRel),
 		rows:        newObjectTable(),
 	}
 	err := tx.QueryEach(sqlSelectSources, func(row []sqldb.Value) error {
@@ -363,7 +363,7 @@ func (r *Repo) loadCaches() error {
 	}
 	err = tx.QueryEach(sqlSelectSourceRels, func(row []sqldb.Value) error {
 		rel := rowToSourceRel(row)
-		c.rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel.ID
+		c.rels[relKey{s1: rel.Source1, s2: rel.Source2, typ: rel.Type}] = rel
 		return nil
 	})
 	if err != nil {

@@ -12,14 +12,14 @@ import (
 	"genmapper/internal/sqldb"
 )
 
-// plainAndPinned runs a test on a fresh repository twice — plainly ("lock") and
-// beside a cursor whose snapshot predates the import ("mvcc"), so every
-// superseded version stays in storage (the leg names predate this axis
-// and are kept so test names stay stable). An import reads back what it
-// just wrote (duplicate elimination, the IS_A rows under DeriveSubsumed)
-// through its own transaction; the cursor must still count nothing of it.
-// Afterwards the repository's maintained Stats must equal the recount
-// (checkStats).
+// plainAndPinned runs a test on a fresh repository twice — plainly ("lock")
+// and beside readers whose snapshot predates the import ("mvcc"), so
+// every superseded version stays in storage (the leg names predate this
+// axis and are kept so test names stay stable). An import reads back what
+// it just wrote (duplicate elimination, the IS_A rows under
+// DeriveSubsumed) through its own transaction; the readers must still see
+// nothing of it. Afterwards the repository's maintained Stats must equal
+// the recount (checkStats).
 func plainAndPinned(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
 	for _, mode := range []struct {
 		name   string
@@ -33,24 +33,78 @@ func plainAndPinned(t *testing.T, test func(t *testing.T, repo *gam.Repo)) {
 				t.Fatal(err)
 			}
 			if mode.pinned {
-				reader, err := db.QueryCursor("SELECT COUNT(*) FROM object")
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer func() {
-					row, err := reader.Next()
-					reader.Close()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if n := row[0]; n != int64(0) {
-						t.Fatalf("a snapshot older than the import sees %v objects", n)
-					}
-				}()
+				defer pinEmptySnapshot(t, db)()
 			}
 			test(t, repo)
 			checkStats(t, repo)
 		})
+	}
+}
+
+// pinEmptySnapshot parks one full scan per GAM table on a snapshot that
+// predates the test. Each scan parks on a sentinel row (key -1) that is
+// deleted again at once, so the test starts on empty tables. check lets
+// the scans walk on in row-ID order, over every row slot the test filled,
+// and fails if any row past the sentinel is visible at their snapshot.
+func pinEmptySnapshot(t *testing.T, db *sqldb.DB) (check func()) {
+	t.Helper()
+	resumes := map[string]func() [][]sqldb.Value{}
+	for _, tb := range []struct{ name, key, sentinel string }{
+		{"source", "source_id", "(source_id, name, content, structure) VALUES (-1, '', '', '')"},
+		{"object", "object_id", "(object_id, source_id, accession) VALUES (-1, -1, '')"},
+		{"source_rel", "source_rel_id", "(source_rel_id, source1_id, source2_id, type) VALUES (-1, -1, -1, '')"},
+		{"object_rel", "object_rel_id", "(object_rel_id, source_rel_id, object1_id, object2_id) VALUES (-1, -1, -1, -1)"},
+	} {
+		if _, err := db.Exec("INSERT INTO " + tb.name + " " + tb.sentinel); err != nil {
+			t.Fatal(err)
+		}
+		resumes[tb.name] = parkQuery(t, db, "SELECT "+tb.key+" FROM "+tb.name)
+		if _, err := db.Exec("DELETE FROM " + tb.name + " WHERE " + tb.key + " = -1"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return func() {
+		t.Helper()
+		for table, resume := range resumes {
+			if rows := resume(); len(rows) != 1 {
+				t.Errorf("a snapshot older than the test sees %d rows of %s", len(rows)-1, table)
+			}
+		}
+	}
+}
+
+// parkQuery runs sql through QueryEach on its own goroutine and returns
+// once the callback holds the first row: the statement's snapshot stays
+// registered, and every version superseded after it stays in storage,
+// until resume lets the callback return. resume yields every row the
+// statement streamed.
+func parkQuery(t *testing.T, db *sqldb.DB, sql string) (resume func() [][]sqldb.Value) {
+	t.Helper()
+	parked, release := make(chan struct{}), make(chan struct{})
+	var rows [][]sqldb.Value
+	done := make(chan error, 1)
+	go func() {
+		done <- db.QueryEach(sql, func(row []sqldb.Value) error {
+			rows = append(rows, append([]sqldb.Value(nil), row...))
+			if len(rows) == 1 {
+				close(parked)
+				<-release
+			}
+			return nil
+		})
+	}()
+	select {
+	case <-parked:
+	case err := <-done:
+		t.Fatalf("%s returned (%v) before its first row", sql, err)
+	}
+	return func() [][]sqldb.Value {
+		t.Helper()
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		return rows
 	}
 }
 

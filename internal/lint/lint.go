@@ -6,7 +6,6 @@ package lint
 import (
 	"genmapper/internal/lint/analysis"
 	"genmapper/internal/lint/atomicgen"
-	"genmapper/internal/lint/cursorclose"
 	"genmapper/internal/lint/errdrop"
 	"genmapper/internal/lint/lockorder"
 	"genmapper/internal/lint/mvccepoch"
@@ -17,7 +16,6 @@ import (
 func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicgen.Analyzer,
-		cursorclose.Analyzer,
 		errdrop.Analyzer,
 		lockorder.Analyzer,
 		mvccepoch.Analyzer,

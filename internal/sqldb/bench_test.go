@@ -5,6 +5,7 @@ package sqldb
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -488,23 +489,15 @@ func BenchmarkExport100kCursorStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := db.QueryCursor(exportBenchQuery)
+		n := 0
+		err := db.QueryEach(exportBenchQuery, func(row []Value) error {
+			writeRowTSV(w, row)
+			n++
+			return nil
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
-		n := 0
-		for {
-			row, err := cur.Next()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if row == nil {
-				break
-			}
-			writeRowTSV(w, row)
-			n++
-		}
-		cur.Close()
 		if n != 100000 {
 			b.Fatalf("rows = %d", n)
 		}
@@ -513,7 +506,7 @@ func BenchmarkExport100kCursorStream(b *testing.B) {
 }
 
 // The LIMIT-prefix shape: a consumer that needs only the first rows of a
-// big result. The cursor pays for what it reads, not for the table size.
+// big result. A stream pays for what it reads, not for the table size.
 func BenchmarkPrefix10Of100kMaterialized(b *testing.B) {
 	db := benchExportDB(b)
 	b.ReportAllocs()
@@ -526,21 +519,24 @@ func BenchmarkPrefix10Of100kMaterialized(b *testing.B) {
 	}
 }
 
+// errPrefixDone stops a streamed read after its prefix.
+var errPrefixDone = errors.New("prefix read")
+
 func BenchmarkPrefix10Of100kCursorStream(b *testing.B) {
 	db := benchExportDB(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cur, err := db.QueryCursor(exportBenchQuery)
-		if err != nil {
+		n := 0
+		err := db.QueryEach(exportBenchQuery, func([]Value) error {
+			if n++; n == 10 {
+				return errPrefixDone
+			}
+			return nil
+		})
+		if err != errPrefixDone {
 			b.Fatal(err)
 		}
-		for n := 0; n < 10; n++ {
-			if _, err := cur.Next(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		cur.Close()
 	}
 }
 

@@ -1,12 +1,13 @@
 package sqldb
 
-// Volcano-style pull execution. Every SELECT — materialized Query and
-// streaming QueryCursor alike — runs through the producer pipeline in this
-// file: an access-path producer at the bottom (full scan, index candidate
-// list, ordered B-tree traversal), one join producer per JOIN clause
-// stacked on top, and a selectCursor driving WHERE evaluation, projection
-// and LIMIT/OFFSET at the top. Materializing execution is just "drain the
-// cursor"; there is exactly one execution engine.
+// Volcano-style execution. Every SELECT — Query and QueryEach alike — runs
+// through the producer pipeline in this file: an access-path producer at
+// the bottom (full scan, index candidate list, ordered B-tree traversal),
+// one join producer per JOIN clause stacked on top, and selectExec.run at
+// the top, which pulls tuples from that chain, evaluates WHERE, OFFSET,
+// LIMIT and the projection, and pushes each output row to a callback.
+// Query is QueryEach with a collecting callback; there is exactly one
+// execution engine.
 //
 // Pipeline breakers (GROUP BY, DISTINCT, and ORDER BY that an index cannot
 // satisfy) buffer their input before emitting, as in any Volcano engine.
@@ -14,57 +15,23 @@ package sqldb
 // second is produced, and memory stays O(1) in the result size.
 
 import (
-	"errors"
 	"fmt"
+	"strings"
 )
-
-// Cursor is a streaming query result. Rows are pulled one at a time with
-// Next; a nil row with a nil error marks exhaustion. Close releases the
-// cursor's resources and is idempotent.
-//
-// Cursors do not lock the database: a cursor pins a snapshot epoch at
-// open, Next takes no database lock at all, and every row reflects exactly
-// that snapshot, so writers make progress while a large result streams
-// out. The snapshot is released at Close (or exhaustion), unblocking
-// vacuum. Any schema change (DDL or snapshot restore) invalidates the
-// cursor: Next then fails with ErrCursorInvalidated.
-//
-// The slice returned by Next is reused between calls; copy the values you
-// need before calling Next again. A Cursor must not be used from multiple
-// goroutines concurrently.
-type Cursor interface {
-	// Columns returns the output column names.
-	Columns() []string
-	// Next returns the next row, or (nil, nil) once the result is
-	// exhausted. The returned slice is only valid until the next call.
-	Next() ([]Value, error)
-	// Close releases the cursor. Further Next calls fail.
-	Close() error
-}
-
-// ErrCursorInvalidated is returned by Cursor.Next when a schema change
-// (DDL, Restore) occurred after the cursor was opened.
-var ErrCursorInvalidated = errors.New("sqldb: cursor invalidated by schema change")
-
-var errCursorClosed = errors.New("sqldb: cursor is closed")
 
 // orderedChunkSize bounds how many row IDs an ordered index traversal
 // pulls per refill, so ORDER BY ... LIMIT consumers stop the B-tree walk
 // after roughly one chunk instead of collecting every matching entry.
 const orderedChunkSize = 256
 
-// QueryCursor executes a SELECT and returns a streaming cursor over its
-// rows. See Cursor for locking and invalidation semantics.
-func (db *DB) QueryCursor(sql string, args ...any) (Cursor, error) {
-	return db.stmts.get(db, sql).QueryCursor(args...)
-}
-
 // QueryEach executes a SELECT and streams its rows through fn under a
 // single consistent statement snapshot (like Query) without materializing
-// a result set (like QueryCursor). The iteration holds a snapshot epoch,
-// not a database lock. The row slice passed to fn is reused between calls;
-// fn must copy anything it keeps. A non-nil error from fn stops the
-// iteration and is returned.
+// a result set. The iteration holds a snapshot epoch, not a database
+// lock, so writers and DDL proceed while fn runs: the statement finishes
+// at its snapshot over the tables its plan bound, and the next statement
+// re-plans. The row slice passed to fn is reused between calls; fn must
+// copy anything it keeps. A non-nil error from fn stops the iteration and
+// is returned.
 func (db *DB) QueryEach(sql string, fn func(row []Value) error, args ...any) error {
 	return db.stmts.get(db, sql).QueryEach(fn, args...)
 }
@@ -79,103 +46,8 @@ func (s *Stmt) QueryEach(fn func(row []Value) error, args ...any) error {
 	db := s.db
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
-	return s.eachVis(fn, vals, visibility{snap: snap})
-}
-
-// eachVis runs the QueryEach drain pinned to vis; the caller owns the
-// snapshot registration.
-func (s *Stmt) eachVis(fn func(row []Value) error, vals []Value, vis visibility) error {
-	db := s.db
-	p, err := s.ensure(db)
-	if err != nil {
-		return err
-	}
-	if p.expl != nil {
-		rs, err := db.explainResult(p.expl)
-		if err != nil {
-			return err
-		}
-		for _, row := range rs.Rows {
-			if err := fn(row); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if p.sel == nil {
-		return fmt.Errorf("sqldb: QueryEach requires a SELECT statement")
-	}
-	if err := p.checkArgs(vals); err != nil {
-		return err
-	}
-	c := newSelectCursor(db, p.sel, vals, true, vis)
-	defer c.close()
-	return c.each(fn)
-}
-
-// QueryCursor executes the prepared statement as a streaming SELECT.
-func (s *Stmt) QueryCursor(args ...any) (Cursor, error) {
-	vals, err := normalizeArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	db := s.db
-	snap := db.snaps.acquire(db)
-	c, err := s.cursorVis(vals, visibility{snap: snap})
-	if err != nil {
-		db.snaps.release(snap)
-		return nil, err
-	}
-	c.ownSnap = true
-	return c, nil
-}
-
-// cursorVis builds the public cursor handle pinned to vis (planning is
-// lock-free).
-func (s *Stmt) cursorVis(vals []Value, vis visibility) (*dbCursor, error) {
-	db := s.db
-	p, err := s.ensure(db)
-	if err != nil {
-		return nil, err
-	}
-	if p.expl != nil {
-		// EXPLAIN yields a small, already-materialized plan rendering; the
-		// cursor serves the static rows with no engine pipeline behind it.
-		rs, err := db.explainResult(p.expl)
-		if err != nil {
-			return nil, err
-		}
-		return &dbCursor{db: db, static: rs, cols: rs.Columns, gen: db.gen.Load(), snap: vis.snap}, nil
-	}
-	if p.sel == nil {
-		return nil, fmt.Errorf("sqldb: QueryCursor requires a SELECT statement")
-	}
-	if err := p.checkArgs(vals); err != nil {
-		return nil, err
-	}
-	return &dbCursor{
-		db:    db,
-		inner: newSelectCursor(db, p.sel, vals, true, vis),
-		cols:  p.sel.projNames,
-		gen:   db.gen.Load(),
-		snap:  vis.snap,
-	}, nil
-}
-
-// QueryCursor runs a streaming SELECT inside the transaction, observing
-// its own (uncommitted) writes like Tx.Query does: the cursor reads at the
-// transaction's snapshot (which the transaction owns — the cursor does not
-// release it) and sees the transaction's provisional versions. Writes the
-// transaction makes while the cursor is open may or may not be observed.
-func (tx *Tx) QueryCursor(sql string, args ...any) (Cursor, error) {
-	if tx.done {
-		return nil, errTxFinished
-	}
-	vals, err := normalizeArgs(args)
-	if err != nil {
-		return nil, err
-	}
-	return tx.db.stmts.get(tx.db, sql).cursorVis(vals, tx.vis())
+	_, err = s.run(vals, visibility{snap: snap}, nil, fn)
+	return err
 }
 
 // QueryEach streams a SELECT's rows through fn inside the transaction,
@@ -189,273 +61,128 @@ func (tx *Tx) QueryEach(sql string, fn func(row []Value) error, args ...any) err
 	if err != nil {
 		return err
 	}
-	return tx.db.stmts.get(tx.db, sql).eachVis(fn, vals, tx.vis())
+	_, err = tx.db.stmts.get(tx.db, sql).run(vals, tx.vis(), nil, fn)
+	return err
 }
 
-// dbCursor is the public cursor handle: it wraps the lock-free engine
-// cursor with schema-generation validation and the pinned snapshot's
-// lifetime.
-type dbCursor struct {
-	db     *DB
-	inner  *selectCursor
-	cols   []string
-	gen    uint64
-	closed bool
-
-	snap    uint64 // pinned snapshot epoch
-	ownSnap bool   // this cursor registered snap and must release it
-
-	// static serves pre-materialized rows (EXPLAIN) with no engine cursor;
-	// inner is nil for the cursor's whole lifetime then.
-	static *ResultSet
-	spos   int
-}
-
-// Columns returns the output column names.
-func (c *dbCursor) Columns() []string { return c.cols }
-
-// releaseSnap hands a cursor-owned snapshot back to the tracker so vacuum
-// can advance past it. Idempotent.
-func (c *dbCursor) releaseSnap() {
-	if c.ownSnap {
-		c.ownSnap = false
-		c.db.snaps.release(c.snap)
+// run executes the statement as a SELECT (or EXPLAIN) at vis, hands each
+// output row to fn and returns the output column names. Every Query and
+// QueryEach of DB, Stmt and Tx ends here. all is nil, or the slice fn
+// collects into (see selectExec.run). The caller owns the snapshot
+// registration; planning takes no lock.
+func (s *Stmt) run(vals []Value, vis visibility, all *[][]Value, fn func(row []Value) error) ([]string, error) {
+	db := s.db
+	p, err := s.ensure(db)
+	if err != nil {
+		return nil, err
 	}
-}
-
-// Next returns the next row, or (nil, nil) at exhaustion.
-func (c *dbCursor) Next() ([]Value, error) {
-	if c.closed {
-		return nil, errCursorClosed
-	}
-	if c.static != nil {
-		if c.spos >= len(c.static.Rows) {
-			c.releaseSnap()
-			return nil, nil
-		}
-		row := c.static.Rows[c.spos]
-		c.spos++
-		return row, nil
-	}
-	db := c.db
-	if db.gen.Load() != c.gen {
-		c.releaseSnap()
-		return nil, ErrCursorInvalidated
-	}
-	row, err := c.inner.step()
-	if row == nil {
-		// Terminal (exhaustion or error): stop pinning the vacuum horizon
-		// even if the caller forgets to Close.
-		c.releaseSnap()
-	}
-	return row, err
-}
-
-// Close releases the cursor's buffered state and a cursor-owned snapshot.
-// Idempotent.
-func (c *dbCursor) Close() error {
-	if c.closed {
-		return nil
-	}
-	c.closed = true
-	if c.inner != nil {
-		c.inner.close()
-		c.inner = nil // release snapshots, hash tables and buffers
-	}
-	c.releaseSnap()
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Engine cursor
-
-// selectCursor executes one SELECT as a pull pipeline at its execution's
-// snapshot. It takes no lock: rows are read from their slots atomically.
-type selectCursor struct {
-	ex *selectExec
-	// reuseRow makes step return one shared output buffer (the streaming
-	// Cursor contract); the materializing drain keeps it off so ResultSet
-	// rows are independent slices.
-	reuseRow bool
-	started  bool
-	done     bool
-
-	// Streaming state (non-grouped, non-distinct, order already satisfied).
-	streaming bool
-	prod      rowProducer
-	skip      int64 // OFFSET rows still to drop
-	remain    int64 // LIMIT rows still to emit; -1 = unlimited
-	rowBuf    []Value
-
-	// Buffered state (pipeline breakers: GROUP BY, DISTINCT, real sorts).
-	buf [][]Value
-	pos int
-}
-
-func newSelectCursor(db *DB, p *selectPlan, args []Value, reuseRow bool, vis visibility) *selectCursor {
-	return &selectCursor{
-		ex:       &selectExec{db: db, p: p, env: p.newEnv(args), vis: vis},
-		reuseRow: reuseRow,
-	}
-}
-
-// step returns the next output row, or (nil, nil) at exhaustion.
-func (c *selectCursor) step() ([]Value, error) {
-	if !c.started {
-		if err := c.start(); err != nil {
-			c.done = true
-			return nil, err
-		}
-	}
-	if c.done {
-		return nil, nil
-	}
-	if c.streaming {
-		return c.stepStreaming()
-	}
-	if c.pos >= len(c.buf) {
-		c.done = true
-		c.buf = nil
-		return nil, nil
-	}
-	row := c.buf[c.pos]
-	c.pos++
-	return row, nil
-}
-
-// drain runs the cursor to completion, returning all rows at once (the
-// materializing Query path).
-func (c *selectCursor) drain() ([][]Value, error) {
-	if !c.started {
-		if err := c.start(); err != nil {
-			c.done = true
-			return nil, err
-		}
-	}
-	if !c.streaming {
-		rows := c.buf
-		if c.pos > 0 {
-			rows = rows[c.pos:]
-		}
-		c.buf = nil
-		c.done = true
-		return rows, nil
-	}
-	var out [][]Value
-	for {
-		row, err := c.step()
+	if p.expl != nil {
+		text, err := db.explainText(p.expl)
 		if err != nil {
 			return nil, err
 		}
-		if row == nil {
-			return out, nil
+		for _, line := range strings.Split(text, "\n") {
+			if err := fn([]Value{line}); err != nil {
+				return nil, err
+			}
 		}
-		out = append(out, row)
+		return explainColumns, nil
 	}
+	if p.sel == nil {
+		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
+	}
+	if err := p.checkArgs(vals); err != nil {
+		return nil, err
+	}
+	ex := &selectExec{db: db, p: p.sel, env: p.sel.newEnv(vals), vis: vis}
+	return p.sel.projNames, ex.run(all, fn)
 }
 
-// start decides between the streaming and buffered pipelines and builds
-// the producer chain. It runs lazily on the first step, so a cursor opened
-// but never read does no work.
-func (c *selectCursor) start() error {
-	c.started = true
-	p := c.ex.p
-	c.streaming = !p.grouped && !p.st.Distinct && (len(p.st.OrderBy) == 0 || p.orderSatisfied)
-	if !c.streaming {
-		rows, err := c.ex.runBuffered()
+// collect runs the statement and materializes its rows.
+func (s *Stmt) collect(vals []Value, vis visibility) (*ResultSet, error) {
+	var rows [][]Value
+	cols, err := s.run(vals, vis, &rows, func(row []Value) error {
+		rows = append(rows, row)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &ResultSet{Columns: cols, Rows: rows}, nil
+}
+
+// run executes the SELECT, handing each output row to fn. Streaming
+// shapes stop the producer chain once LIMIT is met and project every row
+// into one reused slice. Pipeline breakers hand over the rows they
+// buffered. When fn collects into a slice, the caller passes it as all:
+// streamed rows are then fresh slices fn may keep, and buffered rows are
+// stored into *all whole, without calling fn.
+func (ex *selectExec) run(all *[][]Value, fn func(row []Value) error) error {
+	p := ex.p
+	if p.grouped || p.st.Distinct || len(p.st.OrderBy) > 0 && !p.orderSatisfied {
+		rows, err := ex.runBuffered()
 		if err != nil {
 			return err
 		}
-		c.buf = rows
-		return nil
-	}
-	skip, remain, err := c.ex.evalLimitOffset()
-	if err != nil {
-		return err
-	}
-	c.skip, c.remain = skip, remain
-	if c.remain == 0 {
-		// LIMIT 0: done before touching any table (or counter).
-		c.done = true
-		return nil
-	}
-	if c.remain > 0 && c.remain+c.skip <= 1<<20 {
-		c.ex.orderedHint = int(c.remain + c.skip)
-	}
-	prod, err := c.ex.buildProducer()
-	if err != nil {
-		return err
-	}
-	c.prod = prod
-	if c.reuseRow {
-		c.rowBuf = make([]Value, len(p.projExprs))
-	}
-	return nil
-}
-
-// close releases engine-cursor resources. Idempotent.
-func (c *selectCursor) close() {
-	c.done = true
-	c.buf = nil
-}
-
-// each streams every output row to fn (the QueryEach drain).
-func (c *selectCursor) each(fn func(row []Value) error) error {
-	for {
-		row, err := c.step()
-		if err != nil {
-			return err
-		}
-		if row == nil {
+		if all != nil {
+			*all = rows
 			return nil
 		}
-		if err := fn(row); err != nil {
-			return err
+		for _, row := range rows {
+			if err := fn(row); err != nil {
+				return err
+			}
 		}
+		return nil
 	}
-}
-
-func (c *selectCursor) stepStreaming() ([]Value, error) {
-	ex := c.ex
+	skip, remain, err := ex.evalLimitOffset()
+	if err != nil || remain == 0 {
+		return err // LIMIT 0: done before touching any table (or counter)
+	}
+	if remain > 0 && remain+skip <= 1<<20 {
+		ex.orderedHint = int(remain + skip)
+	}
+	prod, err := ex.buildProducer()
+	if err != nil {
+		return err
+	}
+	keep := all != nil
+	var row []Value
+	if !keep {
+		row = make([]Value, len(p.projExprs))
+	}
 	for {
-		ok, err := c.prod.next(ex)
-		if err != nil {
-			c.done = true
-			return nil, err
-		}
-		if !ok {
-			c.done = true
-			return nil, nil
+		ok, err := prod.next(ex)
+		if err != nil || !ok {
+			return err
 		}
 		pass, err := ex.evalWhere()
 		if err != nil {
-			c.done = true
-			return nil, err
+			return err
 		}
 		if !pass {
 			continue
 		}
-		if c.skip > 0 {
-			c.skip--
+		if skip > 0 {
+			skip--
 			continue
 		}
-		row := c.rowBuf
-		if row == nil {
-			row = make([]Value, len(ex.p.projExprs))
+		if keep {
+			row = make([]Value, len(p.projExprs))
 		}
 		if err := ex.projectInto(row); err != nil {
-			c.done = true
-			return nil, err
+			return err
 		}
-		if c.remain > 0 {
-			c.remain--
-			if c.remain == 0 {
+		if remain > 0 {
+			if remain--; remain == 0 {
 				// Row production stops before the source is exhausted.
 				ex.db.plans.earlyLimitHit.Add(1)
-				c.done = true
+				return fn(row)
 			}
 		}
-		return row, nil
+		if err := fn(row); err != nil {
+			return err
+		}
 	}
 }
 
@@ -520,11 +247,11 @@ func (ex *selectExec) buildProducer() (rowProducer, error) {
 
 // scanProducer emits the base table's rows in ascending row-ID order. It
 // keeps the next row ID to examine and walks the table's row slots from
-// there at each refill, so an open cursor survives concurrent inserts,
+// there at each refill, so a running scan survives concurrent inserts,
 // deletes and vacuum without snapshotting anything: row IDs only grow, so
 // a refill never re-emits a row, and row visibility comes from the
 // execution's snapshot, so a chunk added or dropped since the last refill
-// never changes which rows the cursor observes.
+// never changes which rows the scan observes.
 //
 // Rows are resolved a run at a time into ahead: back-to-back slot probes
 // overlap their cache misses, which one probe per pulled row —

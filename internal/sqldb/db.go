@@ -30,7 +30,7 @@ type DB struct {
 	// gen is the schema generation, bumped by every DDL change (and its
 	// rollback). Prepared plans record the generation they were built under
 	// and are transparently rebuilt when it moves. Written under writer;
-	// read atomically so lock-free cursors can poll it at every step.
+	// read atomically so Stmt.ensure can check it without a lock.
 	gen atomic.Uint64
 	// noIndex disables index access paths in the planner (see
 	// setIndexAccess). Atomic: planning reads it lock-free.
@@ -699,7 +699,7 @@ type Tx struct {
 // Begin opens a transaction. Like SQLite's BEGIN IMMEDIATE it takes the
 // writer lock first, waiting for an open transaction to finish, and then
 // captures its snapshot. A read that must not wait for a writer takes a
-// snapshot of its own instead (Query, QueryCursor).
+// snapshot of its own instead (Query, QueryEach).
 func (db *DB) Begin() *Tx {
 	db.writer.Lock()
 	return &Tx{
@@ -767,7 +767,7 @@ func (tx *Tx) Query(sql string, args ...any) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tx.db.stmts.get(tx.db, sql).queryVis(vals, tx.vis())
+	return tx.db.stmts.get(tx.db, sql).collect(vals, tx.vis())
 }
 
 // vis is the visibility the transaction reads at.

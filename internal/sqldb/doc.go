@@ -1,16 +1,16 @@
 // Package sqldb is the embedded relational engine: SQL parsing, planning,
 // Volcano-style row execution over versioned row storage, transactions
 // with undo-log rollback, MVCC snapshot isolation with lock-free readers,
-// streaming cursors, and WAL-backed durability with group commit and
-// checkpointing.
+// callback streaming (QueryEach), and WAL-backed durability with group
+// commit and checkpointing.
 //
 // # Execution
 //
 // There is one execution leg: the row cursor (cursor.go). Every SELECT —
 // point, index and range access, full scans, joins, aggregates —
-// runs as a pull pipeline of row producers, one row at a time, at the
-// statement's snapshot; materialized Query, QueryEach and QueryCursor
-// only differ in how they drain it. A scan walks the table's row slots
+// runs as a pipeline of pulled row producers, one row at a time, at the
+// statement's snapshot, and one loop on top pushes each output row to a
+// callback: QueryEach hands it to the caller, Query collects it. A scan walks the table's row slots
 // (table.go) in row-ID order, so results come in row-ID order, which the planner-equivalence
 // fuzz relies on to compare access paths byte-for-byte.
 //
@@ -60,14 +60,16 @@
 //     log.
 //
 //  4. Schema generation is atomic and accessor-only. db.gen is read
-//     lock-free by every cursor step to detect invalidation; it is
-//     mutated only by bumpSchemaGen, under the writer held by the DDL
-//     (or restore) that invalidates those cursors.
+//     lock-free by Stmt.ensure, which re-plans a statement whose compiled
+//     form is older; it is mutated only by bumpSchemaGen, under the
+//     writer held by the DDL (or restore) that makes those plans stale.
+//     A statement already running finishes at its snapshot over the
+//     tables its plan bound.
 //
-//  5. Cursors are closed. Every Cursor obtained from QueryCursor is
-//     closed on all paths or handed off: Close releases the cursor's
-//     pinned snapshot, which otherwise holds back vacuum
-//     (TestCursorEarlyClose and TestSnapshotReleasedOnErrorPaths guard it).
+//  5. Retired: it required every pull cursor to be closed, so that its
+//     pinned snapshot would not hold back vacuum. Reads are callbacks
+//     now, and every statement releases its snapshot when it returns.
+//     The number is kept so the others keep theirs.
 //
 //  6. Durability errors are handled. Errors from WAL, fsync, Close and
 //     file-removal calls are never silently dropped; best-effort sites

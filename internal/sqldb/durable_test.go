@@ -191,49 +191,6 @@ func TestRestoreResetsWALTail(t *testing.T) {
 	}
 }
 
-// TestRestoreWhileDurableInvalidatesCursors: Restore on a durable DB is
-// still DDL from a cursor's point of view.
-func TestRestoreWhileDurableInvalidatesCursors(t *testing.T) {
-	dir := t.TempDir()
-	db, err := OpenDurable(dir, DurableOptions{Sync: wal.SyncOff, CheckpointInterval: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if _, err := db.Exec("CREATE TABLE t (n INTEGER)"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if _, err := db.Exec("INSERT INTO t (n) VALUES (?)", i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	snap := filepath.Join(t.TempDir(), "s.snap")
-	if err := db.Save(snap); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := db.QueryCursor("SELECT n FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		_, err := cur.Next()
-		if err == ErrCursorInvalidated {
-			break
-		}
-		if err != nil {
-			t.Fatalf("cursor error = %v, want ErrCursorInvalidated", err)
-		}
-	}
-}
-
 // TestDDLRollbackThenRecovery: a rolled-back transaction containing DDL
 // leaves nothing in the WAL; recovery must replay later commits onto the
 // undone schema without tripping over the phantom DDL.

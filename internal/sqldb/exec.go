@@ -68,18 +68,6 @@ type fixedCol struct {
 func (f *fixedCol) Eval(env *RowEnv) (Value, error) { return env.vals[f.pos], nil }
 func (f *fixedCol) String() string                  { return fmt.Sprintf("col#%d", f.pos) }
 
-// executeSelectVis materializes a SELECT at a registered snapshot by
-// draining its cursor pipeline. It takes no lock at all.
-func (db *DB) executeSelectVis(p *selectPlan, args []Value, vis visibility) (*ResultSet, error) {
-	c := newSelectCursor(db, p, args, false, vis)
-	defer c.close()
-	rows, err := c.drain()
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{Columns: p.projNames, Rows: rows}, nil
-}
-
 // evalWhere evaluates the WHERE clause against the current environment row
 // (true when absent).
 func (ex *selectExec) evalWhere() (bool, error) {

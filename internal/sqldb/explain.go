@@ -389,26 +389,19 @@ func renderPlanText(doc *PlanDoc) string {
 	return strings.TrimRight(b.String(), "\n")
 }
 
-// explainResult renders the plan document as a one-column result set with
-// one row per output line, so every query surface (Query, QueryEach,
-// QueryCursor, the REPL) prints it naturally.
-func (db *DB) explainResult(ep *explainPlan) (*ResultSet, error) {
+// explainColumns is the one output column of an EXPLAIN: the plan
+// document, one row per line, so every query surface (Query, QueryEach,
+// the REPL) prints it naturally.
+var explainColumns = []string{"plan"}
+
+// explainText renders the plan document in the statement's format.
+func (db *DB) explainText(ep *explainPlan) (string, error) {
 	doc := db.describePlan(ep)
-	var text string
-	if ep.format == "json" {
-		b, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		text = string(b)
-	} else {
-		text = renderPlanText(doc)
+	if ep.format != "json" {
+		return renderPlanText(doc), nil
 	}
-	rs := &ResultSet{Columns: []string{"plan"}}
-	for _, line := range strings.Split(text, "\n") {
-		rs.Rows = append(rs.Rows, []Value{line})
-	}
-	return rs, nil
+	b, err := json.MarshalIndent(doc, "", "  ")
+	return string(b), err
 }
 
 // Explain compiles sql (without an EXPLAIN prefix) and returns its plan
@@ -421,14 +414,9 @@ func (db *DB) Explain(sql, format string) (string, error) {
 	default:
 		return "", fmt.Errorf("sqldb: unknown EXPLAIN format %q (want \"json\" or \"text\")", format)
 	}
-	rs, err := db.Query("EXPLAIN (FORMAT " + strings.ToUpper(format) + ") " + sql)
+	p, err := db.stmts.get(db, "EXPLAIN (FORMAT "+strings.ToUpper(format)+") "+sql).ensure(db)
 	if err != nil {
 		return "", err
 	}
-	lines := make([]string, 0, len(rs.Rows))
-	for _, row := range rs.Rows {
-		s, _ := row[0].(string)
-		lines = append(lines, s)
-	}
-	return strings.Join(lines, "\n"), nil
+	return db.explainText(p.expl)
 }

@@ -214,38 +214,13 @@ func TestExplainSurfaces(t *testing.T) {
 		t.Fatalf("json first line = %q", first)
 	}
 
-	// QueryEach and QueryCursor stream the same rendering.
-	var lines []string
-	err = db.QueryEach("EXPLAIN (FORMAT JSON) SELECT symbol FROM genes", func(row []Value) error {
-		lines = append(lines, row[0].(string))
-		return nil
-	})
+	// QueryEach streams the same rendering.
+	lines, err := eachRows(db.QueryEach, "EXPLAIN (FORMAT JSON) SELECT symbol FROM genes")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != len(rs.Rows) {
-		t.Fatalf("QueryEach produced %d lines, Query produced %d", len(lines), len(rs.Rows))
-	}
-	cur, err := db.QueryCursor("EXPLAIN (FORMAT JSON) SELECT symbol FROM genes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for {
-		row, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-		n++
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if n != len(rs.Rows) {
-		t.Fatalf("cursor produced %d rows, want %d", n, len(rs.Rows))
+	if fmt.Sprint(lines) != fmt.Sprint(rs.Rows) {
+		t.Fatalf("QueryEach streamed %q, Query returned %q", lines, rs.Rows)
 	}
 
 	// Exec must reject EXPLAIN without executing anything.

@@ -49,8 +49,8 @@ func objectRelRows(n int, tagPrefix string) (string, []any) {
 }
 
 // insertModes runs fn on a fresh object_rel database, once "plain" and
-// once "pinned": beside a cursor whose snapshot predates every row. The
-// cursor must still count an empty table when fn is done.
+// once "pinned": beside a snapshot that predates every row. A read at that
+// snapshot must still count an empty table when fn is done.
 func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 	for _, pinned := range []bool{false, true} {
 		name := "plain"
@@ -67,17 +67,10 @@ func insertModes(t *testing.T, fn func(t *testing.T, db *DB)) {
 				fn(t, db)
 				return
 			}
-			reader, err := db.QueryCursor("SELECT COUNT(*) FROM object_rel")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer reader.Close()
+			pin := pinSnapshot(db)
+			defer pin.release()
 			fn(t, db)
-			row, err := reader.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n := row[0]; n != int64(0) {
+			if n := pin.query(t, "SELECT COUNT(*) FROM object_rel").Rows[0][0]; n != int64(0) {
 				t.Fatalf("a snapshot older than every row sees %v rows", n)
 			}
 		})

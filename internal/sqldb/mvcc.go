@@ -147,7 +147,7 @@ func (w *writeCtx) stamp() uint64 { return provisionalBit | w.tx }
 // Snapshot tracking
 
 // snapTracker is the multiset of active snapshot epochs (epoch →
-// registrations): statements, cursors and transactions register on start
+// registrations): statements and transactions register on start
 // and release on finish, and vacuum reclaims only below the oldest
 // registered epoch.
 type snapTracker struct {

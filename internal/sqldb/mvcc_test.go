@@ -36,36 +36,33 @@ func countRows(t *testing.T, q func(string, ...any) (*ResultSet, error), sql str
 	return rs.Rows[0][0].(int64)
 }
 
-// A cursor opened before a commit must keep streaming the pre-commit
-// state; a query issued after the commit sees the new state.
+// A QueryEach in progress when another goroutine commits keeps streaming
+// the pre-commit state; a query issued after the commit sees the new
+// state.
 func TestMVCCCursorSnapshotStability(t *testing.T) {
 	db := mvccDB(t)
-	cur, err := db.QueryCursor("SELECT id FROM t ORDER BY id")
+	n := 0
+	err := db.QueryEach("SELECT id FROM t ORDER BY id", func([]Value) error {
+		if n++; n == 10 {
+			// Park the callback while a commit lands that would change
+			// the result.
+			committed := make(chan error)
+			go func() {
+				_, err := db.Exec("DELETE FROM t WHERE id >= 50")
+				if err == nil {
+					_, err = db.Exec("INSERT INTO t VALUES (1000, 0, 'new')")
+				}
+				committed <- err
+			}()
+			return <-committed
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cur.Close()
-	// Drain a prefix, then land a commit that would change the result.
-	for i := 0; i < 10; i++ {
-		if _, err := cur.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustExec(t, db, "DELETE FROM t WHERE id >= 50")
-	mustExec(t, db, "INSERT INTO t VALUES (1000, 0, 'new')")
-	n := 10
-	for {
-		row, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-		n++
-	}
 	if n != 100 {
-		t.Fatalf("snapshot cursor streamed %d rows, want the 100 visible at open", n)
+		t.Fatalf("snapshot read streamed %d rows, want the 100 visible at its start", n)
 	}
 	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t"); got != 51 {
 		t.Fatalf("post-commit count = %d, want 51", got)
@@ -128,18 +125,15 @@ func TestMVCCRollbackUnlinksProvisional(t *testing.T) {
 // versions an open snapshot still needs.
 func TestMVCCVacuumReclaims(t *testing.T) {
 	db := mvccDB(t)
-	// Pin a snapshot with an open cursor, then pile up versions.
-	cur, err := db.QueryCursor("SELECT COUNT(*) FROM t WHERE id = 0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Pin a snapshot with a parked read, then pile up versions.
+	resume := parkQuery(t, db, "SELECT COUNT(*) FROM t WHERE id = 0")
 	for i := 0; i < 5; i++ {
 		mustExec(t, db, "UPDATE t SET v = ? WHERE id = 0", fmt.Sprintf("rev%d", i))
 	}
 	if got := db.Vacuum(); got != 0 {
 		t.Fatalf("vacuum reclaimed %d versions below a pinned snapshot", got)
 	}
-	cur.Close()
+	resume()
 	if got := db.Vacuum(); got == 0 {
 		t.Fatal("vacuum reclaimed nothing after the snapshot released")
 	}
@@ -169,11 +163,8 @@ func TestMVCCVacuumReclaims(t *testing.T) {
 // vacuum; lookups through either key must respect snapshot visibility.
 func TestMVCCIndexVisibilityAcrossKeyChange(t *testing.T) {
 	db := mvccDB(t)
-	cur, err := db.QueryCursor("SELECT id FROM t WHERE k = 3 ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
+	pin := pinSnapshot(db)
+	defer pin.release()
 	mustExec(t, db, "UPDATE t SET k = 777 WHERE id = 3") // was k=3
 	// Latest snapshot: the row answers only to its new key.
 	if got := countRows(t, db.Query, "SELECT COUNT(*) FROM t WHERE k = 3 AND id = 3"); got != 0 {
@@ -183,18 +174,7 @@ func TestMVCCIndexVisibilityAcrossKeyChange(t *testing.T) {
 		t.Fatal("new key not reachable through the index")
 	}
 	// The pinned pre-update snapshot still finds it under the old key.
-	n := 0
-	for {
-		row, err := cur.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if row == nil {
-			break
-		}
-		n++
-	}
-	if n != 10 {
+	if n := len(pin.query(t, "SELECT id FROM t WHERE k = 3 ORDER BY id").Rows); n != 10 {
 		t.Fatalf("pre-update snapshot saw %d rows for k=3, want 10", n)
 	}
 }
@@ -374,18 +354,10 @@ func TestMVCCConcurrentMixedPaths(t *testing.T) {
 			for i := 0; i < 300; i++ {
 				q := queries[(r+i)%len(queries)]
 				if i%7 == 0 {
-					cur, err := db.QueryCursor(q)
-					if err != nil {
+					if err := db.QueryEach(q, func([]Value) error { return nil }); err != nil {
 						errs <- err
 						return
 					}
-					for {
-						row, err := cur.Next()
-						if err != nil || row == nil {
-							break
-						}
-					}
-					cur.Close()
 					continue
 				}
 				if _, err := db.Query(q); err != nil {

@@ -356,29 +356,19 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 		return sb.String()
 	}
 
-	// drainCursorFormatted streams a query through the cursor API, building
-	// the same formatted transcript the materialized comparison uses.
-	drainCursorFormatted := func(db *DB, query string) (string, error) {
-		cur, err := db.QueryCursor(query)
-		if err != nil {
-			return "", err
-		}
-		defer cur.Close()
+	// eachFormatted streams a query through QueryEach, building the same
+	// formatted transcript the materialized comparison uses.
+	eachFormatted := func(db *DB, query string) (string, error) {
 		var sb strings.Builder
-		for {
-			row, err := cur.Next()
-			if err != nil {
-				return "", err
-			}
-			if row == nil {
-				return sb.String(), nil
-			}
+		err := db.QueryEach(query, func(row []Value) error {
 			for _, v := range row {
 				sb.WriteString(FormatValue(v))
 				sb.WriteByte('|')
 			}
 			sb.WriteByte('\n')
-		}
+			return nil
+		})
+		return sb.String(), err
 	}
 
 	type legResult struct {
@@ -398,8 +388,8 @@ func TestPlannerEquivalenceOracle(t *testing.T) {
 			out = append(out, r)
 		}
 		streamed := func(leg string) {
-			s, err := drainCursorFormatted(db, query)
-			out = append(out, legResult{name: leg + " cursor", out: s, err: err})
+			s, err := eachFormatted(db, query)
+			out = append(out, legResult{name: leg + " QueryEach", out: s, err: err})
 		}
 		materialized("row")
 		streamed("row")

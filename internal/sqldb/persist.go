@@ -139,8 +139,8 @@ func Load(path string) (*DB, error) {
 // Restoring is a schema change: it bumps the schema generation so cached
 // statement plans compiled against the pre-restore tables are rebuilt
 // (serving them would read the replaced tables and return pre-restore
-// rows) and open cursors fail with ErrCursorInvalidated instead of
-// continuing over vanished storage.
+// rows). A statement already running finishes at its snapshot over the
+// replaced tables, which it still holds.
 //
 // On a durable database, Restore also resets the WAL: the restored state
 // is written as a new checkpoint covering every record logged so far, the

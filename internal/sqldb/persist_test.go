@@ -217,37 +217,6 @@ func TestRestoreInvalidatesCachedPlans(t *testing.T) {
 	}
 }
 
-// Restore is DDL from a cursor's point of view: iteration must stop with
-// ErrCursorInvalidated, not continue over vanished storage.
-func TestRestoreInvalidatesOpenCursors(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "db.snap")
-
-	db := NewDB()
-	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
-	for i := 0; i < 10; i++ {
-		mustExec(t, db, "INSERT INTO t VALUES (?)", i)
-	}
-	if err := db.Save(path); err != nil {
-		t.Fatal(err)
-	}
-
-	cur, err := db.QueryCursor("SELECT a FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Restore(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cur.Next(); err != ErrCursorInvalidated {
-		t.Fatalf("Next after Restore = %v, want ErrCursorInvalidated", err)
-	}
-}
-
 // A freshly loaded database must not sit at the zero schema generation a
 // brand-new DB starts from: gen 0 would let compiled forms prepared against
 // an empty pre-load state pass the generation check.

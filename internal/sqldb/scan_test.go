@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -60,26 +61,18 @@ func TestParallelScanConcurrentWriters(t *testing.T) {
 	}()
 
 	for round := 0; round < 10; round++ {
-		cur, err := db.QueryCursor("SELECT id FROM p")
-		if err != nil {
-			t.Fatal(err)
-		}
 		last := int64(-1)
-		for {
-			row, err := cur.Next()
-			if err != nil {
-				t.Fatalf("round %d: %v", round, err)
-			}
-			if row == nil {
-				break
-			}
+		err := db.QueryEach("SELECT id FROM p", func(row []Value) error {
 			id := row[0].(int64)
 			if id <= last {
-				t.Fatalf("round %d: row IDs not strictly ascending: %d after %d", round, id, last)
+				return fmt.Errorf("row IDs not strictly ascending: %d after %d", id, last)
 			}
 			last = id
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
 		}
-		cur.Close()
 	}
 	close(stop)
 	<-writerDone

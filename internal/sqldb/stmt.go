@@ -157,28 +157,7 @@ func (s *Stmt) Query(args ...any) (*ResultSet, error) {
 	db := s.db
 	snap := db.snaps.acquire(db)
 	defer db.snaps.release(snap)
-	return s.queryVis(vals, visibility{snap: snap})
-}
-
-// queryVis executes the statement as a SELECT at an explicit visibility,
-// without any database lock (planning reads only the copy-on-write
-// catalog and atomic knobs). The caller owns the snapshot registration.
-func (s *Stmt) queryVis(vals []Value, vis visibility) (*ResultSet, error) {
-	db := s.db
-	p, err := s.ensure(db)
-	if err != nil {
-		return nil, err
-	}
-	if p.expl != nil {
-		return db.explainResult(p.expl)
-	}
-	if p.sel == nil {
-		return nil, fmt.Errorf("sqldb: Query requires a SELECT statement")
-	}
-	if err := p.checkArgs(vals); err != nil {
-		return nil, err
-	}
-	return db.executeSelectVis(p.sel, vals, vis)
+	return s.collect(vals, visibility{snap: snap})
 }
 
 // Exec executes the prepared statement as a write or DDL statement.

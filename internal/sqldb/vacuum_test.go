@@ -96,11 +96,7 @@ func TestVacuumerRetiresBesideCommits(t *testing.T) {
 
 	// A DROP TABLE that takes the last history with it retires the
 	// vacuumer too, though no commit and no snapshot release followed.
-	cur, err := db.QueryCursor("SELECT COUNT(*) FROM t")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close()
+	defer parkQuery(t, db, "SELECT COUNT(*) FROM t")()
 	mustExec(t, db, "UPDATE t SET v = -1 WHERE id = 0")
 	time.Sleep(5 * time.Millisecond) // passes run and keep the pinned version
 	mustExec(t, db, "DROP TABLE t")
@@ -192,10 +188,10 @@ func TestSnapshotReleasedOnErrorPaths(t *testing.T) {
 		t.Fatalf("QueryEach abort leaked a snapshot: %+v", st)
 	}
 
-	// Statement that fails after the snapshot would be taken (unknown
-	// column is caught during cursor construction).
-	if _, err := db.QueryCursor("SELECT nope FROM t"); err == nil {
-		t.Fatal("QueryCursor on unknown column succeeded")
+	// Statement that fails after the snapshot is taken (unknown column is
+	// caught while planning).
+	if err := db.QueryEach("SELECT nope FROM t", func([]Value) error { return nil }); err == nil {
+		t.Fatal("QueryEach on unknown column succeeded")
 	}
 	if _, err := db.Query("SELECT nope FROM t"); err == nil {
 		t.Fatal("Query on unknown column succeeded")
@@ -204,23 +200,15 @@ func TestSnapshotReleasedOnErrorPaths(t *testing.T) {
 		t.Fatalf("failed statements leaked a snapshot: %+v", st)
 	}
 
-	// Cursor invalidated by DDL mid-stream, then abandoned via Close.
-	cur, err := db.QueryCursor("SELECT id FROM t ORDER BY id")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cur.Next(); err != nil {
-		t.Fatal(err)
-	}
+	// A read parked mid-stream while DDL commits, then resumed: it
+	// finishes at its snapshot and releases it.
+	resume := parkQuery(t, db, "SELECT id FROM t ORDER BY id")
 	mustExec(t, db, "CREATE INDEX idx_tmp ON t (v)")
-	if _, err := cur.Next(); !errors.Is(err, ErrCursorInvalidated) {
-		t.Fatalf("Next after DDL = %v, want ErrCursorInvalidated", err)
-	}
-	if err := cur.Close(); err != nil {
-		t.Fatal(err)
+	if n := len(resume()); n != 100 {
+		t.Fatalf("the read beside DDL streamed %d rows, want 100", n)
 	}
 	if st := db.MVCCStats(); st.ActiveSnapshots != 0 {
-		t.Fatalf("invalidated cursor leaked a snapshot: %+v", st)
+		t.Fatalf("the read beside DDL leaked a snapshot: %+v", st)
 	}
 
 	// With the tracker empty, vacuum reclaims at the full horizon.

@@ -202,9 +202,9 @@ type RowWriter interface {
 func NewRowWriter(w io.Writer, format string) (RowWriter, error) {
 	switch strings.ToLower(format) {
 	case "tsv":
-		return &tsvWriter{chunkWriter{w: w}}, nil
+		return &tsvWriter{newChunkWriter(w)}, nil
 	case "html":
-		return &htmlWriter{chunkWriter{w: w}}, nil
+		return &htmlWriter{newChunkWriter(w)}, nil
 	case "csv":
 		return &csvWriter{cw: csv.NewWriter(w)}, nil
 	case "json":
@@ -224,6 +224,16 @@ type chunkWriter struct {
 
 // writeChunk is the buffered size at which a chunkWriter hands rows to w.
 const writeChunk = 4096
+
+// rowHeadroom is room past writeChunk for the row that crosses it, so a
+// stream of ordinary rows never grows its buffer.
+const rowHeadroom = 1024
+
+// newChunkWriter gives the writer its one buffer up front, instead of
+// letting the first chunk grow it by doubling.
+func newChunkWriter(w io.Writer) chunkWriter {
+	return chunkWriter{w: w, buf: make([]byte, 0, writeChunk+rowHeadroom)}
+}
 
 // rowDone writes the buffered rows once they reach writeChunk bytes.
 func (c *chunkWriter) rowDone() error {
