@@ -361,8 +361,9 @@ func BenchmarkExecutorMapPathWarm(b *testing.B) {
 	}
 }
 
-// BenchmarkExecutorMapPathSequential measures the uncached left-fold
-// MapPath for reference against the executor's cold batched/parallel run.
+// BenchmarkExecutorMapPathSequential measures the uncached ops.MapPath,
+// which loads every edge and composes it as the executor does, for
+// reference against the executor's cold batched run.
 func BenchmarkExecutorMapPathSequential(b *testing.B) {
 	sys, _ := benchSystem(b)
 	_, path := benchExecutorPath(b)

@@ -19,8 +19,9 @@ import (
 // of (Object1, Object2, evidence) and with nested loops only. Two
 // associations that meet in a middle object derive the pair of their ends.
 // A derivation's evidence is the product of its two evidences, where an
-// unset evidence (0, a curated fact) is the identity. The derived pairs
-// collapse as refDedup says.
+// unset evidence (0, a curated fact) is the identity and a product of two
+// scores that underflows to 0 is the smallest nonzero float64 of its sign.
+// The derived pairs collapse as refDedup says.
 func refCompose(as1, as2 []gam.Assoc) []gam.Assoc {
 	var derived []gam.Assoc
 	for _, a1 := range as1 {
@@ -29,10 +30,13 @@ func refCompose(as1, as2 []gam.Assoc) []gam.Assoc {
 				continue
 			}
 			ev := a1.Evidence * a2.Evidence
-			if a1.Evidence == 0 {
+			switch {
+			case a1.Evidence == 0:
 				ev = a2.Evidence
-			} else if a2.Evidence == 0 {
+			case a2.Evidence == 0:
 				ev = a1.Evidence
+			case ev == 0:
+				ev = math.Copysign(math.SmallestNonzeroFloat64, ev)
 			}
 			derived = append(derived, gam.Assoc{Object1: a1.Object1, Object2: a2.Object2, Evidence: ev})
 		}
@@ -82,13 +86,84 @@ func refSort(assocs []gam.Assoc) {
 	})
 }
 
-// refComposePath folds refCompose over a chain of association lists.
+// refComposePath composes a chain of association lists with refCompose,
+// in the order ComposePath's planner picks for it (see planOf).
 func refComposePath(chain [][]gam.Assoc) []gam.Assoc {
-	acc := chain[0]
-	for _, next := range chain[1:] {
-		acc = refCompose(acc, next)
+	return refComposeTree(chain, planOf(chain), 0, len(chain)-1)
+}
+
+// refComposeTree composes chain[i..j] with refCompose as split brackets it
+// (see composeScratch.plan).
+func refComposeTree(chain [][]gam.Assoc, split []int32, i, j int) []gam.Assoc {
+	if i == j {
+		return chain[i]
 	}
-	return acc
+	k := int(split[i*len(chain)+j])
+	return refCompose(refComposeTree(chain, split, i, k), refComposeTree(chain, split, k+1, j))
+}
+
+// planOf returns the bracketing ComposePath joins chain's mappings in, as
+// composeScratch.plan writes it.
+func planOf(chain [][]gam.Assoc) []int32 {
+	maps := make([]*Mapping, len(chain))
+	for i, as := range chain {
+		maps[i] = operand(as, gam.SourceID(i+1), "loaded")
+	}
+	s := new(composeScratch)
+	s.group(maps)
+	return slices.Clone(s.plan())
+}
+
+// composeAlong composes maps as split brackets them, through the same
+// evaluator composePath runs, and returns a copy of the result.
+func composeAlong(maps []*Mapping, split []int32) []gam.Assoc {
+	s := new(composeScratch)
+	s.group(maps)
+	return slices.Clone(s.eval(split, 0, len(maps)-1, 0).assocs)
+}
+
+// bracketings returns every bracketing of a chain of n operands, each as
+// the split table composeScratch.plan writes: Catalan(n-1) of them.
+func bracketings(n int) [][]int32 {
+	var sub func(i, j int) [][]int32
+	sub = func(i, j int) [][]int32 {
+		if i == j {
+			return [][]int32{make([]int32, n*n)}
+		}
+		var out [][]int32
+		for k := i; k < j; k++ {
+			for _, l := range sub(i, k) {
+				for _, r := range sub(k+1, j) {
+					t := slices.Clone(l)
+					for a := k + 1; a <= j; a++ {
+						copy(t[a*n+a:a*n+j+1], r[a*n+a:a*n+j+1])
+					}
+					t[i*n+j] = int32(k)
+					out = append(out, t)
+				}
+			}
+		}
+		return out
+	}
+	return sub(0, n-1)
+}
+
+// leftFold is the split table of the left-deep bracketing of n operands.
+func leftFold(n int) []int32 {
+	t := make([]int32, n*n)
+	for j := 1; j < n; j++ {
+		t[j] = int32(j - 1)
+	}
+	return t
+}
+
+// brackets renders operands i..j of a split table as nested parentheses.
+func brackets(split []int32, n, i, j int) string {
+	if i == j {
+		return fmt.Sprint(i)
+	}
+	k := int(split[i*n+j])
+	return "(" + brackets(split, n, i, k) + " " + brackets(split, n, k+1, j) + ")"
 }
 
 // refEvidence mixes unset (0), asserted 1.0, scores in (0, 1) and values
@@ -261,10 +336,10 @@ func TestComposePathMatchesReference(t *testing.T) {
 // TestExecutorMapPathMatchesReference stores generated chains, some
 // mappings in the opposite direction, and checks Executor.MapPath cold,
 // warm and after ReplaceMapping, and ops.MapPath, against the reference
-// left fold: the two derive the same evidence even outside [0, 1]. gam
-// rejects such evidence at its write boundary, so a mapping that carries
-// some is stored in two steps: ReplaceMapping writes its valid
-// associations, and the others are inserted around gam.
+// composed in the planner's order: the two derive the same evidence even
+// outside [0, 1]. gam rejects such evidence at its write boundary, so a
+// mapping that carries some is stored in two steps: ReplaceMapping writes
+// its valid associations, and the others are inserted around gam.
 func TestExecutorMapPathMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -478,7 +553,7 @@ func TestComposeNeverTrustsStalePositions(t *testing.T) {
 			for i, as := range chain {
 				maps[i] = operand(as, gam.SourceID(i+1), operandForms[rng.Intn(len(operandForms))])
 			}
-			g := s.fold(maps)
+			g := s.compose(maps)
 			want := refComposePath(chain)
 			if !slices.Equal(g.assocs, want) {
 				t.Fatalf("%s, %d hops:\n got %v\nwant %v", c.name, len(chain), g.assocs, want)
@@ -641,21 +716,24 @@ func fuzzID(b byte) gam.ObjectID {
 	}
 }
 
-// FuzzCompose checks Compose against refCompose on arbitrary operands, and
-// the three-mapping path left ∘ right ∘ left, whose second hop joins the
-// first hop's result out of the fold's scratch, against refComposePath.
+// FuzzCompose checks Compose against refCompose on arbitrary operands; the
+// three-mapping path left ∘ right ∘ left, whose second join reads the
+// first one's result out of the scratch, against refComposePath; and the
+// four-mapping path left ∘ right ∘ left ∘ right, joined in the bracketing
+// shape picks, against refComposeTree along the same bracketing.
 // NaN evidence is skipped: evidence is ranked with <, under which NaN has
 // no place, so no strongest evidence is defined for it.
 func FuzzCompose(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{1, 10, 0}, []byte{})
-	f.Add([]byte{1, 10, 2}, []byte{10, 20, 0, 10, 20, 3}) // 0.5 against a fact and 2.0
-	f.Add([]byte{1, 10, 1, 1, 10, 0, 2, 10, 1}, []byte{10, 20, 1, 10, 21, 0, 11, 20, 1})
-	f.Add([]byte{1, 10, 5, 1, 11, 7, 255, 10, 6}, []byte{10, 20, 5, 11, 20, 7, 10, 20, 8, 10, 255, 9})
-	f.Add([]byte{1, 10, 99, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, []byte{10, 20, 99, 1, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{1, 10, 0, 2, 127, 2}, []byte{10, 20, 2, 127, 21, 0, 128, 20, 1}) // right spans the int64 range
-	f.Add([]byte{1, 10, 0, 2, 110, 2, 3, 11, 1}, []byte{10, 20, 2, 110, 21, 0, 11, 22, 1})
-	f.Fuzz(func(t *testing.T, left, right []byte) {
+	f.Add([]byte{}, []byte{}, byte(0))
+	f.Add([]byte{1, 10, 0}, []byte{}, byte(1))
+	f.Add([]byte{1, 10, 2}, []byte{10, 20, 0, 10, 20, 3}, byte(2)) // 0.5 against a fact and 2.0
+	f.Add([]byte{1, 10, 1, 1, 10, 0, 2, 10, 1}, []byte{10, 20, 1, 10, 21, 0, 11, 20, 1}, byte(3))
+	f.Add([]byte{1, 10, 5, 1, 11, 7, 255, 10, 6}, []byte{10, 20, 5, 11, 20, 7, 10, 20, 8, 10, 255, 9}, byte(4))
+	f.Add([]byte{1, 10, 99, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f}, []byte{10, 20, 99, 1, 0, 0, 0, 0, 0, 0, 0}, byte(2))
+	f.Add([]byte{1, 10, 0, 2, 127, 2}, []byte{10, 20, 2, 127, 21, 0, 128, 20, 1}, byte(0)) // right spans the int64 range
+	f.Add([]byte{1, 10, 0, 2, 110, 2, 3, 11, 1}, []byte{10, 20, 2, 110, 21, 0, 11, 22, 1}, byte(1))
+	shapes := bracketings(4)
+	f.Fuzz(func(t *testing.T, left, right []byte, shape byte) {
 		as1, ok1 := fuzzAssocs(left)
 		as2, ok2 := fuzzAssocs(right)
 		if !ok1 || !ok2 {
@@ -683,16 +761,140 @@ func FuzzCompose(f *testing.F) {
 				t.Fatalf("(%s) %v ∘ %v ∘ %v:\n got %v\nwant %v", form, as1, as2, as1, got.Assocs, want3)
 			}
 		}
+		chain := [][]gam.Assoc{as1, as2, as1, as2}
+		split := shapes[int(shape)%len(shapes)]
+		want4 := refComposeTree(chain, split, 0, 3)
+		for _, form := range operandForms {
+			maps := make([]*Mapping, len(chain))
+			for i, as := range chain {
+				maps[i] = operand(as, gam.SourceID(i+1), form)
+			}
+			if got := composeAlong(maps, split); !slices.Equal(got, want4) {
+				t.Fatalf("(%s) %s of %v ∘ %v ∘ %v ∘ %v:\n got %v\nwant %v", form, brackets(split, 4, 0, 3), as1, as2, as1, as2, got, want4)
+			}
+		}
 	})
+}
+
+// TestComposeUnderflowIsNotAFact composes chains of 1e-200 scores, whose
+// products underflow, in every bracketing: each derives a score, the
+// smallest nonzero float64, never 0 (a fact), and MinEvidence drops it.
+func TestComposeUnderflowIsNotAFact(t *testing.T) {
+	for hops := 2; hops <= 5; hops++ {
+		chain := make([][]gam.Assoc, hops)
+		for i := range chain {
+			chain[i] = []gam.Assoc{{Object1: gam.ObjectID(i), Object2: gam.ObjectID(i + 1), Evidence: 1e-200}}
+		}
+		want := []gam.Assoc{{Object1: 0, Object2: gam.ObjectID(hops), Evidence: math.SmallestNonzeroFloat64}}
+		for _, split := range bracketings(hops) {
+			maps := make([]*Mapping, hops)
+			for i, as := range chain {
+				maps[i] = operand(as, gam.SourceID(i+1), "shared")
+			}
+			if got := composeAlong(maps, split); !slices.Equal(got, want) {
+				t.Fatalf("%s: got %v, want %v", brackets(split, hops, 0, hops-1), got, want)
+			}
+			if ref := refComposeTree(chain, split, 0, hops-1); !slices.Equal(ref, want) {
+				t.Fatalf("%s: reference %v, want %v", brackets(split, hops, 0, hops-1), ref, want)
+			}
+		}
+		maps := make([]*Mapping, hops)
+		for i, as := range chain {
+			maps[i] = operand(as, gam.SourceID(i+1), "loaded")
+		}
+		m, err := ComposePath(maps...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(m.Assocs, want) {
+			t.Fatalf("%d hops: ComposePath = %v, want %v", hops, m.Assocs, want)
+		}
+		if kept := MinEvidence(m, 1e-300).Assocs; len(kept) != 0 {
+			t.Fatalf("%d hops: MinEvidence(1e-300) keeps %v", hops, kept)
+		}
+	}
+}
+
+// fanChain is a four-mapping chain on which the left fold derives the most
+// pairs: n domain objects meet 4 middle objects, each of which fans out to
+// n/4 objects of the next source, and these fan back in, 4 ways, and on
+// to 4 last objects. A join that takes the fan-out before the fan-in has
+// collapsed it derives n²/4 pairs where the planned order derives about
+// 5n.
+func fanChain(n int) [][]gam.Assoc {
+	chain := make([][]gam.Assoc, 4)
+	for i := 0; i < n; i++ {
+		chain[0] = append(chain[0], gam.Assoc{Object1: gam.ObjectID(i), Object2: 1000 + gam.ObjectID(i%4), Evidence: 0.5})
+		chain[1] = append(chain[1], gam.Assoc{Object1: 1000 + gam.ObjectID(i/(n/4)), Object2: 2000 + gam.ObjectID(i), Evidence: 0.25})
+		chain[2] = append(chain[2], gam.Assoc{Object1: 2000 + gam.ObjectID(i), Object2: 3000 + gam.ObjectID(i%4)})
+	}
+	for d := 0; d < 4; d++ {
+		chain[3] = append(chain[3], gam.Assoc{Object1: 3000 + gam.ObjectID(d), Object2: 4000 + gam.ObjectID(d), Evidence: 0.75})
+	}
+	return chain
+}
+
+// derivedPairs composes maps[i..j] as split brackets them and returns the
+// result with the number of pairs its joins derived before collapsing:
+// for each join, the sum over the left operand's associations of the size
+// of the right operand's group they meet.
+func derivedPairs(t *testing.T, maps []*Mapping, split []int32, i, j int) (*Mapping, int) {
+	t.Helper()
+	if i == j {
+		return maps[i], 0
+	}
+	k := int(split[i*len(maps)+j])
+	l, nl := derivedPairs(t, maps, split, i, k)
+	r, nr := derivedPairs(t, maps, split, k+1, j)
+	group := make(map[gam.ObjectID]int)
+	for _, a := range r.Assocs {
+		group[a.Object1]++
+	}
+	n := nl + nr
+	for _, a := range l.Assocs {
+		n += group[a.Object2]
+	}
+	m, err := Compose(l, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, n
+}
+
+// TestPlannerPicksFewestDerivedPairs counts, on fanChain, the pairs every
+// bracketing derives: the left fold derives the most, and the planner
+// picks a bracketing that derives the fewest.
+func TestPlannerPicksFewestDerivedPairs(t *testing.T) {
+	chain := fanChain(200)
+	maps := make([]*Mapping, len(chain))
+	for i, as := range chain {
+		maps[i] = operand(as, gam.SourceID(i+1), "shared")
+	}
+	n := len(maps)
+	count := func(split []int32) int {
+		_, c := derivedPairs(t, maps, split, 0, n-1)
+		return c
+	}
+	fewest, most := math.MaxInt, 0
+	for _, split := range bracketings(n) {
+		c := count(split)
+		fewest, most = min(fewest, c), max(most, c)
+	}
+	plan := planOf(chain)
+	if got, left := count(plan), count(leftFold(n)); got != fewest || left != most {
+		t.Fatalf("planned %s derives %d pairs, left fold %d; fewest %d, most %d",
+			brackets(plan, n, 0, n-1), got, left, fewest, most)
+	}
 }
 
 var composeSink *Mapping
 
-// BenchmarkCompose times ComposePath's left fold of Compose over generated
-// chains of 2 to 4 mappings, 2 000 objects a source and about 3
-// associations an object, with scored and unset evidence. "shared"
-// operands are cached by an executor, as its MapPath meets them;
-// "private" ones are in the order their caller built them.
+// BenchmarkCompose times ComposePath over generated chains of 2 to 4
+// mappings, 2 000 objects a source and about 3 associations an object,
+// with scored and unset evidence. "shared" operands are cached by an
+// executor, as its MapPath meets them; "private" ones are in the order
+// their caller built them. "fan" is fanChain of 2 000 objects, shared,
+// composed in the planned order and, for comparison, left folded.
 func BenchmarkCompose(b *testing.B) {
 	for _, hops := range []int{2, 3, 4} {
 		for _, form := range []string{"shared", "private"} {
@@ -725,4 +927,27 @@ func BenchmarkCompose(b *testing.B) {
 			})
 		}
 	}
+	chain := fanChain(2000)
+	maps := make([]*Mapping, len(chain))
+	for i, as := range chain {
+		maps[i] = operand(as, gam.SourceID(i+1), "shared")
+	}
+	b.Run("fan/planned", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m, err := ComposePath(maps...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			composeSink = m
+		}
+	})
+	b.Run("fan/left-fold", func(b *testing.B) {
+		b.ReportAllocs()
+		s, split := new(composeScratch), leftFold(len(maps))
+		for i := 0; i < b.N; i++ {
+			s.group(maps)
+			composeSink = &Mapping{Assocs: exact(s.eval(split, 0, len(maps)-1, 0).assocs)}
+		}
+	})
 }

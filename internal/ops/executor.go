@@ -18,12 +18,13 @@
 //   - on a path-cache miss, the per-edge associations of all uncached
 //     edges are fetched in one batched SQL round-trip
 //     (Repo.AssociationsBatch) instead of one query per edge, and the
-//     edge mappings are composed by ComposePath's left fold, so a path
-//     derives the same evidence here as through ops.MapPath. The fold's
-//     intermediate results live in pooled scratch memory; each hop's join
-//     emits its result grouped by domain object, and only the last one is
-//     copied, at exact length and with its grouping, into the cached
-//     mapping;
+//     edge mappings are composed as ComposePath composes them: joined in
+//     the order its planner picks from the edges' association and domain
+//     counts, so a path derives the same evidence here as through
+//     ops.MapPath. The intermediate results live in pooled scratch
+//     memory; each join emits its result grouped by domain object, and
+//     only the root join's is copied, at exact length and with its
+//     grouping, into the cached mapping;
 //   - cached mappings are shared, never copied on a hit: Resolver and
 //     MapPathShared hand them out read-only, Compose joins through the
 //     grouping a shared mapping keeps and GenerateView through its domain
@@ -181,7 +182,7 @@ func (e *Executor) getPath(key string, gen uint64) (*Mapping, bool) {
 
 // putPath caches m, composed while the repository was at generation gen.
 // m is shared already: a composed path arrives sorted and grouped, exactly
-// sized, from the fold, and a one-edge path is its edge.
+// sized, from composePath, and a one-edge path is its edge.
 func (e *Executor) putPath(key string, gen uint64, m *Mapping) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -300,7 +301,8 @@ func (e *Executor) MapPathShared(path []gam.SourceID) (*Mapping, error) {
 		return nil, err
 	}
 	// A one-edge path is its edge, shared like it, index included. A
-	// longer one is composed by ComposePath's fold and comes out grouped.
+	// longer one is composed as ComposePath composes it and comes out
+	// grouped.
 	composed := maps[0]
 	if len(maps) > 1 {
 		if composed, err = composePath(maps, true); err != nil {

@@ -698,44 +698,57 @@ func TestExecutorCachedPathIsExactlySized(t *testing.T) {
 	}
 }
 
-// TestExecutorColdPathAllocs bounds what composing a cold 3-edge path
-// allocates when its edges are cached: the path key, the result and its
-// cache entry, and no buffer that grows with the path (an edge lookup
-// allocates nothing: its key is a struct, and FindMapping hands out the
-// catalog's own mapping). Two fixture
-// sizes must allocate the same number of times.
+// TestExecutorColdPathAllocs bounds what composing a cold path allocates
+// when its edges are cached: the path key, the result and its cache entry,
+// and no buffer that grows with the path (an edge lookup allocates
+// nothing: its key is a struct, and FindMapping hands out the catalog's
+// own mapping). It composes a 3-edge path and a 4-edge one that the
+// planner brackets as two joined pairs, a join of two intermediate
+// results. Two fixture sizes must allocate the same number of times.
 func TestExecutorColdPathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop scratch at random")
 	}
-	var counts []float64
-	for _, objPer := range []int{20, 600} {
-		f := newChainFixture(t, 4, objPer)
-		e := NewExecutor(f.repo)
-		path := f.path()
-		for i := 0; i+1 < len(path); i++ {
-			if _, err := e.mapShared(path[i], path[i+1]); err != nil {
-				t.Fatal(err)
+	for _, edges := range []int{3, 4} {
+		var counts []float64
+		for _, objPer := range []int{20, 600} {
+			f := newChainFixture(t, edges+1, objPer)
+			e := NewExecutor(f.repo)
+			path := f.path()
+			maps := make([]*Mapping, edges)
+			for i := range maps {
+				m, err := e.mapShared(path[i], path[i+1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				maps[i] = m
 			}
-		}
-		key := pathKey(path)
-		cold := func() {
-			e.mu.Lock()
-			e.paths.Delete(key)
-			e.mu.Unlock()
-			if _, err := e.MapPathShared(path); err != nil {
-				t.Fatal(err)
+			if s := new(composeScratch); edges == 4 {
+				s.group(maps)
+				if got := brackets(s.plan(), 4, 0, 3); got != "((0 1) (2 3))" {
+					t.Fatalf("4-edge path planned as %s, want ((0 1) (2 3))", got)
+				}
 			}
+			key := pathKey(path)
+			cold := func() {
+				e.mu.Lock()
+				e.paths.Delete(key)
+				e.mu.Unlock()
+				if _, err := e.MapPathShared(path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			cold() // sizes the pooled scratch
+			counts = append(counts, testing.AllocsPerRun(50, cold))
 		}
-		cold() // sizes the pooled scratch
-		counts = append(counts, testing.AllocsPerRun(50, cold))
-	}
-	// Measured: 9 allocations at both sizes (12 while each edge lookup's
-	// FindMapping built a fresh *SourceRel; 15 while each edge lookup also
-	// built a string key; 39 and 51 while each hop appended into fresh
-	// arrays and put regrouped the result). The bound is the measurement.
-	const maxAllocs = 9
-	if counts[0] != counts[1] || counts[1] > maxAllocs {
-		t.Fatalf("cold 3-edge path: %v allocs at 20 and 600 objects a source; want equal and <= %d", counts, maxAllocs)
+		// Measured: 9 allocations at both sizes and both lengths (12 while
+		// each edge lookup's FindMapping built a fresh *SourceRel; 15 while
+		// each edge lookup also built a string key; 39 and 51 while each
+		// join appended into fresh arrays and put regrouped the result).
+		// The bound is the measurement.
+		const maxAllocs = 9
+		if counts[0] != counts[1] || counts[1] > maxAllocs {
+			t.Fatalf("cold %d-edge path: %v allocs at 20 and 600 objects a source; want equal and <= %d", edges, counts, maxAllocs)
+		}
 	}
 }

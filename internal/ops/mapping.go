@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"sync"
@@ -319,10 +320,9 @@ func Invert(m *Mapping) *Mapping {
 // outranks any scored value — a derivation certain by facts must not be
 // downgraded by a weaker scored derivation of the same pair; among scored
 // values the highest wins. This ordering makes duplicate collapse agree
-// with evidence strength and, for evidence in [0, 1], keeps multi-step
-// composition independent of the grouping order (sequential fold vs. the
-// executor's tree reduction); Compose collapses its derived pairs by the
-// same rule.
+// with evidence strength and, for evidence in [0, 1], keeps a composed
+// path independent, up to rounding, of the order ComposePath joins it in;
+// Compose collapses its derived pairs by the same rule.
 func Dedup(m *Mapping) *Mapping {
 	best := make(map[[2]gam.ObjectID]float64, len(m.Assocs))
 	order := make([][2]gam.ObjectID, 0, len(m.Assocs))
@@ -362,6 +362,8 @@ func stronger(a, b float64) bool {
 // identity, and a pair of unset evidences stays unset — but an explicitly
 // asserted 1.0 is preserved as 1.0 rather than collapsed to "unset", so
 // asserted certainty remains distinguishable from absence of evidence.
+// A product of two scores that underflows to 0 is kept as the smallest
+// nonzero float64 of its sign, so a score never turns into a fact.
 // Duplicate derived pairs collapse, keeping the strongest evidence (the
 // rule Dedup applies). The result is sorted by (Object1, Object2), and its
 // association slice is exactly as long as its capacity.
@@ -370,8 +372,8 @@ func stronger(a, b float64) bool {
 // evidence is not monotone in its inputs outside [0, 1], so every
 // derivation is combined and only the derived pairs collapse.
 //
-// Compose is the one-hop case of ComposePath's fold: the join works in
-// pooled scratch memory, and only the result is allocated.
+// Compose is the one-join case of ComposePath: the join works in pooled
+// scratch memory, and only the result is allocated.
 func Compose(m1, m2 *Mapping) (*Mapping, error) {
 	return composePath([]*Mapping{m1, m2}, false)
 }
@@ -387,20 +389,34 @@ func combine(ev1, ev2 float64) float64 {
 	case ev2 == 0:
 		return ev1
 	}
-	return ev1 * ev2
+	p := ev1 * ev2
+	if p != 0 {
+		return p
+	}
+	return math.Copysign(math.SmallestNonzeroFloat64, p) // an underflow is not a fact
 }
 
-// ComposePath folds Compose over a mapping path of two or more mappings
-// connecting two sources (the "mapping path" input of the paper's Compose).
-// The result is sorted by (Object1, Object2), has no duplicate pairs and is
+// ComposePath composes a mapping path of two or more mappings connecting
+// two sources (the "mapping path" input of the paper's Compose) by joining
+// its mappings in a planned order: the bracketing of the chain whose joins
+// derive the fewest pairs by estimate (see composeScratch.plan). The
+// result is sorted by (Object1, Object2), has no duplicate pairs and is
 // exactly sized. A path of one mapping returns a sorted copy of it,
 // duplicate pairs kept.
 //
-// Every hop joins groupings: a hop's result comes out grouped by domain
-// object, so the next hop joins through it as it stands. The intermediate
-// results live in pooled scratch memory, reused across calls; the path
-// allocates only its final result, and nothing it returns points into the
-// scratch.
+// For evidence in [0, 1] and unset, the order changes no pair: there
+// the collapse (the strongest evidence) distributes over combine, so
+// Compose is associative, and the pairs are those of every bracketing. A
+// pair's evidence differs from another bracketing's only by the rounding
+// of its products: within hops−1 ulp on every chain tested, and less than
+// 2(hops−1) ulp in any case, as each of the hops−1 roundings is less than
+// an ulp of the product. Outside [0, 1] the strongest evidence of a pair
+// depends on the order, and the result is the planned bracketing's.
+//
+// Every join's result comes out grouped by domain object, so it joins as
+// either operand as it stands. The intermediate results live in pooled
+// scratch memory, reused across calls; the path allocates only its final
+// result, and nothing it returns points into the scratch.
 func ComposePath(maps ...*Mapping) (*Mapping, error) {
 	if len(maps) == 0 {
 		return nil, fmt.Errorf("ops: empty mapping path")
@@ -413,14 +429,19 @@ func ComposePath(maps ...*Mapping) (*Mapping, error) {
 	return composePath(maps, false)
 }
 
-// composeScratch is the memory a fold composes in: the two buffers its
-// hops' results alternate between, the groupings of operands that are not
-// shared, one domain object's derived pairs and the positions of a join's
-// middle objects. Nothing a fold returns points into it, and it keeps no
-// pointer into a fold's operands.
+// composeScratch is the memory a path composes in: each operand's grouping
+// and, for operands that are not shared, the memory it is built in; the
+// planner's tables; the intermediate results; one domain object's derived
+// pairs and the positions of a join's middle objects. Nothing a
+// composition returns points into it, and it keeps no pointer into a
+// composition's operands past the call that made it.
 type composeScratch struct {
-	acc     [2]assocGroups
-	operand [2]assocGroups
+	leaves  []assocGroups
+	operand []assocGroups
+	rows    []float64
+	cost    []float64
+	split   []int32
+	acc     []assocGroups
 	derived []indexTarget
 	pos     []int32
 }
@@ -466,10 +487,10 @@ func (s *composeScratch) positions(left, right assocGroups) []int32 {
 
 var composeScratchPool = sync.Pool{New: func() any { return new(composeScratch) }}
 
-// composePath folds the join over maps, two or more mappings, and copies
-// the last hop's result once, at exact length, into a fresh Mapping. A
-// grouped result also gets its grouping, copied the same way, as the
-// indexSlot a shared mapping keeps (the executor caches it as it is).
+// composePath composes maps, two or more mappings, and copies the root
+// join's result once, at exact length, into a fresh Mapping. A grouped
+// result also gets its grouping, copied the same way, as the indexSlot a
+// shared mapping keeps (the executor caches it as it is).
 func composePath(maps []*Mapping, grouped bool) (*Mapping, error) {
 	for i := 1; i < len(maps); i++ {
 		if maps[i-1].To != maps[i].From {
@@ -478,7 +499,7 @@ func composePath(maps []*Mapping, grouped bool) (*Mapping, error) {
 	}
 	s := composeScratchPool.Get().(*composeScratch)
 	defer composeScratchPool.Put(s)
-	g := s.fold(maps)
+	g := s.compose(maps)
 	out := &Mapping{From: maps[0].From, To: maps[len(maps)-1].To, Type: gam.RelComposed, Assocs: exact(g.assocs)}
 	if grouped {
 		out.index = &indexSlot{groups: assocGroups{assocs: out.Assocs, domains: exact(g.domains), offs: exact(g.offs)}}
@@ -497,29 +518,116 @@ func exact[T any](s []T) []T {
 	return out
 }
 
-// fold left-folds the join over maps and returns the last hop's result,
-// which lives in s: each hop reads the previous hop's result from one of
-// s.acc and writes its own to the other. Once a hop derives nothing, no
-// later hop can, so the fold stops there.
-func (s *composeScratch) fold(maps []*Mapping) assocGroups {
-	acc := maps[0].groupsIn(&s.operand[0])
-	for i, next := range maps[1:] {
-		dst := &s.acc[i%2]
-		s.join(dst, acc, next.groupsIn(&s.operand[1]))
-		if acc = *dst; len(acc.assocs) == 0 {
-			break
+// grow returns buf resized to n, its contents kept up to its old length,
+// reallocated only when n exceeds its capacity.
+func grow[T any](buf []T, n int) []T {
+	if n <= cap(buf) {
+		return buf[:n]
+	}
+	return append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+}
+
+// compose joins maps in the order plan picks and returns the root join's
+// result, which lives in s.
+func (s *composeScratch) compose(maps []*Mapping) assocGroups {
+	s.group(maps)
+	return s.eval(s.plan(), 0, len(maps)-1, 0)
+}
+
+// group sets s.leaves to maps' groupings (see groupsIn), a private
+// operand's built in its own slot of s.operand.
+func (s *composeScratch) group(maps []*Mapping) {
+	s.leaves, s.operand = grow(s.leaves, len(maps)), grow(s.operand, len(maps))
+	for i, m := range maps {
+		s.leaves[i] = m.groupsIn(&s.operand[i])
+	}
+}
+
+// plan picks the order in which s.leaves, a chain of n grouped operands,
+// is joined: the bracketing whose joins derive the fewest pairs by
+// estimate, found by the matrix-chain DP (T. C. Hu and M. T. Shing;
+// O(n³)). It returns split, where split[i*n+j] = k means that operands
+// i..j are joined as the result of i..k with the result of k+1..j.
+//
+// A join of A with B derives about |A|·|B|/|dom B| pairs: each of A's
+// associations meets a group of B of average size. The result's domain is
+// taken to be A's, so the estimate of a sub-chain i..j's derived pairs is
+// rows[i*n+j] = |i|·Π_{i<m≤j} |m|/|dom m| whatever its bracketing, and
+// every split of i..j costs its final join the same; the splits differ
+// only in what their sub-chains cost. An empty operand estimates 0 pairs
+// everywhere it takes part, so it is joined first and ends the path at
+// once. Ties go to the larger k, so a chain with no cheaper order is left
+// folded.
+func (s *composeScratch) plan() []int32 {
+	leaves, n := s.leaves, len(s.leaves)
+	s.rows, s.cost, s.split = grow(s.rows, n*n), grow(s.cost, n*n), grow(s.split, n*n)
+	rows, cost, split := s.rows, s.cost, s.split
+	for i, g := range leaves {
+		rows[i*n+i], cost[i*n+i] = float64(len(g.assocs)), 0
+	}
+	for span := 1; span < n; span++ {
+		for i := 0; i+span < n; i++ {
+			j := i + span
+			fanout := 0.0
+			if d := len(leaves[j].domains); d > 0 {
+				fanout = float64(len(leaves[j].assocs)) / float64(d)
+			}
+			rows[i*n+j] = rows[i*n+j-1] * fanout
+			best := math.Inf(1)
+			for k := j - 1; k >= i; k-- {
+				if c := cost[i*n+k] + cost[(k+1)*n+j]; c < best {
+					best, split[i*n+j] = c, int32(k)
+				}
+			}
+			cost[i*n+j] = best + rows[i*n+j]
 		}
 	}
-	return acc
+	return split
+}
+
+// eval joins s.leaves[i..j] as split brackets them (see plan) and
+// returns the result. A leaf is its own grouping; a join's result lives
+// in s.acc[base], and the joins below it work in s.acc[base:], so a join
+// with both operands joined holds three buffers at once. Once a sub-chain
+// derives nothing, nothing that contains it can, so eval returns it
+// without joining more.
+func (s *composeScratch) eval(split []int32, i, j, base int) assocGroups {
+	if i == j {
+		return s.leaves[i]
+	}
+	k := int(split[i*len(s.leaves)+j])
+	dst := base
+	left := s.eval(split, i, k, dst)
+	if len(left.assocs) == 0 {
+		return left
+	}
+	if k > i {
+		dst++
+	}
+	right := s.eval(split, k+1, j, dst)
+	if len(right.assocs) == 0 {
+		return right
+	}
+	if k+1 < j {
+		dst++
+	}
+	if dst == len(s.acc) { // the buffers below dst are in use
+		s.acc = append(s.acc, assocGroups{})
+	}
+	s.join(&s.acc[dst], left, right)
+	s.acc[base], s.acc[dst] = s.acc[dst], s.acc[base]
+	return s.acc[base]
 }
 
 // join composes left with right and writes the result, grouped, into
 // dst's memory: left's domain objects in ascending order; for each, its
 // middle objects, each found among right's domains by its position in pos
 // or, when positions declines, by binary search from where the previous
-// one was found. A domain object enters the
-// result, with its offset, only when it derives a pair, so the result
-// needs no regrouping. dst must not be left's or right's memory.
+// one was found. A domain object enters the result, with its offset, only
+// when it derives a pair, so the result needs no regrouping. Its derived
+// pairs are sorted by range object before they collapse, unless they all
+// come from one middle object: then they are that object's group of
+// right, sorted already. dst must not be left's or right's memory.
 func (s *composeScratch) join(dst *assocGroups, left, right assocGroups) {
 	out := assocGroups{assocs: dst.assocs[:0], domains: dst.domains[:0], offs: dst.offs[:0]}
 	derived := s.derived // one domain object's derived pairs
@@ -530,7 +638,7 @@ func (s *composeScratch) join(dst *assocGroups, left, right assocGroups) {
 	}
 	for d, id := range left.domains {
 		derived = derived[:0]
-		k := 0
+		k, runs := 0, 0
 		for _, a1 := range left.assocs[left.offs[d]:left.offs[d+1]] {
 			if pos != nil {
 				x := uint64(a1.Object2 - base)
@@ -549,11 +657,14 @@ func (s *composeScratch) join(dst *assocGroups, left, right assocGroups) {
 			for _, a2 := range right.assocs[right.offs[k]:right.offs[k+1]] {
 				derived = append(derived, indexTarget{a2.Object2, combine(a1.Evidence, a2.Evidence)})
 			}
+			runs++
 		}
 		if len(derived) == 0 {
 			continue
 		}
-		slices.SortFunc(derived, func(a, b indexTarget) int { return cmp.Compare(a.id, b.id) })
+		if runs > 1 {
+			slices.SortFunc(derived, func(a, b indexTarget) int { return cmp.Compare(a.id, b.id) })
+		}
 		out.domains = append(out.domains, id)
 		out.offs = append(out.offs, int32(len(out.assocs)))
 		for i, t := range derived {
